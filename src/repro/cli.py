@@ -43,7 +43,8 @@ import sys
 import numpy as np
 
 from . import data as datagen
-from .core import Dataset, detect_outliers, resolve_strategy
+from .core import Dataset, detect_outliers
+from .core.config import RunConfig
 from .kernels import KERNEL_CHOICES, KernelUnavailable, resolve_kernel
 from .metrics import METRIC_CHOICES, MetricUnsupported, resolve_metric
 from .mapreduce import (
@@ -55,7 +56,7 @@ from .mapreduce import (
 )
 from .observability import RunReport, render_report
 from .params import OutlierParams
-from .partitioning import PlanRequest, save_plan
+from .partitioning import save_plan
 from .tiers import TIER_CHOICES, resolve_tier
 
 __all__ = ["main", "CLIError"]
@@ -221,6 +222,14 @@ def _detect(args: argparse.Namespace):
     return dataset, params, cluster
 
 
+def _run_kwargs(args: argparse.Namespace) -> dict:
+    """The run-configuration flags, as every entry point spells them."""
+    return dict(
+        strategy=args.strategy, detector=args.detector, seed=args.seed,
+        kernel=args.kernel, metric=args.metric, tier=args.tier,
+    )
+
+
 def _build_runtime(args: argparse.Namespace, cluster: ClusterConfig):
     """Runtime + scheduler policy from the detect subcommand's flags."""
     scheduler = SchedulerConfig(
@@ -273,10 +282,8 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         return _detect_append(args)
     dataset, params, cluster = _detect(args)
     result = detect_outliers(
-        dataset, params, strategy=args.strategy,
-        detector=args.detector, cluster=cluster, seed=args.seed,
-        runtime=_build_runtime(args, cluster), kernel=args.kernel,
-        metric=args.metric, tier=args.tier,
+        dataset, params, cluster=cluster,
+        runtime=_build_runtime(args, cluster), **_run_kwargs(args),
     )
     report = {
         "n_points": dataset.n,
@@ -336,11 +343,8 @@ def _run_checkpointed_cli(args, checkpoint_dir: str) -> int:
     try:
         result = run_checkpointed(
             dataset, params, checkpoint_dir,
-            strategy=args.strategy, detector=args.detector,
             runtime=_build_runtime(args, cluster), cluster=cluster,
-            seed=args.seed, kernel=args.kernel,
-            metric=getattr(args, "metric", None),
-            tier=getattr(args, "tier", None),
+            **_run_kwargs(args),
             manifest_extra={
                 "input": args.input,
                 "with_ids": bool(args.with_ids),
@@ -356,7 +360,7 @@ def _run_checkpointed_cli(args, checkpoint_dir: str) -> int:
             f"{len(result.executed_partitions)} re-executed",
             file=sys.stderr,
         )
-    metric = resolve_metric(getattr(args, "metric", None)).spec()
+    metric = resolve_metric(args.metric).spec()
     _write_report(
         _checkpoint_report(result, params, metric), args.output
     )
@@ -414,15 +418,10 @@ def _streaming_detector(args, params, cluster):
 
     return StreamingDetector(
         params,
-        strategy=args.strategy,
-        detector=args.detector,
         runtime=_build_runtime(args, cluster),
         cluster=cluster,
         drift_threshold=args.drift_threshold,
-        seed=args.seed,
-        kernel=args.kernel,
-        metric=args.metric,
-        tier=args.tier,
+        **_run_kwargs(args),
     )
 
 
@@ -501,10 +500,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         try:
             detector = StreamingDetector.restore(
                 args.snapshot, params,
-                strategy=args.strategy, detector=args.detector,
                 runtime=_build_runtime(args, cluster), cluster=cluster,
-                drift_threshold=args.drift_threshold, seed=args.seed,
-                kernel=args.kernel, metric=args.metric, tier=args.tier,
+                drift_threshold=args.drift_threshold,
+                **_run_kwargs(args),
             )
         except ValueError as exc:
             raise CLIError(str(exc)) from exc
@@ -627,12 +625,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         try:
             job_id = client.submit(
                 args.input, r=args.r, k=args.k, tenant=args.tenant,
-                lane=args.lane, strategy=args.strategy,
-                detector=args.detector, seed=args.seed,
-                nodes=args.nodes, workers=args.workers,
-                transport=args.transport, kernel=args.kernel,
-                metric=args.metric, tier=args.tier,
-                with_ids=args.with_ids,
+                lane=args.lane, nodes=args.nodes, workers=args.workers,
+                transport=args.transport, with_ids=args.with_ids,
+                **_run_kwargs(args),
             )
         except QueueFull as exc:
             # Explicit backpressure: fail fast, tell the caller to
@@ -774,19 +769,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     dataset, params, cluster = _detect(args)
-    strategy = resolve_strategy(args.strategy)
-    runtime = LocalRuntime(cluster)
-    request = PlanRequest(
-        domain=dataset.bounds,
-        params=params,
-        n_partitions=args.partitions,
-        n_reducers=args.reducers,
-        n_buckets=min(1024, max(64, dataset.n // 20)),
-        sample_rate=min(0.5, max(0.005, 2000 / max(dataset.n, 1))),
-        seed=args.seed,
+    # Plan files hold rectangle plans: Euclidean whatever REPRO_METRIC
+    # says (a metric run plans for itself, with pivot balls).
+    cfg = RunConfig.resolve(
+        params, strategy=args.strategy, n=dataset.n,
+        n_partitions=args.partitions, n_reducers=args.reducers,
+        seed=args.seed, metric="euclidean", tier="exact",
     )
-    plan = strategy.timed_plan(
-        runtime, list(dataset.records()), request
+    plan = cfg.strategy.timed_plan(
+        LocalRuntime(cluster), list(dataset.records()),
+        cfg.plan_request(dataset.bounds),
     )
     save_plan(plan, args.output)
     print(

@@ -1,0 +1,354 @@
+"""The routed-execution core every entry point shares (Fig. 3).
+
+:func:`~repro.core.detect_outliers`,
+:func:`~repro.recovery.run_checkpointed` and
+:class:`~repro.streaming.StreamingDetector` differ in *when* they route
+records and *which* partitions they detect, not in how.  This module
+holds the three steps they have in common, each taking the resolved
+:class:`~repro.core.config.RunConfig`:
+
+* :func:`route` — the Fig. 3 map function: one core record per point
+  plus a support record for every partition whose ``r``-expansion
+  contains it.  Batch runs call it inside map tasks, checkpointed and
+  streaming runs on the driver;
+* :func:`run_routed` — the detection job over records that are already
+  routed: pack the partitions onto reducers, detect, report
+  ``(partition, outlier_id)``;
+* :func:`run_tier_prelude` — the fast tier's certification pass
+  (mini-bucket stats → tier choice → sensitivity sample → certify).
+"""
+
+from __future__ import annotations
+
+from collections import defaultdict
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional
+
+import numpy as np
+
+from ..allocation import allocate
+from ..detectors import make_partition_detector
+from ..mapreduce import (
+    DictPartitioner,
+    JobResult,
+    LocalRuntime,
+    MapReduceJob,
+    Mapper,
+    Reducer,
+    TaskContext,
+)
+from ..partitioning import PartitionPlan
+from ..sampling import collect_minibucket_stats
+from ..tiers import (
+    SensitivitySample,
+    TierCertification,
+    build_sensitivity_sample,
+    pick_tier,
+    run_certification,
+)
+from .config import RunConfig
+from .dataset import Dataset
+
+__all__ = ["TierPass", "annotate_tier", "route", "run_routed",
+           "run_tier_prelude"]
+
+#: Cost units charged per mapper input record (plan lookup) and per emitted
+#: record (serialization into the shuffle).  One constant for every
+#: strategy, matching Fig. 10's observation that the map stage costs are
+#: nearly identical across approaches.
+_MAP_RECORD_COST = 1.0
+_MAP_EMIT_COST = 1.0
+
+
+def route(
+    plan: PartitionPlan,
+    ids: List[int],
+    points: np.ndarray,
+    r: float,
+    certified: frozenset = frozenset(),
+    dropped: frozenset = frozenset(),
+) -> List[tuple]:
+    """Route points through ``plan``: ``[(pid, (tag, id, point))]``.
+
+    Every point yields one record for its core partition, then one
+    support record (tag 1, Def. 3.3) for each partition whose
+    ``r``-expansion contains it.  ``certified`` ids are the fast tier's
+    pre-cleared inliers: they enter their *own* partition demoted from
+    core (tag 0) to support, so every pool stays complete (Lemma 3.1)
+    but no detector re-decides them.  ``dropped`` ids (certified points
+    farther than ``r`` from every residue point) can witness no
+    remaining query and are not routed at all.
+    """
+    if dropped:
+        keep = [i for i, pid in enumerate(ids) if pid not in dropped]
+        ids = [ids[i] for i in keep]
+        points = points[keep]
+    if not ids:
+        return []
+    core, support_pairs = plan.assign_batch(points, r)
+    tuples = [tuple(map(float, p)) for p in points]
+    pairs = [
+        (int(core[i]), (1 if pid in certified else 0, pid, tuples[i]))
+        for i, pid in enumerate(ids)
+    ]
+    for row, pid in support_pairs:
+        pairs.append((int(pid), (1, ids[row], tuples[row])))
+    return pairs
+
+
+def _charge_kernel_counters(ctx: TaskContext, result) -> None:
+    """Roll a detection result's kernel work into the ``kernel`` counter
+    group — the distance-backend twin of the runtime's ``transport``
+    group: which backend ran, what it charged (scalar-faithful evals),
+    and what it actually computed (tile overshoot included)."""
+    extras = result.extras
+    if "kernel" not in extras:
+        return  # index-structure detectors (kdtree, pivot) bypass the ABI
+    ctx.counters.incr("kernel", f"backend_{extras['kernel']}")
+    ctx.counters.incr("kernel", "tasks")
+    ctx.counters.incr(
+        "kernel", "evals_charged", int(result.distance_evals)
+    )
+    ctx.counters.incr(
+        "kernel", "evals_computed",
+        int(extras.get("kernel_evals_computed", 0)),
+    )
+    # Deliberately no wall time here: counters must stay deterministic
+    # (the transport-equivalence suite compares them bit-for-bit).  The
+    # bench harness measures backend wall by threading a shared Kernel
+    # instance through serial runs and reading Kernel.wall_seconds.
+
+
+def _charge_graph_counters(ctx: TaskContext, result) -> None:
+    """Roll a proximity-graph result into the ``graph`` counter group:
+    how many core points the neighbor graph certified for free, how many
+    fell through to the exact residue scan, and what the graph build
+    itself charged.  All deterministic (certification is a pure function
+    of the seeded graph)."""
+    extras = result.extras
+    if "graph_certified" not in extras:
+        return  # not a proximity-graph result
+    ctx.counters.incr("graph", "tasks")
+    ctx.counters.incr("graph", "certified", int(extras["graph_certified"]))
+    ctx.counters.incr("graph", "residue", int(extras["graph_residue"]))
+    ctx.counters.incr(
+        "graph", "graph_distance_evals",
+        int(extras["graph_distance_evals"]),
+    )
+
+
+class _DODReducer(Reducer):
+    """Fig. 3 reduce function: split by tag, detect, report core outliers."""
+
+    def __init__(
+        self, cfg: RunConfig, algorithm_plan: Dict[int, Optional[str]]
+    ) -> None:
+        self.cfg = cfg
+        self.algorithm_plan = algorithm_plan
+
+    def reduce(self, key, values, ctx: TaskContext):
+        core_ids: List[int] = []
+        core_pts: List[tuple] = []
+        support_pts: List[tuple] = []
+        for tag, pid, point in values:
+            if tag == 0:
+                core_ids.append(pid)
+                core_pts.append(point)
+            else:
+                support_pts.append(point)
+        if not core_pts:
+            return
+        algorithm = self.algorithm_plan.get(key) or self.cfg.detector
+        # Seeded per partition: partitions must not share one scan
+        # permutation (correlated early-termination across reducers).
+        detector = make_partition_detector(
+            algorithm, key, kernel=self.cfg.kernel, metric=self.cfg.metric
+        )
+        ndim = len(core_pts[0])
+        result = detector.run(
+            np.asarray(core_pts),
+            np.asarray(core_ids, dtype=np.int64),
+            np.asarray(support_pts) if support_pts
+            else np.empty((0, ndim)),
+            self.cfg.params,
+        )
+        ctx.add_cost(result.cost_units)
+        if result.span is not None and ctx.span is not None:
+            result.span.annotate(partition=key)
+            ctx.span.add_child(result.span)
+        ctx.counters.incr("dod", f"algorithm_{algorithm}")
+        ctx.counters.incr("dod", "partitions_processed")
+        ctx.counters.incr(
+            "dod", "distance_evals", int(result.distance_evals)
+        )
+        _charge_kernel_counters(ctx, result)
+        _charge_graph_counters(ctx, result)
+        for outlier_id in result.outlier_ids:
+            yield outlier_id
+
+
+class _RoutedMapper(Mapper):
+    """Identity mapper for records already routed to their partition.
+
+    Checkpointed and streaming runs keep ``(partition, (tag, id, point))``
+    records per partition, so their job's map side only re-emits them
+    into the shuffle — the plan lookup was paid once, on the driver.
+    """
+
+    def map(self, key, value, ctx: TaskContext):
+        ctx.add_cost(_MAP_RECORD_COST + _MAP_EMIT_COST)
+        yield key, value
+
+    def map_block(self, records, ctx: TaskContext):
+        ctx.add_cost((_MAP_RECORD_COST + _MAP_EMIT_COST) * len(records))
+        return list(records)
+
+
+class _StreamDODReducer(_DODReducer):
+    """Fig. 3 reduce function, reporting ``(partition, outlier_id)``.
+
+    The partition tag lets the driver journal, or replace, exactly one
+    partition's verdicts when merging job output.
+    """
+
+    def reduce(self, key, values, ctx: TaskContext):
+        for outlier_id in super().reduce(key, values, ctx):
+            yield key, outlier_id
+
+
+def run_routed(
+    runtime: LocalRuntime,
+    name: str,
+    cfg: RunConfig,
+    plan: PartitionPlan,
+    partition_records: Dict[int, List[tuple]],
+    pids: Iterable[int],
+    on_commit: Optional[Callable] = None,
+) -> Optional[JobResult]:
+    """Detect partitions ``pids`` over their already-routed records.
+
+    The partitions are re-packed onto reducers by their *actual* record
+    counts — the per-job equivalent of Sec. V-A step 3 — and the job's
+    outputs are ``(pid, outlier_id)`` pairs.  Returns ``None`` without
+    scheduling anything when the partitions hold no records.
+    ``on_commit(task_id, owned_pids, outliers_by_pid)`` fires in the
+    driver as each reduce task's outputs commit, *before* any listener
+    already on the runtime (the service worker hangs its lease heartbeat
+    there), so what that one observes is always already handled.
+    """
+    target = sorted(pids)
+    sizes = [len(partition_records.get(pid, ())) for pid in target]
+    if not any(sizes):
+        return None
+    records = [
+        (pid, record)
+        for pid in target
+        for record in partition_records.get(pid, ())
+    ]
+    alloc = allocate(sizes, min(cfg.n_reducers, len(target)))
+    table = {pid: alloc.assignment[i] for i, pid in enumerate(target)}
+    job = MapReduceJob(
+        name=f"{name}-detect-{plan.strategy}",
+        mapper=_RoutedMapper(),
+        reducer=_StreamDODReducer(cfg, plan.algorithm_plan),
+        n_reducers=len(alloc.bin_loads),
+        partitioner=DictPartitioner(table),
+    )
+    if on_commit is None:
+        return runtime.run(job, records)
+    owned: Dict[int, List[int]] = defaultdict(list)
+    for pid, reducer in table.items():
+        owned[reducer].append(pid)
+    prev_listener = runtime.commit_listener
+
+    def listener(phase: str, task_id: int, outputs) -> None:
+        if phase != "reduce":
+            return
+        outs: Dict[int, List[int]] = defaultdict(list)
+        for pid, outlier_id in outputs:
+            outs[pid].append(outlier_id)
+        on_commit(task_id, owned.get(task_id, []), outs)
+        if prev_listener is not None:
+            prev_listener(phase, task_id, outputs)
+
+    runtime.commit_listener = listener
+    try:
+        return runtime.run(job, records)
+    finally:
+        runtime.commit_listener = prev_listener
+
+
+@dataclass
+class TierPass:
+    """What the tier prelude decided and pre-cleared."""
+
+    tier: str = "exact"
+    sample: Optional[SensitivitySample] = None
+    certified: frozenset = frozenset()
+    dropped: frozenset = frozenset()
+    certification: Optional[TierCertification] = None
+    #: The certification job; part of the detection phase, so its
+    #: counters, cost units and trace roll up with the run's jobs.
+    job: Optional[JobResult] = None
+
+
+def run_tier_prelude(
+    runtime: LocalRuntime,
+    dataset: Dataset,
+    cfg: RunConfig,
+    records: Optional[List[tuple]] = None,
+    certify: bool = True,
+) -> TierPass:
+    """Resolve ``cfg.tier`` against the data and run the fast pass.
+
+    ``"auto"`` consults the cost model with the measured mini-bucket
+    density.  Everything here is a deterministic function of the dataset
+    and the config, so a resumed run recomputes the identical demotions.
+    A stream certifies each batch as it routes it (``certify=False``):
+    it needs the witness sample, not a certification job.
+    """
+    if cfg.tier == "exact":
+        return TierPass()
+    if records is None:
+        records = list(dataset.records())
+    stats = collect_minibucket_stats(
+        runtime, records, dataset.bounds,
+        n_buckets=cfg.n_buckets, rate=cfg.sample_rate, seed=cfg.seed,
+        n_reducers=cfg.n_reducers,
+    )
+    tier = pick_tier(
+        cfg.tier, dataset.n, dataset.bounds.area, cfg.params,
+        dataset.ndim, stats=stats,
+    )
+    if tier != "fast":
+        return TierPass(tier)
+    sample = build_sensitivity_sample(
+        dataset.points, dataset.ids, stats, cfg.params, seed=cfg.seed
+    )
+    if not certify:
+        return TierPass(tier, sample)
+    certified, dropped, certification, job = run_certification(
+        runtime, records, sample, cfg
+    )
+    return TierPass(
+        tier, sample, frozenset(certified), frozenset(dropped),
+        certification, job,
+    )
+
+
+def annotate_tier(
+    span, requested: str, tier: str,
+    certification: Optional[TierCertification] = None,
+) -> None:
+    """Record the tier a run resolved to on its ``run`` span (only when
+    a non-default tier was requested or chosen)."""
+    if tier != "exact" or requested != "exact":
+        span.annotate(tier=tier)
+    if certification is not None:
+        span.annotate(
+            tier_certified=certification.certified,
+            tier_residue_fraction=certification.residue_fraction,
+            tier_bound=certification.bound,
+            tier_sample_size=certification.sample_size,
+            tier_dropped=certification.dropped,
+        )

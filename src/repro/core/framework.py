@@ -37,58 +37,18 @@ from ..mapreduce import (
     TaskContext,
 )
 from ..partitioning import PartitionPlan
+from .config import RunConfig
+from .execute import (
+    _MAP_EMIT_COST,
+    _MAP_RECORD_COST,
+    _charge_graph_counters,
+    _charge_kernel_counters,
+    _DODReducer,
+    route,
+)
 from .outliers import OutlierParams, neighbor_counts
 
 __all__ = ["DetectionRun", "DODFramework", "DomainBaseline"]
-
-#: Cost units charged per mapper input record (plan lookup) and per emitted
-#: record (serialization into the shuffle).  One constant for every
-#: strategy, matching Fig. 10's observation that the map stage costs are
-#: nearly identical across approaches.
-_MAP_RECORD_COST = 1.0
-_MAP_EMIT_COST = 1.0
-
-
-def _charge_kernel_counters(ctx: TaskContext, result) -> None:
-    """Roll a detection result's kernel work into the ``kernel`` counter
-    group — the distance-backend twin of the runtime's ``transport``
-    group: which backend ran, what it charged (scalar-faithful evals),
-    and what it actually computed (tile overshoot included)."""
-    extras = result.extras
-    if "kernel" not in extras:
-        return  # index-structure detectors (kdtree, pivot) bypass the ABI
-    ctx.counters.incr("kernel", f"backend_{extras['kernel']}")
-    ctx.counters.incr("kernel", "tasks")
-    ctx.counters.incr(
-        "kernel", "evals_charged", int(result.distance_evals)
-    )
-    ctx.counters.incr(
-        "kernel", "evals_computed",
-        int(extras.get("kernel_evals_computed", 0)),
-    )
-    # Deliberately no wall time here: counters must stay deterministic
-    # (the transport-equivalence suite compares them bit-for-bit).  The
-    # bench harness measures backend wall by threading a shared Kernel
-    # instance through serial runs and reading Kernel.wall_seconds.
-
-
-def _charge_graph_counters(ctx: TaskContext, result) -> None:
-    """Roll a proximity-graph result into the ``graph`` counter group:
-    how many core points the neighbor graph certified for free, how many
-    fell through to the exact residue scan, and what the graph build
-    itself charged.  All deterministic (certification is a pure function
-    of the seeded graph)."""
-    extras = result.extras
-    if "graph_certified" not in extras:
-        return  # not a proximity-graph result
-    ctx.counters.incr("graph", "tasks")
-    ctx.counters.incr("graph", "certified", int(extras["graph_certified"]))
-    ctx.counters.incr("graph", "residue", int(extras["graph_residue"]))
-    ctx.counters.incr(
-        "graph", "graph_distance_evals",
-        int(extras["graph_distance_evals"]),
-    )
-
 
 @dataclass
 class DetectionRun:
@@ -127,18 +87,9 @@ class DetectionRun:
 class _DODMapper(Mapper):
     """Fig. 3 map function: core record + zero or more support records.
 
-    ``certified_ids`` is the fast tier's pre-cleared inlier set: a
-    certified point is demoted from core (tag 0) to support (tag 1) in
-    its *own* partition, so every reducer still sees its complete
-    core ∪ support pool (Lemma 3.1 exactness is untouched) but no
-    detector work is spent re-deciding a point the certification pass
-    already bounded.
-
-    ``dropped_ids`` (a subset of ``certified_ids``) are certified points
-    strictly farther than ``r`` from every residue point: no remaining
-    query can count them as a witness, so they are not emitted at all —
-    neither core nor support.  Dropping them shrinks shuffle volume
-    without changing any pool a residue query consults.
+    ``certified_ids``/``dropped_ids`` are the fast tier's pre-cleared
+    inliers, demoted to support records or skipped outright as
+    :func:`~repro.core.execute.route` describes.
     """
 
     def __init__(
@@ -174,100 +125,65 @@ class _DODMapper(Mapper):
         """Vectorized block path: same output pairs as :meth:`map`."""
         if not records:
             return []
-        dropped = self.dropped_ids
-        n_in = len(records)
-        if dropped:
-            records = [r for r in records if r[0] not in dropped]
-            ctx.counters.incr(
-                "dod", "dropped_records", n_in - len(records)
-            )
-            if not records:
-                ctx.add_cost(_MAP_RECORD_COST * n_in)
-                return []
         ids = [r[0] for r in records]
-        points = np.asarray([r[1] for r in records], dtype=float)
-        core, support_pairs = self.plan.assign_batch(points, self.r)
-        tuples = [tuple(map(float, p)) for p in points]
-        certified = self.certified_ids
-        pairs = [
-            (
-                int(core[i]),
-                (1 if ids[i] in certified else 0, ids[i], tuples[i]),
-            )
-            for i in range(len(records))
-        ]
-        for row, pid in support_pairs:
-            pairs.append((int(pid), (1, ids[row], tuples[row])))
-        emitted = len(pairs)
-        ctx.counters.incr(
-            "dod", "support_records", emitted - len(records)
+        n_kept = len(ids)
+        if self.dropped_ids:
+            n_kept -= sum(1 for pid in ids if pid in self.dropped_ids)
+            ctx.counters.incr("dod", "dropped_records", len(ids) - n_kept)
+        pairs = route(
+            self.plan, ids,
+            np.asarray([r[1] for r in records], dtype=float), self.r,
+            self.certified_ids, self.dropped_ids,
         )
+        if pairs:
+            ctx.counters.incr("dod", "support_records", len(pairs) - n_kept)
         ctx.add_cost(
-            _MAP_RECORD_COST * n_in + _MAP_EMIT_COST * emitted
+            _MAP_RECORD_COST * len(ids) + _MAP_EMIT_COST * len(pairs)
         )
         return pairs
 
 
-class _DODReducer(Reducer):
-    """Fig. 3 reduce function: split by tag, detect, report core outliers."""
-
-    def __init__(
-        self,
-        params: OutlierParams,
-        algorithm_plan: Dict[int, Optional[str]],
-        default_algorithm: str,
-        kernel: Optional[str] = None,
-        metric: Optional[str] = None,
-    ) -> None:
-        self.params = params
-        self.algorithm_plan = algorithm_plan
-        self.default_algorithm = default_algorithm
-        self.kernel = kernel
-        self.metric = metric
-
-    def reduce(self, key, values, ctx: TaskContext):
-        core_ids: List[int] = []
-        core_pts: List[tuple] = []
-        support_pts: List[tuple] = []
-        for tag, pid, point in values:
-            if tag == 0:
-                core_ids.append(pid)
-                core_pts.append(point)
-            else:
-                support_pts.append(point)
-        if not core_pts:
-            return
-        algorithm = self.algorithm_plan.get(key) or self.default_algorithm
-        # Seeded per partition: partitions must not share one scan
-        # permutation (correlated early-termination across reducers).
-        detector = make_partition_detector(
-            algorithm, key, kernel=self.kernel, metric=self.metric
-        )
-        ndim = len(core_pts[0])
-        result = detector.run(
-            np.asarray(core_pts),
-            np.asarray(core_ids, dtype=np.int64),
-            np.asarray(support_pts) if support_pts
-            else np.empty((0, ndim)),
-            self.params,
-        )
-        ctx.add_cost(result.cost_units)
-        if result.span is not None and ctx.span is not None:
-            result.span.annotate(partition=key)
-            ctx.span.add_child(result.span)
-        ctx.counters.incr("dod", f"algorithm_{algorithm}")
-        ctx.counters.incr("dod", "partitions_processed")
-        ctx.counters.incr(
-            "dod", "distance_evals", int(result.distance_evals)
-        )
-        _charge_kernel_counters(ctx, result)
-        _charge_graph_counters(ctx, result)
-        for outlier_id in result.outlier_ids:
-            yield outlier_id
+def _run_framework(
+    runtime: LocalRuntime,
+    input_data,
+    plan: PartitionPlan,
+    cfg: RunConfig,
+    certified_ids: Optional[frozenset] = None,
+    dropped_ids: Optional[frozenset] = None,
+) -> DetectionRun:
+    """The single-pass framework: one MapReduce job end to end."""
+    partitioner = (
+        DictPartitioner(plan.allocation)
+        if plan.allocation is not None
+        else HashPartitioner()
+    )
+    job = MapReduceJob(
+        name=f"dod-detect-{plan.strategy}",
+        mapper=_DODMapper(
+            plan, cfg.params.r, certified_ids=certified_ids,
+            dropped_ids=dropped_ids,
+        ),
+        reducer=_DODReducer(cfg, plan.algorithm_plan),
+        n_reducers=cfg.n_reducers,
+        partitioner=partitioner,
+    )
+    result = runtime.run(job, input_data)
+    usage = {
+        name.removeprefix("algorithm_"): count
+        for name, count in result.counters.group("dod").items()
+        if name.startswith("algorithm_")
+    }
+    return DetectionRun(
+        outlier_ids=set(result.outputs),
+        plan=plan,
+        jobs=[result],
+        detector_usage=usage,
+    )
 
 
 class DODFramework:
-    """The single-pass framework: one MapReduce job end to end."""
+    """:func:`_run_framework` for callers that hold a plan but no
+    resolved run configuration (the pipeline passes its own)."""
 
     def __init__(
         self,
@@ -279,6 +195,13 @@ class DODFramework:
         self.kernel = kernel
         self.metric = metric
 
+    def _config(self, params, n_reducers, plan) -> RunConfig:
+        return RunConfig.resolve(
+            params, detector=self.default_algorithm,
+            n_reducers=n_reducers, kernel=self.kernel, metric=self.metric,
+            tier="exact", plan=plan,
+        )
+
     def run(
         self,
         runtime: LocalRuntime,
@@ -289,35 +212,10 @@ class DODFramework:
         certified_ids: Optional[frozenset] = None,
         dropped_ids: Optional[frozenset] = None,
     ) -> DetectionRun:
-        partitioner = (
-            DictPartitioner(plan.allocation)
-            if plan.allocation is not None
-            else HashPartitioner()
-        )
-        job = MapReduceJob(
-            name=f"dod-detect-{plan.strategy}",
-            mapper=_DODMapper(
-                plan, params.r, certified_ids=certified_ids,
-                dropped_ids=dropped_ids,
-            ),
-            reducer=_DODReducer(
-                params, plan.algorithm_plan, self.default_algorithm,
-                kernel=self.kernel, metric=self.metric,
-            ),
-            n_reducers=n_reducers,
-            partitioner=partitioner,
-        )
-        result = runtime.run(job, input_data)
-        usage = {
-            name.removeprefix("algorithm_"): count
-            for name, count in result.counters.group("dod").items()
-            if name.startswith("algorithm_")
-        }
-        return DetectionRun(
-            outlier_ids=set(result.outputs),
-            plan=plan,
-            jobs=[result],
-            detector_usage=usage,
+        return _run_framework(
+            runtime, input_data, plan,
+            self._config(params, n_reducers, plan),
+            certified_ids, dropped_ids,
         )
 
 
@@ -366,26 +264,19 @@ class _LocalDetectReducer(Reducer):
     job 2 uses as neighbor candidates for other partitions' candidates.
     """
 
-    def __init__(
-        self,
-        plan: PartitionPlan,
-        params: OutlierParams,
-        algorithm: str,
-        kernel: Optional[str] = None,
-    ) -> None:
+    def __init__(self, plan: PartitionPlan, cfg: RunConfig) -> None:
         self.plan = plan
-        self.params = params
-        self.algorithm = algorithm
-        self.kernel = kernel
+        self.cfg = cfg
 
     def reduce(self, key, values, ctx: TaskContext):
+        params = self.cfg.params
         ids = np.asarray([v[0] for v in values], dtype=np.int64)
         pts = np.asarray([v[1] for v in values], dtype=float)
         detector = make_partition_detector(
-            self.algorithm, key, kernel=self.kernel
+            self.cfg.detector, key, kernel=self.cfg.kernel
         )
         result = detector.run(
-            pts, ids, np.empty((0, pts.shape[1])), self.params
+            pts, ids, np.empty((0, pts.shape[1])), params
         )
         ctx.add_cost(result.cost_units)
         if result.span is not None and ctx.span is not None:
@@ -406,7 +297,7 @@ class _LocalDetectReducer(Reducer):
         exact = {}
         if outlier_rows.size:
             counts = neighbor_counts(
-                pts[outlier_rows], pts, self.params.r, exclude_self=True
+                pts[outlier_rows], pts, params.r, exclude_self=True
             )
             ctx.add_cost(float(outlier_rows.size * pts.shape[0]))
             ctx.counters.incr(
@@ -422,7 +313,7 @@ class _LocalDetectReducer(Reducer):
         for i in range(pts.shape[0]):
             pid = int(ids[i])
             near_border = (
-                rect.distance_to_boundary(pts[i]) < self.params.r
+                rect.distance_to_boundary(pts[i]) < params.r
             )
             if pid in local_outliers:
                 if near_border:
@@ -482,8 +373,55 @@ class _ConfirmReducer(Reducer):
             yield ("partial", pid, int(count))
 
 
-class DomainBaseline:
-    """The two-job Domain pipeline (exact, but pays a second pass).
+def _run_baseline(
+    runtime: LocalRuntime, input_data, plan: PartitionPlan, cfg: RunConfig
+) -> DetectionRun:
+    """The two-job Domain pipeline (exact, but pays a second pass)."""
+    params = cfg.params
+    job1 = MapReduceJob(
+        name="domain-detect-local",
+        mapper=_LocalOnlyMapper(plan),
+        reducer=_LocalDetectReducer(plan, cfg),
+        n_reducers=cfg.n_reducers,
+    )
+    result1 = runtime.run(job1, input_data)
+
+    outliers: set[int] = set()
+    candidates: Dict[int, int] = {}  # id -> local count
+    job2_input: List[tuple] = []
+    for record in result1.outputs:
+        if record[0] == "outlier":
+            outliers.add(record[1])
+        else:
+            if record[0] == "candidate":
+                candidates[record[2]] = record[4]
+            job2_input.append((None, record))
+
+    job2 = MapReduceJob(
+        name="domain-detect-confirm",
+        mapper=_ConfirmMapper(plan, params.r),
+        reducer=_ConfirmReducer(params),
+        n_reducers=cfg.n_reducers,
+    )
+    result2 = runtime.run(job2, job2_input)
+
+    totals = dict(candidates)
+    for _, pid, partial in result2.outputs:
+        totals[pid] = totals.get(pid, 0) + partial
+    for pid, total in totals.items():
+        if total < params.k:
+            outliers.add(pid)
+
+    return DetectionRun(
+        outlier_ids=outliers,
+        plan=plan,
+        jobs=[result1, result2],
+        detector_usage={"nested_loop_local": len(candidates)},
+    )
+
+
+class DomainBaseline(DODFramework):
+    """:func:`_run_baseline` for callers without a run configuration.
 
     Euclidean-only: the border test (``rect.distance_to_boundary``) and
     the confirm-pass counts are rectangle geometry, so a non-Euclidean
@@ -502,8 +440,7 @@ class DomainBaseline:
                 "rectangle geometry; use a supporting-area strategy "
                 "for non-Euclidean metrics"
             )
-        self.default_algorithm = default_algorithm
-        self.kernel = kernel
+        super().__init__(default_algorithm, kernel, metric)
 
     def run(
         self,
@@ -513,45 +450,7 @@ class DomainBaseline:
         params: OutlierParams,
         n_reducers: int,
     ) -> DetectionRun:
-        job1 = MapReduceJob(
-            name="domain-detect-local",
-            mapper=_LocalOnlyMapper(plan),
-            reducer=_LocalDetectReducer(
-                plan, params, self.default_algorithm, kernel=self.kernel
-            ),
-            n_reducers=n_reducers,
-        )
-        result1 = runtime.run(job1, input_data)
-
-        outliers: set[int] = set()
-        candidates: Dict[int, int] = {}  # id -> local count
-        job2_input: List[tuple] = []
-        for record in result1.outputs:
-            if record[0] == "outlier":
-                outliers.add(record[1])
-            else:
-                if record[0] == "candidate":
-                    candidates[record[2]] = record[4]
-                job2_input.append((None, record))
-
-        job2 = MapReduceJob(
-            name="domain-detect-confirm",
-            mapper=_ConfirmMapper(plan, params.r),
-            reducer=_ConfirmReducer(params),
-            n_reducers=n_reducers,
-        )
-        result2 = runtime.run(job2, job2_input)
-
-        totals = dict(candidates)
-        for _, pid, partial in result2.outputs:
-            totals[pid] = totals.get(pid, 0) + partial
-        for pid, total in totals.items():
-            if total < params.k:
-                outliers.add(pid)
-
-        return DetectionRun(
-            outlier_ids=outliers,
-            plan=plan,
-            jobs=[result1, result2],
-            detector_usage={"nested_loop_local": len(candidates)},
+        return _run_baseline(
+            runtime, input_data, plan,
+            self._config(params, n_reducers, plan),
         )

@@ -31,29 +31,15 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..detectors import METRIC_GENERIC_DETECTORS
 from ..kernels import resolve_kernel
 from ..mapreduce import ClusterConfig, LocalRuntime
-from ..metrics import MetricUnsupported, resolve_metric
 from ..observability import RunReport, Span, Tracer
 from ..params import JOB_STARTUP_SECONDS, UNIT_SECONDS
-from ..partitioning import (
-    METRIC_SAFE_STRATEGIES,
-    STRATEGY_REGISTRY,
-    MetricSafePartitioner,
-    PartitioningStrategy,
-    PlanRequest,
-)
-from ..sampling import collect_minibucket_stats
-from ..tiers import (
-    TierCertification,
-    build_sensitivity_sample,
-    pick_tier,
-    resolve_tier,
-    run_certification,
-)
+from ..tiers import TierCertification
+from .config import RunConfig, resolve_strategy
 from .dataset import Dataset
-from .framework import DetectionRun, DODFramework, DomainBaseline
+from .execute import annotate_tier, run_tier_prelude
+from .framework import DetectionRun, _run_baseline, _run_framework
 from .outliers import OutlierParams
 
 __all__ = ["PipelineResult", "detect_outliers", "resolve_strategy"]
@@ -173,21 +159,6 @@ class PipelineResult:
         )
 
 
-def resolve_strategy(strategy) -> PartitioningStrategy:
-    """Accept a strategy instance or a registry name (case-insensitive)."""
-    if isinstance(strategy, PartitioningStrategy):
-        return strategy
-    if isinstance(strategy, str):
-        for name, cls in STRATEGY_REGISTRY.items():
-            if name.lower() == strategy.lower():
-                return cls()
-        raise ValueError(
-            f"unknown strategy {strategy!r}; known: "
-            f"{sorted(STRATEGY_REGISTRY)}"
-        )
-    raise TypeError("strategy must be a name or a PartitioningStrategy")
-
-
 def detect_outliers(
     dataset: Dataset,
     params: OutlierParams,
@@ -210,32 +181,18 @@ def detect_outliers(
 
     ``detector`` is the default centralized algorithm; plans that carry
     their own algorithm plan (CDriven, DMT) override it per partition.
-    ``kernel`` picks the distance backend every scan-based detector runs
-    on (``"python"``/``"numpy"``/``"numba"``; ``None`` resolves to the
-    default) — results are backend-independent by the kernel ABI's
-    exactness contract, only wall time changes.
-    ``metric`` picks the distance function (``"euclidean"``/
-    ``"minkowski:p"``/``"haversine"``/``"edit_distance"``; ``None``
-    resolves to the default).  Unlike the kernel, the metric *defines*
-    the answer: under a non-Euclidean metric the grid strategies and
-    detectors are replaced or rejected — the strategy degrades to the
-    metric-safe pivot partitioner, and a non-metric-generic ``detector``
-    raises :class:`~repro.metrics.MetricUnsupported` up front instead of
-    returning a wrong answer.
-    ``tier`` selects the detection tier (``"exact"``/``"fast"``/
-    ``"auto"``; ``None`` resolves to exact).  The fast tier prepends a
+    ``kernel`` picks the distance backend (results are backend-
+    independent by the kernel ABI's exactness contract, only wall time
+    changes); ``metric`` the distance function, which *defines* the
+    answer; ``tier`` the detection tier — the fast tier prepends a
     sensitivity-sampled certification pass that pre-clears the bulk of
-    points as inliers and leaves only the residue to the exact
-    machinery — the outlier set is byte-identical either way (see
-    :mod:`repro.tiers`).  ``"auto"`` consults the cost model with the
-    measured mini-bucket density.  The fast tier needs supporting areas,
-    so the Domain baseline rejects ``"fast"`` (and ``"auto"`` stays
-    exact there).
-    Sizing defaults adapt to the dataset: ``n_reducers`` from the cluster
-    (capped at 64 in-process), ``n_partitions`` = 2x reducers,
-    ``n_buckets`` ~ n/20 mini buckets (within [64, 1024]), and
-    ``sample_rate`` targets ~2000 sampled points (the paper's 0.5% is
-    calibrated for billions of records).
+    points as inliers, and the outlier set is byte-identical either way
+    (see :mod:`repro.tiers`).  Every keyword is resolved once, up front,
+    into a :class:`~repro.core.config.RunConfig`: the defaults, the
+    sizing formulas and the metric/tier rules (strategy degrade,
+    detector legality, the fast tier's need for supporting areas) are
+    documented there and in the "Run configuration" table of
+    ``docs/api.md``, and every rejection fires before any job runs.
 
     Passing a precomputed ``plan`` (e.g. one restored via
     ``repro.partitioning.load_plan``) skips the pre-processing job
@@ -250,29 +207,14 @@ def detect_outliers(
     already carries its own tracer keeps it.
     """
     cluster = cluster or ClusterConfig()
-    # Resolve eagerly: an unavailable backend (numba without numba) must
-    # fail here with a clear error, not inside a reducer subprocess.
-    kernel_name = resolve_kernel(kernel).name
-    tier_requested = resolve_tier(tier)
-    metric_obj = resolve_metric(metric)
-    # Euclidean threads ``None`` downstream so the default path stays
-    # byte-identical to a metric-unaware run.
-    metric_arg = None if metric_obj.is_euclidean else metric_obj.spec()
-    if metric_arg is not None and detector not in METRIC_GENERIC_DETECTORS:
-        raise MetricUnsupported(
-            f"detector {detector!r} assumes Euclidean geometry; "
-            f"metric-generic detectors: {sorted(METRIC_GENERIC_DETECTORS)}"
-        )
+    cfg = RunConfig.resolve(
+        params, strategy=strategy, detector=detector, cluster=cluster,
+        n=dataset.n, n_partitions=n_partitions, n_reducers=n_reducers,
+        n_buckets=n_buckets, sample_rate=sample_rate, seed=seed,
+        kernel=kernel, metric=metric, tier=tier, plan=plan,
+    )
     runtime = runtime or LocalRuntime(cluster)
     tracer = tracer or runtime.tracer or Tracer()
-    if n_reducers is None:
-        n_reducers = min(cluster.reduce_slots, 64)
-    if n_partitions is None:
-        n_partitions = 2 * n_reducers
-    if n_buckets is None:
-        n_buckets = int(min(1024, max(64, dataset.n // 20)))
-    if sample_rate is None:
-        sample_rate = min(0.5, max(0.005, 2000 / max(dataset.n, 1)))
 
     records = list(dataset.records())
     prev_tracer = runtime.tracer
@@ -281,119 +223,39 @@ def detect_outliers(
         with tracer.span(
             "pipeline", "run",
             r=params.r, k=params.k, n_points=dataset.n,
-            n_reducers=n_reducers,
+            n_reducers=cfg.n_reducers,
         ) as run_span:
-            degraded_from: Optional[str] = None
+            uses_support = cfg.uses_support_area(plan)
             if plan is None:
-                strategy = resolve_strategy(strategy)
-                if (
-                    metric_arg is not None
-                    and strategy.name not in METRIC_SAFE_STRATEGIES
-                ):
-                    # Graceful degrade: grid tactics are meaningless in a
-                    # general metric space, so plan with pivot balls.
-                    degraded_from = strategy.name
-                    strategy = MetricSafePartitioner(metric=metric_obj)
-                request = PlanRequest(
-                    domain=dataset.bounds,
-                    params=params,
-                    n_partitions=n_partitions,
-                    n_reducers=n_reducers,
-                    n_buckets=n_buckets,
-                    sample_rate=sample_rate,
-                    seed=seed,
-                    metric=metric_arg,
+                requested = resolve_strategy(strategy).name
+                plan = cfg.strategy.timed_plan(
+                    runtime, records, cfg.plan_request(dataset.bounds)
                 )
-                plan = strategy.timed_plan(runtime, records, request)
-                uses_support = strategy.uses_support_area
-                strategy_name = strategy.name
+                strategy_name = cfg.strategy.name
             else:
-                if metric_arg is not None:
-                    plan_metric = getattr(plan, "metric_spec", None)
-                    if plan_metric is None:
-                        raise MetricUnsupported(
-                            "precomputed rectangle plans assume Euclidean "
-                            "geometry; build the plan with the MetricSafe "
-                            "strategy for non-Euclidean metrics"
-                        )
-                    if plan_metric != metric_arg:
-                        raise ValueError(
-                            f"plan was built under metric {plan_metric!r} "
-                            f"but the run requested {metric_arg!r}"
-                        )
-                uses_support = plan.strategy != "Domain"
-                strategy_name = plan.strategy
+                requested = strategy_name = plan.strategy
 
             start = time.perf_counter()
-            tier_used = tier_requested
-            certification: Optional[TierCertification] = None
-            certified_ids: Optional[frozenset] = None
-            dropped_ids: Optional[frozenset] = None
-            tier_trace_ids: set[int] = set()
-            if tier_requested != "exact" and not uses_support:
-                if tier_requested == "fast":
-                    raise ValueError(
-                        "the fast tier pre-clears points inside the "
-                        "supporting-area framework; the Domain baseline "
-                        "has no supporting areas — use --tier exact or "
-                        "a supporting-area strategy"
-                    )
-                tier_used = "exact"  # auto: Domain stays exact
-            if tier_used != "exact":
-                stats = collect_minibucket_stats(
-                    runtime, records, dataset.bounds,
-                    n_buckets=n_buckets, rate=sample_rate, seed=seed,
-                    n_reducers=n_reducers,
-                )
-                tier_used = pick_tier(
-                    tier_used, dataset.n, dataset.bounds.area, params,
-                    dataset.ndim, stats=stats,
-                )
-            if tier_used == "fast":
-                sample = build_sensitivity_sample(
-                    dataset.points, dataset.ids, stats, params, seed=seed
-                )
-                certified, dropped, certification, certify_job = (
-                    run_certification(
-                        runtime, records, sample, params,
-                        kernel=kernel, metric=metric_arg,
-                    )
-                )
-                certified_ids = frozenset(certified)
-                dropped_ids = frozenset(dropped)
-                if certify_job.trace is not None:
-                    tier_trace_ids.add(id(certify_job.trace))
+            tier_pass = run_tier_prelude(runtime, dataset, cfg, records)
             if uses_support:
-                framework = DODFramework(
-                    default_algorithm=detector, kernel=kernel,
-                    metric=metric_arg,
-                )
-                run = framework.run(
-                    runtime, records, plan, params, n_reducers,
-                    certified_ids=certified_ids,
-                    dropped_ids=dropped_ids,
+                run = _run_framework(
+                    runtime, records, plan, cfg,
+                    tier_pass.certified, tier_pass.dropped,
                 )
             else:
-                baseline = DomainBaseline(
-                    default_algorithm=detector, kernel=kernel,
-                    metric=metric_arg,
-                )
-                run = baseline.run(
-                    runtime, records, plan, params, n_reducers
-                )
-            if tier_used == "fast":
-                # The certify pass is part of the detection phase: its
-                # counters, cost units and trace roll up with the run.
-                run.jobs.insert(0, certify_job)
+                run = _run_baseline(runtime, records, plan, cfg)
+            if tier_pass.job is not None:
+                run.jobs.insert(0, tier_pass.job)
             detect_wall = time.perf_counter() - start
 
             detect_traces = {
                 id(job.trace) for job in run.jobs
                 if job.trace is not None
             }
+            tier_trace = tier_pass.job and tier_pass.job.trace
             for child in run_span.children:
                 if child.kind == "job":
-                    if id(child) in tier_trace_ids:
+                    if child is tier_trace:
                         child.annotate(stage="tier")
                     else:
                         child.annotate(
@@ -402,23 +264,16 @@ def detect_outliers(
                         )
             run_span.annotate(
                 strategy=strategy_name,
-                kernel=kernel_name,
+                kernel=resolve_kernel(cfg.kernel).name,
                 n_outliers=len(run.outlier_ids),
             )
-            if metric_arg is not None:
-                run_span.annotate(metric=metric_arg)
-            if degraded_from is not None:
-                run_span.annotate(strategy_degraded_from=degraded_from)
-            if tier_used != "exact" or tier_requested != "exact":
-                run_span.annotate(tier=tier_used)
-            if certification is not None:
-                run_span.annotate(
-                    tier_certified=certification.certified,
-                    tier_residue_fraction=certification.residue_fraction,
-                    tier_bound=certification.bound,
-                    tier_sample_size=certification.sample_size,
-                    tier_dropped=certification.dropped,
-                )
+            if cfg.metric is not None:
+                run_span.annotate(metric=cfg.metric)
+            if requested != strategy_name:
+                run_span.annotate(strategy_degraded_from=requested)
+            annotate_tier(
+                run_span, cfg.tier, tier_pass.tier, tier_pass.certification
+            )
     finally:
         runtime.tracer = prev_tracer
 
@@ -431,6 +286,6 @@ def detect_outliers(
         preprocess_wall=plan.preprocess_cost,
         detect_wall=detect_wall,
         trace=run_span,
-        tier=tier_used,
-        certification=certification,
+        tier=tier_pass.tier,
+        certification=tier_pass.certification,
     )

@@ -59,6 +59,13 @@ class PartitioningStrategy(abc.ABC):
     #: pays a second MapReduce job instead).
     uses_support_area: bool = True
 
+    def __eq__(self, other) -> bool:
+        """Strategies are configuration: same class, same settings."""
+        return type(self) is type(other) and vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(type(self))
+
     @abc.abstractmethod
     def build_plan(
         self, runtime: LocalRuntime, input_data, request: PlanRequest

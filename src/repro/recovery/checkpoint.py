@@ -33,44 +33,24 @@ from __future__ import annotations
 import hashlib
 import os
 import warnings
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 import numpy as np
 
-from ..allocation import allocate
+from ..core.config import RunConfig
 from ..core.dataset import Dataset
-from ..core.pipeline import resolve_strategy
-from ..detectors import METRIC_GENERIC_DETECTORS
-from ..mapreduce import (
-    ClusterConfig,
-    Counters,
-    DictPartitioner,
-    LocalRuntime,
-    MapReduceJob,
+from ..core.execute import (
+    TierPass,
+    annotate_tier,
+    route,
+    run_routed,
+    run_tier_prelude,
 )
-from ..metrics import MetricUnsupported, resolve_metric
+from ..mapreduce import ClusterConfig, Counters, LocalRuntime
 from ..observability import Span, Tracer
 from ..params import OutlierParams
-from ..partitioning import (
-    METRIC_SAFE_STRATEGIES,
-    MetricSafePartitioner,
-    PlanRequest,
-    plan_from_dict,
-    plan_to_dict,
-)
-from ..sampling import collect_minibucket_stats
-from ..tiers import (
-    build_sensitivity_sample,
-    pick_tier,
-    resolve_tier,
-    run_certification,
-)
-# The routed-records job shape is shared with the streaming subsystem:
-# records arrive pre-assigned to partitions and verdicts come back
-# tagged ``(pid, outlier_id)``.
-from ..streaming.detector import _RoutedMapper, _StreamDODReducer
+from ..partitioning import plan_from_dict, plan_to_dict
 from .journal import JournalCorrupt, ResultJournal
 from .snapshot import SnapshotError, read_artifact, write_artifact
 
@@ -184,129 +164,64 @@ def run_checkpointed(
     and sizing; a resumed run ignores it in favor of the manifest's
     plan (the durable identity always wins).
     """
-    strategy = resolve_strategy(strategy)
-    metric_obj = resolve_metric(metric)
-    metric_arg = None if metric_obj.is_euclidean else metric_obj.spec()
-    if metric_arg is not None:
-        if detector not in METRIC_GENERIC_DETECTORS:
-            raise MetricUnsupported(
-                f"detector {detector!r} assumes Euclidean geometry; "
-                f"metric-generic detectors: "
-                f"{sorted(METRIC_GENERIC_DETECTORS)}"
-            )
-        if strategy.name not in METRIC_SAFE_STRATEGIES:
-            strategy = MetricSafePartitioner(metric=metric_obj)
-    tier_requested = resolve_tier(tier)
-    if tier_requested != "exact" and not strategy.uses_support_area:
-        if tier_requested == "fast":
-            raise ValueError(
-                "the fast tier pre-clears points inside the "
-                "supporting-area framework; the Domain baseline has no "
-                "supporting areas — use --tier exact or a "
-                "supporting-area strategy"
-            )
-        tier_requested = "exact"  # auto: Domain stays exact
     cluster = cluster or ClusterConfig()
-    runtime = runtime or LocalRuntime(cluster)
+    cfg = RunConfig.resolve(
+        params, strategy=strategy, detector=detector, cluster=cluster,
+        n=dataset.n, n_partitions=n_partitions, n_reducers=n_reducers,
+        seed=seed, kernel=kernel, metric=metric, tier=tier, plan=plan,
+    )
+    return _run_resolved(
+        dataset, cfg, checkpoint_dir, runtime or LocalRuntime(cluster),
+        tracer, abort_after_commits, manifest_extra, plan,
+    )
+
+
+def _run_resolved(
+    dataset: Dataset,
+    cfg: RunConfig,
+    checkpoint_dir: str,
+    runtime: LocalRuntime,
+    tracer: Optional[Tracer] = None,
+    abort_after_commits: Optional[int] = None,
+    manifest_extra: Optional[dict] = None,
+    warm_plan=None,
+) -> CheckpointedResult:
+    """:func:`run_checkpointed` below its keyword surface (the service
+    worker resolves the config itself, to key its plan memo on it)."""
     tracer = tracer or runtime.tracer or Tracer()
-    if n_reducers is None:
-        n_reducers = min(cluster.reduce_slots, 64)
-    if n_partitions is None:
-        n_partitions = 2 * n_reducers
     os.makedirs(checkpoint_dir, exist_ok=True)
-    journal_path = os.path.join(checkpoint_dir, JOURNAL_FILE)
-
-    config = {
-        "fingerprint": dataset_fingerprint(dataset),
-        "r": float(params.r),
-        "k": int(params.k),
-        "strategy": strategy.name,
-        "detector": detector,
-        "seed": int(seed),
-        "n_partitions": int(n_partitions),
-        "n_reducers": int(n_reducers),
-    }
-    # Joined only for non-Euclidean runs so pre-existing Euclidean
-    # checkpoints keep their exact config dict (and stay resumable).
-    if metric_arg is not None:
-        config["metric"] = metric_arg
     counters = Counters()
-
     prev_tracer = runtime.tracer
     runtime.tracer = tracer
     try:
         with tracer.span(
             "checkpointed_run", "run",
             checkpoint_dir=checkpoint_dir,
-            r=params.r, k=params.k, n_points=dataset.n,
+            r=cfg.params.r, k=cfg.params.k, n_points=dataset.n,
         ) as run_span:
             # Tier work runs before the manifest is read/written: the
             # resolved tier is part of the run identity, and the
             # certified set is a deterministic function of the dataset,
             # so a resumed run recomputes the identical demotions.
-            tier_used = tier_requested
-            certification = None
-            certify_job = None
-            certified_ids: frozenset = frozenset()
-            dropped_ids: frozenset = frozenset()
-            if tier_requested != "exact":
-                tier_records = list(dataset.records())
-                stats = collect_minibucket_stats(
-                    runtime, tier_records, dataset.bounds,
-                    n_buckets=int(min(1024, max(64, dataset.n // 20))),
-                    rate=min(0.5, max(0.005, 2000 / max(dataset.n, 1))),
-                    seed=seed,
-                    n_reducers=n_reducers,
-                )
-                tier_used = pick_tier(
-                    tier_requested, dataset.n, dataset.bounds.area,
-                    params, dataset.ndim, stats=stats,
-                )
-                if tier_used == "fast":
-                    sample = build_sensitivity_sample(
-                        dataset.points, dataset.ids, stats, params,
-                        seed=seed,
-                    )
-                    certified, dropped, certification, certify_job = (
-                        run_certification(
-                            runtime, tier_records, sample, params,
-                            kernel=kernel, metric=metric_arg,
-                        )
-                    )
-                    certified_ids = frozenset(certified)
-                    dropped_ids = frozenset(dropped)
-                    counters.merge(certify_job.counters)
-            if tier_used != "exact":
-                # Mirrors the metric rule: only a non-default tier joins
-                # the identity, so pre-existing exact checkpoints keep
-                # their exact config dict and stay resumable.
-                config["tier"] = tier_used
+            tier_pass = run_tier_prelude(runtime, dataset, cfg)
+            if tier_pass.job is not None:
+                counters.merge(tier_pass.job.counters)
             result = _run(
-                dataset, params, checkpoint_dir, journal_path, strategy,
-                detector, runtime, n_reducers, n_partitions, seed,
-                config, counters, run_span, abort_after_commits,
-                manifest_extra, kernel, plan, metric_arg, certified_ids,
-                dropped_ids,
+                dataset, cfg, tier_pass, checkpoint_dir, runtime,
+                counters, run_span, abort_after_commits, manifest_extra,
+                warm_plan,
             )
-            result.tier = tier_used
-            if certify_job is not None:
-                result.jobs.insert(0, certify_job)
+            if tier_pass.job is not None:
+                result.jobs.insert(0, tier_pass.job)
             run_span.annotate(
                 resumed=result.resumed,
                 partitions_replayed=len(result.replayed_partitions),
                 partitions_executed=len(result.executed_partitions),
                 n_outliers=len(result.outlier_ids),
             )
-            if tier_used != "exact" or tier_requested != "exact":
-                run_span.annotate(tier=tier_used)
-            if certification is not None:
-                run_span.annotate(
-                    tier_certified=certification.certified,
-                    tier_residue_fraction=certification.residue_fraction,
-                    tier_bound=certification.bound,
-                    tier_sample_size=certification.sample_size,
-                    tier_dropped=certification.dropped,
-                )
+            annotate_tier(
+                run_span, cfg.tier, tier_pass.tier, tier_pass.certification
+            )
     finally:
         runtime.tracer = prev_tracer
     result.trace = run_span
@@ -315,15 +230,20 @@ def run_checkpointed(
 
 # ----------------------------------------------------------------------
 def _run(
-    dataset, params, checkpoint_dir, journal_path, strategy, detector,
-    runtime, n_reducers, n_partitions, seed, config, counters, run_span,
-    abort_after_commits, manifest_extra, kernel, warm_plan, metric,
-    certified_ids=frozenset(), dropped_ids=frozenset(),
+    dataset, cfg: RunConfig, tier_pass: TierPass, checkpoint_dir, runtime,
+    counters, run_span, abort_after_commits, manifest_extra, warm_plan,
 ):
+    journal_path = os.path.join(checkpoint_dir, JOURNAL_FILE)
+    # With the dataset fingerprint, the run identity *is* the manifest's
+    # config dict (the metric and a non-exact resolved tier join only
+    # when non-default, so older checkpoints stay resumable).
+    config = {
+        "fingerprint": dataset_fingerprint(dataset),
+        **cfg.identity(tier_pass.tier),
+    }
     plan, resumed = _load_or_build_plan(
-        dataset, params, checkpoint_dir, journal_path, strategy,
-        runtime, n_reducers, n_partitions, seed, config, counters,
-        run_span, manifest_extra, warm_plan, metric,
+        dataset, cfg, config, checkpoint_dir, journal_path, runtime,
+        counters, run_span, manifest_extra, warm_plan,
     )
 
     committed = _replay_journal(
@@ -332,35 +252,12 @@ def _run(
 
     # Route every record once (the map side's work, paid up front so
     # replayed partitions never touch their points again).
-    # Certified points beyond r of every residue point can witness no
-    # remaining query (support_halo): they are filtered out before
-    # routing, so the assignment scan, the tuple conversions and the
-    # per-record loop below all shrink with the drop — that per-record
-    # work, not the detector, is what dominates a warm-plan run.
-    ids = dataset.ids
-    points = dataset.points
-    if dropped_ids:
-        kept = np.asarray(
-            [int(i) not in dropped_ids for i in ids], dtype=bool
-        )
-        ids = ids[kept]
-        points = points[kept]
-    core, pairs = plan.assign_batch(points, params.r)
     partition_records: Dict[int, List[tuple]] = {}
-    tuples = [tuple(map(float, p)) for p in points]
-    for i in range(len(tuples)):
-        pid_i = int(ids[i])
-        # Tier-certified inliers are demoted to support records in their
-        # own core partition: they still serve as neighbors (pools stay
-        # complete, Lemma 3.1), but get no verdict of their own.
-        tag = 1 if pid_i in certified_ids else 0
-        partition_records.setdefault(int(core[i]), []).append(
-            (tag, pid_i, tuples[i])
-        )
-    for row, pid in pairs:
-        partition_records.setdefault(int(pid), []).append(
-            (1, int(ids[row]), tuples[row])
-        )
+    for pid, record in route(
+        plan, dataset.ids.tolist(), dataset.points, cfg.params.r,
+        tier_pass.certified, tier_pass.dropped,
+    ):
+        partition_records.setdefault(pid, []).append(record)
 
     all_pids = [p.pid for p in plan.partitions]
     pending = [pid for pid in all_pids if pid not in committed]
@@ -377,9 +274,8 @@ def _run(
             journal_path, abort_after_commits=abort_after_commits
         ) as journal:
             jobs = _detect_pending(
-                pending, partition_records, plan, params, detector,
-                runtime, n_reducers, journal, counters, run_span,
-                outliers_by_pid, kernel, metric,
+                pending, partition_records, plan, cfg, runtime, journal,
+                counters, run_span, outliers_by_pid,
             )
     for job in jobs:
         counters.merge(job.counters)
@@ -396,13 +292,13 @@ def _run(
         counters=counters,
         plan=plan,
         jobs=jobs,
+        tier=tier_pass.tier,
     )
 
 
 def _load_or_build_plan(
-    dataset, params, checkpoint_dir, journal_path, strategy, runtime,
-    n_reducers, n_partitions, seed, config, counters, run_span,
-    manifest_extra, warm_plan=None, metric=None,
+    dataset, cfg: RunConfig, config, checkpoint_dir, journal_path, runtime,
+    counters, run_span, manifest_extra, warm_plan=None,
 ):
     """Return ``(plan, resumed)``; fresh runs write the manifest."""
     manifest_path = os.path.join(checkpoint_dir, MANIFEST_FILE)
@@ -420,7 +316,7 @@ def _load_or_build_plan(
                 f"checkpoint manifest unusable ({exc}); starting a "
                 "fresh run",
                 RuntimeWarning,
-                stacklevel=4,
+                stacklevel=5,
             )
         manifest = None
 
@@ -447,18 +343,9 @@ def _load_or_build_plan(
             "plan_reused", "event", strategy=plan.strategy,
         ).finish()
     else:
-        request = PlanRequest(
-            domain=dataset.bounds,
-            params=params,
-            n_partitions=n_partitions,
-            n_reducers=n_reducers,
-            n_buckets=int(min(1024, max(64, dataset.n // 20))),
-            sample_rate=min(0.5, max(0.005, 2000 / max(dataset.n, 1))),
-            seed=seed,
-            metric=metric,
-        )
-        plan = strategy.timed_plan(
-            runtime, list(dataset.records()), request
+        plan = cfg.strategy.timed_plan(
+            runtime, list(dataset.records()),
+            cfg.plan_request(dataset.bounds),
         )
     write_artifact(
         os.path.join(checkpoint_dir, MANIFEST_FILE),
@@ -488,7 +375,7 @@ def _replay_journal(journal_path, plan, counters, run_span):
             f"result journal failed validation ({exc}); re-running "
             "every partition",
             RuntimeWarning,
-            stacklevel=5,
+            stacklevel=6,
         )
         os.remove(journal_path)
         return {}
@@ -512,72 +399,29 @@ def _replay_journal(journal_path, plan, counters, run_span):
 
 
 def _detect_pending(
-    pending, partition_records, plan, params, detector, runtime,
-    n_reducers, journal, counters, run_span, outliers_by_pid, kernel,
-    metric=None,
+    pending, partition_records, plan, cfg: RunConfig, runtime, journal,
+    counters, run_span, outliers_by_pid,
 ):
     """Run the routed detection job over uncommitted partitions,
     journaling each reduce task's partitions as the task commits."""
-    target = sorted(pending)
-    records = [
-        (pid, record)
-        for pid in target
-        for record in partition_records.get(pid, ())
-    ]
-    if not records:
-        # Only empty partitions left: their verdicts are vacuous, but
-        # each is still a durable commit (and a chaos boundary).
-        for pid in target:
-            _commit_partitions(
-                journal, {pid: []}, [pid], counters, run_span,
-                task_id=None,
-            )
-            outliers_by_pid[pid] = set()
-        return []
-    alloc = allocate(
-        [len(partition_records.get(pid, ())) for pid in target],
-        min(n_reducers, len(target)),
-    )
-    table = {pid: alloc.assignment[i] for i, pid in enumerate(target)}
-    pids_by_reducer: Dict[int, List[int]] = defaultdict(list)
-    for pid, reducer in table.items():
-        pids_by_reducer[reducer].append(pid)
-    job = MapReduceJob(
-        name=f"ckpt-detect-{plan.strategy}",
-        mapper=_RoutedMapper(),
-        reducer=_StreamDODReducer(
-            params, plan.algorithm_plan, detector, kernel=kernel,
-            metric=metric,
-        ),
-        n_reducers=len(alloc.bin_loads),
-        partitioner=DictPartitioner(table),
-    )
 
-    def on_commit(phase: str, task_id: int, outputs) -> None:
-        if phase != "reduce":
-            return
-        outs: Dict[int, List[int]] = defaultdict(list)
-        for pid, outlier_id in outputs:
-            outs[pid].append(outlier_id)
-        owned = pids_by_reducer.get(task_id, [])
+    def on_commit(task_id, owned, outs) -> None:
         _commit_partitions(
             journal, outs, owned, counters, run_span, task_id=task_id
         )
         for pid in owned:
             outliers_by_pid[pid] = set(outs.get(pid, ()))
-        # Chain the caller's listener (the service worker hangs its
-        # lease heartbeat and run-deadline check here) *after* the
-        # journal commit, so what it observes is always durable.
-        if prev_listener is not None:
-            prev_listener(phase, task_id, outputs)
 
-    prev_listener = runtime.commit_listener
-    runtime.commit_listener = on_commit
-    try:
-        result = runtime.run(job, records)
-    finally:
-        runtime.commit_listener = prev_listener
-    return [result]
+    result = run_routed(
+        runtime, "ckpt", cfg, plan, partition_records, pending, on_commit
+    )
+    if result is not None:
+        return [result]
+    # Only empty partitions left: their verdicts are vacuous, but each
+    # is still a durable commit (and a chaos boundary).
+    for pid in sorted(pending):
+        on_commit(None, [pid], {})
+    return []
 
 
 def _commit_partitions(

@@ -46,13 +46,12 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from ..core import Dataset
+from ..core.config import RunConfig
 from ..data.io import finite_row_mask
 from ..mapreduce import ClusterConfig, LocalRuntime, ParallelRuntime
-from ..metrics import resolve_metric
 from ..observability import RunReport, Span
 from ..params import OutlierParams
-from ..recovery import run_checkpointed
-from ..recovery.checkpoint import dataset_fingerprint
+from ..recovery.checkpoint import _run_resolved, dataset_fingerprint
 from ..recovery.diskguard import (
     DiskPressureError,
     is_disk_full,
@@ -84,26 +83,22 @@ _IDLE_POLL_SECONDS = 0.05
 _HEARTBEAT_SECONDS = 1.0
 
 
+#: Spec entries that are run configuration.  An absent one takes the
+#: entry points' own default (see "Run configuration" in docs/api.md);
+#: ``tier`` is handled apart because its default depends on the lane.
+_RUN_SPEC_KEYS = (
+    "strategy", "detector", "seed", "kernel", "metric", "n_partitions",
+    "n_reducers",
+)
+
+
 def _job_spec_defaults(spec: Dict[str, Any]) -> Dict[str, Any]:
-    """Fill a submitted spec with the detect subcommand's defaults."""
+    """Fill a submitted spec's input and runtime-shape defaults."""
     out = {
-        "input": None,
         "with_ids": False,
-        "r": None,
-        "k": None,
-        "strategy": "DMT",
-        "detector": "nested_loop",
-        "seed": 1,
         "nodes": 4,
         "workers": 0,
         "transport": "pickle",
-        "kernel": None,
-        "metric": None,
-        "n_partitions": None,
-        "n_reducers": None,
-        # None defers to the lane default at execution time:
-        # interactive jobs run the fast tier, batch jobs stay exact.
-        "tier": None,
     }
     out.update(spec)
     return out
@@ -173,35 +168,6 @@ class ServiceWorker:
                 runtime = LocalRuntime(cluster)
             self._runtimes[key] = runtime
         return runtime
-
-    def _plan_key(self, fingerprint: str, spec: Dict[str, Any],
-                  sizing: Dict[str, int]) -> tuple:
-        return (
-            fingerprint,
-            float(spec["r"]), int(spec["k"]),
-            str(spec["strategy"]), str(spec["detector"]),
-            int(spec["seed"]),
-            sizing["n_partitions"], sizing["n_reducers"],
-            # The metric changes both the plan shape (pivot balls vs
-            # rectangles) and the answer, so it must split the memo.
-            spec.get("metric"),
-        )
-
-    @staticmethod
-    def _sizing(spec: Dict[str, Any], cluster: ClusterConfig
-                ) -> Dict[str, int]:
-        """Mirror run_checkpointed's sizing defaults so the memo key
-        matches what the manifest will record."""
-        n_reducers = spec["n_reducers"]
-        if n_reducers is None:
-            n_reducers = min(cluster.reduce_slots, 64)
-        n_partitions = spec["n_partitions"]
-        if n_partitions is None:
-            n_partitions = 2 * n_reducers
-        return {
-            "n_partitions": int(n_partitions),
-            "n_reducers": int(n_reducers),
-        }
 
     def _memo_get(self, key: tuple) -> Optional[DMTPlanCache]:
         cached = self._plan_memo.get(key)
@@ -322,21 +288,28 @@ class ServiceWorker:
         params = OutlierParams(r=float(spec["r"]), k=int(spec["k"]))
         cluster = ClusterConfig(nodes=int(spec["nodes"]))
         runtime = self._runtime(spec)
-        sizing = self._sizing(spec, cluster)
-        fingerprint = dataset_fingerprint(dataset)
-        key = self._plan_key(fingerprint, spec, sizing)
-        cached = self._memo_get(key)
-        plan_cache_hit = cached is not None
         # Lane default: the interactive lane trades nothing but the
         # certification pass for latency (verdicts are tier-invariant),
         # batch jobs stay on the exact path.  An explicit spec tier
-        # always wins.  The partition plan is tier-independent, so the
-        # warm-plan memo is shared across tiers.
+        # always wins.
         tier = spec.get("tier")
         if tier is None:
             tier = (
                 "fast" if job["lane_name"] == "interactive" else "exact"
             )
+        cfg = RunConfig.resolve(
+            params, cluster=cluster, n=dataset.n, tier=tier,
+            **{k: spec[k] for k in _RUN_SPEC_KEYS if k in spec},
+        )
+        # The memo key is the run identity the manifest will record,
+        # minus the tier: the partition plan is tier-independent, so
+        # warm plans are shared across tiers.
+        key = (
+            dataset_fingerprint(dataset),
+            tuple(sorted(cfg.identity().items())),
+        )
+        cached = self._memo_get(key)
+        plan_cache_hit = cached is not None
 
         # Lease heartbeat + run-deadline check at every journal commit
         # boundary: run_checkpointed chains this listener after its own
@@ -372,18 +345,12 @@ class ServiceWorker:
         prev_listener = runtime.commit_listener
         runtime.commit_listener = _on_commit
         try:
-            result = run_checkpointed(
-                dataset, params, os.path.join(job_dir, "ckpt"),
-                strategy=spec["strategy"], detector=spec["detector"],
-                runtime=runtime, cluster=cluster,
-                n_partitions=sizing["n_partitions"],
-                n_reducers=sizing["n_reducers"],
-                seed=int(spec["seed"]), kernel=spec["kernel"],
-                metric=spec["metric"], tier=tier,
-                plan=cached.plan if plan_cache_hit else None,
+            result = _run_resolved(
+                dataset, cfg, os.path.join(job_dir, "ckpt"), runtime,
                 manifest_extra={"job_id": int(job["id"]),
                                 "tenant": job["tenant"],
                                 "input": spec["input"]},
+                warm_plan=cached.plan if plan_cache_hit else None,
             )
         finally:
             runtime.commit_listener = prev_listener
@@ -424,7 +391,7 @@ class ServiceWorker:
             "lane": job["lane_name"],
             "attempts": int(job["attempts"]),
             "params": {"r": params.r, "k": params.k},
-            "metric": resolve_metric(spec["metric"]).spec(),
+            "metric": cfg.metric or "euclidean",
             "n_points": dataset.n,
             "outliers": sorted(result.outlier_ids),
             "n_outliers": len(result.outlier_ids),

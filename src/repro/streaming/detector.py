@@ -35,45 +35,27 @@ all-clean batch schedules no reducers at all).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
-from ..allocation import allocate
+from ..core.config import RunConfig, resolve_strategy
 from ..core.dataset import Dataset
-from ..core.framework import _MAP_EMIT_COST, _MAP_RECORD_COST, _DODReducer
-from ..core.pipeline import resolve_strategy
-from ..detectors import METRIC_GENERIC_DETECTORS
-from ..metrics import MetricUnsupported, resolve_metric
-from ..mapreduce import (
-    ClusterConfig,
-    Counters,
-    DictPartitioner,
-    LocalRuntime,
-    MapReduceJob,
-    Mapper,
-    TaskContext,
+from ..core.execute import (
+    annotate_tier,
+    route,
+    run_routed,
+    run_tier_prelude,
 )
+from ..mapreduce import ClusterConfig, Counters, LocalRuntime
 from ..geometry import Rect, UniformGrid
 from ..observability import Span, Tracer
 from ..params import OutlierParams
-from ..partitioning import (
-    METRIC_SAFE_STRATEGIES,
-    MetricSafePartitioner,
-    PartitionPlan,
-    PlanRequest,
-    plan_from_dict,
-    plan_to_dict,
-)
-from ..sampling import collect_minibucket_stats
-from ..tiers import (
-    SensitivitySample,
-    build_sensitivity_sample,
-    certified_mask,
-    pick_tier,
-    resolve_tier,
-)
+from ..partitioning import PartitionPlan, plan_from_dict, plan_to_dict
+from ..recovery.snapshot import SnapshotError, read_artifact, write_artifact
+from ..tiers import SensitivitySample, certified_mask
 from .plan_cache import DMTPlanCache
 
 #: Versioned schema of :meth:`StreamingDetector.save` artifacts.
@@ -83,33 +65,16 @@ SNAPSHOT_VERSION = 1
 __all__ = ["StreamBatchReport", "StreamingDetector"]
 
 
-class _RoutedMapper(Mapper):
-    """Identity mapper for records already routed to their partition.
-
-    The streaming detector maintains ``(partition, (tag, id, point))``
-    records per partition, so the per-batch job's map side only re-emits
-    them into the shuffle — the plan lookup was paid once at ingest.
-    """
-
-    def map(self, key, value, ctx: TaskContext):
-        ctx.add_cost(_MAP_RECORD_COST + _MAP_EMIT_COST)
-        yield key, value
-
-    def map_block(self, records, ctx: TaskContext):
-        ctx.add_cost((_MAP_RECORD_COST + _MAP_EMIT_COST) * len(records))
-        return list(records)
-
-
-class _StreamDODReducer(_DODReducer):
-    """Fig. 3 reduce function, reporting ``(partition, outlier_id)``.
-
-    The partition tag lets the detector replace exactly the dirty
-    partitions' previous verdicts when merging job output.
-    """
-
-    def reduce(self, key, values, ctx: TaskContext):
-        for outlier_id in super().reduce(key, values, ctx):
-            yield key, outlier_id
+def _restore_identity(cfg: RunConfig) -> tuple:
+    """The part of the run identity a restore checks against a
+    snapshot: ``(r, k, strategy, detector, metric, tier)``, the tier
+    compared as requested (``auto`` matches ``auto``)."""
+    identity = cfg.identity(cfg.tier)
+    return (
+        identity["r"], identity["k"], identity["strategy"],
+        identity["detector"], identity.get("metric"),
+        identity.get("tier", "exact"),
+    )
 
 
 @dataclass
@@ -171,57 +136,38 @@ class StreamingDetector:
         metric: Optional[str] = None,
         tier: Optional[str] = None,
     ) -> None:
-        self.params = params
-        self.strategy = resolve_strategy(strategy)
-        if not self.strategy.uses_support_area:
+        strategy = resolve_strategy(strategy)
+        if not strategy.uses_support_area:
             raise ValueError(
                 f"streaming needs a supporting-area strategy; "
-                f"{self.strategy.name!r} runs the two-job baseline "
+                f"{strategy.name!r} runs the two-job baseline "
                 "instead and cannot localize a batch's effect"
             )
-        metric_obj = resolve_metric(metric)
-        # Normalized exactly like the batch pipeline: Euclidean threads
-        # ``None`` so the default path stays byte-identical.
-        self.metric = (
-            None if metric_obj.is_euclidean else metric_obj.spec()
-        )
-        if self.metric is not None:
-            if detector not in METRIC_GENERIC_DETECTORS:
-                raise MetricUnsupported(
-                    f"detector {detector!r} assumes Euclidean geometry; "
-                    f"metric-generic detectors: "
-                    f"{sorted(METRIC_GENERIC_DETECTORS)}"
-                )
-            if self.strategy.name not in METRIC_SAFE_STRATEGIES:
-                # Same graceful degrade as the batch pipeline; the
-                # dirty-partition rule holds because the metric-safe
-                # support rule depends only on the pivots (a new point
-                # routes identically whether it arrived at plan time or
-                # in a later batch).
-                self.strategy = MetricSafePartitioner(metric=metric_obj)
-        self.detector = detector
-        self.kernel = kernel
-        self.cluster = cluster or ClusterConfig()
-        self.runtime = runtime or LocalRuntime(self.cluster)
-        self.n_reducers = (
-            n_reducers
-            if n_reducers is not None
-            else min(self.cluster.reduce_slots, 64)
-        )
-        self.n_partitions = (
-            n_partitions if n_partitions is not None else 2 * self.n_reducers
-        )
         if drift_threshold <= 0:
             raise ValueError("drift_threshold must be positive")
+        self.cluster = cluster or ClusterConfig()
+        # Resolved like a batch run's; under a non-Euclidean metric the
+        # strategy degrades the same way, and the dirty-partition rule
+        # still holds because the metric-safe support rule depends only
+        # on the pivots (a new point routes identically whether it
+        # arrived at plan time or in a later batch).  ``n_buckets`` and
+        # ``sample_rate`` stay open: they follow the stream's size.
+        self.config = RunConfig.resolve(
+            params, strategy=strategy, detector=detector,
+            cluster=self.cluster, n_partitions=n_partitions,
+            n_reducers=n_reducers, seed=seed, kernel=kernel,
+            metric=metric, tier=tier,
+        )
+        self.params = params
+        self.strategy = self.config.strategy
+        self.metric = self.config.metric
+        self.runtime = runtime or LocalRuntime(self.cluster)
         self.drift_threshold = drift_threshold
-        self.seed = seed
         # ``auto`` re-resolves at every plan (re)build, when fresh
         # mini-bucket stats exist; ``tier`` holds the current concrete
         # tier ("exact" until the first build decides otherwise).
-        self.tier_requested = resolve_tier(tier)
         self.tier = (
-            "exact" if self.tier_requested == "auto"
-            else self.tier_requested
+            "exact" if self.config.tier == "auto" else self.config.tier
         )
         #: Certification witnesses; rebuilt with the plan.  Sound for a
         #: stream because neighbors only accumulate: a point certified
@@ -240,6 +186,12 @@ class StreamingDetector:
         self._batch_index = 0
 
     # ------------------------------------------------------------------
+    @property
+    def kernel(self):
+        """The distance backend (not run identity: a restored stream
+        adopts the requested one)."""
+        return self.config.kernel
+
     @property
     def n_seen(self) -> int:
         return 0 if self._ids is None else int(self._ids.shape[0])
@@ -301,8 +253,7 @@ class StreamingDetector:
             cache_hit=report.cache_hit,
             n_outliers=len(outliers),
         )
-        if self.tier != "exact" or self.tier_requested != "exact":
-            span.annotate(tier=self.tier)
+        annotate_tier(span, self.config.tier, self.tier)
         self.reports.append(report)
         return report
 
@@ -421,125 +372,62 @@ class StreamingDetector:
     # ------------------------------------------------------------------
     def _route(self, ids: np.ndarray, points: np.ndarray) -> Set[int]:
         """Append routed records for a batch; return the dirty pids."""
-        plan = self._cache.plan
-        core, pairs = plan.assign_batch(points, self.params.r)
-        tuples = [tuple(map(float, p)) for p in points]
-        certified_rows: Set[int] = set()
+        certified: frozenset = frozenset()
         if self._sample is not None and points.shape[0]:
             mask, evals = certified_mask(
                 points, ids, self._sample, self.params,
                 kernel=self.kernel, metric=self.metric,
             )
-            certified_rows = set(np.flatnonzero(mask).tolist())
+            certified = frozenset(ids[mask].tolist())
+            self.counters.incr("tier", "certified", len(certified))
             self.counters.incr(
-                "tier", "certified", int(len(certified_rows))
-            )
-            self.counters.incr(
-                "tier", "residue",
-                int(points.shape[0] - len(certified_rows)),
+                "tier", "residue", int(points.shape[0] - len(certified))
             )
             self.counters.incr("tier", "distance_evals", int(evals))
         dirty: Set[int] = set()
-        for i in range(points.shape[0]):
-            pid = int(core[i])
-            # Certified inliers enter their core partition demoted to a
-            # support record: still a neighbor for everyone (pools stay
-            # complete), never a verdict of their own.
-            tag = 1 if i in certified_rows else 0
-            self._partition_records.setdefault(pid, []).append(
-                (tag, int(ids[i]), tuples[i])
-            )
+        for pid, record in route(
+            self._cache.plan, ids.tolist(), points, self.params.r, certified
+        ):
+            self._partition_records.setdefault(pid, []).append(record)
             dirty.add(pid)
-        for row, pid in pairs:
-            self._partition_records.setdefault(int(pid), []).append(
-                (1, int(ids[row]), tuples[row])
-            )
-            dirty.add(int(pid))
         return dirty
 
     def _rebuild(self) -> None:
         """Re-plan from every point seen; re-route all records."""
         dataset = self.dataset()
-        n = dataset.n
-        n_buckets = int(min(1024, max(64, n // 20)))
-        request = PlanRequest(
-            domain=dataset.bounds,
-            params=self.params,
-            n_partitions=self.n_partitions,
-            n_reducers=self.n_reducers,
-            n_buckets=n_buckets,
-            sample_rate=min(0.5, max(0.005, 2000 / max(n, 1))),
-            seed=self.seed,
-            metric=self.metric,
-        )
+        cfg = self.config.sized(dataset.n)
         plan = self.strategy.timed_plan(
-            self.runtime, list(dataset.records()), request
+            self.runtime, list(dataset.records()),
+            cfg.plan_request(dataset.bounds),
         )
         self._cache = DMTPlanCache.build(
             plan, self._points,
-            n_buckets=n_buckets,
+            n_buckets=cfg.n_buckets,
             drift_threshold=self.drift_threshold,
         )
         self._partition_records = {}
         self._outliers_by_pid = {}
-        self._sample = None
-        if self.tier_requested != "exact":
-            stats = collect_minibucket_stats(
-                self.runtime, list(dataset.records()), dataset.bounds,
-                n_buckets=n_buckets,
-                rate=min(0.5, max(0.005, 2000 / max(n, 1))),
-                seed=self.seed,
-                n_reducers=self.n_reducers,
-            )
-            self.tier = pick_tier(
-                self.tier_requested, n, dataset.bounds.area,
-                self.params, dataset.ndim, stats=stats,
-            )
-            if self.tier == "fast":
-                self._sample = build_sensitivity_sample(
-                    dataset.points, dataset.ids, stats, self.params,
-                    seed=self.seed,
-                )
+        # The stream certifies each batch as it routes it, so it needs
+        # the witness sample, not a certification job.
+        tier_pass = run_tier_prelude(
+            self.runtime, dataset, cfg, certify=False
+        )
+        self.tier, self._sample = tier_pass.tier, tier_pass.sample
         self._route(self._ids, self._points)
 
     # ------------------------------------------------------------------
     def _detect(self, dirty: Set[int]) -> List:
         """Re-detect exactly the dirty partitions; merge the verdicts."""
-        plan = self._cache.plan
-        target = sorted(dirty)
-        records = [
-            (pid, record)
-            for pid in target
-            for record in self._partition_records.get(pid, ())
-        ]
-        if not records:
-            # An all-pruned batch: nothing to re-check, schedule nothing.
-            for pid in target:
-                self._outliers_by_pid[pid] = set()
-            return []
-        # Re-pack the dirty partitions onto reducers by their *actual*
-        # record counts — the per-batch equivalent of Sec. V-A step 3.
-        alloc = allocate(
-            [len(self._partition_records.get(pid, ())) for pid in target],
-            min(self.n_reducers, len(target)),
+        result = run_routed(
+            self.runtime, "stream", self.config, self._cache.plan,
+            self._partition_records, dirty,
         )
-        table = {
-            pid: alloc.assignment[i] for i, pid in enumerate(target)
-        }
-        job = MapReduceJob(
-            name=f"stream-detect-{plan.strategy}",
-            mapper=_RoutedMapper(),
-            reducer=_StreamDODReducer(
-                self.params, plan.algorithm_plan, self.detector,
-                kernel=self.kernel, metric=self.metric,
-            ),
-            n_reducers=len(alloc.bin_loads),
-            partitioner=DictPartitioner(table),
-        )
-        result = self.runtime.run(job, records)
-        self.counters.merge(result.counters)
-        for pid in target:
+        for pid in dirty:
             self._outliers_by_pid[pid] = set()
+        if result is None:
+            # An all-pruned batch: nothing to re-check, nothing ran.
+            return []
+        self.counters.merge(result.counters)
         for pid, outlier_id in result.outputs:
             self._outliers_by_pid[pid].add(outlier_id)
         return [result]
@@ -573,10 +461,6 @@ class StreamingDetector:
         the cache's drift bookkeeping intact.  Writes are atomic: a
         crash mid-save leaves the previous snapshot.
         """
-        # Imported here, not at module top: the recovery package's
-        # checkpoint driver imports this module's job classes.
-        from ..recovery.snapshot import write_artifact
-
         cache = None
         if self._cache is not None:
             cache = {
@@ -588,19 +472,20 @@ class StreamingDetector:
                 "batches_served": int(self._cache.batches_served),
                 "drift_threshold": float(self._cache.drift_threshold),
             }
+        cfg = self.config
         payload = {
             "params": {
                 "r": float(self.params.r), "k": int(self.params.k)
             },
             "strategy": self.strategy.name,
-            "detector": self.detector,
-            "kernel": self.kernel,
+            "detector": cfg.detector,
+            "kernel": cfg.kernel,
             "metric": self.metric,
-            "seed": int(self.seed),
+            "seed": cfg.seed,
             "drift_threshold": float(self.drift_threshold),
-            "n_partitions": int(self.n_partitions),
-            "n_reducers": int(self.n_reducers),
-            "tier": self.tier_requested,
+            "n_partitions": cfg.n_partitions,
+            "n_reducers": cfg.n_reducers,
+            "tier": cfg.tier,
             "tier_resolved": self.tier,
             "sample": (
                 None if self._sample is None else {
@@ -664,8 +549,6 @@ class StreamingDetector:
         :meth:`restore`.  Runtime objects (process pools, tracers) are
         deliberately not persisted; pass fresh ones.
         """
-        from ..recovery.snapshot import read_artifact
-
         payload = read_artifact(path, SNAPSHOT_KIND, SNAPSHOT_VERSION)
         detector = cls(
             OutlierParams(
@@ -781,36 +664,27 @@ class StreamingDetector:
         whose detection parameters contradict the requested ones raises
         ``ValueError``: that is a configuration error, not corruption.
         """
-        import warnings
-
-        from ..recovery.snapshot import SnapshotError
-
+        # One resolution serves the fresh-start fallbacks and the
+        # identity comparison alike.
+        fresh = cls(
+            params, strategy=strategy, detector=detector,
+            runtime=runtime, cluster=cluster,
+            n_partitions=n_partitions, n_reducers=n_reducers,
+            drift_threshold=drift_threshold, seed=seed,
+            tracer=tracer, kernel=kernel, metric=metric, tier=tier,
+        )
         try:
             loaded = cls.load(
                 path, runtime=runtime, cluster=cluster, tracer=tracer
             )
         except SnapshotError as exc:
             if exc.reason == "missing":
-                return cls(
-                    params, strategy=strategy, detector=detector,
-                    runtime=runtime, cluster=cluster,
-                    n_partitions=n_partitions, n_reducers=n_reducers,
-                    drift_threshold=drift_threshold, seed=seed,
-                    tracer=tracer, kernel=kernel, tier=tier,
-                )
+                return fresh
             warnings.warn(
                 f"streaming snapshot unusable ({exc}); starting the "
                 "stream from scratch",
                 RuntimeWarning,
                 stacklevel=2,
-            )
-            fresh = cls(
-                params, strategy=strategy, detector=detector,
-                runtime=runtime, cluster=cluster,
-                n_partitions=n_partitions, n_reducers=n_reducers,
-                drift_threshold=drift_threshold, seed=seed,
-                tracer=tracer, kernel=kernel, metric=metric,
-                tier=tier,
             )
             fresh.counters.incr("recovery", "snapshot_fallbacks")
             span = Span.begin(
@@ -820,26 +694,8 @@ class StreamingDetector:
             span.finish(warning=str(exc))
             fresh.tracer.record(span)
             return fresh
-        metric_obj = resolve_metric(metric)
-        requested_metric = (
-            None if metric_obj.is_euclidean else metric_obj.spec()
-        )
-        requested_strategy = resolve_strategy(strategy).name
-        if (
-            requested_metric is not None
-            and requested_strategy not in METRIC_SAFE_STRATEGIES
-        ):
-            requested_strategy = MetricSafePartitioner.name
-        requested = (
-            float(params.r), int(params.k),
-            requested_strategy, detector, requested_metric,
-            resolve_tier(tier),
-        )
-        found = (
-            float(loaded.params.r), int(loaded.params.k),
-            loaded.strategy.name, loaded.detector, loaded.metric,
-            loaded.tier_requested,
-        )
+        requested = _restore_identity(fresh.config)
+        found = _restore_identity(loaded.config)
         if requested != found:
             raise ValueError(
                 f"snapshot {path} was taken with "
@@ -848,5 +704,5 @@ class StreamingDetector:
                 "fresh snapshot path"
             )
         if kernel is not None:
-            loaded.kernel = kernel
+            loaded.config = replace(loaded.config, kernel=kernel)
         return loaded

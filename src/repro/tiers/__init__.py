@@ -10,7 +10,6 @@ from .fastpass import (
     certified_mask,
     estimated_mean_neighbors,
     pick_tier,
-    prepare_fast_tier,
     resolve_tier,
     run_certification,
     support_halo,
@@ -26,7 +25,6 @@ __all__ = [
     "certified_mask",
     "estimated_mean_neighbors",
     "pick_tier",
-    "prepare_fast_tier",
     "resolve_tier",
     "run_certification",
     "support_halo",

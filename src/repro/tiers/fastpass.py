@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, Optional, Set, Tuple
 
 import numpy as np
 
-from ..geometry import Rect
 from ..kernels import resolve_kernel
 from ..mapreduce import (
     JobResult,
@@ -45,7 +44,7 @@ from ..mapreduce import (
 from ..metrics import resolve_metric
 from ..costmodel import ball_volume, default_sample_size, select_tier
 from ..params import OutlierParams
-from ..sampling import collect_minibucket_stats, splitmix64
+from ..sampling import splitmix64
 from ..sampling.minibuckets import MiniBucketStats
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
     "certified_mask",
     "run_certification",
     "support_halo",
-    "prepare_fast_tier",
     "estimated_mean_neighbors",
     "pick_tier",
 ]
@@ -362,17 +360,9 @@ class _CertifyMapper(Mapper):
     kernel call per block, a single tiny reducer to union the ids.
     """
 
-    def __init__(
-        self,
-        sample: SensitivitySample,
-        params: OutlierParams,
-        kernel=None,
-        metric=None,
-    ) -> None:
+    def __init__(self, sample: SensitivitySample, cfg) -> None:
         self.sample = sample
-        self.params = params
-        self.kernel = kernel
-        self.metric = metric
+        self.cfg = cfg
 
     def map(self, key, value, ctx: TaskContext):
         yield from self.map_block([(key, value)], ctx)
@@ -383,8 +373,8 @@ class _CertifyMapper(Mapper):
         ids = np.asarray([r[0] for r in records], dtype=np.int64)
         points = np.asarray([r[1] for r in records], dtype=float)
         mask, evals = certified_mask(
-            points, ids, self.sample, self.params,
-            kernel=self.kernel, metric=self.metric,
+            points, ids, self.sample, self.cfg.params,
+            kernel=self.cfg.kernel, metric=self.cfg.metric,
         )
         certified = ids[mask]
         ctx.add_cost(float(evals))
@@ -411,13 +401,12 @@ def run_certification(
     runtime: LocalRuntime,
     records: Iterable[tuple],
     sample: SensitivitySample,
-    params: OutlierParams,
-    kernel=None,
-    metric=None,
+    cfg,
 ) -> Tuple[Set[int], Set[int], TierCertification, JobResult]:
     """Run the certification pass as a MapReduce job.
 
-    Returns ``(certified_ids, dropped_ids, certification, job_result)``.
+    ``cfg`` is the run's :class:`~repro.core.config.RunConfig` (its
+    params, kernel and metric verify the witnesses).  Returns ``(certified_ids, dropped_ids, certification, job_result)``.
     ``dropped_ids`` (a subset of ``certified_ids``) is the
     :func:`support_halo` complement — certified points no residue query
     can reach, which the detection mapper skips entirely.  The returned
@@ -428,7 +417,7 @@ def run_certification(
     records = list(records)
     job = MapReduceJob(
         name="tier-certify",
-        mapper=_CertifyMapper(sample, params, kernel=kernel, metric=metric),
+        mapper=_CertifyMapper(sample, cfg),
         reducer=_UnionReducer(),
         n_reducers=1,  # the certified-id union is tiny and centralized
     )
@@ -445,8 +434,8 @@ def run_certification(
     all_points = np.asarray([r[1] for r in records], dtype=float)
     cert_mask = np.isin(all_ids, np.fromiter(certified, dtype=np.int64))
     dropped, halo_evals = support_halo(
-        all_points, all_ids, cert_mask, params,
-        grid=sample.grid, kernel=kernel, metric=metric,
+        all_points, all_ids, cert_mask, cfg.params,
+        grid=sample.grid, kernel=cfg.kernel, metric=cfg.metric,
     )
     result.counters.incr("tier", "shuffle_dropped", len(dropped))
     result.counters.incr("tier", "distance_evals", halo_evals)
@@ -455,48 +444,11 @@ def run_certification(
         + result.counters.get("tier", "residue"),
         certified=result.counters.get("tier", "certified"),
         sample_size=sample.size,
-        bound=params.k,
+        bound=cfg.params.k,
         distance_evals=result.counters.get("tier", "distance_evals"),
         dropped=len(dropped),
     )
     return certified, dropped, cert, result
-
-
-def prepare_fast_tier(
-    runtime: LocalRuntime,
-    records: List[tuple],
-    domain: Rect,
-    params: OutlierParams,
-    n_buckets: int = 1024,
-    sample_rate: float = 0.005,
-    seed: int = 1,
-    n_reducers: int = 1,
-    kernel=None,
-    metric=None,
-    sample_size: Optional[int] = None,
-    stats: Optional[MiniBucketStats] = None,
-) -> Tuple[Set[int], Set[int], TierCertification, JobResult]:
-    """Full fast pass: stats job → sensitivity sample → certify job.
-
-    Returns ``(certified_ids, dropped_ids, certification,
-    certify_job_result)``.
-    Pass precomputed ``stats`` (e.g. from ``auto`` tier resolution) to
-    skip the sampling job.
-    """
-    if stats is None:
-        stats = collect_minibucket_stats(
-            runtime, records, domain,
-            n_buckets=n_buckets, rate=sample_rate, seed=seed,
-            n_reducers=n_reducers,
-        )
-    ids = np.asarray([r[0] for r in records], dtype=np.int64)
-    points = np.asarray([r[1] for r in records], dtype=float)
-    sample = build_sensitivity_sample(
-        points, ids, stats, params, seed=seed, target_size=sample_size
-    )
-    return run_certification(
-        runtime, records, sample, params, kernel=kernel, metric=metric
-    )
 
 
 def estimated_mean_neighbors(
