@@ -79,6 +79,7 @@ def route(
     farther than ``r`` from every residue point) can witness no
     remaining query and are not routed at all.
     """
+    points = np.asarray(points, dtype=float)
     if dropped:
         keep = [i for i, pid in enumerate(ids) if pid not in dropped]
         ids = [ids[i] for i in keep]
@@ -86,13 +87,15 @@ def route(
     if not ids:
         return []
     core, support_pairs = plan.assign_batch(points, r)
-    tuples = [tuple(map(float, p)) for p in points]
+    tuples = list(map(tuple, points.tolist()))
     pairs = [
-        (int(core[i]), (1 if pid in certified else 0, pid, tuples[i]))
-        for i, pid in enumerate(ids)
+        (key, (1 if pid in certified else 0, pid, point))
+        for key, pid, point in zip(core.tolist(), ids, tuples)
     ]
-    for row, pid in support_pairs:
-        pairs.append((int(pid), (1, ids[row], tuples[row])))
+    pairs.extend(
+        (pid, (1, ids[row], tuples[row]))
+        for row, pid in support_pairs.tolist()
+    )
     return pairs
 
 

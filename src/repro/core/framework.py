@@ -313,7 +313,7 @@ class _LocalDetectReducer(Reducer):
         for i in range(pts.shape[0]):
             pid = int(ids[i])
             near_border = (
-                rect.distance_to_boundary(pts[i]) < params.r
+                rect.distance_to_boundary(pts[i]) <= params.r
             )
             if pid in local_outliers:
                 if near_border:

@@ -83,9 +83,10 @@ def run_dshc(stats: MiniBucketStats, config: DSHCConfig | None = None) -> DSHCRe
         bucket = AggregateFeature(
             float(stats.counts[flat]), grid.cell_rect(grid.unflatten(flat))
         )
-        target = _best_merge_target(tree, bucket, t_diff, t_max)
+        candidates = tree.search_candidates(bucket.rect)
+        target = _best_merge_target(candidates, bucket, t_diff, t_max)
         if target is None:
-            _insert_near_similar(tree, bucket)
+            _insert_near_similar(tree, bucket, candidates)
             continue
         tree.remove(target)
         cluster = target.merge(bucket)
@@ -93,7 +94,9 @@ def run_dshc(stats: MiniBucketStats, config: DSHCConfig | None = None) -> DSHCRe
         # Recursive merge: keep folding in compatible neighbors until the
         # augmented cluster has none (the paper's upward merge propagation).
         while True:
-            neighbor = _best_merge_target(tree, cluster, t_diff, t_max)
+            neighbor = _best_merge_target(
+                tree.search_candidates(cluster.rect), cluster, t_diff, t_max
+            )
             if neighbor is None:
                 break
             tree.remove(neighbor)
@@ -111,14 +114,13 @@ def run_dshc(stats: MiniBucketStats, config: DSHCConfig | None = None) -> DSHCRe
 
 
 def _best_merge_target(
-    tree: AFTree,
+    candidates: List[AggregateFeature],
     af: AggregateFeature,
     t_diff: float,
     t_max: float,
 ) -> Optional[AggregateFeature]:
-    """LMC search + Def. 5.2 filter; returns the most density-similar
-    candidate or None."""
-    candidates = tree.search_candidates(af.rect)
+    """Def. 5.2 filter over ``af``'s LMC (``tree.search_candidates``);
+    returns the most density-similar candidate or None."""
     best: Optional[AggregateFeature] = None
     best_diff = float("inf")
     for cand in candidates:
@@ -134,14 +136,16 @@ def _best_merge_target(
     return best
 
 
-def _insert_near_similar(tree: AFTree, af: AggregateFeature) -> None:
+def _insert_near_similar(
+    tree: AFTree, af: AggregateFeature, candidates: List[AggregateFeature]
+) -> None:
     """Insert an unmergeable bucket as a new cluster.
 
-    Per the paper's insert operation: if the LMC was non-empty, attach the
-    new leaf entry beside the most density-similar candidate; otherwise use
-    the least-enlargement leaf.
+    Per the paper's insert operation: if the LMC (``candidates``, the
+    search ``run_dshc`` already made on the still-unchanged tree) was
+    non-empty, attach the new leaf entry beside the most density-similar
+    candidate; otherwise use the least-enlargement leaf.
     """
-    candidates = tree.search_candidates(af.rect)
     near = None
     if candidates:
         similar = min(candidates, key=af.density_difference)

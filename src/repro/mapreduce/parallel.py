@@ -51,8 +51,8 @@ from .runtime import (
     JobResult,
     LocalRuntime,
     TaskStats,
-    _approx_size,
     _empty_reduce_output,
+    _shuffle,
 )
 from .scheduler import SPECULATIVE_ATTEMPT_BASE
 from .shm import (
@@ -208,27 +208,13 @@ class ParallelRuntime(LocalRuntime):
                 for task_id, pairs, wall, cost_units, counters, span in (
                     map_results
                 ):
-                    for key, value in pairs:
-                        dest = job.partitioner.partition(
-                            key, job.n_reducers
-                        )
-                        if not 0 <= dest < job.n_reducers:
-                            raise ValueError(
-                                f"partitioner returned {dest} for key "
-                                f"{key!r}; must be in "
-                                f"[0, {job.n_reducers})"
-                            )
-                        reducer_inputs[dest][key].append(value)
+                    task_bytes = _shuffle(job, pairs, reducer_inputs)
                     result.map_tasks.append(
                         TaskStats(task_id, "map", wall, cost_units,
                                   len(blocks[task_id]), len(pairs))
                     )
                     result.counters.merge(counters)
                     result.shuffle_records += len(pairs)
-                    task_bytes = sum(
-                        _approx_size(k) + _approx_size(v)
-                        for k, v in pairs
-                    )
                     result.shuffle_bytes += task_bytes
                     span.annotate(
                         input_records=len(blocks[task_id]),

@@ -191,23 +191,13 @@ class LocalRuntime:
                 lambda ctx: self._map_attempt(job, block, ctx),
                 empty=list,
             )
-            for key, value in pairs:
-                dest = job.partitioner.partition(key, job.n_reducers)
-                if not 0 <= dest < job.n_reducers:
-                    raise ValueError(
-                        f"partitioner returned {dest} for key {key!r}; "
-                        f"must be in [0, {job.n_reducers})"
-                    )
-                reducer_inputs[dest][key].append(value)
+            task_bytes = _shuffle(job, pairs, reducer_inputs)
             result.map_tasks.append(
                 TaskStats(task_id, "map", wall, ctx.cost_units,
                           len(block), len(pairs))
             )
             result.counters.merge(ctx.counters)
             result.shuffle_records += len(pairs)
-            task_bytes = sum(
-                _approx_size(k) + _approx_size(v) for k, v in pairs
-            )
             result.shuffle_bytes += task_bytes
             task_span.annotate(
                 input_records=len(block), output_records=len(pairs),
@@ -358,6 +348,37 @@ class LocalRuntime:
 def _empty_reduce_output() -> tuple:
     """Skip-partition placeholder for a reduce task: no outputs, no input."""
     return [], 0
+
+
+def _shuffle(
+    job: MapReduceJob,
+    pairs: Sequence[tuple],
+    reducer_inputs: List[Dict[Any, List[Any]]],
+) -> int:
+    """Group one map task's output into the reducers' inputs.
+
+    The partitioner is asked, and its answer range-checked, once per
+    distinct key of the task: a key's destination is a function of the
+    key alone, or its values would not meet in one reduce call.  Returns
+    the task's shuffle-byte estimate: records x the width of its first
+    record.
+    """
+    values_of: Dict[Any, List[Any]] = {}
+    for key, value in pairs:
+        values = values_of.get(key)
+        if values is None:
+            dest = job.partitioner.partition(key, job.n_reducers)
+            if not 0 <= dest < job.n_reducers:
+                raise ValueError(
+                    f"partitioner returned {dest} for key {key!r}; "
+                    f"must be in [0, {job.n_reducers})"
+                )
+            values = values_of[key] = reducer_inputs[dest][key]
+        values.append(value)
+    if not pairs:
+        return 0
+    key, value = pairs[0]
+    return len(pairs) * (_approx_size(key) + _approx_size(value))
 
 
 def _approx_size(obj: Any) -> int:

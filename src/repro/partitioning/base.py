@@ -15,14 +15,35 @@ each point is core in exactly one partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..geometry import Rect, UniformGrid
+from ..geometry import Rect
 
 __all__ = ["Partition", "PartitionPlan"]
+
+#: Largest cell table a plan builds (4 MiB of positions).  The table has
+#: up to ``(2m + 1) ** d`` cells for ``m`` unaligned partitions; past this
+#: cap assignment scans per-axis masks over all partitions instead.
+_MAX_TABLE_CELLS = 1 << 19
+
+
+def _axis_mask(
+    points: np.ndarray, lows: np.ndarray, highs: np.ndarray, upper_cmp
+) -> np.ndarray:
+    """``(n, m)`` mask of ``lows[j] <= points[i]`` and
+    ``upper_cmp(points[i], highs[j])`` on every axis, built one axis at
+    a time so no ``(n, m, d)`` temporary exists."""
+    mask = np.ones((points.shape[0], lows.shape[0]), dtype=bool)
+    for axis in range(lows.shape[1]):
+        x = points[:, axis, None]
+        mask &= x >= lows[:, axis]
+        mask &= upper_cmp(x, highs[:, axis])
+    return mask
 
 
 @dataclass
@@ -52,8 +73,6 @@ class PartitionPlan:
     allocation: Optional[Dict[int, int]] = None
     strategy: str = "unknown"
     preprocess_cost: float = 0.0
-    _lookup: UniformGrid | None = field(default=None, repr=False)
-    _lookup_cells: Dict[int, List[int]] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if not self.partitions:
@@ -61,7 +80,24 @@ class PartitionPlan:
         pids = [p.pid for p in self.partitions]
         if len(set(pids)) != len(pids):
             raise ValueError("partition ids must be unique")
-        self._build_lookup()
+        self._by_pid = {p.pid: p for p in self.partitions}
+        self._lows = np.asarray([p.rect.low for p in self.partitions])
+        self._highs = np.asarray([p.rect.high for p in self.partitions])
+        self._pids = np.asarray(pids, dtype=np.int64)
+        # Exclusive upper faces: a partition owns ``[low, upper)``.  Shared
+        # faces are half-open; a face on (or past) the domain's upper edge
+        # is closed, i.e. exclusive one ulp further out.
+        self._upper = np.where(
+            self._highs < np.asarray(self.domain.high), self._highs,
+            np.nextafter(self._highs, np.inf),
+        )
+
+    def __getstate__(self) -> dict:
+        # The cell table is derived from the rectangles; a plan travels
+        # to pool workers without it and each side rebuilds on first use.
+        state = self.__dict__.copy()
+        state.pop("_cells", None)
+        return state
 
     # ------------------------------------------------------------------
     @property
@@ -80,36 +116,18 @@ class PartitionPlan:
     # ------------------------------------------------------------------
     def core_pid(self, point: Sequence[float]) -> int:
         """The single partition in which ``point`` is a core point."""
-        flat = self._lookup.flat_index(self._lookup.cell_of(point))
-        for pid in self._lookup_cells.get(flat, ()):
-            part = self._by_pid[pid]
-            if part.rect.contains_half_open(point, self.domain):
-                return pid
-        # Points outside the declared domain (possible when the domain was
-        # estimated from a sample) snap to the nearest partition center.
-        return self._nearest_pid(point)
+        core, _ = self.assign_batch(np.asarray([point], dtype=float), None)
+        return int(core[0])
 
     def support_pids(self, point: Sequence[float], r: float) -> List[int]:
         """Partitions for which ``point`` is a support point (Def. 3.3).
 
         These are the partitions whose ``r``-expanded box contains the
-        point, excluding the point's own core partition.
+        point (closed on every face), excluding the point's own core
+        partition.
         """
-        core = self.core_pid(point)
-        probe = Rect(
-            tuple(x - r for x in point), tuple(x + r for x in point)
-        )
-        out: List[int] = []
-        seen = set()
-        for flat_cell in self._lookup.cells_within(probe):
-            flat = self._lookup.flat_index(flat_cell)
-            for pid in self._lookup_cells.get(flat, ()):
-                if pid == core or pid in seen:
-                    continue
-                if self._by_pid[pid].rect.expand(r).contains(point):
-                    out.append(pid)
-                    seen.add(pid)
-        return out
+        _, pairs = self.assign_batch(np.asarray([point], dtype=float), r)
+        return pairs[:, 1].tolist()
 
     def core_pids_batch(self, points: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`core_pid` for an ``(n, d)`` array."""
@@ -122,81 +140,83 @@ class PartitionPlan:
         """Vectorized core and support assignment for a point block.
 
         Returns ``(core_pids, support_pairs)`` where ``support_pairs`` is a
-        ``(k, 2)`` array of ``(point_row, pid)`` support assignments (or
-        None when ``r`` is None).  One broadcast over all partitions — the
-        per-record cost of a real MapReduce mapper, without a Python loop
-        per point.
+        ``(k, 2)`` array of ``(point_row, pid)`` support assignments in
+        row-major ``(row, partition position)`` order (or None when ``r``
+        is None).  The core partition is one ``searchsorted`` per axis
+        and one gather from the plan's cell table; points no partition
+        covers (outside the domain, or in a gap) snap to the nearest
+        partition.
         """
         points = np.asarray(points, dtype=float)
-        n = points.shape[0]
-        lows = self._lows  # (m, d)
-        highs = self._highs
-        pids = self._pids
-        dom_high = np.asarray(self.domain.high)
-
-        expanded = points[:, None, :]  # (n, m, d) via broadcasting
-        ge = expanded >= lows[None, :, :]
-        lt = np.where(
-            highs[None, :, :] < dom_high[None, None, :],
-            expanded < highs[None, :, :],
-            expanded <= highs[None, :, :],
-        )
-        core_mask = (ge & lt).all(axis=2)  # (n, m)
-        core_pos = core_mask.argmax(axis=1)
-        covered = core_mask.any(axis=1)
-        core = pids[core_pos]
-        for i in np.nonzero(~covered)[0]:
-            core[i] = self._nearest_pid(points[i])
-
+        pos = self._core_positions(points)
+        for i in np.nonzero(pos < 0)[0]:
+            pos[i] = self._nearest_position(points[i])
+        core = self._pids[pos]
         if r is None:
             return core, None
-        support_mask = (
-            (expanded >= (lows - r)[None, :, :])
-            & (expanded <= (highs + r)[None, :, :])
-        ).all(axis=2)
+        support = _axis_mask(
+            points, self._lows - r, self._highs + r, np.less_equal
+        )
         # A point never supports its own core partition.
-        rows = np.arange(n)
-        own = np.nonzero(covered)[0]
-        support_mask[own, core_pos[own]] = False
-        for i in np.nonzero(~covered)[0]:
-            pos = np.nonzero(pids == core[i])[0]
-            if pos.size:
-                support_mask[i, pos[0]] = False
-        srows, spos = np.nonzero(support_mask)
-        pairs = np.stack([srows, pids[spos]], axis=1)
-        return core, pairs
+        support[np.arange(points.shape[0]), pos] = False
+        srows, spos = np.nonzero(support)
+        return core, np.stack([srows, self._pids[spos]], axis=1)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _build_lookup(self) -> None:
-        self._by_pid = {p.pid: p for p in self.partitions}
-        self._lows = np.asarray([p.rect.low for p in self.partitions])
-        self._highs = np.asarray([p.rect.high for p in self.partitions])
-        self._pids = np.asarray(
-            [p.pid for p in self.partitions], dtype=np.int64
-        )
-        # Resolution: a few lookup cells per partition keeps candidate
-        # lists short without large memory for plans with many partitions.
-        n_cells = min(4096, max(64, 4 * len(self.partitions)))
-        self._lookup = UniformGrid.with_cells(self.domain, n_cells)
-        cells: Dict[int, List[int]] = {}
-        for part in self.partitions:
-            for idx in self._lookup.cells_within(part.rect):
-                cells.setdefault(self._lookup.flat_index(idx), []).append(
-                    part.pid
-                )
-        self._lookup_cells = cells
+    @cached_property
+    def _cells(self) -> tuple[List[np.ndarray], np.ndarray] | None:
+        """``(edges, table)``: per-axis sorted partition faces and the
+        position of the partition owning each cell between them.
 
-    def _nearest_pid(self, point: Sequence[float]) -> int:
-        point = np.asarray(point, dtype=float)
-        best_pid, best_d = self.partitions[0].pid, float("inf")
-        for part in self.partitions:
-            clamped = np.clip(point, part.rect.low, part.rect.high)
-            d = float(np.sum((clamped - point) ** 2))
-            if d < best_d:
-                best_pid, best_d = part.pid, d
-        return best_pid
+        Built from the partitions' own bounds, so it is exact for any
+        set of rectangles, grid-aligned or not.  ``table`` has one extra
+        slot at both ends of every axis (below the first face, at or
+        above the last) and holds -1 there and in gaps; where rectangles
+        overlap the first partition wins.  None when the table would
+        exceed :data:`_MAX_TABLE_CELLS`.
+        """
+        lows, upper = self._lows, self._upper
+        edges = [
+            np.unique(np.concatenate([lows[:, a], upper[:, a]]))
+            for a in range(lows.shape[1])
+        ]
+        shape = tuple(len(e) + 1 for e in edges)
+        if math.prod(shape) > _MAX_TABLE_CELLS:
+            return None
+        first, last = (
+            np.stack(
+                [np.searchsorted(e, bounds[:, a], "right")
+                 for a, e in enumerate(edges)],
+                axis=1,
+            )
+            for bounds in (lows, upper)
+        )
+        table = np.full(shape, -1, dtype=np.intp)
+        for j in reversed(range(len(self.partitions))):
+            table[tuple(map(slice, first[j], last[j]))] = j
+        return edges, table
+
+    def _core_positions(self, points: np.ndarray) -> np.ndarray:
+        """Row -> position of the covering partition, -1 if none."""
+        cells = self._cells
+        if cells is None:
+            inside = _axis_mask(points, self._lows, self._upper, np.less)
+            pos = inside.argmax(axis=1)
+            pos[~inside.any(axis=1)] = -1
+            return pos
+        edges, table = cells
+        return table[tuple(
+            np.searchsorted(e, points[:, a], "right")
+            for a, e in enumerate(edges)
+        )]
+
+    def _nearest_position(self, point: np.ndarray) -> int:
+        """Points outside every partition (possible when the domain was
+        estimated from a sample) snap to the nearest partition."""
+        gap = np.clip(point, self._lows, self._highs) - point
+        return int(np.argmin(np.sum(gap ** 2, axis=1)))
 
     # ------------------------------------------------------------------
     def validate_tiling(self, samples: np.ndarray | None = None) -> None:

@@ -111,6 +111,25 @@ class TestEdgeCases:
         result = run(data, params, "uniSpace")
         assert result.outlier_ids == oracle
 
+    def test_neighbor_exactly_r_across_a_partition_face(self):
+        """(3,3)/(4,3), (5,3)/(4,3) and (3,5)/(4,5) are pairs at distance
+        exactly r whose members sit on either side of the x = 4 face, one
+        of them exactly r away from it: the Domain baseline must treat
+        "r from the border" as near the border and route the candidate
+        into the neighbor's closed r-expansion."""
+        data = Dataset.from_points(np.array([
+            (0, 0), (8, 8), (0, 8), (8, 0),
+            (3, 3), (4, 3), (5, 3), (4, 5), (3, 5),
+        ], dtype=float))
+        params = OutlierParams(r=1.0, k=1)
+        corners = {0, 1, 2, 3}
+        assert brute_force_outliers(data, params) == corners
+        for strategy in ["Domain", "uniSpace", "DMT"]:
+            result = detect_outliers(
+                data, params, strategy=strategy, n_partitions=4
+            )
+            assert result.outlier_ids == corners, strategy
+
     def test_tiger_like_skew(self):
         data = tiger_like(n=1500, seed=7)
         params = OutlierParams(r=3.0, k=6)

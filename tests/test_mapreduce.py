@@ -1,5 +1,7 @@
 """Unit tests for the MapReduce substrate (HDFS, runtime, counters)."""
 
+from collections import defaultdict
+
 import pytest
 
 from repro.mapreduce import (
@@ -10,10 +12,13 @@ from repro.mapreduce import (
     LocalRuntime,
     MapReduceJob,
     Mapper,
+    ParallelRuntime,
+    Partitioner,
     Reducer,
     SimulatedHDFS,
     makespan,
 )
+from repro.mapreduce.runtime import _approx_size, _shuffle
 
 
 class WordSplitMapper(Mapper):
@@ -243,6 +248,101 @@ class TestRuntime:
         rt = LocalRuntime(ClusterConfig(nodes=2, replication=1))
         rt.run(job, ["d c b a"], block_records=1)
         assert reducer.seen == sorted(reducer.seen)
+
+
+class ModPartitioner(Partitioner):
+    """Distinct keys collide on a reducer; counts how often it is asked."""
+
+    def __init__(self):
+        self.asked = []
+
+    def partition(self, key, n_reducers):
+        self.asked.append(key)
+        return key % n_reducers
+
+
+class KeyedMapper(Mapper):
+    def map(self, key, value, ctx):
+        yield key, value
+        yield key + 3, (value, float(key))
+
+
+class ListReducer(Reducer):
+    def reduce(self, key, values, ctx):
+        yield key, list(values)
+
+
+def keyed_job(partitioner=None):
+    return MapReduceJob(
+        "keyed", KeyedMapper(), ListReducer(), n_reducers=3,
+        partitioner=partitioner or ModPartitioner(),
+    )
+
+
+class TestShuffle:
+    """The one partition-and-group helper both runtimes call."""
+
+    TASKS = [
+        [(1, "a"), (4, "b"), (1, "c"), (2, "d"), (4, "e")],
+        [(7, "f"), (2, "g"), (1, "h"), (0, "i")],
+    ]
+
+    def test_groups_like_the_per_pair_loop(self):
+        job = keyed_job()
+        want = [defaultdict(list) for _ in range(3)]
+        for pairs in self.TASKS:
+            for key, value in pairs:
+                dest = job.partitioner.partition(key, job.n_reducers)
+                want[dest][key].append(value)
+        got = [defaultdict(list) for _ in range(3)]
+        for pairs in self.TASKS:
+            _shuffle(job, pairs, got)
+        assert got == want
+        # First-seen key order is what an unsorted reduce task iterates.
+        assert [list(g) for g in got] == [list(w) for w in want]
+
+    def test_partitioner_asked_once_per_key_per_task(self):
+        job = keyed_job()
+        inputs = [defaultdict(list) for _ in range(3)]
+        for pairs in self.TASKS:
+            _shuffle(job, pairs, inputs)
+        assert job.partitioner.asked == [1, 4, 2, 7, 2, 1, 0]
+
+    def test_bytes_are_records_times_first_record_width(self):
+        inputs = [defaultdict(list) for _ in range(3)]
+        pairs = [(5, (0, 17, (1.0, 2.0))), (6, (1, 18, (3.0, 4.0)))]
+        width = _approx_size(5) + _approx_size((0, 17, (1.0, 2.0)))
+        assert _shuffle(keyed_job(), pairs, inputs) == 2 * width
+        assert _shuffle(keyed_job(), [], inputs) == 0
+
+    def test_out_of_range_destination_rejected(self):
+        class Bad(Partitioner):
+            def partition(self, key, n_reducers):
+                return -1 if key == 2 else 0
+
+        inputs = [defaultdict(list) for _ in range(3)]
+        with pytest.raises(ValueError) as err:
+            _shuffle(keyed_job(Bad()), self.TASKS[0], inputs)
+        assert str(err.value) == (
+            "partitioner returned -1 for key 2; must be in [0, 3)"
+        )
+
+    @pytest.mark.parametrize("transport", ["pickle", "shm"])
+    def test_pool_and_serial_account_the_same_shuffle(self, transport):
+        cluster = ClusterConfig(nodes=2, replication=1)
+        records = [(i % 5, f"v{i}") for i in range(40)]
+        serial = LocalRuntime(cluster).run(
+            keyed_job(), records, block_records=8
+        )
+        pooled = ParallelRuntime(
+            cluster, workers=2, transport=transport
+        ).run(keyed_job(), records, block_records=8)
+        assert serial.shuffle_records == pooled.shuffle_records == 80
+        assert serial.shuffle_bytes == pooled.shuffle_bytes > 0
+        assert sorted(serial.outputs) == sorted(pooled.outputs)
+        assert [t.input_records for t in serial.reduce_tasks] == [
+            t.input_records for t in pooled.reduce_tasks
+        ]
 
 
 class TestDictPartitioner:

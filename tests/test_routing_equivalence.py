@@ -1,0 +1,342 @@
+"""Routing equivalence: the cell table vs. the rectangle broadcast.
+
+``PartitionPlan.assign_batch`` resolves a point's core partition by one
+``searchsorted`` per axis and a gather from a per-plan cell table.  The
+implementation it replaced — a broadcast of every point against every
+partition rectangle — is kept here verbatim as the oracle.  Hypothesis
+draws points from where the two could disagree: partition faces shifted
+by 0, ±r and one ulp, the closed upper edge of the domain, outside the
+domain, gaps in the tiling, and a zero-width axis.  The replication
+(Def. 3.3) must not move by a single record, in value or in order.
+"""
+
+import pickle
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.core.execute import route
+from repro.data import clustered_mixture
+from repro.geometry import Rect, UniformGrid
+from repro.mapreduce import ClusterConfig, LocalRuntime
+from repro.params import OutlierParams
+from repro.partitioning import (
+    CDrivenPartitioner,
+    DMTPartitioner,
+    Partition,
+    PartitionPlan,
+    PlanRequest,
+    UniSpacePartitioner,
+    base,
+)
+
+RADII = [0.0, 0.5, 1.0, 2.0]
+
+
+# ----------------------------------------------------------------------
+# The oracle: assign_batch / _nearest_pid / route as they were before
+# the cell table, kept verbatim (``self`` -> ``plan``).
+# ----------------------------------------------------------------------
+def nearest_pid(plan, point):
+    point = np.asarray(point, dtype=float)
+    best_pid, best_d = plan.partitions[0].pid, float("inf")
+    for part in plan.partitions:
+        clamped = np.clip(point, part.rect.low, part.rect.high)
+        d = float(np.sum((clamped - point) ** 2))
+        if d < best_d:
+            best_pid, best_d = part.pid, d
+    return best_pid
+
+
+def broadcast_assign(plan, points, r):
+    points = np.asarray(points, dtype=float)
+    n = points.shape[0]
+    lows = np.asarray([p.rect.low for p in plan.partitions])  # (m, d)
+    highs = np.asarray([p.rect.high for p in plan.partitions])
+    pids = np.asarray([p.pid for p in plan.partitions], dtype=np.int64)
+    dom_high = np.asarray(plan.domain.high)
+
+    expanded = points[:, None, :]  # (n, m, d) via broadcasting
+    ge = expanded >= lows[None, :, :]
+    lt = np.where(
+        highs[None, :, :] < dom_high[None, None, :],
+        expanded < highs[None, :, :],
+        expanded <= highs[None, :, :],
+    )
+    core_mask = (ge & lt).all(axis=2)  # (n, m)
+    core_pos = core_mask.argmax(axis=1)
+    covered = core_mask.any(axis=1)
+    core = pids[core_pos]
+    for i in np.nonzero(~covered)[0]:
+        core[i] = nearest_pid(plan, points[i])
+
+    if r is None:
+        return core, None
+    support_mask = (
+        (expanded >= (lows - r)[None, :, :])
+        & (expanded <= (highs + r)[None, :, :])
+    ).all(axis=2)
+    # A point never supports its own core partition.
+    own = np.nonzero(covered)[0]
+    support_mask[own, core_pos[own]] = False
+    for i in np.nonzero(~covered)[0]:
+        pos = np.nonzero(pids == core[i])[0]
+        if pos.size:
+            support_mask[i, pos[0]] = False
+    srows, spos = np.nonzero(support_mask)
+    pairs = np.stack([srows, pids[spos]], axis=1)
+    return core, pairs
+
+
+def broadcast_route(plan, ids, points, r, certified=frozenset(),
+                    dropped=frozenset()):
+    if dropped:
+        keep = [i for i, pid in enumerate(ids) if pid not in dropped]
+        ids = [ids[i] for i in keep]
+        points = points[keep]
+    if not ids:
+        return []
+    core, support_pairs = broadcast_assign(plan, points, r)
+    tuples = [tuple(map(float, p)) for p in points]
+    pairs = [
+        (int(core[i]), (1 if pid in certified else 0, pid, tuples[i]))
+        for i, pid in enumerate(ids)
+    ]
+    for row, pid in support_pairs:
+        pairs.append((int(pid), (1, ids[row], tuples[row])))
+    return pairs
+
+
+# ----------------------------------------------------------------------
+# Plans
+# ----------------------------------------------------------------------
+def _strategy_plan(strategy, ndim, n_buckets=64, n_reducers=4):
+    domain = Rect((0.0,) * ndim, (60.0,) * ndim)
+    data = clustered_mixture(3000, domain, n_clusters=3, seed=3)
+    runtime = LocalRuntime(
+        ClusterConfig(nodes=2, replication=1, hdfs_block_records=1024)
+    )
+    request = PlanRequest(
+        domain=data.bounds, params=OutlierParams(r=2.0, k=4),
+        n_partitions=9, n_reducers=n_reducers, n_buckets=n_buckets,
+        sample_rate=0.5, seed=1,
+    )
+    return strategy.build_plan(runtime, list(data.records()), request)
+
+
+def _gap_plan(ndim):
+    """Faces on no common grid, and nothing covering x > 7.1, y > 6."""
+    rects = [
+        ((0.0, 0.0), (4.0, 10.0)),
+        ((4.0, 0.0), (10.0, 3.3)),
+        ((4.0, 3.3), (7.1, 10.0)),
+        ((7.1, 3.3), (10.0, 6.0)),
+    ]
+    if ndim == 2:
+        domain = Rect((0.0, 0.0), (10.0, 10.0))
+        boxes = [Rect(lo, hi) for lo, hi in rects]
+    else:
+        domain = Rect((0.0, 0.0, 0.0), (10.0, 10.0, 5.0))
+        boxes = [Rect(lo + (0.0,), hi + (2.5,)) for lo, hi in rects]
+        boxes.append(Rect((0.0, 0.0, 2.5), (10.0, 10.0, 5.0)))
+    # pids deliberately not equal to positions
+    return PartitionPlan(
+        domain, [Partition(10 + 3 * i, box) for i, box in enumerate(boxes)]
+    )
+
+
+def _flat_plan():
+    """Every point shares y = 5: the domain has a zero-width axis."""
+    return PartitionPlan(
+        Rect((0.0, 5.0), (10.0, 5.0)),
+        [
+            Partition(0, Rect((0.0, 5.0), (3.0, 5.0))),
+            Partition(1, Rect((3.0, 5.0), (6.5, 5.0))),
+            Partition(2, Rect((6.5, 5.0), (10.0, 5.0))),
+        ],
+    )
+
+
+PLAN_BUILDERS = {
+    "uniSpace-2d": lambda: _strategy_plan(UniSpacePartitioner(), 2),
+    "uniSpace-3d": lambda: _strategy_plan(UniSpacePartitioner(), 3),
+    "CDriven-2d": lambda: _strategy_plan(CDrivenPartitioner(), 2),
+    "CDriven-3d": lambda: _strategy_plan(CDrivenPartitioner(), 3),
+    # Many reducers -> a small per-reducer budget -> _refine_by_cost
+    # halves DSHC clusters at midpoints.
+    "DMT-2d": lambda: _strategy_plan(DMTPartitioner(), 2, 64, 16),
+    "DMT-3d": lambda: _strategy_plan(DMTPartitioner(), 3, 125, 48),
+    "gap-2d": lambda: _gap_plan(2),
+    "gap-3d": lambda: _gap_plan(3),
+    "flat-2d": _flat_plan,
+}
+PLAN_NAMES = list(PLAN_BUILDERS)
+
+
+@lru_cache(maxsize=None)
+def plan_named(name):
+    return PLAN_BUILDERS[name]()
+
+
+@lru_cache(maxsize=None)
+def axis_values(name):
+    """Per axis, the coordinates where routing decisions flip."""
+    plan = plan_named(name)
+    out = []
+    for axis in range(plan.domain.ndim):
+        lo, hi = plan.domain.low[axis], plan.domain.high[axis]
+        faces = {p.rect.low[axis] for p in plan.partitions}
+        faces |= {p.rect.high[axis] for p in plan.partitions}
+        values = {lo - 7.0, hi + 7.0, (lo + hi) / 2.0}
+        for face in faces:
+            for shift in [0.0] + RADII[1:] + [-r for r in RADII[1:]]:
+                at = face + shift
+                values |= {
+                    at, np.nextafter(at, np.inf), np.nextafter(at, -np.inf)
+                }
+        out.append(sorted(values))
+    return out
+
+
+@st.composite
+def point_blocks(draw, name):
+    axes = [st.sampled_from(values) for values in axis_values(name)]
+    rows = draw(st.lists(st.tuples(*axes), min_size=1, max_size=30))
+    return np.array(rows, dtype=float)
+
+
+def assert_same_assignment(plan, points, r):
+    core, pairs = plan.assign_batch(points, r)
+    want_core, want_pairs = broadcast_assign(plan, points, r)
+    assert core.dtype == want_core.dtype
+    assert np.array_equal(core, want_core)
+    if r is None:
+        assert pairs is None
+    else:
+        assert pairs.dtype == want_pairs.dtype
+        assert pairs.shape == want_pairs.shape
+        assert np.array_equal(pairs, want_pairs)
+
+
+# ----------------------------------------------------------------------
+# Properties
+# ----------------------------------------------------------------------
+def test_dmt_refinement_leaves_the_minibucket_grid():
+    """The premise: cost refinement halves clusters at midpoints, so a
+    DMT plan's faces are not all mini-bucket faces and the table must
+    come from the rectangles themselves."""
+    for name, n_buckets in (("DMT-2d", 64), ("DMT-3d", 125)):
+        plan = plan_named(name)
+        grid = UniformGrid.with_cells(plan.domain, n_buckets)
+        off_grid = 0
+        for axis, width in enumerate(grid.cell_widths):
+            faces = np.array(
+                [p.rect.low[axis] for p in plan.partitions]
+                + [p.rect.high[axis] for p in plan.partitions]
+            )
+            steps = (faces - plan.domain.low[axis]) / width
+            off_grid += int((np.abs(steps - np.round(steps)) > 1e-6).sum())
+        assert off_grid > 0, name
+
+
+@pytest.mark.parametrize("name", PLAN_NAMES)
+class TestRoutingEquivalence:
+    @given(data=st.data(), r=st.sampled_from(RADII + [None]))
+    def test_batch_equals_broadcast(self, name, data, r):
+        points = data.draw(point_blocks(name))
+        assert_same_assignment(plan_named(name), points, r)
+
+    @given(data=st.data(), r=st.sampled_from(RADII))
+    def test_mask_scan_equals_broadcast(self, name, data, r):
+        """Past the cell cap no table is built; same answers."""
+        points = data.draw(point_blocks(name))
+        plan = pickle.loads(pickle.dumps(plan_named(name)))
+        cap, base._MAX_TABLE_CELLS = base._MAX_TABLE_CELLS, 0
+        try:
+            assert plan._cells is None
+            assert_same_assignment(plan, points, r)
+        finally:
+            base._MAX_TABLE_CELLS = cap
+
+    @given(data=st.data(), r=st.sampled_from(RADII))
+    def test_scalar_agrees_with_broadcast(self, name, data, r):
+        plan = plan_named(name)
+        points = data.draw(point_blocks(name))
+        core, pairs = broadcast_assign(plan, points, r)
+        for i, point in enumerate(points):
+            assert plan.core_pid(tuple(point)) == core[i]
+            support = plan.support_pids(tuple(point), r)
+            assert len(support) == len(set(support))
+            assert set(support) == set(pairs[pairs[:, 0] == i, 1].tolist())
+
+    @given(data=st.data(), r=st.sampled_from(RADII))
+    def test_route_equals_reference(self, name, data, r):
+        plan = plan_named(name)
+        points = data.draw(point_blocks(name))
+        ids = [100 + 7 * i for i in range(len(points))]
+        subsets = st.frozensets(st.sampled_from(ids))
+        certified, dropped = data.draw(subsets), data.draw(subsets)
+        got = route(plan, ids, points, r, certified, dropped)
+        assert got == broadcast_route(
+            plan, ids, points, r, certified, dropped
+        )
+        for key, (tag, pid, point) in got:
+            assert type(key) is int and type(tag) is int
+            assert all(type(x) is float for x in point)
+
+    @given(data=st.data(), r=st.sampled_from(RADII))
+    def test_pickled_plan_routes_identically(self, name, data, r):
+        plan = plan_named(name)
+        points = data.draw(point_blocks(name))
+        ids = list(range(len(points)))
+        want = route(plan, ids, points, r)  # builds the table
+        assert "_cells" in vars(plan)
+        clone = pickle.loads(pickle.dumps(plan))
+        assert "_cells" not in vars(clone)
+        assert clone == plan
+        assert route(clone, ids, points, r) == want
+
+
+# ----------------------------------------------------------------------
+# Literals
+# ----------------------------------------------------------------------
+def test_route_literal():
+    """One block through the gap plan, written out record by record."""
+    plan = plan_named("gap-2d")
+    ids = [1, 2, 3, 4, 5, 6]
+    points = np.array([
+        [4.0, 3.3],    # on two shared faces: the upper partitions own it
+        [10.0, 1.0],   # closed upper edge of the domain
+        [9.0, 8.0],    # in the gap: snaps to the nearest partition
+        [3.0, 5.0],    # exactly r left of partition 16's closed low face
+        [12.0, -1.0],  # outside the domain
+        [2.0, 2.0],    # interior, dropped below
+    ])
+    got = route(
+        plan, ids, points, 1.0,
+        certified=frozenset({2, 6}), dropped=frozenset({6}),
+    )
+    assert got == [
+        (16, (0, 1, (4.0, 3.3))),
+        (13, (1, 2, (10.0, 1.0))),
+        (16, (0, 3, (9.0, 8.0))),
+        (10, (0, 4, (3.0, 5.0))),
+        (13, (0, 5, (12.0, -1.0))),
+        (10, (1, 1, (4.0, 3.3))),
+        (13, (1, 1, (4.0, 3.3))),
+        (16, (1, 4, (3.0, 5.0))),
+    ]
+
+
+def test_table_is_derived_state():
+    plan = plan_named("gap-3d")
+    fresh = _gap_plan(3)
+    plan.core_pid((1.0, 1.0, 1.0))
+    assert "_cells" in vars(plan) and "_cells" not in vars(fresh)
+    assert plan == fresh
+    assert "_cells" not in repr(plan) and "table" not in repr(plan)
+    edges, table = plan._cells
+    assert table.shape == tuple(len(e) + 1 for e in edges)
+    assert (table == -1).any()  # the gap, and the rim outside the domain
