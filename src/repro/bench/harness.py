@@ -450,13 +450,11 @@ def check_against(
 
     * deterministic fields (outlier hash/count, ``distance_evals``, cost
       units, shuffle volume) must match **exactly** per matrix cell;
-    * the per-detector ``dispatch_overhead_ratio`` (pickle per-task
-      dispatch cost / shm) must not regress below
-      ``baseline * (1 - tolerance)`` — one-sided, because a faster shm
-      path is an improvement, not a deviation;
     * the per-detector ``kernel_speedup_ratio`` (serial python / numpy
-      backend-body wall per task) gets the same one-sided baseline check
-      *and*, whenever the baseline itself records at least
+      backend-body wall per task) must not regress below
+      ``baseline * (1 - tolerance)`` — one-sided, because a faster
+      kernel is an improvement, not a deviation — *and*, whenever the
+      baseline itself records at least
       :data:`KERNEL_SPEEDUP_FLOOR`, an absolute floor at that value —
       once a workload has demonstrated the vectorized backend earning
       3x over the scalar oracle, dropping below it means the kernel
@@ -465,7 +463,10 @@ def check_against(
     * every detector must keep ``identical_outliers`` true.
 
     Absolute wall times and throughput are machine-local and never
-    compared.
+    compared.  Neither is ``dispatch_overhead_ratio`` (pickle per-task
+    dispatch cost / shm): a ratio of two sub-millisecond walls, it failed
+    on unchanged code on shared boxes, so it is computed, stored and
+    printed but not gated.
     """
     problems: List[str] = []
     if result.get("workload") != baseline.get("workload"):
@@ -512,22 +513,16 @@ def check_against(
             problems.append(
                 f"{detector}: outlier sets differ across transports"
             )
-        for ratio_field in (
-            "dispatch_overhead_ratio", "kernel_speedup_ratio"
-        ):
-            base_ratio = base_entry.get(ratio_field)
-            run_ratio = run_entry.get(ratio_field)
-            if base_ratio is None:
-                continue
-            floor = base_ratio * (1.0 - tolerance)
-            if run_ratio is None or run_ratio < floor:
-                problems.append(
-                    f"{detector}: {ratio_field} regressed to "
-                    f"{run_ratio} (< {floor:.2f} = baseline "
-                    f"{base_ratio:.2f} - {tolerance:.0%})"
-                )
         base_kernel_ratio = base_entry.get("kernel_speedup_ratio")
         run_kernel_ratio = run_entry.get("kernel_speedup_ratio")
+        if base_kernel_ratio is not None:
+            floor = base_kernel_ratio * (1.0 - tolerance)
+            if run_kernel_ratio is None or run_kernel_ratio < floor:
+                problems.append(
+                    f"{detector}: kernel_speedup_ratio regressed to "
+                    f"{run_kernel_ratio} (< {floor:.2f} = baseline "
+                    f"{base_kernel_ratio:.2f} - {tolerance:.0%})"
+                )
         if (
             base_kernel_ratio is not None
             and base_kernel_ratio >= KERNEL_SPEEDUP_FLOOR

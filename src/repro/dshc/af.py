@@ -9,6 +9,7 @@ merge is O(d) regardless of how many buckets each side aggregates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..geometry import Rect
 
@@ -19,14 +20,15 @@ __all__ = ["AggregateFeature"]
 class AggregateFeature:
     """Def. 5.1: ``(numPoints, minB, maxB, Density)``.
 
-    ``rect`` stores ``(minB, maxB)``; density is derived, not stored, so it
-    can never drift out of sync after merges.
+    ``rect`` stores ``(minB, maxB)``; density is derived from the frozen
+    fields on first use and kept (DSHC compares it for every candidate of
+    every bucket), so it can never drift out of sync after merges.
     """
 
     num_points: float
     rect: Rect
 
-    @property
+    @cached_property
     def density(self) -> float:
         """``numPoints / prod_i (maxB(i) - minB(i))`` (Def. 5.1)."""
         area = self.rect.area

@@ -11,11 +11,18 @@ operations the paper describes:
   node split on overflow;
 * **merge** — remove + AF-merge + reinsert, driven by the DSHC driver;
 * **split** — the standard R-tree split, triggered by insert.
+
+Inside the tree a box is a bare ``(low, high)`` pair of coordinate tuples:
+the helpers below repeat :class:`~repro.geometry.Rect`'s arithmetic (same
+operations, same argument order, hence the same floats and the same
+tie-breaks) without building and validating an object per evaluation.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+import math
+import operator
+from typing import Dict, Iterator, List, Optional
 
 from ..geometry import Rect
 from .af import AggregateFeature
@@ -23,46 +30,61 @@ from .af import AggregateFeature
 __all__ = ["AFTree"]
 
 
+def _area(low: tuple, high: tuple) -> float:
+    """``Rect.area``: the widths multiplied in axis order."""
+    return math.prod(map(operator.sub, high, low))
+
+
+def _union(low: tuple, high: tuple, other_low: tuple, other_high: tuple):
+    """``Rect.union_bbox``: ``min(self, other)`` / ``max(self, other)``."""
+    return tuple(map(min, low, other_low)), tuple(map(max, high, other_high))
+
+
+def _union_area(low, high, other_low, other_high) -> float:
+    """``_area(*_union(...))`` without materialising the union."""
+    return math.prod(map(
+        operator.sub, map(max, high, other_high), map(min, low, other_low)
+    ))
+
+
 class _Node:
     """One AF-tree node.  Leaves hold AFs; internal nodes hold children.
 
-    The minimum bounding rectangle is cached and invalidated up the parent
-    chain on every mutation — recomputing it recursively on each search
-    made DSHC quadratic in practice.
+    The minimum bounding rectangle is cached as ``box = (low, high, area)``
+    and invalidated up the parent chain on every mutation — recomputing it
+    recursively on each search made DSHC quadratic in practice.  Only the
+    root is ever empty (``_condense`` prunes, a split seeds both halves),
+    so every child has a box.
     """
 
-    __slots__ = ("is_leaf", "entries", "parent", "_mbr")
+    __slots__ = ("is_leaf", "entries", "parent", "box")
 
     def __init__(self, is_leaf: bool) -> None:
         self.is_leaf = is_leaf
         self.entries: List = []  # AggregateFeature | _Node
         self.parent: Optional["_Node"] = None
-        self._mbr: Optional[Rect] = None
+        self.box: Optional[tuple] = None
 
-    def mbr(self) -> Optional[Rect]:
-        if self._mbr is None and self.entries:
-            rects = [
-                e.rect if self.is_leaf else e.mbr()
-                for e in self.entries
-            ]
-            rects = [r for r in rects if r is not None]
-            if rects:
-                low = tuple(
-                    min(r.low[i] for r in rects)
-                    for i in range(rects[0].ndim)
-                )
-                high = tuple(
-                    max(r.high[i] for r in rects)
-                    for i in range(rects[0].ndim)
-                )
-                self._mbr = Rect(low, high)
-        return self._mbr
+    def entry_bounds(self) -> list:
+        """``(low, high)`` of every entry: a leaf's cluster rectangles, an
+        internal node's child MBRs."""
+        if self.is_leaf:
+            return [(af.rect.low, af.rect.high) for af in self.entries]
+        return [(c.box or c.refresh())[:2] for c in self.entries]
+
+    def refresh(self) -> tuple:
+        """Recompute and cache ``box`` from the entries, in entry order."""
+        lows, highs = zip(*self.entry_bounds())
+        low = tuple(map(min, zip(*lows)))
+        high = tuple(map(max, zip(*highs)))
+        self.box = (low, high, _area(low, high))
+        return self.box
 
     def invalidate(self) -> None:
         """Drop cached MBRs on this node and every ancestor."""
         node: Optional[_Node] = self
         while node is not None:
-            node._mbr = None
+            node.box = None
             node = node.parent
 
 
@@ -76,6 +98,9 @@ class AFTree:
         self.min_entries = max(2, max_entries // 2)
         self._root = _Node(is_leaf=True)
         self._size = 0
+        # id(cluster) -> its leaf, kept by insert / _split / remove.  The
+        # key goes when the cluster leaves the tree: ids are reused.
+        self._leaf: Dict[int, _Node] = {}
 
     # ------------------------------------------------------------------
     # Queries
@@ -102,18 +127,25 @@ class AFTree:
         adjacent to the new mini-bucket".
         """
         found: List[AggregateFeature] = []
-        self._search(self._root, rect, found)
+        self._search(self._root, rect.low, rect.high, found)
         return found
 
-    def _search(self, node: _Node, rect: Rect, out: List) -> None:
+    def _search(self, node: _Node, low: tuple, high: tuple, out: List) -> None:
+        leaf = node.is_leaf
         for entry in node.entries:
-            if node.is_leaf:
-                if entry.rect.intersects(rect):
-                    out.append(entry)
+            if leaf:
+                e_low, e_high = entry.rect.low, entry.rect.high
             else:
-                mbr = entry.mbr()
-                if mbr is not None and mbr.intersects(rect):
-                    self._search(entry, rect, out)
+                e_low, e_high, _ = entry.box or entry.refresh()
+            # Rect.intersects: closed boxes, touching faces count.
+            for lo1, hi1, lo2, hi2 in zip(e_low, e_high, low, high):
+                if not (lo1 <= hi2 and lo2 <= hi1):
+                    break
+            else:
+                if leaf:
+                    out.append(entry)
+                else:
+                    self._search(entry, low, high, out)
 
     def best_insertion_leaf(self, rect: Rect) -> "_Node":
         """ChooseLeaf: descend by least MBR enlargement (ties: least area).
@@ -122,20 +154,16 @@ class AFTree:
         can accommodate this new mini bucket with least enlargement" even
         when the LMC list is empty.
         """
+        low, high = rect.low, rect.high
+
+        def choose_key(child: _Node) -> tuple[float, float]:
+            c_low, c_high, area = child.box or child.refresh()
+            return (_union_area(c_low, c_high, low, high) - area, area)
+
         node = self._root
         while not node.is_leaf:
-            node = min(
-                node.entries,
-                key=lambda child: self._choose_key(child, rect),
-            )
+            node = min(node.entries, key=choose_key)
         return node
-
-    @staticmethod
-    def _choose_key(child: "_Node", rect: Rect) -> tuple[float, float]:
-        mbr = child.mbr()
-        if mbr is None:
-            return (0.0, 0.0)
-        return (mbr.enlargement(rect), mbr.area)
 
     # ------------------------------------------------------------------
     # Mutations
@@ -148,41 +176,32 @@ class AFTree:
         """
         leaf = near if near is not None else self.best_insertion_leaf(af.rect)
         leaf.entries.append(af)
+        self._leaf[id(af)] = leaf
         leaf.invalidate()
         self._size += 1
         self._handle_overflow(leaf)
 
     def remove(self, af: AggregateFeature) -> None:
         """Remove a cluster (identity match) prior to a merge."""
-        leaf = self._find_leaf(self._root, af)
+        leaf = self._leaf.pop(id(af), None)
         if leaf is None:
             raise KeyError("cluster not present in AF-tree")
-        leaf.entries.remove(af)
+        # By identity: ``list.remove`` compares AFs by value and would take
+        # the first of two equal clusters, whichever was asked for.
+        del leaf.entries[next(
+            i for i, entry in enumerate(leaf.entries) if entry is af
+        )]
         leaf.invalidate()
         self._size -= 1
         self._condense(leaf)
 
     def leaf_of(self, af: AggregateFeature) -> Optional[_Node]:
         """The leaf currently holding ``af`` (None if absent)."""
-        return self._find_leaf(self._root, af)
+        return self._leaf.get(id(af))
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _find_leaf(self, node: _Node, af: AggregateFeature) -> Optional[_Node]:
-        if node.is_leaf:
-            for entry in node.entries:
-                if entry is af:
-                    return node
-            return None
-        for child in node.entries:
-            mbr = child.mbr()
-            if mbr is not None and mbr.intersects(af.rect):
-                found = self._find_leaf(child, af)
-                if found is not None:
-                    return found
-        return None
-
     def _handle_overflow(self, node: _Node) -> None:
         while len(node.entries) > self.max_entries:
             left, right = self._split(node)
@@ -205,53 +224,48 @@ class AFTree:
     def _split(self, node: _Node) -> tuple[_Node, _Node]:
         """Guttman quadratic split."""
         entries = node.entries
-        rects = [
-            e.rect if node.is_leaf else e.mbr() for e in entries
-        ]
+        boxes = node.entry_bounds()
+        areas = [_area(low, high) for low, high in boxes]
         # Pick seeds: the pair whose combined box wastes the most area.
         best_pair, best_waste = (0, 1), -1.0
         for i in range(len(entries)):
             for j in range(i + 1, len(entries)):
-                waste = (
-                    rects[i].union_bbox(rects[j]).area
-                    - rects[i].area
-                    - rects[j].area
-                )
+                waste = _union_area(*boxes[i], *boxes[j]) - areas[i] - areas[j]
                 if waste > best_waste:
                     best_pair, best_waste = (i, j), waste
-        left = _Node(node.is_leaf)
-        right = _Node(node.is_leaf)
-        i, j = best_pair
-        groups = [(left, rects[i]), (right, rects[j])]
-        left.entries.append(entries[i])
-        right.entries.append(entries[j])
-        remaining = [
-            (e, r) for idx, (e, r) in enumerate(zip(entries, rects))
-            if idx not in best_pair
-        ]
-        for entry, rect in remaining:
-            # Respect the minimum fill factor.
-            if len(left.entries) + len(remaining) <= self.min_entries:
+        # Each half's ``box`` is the running MBR of what it holds so far.
+        left, right = _Node(node.is_leaf), _Node(node.is_leaf)
+        for half, seed in zip((left, right), best_pair):
+            half.entries.append(entries[seed])
+            half.box = (*boxes[seed], areas[seed])
+        n_remaining = len(entries) - 2
+        for idx, (entry, box) in enumerate(zip(entries, boxes)):
+            if idx in best_pair:
+                continue
+            # Respect the minimum fill factor (against the constant count,
+            # not what is still unplaced: the plans are pinned to it).
+            if len(left.entries) + n_remaining <= self.min_entries:
                 target = left
-            elif len(right.entries) + len(remaining) <= self.min_entries:
+            elif len(right.entries) + n_remaining <= self.min_entries:
                 target = right
             else:
-                l_mbr, r_mbr = groups[0][1], groups[1][1]
+                l_low, l_high, l_area = left.box
+                r_low, r_high, r_area = right.box
                 target = (
                     left
-                    if l_mbr.enlargement(rect) <= r_mbr.enlargement(rect)
+                    if _union_area(l_low, l_high, *box) - l_area
+                    <= _union_area(r_low, r_high, *box) - r_area
                     else right
                 )
             target.entries.append(entry)
-            if target is left:
-                groups[0] = (left, groups[0][1].union_bbox(rect))
-            else:
-                groups[1] = (right, groups[1][1].union_bbox(rect))
-        if not node.is_leaf:
-            for child in left.entries:
-                child.parent = left
-            for child in right.entries:
-                child.parent = right
+            low, high = _union(target.box[0], target.box[1], *box)
+            target.box = (low, high, _area(low, high))
+        for half in (left, right):
+            for entry in half.entries:
+                if node.is_leaf:
+                    self._leaf[id(entry)] = half
+                else:
+                    entry.parent = half
         return left, right
 
     def _condense(self, node: _Node) -> None:

@@ -22,9 +22,11 @@ models (Sec. IV) accurate.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import List, Optional
 
+from ..geometry import Rect
 from ..sampling import MiniBucketStats
 from .af import AggregateFeature
 from .aftree import AFTree
@@ -53,6 +55,10 @@ class DSHCConfig:
             raise ValueError("t_diff_fraction must be positive")
         if not 0 < self.t_max_fraction <= 1:
             raise ValueError("t_max_fraction must be in (0, 1]")
+        if self.max_tree_entries < 4:
+            # AFTree's own bound, checked here so a bad config fails before
+            # the sampling job is paid rather than inside build_plan.
+            raise ValueError("max_tree_entries must be >= 4")
 
 
 @dataclass
@@ -79,10 +85,10 @@ def run_dshc(stats: MiniBucketStats, config: DSHCConfig | None = None) -> DSHCRe
     merges = 0
     recursive_merges = 0
 
-    for flat in range(grid.n_cells):
-        bucket = AggregateFeature(
-            float(stats.counts[flat]), grid.cell_rect(grid.unflatten(flat))
-        )
+    # Bucket rectangles in flat (row-major) order, from per-axis faces
+    # computed once.
+    for flat, faces in enumerate(itertools.product(*grid._axis_faces())):
+        bucket = AggregateFeature(float(stats.counts[flat]), Rect(*zip(*faces)))
         candidates = tree.search_candidates(bucket.rect)
         target = _best_merge_target(candidates, bucket, t_diff, t_max)
         if target is None:
@@ -126,12 +132,13 @@ def _best_merge_target(
     for cand in candidates:
         if cand.num_points + af.num_points >= t_max:
             continue
-        if not cand.rect.forms_rectangle_with(af.rect):
-            continue
         diff = cand.density_difference(af)
-        if diff >= t_diff:
+        if diff >= t_diff or not diff < best_diff:
             continue
-        if diff < best_diff:
+        # The geometric test last: it is the dear one, and the criteria
+        # are a conjunction, so the first candidate of minimal difference
+        # still wins.
+        if cand.rect.forms_rectangle_with(af.rect):
             best, best_diff = cand, diff
     return best
 

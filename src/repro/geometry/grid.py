@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -75,9 +76,7 @@ class UniformGrid:
 
     @property
     def cell_widths(self) -> tuple[float, ...]:
-        return tuple(
-            w / s for w, s in zip(self.domain.widths, self.shape)
-        )
+        return tuple(map(operator.truediv, self.domain.widths, self.shape))
 
     # ------------------------------------------------------------------
     # Index arithmetic
@@ -131,18 +130,35 @@ class UniformGrid:
     # ------------------------------------------------------------------
     def cell_rect(self, idx: Sequence[int]) -> Rect:
         """The box of cell ``idx``."""
-        low = []
-        high = []
-        for i, lo, w, s in zip(
-            idx, self.domain.low, self.cell_widths, self.shape
-        ):
+        for i, s in zip(idx, self.shape):
             if not 0 <= i < s:
                 raise IndexError(f"cell index {i} out of range [0, {s})")
-            low.append(lo + i * w)
-            # Snap the final cell's face to the domain face so the grid tiles
-            # the domain exactly despite floating point division.
-            high.append(self.domain.high[len(low) - 1] if i == s - 1 else lo + (i + 1) * w)
-        return Rect(tuple(low), tuple(high))
+        faces = self._axis_faces([(i,) for i in idx])
+        low, high = zip(*(axis[0] for axis in faces))
+        return Rect(low, high)
+
+    def _axis_faces(self, indices=None) -> list[list[tuple[float, float]]]:
+        """Per axis, the ``(low, high)`` bounds of the cells ``indices[axis]``
+        (default: every cell of the axis).
+
+        The one place cell faces are computed: planning reads whole axes
+        here instead of asking for a :meth:`cell_rect` per mini bucket.
+        """
+        return [
+            [
+                # Snap the final cell's face to the domain face so the grid
+                # tiles the domain exactly despite floating point division.
+                (lo + i * w, hi if i == s - 1 else lo + (i + 1) * w)
+                for i in cells
+            ]
+            for cells, lo, hi, w, s in zip(
+                map(range, self.shape) if indices is None else indices,
+                self.domain.low,
+                self.domain.high,
+                self.cell_widths,
+                self.shape,
+            )
+        ]
 
     def iter_cells(self) -> Iterator[tuple[int, ...]]:
         """All multi-indices in row-major order."""
@@ -156,6 +172,11 @@ class UniformGrid:
         around the point (equivalently, the cells whose ``r``-expansion
         contains the point, by symmetry of the extension).
         """
+        return itertools.product(*self._axis_ranges(rect))
+
+    def _axis_ranges(self, rect: Rect) -> list[range]:
+        """Per axis, the indices of the cells whose box intersects ``rect``
+        (:meth:`cells_within` is their product)."""
         ranges = []
         for lo, hi, dom_lo, w, s in zip(
             rect.low,
@@ -176,7 +197,7 @@ class UniformGrid:
             first = min(max(first, 0), s - 1)
             last = min(max(last, 0), s - 1)
             ranges.append(range(first, last + 1))
-        return itertools.product(*ranges)
+        return ranges
 
     def neighborhood(
         self, idx: Sequence[int], radius: int

@@ -15,6 +15,9 @@ generate their plan centrally, differing in what they balance:
 
 from __future__ import annotations
 
+import itertools
+import math
+
 from ..allocation import allocate
 from ..costmodel import estimate_cost
 from ..costmodel.bucketwise import bucketwise_best_algorithm
@@ -240,28 +243,53 @@ def _refine_by_cost(
     return out
 
 
+def _axis_cover(grid, *rects):
+    """Walk the mini buckets that intersect ``rects[0]`` (in
+    ``grid.cells_within`` order), yielding per bucket
+    ``(offsets, widths, *fractions)``: one entry per axis of the cell's
+    row-major offset, of its width and — one tuple per rect — of the
+    fraction of the cell the rect covers.
+
+    Coverage of a box by a box is a product over axes, so everything is
+    computed once per axis cell, not once per bucket: a bucket's flat
+    index is ``sum(offsets)``, its area ``math.prod(widths)`` and its
+    covered fraction ``math.prod`` of a rect's factors, in axis order.  A
+    zero-width axis has nothing to cover and contributes the factor 1.0.
+    """
+    ranges = grid._axis_ranges(rects[0])
+    offsets, widths, fractions = [], [], [[] for _ in rects]
+    stride = grid.n_cells
+    for axis, (cells, faces) in enumerate(
+        zip(ranges, grid._axis_faces(ranges))
+    ):
+        stride //= grid.shape[axis]
+        offsets.append([i * stride for i in cells])
+        widths.append([chi - clo for clo, chi in faces])
+        for rect, out in zip(rects, fractions):
+            lo, hi = rect.low[axis], rect.high[axis]
+            out.append([
+                max(0.0, min(hi, chi) - max(lo, clo)) / width
+                if width > 0 else 1.0
+                for (clo, chi), width in zip(faces, widths[-1])
+            ])
+    return zip(
+        *(itertools.product(*per_axis)
+          for per_axis in (offsets, widths, *fractions))
+    )
+
+
 def _estimate_points(stats, rect) -> float:
     """Estimated points inside ``rect`` from mini-bucket statistics.
 
     Buckets partially covered by ``rect`` contribute proportionally to the
     covered fraction of their area (uniformity within a bucket).
     """
-    grid = stats.grid
     total = 0.0
-    for idx in grid.cells_within(rect):
-        flat = grid.flat_index(idx)
-        count = float(stats.counts[flat])
+    for offsets, _, fractions in _axis_cover(stats.grid, rect):
+        count = float(stats.counts[sum(offsets)])
         if count == 0:
             continue
-        cell = grid.cell_rect(idx)
-        overlap = 1.0
-        for lo, hi, clo, chi in zip(rect.low, rect.high, cell.low, cell.high):
-            width = chi - clo
-            if width <= 0:
-                continue
-            covered = max(0.0, min(hi, chi) - max(lo, clo))
-            overlap *= covered / width
-        total += count * overlap
+        total += count * math.prod(fractions)
     return total
 
 
@@ -271,21 +299,12 @@ def _rect_buckets(stats, rect):
     Partially covered buckets contribute proportionally to the covered
     area fraction (uniformity within a bucket).
     """
-    grid = stats.grid
-    for idx in grid.cells_within(rect):
-        flat = grid.flat_index(idx)
-        count = float(stats.counts[flat])
-        cell = grid.cell_rect(idx)
-        overlap = 1.0
-        for lo, hi, clo, chi in zip(rect.low, rect.high, cell.low, cell.high):
-            width = chi - clo
-            if width <= 0:
-                continue
-            covered = max(0.0, min(hi, chi) - max(lo, clo))
-            overlap *= covered / width
+    for offsets, widths, fractions in _axis_cover(stats.grid, rect):
+        overlap = math.prod(fractions)
         if overlap <= 0:
             continue
-        yield count * overlap, cell.area * overlap
+        count = float(stats.counts[sum(offsets)])
+        yield count * overlap, math.prod(widths) * overlap
 
 
 def _support_buckets(stats, rect, r):
@@ -295,31 +314,13 @@ def _support_buckets(stats, rect, r):
     (Def. 3.3); each bucket contributes its coverage by the expansion
     minus its coverage by the core rect.
     """
-    expanded = rect.expand(r)
-    grid = stats.grid
-    for idx in grid.cells_within(expanded):
-        flat = grid.flat_index(idx)
-        count = float(stats.counts[flat])
+    for offsets, widths, by_expanded, by_core in _axis_cover(
+        stats.grid, rect.expand(r), rect
+    ):
+        count = float(stats.counts[sum(offsets)])
         if count == 0:
             continue
-        cell = grid.cell_rect(idx)
-        frac_expanded = _coverage(cell, expanded)
-        frac_core = _coverage(cell, rect)
-        w = frac_expanded - frac_core
+        w = math.prod(by_expanded) - math.prod(by_core)
         if w <= 0:
             continue
-        yield count * w, cell.area * w
-
-
-def _coverage(cell, rect) -> float:
-    """Fraction of ``cell``\'s area covered by ``rect``."""
-    frac = 1.0
-    for lo, hi, clo, chi in zip(rect.low, rect.high, cell.low, cell.high):
-        width = chi - clo
-        if width <= 0:
-            continue
-        covered = max(0.0, min(hi, chi) - max(lo, clo))
-        if covered <= 0:
-            return 0.0
-        frac *= covered / width
-    return frac
+        yield count * w, math.prod(widths) * w

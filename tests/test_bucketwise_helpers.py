@@ -1,11 +1,13 @@
 """Unit tests for the bucket-granular helpers used by DMT planning."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.geometry import Rect, UniformGrid
 from repro.partitioning.sampled_strategies import (
-    _coverage,
+    _axis_cover,
     _estimate_points,
     _rect_buckets,
     _support_buckets,
@@ -17,6 +19,16 @@ def make_stats(counts_2d, width=8.0, height=8.0):
     counts = np.asarray(counts_2d, dtype=float)
     grid = UniformGrid(Rect((0.0, 0.0), (width, height)), counts.shape)
     return MiniBucketStats(grid, counts.ravel(), 1.0, int(counts.sum()))
+
+
+def _coverage(cell, rect):
+    """Fraction of the one-bucket grid ``cell`` covered by ``rect``: the
+    product of the per-axis fractions."""
+    grid = UniformGrid(cell, (1,) * cell.ndim)
+    [(offsets, widths, fractions)] = _axis_cover(grid, rect)
+    assert offsets == (0,) * cell.ndim
+    assert widths == cell.widths
+    return math.prod(fractions)
 
 
 class TestCoverage:

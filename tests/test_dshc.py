@@ -87,6 +87,36 @@ class TestAFTree:
         with pytest.raises(KeyError):
             tree.remove(af((0, 0), (1, 1)))  # different object identity
 
+    def test_remove_takes_the_cluster_asked_for_not_its_equal(self):
+        """Equal clusters are what DSHC holds on a zero-width axis; the
+        old ``list.remove`` took the first by value."""
+        a1 = AggregateFeature(0.0, Rect((0.0, 0.0), (1.0, 0.0)))
+        a2 = AggregateFeature(0.0, Rect((0.0, 0.0), (1.0, 0.0)))
+        assert a1 == a2 and a1 is not a2
+        tree = AFTree()
+        tree.insert(a1)
+        tree.insert(a2)
+        assert tree.leaf_of(a1) is tree.leaf_of(a2) is not None
+        tree.remove(a2)
+        assert list(tree.clusters())[0] is a1
+        assert tree.leaf_of(a2) is None
+        tree.remove(a1)
+        assert len(tree) == 0 and list(tree.clusters()) == []
+
+    def test_leaf_of_follows_splits(self):
+        tree = AFTree(max_entries=4)
+        items = [af((i % 6, i // 6), (i % 6 + 1, i // 6 + 1))
+                 for i in range(30)]
+        for item in items:
+            tree.insert(item)
+        for item in items[::2]:
+            tree.remove(item)
+        for item in items[1::2]:
+            leaf = tree.leaf_of(item)
+            assert leaf.is_leaf and any(e is item for e in leaf.entries)
+        for item in items[::2]:
+            assert tree.leaf_of(item) is None
+
     def test_split_keeps_all_entries(self):
         tree = AFTree(max_entries=4)
         items = [af((i, j), (i + 1, j + 1)) for i in range(8)
@@ -191,6 +221,10 @@ class TestDSHC:
             DSHCConfig(t_max_fraction=0.0)
         with pytest.raises(ValueError):
             DSHCConfig(t_max_fraction=1.5)
+        # The AF-tree's own bound, refused before any job is paid for.
+        with pytest.raises(ValueError, match="max_tree_entries"):
+            DSHCConfig(max_tree_entries=3)
+        assert DSHCConfig(max_tree_entries=4).max_tree_entries == 4
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**31 - 1))
