@@ -69,7 +69,7 @@ def main() -> None:
             detector=detector,
             n_partitions=8,
             n_reducers=4,
-            cluster=repro.ClusterConfig(nodes=4, replication=1),
+            cluster=repro.ClusterConfig(nodes=4),
             sample_rate=0.2,
         )
         status = "exact" if result.outlier_ids == oracle else "WRONG"

@@ -55,7 +55,7 @@ def main() -> None:
         strategy="DMT",
         n_partitions=12,
         n_reducers=6,
-        cluster=repro.ClusterConfig(nodes=4, replication=1),
+        cluster=repro.ClusterConfig(nodes=4),
         sample_rate=0.2,
     )
 
@@ -99,7 +99,7 @@ def manhattan_section(data: "repro.Dataset", attack_ids: set) -> None:
             metric="minkowski:1",
             n_partitions=12,
             n_reducers=6,
-            cluster=repro.ClusterConfig(nodes=4, replication=1),
+            cluster=repro.ClusterConfig(nodes=4),
         )
     exact = results["nested_loop"].outlier_ids
     assert results["proximity_graph"].outlier_ids == exact

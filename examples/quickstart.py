@@ -32,7 +32,7 @@ def main() -> None:
         strategy="DMT",
         n_partitions=16,
         n_reducers=8,
-        cluster=repro.ClusterConfig(nodes=4, replication=1),
+        cluster=repro.ClusterConfig(nodes=4),
     )
 
     print(f"dataset: n={data.n}, density={data.density:.2f}")

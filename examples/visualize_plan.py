@@ -37,7 +37,7 @@ def make_data(seed: int = 3) -> repro.Dataset:
 def main() -> None:
     data = make_data()
     params = repro.OutlierParams(r=2.0, k=12)
-    runtime = LocalRuntime(repro.ClusterConfig(nodes=4, replication=1))
+    runtime = LocalRuntime(repro.ClusterConfig(nodes=4))
     request = PlanRequest(
         domain=data.bounds,
         params=params,

@@ -19,25 +19,19 @@ Quickstart::
 
 from . import (
     allocation,
-    clustering,
     costmodel,
     data,
     detectors,
     dshc,
     geometry,
-    knn,
-    loci,
     mapreduce,
     observability,
     partitioning,
     sampling,
-    viz,
 )
 from .core import (
     Dataset,
     DetectionRun,
-    DODFramework,
-    DomainBaseline,
     OutlierParams,
     PipelineResult,
     brute_force_outliers,
@@ -54,8 +48,6 @@ __all__ = [
     "detect_outliers",
     "brute_force_outliers",
     "PipelineResult",
-    "DODFramework",
-    "DomainBaseline",
     "DetectionRun",
     "ClusterConfig",
     "LocalRuntime",
@@ -63,18 +55,14 @@ __all__ = [
     "Span",
     "Tracer",
     "allocation",
-    "clustering",
     "costmodel",
     "data",
     "detectors",
     "dshc",
     "geometry",
-    "knn",
-    "loci",
     "mapreduce",
     "observability",
     "partitioning",
     "sampling",
-    "viz",
     "__version__",
 ]

@@ -53,8 +53,7 @@ from ..kernels import make_kernel
 from ..mapreduce import (
     ClusterConfig,
     Counters,
-    LocalRuntime,
-    ParallelRuntime,
+    make_runtime,
 )
 from ..params import OutlierParams
 
@@ -160,8 +159,12 @@ def _run_cell(
             nodes=config.nodes,
             hdfs_block_records=config.block_records,
         )
+        runtime = make_runtime(
+            cluster,
+            workers=config.workers if runtime_kind == "parallel" else 0,
+            transport=transport,
+        )
         if runtime_kind == "serial":
-            runtime = LocalRuntime(cluster)
             # A shared Kernel instance: serial tasks run in-process, so
             # every partition's scan accumulates into one wall_seconds —
             # backend-body time only, the kernel-speedup numerator.
@@ -169,9 +172,6 @@ def _run_cell(
             # state does not come back; those cells pass the name.)
             kernel_spec = make_kernel(kernel)
         else:
-            runtime = ParallelRuntime(
-                cluster, workers=config.workers, transport=transport
-            )
             kernel_spec = kernel
         start = time.perf_counter()
         last = detect_outliers(

@@ -26,7 +26,7 @@ from typing import Any, Dict, List
 
 from ..core import detect_outliers
 from ..data import region_dataset
-from ..mapreduce import ClusterConfig, LocalRuntime, ParallelRuntime
+from ..mapreduce import ClusterConfig, make_runtime
 from ..params import OutlierParams
 from ..recovery import SimulatedCrash, run_checkpointed
 from .harness import SCHEMA_VERSION, _outliers_hash
@@ -65,21 +65,13 @@ class RecoveryBenchConfig:
         return cls(**defaults)
 
 
-def _make_runtime(config: RecoveryBenchConfig):
-    cluster = ClusterConfig(nodes=config.nodes)
-    if config.workers > 0:
-        return cluster, ParallelRuntime(
-            cluster, workers=config.workers, transport=config.transport
-        )
-    return cluster, LocalRuntime(cluster)
-
-
 def _checkpointed(config, dataset, params, checkpoint_dir, **kwargs):
-    cluster, runtime = _make_runtime(config)
+    cluster = ClusterConfig(nodes=config.nodes)
     return run_checkpointed(
         dataset, params, checkpoint_dir,
         strategy=config.strategy, detector=config.detector,
-        runtime=runtime, cluster=cluster,
+        runtime=make_runtime(cluster, config.workers, config.transport),
+        cluster=cluster,
         n_partitions=config.n_partitions,
         n_reducers=config.n_reducers,
         seed=config.seed, **kwargs,
@@ -104,7 +96,8 @@ def run_recovery_bench(
     workdir = tempfile.mkdtemp(prefix="repro-recovery-bench-")
     try:
         # Plain run: the no-durability reference wall.
-        cluster, runtime = _make_runtime(config)
+        cluster = ClusterConfig(nodes=config.nodes)
+        runtime = make_runtime(cluster, config.workers, config.transport)
         start = time.perf_counter()
         plain = detect_outliers(
             dataset, params,

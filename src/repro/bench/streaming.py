@@ -25,7 +25,7 @@ import numpy as np
 
 from ..core import detect_outliers
 from ..data import region_dataset
-from ..mapreduce import ClusterConfig, LocalRuntime, ParallelRuntime
+from ..mapreduce import ClusterConfig, make_runtime
 from ..params import OutlierParams
 from ..streaming import StreamingDetector
 from .harness import SCHEMA_VERSION, _outliers_hash
@@ -66,15 +66,6 @@ class StreamBenchConfig:
         return cls(**defaults)
 
 
-def _make_runtime(config: StreamBenchConfig):
-    cluster = ClusterConfig(nodes=config.nodes)
-    if config.workers > 0:
-        return cluster, ParallelRuntime(
-            cluster, workers=config.workers, transport=config.transport
-        )
-    return cluster, LocalRuntime(cluster)
-
-
 def run_stream_bench(
     config: StreamBenchConfig, log=None
 ) -> Dict[str, Any]:
@@ -98,12 +89,12 @@ def run_stream_bench(
             f"batches={len(batches)} r={config.r} k={config.k}"
         )
 
-    cluster, runtime = _make_runtime(config)
+    cluster = ClusterConfig(nodes=config.nodes)
     detector = StreamingDetector(
         params,
         strategy=config.strategy,
         detector=config.detector,
-        runtime=runtime,
+        runtime=make_runtime(cluster, config.workers, config.transport),
         cluster=cluster,
         n_partitions=config.n_partitions,
         n_reducers=config.n_reducers,
@@ -120,7 +111,9 @@ def run_stream_bench(
         report = detector.ingest(dataset.subset(idx))
         seen = np.concatenate([seen, idx])
         prefix = dataset.subset(seen)
-        _, full_runtime = _make_runtime(config)
+        full_runtime = make_runtime(
+            cluster, config.workers, config.transport
+        )
         start = time.perf_counter()
         full = detect_outliers(
             prefix, params,

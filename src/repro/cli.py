@@ -51,8 +51,8 @@ from .mapreduce import (
     TRANSPORTS,
     ClusterConfig,
     LocalRuntime,
-    ParallelRuntime,
     SchedulerConfig,
+    make_runtime,
 )
 from .observability import RunReport, render_report
 from .params import OutlierParams
@@ -241,18 +241,16 @@ def _build_runtime(args: argparse.Namespace, cluster: ClusterConfig):
         speculation_threshold=args.straggler_threshold,
         degradation=args.degrade,
     )
-    if args.workers > 0:
-        return ParallelRuntime(
-            cluster, workers=args.workers, scheduler=scheduler,
-            transport=args.transport,
-        )
-    if args.transport != "pickle":
+    if args.workers <= 0 and args.transport != "pickle":
         print(
             f"note: --transport {args.transport} needs --workers > 0; "
             "running serially (in-process, no dispatch transport)",
             file=sys.stderr,
         )
-    return LocalRuntime(cluster, scheduler=scheduler)
+    return make_runtime(
+        cluster, workers=args.workers, transport=args.transport,
+        scheduler=scheduler,
+    )
 
 
 def _write_report(report: dict, output: str | None) -> None:

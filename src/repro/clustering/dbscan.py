@@ -175,7 +175,7 @@ def distributed_dbscan(
         raise ValueError("eps must be positive")
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
-    cluster = cluster or ClusterConfig(nodes=4, replication=1)
+    cluster = cluster or ClusterConfig(nodes=4)
     runtime = LocalRuntime(cluster)
     domain = dataset.bounds
     grid = UniformGrid.with_cells(domain, n_partitions)

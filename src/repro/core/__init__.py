@@ -1,7 +1,7 @@
 """Core outlier semantics, the DOD framework, and the end-to-end pipeline."""
 
 from .dataset import Dataset
-from .framework import DetectionRun, DODFramework, DomainBaseline
+from .framework import DetectionRun
 from .outliers import OutlierParams, brute_force_outliers, neighbor_counts
 from .pipeline import PipelineResult, detect_outliers, resolve_strategy
 
@@ -10,8 +10,6 @@ __all__ = [
     "OutlierParams",
     "brute_force_outliers",
     "neighbor_counts",
-    "DODFramework",
-    "DomainBaseline",
     "DetectionRun",
     "PipelineResult",
     "detect_outliers",

@@ -140,8 +140,41 @@ def _charge_graph_counters(ctx: TaskContext, result) -> None:
     )
 
 
+def _detect_partition(
+    ctx: TaskContext,
+    cfg: RunConfig,
+    algorithm: str,
+    key: int,
+    core_points: np.ndarray,
+    core_ids: np.ndarray,
+    support_points: np.ndarray,
+):
+    """Run ``algorithm`` on one partition and charge the task for it:
+    cost units, the detector span, ``dod/distance_evals`` and the
+    ``kernel`` / ``graph`` counter groups."""
+    # Seeded per partition: partitions must not share one scan
+    # permutation (correlated early-termination across reducers).
+    detector = make_partition_detector(
+        algorithm, key, kernel=cfg.kernel, metric=cfg.metric
+    )
+    result = detector.run(core_points, core_ids, support_points, cfg.params)
+    ctx.add_cost(result.cost_units)
+    if result.span is not None and ctx.span is not None:
+        result.span.annotate(partition=key)
+        ctx.span.add_child(result.span)
+    ctx.counters.incr("dod", "distance_evals", int(result.distance_evals))
+    _charge_kernel_counters(ctx, result)
+    _charge_graph_counters(ctx, result)
+    return result
+
+
 class _DODReducer(Reducer):
-    """Fig. 3 reduce function: split by tag, detect, report core outliers."""
+    """Fig. 3 reduce function: split by tag, detect, report each core
+    outlier as ``(partition, outlier_id)``.
+
+    The partition tag lets the driver journal, or replace, exactly one
+    partition's verdicts when merging job output.
+    """
 
     def __init__(
         self, cfg: RunConfig, algorithm_plan: Dict[int, Optional[str]]
@@ -162,32 +195,17 @@ class _DODReducer(Reducer):
         if not core_pts:
             return
         algorithm = self.algorithm_plan.get(key) or self.cfg.detector
-        # Seeded per partition: partitions must not share one scan
-        # permutation (correlated early-termination across reducers).
-        detector = make_partition_detector(
-            algorithm, key, kernel=self.cfg.kernel, metric=self.cfg.metric
-        )
-        ndim = len(core_pts[0])
-        result = detector.run(
+        ctx.counters.incr("dod", f"algorithm_{algorithm}")
+        ctx.counters.incr("dod", "partitions_processed")
+        result = _detect_partition(
+            ctx, self.cfg, algorithm, key,
             np.asarray(core_pts),
             np.asarray(core_ids, dtype=np.int64),
             np.asarray(support_pts) if support_pts
-            else np.empty((0, ndim)),
-            self.cfg.params,
+            else np.empty((0, len(core_pts[0]))),
         )
-        ctx.add_cost(result.cost_units)
-        if result.span is not None and ctx.span is not None:
-            result.span.annotate(partition=key)
-            ctx.span.add_child(result.span)
-        ctx.counters.incr("dod", f"algorithm_{algorithm}")
-        ctx.counters.incr("dod", "partitions_processed")
-        ctx.counters.incr(
-            "dod", "distance_evals", int(result.distance_evals)
-        )
-        _charge_kernel_counters(ctx, result)
-        _charge_graph_counters(ctx, result)
         for outlier_id in result.outlier_ids:
-            yield outlier_id
+            yield key, outlier_id
 
 
 class _RoutedMapper(Mapper):
@@ -205,18 +223,6 @@ class _RoutedMapper(Mapper):
     def map_block(self, records, ctx: TaskContext):
         ctx.add_cost((_MAP_RECORD_COST + _MAP_EMIT_COST) * len(records))
         return list(records)
-
-
-class _StreamDODReducer(_DODReducer):
-    """Fig. 3 reduce function, reporting ``(partition, outlier_id)``.
-
-    The partition tag lets the driver journal, or replace, exactly one
-    partition's verdicts when merging job output.
-    """
-
-    def reduce(self, key, values, ctx: TaskContext):
-        for outlier_id in super().reduce(key, values, ctx):
-            yield key, outlier_id
 
 
 def run_routed(
@@ -253,7 +259,7 @@ def run_routed(
     job = MapReduceJob(
         name=f"{name}-detect-{plan.strategy}",
         mapper=_RoutedMapper(),
-        reducer=_StreamDODReducer(cfg, plan.algorithm_plan),
+        reducer=_DODReducer(cfg, plan.algorithm_plan),
         n_reducers=len(alloc.bin_loads),
         partitioner=DictPartitioner(table),
     )

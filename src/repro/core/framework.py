@@ -1,15 +1,17 @@
 """The DOD distributed detection framework (Sec. III, Figs. 2-3).
 
-Two pipelines are provided:
+Two pipelines are provided, both run by
+:func:`~repro.core.detect_outliers` (a plan whose ``strategy`` is
+``"Domain"`` takes the second):
 
-* :class:`DODFramework` — the paper's single-job framework.  The mapper
+* :func:`_run_framework` — the paper's single-job framework.  The mapper
   emits each point once as a *core* record for its own partition (tag 0)
   and once as a *support* record for every partition whose ``r``-expansion
   contains it (tag 1, Def. 3.3).  Each reducer receives one partition's
   core ∪ support points and runs a centralized detector in total isolation;
   by Lemma 3.1 the result is exact.
 
-* :class:`DomainBaseline` — the paper's baseline without supporting areas
+* :func:`_run_baseline` — the paper's baseline without supporting areas
   (Sec. VI-A).  Job 1 detects locally and marks border candidates; job 2
   re-checks each candidate against the border points of the partitions its
   ``r``-ball intersects; a final client-side merge sums the partial
@@ -24,8 +26,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..detectors import make_partition_detector
-from ..metrics import MetricUnsupported, resolve_metric
 from ..mapreduce import (
     DictPartitioner,
     HashPartitioner,
@@ -41,14 +41,13 @@ from .config import RunConfig
 from .execute import (
     _MAP_EMIT_COST,
     _MAP_RECORD_COST,
-    _charge_graph_counters,
-    _charge_kernel_counters,
+    _detect_partition,
     _DODReducer,
     route,
 )
 from .outliers import OutlierParams, neighbor_counts
 
-__all__ = ["DetectionRun", "DODFramework", "DomainBaseline"]
+__all__ = ["DetectionRun"]
 
 @dataclass
 class DetectionRun:
@@ -174,49 +173,11 @@ def _run_framework(
         if name.startswith("algorithm_")
     }
     return DetectionRun(
-        outlier_ids=set(result.outputs),
+        outlier_ids={outlier_id for _, outlier_id in result.outputs},
         plan=plan,
         jobs=[result],
         detector_usage=usage,
     )
-
-
-class DODFramework:
-    """:func:`_run_framework` for callers that hold a plan but no
-    resolved run configuration (the pipeline passes its own)."""
-
-    def __init__(
-        self,
-        default_algorithm: str = "nested_loop",
-        kernel: Optional[str] = None,
-        metric: Optional[str] = None,
-    ) -> None:
-        self.default_algorithm = default_algorithm
-        self.kernel = kernel
-        self.metric = metric
-
-    def _config(self, params, n_reducers, plan) -> RunConfig:
-        return RunConfig.resolve(
-            params, detector=self.default_algorithm,
-            n_reducers=n_reducers, kernel=self.kernel, metric=self.metric,
-            tier="exact", plan=plan,
-        )
-
-    def run(
-        self,
-        runtime: LocalRuntime,
-        input_data,
-        plan: PartitionPlan,
-        params: OutlierParams,
-        n_reducers: int,
-        certified_ids: Optional[frozenset] = None,
-        dropped_ids: Optional[frozenset] = None,
-    ) -> DetectionRun:
-        return _run_framework(
-            runtime, input_data, plan,
-            self._config(params, n_reducers, plan),
-            certified_ids, dropped_ids,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -272,21 +233,10 @@ class _LocalDetectReducer(Reducer):
         params = self.cfg.params
         ids = np.asarray([v[0] for v in values], dtype=np.int64)
         pts = np.asarray([v[1] for v in values], dtype=float)
-        detector = make_partition_detector(
-            self.cfg.detector, key, kernel=self.cfg.kernel
+        result = _detect_partition(
+            ctx, self.cfg, self.cfg.detector, key,
+            pts, ids, np.empty((0, pts.shape[1])),
         )
-        result = detector.run(
-            pts, ids, np.empty((0, pts.shape[1])), params
-        )
-        ctx.add_cost(result.cost_units)
-        if result.span is not None and ctx.span is not None:
-            result.span.annotate(partition=key)
-            ctx.span.add_child(result.span)
-        ctx.counters.incr(
-            "dod", "distance_evals", int(result.distance_evals)
-        )
-        _charge_kernel_counters(ctx, result)
-        _charge_graph_counters(ctx, result)
         local_outliers = set(result.outlier_ids)
 
         # Exact local counts for the local outliers only (one scan each).
@@ -418,39 +368,3 @@ def _run_baseline(
         jobs=[result1, result2],
         detector_usage={"nested_loop_local": len(candidates)},
     )
-
-
-class DomainBaseline(DODFramework):
-    """:func:`_run_baseline` for callers without a run configuration.
-
-    Euclidean-only: the border test (``rect.distance_to_boundary``) and
-    the confirm-pass counts are rectangle geometry, so a non-Euclidean
-    metric is rejected up front rather than silently mis-answered.
-    """
-
-    def __init__(
-        self,
-        default_algorithm: str = "nested_loop",
-        kernel: Optional[str] = None,
-        metric: Optional[str] = None,
-    ) -> None:
-        if metric is not None and not resolve_metric(metric).is_euclidean:
-            raise MetricUnsupported(
-                "the Domain baseline confirms border candidates with "
-                "rectangle geometry; use a supporting-area strategy "
-                "for non-Euclidean metrics"
-            )
-        super().__init__(default_algorithm, kernel, metric)
-
-    def run(
-        self,
-        runtime: LocalRuntime,
-        input_data,
-        plan: PartitionPlan,
-        params: OutlierParams,
-        n_reducers: int,
-    ) -> DetectionRun:
-        return _run_baseline(
-            runtime, input_data, plan,
-            self._config(params, n_reducers, plan),
-        )

@@ -2,7 +2,9 @@
 
 :func:`detect_outliers` is the library's main entry point.  It
 
-1. loads the dataset into the simulated HDFS,
+1. turns the dataset into ``(id, point)`` records, which the runtime
+   cuts into blocks of ``ClusterConfig.hdfs_block_records`` (one map
+   task each),
 2. asks the chosen partitioning strategy for a plan (strategies that need
    statistics run the sampling pre-processing job here),
 3. runs the detection MapReduce job (or the two-job Domain baseline), and

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ..metrics import MetricUnsupported, resolve_metric
 from ..params import OutlierParams
@@ -60,6 +59,10 @@ class KDTreeDetector(Detector):
         else:
             candidates = core_points
         n_cand = candidates.shape[0]
+
+        # Imported where the tree is built: scipy, like numba, is never
+        # loaded unless its tactic is selected.
+        from scipy.spatial import cKDTree
 
         tree = cKDTree(candidates)
         counts = tree.query_ball_point(

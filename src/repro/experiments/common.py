@@ -28,7 +28,6 @@ EXPERIMENT_CLUSTER = ClusterConfig(
     nodes=10,
     map_slots_per_node=4,
     reduce_slots_per_node=4,
-    replication=3,
     hdfs_block_records=4096,
 )
 

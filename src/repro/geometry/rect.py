@@ -109,19 +109,6 @@ class Rect:
         high = np.asarray(self.high)
         return np.all((points >= low) & (points <= high), axis=1)
 
-    def contains_mask_half_open(
-        self, points: np.ndarray, domain: "Rect"
-    ) -> np.ndarray:
-        """Vectorized version of :meth:`contains_half_open`."""
-        points = np.asarray(points, dtype=float)
-        low = np.asarray(self.low)
-        high = np.asarray(self.high)
-        dom_high = np.asarray(domain.high)
-        upper_ok = np.where(
-            high < dom_high, points < high, points <= high
-        )
-        return np.all((points >= low) & upper_ok, axis=1)
-
     # ------------------------------------------------------------------
     # Rect-vs-rect relations
     # ------------------------------------------------------------------

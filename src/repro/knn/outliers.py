@@ -200,7 +200,7 @@ def distributed_knn_outliers(
         raise ValueError("k and n must be >= 1")
     if n > dataset.n:
         raise ValueError("cannot request more outliers than points")
-    cluster = cluster or ClusterConfig(nodes=4, replication=1)
+    cluster = cluster or ClusterConfig(nodes=4)
     runtime = LocalRuntime(cluster)
     grid = UniformGrid.with_cells(dataset.bounds, n_partitions)
     plan = PartitionPlan(

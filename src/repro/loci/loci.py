@@ -132,7 +132,7 @@ def distributed_loci(
     cluster: ClusterConfig | None = None,
 ) -> set[int]:
     """Exact LOCI via the supporting-area MapReduce framework."""
-    cluster = cluster or ClusterConfig(nodes=4, replication=1)
+    cluster = cluster or ClusterConfig(nodes=4)
     runtime = LocalRuntime(cluster)
     grid = UniformGrid.with_cells(dataset.bounds, n_partitions)
     plan = PartitionPlan(

@@ -1,4 +1,4 @@
-"""Simulated MapReduce substrate (HDFS, jobs, runtime, cluster model)."""
+"""Simulated MapReduce substrate (jobs, runtimes, cluster model)."""
 
 from .cluster import LOCAL_TEST_CLUSTER, ClusterConfig, makespan
 from .counters import Counters
@@ -13,7 +13,6 @@ from .failures import (
     SlowTasks,
     WorkerKill,
 )
-from .hdfs import Block, HDFSFile, SimulatedHDFS
 from .job import (
     DictPartitioner,
     HashPartitioner,
@@ -23,7 +22,7 @@ from .job import (
     Reducer,
     TaskContext,
 )
-from .parallel import ParallelRuntime
+from .parallel import ParallelRuntime, make_runtime
 from .runtime import JobResult, LocalRuntime, TaskStats
 from .scheduler import SchedulerConfig, TaskScheduler, TaskTimeout
 from .shm import (
@@ -56,9 +55,6 @@ __all__ = [
     "SchedulerConfig",
     "TaskScheduler",
     "TaskTimeout",
-    "Block",
-    "HDFSFile",
-    "SimulatedHDFS",
     "Mapper",
     "Reducer",
     "Partitioner",
@@ -69,6 +65,7 @@ __all__ = [
     "JobResult",
     "LocalRuntime",
     "ParallelRuntime",
+    "make_runtime",
     "TaskStats",
     "TRANSPORTS",
     "Transport",

@@ -48,13 +48,13 @@ class ClusterConfig:
     """Shape of the simulated cluster.
 
     The defaults mirror the paper's testbed: 40 worker nodes, 8 map slots and
-    8 reduce slots per node, HDFS replication factor 3.
+    8 reduce slots per node.  ``hdfs_block_records`` is the block size the
+    runtime cuts its input by — one map task per block.
     """
 
     nodes: int = 40
     map_slots_per_node: int = 8
     reduce_slots_per_node: int = 8
-    replication: int = 3
     hdfs_block_records: int = 8192
 
     def __post_init__(self) -> None:
@@ -62,8 +62,8 @@ class ClusterConfig:
             raise ValueError("need at least one node")
         if self.map_slots_per_node < 1 or self.reduce_slots_per_node < 1:
             raise ValueError("need at least one slot per node")
-        if self.replication < 1:
-            raise ValueError("replication factor must be >= 1")
+        if self.hdfs_block_records < 1:
+            raise ValueError("block size must be at least one record")
 
     @property
     def map_slots(self) -> int:
@@ -73,17 +73,9 @@ class ClusterConfig:
     def reduce_slots(self) -> int:
         return self.nodes * self.reduce_slots_per_node
 
-    def map_makespan(self, task_costs: Sequence[float]) -> float:
-        """Simulated duration of a map phase with these per-task costs."""
-        return makespan(task_costs, self.map_slots)
-
-    def reduce_makespan(self, task_costs: Sequence[float]) -> float:
-        """Simulated duration of a reduce phase with these per-task costs."""
-        return makespan(task_costs, self.reduce_slots)
-
 
 #: A small single-machine profile for unit tests and examples.
 LOCAL_TEST_CLUSTER = ClusterConfig(
     nodes=4, map_slots_per_node=2, reduce_slots_per_node=2,
-    replication=1, hdfs_block_records=1024,
+    hdfs_block_records=1024,
 )

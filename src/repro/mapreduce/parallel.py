@@ -45,7 +45,6 @@ from typing import Any, Dict, List, Sequence
 
 from ..observability.tracing import Span
 from .counters import Counters
-from .hdfs import HDFSFile, SimulatedHDFS
 from .job import MapReduceJob
 from .runtime import (
     JobResult,
@@ -62,7 +61,7 @@ from .shm import (
     open_envelope,
 )
 
-__all__ = ["ParallelRuntime"]
+__all__ = ["ParallelRuntime", "make_runtime"]
 
 #: Seconds between speculation checks while a phase has tasks in flight.
 _POLL_SECONDS = 0.02
@@ -135,7 +134,6 @@ class ParallelRuntime(LocalRuntime):
     def __init__(
         self,
         cluster=None,
-        hdfs: SimulatedHDFS | None = None,
         failure_injector=None,
         max_attempts: int = 4,
         workers: int = 4,
@@ -143,7 +141,7 @@ class ParallelRuntime(LocalRuntime):
         scheduler=None,
         transport: str = "pickle",
     ) -> None:
-        super().__init__(cluster, hdfs, failure_injector, max_attempts,
+        super().__init__(cluster, failure_injector, max_attempts,
                          tracer=tracer, scheduler=scheduler)
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -167,7 +165,7 @@ class ParallelRuntime(LocalRuntime):
     def run(
         self,
         job: MapReduceJob,
-        input_data: HDFSFile | str | Sequence,
+        input_data: Sequence,
         block_records: int | None = None,
     ) -> JobResult:
         blocks = self._resolve_blocks(input_data, block_records)
@@ -497,3 +495,20 @@ class ParallelRuntime(LocalRuntime):
                 duplicates[tid] = fut
                 live.add(fut)
                 counters.incr("runtime", "speculative_attempts")
+
+
+def make_runtime(
+    cluster,
+    workers: int = 0,
+    transport: str = "pickle",
+    scheduler=None,
+) -> LocalRuntime:
+    """A ``workers``-process pool over ``transport`` when ``workers > 0``,
+    else the serial runtime (which dispatches nothing, so ``transport``
+    does not apply)."""
+    if workers > 0:
+        return ParallelRuntime(
+            cluster, workers=workers, transport=transport,
+            scheduler=scheduler,
+        )
+    return LocalRuntime(cluster, scheduler=scheduler)

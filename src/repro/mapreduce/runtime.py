@@ -1,11 +1,12 @@
 """The local MapReduce runtime: map -> combine -> shuffle/sort -> reduce.
 
-Executes a :class:`~repro.mapreduce.job.MapReduceJob` against a
-:class:`~repro.mapreduce.hdfs.SimulatedHDFS` file (or any list of records).
-Every phase is fully materialized in-process, but the runtime keeps the
-books a real cluster would:
+Executes a :class:`~repro.mapreduce.job.MapReduceJob` over a list of
+records, cut into blocks of ``ClusterConfig.hdfs_block_records`` the way
+the paper's input sits in HDFS ("points randomly distributed over
+blocks", Sec. III-B).  Every phase is fully materialized in-process, but
+the runtime keeps the books a real cluster would:
 
-* one map task per HDFS block, one reduce task per reducer index;
+* one map task per block, one reduce task per reducer index;
 * per-task wall time and reported cost units;
 * shuffle volume (records and approximate bytes) between map and reduce;
 * a simulated *makespan* per phase from the cluster slot model.
@@ -27,7 +28,6 @@ from typing import Any, Dict, List, Sequence
 from ..observability.tracing import Span, Tracer
 from .cluster import ClusterConfig
 from .counters import Counters
-from .hdfs import HDFSFile, SimulatedHDFS
 from .job import MapReduceJob, TaskContext
 from .scheduler import SchedulerConfig, TaskScheduler
 
@@ -132,14 +132,12 @@ class LocalRuntime:
     def __init__(
         self,
         cluster: ClusterConfig | None = None,
-        hdfs: SimulatedHDFS | None = None,
         failure_injector=None,
         max_attempts: int = 4,
         tracer: Tracer | None = None,
         scheduler: SchedulerConfig | None = None,
     ) -> None:
         self.cluster = cluster or ClusterConfig()
-        self.hdfs = hdfs or SimulatedHDFS(self.cluster)
         self.failure_injector = failure_injector
         # SchedulerConfig validates max_attempts >= 1 either way.
         self.scheduler = scheduler or SchedulerConfig(
@@ -160,14 +158,14 @@ class LocalRuntime:
     def run(
         self,
         job: MapReduceJob,
-        input_data: HDFSFile | str | Sequence,
+        input_data: Sequence,
         block_records: int | None = None,
     ) -> JobResult:
         """Execute ``job`` over ``input_data`` and return its result.
 
-        ``input_data`` may be an :class:`HDFSFile`, the name of one, or a
-        plain record sequence (which is split into synthetic blocks of
-        ``block_records`` records, mirroring an HDFS layout).
+        ``input_data`` is a record sequence, split into blocks of
+        ``block_records`` records (default: the cluster's
+        ``hdfs_block_records``), one map task each.
         """
         blocks = self._resolve_blocks(input_data, block_records)
         result = JobResult(job.name, outputs=[], counters=Counters())
@@ -314,12 +312,13 @@ class LocalRuntime:
     def _resolve_blocks(
         self, input_data, block_records: int | None
     ) -> List[Sequence]:
-        if isinstance(input_data, str):
-            input_data = self.hdfs.get(input_data)
-        if isinstance(input_data, HDFSFile):
-            return [block.records for block in input_data.blocks]
+        size = (
+            self.cluster.hdfs_block_records if block_records is None
+            else block_records
+        )
+        if size < 1:
+            raise ValueError("block size must be at least one record")
         records = list(input_data)
-        size = block_records or self.cluster.hdfs_block_records
         if not records:
             return [()]
         return [

@@ -24,8 +24,8 @@ This module makes the dispatch path pluggable:
 
 Payload encodings (tried in order, first match wins):
 
-* ``"block"`` — an HDFS block of ``(id, point)`` records
-  (:func:`repro.mapreduce.hdfs.records_as_arrays`): one int64 id array
+* ``"block"`` — an input block of ``(id, point)`` records
+  (:func:`records_as_arrays`): one int64 id array
   plus one ``(n, d)`` point array, original dtype preserved bit-exactly
   (float32 inputs stay float32).  Decoded records hand the mapper
   read-only row views into the segment — no copy.
@@ -40,8 +40,8 @@ All three decode to objects that compare equal to the originals, which
 is what lets the differential suite assert byte-identical outlier sets,
 counters, and ``distance_evals`` across transports.
 
-Segment lifecycle is deterministic and crash-safe: the arena is
-refcounted, the runtime releases it in a ``finally`` (so failure-injected
+Segment lifecycle is deterministic and crash-safe: the runtime
+releases the arena in a ``finally`` (so failure-injected
 and timed-out runs clean up too), and every segment this process created
 is tracked in :func:`live_segments` so tests can assert nothing leaks
 into ``/dev/shm``.
@@ -50,17 +50,16 @@ into ``/dev/shm``.
 from __future__ import annotations
 
 import multiprocessing
+import operator
 import os
 import pickle
 import time
 import uuid
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-from .hdfs import records_as_arrays
 
 __all__ = [
     "TRANSPORTS",
@@ -122,6 +121,61 @@ class ShmRef:
 # Payload codecs (encode: payload -> (kind, arrays-or-bytes);
 #                 decode: segment views -> payload)
 # ----------------------------------------------------------------------
+def records_as_arrays(
+    records: Sequence,
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Columnar ``(ids, points)`` arrays for ``(id, point)`` records.
+
+    The detection pipeline's HDFS record format is ``(id, point)`` with a
+    plain-int id and a 1-D numeric point of uniform dimensionality.  When
+    ``records`` matches that shape, return ``(ids int64 (n,), points
+    (n, d))`` with the points' original dtype preserved — the columnar
+    form the shared-memory transport writes into its segments.  Return
+    ``None`` for anything else (empty blocks, mixed shapes, non-numeric
+    payloads); callers then fall back to generic serialization.
+    """
+    if not records:
+        return None
+    first = records[0]
+    if type(first) is not tuple or len(first) != 2:
+        return None
+    p0 = first[1]
+    if (
+        not isinstance(p0, np.ndarray)
+        or p0.ndim != 1
+        or p0.dtype.kind not in "fiu"
+    ):
+        return None
+    # Validation runs as C-level set/map passes over whole columns
+    # rather than a per-record Python loop: this sits on the dispatch
+    # hot path of the shared-memory transport.  The uniform-dtype check
+    # is load-bearing — np.stack would silently upcast a mixed
+    # float32/float64 column, changing detector arithmetic downstream.
+    if (
+        set(map(type, records)) != {tuple}
+        or set(map(len, records)) != {2}
+    ):
+        return None
+    ids = [r[0] for r in records]
+    rows = [r[1] for r in records]
+    if set(map(type, ids)) != {int} or set(map(type, rows)) != {np.ndarray}:
+        return None
+    get_dtype = operator.attrgetter("dtype")
+    get_shape = operator.attrgetter("shape")
+    if (
+        set(map(get_dtype, rows)) != {p0.dtype}
+        or set(map(get_shape, rows)) != {p0.shape}
+    ):
+        return None
+    try:
+        id_col = np.asarray(ids, dtype=np.int64)
+    except OverflowError:  # ids beyond int64 range
+        return None
+    # np.stack copies row by row in C (handling non-contiguous inputs)
+    # and keeps the uniform dtype verified above.
+    return id_col, np.stack(rows)
+
+
 def _encode_block(payload) -> Optional[Tuple[str, List[np.ndarray]]]:
     if not isinstance(payload, (tuple, list)):
         return None
@@ -260,8 +314,10 @@ def install_exit_cleanup() -> None:
     The transports already unlink in ``finally``, which covers normal
     returns and handled exceptions.  This adds the two survivable abnormal
     exits: interpreter shutdown with segments still live (``atexit``) and
-    SIGTERM (handler chains to whatever was installed before).  SIGKILL is
-    unsurvivable by definition — ``repro clean-shm`` sweeps up after it.
+    SIGTERM (the handler chains to a previous Python handler, stays
+    ignored where the signal was ignored, and otherwise dies by the
+    default action).  SIGKILL is unsurvivable by definition — ``repro
+    clean-shm`` sweeps up after it.
 
     Idempotent; called from ``ParallelRuntime.__init__`` so any process
     that can create segments has the hooks.  Installed only in the main
@@ -282,7 +338,7 @@ def install_exit_cleanup() -> None:
             _cleanup_live_segments()
             if callable(previous):
                 previous(signum, frame)
-            else:
+            elif previous != signal.SIG_IGN:
                 signal.signal(signal.SIGTERM, signal.SIG_DFL)
                 os.kill(os.getpid(), signal.SIGTERM)
 
@@ -350,23 +406,22 @@ class ShmArena:
 
     ``pack`` writes a batch of payloads into one fresh segment and
     returns their descriptors; ``pack_object`` stores a single pickled
-    object (the job context).  The arena is refcounted: it is created
-    held once, and :meth:`release` unlinks every segment when the last
-    holder lets go — the runtime calls it in a ``finally`` so segments
-    never outlive the run, crashed or not.
+    object (the job context).  :meth:`release` unlinks every segment —
+    the runtime calls it in a ``finally`` so segments never outlive the
+    run, crashed or not.
     """
 
     def __init__(self, label: str = "") -> None:
         self.label = label
         self._segments: List[shared_memory.SharedMemory] = []
-        self._refs = 1
+        self._released = False
         self.segment_bytes = 0
         self.segments_created = 0
 
     # -- packing -------------------------------------------------------
     def pack(self, payloads: Dict[Any, Any]) -> Dict[Any, ShmRef]:
         """Encode ``payloads`` into one new segment; return descriptors."""
-        if self._refs <= 0:
+        if self._released:
             raise RuntimeError("arena already released")
         plans: Dict[Any, Tuple[str, list]] = {}
         for tid, payload in payloads.items():
@@ -421,19 +476,12 @@ class ShmArena:
     def segments(self) -> List[str]:
         return [seg.name for seg in self._segments]
 
-    def acquire(self) -> "ShmArena":
-        if self._refs <= 0:
-            raise RuntimeError("arena already released")
-        self._refs += 1
-        return self
-
     def release(self) -> None:
-        """Drop one reference; unlink all segments at zero.  Idempotent
-        past zero so double-release in error paths stays harmless."""
-        if self._refs > 0:
-            self._refs -= 1
-            if self._refs == 0:
-                self._unlink_all()
+        """Unlink all segments.  Idempotent, so double-release in error
+        paths stays harmless."""
+        if not self._released:
+            self._released = True
+            self._unlink_all()
 
     def _create_segment(self, size: int) -> shared_memory.SharedMemory:
         for _ in range(16):

@@ -43,7 +43,6 @@ __all__ = [
     "METRIC_CHOICES",
     "DEFAULT_METRIC",
     "METRIC_ENV",
-    "available_metrics",
     "make_metric",
     "resolve_metric",
 ]
@@ -65,11 +64,6 @@ DEFAULT_METRIC = "euclidean"
 
 #: Environment override consulted by ``"auto"`` resolution.
 METRIC_ENV = "REPRO_METRIC"
-
-
-def available_metrics() -> list[str]:
-    """Registered metric names (all shipped metrics are always runnable)."""
-    return list(METRIC_REGISTRY)
 
 
 def make_metric(spec: str) -> Metric:

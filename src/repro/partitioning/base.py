@@ -56,13 +56,6 @@ class Partition:
     est_cost: float = 0.0
     algorithm: Optional[str] = None
 
-    @property
-    def est_density(self) -> float:
-        area = self.rect.area
-        if area <= 0:
-            return float("inf")
-        return self.est_points / area
-
 
 @dataclass
 class PartitionPlan:

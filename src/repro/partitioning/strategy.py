@@ -72,8 +72,8 @@ class PartitioningStrategy(abc.ABC):
     ) -> PartitionPlan:
         """Build the partition plan for ``input_data``.
 
-        ``input_data`` is an HDFS file name/handle or a record list of
-        ``(id, point)`` pairs (used only by strategies that sample).
+        ``input_data`` is a record list of ``(id, point)`` pairs (used
+        only by strategies that sample).
         """
 
     def timed_plan(

@@ -193,8 +193,8 @@ def collect_minibucket_stats(
 ) -> MiniBucketStats:
     """Run the sampling job and assemble :class:`MiniBucketStats`.
 
-    ``input_data`` is an HDFS file (or record list) of ``(id, point)``
-    records.  ``n_buckets`` is the approximate mini-bucket count; the grid
+    ``input_data`` is a record list of ``(id, point)`` records.
+    ``n_buckets`` is the approximate mini-bucket count; the grid
     is balanced across dimensions.  ``n_reducers`` defaults to the paper's
     centralized single reducer (Fig. 6); callers that already hold a sized
     cluster (the tier layer) may spread the aggregation — the assembled

@@ -48,7 +48,7 @@ import numpy as np
 from ..core import Dataset
 from ..core.config import RunConfig
 from ..data.io import finite_row_mask
-from ..mapreduce import ClusterConfig, LocalRuntime, ParallelRuntime
+from ..mapreduce import ClusterConfig, LocalRuntime, make_runtime
 from ..observability import RunReport, Span
 from ..params import OutlierParams
 from ..recovery.checkpoint import _run_resolved, dataset_fingerprint
@@ -158,15 +158,11 @@ class ServiceWorker:
         )
         runtime = self._runtimes.get(key)
         if runtime is None:
-            cluster = ClusterConfig(nodes=int(spec["nodes"]))
-            if int(spec["workers"]) > 0:
-                runtime = ParallelRuntime(
-                    cluster, workers=int(spec["workers"]),
-                    transport=str(spec["transport"]),
-                )
-            else:
-                runtime = LocalRuntime(cluster)
-            self._runtimes[key] = runtime
+            nodes, workers, transport = key
+            runtime = self._runtimes[key] = make_runtime(
+                ClusterConfig(nodes=nodes), workers=workers,
+                transport=transport,
+            )
         return runtime
 
     def _memo_get(self, key: tuple) -> Optional[DMTPlanCache]:

@@ -103,12 +103,6 @@ class StreamBatchReport:
             return 0.0
         return self.dirty_partitions / self.total_partitions
 
-    @property
-    def points_per_sec(self) -> float:
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.n_points / self.wall_seconds
-
 
 class StreamingDetector:
     """Maintains the exact outlier set of an append-only stream.

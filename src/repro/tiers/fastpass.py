@@ -111,9 +111,6 @@ class SensitivitySample:
     def size(self) -> int:
         return int(self.ids.shape[0])
 
-    def id_set(self) -> Set[int]:
-        return {int(i) for i in self.ids}
-
 
 @dataclass(frozen=True)
 class TierCertification:

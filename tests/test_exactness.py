@@ -22,7 +22,7 @@ from repro.mapreduce import ClusterConfig
 
 CLUSTER = ClusterConfig(
     nodes=4, map_slots_per_node=2, reduce_slots_per_node=2,
-    replication=1, hdfs_block_records=1024,
+    hdfs_block_records=1024,
 )
 
 STRATEGIES = ["Domain", "uniSpace", "DDriven", "CDriven", "DMT"]

@@ -31,7 +31,7 @@ from repro.observability import render_report
 #: Small blocks so the pipeline has several map tasks to fail/slow down.
 CLUSTER = ClusterConfig(
     nodes=4, map_slots_per_node=2, reduce_slots_per_node=2,
-    replication=1, hdfs_block_records=128,
+    hdfs_block_records=128,
 )
 
 PARAMS = OutlierParams(r=2.0, k=5)

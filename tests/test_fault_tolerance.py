@@ -31,7 +31,7 @@ def job():
                         n_reducers=2)
 
 
-CLUSTER = ClusterConfig(nodes=2, replication=1)
+CLUSTER = ClusterConfig(nodes=2)
 
 
 class TestInjectors:
@@ -115,7 +115,7 @@ class TestEndToEndUnderFailures:
         params = OutlierParams(r=2.0, k=5)
         oracle = brute_force_outliers(data, params)
         runtime = LocalRuntime(
-            ClusterConfig(nodes=4, replication=1),
+            ClusterConfig(nodes=4),
             failure_injector=RandomFailures(rate=0.25, seed=5),
         )
         result = detect_outliers(

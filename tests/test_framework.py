@@ -5,21 +5,20 @@ import pytest
 
 from repro.core import (
     Dataset,
-    DODFramework,
-    DomainBaseline,
     OutlierParams,
     brute_force_outliers,
+    detect_outliers,
 )
 from repro.core.framework import _DODMapper, _LocalOnlyMapper
 from repro.geometry import Rect
-from repro.mapreduce import ClusterConfig, LocalRuntime, TaskContext
+from repro.mapreduce import ClusterConfig, TaskContext
 from repro.partitioning import Partition, PartitionPlan
 
-CLUSTER = ClusterConfig(nodes=2, replication=1, hdfs_block_records=512)
+CLUSTER = ClusterConfig(nodes=2, hdfs_block_records=512)
 DOMAIN = Rect((0.0, 0.0), (10.0, 10.0))
 
 
-def halves_plan(algorithms=(None, None)):
+def halves_plan(algorithms=(None, None), strategy="test"):
     return PartitionPlan(
         DOMAIN,
         [
@@ -28,8 +27,16 @@ def halves_plan(algorithms=(None, None)):
             Partition(1, Rect((5.0, 0.0), (10.0, 10.0)),
                       algorithm=algorithms[1]),
         ],
-        strategy="test",
+        strategy=strategy,
     )
+
+
+def run_plan(data, params, plan, **kwargs):
+    """Run a hand-built plan through the public entry point: the
+    single-pass job, or the two-job baseline for a ``"Domain"`` plan."""
+    return detect_outliers(
+        data, params, plan=plan, n_reducers=2, cluster=CLUSTER, **kwargs
+    ).run
 
 
 def grid_data(n=400, seed=0):
@@ -95,31 +102,19 @@ class TestDODFramework:
         data = grid_data(500, seed=3)
         params = OutlierParams(r=1.0, k=4)
         plan = halves_plan(algorithms=("nested_loop", "cell_based"))
-        framework = DODFramework()
-        runtime = LocalRuntime(CLUSTER)
-        run = framework.run(
-            runtime, list(data.records()), plan, params, n_reducers=2
-        )
+        run = run_plan(data, params, plan)
         assert run.detector_usage == {"nested_loop": 1, "cell_based": 1}
 
     def test_default_algorithm_used_when_plan_has_none(self):
         data = grid_data(300, seed=4)
         params = OutlierParams(r=1.0, k=4)
-        framework = DODFramework(default_algorithm="cell_based")
-        runtime = LocalRuntime(CLUSTER)
-        run = framework.run(
-            runtime, list(data.records()), halves_plan(), params, 2
-        )
+        run = run_plan(data, params, halves_plan(), detector="cell_based")
         assert run.detector_usage == {"cell_based": 2}
 
     def test_support_records_counted(self):
         data = grid_data(500, seed=5)
         params = OutlierParams(r=2.0, k=4)
-        framework = DODFramework()
-        runtime = LocalRuntime(CLUSTER)
-        run = framework.run(
-            runtime, list(data.records()), halves_plan(), params, 2
-        )
+        run = run_plan(data, params, halves_plan())
         support = run.jobs[0].counters.get("dod", "support_records")
         # Points within r=2 of the x=5 boundary: roughly 40% of the data.
         assert 0 < support < data.n
@@ -128,11 +123,7 @@ class TestDODFramework:
     def test_single_job(self):
         data = grid_data(200, seed=6)
         params = OutlierParams(r=1.0, k=3)
-        framework = DODFramework()
-        runtime = LocalRuntime(CLUSTER)
-        run = framework.run(
-            runtime, list(data.records()), halves_plan(), params, 2
-        )
+        run = run_plan(data, params, halves_plan())
         assert run.n_jobs == 1
 
 
@@ -140,11 +131,7 @@ class TestDomainBaseline:
     def test_two_jobs(self):
         data = grid_data(400, seed=7)
         params = OutlierParams(r=1.0, k=4)
-        baseline = DomainBaseline()
-        runtime = LocalRuntime(CLUSTER)
-        run = baseline.run(
-            runtime, list(data.records()), halves_plan(), params, 2
-        )
+        run = run_plan(data, params, halves_plan(strategy="Domain"))
         assert run.n_jobs == 2
 
     def test_exactness_with_border_candidates(self):
@@ -156,11 +143,7 @@ class TestDomainBaseline:
         data = Dataset.from_points(np.vstack([left, right, filler]))
         params = OutlierParams(r=0.6, k=3)
         oracle = brute_force_outliers(data, params)
-        baseline = DomainBaseline()
-        runtime = LocalRuntime(CLUSTER)
-        run = baseline.run(
-            runtime, list(data.records()), halves_plan(), params, 2
-        )
+        run = run_plan(data, params, halves_plan(strategy="Domain"))
         assert run.outlier_ids == oracle
 
     @pytest.mark.parametrize("algorithm", ["nested_loop", "cell_based"])
@@ -168,9 +151,7 @@ class TestDomainBaseline:
         data = grid_data(600, seed=9)
         params = OutlierParams(r=0.8, k=5)
         oracle = brute_force_outliers(data, params)
-        baseline = DomainBaseline(default_algorithm=algorithm)
-        runtime = LocalRuntime(CLUSTER)
-        run = baseline.run(
-            runtime, list(data.records()), halves_plan(), params, 2
+        run = run_plan(
+            data, params, halves_plan(strategy="Domain"), detector=algorithm
         )
         assert run.outlier_ids == oracle

@@ -1,4 +1,4 @@
-"""Unit tests for the MapReduce substrate (HDFS, runtime, counters)."""
+"""Unit tests for the MapReduce substrate (blocks, runtime, counters)."""
 
 from collections import defaultdict
 
@@ -15,7 +15,6 @@ from repro.mapreduce import (
     ParallelRuntime,
     Partitioner,
     Reducer,
-    SimulatedHDFS,
     makespan,
 )
 from repro.mapreduce.runtime import _approx_size, _shuffle
@@ -94,77 +93,39 @@ class TestClusterConfig:
         assert c.nodes == 40
         assert c.map_slots == 320
         assert c.reduce_slots == 320
-        assert c.replication == 3
 
     def test_validation(self):
         with pytest.raises(ValueError):
             ClusterConfig(nodes=0)
-        with pytest.raises(ValueError):
-            ClusterConfig(replication=0)
 
-
-class TestHDFS:
-    def test_put_get_blocks(self):
-        cluster = ClusterConfig(nodes=4, replication=2)
-        hdfs = SimulatedHDFS(cluster)
-        f = hdfs.put("data", list(range(100)), block_records=30)
-        assert len(f.blocks) == 4
-        assert f.n_records == 100
-        assert list(f.iter_records()) == list(range(100))
-
-    def test_replication_distinct_nodes(self):
-        cluster = ClusterConfig(nodes=5, replication=3)
-        hdfs = SimulatedHDFS(cluster)
-        f = hdfs.put("data", list(range(50)), block_records=10)
-        for block in f.blocks:
-            assert len(set(block.replicas)) == 3
-
-    def test_duplicate_put_rejected(self):
-        hdfs = SimulatedHDFS(ClusterConfig(nodes=2, replication=1))
-        hdfs.put("x", [1])
-        with pytest.raises(FileExistsError):
-            hdfs.put("x", [2])
-
-    def test_missing_get(self):
-        hdfs = SimulatedHDFS(ClusterConfig())
-        with pytest.raises(FileNotFoundError):
-            hdfs.get("nope")
-
-    def test_delete_and_ls(self):
-        hdfs = SimulatedHDFS(ClusterConfig())
-        hdfs.put("a", [1])
-        hdfs.put("b", [2])
-        assert hdfs.ls() == ["a", "b"]
-        hdfs.delete("a")
-        assert not hdfs.exists("a")
-
-    def test_balanced_placement(self):
-        cluster = ClusterConfig(nodes=4, replication=1)
-        hdfs = SimulatedHDFS(cluster)
-        hdfs.put("data", list(range(400)), block_records=10)
-        counts = hdfs.node_block_counts()
-        assert max(counts.values()) - min(counts.values()) <= 1
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_block_size_must_be_positive(self, size):
+        # range(0, n, -5) is empty: a negative block size used to drop
+        # the whole input and report zero outliers without an error.
+        with pytest.raises(ValueError, match="block size"):
+            ClusterConfig(hdfs_block_records=size)
 
 
 class TestRuntime:
     def test_wordcount(self):
-        rt = LocalRuntime(ClusterConfig(nodes=2, replication=1))
+        rt = LocalRuntime(ClusterConfig(nodes=2))
         records = ["a b a", "b c", "a"]
         result = rt.run(wordcount_job(), records, block_records=1)
         assert dict(result.outputs) == {"a": 3, "b": 2, "c": 1}
         assert result.counters.get("wc", "words") == 6
 
     def test_one_map_task_per_block(self):
-        rt = LocalRuntime(ClusterConfig(nodes=2, replication=1))
+        rt = LocalRuntime(ClusterConfig(nodes=2))
         result = rt.run(wordcount_job(), ["x"] * 10, block_records=2)
         assert len(result.map_tasks) == 5
         assert len(result.reduce_tasks) == 2
 
-    def test_runs_from_hdfs_file(self):
-        rt = LocalRuntime(ClusterConfig(nodes=2, replication=1))
-        rt.hdfs.put("input", ["a a", "b"], block_records=1)
-        result = rt.run(wordcount_job(), "input")
-        assert dict(result.outputs) == {"a": 2, "b": 1}
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_explicit_block_size_must_be_positive(self, size):
+        # An explicit 0 is rejected too, not replaced by the default.
+        rt = LocalRuntime(ClusterConfig(nodes=2))
+        with pytest.raises(ValueError, match="block size"):
+            rt.run(wordcount_job(), ["a a", "b"], block_records=size)
 
     def test_partitioner_routing(self):
         class EvenOdd(HashPartitioner):
@@ -175,7 +136,7 @@ class TestRuntime:
             "route", WordSplitMapper(), SumReducer(),
             n_reducers=2, partitioner=EvenOdd(),
         )
-        rt = LocalRuntime(ClusterConfig(nodes=2, replication=1))
+        rt = LocalRuntime(ClusterConfig(nodes=2))
         result = rt.run(job, ["a b a b"], block_records=1)
         a_task = result.reduce_tasks[0]
         b_task = result.reduce_tasks[1]
@@ -191,7 +152,7 @@ class TestRuntime:
             "bad", WordSplitMapper(), SumReducer(),
             n_reducers=2, partitioner=Bad(),
         )
-        rt = LocalRuntime(ClusterConfig(nodes=2, replication=1))
+        rt = LocalRuntime(ClusterConfig(nodes=2))
         with pytest.raises(ValueError, match="partitioner"):
             rt.run(job, ["a"], block_records=1)
 
@@ -200,7 +161,7 @@ class TestRuntime:
             def reduce(self, key, values, ctx):
                 yield key, sum(values)
 
-        rt = LocalRuntime(ClusterConfig(nodes=2, replication=1))
+        rt = LocalRuntime(ClusterConfig(nodes=2))
         plain = rt.run(wordcount_job(), ["a a a a"], block_records=1)
         combined_job = wordcount_job()
         combined_job.combiner = SumCombiner()
@@ -209,18 +170,18 @@ class TestRuntime:
         assert combined.shuffle_records < plain.shuffle_records
 
     def test_cost_units_reported(self):
-        rt = LocalRuntime(ClusterConfig(nodes=2, replication=1))
+        rt = LocalRuntime(ClusterConfig(nodes=2))
         result = rt.run(wordcount_job(1), ["a a a"], block_records=1)
         assert result.reduce_tasks[0].cost_units == 3
 
     def test_simulated_time_positive(self):
-        rt = LocalRuntime(ClusterConfig(nodes=2, replication=1))
+        rt = LocalRuntime(ClusterConfig(nodes=2))
         result = rt.run(wordcount_job(), ["a b c"] * 5, block_records=2)
         assert result.simulated_time(rt.cluster, "wall") > 0
         assert result.simulated_time(rt.cluster, "units") > 0
 
     def test_unknown_metric_rejected(self):
-        rt = LocalRuntime(ClusterConfig(nodes=2, replication=1))
+        rt = LocalRuntime(ClusterConfig(nodes=2))
         result = rt.run(wordcount_job(), ["a"], block_records=1)
         with pytest.raises(ValueError):
             result.simulated_phase_time("map", rt.cluster, "bogus")
@@ -228,7 +189,7 @@ class TestRuntime:
             result.simulated_phase_time("bogus", rt.cluster)
 
     def test_empty_input(self):
-        rt = LocalRuntime(ClusterConfig(nodes=2, replication=1))
+        rt = LocalRuntime(ClusterConfig(nodes=2))
         result = rt.run(wordcount_job(), [], block_records=4)
         assert result.outputs == []
 
@@ -245,7 +206,7 @@ class TestRuntime:
         job = MapReduceJob(
             "sorted", WordSplitMapper(), reducer, n_reducers=1
         )
-        rt = LocalRuntime(ClusterConfig(nodes=2, replication=1))
+        rt = LocalRuntime(ClusterConfig(nodes=2))
         rt.run(job, ["d c b a"], block_records=1)
         assert reducer.seen == sorted(reducer.seen)
 
@@ -329,7 +290,7 @@ class TestShuffle:
 
     @pytest.mark.parametrize("transport", ["pickle", "shm"])
     def test_pool_and_serial_account_the_same_shuffle(self, transport):
-        cluster = ClusterConfig(nodes=2, replication=1)
+        cluster = ClusterConfig(nodes=2)
         records = [(i % 5, f"v{i}") for i in range(40)]
         serial = LocalRuntime(cluster).run(
             keyed_job(), records, block_records=8

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import Dataset, OutlierParams, brute_force_outliers, detect_outliers
 from repro.mapreduce import ClusterConfig
 
-CLUSTER = ClusterConfig(nodes=2, replication=1)
+CLUSTER = ClusterConfig(nodes=2)
 
 
 def run(data, params, seed=1):

@@ -39,6 +39,7 @@ from repro.metrics import (
     resolve_metric,
 )
 from repro.metrics.builtin import encode_strings
+from repro.partitioning import Partition, PartitionPlan
 
 #: (spec, r) pairs: r is scaled to the metric's units (km for
 #: haversine, coordinate units otherwise) at the quantized-point scale.
@@ -49,7 +50,7 @@ VECTOR_METRICS = [
     ("haversine", 90.0),
 ]
 
-CLUSTER_KW = dict(nodes=2, replication=1, hdfs_block_records=64)
+CLUSTER_KW = dict(nodes=2, hdfs_block_records=64)
 
 
 def oracle_outliers(points, ids, r, k, metric) -> set:
@@ -323,10 +324,16 @@ class TestMetricGates:
             )
 
     def test_domain_baseline_refuses(self):
-        from repro.core.framework import DomainBaseline
-
+        dataset = _workload(n=80)
+        plan = PartitionPlan(
+            dataset.bounds, [Partition(0, dataset.bounds)],
+            strategy="Domain",
+        )
         with pytest.raises(MetricUnsupported):
-            DomainBaseline(metric="haversine")
+            detect_outliers(
+                dataset, OutlierParams(r=50.0, k=4), plan=plan,
+                metric="haversine",
+            )
 
     def test_haversine_requires_two_dims(self):
         m = make_metric("haversine")

@@ -14,7 +14,7 @@ from repro.mapreduce import (
     ScriptedFailures,
 )
 
-CLUSTER = ClusterConfig(nodes=2, replication=1)
+CLUSTER = ClusterConfig(nodes=2)
 
 
 class TokenMapper(Mapper):

@@ -132,7 +132,7 @@ class TestPartitionPlan:
 
 def build(strategy, data, **kwargs):
     runtime = LocalRuntime(
-        ClusterConfig(nodes=2, replication=1, hdfs_block_records=1024)
+        ClusterConfig(nodes=2, hdfs_block_records=1024)
     )
     request = PlanRequest(
         domain=data.bounds,

@@ -15,7 +15,7 @@ from repro.mapreduce import ClusterConfig
 from repro.params import JOB_STARTUP_SECONDS
 from repro.partitioning import DMTPartitioner, PartitioningStrategy
 
-CLUSTER = ClusterConfig(nodes=2, replication=1, hdfs_block_records=512)
+CLUSTER = ClusterConfig(nodes=2, hdfs_block_records=512)
 
 
 def small_data(n=800, seed=0):

@@ -20,7 +20,7 @@ from repro.partitioning import (
 def build_dmt_plan(seed=0):
     rng = np.random.default_rng(seed)
     data = Dataset.from_points(rng.uniform(0, 50, size=(3000, 2)))
-    runtime = LocalRuntime(ClusterConfig(nodes=2, replication=1))
+    runtime = LocalRuntime(ClusterConfig(nodes=2))
     request = PlanRequest(
         domain=data.bounds, params=OutlierParams(r=2.0, k=4),
         n_partitions=9, n_reducers=4, n_buckets=64, sample_rate=0.5,

@@ -116,7 +116,7 @@ def _strategy_plan(strategy, ndim, n_buckets=64, n_reducers=4):
     domain = Rect((0.0,) * ndim, (60.0,) * ndim)
     data = clustered_mixture(3000, domain, n_clusters=3, seed=3)
     runtime = LocalRuntime(
-        ClusterConfig(nodes=2, replication=1, hdfs_block_records=1024)
+        ClusterConfig(nodes=2, hdfs_block_records=1024)
     )
     request = PlanRequest(
         domain=data.bounds, params=OutlierParams(r=2.0, k=4),

@@ -33,7 +33,7 @@ from repro.recovery.checkpoint import dataset_fingerprint
 from repro.recovery.snapshot import read_artifact, write_artifact
 from repro.streaming import StreamingDetector
 
-CLUSTER = ClusterConfig(nodes=2, replication=1, hdfs_block_records=64)
+CLUSTER = ClusterConfig(nodes=2, hdfs_block_records=64)
 PARAMS = OutlierParams(r=1.5, k=4)
 SIZING = dict(n_partitions=6, n_reducers=3, seed=5)
 

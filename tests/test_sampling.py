@@ -17,8 +17,7 @@ from repro.geometry import UniformGrid
 
 
 def runtime():
-    return LocalRuntime(ClusterConfig(nodes=2, replication=1,
-                                      hdfs_block_records=512))
+    return LocalRuntime(ClusterConfig(nodes=2, hdfs_block_records=512))
 
 
 def records(n=2000, seed=0, side=40.0):
@@ -74,10 +73,10 @@ class TestCollectStats:
         """The id-hash sample is independent of HDFS block layout."""
         recs, data = records(3000, seed=2)
         rt_a = LocalRuntime(
-            ClusterConfig(nodes=2, replication=1, hdfs_block_records=100)
+            ClusterConfig(nodes=2, hdfs_block_records=100)
         )
         rt_b = LocalRuntime(
-            ClusterConfig(nodes=2, replication=1, hdfs_block_records=999)
+            ClusterConfig(nodes=2, hdfs_block_records=999)
         )
         stats_a = collect_minibucket_stats(
             rt_a, recs, data.bounds, n_buckets=25, rate=0.3, seed=3

@@ -23,7 +23,7 @@ from repro.mapreduce import (
     TaskTimeout,
 )
 
-CLUSTER = ClusterConfig(nodes=2, replication=1)
+CLUSTER = ClusterConfig(nodes=2)
 
 
 class EchoMapper(Mapper):

@@ -11,6 +11,8 @@ errors.
 
 import glob
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -27,7 +29,7 @@ from repro.mapreduce import (
 from repro.mapreduce.failures import HangingTasks, SimulatedTaskFailure
 from repro.mapreduce.shm import SEGMENT_PREFIX, live_segments
 
-CLUSTER = ClusterConfig(nodes=2, replication=1)
+CLUSTER = ClusterConfig(nodes=2)
 
 
 class TokenMapper(Mapper):
@@ -126,3 +128,38 @@ class TestSegmentLifecycle:
         rt = ParallelRuntime(CLUSTER, workers=2, transport="pickle")
         rt.run(job(), ["a b"] * 10, block_records=5)
         assert_no_segments()
+
+
+_IGNORED_SIGTERM = """
+import os, signal
+from repro.mapreduce.shm import ShmArena, install_exit_cleanup, live_segments
+
+signal.signal(signal.SIGTERM, signal.SIG_IGN)
+install_exit_cleanup()
+arena = ShmArena("ignored-sigterm")
+arena.pack({0: b"payload"})
+(name,) = live_segments()
+path = os.path.join("/dev/shm", name)
+on_disk = os.path.exists(path)
+os.kill(os.getpid(), signal.SIGTERM)
+assert live_segments() == frozenset(), live_segments()
+assert not os.path.exists(path)
+print("survived", "unlinked" if on_disk else "no-dev-shm")
+"""
+
+
+class TestExitCleanup:
+    def test_ignored_sigterm_stays_ignored(self):
+        """A process that ignores SIGTERM must not start dying of it once
+        a pool runtime installed the cleanup hook: the hook unlinks the
+        live segments and the signal stays ignored."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", _IGNORED_SIGTERM],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
+        assert proc.stdout.split()[0] == "survived"
+        if os.path.isdir("/dev/shm"):  # pragma: no branch - Linux CI
+            assert proc.stdout.split()[1] == "unlinked"

@@ -18,7 +18,7 @@ from repro.core import (
 from repro.costmodel import ball_volume, density_regimes
 from repro.mapreduce import ClusterConfig
 
-CLUSTER = ClusterConfig(nodes=2, replication=1, hdfs_block_records=512)
+CLUSTER = ClusterConfig(nodes=2, hdfs_block_records=512)
 
 
 @pytest.mark.parametrize("strategy", ["uniSpace", "DDriven", "DMT"])

@@ -37,7 +37,7 @@ from repro.metrics import resolve_metric
 from repro.sampling import collect_minibucket_stats
 from repro.tiers import build_sensitivity_sample, certified_mask
 
-CLUSTER = ClusterConfig(nodes=2, replication=1, hdfs_block_records=64)
+CLUSTER = ClusterConfig(nodes=2, hdfs_block_records=64)
 
 #: Lattice spacing 0.25 with radii that are exact multiples: pairwise
 #: distances frequently land exactly on r, exercising the inclusive

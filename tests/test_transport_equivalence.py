@@ -35,7 +35,7 @@ from repro.mapreduce.shm import (
     resolve_ref,
 )
 
-CLUSTER_KW = dict(nodes=2, replication=1, hdfs_block_records=64)
+CLUSTER_KW = dict(nodes=2, hdfs_block_records=64)
 
 
 def roundtrip(payload):
