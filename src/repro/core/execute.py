@@ -10,7 +10,7 @@ holds the three steps they have in common, each taking the resolved
 * :func:`route` — the Fig. 3 map function: one core record per point
   plus a support record for every partition whose ``r``-expansion
   contains it.  Batch runs call it inside map tasks, checkpointed and
-  streaming runs on the driver;
+  streaming runs on the driver, grouped by :func:`route_partitions`;
 * :func:`run_routed` — the detection job over records that are already
   routed: pack the partitions onto reducers, detect, report
   ``(partition, outlier_id)``;
@@ -49,8 +49,8 @@ from ..tiers import (
 from .config import RunConfig
 from .dataset import Dataset
 
-__all__ = ["TierPass", "annotate_tier", "route", "run_routed",
-           "run_tier_prelude"]
+__all__ = ["TierPass", "annotate_tier", "route", "route_partitions",
+           "run_routed", "run_tier_prelude"]
 
 #: Cost units charged per mapper input record (plan lookup) and per emitted
 #: record (serialization into the shuffle).  One constant for every
@@ -97,6 +97,23 @@ def route(
         for row, pid in support_pairs.tolist()
     )
     return pairs
+
+
+def route_partitions(
+    plan: PartitionPlan,
+    ids: List[int],
+    points: np.ndarray,
+    r: float,
+    certified: frozenset = frozenset(),
+    dropped: frozenset = frozenset(),
+) -> Dict[int, List[tuple]]:
+    """:func:`route`, grouped: ``{pid: [(tag, id, point), ...]}``, each
+    partition's records in route order — the shape :func:`run_routed`
+    takes.  Only partitions that received a record are keys."""
+    grouped: Dict[int, List[tuple]] = {}
+    for pid, record in route(plan, ids, points, r, certified, dropped):
+        grouped.setdefault(pid, []).append(record)
+    return grouped
 
 
 def _charge_kernel_counters(ctx: TaskContext, result) -> None:

@@ -11,7 +11,6 @@ from .models import (
     CELL_WEIGHT,
     INDEX_WEIGHT,
     SCAN_FLOOR,
-    CostModel,
     ball_volume,
     cell_based_cost,
     cell_based_ring_cost,
@@ -36,7 +35,6 @@ __all__ = [
     "CELL_WEIGHT",
     "INDEX_WEIGHT",
     "SCAN_FLOOR",
-    "CostModel",
     "cell_based_ring_cost",
     "expected_occupied_cells",
     "ball_volume",

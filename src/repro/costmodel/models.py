@@ -62,7 +62,6 @@ are unchanged; only the unit conversion is calibrated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ..params import (
     CELL_WEIGHT,
@@ -88,7 +87,6 @@ __all__ = [
     "default_sample_size",
     "select_tier",
     "ALL_TACTICS",
-    "CostModel",
 ]
 
 
@@ -479,27 +477,3 @@ def select_tier(
         n, area, params, ndim, sample_size, candidates, mu=mu
     )
     return "fast" if fast < exact else "exact"
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Bound cost model: fixes ``params``/``ndim`` for repeated estimates.
-
-    Partitioning strategies carry one of these so that cost estimation and
-    algorithm selection share identical assumptions.
-    """
-
-    params: OutlierParams
-    ndim: int = 2
-    candidates: tuple[str, ...] = ("nested_loop", "cell_based")
-
-    def cost(self, algorithm: str, n: float, area: float) -> float:
-        return estimate_cost(algorithm, n, area, self.params, self.ndim)
-
-    def best_algorithm(self, n: float, area: float) -> str:
-        return select_algorithm(
-            n, area, self.params, self.ndim, self.candidates
-        )
-
-    def best_cost(self, n: float, area: float) -> float:
-        return self.cost(self.best_algorithm(n, area), n, area)

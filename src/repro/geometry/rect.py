@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -225,14 +225,3 @@ class Rect:
             f"[{lo:g}, {hi:g}]" for lo, hi in zip(self.low, self.high)
         )
         return f"Rect({dims})"
-
-
-def total_bounding(rects: Iterable[Rect]) -> Rect:
-    """Bounding box of a non-empty collection of rects."""
-    rects = list(rects)
-    if not rects:
-        raise ValueError("need at least one rect")
-    out = rects[0]
-    for rect in rects[1:]:
-        out = out.union_bbox(rect)
-    return out

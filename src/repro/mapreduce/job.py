@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 from .counters import Counters
 
@@ -63,9 +63,6 @@ class TaskContext:
 class Mapper(abc.ABC):
     """Map side of a job."""
 
-    def setup(self, ctx: TaskContext) -> None:
-        """Called once before the first record of each map task."""
-
     @abc.abstractmethod
     def map(self, key: Any, value: Any, ctx: TaskContext) -> Iterable[tuple]:
         """Process one input record; yield ``(key, value)`` pairs."""
@@ -84,26 +81,15 @@ class Mapper(abc.ABC):
         """
         return None
 
-    def cleanup(self, ctx: TaskContext) -> Iterable[tuple]:
-        """Called once after the last record; may yield final pairs."""
-        return ()
-
 
 class Reducer(abc.ABC):
     """Reduce side of a job."""
-
-    def setup(self, ctx: TaskContext) -> None:
-        """Called once before the first group of each reduce task."""
 
     @abc.abstractmethod
     def reduce(
         self, key: Any, values: list, ctx: TaskContext
     ) -> Iterable[Any]:
         """Process one key group; yield output records."""
-
-    def cleanup(self, ctx: TaskContext) -> Iterable[Any]:
-        """Called once after the last group; may yield final records."""
-        return ()
 
 
 class Partitioner(abc.ABC):
@@ -154,8 +140,6 @@ class MapReduceJob:
     n_reducers: int = 1
     partitioner: Partitioner = field(default_factory=HashPartitioner)
     combiner: Optional[Reducer] = None
-    sort_keys: bool = True
-    key_sort_fn: Optional[Callable[[Any], Any]] = None
 
     def __post_init__(self) -> None:
         if self.n_reducers < 1:

@@ -278,7 +278,6 @@ class LocalRuntime:
         )
 
     def _map_attempt(self, job: MapReduceJob, block, ctx: TaskContext):
-        job.mapper.setup(ctx)
         pairs: List[tuple] = []
         block_out = job.mapper.map_block(list(block), ctx)
         if block_out is not None:
@@ -288,24 +287,17 @@ class LocalRuntime:
                 key, value = self._record_kv(record)
                 for out in job.mapper.map(key, value, ctx):
                     pairs.append(out)
-        for out in job.mapper.cleanup(ctx):
-            pairs.append(out)
         if job.combiner is not None:
             pairs = self._combine(job, pairs, ctx)
         return pairs
 
     def _reduce_attempt(self, job: MapReduceJob, groups, ctx: TaskContext):
-        job.reducer.setup(ctx)
-        keys = list(groups)
-        if job.sort_keys:
-            keys.sort(key=job.key_sort_fn)
         outputs: List[Any] = []
         n_in = 0
-        for key in keys:
+        for key in sorted(groups):
             values = groups[key]
             n_in += len(values)
             outputs.extend(job.reducer.reduce(key, values, ctx))
-        outputs.extend(job.reducer.cleanup(ctx))
         return outputs, n_in
 
     # ------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .builtin import (
     HaversineMetric,
     MinkowskiMetric,
     PAD_CODE,
-    decode_row,
     encode_strings,
 )
 
@@ -38,7 +37,6 @@ __all__ = [
     "EARTH_RADIUS_KM",
     "PAD_CODE",
     "encode_strings",
-    "decode_row",
     "METRIC_REGISTRY",
     "METRIC_CHOICES",
     "DEFAULT_METRIC",

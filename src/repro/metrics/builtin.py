@@ -35,7 +35,6 @@ __all__ = [
     "EARTH_RADIUS_KM",
     "PAD_CODE",
     "encode_strings",
-    "decode_row",
 ]
 
 #: Mean Earth radius (IUGG), km — the haversine scale factor.
@@ -214,9 +213,3 @@ def encode_strings(strings, width: int | None = None) -> np.ndarray:
         for j, ch in enumerate(s):
             out[i, j] = float(ord(ch))
     return out
-
-
-def decode_row(row: np.ndarray) -> str:
-    """Inverse of :func:`encode_strings` for one row."""
-    codes = np.rint(np.asarray(row)).astype(np.int64)
-    return "".join(chr(int(c)) for c in codes if c >= 0)

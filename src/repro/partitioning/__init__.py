@@ -9,7 +9,7 @@ from .sampled_strategies import (
     DMTPartitioner,
 )
 from .serialize import load_plan, plan_from_dict, plan_to_dict, save_plan
-from .splitter import bucket_costs, split_by_cost, split_by_weight
+from .splitter import split_by_cost
 from .strategy import PartitioningStrategy, PlanRequest
 
 #: Registry used by the high-level API: name -> constructor.
@@ -40,9 +40,7 @@ __all__ = [
     "MetricSafePlan",
     "STRATEGY_REGISTRY",
     "METRIC_SAFE_STRATEGIES",
-    "bucket_costs",
     "split_by_cost",
-    "split_by_weight",
     "plan_to_dict",
     "plan_from_dict",
     "save_plan",

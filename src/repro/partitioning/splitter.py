@@ -19,33 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..params import OutlierParams
-from ..costmodel import estimate_cost
 from ..geometry import Rect
 from ..sampling import MiniBucketStats
 
-__all__ = ["bucket_costs", "split_by_cost", "split_by_weight", "region_rect"]
-
-
-def bucket_costs(
-    stats: MiniBucketStats, algorithm: str, params: OutlierParams
-) -> np.ndarray:
-    """Per-bucket detection cost using each bucket's *local* density.
-
-    The region-level cost models (Sec. IV) assume uniform density.  Real
-    regions are skewed, so we evaluate the model per mini bucket — inside a
-    bucket the uniformity assumption is as good as the resolution allows —
-    and let region costs be additive sums of bucket costs.  For a truly
-    uniform region both formulations agree.
-    """
-    grid = stats.grid
-    ndim = grid.domain.ndim
-    bucket_area = float(np.prod(grid.cell_widths))
-    costs = np.zeros(grid.n_cells, dtype=float)
-    for flat in stats.nonzero_buckets():
-        n = float(stats.counts[flat])
-        costs[flat] = estimate_cost(algorithm, n, bucket_area, params, ndim)
-    return costs
+__all__ = ["split_by_cost", "region_rect"]
 
 
 @dataclass(frozen=True)
@@ -176,82 +153,4 @@ def _best_cost_cut(
         if best_j is None:
             continue
         return axis, region.lo[axis] + best_j + 1
-    return None
-
-
-def split_by_weight(
-    stats: MiniBucketStats, weights: np.ndarray, m: int
-) -> list[_Region]:
-    """Split the bucket grid into up to ``m`` regions of balanced weight.
-
-    Greedy heaviest-first: pop the heaviest splittable region, cut it along
-    its longest axis at the weighted median bucket boundary, repeat.  The
-    result is a list of bucket-index boxes tiling the grid.
-    """
-    if m < 1:
-        raise ValueError("need m >= 1")
-    grid = stats.grid
-    shape = grid.shape
-    weights = np.asarray(weights, dtype=float).reshape(shape)
-
-    def region_weight(region: _Region) -> float:
-        slices = tuple(slice(l, h) for l, h in zip(region.lo, region.hi))
-        return float(weights[slices].sum())
-
-    root = _Region((0,) * len(shape), tuple(shape))
-    # Heap orders by descending weight; counter breaks ties deterministically.
-    counter = itertools.count()
-    heap = [(-region_weight(root), next(counter), root)]
-    done: list[_Region] = []
-    while heap and len(heap) + len(done) < m:
-        neg_w, _, region = heapq.heappop(heap)
-        cut = _best_cut(weights, region, grid.cell_widths)
-        if cut is None:
-            done.append(region)
-            continue
-        axis, pos = cut
-        left = _Region(
-            region.lo,
-            tuple(pos if i == axis else h for i, h in enumerate(region.hi)),
-        )
-        right = _Region(
-            tuple(pos if i == axis else l for i, l in enumerate(region.lo)),
-            region.hi,
-        )
-        heapq.heappush(heap, (-region_weight(left), next(counter), left))
-        heapq.heappush(heap, (-region_weight(right), next(counter), right))
-    return done + [r for _, _, r in heap]
-
-
-def _best_cut(
-    weights: np.ndarray, region: _Region, cell_widths
-) -> tuple[int, int] | None:
-    """Weighted-median cut along the (domain-)longest splittable axis."""
-    extents = [
-        (h - l) * w
-        for (l, h, w) in zip(region.lo, region.hi, cell_widths)
-    ]
-    axes = sorted(
-        range(len(extents)), key=lambda i: extents[i], reverse=True
-    )
-    slices = tuple(slice(l, h) for l, h in zip(region.lo, region.hi))
-    sub = weights[slices]
-    for axis in axes:
-        if region.hi[axis] - region.lo[axis] <= 1:
-            continue
-        other_axes = tuple(i for i in range(sub.ndim) if i != axis)
-        marginal = sub.sum(axis=other_axes)
-        prefix = np.cumsum(marginal)
-        total = prefix[-1]
-        if total <= 0:
-            # Weightless region: cut in the middle to keep geometry sane.
-            mid = (region.hi[axis] - region.lo[axis]) // 2
-            return axis, region.lo[axis] + mid
-        # Boundary after local index j has left weight prefix[j]; choose
-        # the boundary closest to half, keeping both sides non-empty.
-        candidates = range(0, len(marginal) - 1)
-        best = min(
-            candidates, key=lambda j: abs(prefix[j] - total / 2.0)
-        )
-        return axis, region.lo[axis] + best + 1
     return None

@@ -43,7 +43,7 @@ from ..core.dataset import Dataset
 from ..core.execute import (
     TierPass,
     annotate_tier,
-    route,
+    route_partitions,
     run_routed,
     run_tier_prelude,
 )
@@ -252,12 +252,10 @@ def _run(
 
     # Route every record once (the map side's work, paid up front so
     # replayed partitions never touch their points again).
-    partition_records: Dict[int, List[tuple]] = {}
-    for pid, record in route(
+    partition_records = route_partitions(
         plan, dataset.ids.tolist(), dataset.points, cfg.params.r,
         tier_pass.certified, tier_pass.dropped,
-    ):
-        partition_records.setdefault(pid, []).append(record)
+    )
 
     all_pids = [p.pid for p in plan.partitions]
     pending = [pid for pid in all_pids if pid not in committed]

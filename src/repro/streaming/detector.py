@@ -45,7 +45,7 @@ from ..core.config import RunConfig, resolve_strategy
 from ..core.dataset import Dataset
 from ..core.execute import (
     annotate_tier,
-    route,
+    route_partitions,
     run_routed,
     run_tier_prelude,
 )
@@ -167,14 +167,16 @@ class StreamingDetector:
         #: stream because neighbors only accumulate: a point certified
         #: against real stream points keeps its k witnesses forever.
         self._sample: Optional[SensitivitySample] = None
-        self.tracer = tracer or self.runtime.tracer or Tracer()
+        #: The caller's tracer, if any: it collects one root per batch.
+        #: Without one each batch's tree lives on its report only.
+        self.tracer = tracer or self.runtime.tracer
         self.counters = Counters()
-        self.reports: List[StreamBatchReport] = []
 
         self._ids: np.ndarray | None = None  # (n,) int64
         self._points: np.ndarray | None = None  # (n, d) float
         self._cache: DMTPlanCache | None = None
         #: pid -> [(tag, id, point_tuple), ...], the reducer input shape.
+        #: Derived from plan + points + sample, so never persisted.
         self._partition_records: Dict[int, List[tuple]] = {}
         self._outliers_by_pid: Dict[int, Set[int]] = {}
         self._batch_index = 0
@@ -214,23 +216,30 @@ class StreamingDetector:
 
         ``batch`` is a :class:`Dataset` or a sequence of ``(id, point)``
         records; ids must be new (the stream is append-only).  Returns a
-        :class:`StreamBatchReport`; the cumulative answer is
-        :attr:`outlier_ids`.
+        :class:`StreamBatchReport` (the detector keeps no copy); the
+        cumulative answer is :attr:`outlier_ids`.  A call that raises —
+        a task out of attempts, a broken pool — leaves the stream as it
+        was before the call, so the same batch can be retried.
         """
         ids, points = self._coerce(batch)
         start = time.perf_counter()
-        self._batch_index += 1
         previous_outliers = self.outlier_ids
+        tracer = self.tracer or Tracer()
+        before = self._capture()
 
         prev_tracer = self.runtime.tracer
-        self.runtime.tracer = self.tracer
+        self.runtime.tracer = tracer
         try:
-            with self.tracer.span(
+            self._batch_index += 1
+            with tracer.span(
                 "stream_batch", "run",
                 batch=self._batch_index, n_points=int(ids.shape[0]),
                 r=self.params.r, k=self.params.k,
             ) as span:
                 report = self._ingest_traced(ids, points, span)
+        except BaseException:
+            self._rollback(before)
+            raise
         finally:
             self.runtime.tracer = prev_tracer
 
@@ -248,8 +257,32 @@ class StreamingDetector:
             n_outliers=len(outliers),
         )
         annotate_tier(span, self.config.tier, self.tier)
-        self.reports.append(report)
         return report
+
+    # ------------------------------------------------------------------
+    def _capture(self) -> tuple:
+        """The state one batch can change, for :meth:`_rollback`.  The
+        arrays, the cache, the sample and each partition's record list
+        and verdict set are replaced, never mutated in place, so
+        references (and shallow copies of the two maps) are enough; the
+        cache's live histogram and the counters are mutated, so copied."""
+        cache = self._cache
+        histogram = None if cache is None else (
+            cache.live_counts.copy(), cache.batches_served
+        )
+        return (
+            self._ids, self._points, cache, self._sample, self.tier,
+            self._batch_index, dict(self._partition_records),
+            dict(self._outliers_by_pid), Counters().merge(self.counters),
+            histogram,
+        )
+
+    def _rollback(self, before: tuple) -> None:
+        (self._ids, self._points, self._cache, self._sample, self.tier,
+         self._batch_index, self._partition_records,
+         self._outliers_by_pid, self.counters, histogram) = before
+        if histogram is not None:
+            self._cache.live_counts, self._cache.batches_served = histogram
 
     # ------------------------------------------------------------------
     def _ingest_traced(
@@ -364,27 +397,43 @@ class StreamingDetector:
             self._points = np.vstack([self._points, points])
 
     # ------------------------------------------------------------------
-    def _route(self, ids: np.ndarray, points: np.ndarray) -> Set[int]:
-        """Append routed records for a batch; return the dirty pids."""
+    def _routed(
+        self, ids: np.ndarray, points: np.ndarray
+    ) -> tuple[Dict[int, List[tuple]], Dict[str, int]]:
+        """Route points through the current plan, certifying them
+        against the witness sample when there is one: ``(records by
+        pid, tier counter increments)``.  A pure function of plan,
+        points and sample — the live path applies both halves,
+        :meth:`load` re-derives the records and leaves the counters."""
         certified: frozenset = frozenset()
+        tier_work: Dict[str, int] = {}
         if self._sample is not None and points.shape[0]:
             mask, evals = certified_mask(
                 points, ids, self._sample, self.params,
                 kernel=self.kernel, metric=self.metric,
             )
             certified = frozenset(ids[mask].tolist())
-            self.counters.incr("tier", "certified", len(certified))
-            self.counters.incr(
-                "tier", "residue", int(points.shape[0] - len(certified))
-            )
-            self.counters.incr("tier", "distance_evals", int(evals))
-        dirty: Set[int] = set()
-        for pid, record in route(
+            tier_work = {
+                "certified": len(certified),
+                "residue": int(points.shape[0] - len(certified)),
+                "distance_evals": int(evals),
+            }
+        routed = route_partitions(
             self._cache.plan, ids.tolist(), points, self.params.r, certified
-        ):
-            self._partition_records.setdefault(pid, []).append(record)
-            dirty.add(pid)
-        return dirty
+        )
+        return routed, tier_work
+
+    def _route(self, ids: np.ndarray, points: np.ndarray) -> Set[int]:
+        """Append routed records for a batch; return the dirty pids."""
+        routed, tier_work = self._routed(ids, points)
+        for name, amount in tier_work.items():
+            self.counters.incr("tier", name, amount)
+        for pid, records in routed.items():
+            # A new list, so a failed batch rolls back by reference.
+            self._partition_records[pid] = (
+                self._partition_records.get(pid, []) + records
+            )
+        return set(routed)
 
     def _rebuild(self) -> None:
         """Re-plan from every point seen; re-route all records."""
@@ -448,12 +497,14 @@ class StreamingDetector:
     def save(self, path: str) -> None:
         """Persist the detector's full state as a checksummed artifact.
 
-        Everything the dirty-partition rule depends on is included — the
-        cached plan, the live mini-bucket histogram, every partition's
-        routed records, and the per-partition verdicts — so
-        :meth:`load` resumes the stream exactly where it stopped, with
-        the cache's drift bookkeeping intact.  Writes are atomic: a
-        crash mid-save leaves the previous snapshot.
+        Everything the dirty-partition rule depends on and the stream
+        cannot recompute is included — the points, the cached plan, the
+        live mini-bucket histogram, the witness sample and the
+        per-partition verdicts — so :meth:`load` resumes the stream
+        exactly where it stopped, with the cache's drift bookkeeping
+        intact.  The routed records are a function of plan, points and
+        sample (Def. 3.3) and are re-derived at load, not stored.
+        Writes are atomic: a crash mid-save leaves the previous snapshot.
         """
         cache = None
         if self._cache is not None:
@@ -511,13 +562,6 @@ class StreamingDetector:
                 None if self._points is None else self._points.tolist()
             ),
             "cache": cache,
-            "partition_records": {
-                str(pid): [
-                    [tag, pt_id, list(point)]
-                    for tag, pt_id, point in records
-                ]
-                for pid, records in self._partition_records.items()
-            },
             "outliers_by_pid": {
                 str(pid): sorted(int(x) for x in outliers)
                 for pid, outliers in self._outliers_by_pid.items()
@@ -600,13 +644,9 @@ class StreamingDetector:
             )
             rebuilt.batches_served = int(cache["batches_served"])
             detector._cache = rebuilt
-        detector._partition_records = {
-            int(pid): [
-                (int(tag), int(pt_id), tuple(point))
-                for tag, pt_id, point in records
-            ]
-            for pid, records in payload["partition_records"].items()
-        }
+            detector._partition_records, _ = detector._routed(
+                detector._ids, detector._points
+            )
         detector._outliers_by_pid = {
             int(pid): set(outliers)
             for pid, outliers in payload["outliers_by_pid"].items()
@@ -652,7 +692,8 @@ class StreamingDetector:
         The degradation policy of the recovery layer, applied to
         streams: a missing snapshot silently starts a fresh detector
         (first run); a corrupt or version-mismatched one is *discarded*
-        with a ``RuntimeWarning``, a warning span, and a
+        with a ``RuntimeWarning``, a warning span (on the caller's
+        tracer, when one was passed), and a
         ``recovery/snapshot_fallbacks`` counter — the stream re-runs
         from scratch rather than trusting damaged state.  A snapshot
         whose detection parameters contradict the requested ones raises
@@ -681,12 +722,13 @@ class StreamingDetector:
                 stacklevel=2,
             )
             fresh.counters.incr("recovery", "snapshot_fallbacks")
-            span = Span.begin(
-                "snapshot_fallback", "event",
-                path=path, reason=exc.reason,
-            )
-            span.finish(warning=str(exc))
-            fresh.tracer.record(span)
+            if fresh.tracer is not None:
+                span = Span.begin(
+                    "snapshot_fallback", "event",
+                    path=path, reason=exc.reason,
+                )
+                span.finish(warning=str(exc))
+                fresh.tracer.record(span)
             return fresh
         requested = _restore_identity(fresh.config)
         found = _restore_identity(loaded.config)

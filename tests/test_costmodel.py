@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from repro.costmodel import (
     ALL_TACTICS,
-    CostModel,
     ball_volume,
     bucketwise_best_algorithm,
     bucketwise_cost,
@@ -162,21 +161,6 @@ class TestSelection:
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
             estimate_cost("bogus", 10, 10.0, PARAMS)
-
-    def test_cost_model_wrapper(self):
-        model = CostModel(PARAMS)
-        n, area = 10_000, 10_000.0
-        assert model.cost("nested_loop", n, area) == pytest.approx(
-            nested_loop_cost(n, area, PARAMS)
-        )
-        best = model.best_algorithm(n, area)
-        assert model.best_cost(n, area) == pytest.approx(
-            min(
-                model.cost(a, n, area)
-                for a in ("nested_loop", "cell_based")
-            )
-        )
-        assert best in ("nested_loop", "cell_based")
 
     def test_ring_and_kdtree_models_positive(self):
         assert cell_based_ring_cost(100, 100.0, PARAMS) > 0

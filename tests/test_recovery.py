@@ -7,17 +7,22 @@ write, version skew) degrades toward recomputation — never toward wrong
 or silently partial output.
 """
 
+import gc
 import json
 import os
 import tempfile
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Dataset, detect_outliers
+from repro.core import Dataset, brute_force_outliers, detect_outliers
+from repro.data import region_dataset
+from repro.metrics import resolve_metric
+from repro.observability import Tracer
 from repro.params import OutlierParams
 from repro.recovery import (
     CheckpointMismatch,
@@ -28,6 +33,7 @@ from repro.recovery import (
     ResultJournal,
     SimulatedCrash,
     SnapshotError,
+    canonical_bytes,
     dataset_fingerprint,
     read_artifact,
     read_manifest,
@@ -286,7 +292,207 @@ def _stream(batches=3, **kwargs):
     return detector
 
 
+def _scripted_stream(points, n_bulk, n_batches=6, rebuild_at=3):
+    """``(dataset, steps)``: row sets to ingest in order.  Step 0 is a
+    bulk load spanning the bounding box of everything but the topmost
+    point; the rest arrives as ``n_batches`` appends local in x, and the
+    topmost point ends append ``rebuild_at`` — the one forced rebuild."""
+    trigger = int(points[:, 1].argmax())
+    others = np.setdiff1d(np.arange(len(points)), [trigger])
+    pinned = others[np.unique(np.concatenate([
+        points[others].argmin(axis=0), points[others].argmax(axis=0)
+    ]))]
+    rest = np.setdiff1d(others, pinned)
+    np.random.default_rng(0).shuffle(rest)
+    order = np.concatenate([pinned, rest])
+    tail = order[n_bulk:]
+    tail = tail[np.argsort(points[tail, 0], kind="stable")]
+    steps = [order[:n_bulk]] + np.array_split(tail, n_batches)
+    steps[1 + rebuild_at] = np.append(steps[1 + rebuild_at], trigger)
+    return Dataset.from_points(points), steps
+
+
+#: Steps ingested before each save: right after the bulk load, between
+#: appends, right after the forced rebuild (step 4).
+CUTS = (1, 3, 5)
+CACHE_HITS = [False, True, True, True, False, True, True]
+
+
+def _task_costs(report):
+    return [
+        task.cost_units for job in report.jobs
+        for task in job.map_tasks + job.reduce_tasks
+    ]
+
+
+def _tag_split(detector, ordered_pool=True):
+    """Per partition, what the reducer builds its arrays from: the core
+    records and the support pool, each in list order."""
+    split = {}
+    for pid, records in detector._partition_records.items():
+        pool = [rec for rec in records if rec[0] != 0]
+        split[pid] = (
+            [rec for rec in records if rec[0] == 0],
+            pool if ordered_pool else sorted(pool),
+        )
+    return split
+
+
+def _counters_outside(detector, groups):
+    return {
+        group: names
+        for group, names in detector.counters.as_dict().items()
+        if group not in groups
+    }
+
+
+def _saved_payload(detector, path):
+    """The payload ``save`` writes, less the count of saves itself."""
+    detector.save(path)
+    payload = read_artifact(path, "streaming-snapshot", 1)
+    payload["counters"].pop("recovery", None)
+    return payload
+
+
+def _old_format(detector, payload):
+    """``payload`` as the pre-ISSUE-19 ``save`` wrote it: the routed
+    records stored beside the state they are derived from."""
+    return dict(payload, partition_records={
+        str(pid): [
+            [tag, pt_id, list(point)] for tag, pt_id, point in records
+        ]
+        for pid, records in detector._partition_records.items()
+    })
+
+
 class TestStreamingSnapshot:
+    def _live_and_clones(self, tmp_path, data, steps, **kwargs):
+        """Run the script on one detector, saving at every cut; yield
+        ``(live, reports, cut, clone)`` per cut, each clone loaded from
+        its cut and fed the remaining steps."""
+        from repro.streaming import StreamingDetector
+
+        live = StreamingDetector(seed=5, **kwargs)
+        reports = []
+        for i, rows in enumerate(steps):
+            reports.append(live.ingest(data.subset(rows)))
+            if i + 1 in CUTS:
+                live.save(str(tmp_path / f"cut{i + 1}.snap"))
+        assert [r.cache_hit for r in reports] == CACHE_HITS
+        for cut in CUTS:
+            clone = StreamingDetector.load(str(tmp_path / f"cut{cut}.snap"))
+            resumed = [
+                clone.ingest(data.subset(rows)) for rows in steps[cut:]
+            ]
+            yield live, reports[cut:], clone, resumed
+
+    @pytest.mark.parametrize("tier", ["exact", "fast"])
+    def test_restored_stream_is_the_same_stream(self, tmp_path, tier):
+        """Routed records are re-derived at load, not stored: a stream
+        restored at any cut behaves like the uninterrupted one — cost
+        units included under the exact tier; under the fast tier the
+        support pools come back in canonical order, so only the scan
+        counts may move."""
+        exact = tier == "exact"
+        params = OutlierParams(r=2.0, k=6)
+        data, steps = _scripted_stream(
+            region_dataset("NE", base_n=600, seed=4).points, n_bulk=700
+        )
+        for live, want, clone, got in self._live_and_clones(
+            tmp_path, data, steps, params=params, tier=tier,
+            n_partitions=8, n_reducers=4,
+        ):
+            for a, b in zip(got, want):
+                assert (a.cache_hit, a.dirty_partitions, a.outlier_ids) == (
+                    b.cache_hit, b.dirty_partitions, b.outlier_ids
+                )
+                if exact:
+                    assert _task_costs(a) == _task_costs(b)
+            may_differ = {"recovery"} if exact else {
+                "recovery", "dod", "kernel"
+            }
+            pinned = _counters_outside(clone, may_differ)
+            assert pinned == _counters_outside(live, may_differ)
+            assert "streaming" in pinned and (exact or "tier" in pinned)
+            assert _tag_split(clone, exact) == _tag_split(live, exact)
+            assert clone.outlier_ids == brute_force_outliers(data, params)
+
+    def test_restored_haversine_stream_matches(self, tmp_path):
+        points = np.random.default_rng(4).uniform(
+            (40.0, -75.0), (44.0, -70.0), size=(300, 2)
+        )
+        params = OutlierParams(r=60.0, k=4)
+        data, steps = _scripted_stream(points, n_bulk=180)
+        within = resolve_metric("haversine").within_block(
+            points, points, params.r
+        )
+        oracle = set(np.flatnonzero(within.sum(axis=1) - 1 < params.k))
+        for live, want, clone, got in self._live_and_clones(
+            tmp_path, data, steps, params=params, metric="haversine",
+            n_partitions=6, n_reducers=3,
+        ):
+            assert live.plan.strategy == "MetricSafe"
+            assert [r.outlier_ids for r in got] == [
+                r.outlier_ids for r in want
+            ]
+            assert clone.outlier_ids == oracle
+
+    def test_old_snapshot_with_records_loads_to_the_same_state(
+        self, tmp_path
+    ):
+        from repro.streaming import StreamingDetector
+
+        new_path, old_path = (
+            str(tmp_path / name) for name in ("new.snap", "old.snap")
+        )
+        detector = _stream(batches=3, tier="fast")
+        payload = _saved_payload(detector, new_path)
+        old_payload = _old_format(detector, payload)
+        # Derived state is not persisted: the key is gone, and with it
+        # more than half of the file (1 + the replication rate).
+        assert "partition_records" not in payload
+        assert any(old_payload["partition_records"].values())
+        assert len(canonical_bytes(payload)) * 2 <= len(
+            canonical_bytes(old_payload)
+        )
+        write_artifact(old_path, "streaming-snapshot", 1, old_payload)
+
+        extra = np.random.default_rng(9).normal(
+            (10.0, 10.0), 1.2, size=(40, 2)
+        )
+        states = []
+        for path in (new_path, old_path):
+            clone = StreamingDetector.load(path)
+            state = [
+                _saved_payload(clone, str(tmp_path / "state.snap")),
+                _tag_split(clone),
+            ]
+            report = clone.ingest_points(extra.copy())
+            state += [
+                report.cache_hit, report.dirty_partitions,
+                report.outlier_ids, _task_costs(report),
+            ]
+            states.append(state)
+        assert states[0] == states[1]
+        assert states[0][0] == payload
+
+    def test_detector_retains_no_report_or_trace(self):
+        from repro.streaming import StreamingDetector
+
+        detector = StreamingDetector(PARAMS, seed=5)
+        report = detector.ingest(DATASET)
+        trace = weakref.ref(report.trace)
+        del report
+        gc.collect()
+        assert trace() is None
+        assert not hasattr(detector, "reports")
+
+    def test_supplied_tracer_collects_every_batch(self):
+        tracer = Tracer()
+        detector = _stream(batches=3, tracer=tracer)
+        assert detector.tracer is tracer
+        assert [root.name for root in tracer.roots] == ["stream_batch"] * 3
+
     def test_roundtrip_preserves_stream_state(self, tmp_path):
         from repro.streaming import StreamingDetector
 

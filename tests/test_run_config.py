@@ -427,11 +427,13 @@ class TestSnapshotIdentity:
         det.ingest(DATA)
         det.save(path)
         payload = read_artifact(path, "streaming-snapshot", 1)
+        # The literal is the old format: routed records are derived
+        # state, so a save no longer writes them.
         reference = tmp_path / "reference.snap"
         literal_snapshot(reference)
         assert set(payload) == set(
             read_artifact(str(reference), "streaming-snapshot", 1)
-        )
+        ) - {"partition_records"}
         assert (payload["tier"], payload["seed"]) == ("fast", 5)
         assert (payload["n_partitions"], payload["n_reducers"]) == (6, 3)
 

@@ -5,8 +5,8 @@ import pytest
 
 from repro.geometry import Rect, UniformGrid
 from repro.params import OutlierParams
-from repro.partitioning import split_by_cost, split_by_weight
-from repro.partitioning.splitter import bucket_costs, region_rect
+from repro.partitioning import split_by_cost
+from repro.partitioning.splitter import region_rect
 from repro.sampling import MiniBucketStats
 
 
@@ -86,31 +86,3 @@ class TestSplitByCost:
             return sum(1 for r in regions if r.lo[1] >= 4)
 
         assert sparse_regions(by_cost) >= sparse_regions(by_count)
-
-
-class TestSplitByWeight:
-    def test_median_split_tiles(self):
-        stats = make_stats(np.ones((6, 6)))
-        regions = split_by_weight(stats, stats.counts, 4)
-        assert len(regions) == 4
-        total = sum(
-            len(list(r.buckets(stats.grid.shape))) for r in regions
-        )
-        assert total == 36
-
-    def test_zero_weight_region_splits_geometrically(self):
-        stats = make_stats(np.zeros((4, 4)))
-        regions = split_by_weight(stats, stats.counts, 4)
-        assert len(regions) == 4
-
-
-class TestBucketCosts:
-    def test_zero_buckets_zero_cost(self):
-        stats = make_stats(np.zeros((4, 4)))
-        costs = bucket_costs(stats, "nested_loop", OutlierParams(1.0, 4))
-        assert costs.sum() == 0.0
-
-    def test_positive_for_nonzero(self):
-        stats = make_stats(np.full((4, 4), 10.0))
-        costs = bucket_costs(stats, "nested_loop", OutlierParams(1.0, 4))
-        assert (costs > 0).all()

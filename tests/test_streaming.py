@@ -27,6 +27,7 @@ from repro.mapreduce import (
 )
 from repro.partitioning import PlanRequest
 from repro.core.pipeline import resolve_strategy
+from repro.recovery import canonical_bytes, read_artifact
 from repro.streaming import DMTPlanCache, StreamingDetector
 
 PARAMS = OutlierParams(r=2.0, k=4)
@@ -264,6 +265,78 @@ class TestAppendOnlyContract:
         detector.ingest([(7, [1.0, 1.0]), (9, [2.0, 2.0])])
         report = detector.ingest_points(np.array([[3.0, 3.0]]))
         assert 10 in report.outlier_ids  # auto id continues past max
+
+
+class _BreakableRuntime(LocalRuntime):
+    """Raises from every stream detection job while ``broken`` is set."""
+
+    broken = False
+
+    def run(self, job, input_data, block_records=None):
+        if self.broken and "stream" in job.name:
+            raise RuntimeError("injected: the detection job failed")
+        return super().run(job, input_data, block_records)
+
+
+def _persisted(detector, path):
+    """Everything ``save`` persists (less the count of saves itself),
+    canonically serialised, plus the records derived from it."""
+    detector.save(path)
+    payload = read_artifact(path, "streaming-snapshot", 1)
+    payload["counters"].pop("recovery", None)
+    return (
+        canonical_bytes(payload),
+        {pid: list(r) for pid, r in detector._partition_records.items()},
+    )
+
+
+class TestFailedBatch:
+    """A raising ``ingest`` leaves the stream exactly as it was, so the
+    batch can be retried — on the append path and on a rebuild."""
+
+    @pytest.mark.parametrize("tier", ["exact", "fast"])
+    @pytest.mark.parametrize("path", ["append", "rebuild"])
+    def test_stream_is_unchanged_and_batch_retryable(
+        self, tmp_path, path, tier
+    ):
+        params = OutlierParams(r=2.0, k=6)
+        points = region_dataset("MA", base_n=1500, seed=4).points
+        # The head spans the data's bounding box, so the plain tail is
+        # served from the cached plan...
+        extremes = np.unique(np.concatenate(
+            [points.argmin(axis=0), points.argmax(axis=0)]
+        ))
+        rest = np.setdiff1d(np.arange(len(points)), extremes)
+        points = points[np.concatenate([extremes, rest])]
+        if path == "rebuild":
+            # ...and one point outside it forces a re-plan.
+            points[-1] = points.max(axis=0) + 5.0
+        data = Dataset.from_points(points)
+        head = data.subset(np.arange(1000))
+        tail = data.subset(np.arange(1000, data.n))
+
+        runtime = _BreakableRuntime(CLUSTER)
+        detector = StreamingDetector(
+            params, runtime=runtime, cluster=CLUSTER, tier=tier,
+            n_partitions=8, n_reducers=4, seed=3,
+        )
+        detector.ingest(head)
+        snap = str(tmp_path / "stream.snap")
+        before = _persisted(detector, snap)
+
+        runtime.broken = True
+        with pytest.raises(RuntimeError, match="injected"):
+            detector.ingest(tail)
+        assert detector.n_seen == head.n
+        assert detector.outlier_ids == brute_force_outliers(head, params)
+        assert _persisted(detector, snap) == before
+
+        runtime.broken = False
+        report = detector.ingest(tail)
+        assert report.cache_hit == (path == "append")
+        assert report.batch_index == 2
+        assert detector.n_seen == data.n
+        assert detector.outlier_ids == brute_force_outliers(data, params)
 
 
 @pytest.mark.parametrize("transport", ["pickle", "shm"])
