@@ -46,6 +46,10 @@ import numpy as np
 
 __all__ = ["Kernel", "KernelUnavailable", "scalar_metric_count"]
 
+#: Query rows per block of the tiled scan, so two float64 ``ROW_BLOCK x
+#: tile`` buffers stay cache-resident; 256 / 512 / 1024 measure the same.
+ROW_BLOCK = 512
+
 
 class KernelUnavailable(RuntimeError):
     """The requested backend cannot run here (missing optional dep)."""
@@ -146,53 +150,62 @@ class Kernel(abc.ABC):
     ) -> tuple[np.ndarray, int, int]:
         """Metric-generic body for non-Euclidean spaces.
 
-        The default picks the tiled ``within_block`` batch path when the
-        metric vectorizes and the scalar reference loop otherwise; the
-        scalar ``python`` oracle overrides this to stay scalar always.
-        Both paths reconstruct scalar stop positions exactly, so they
-        return identical ``(counts, charged)`` — only ``computed``
-        (tile overshoot) differs.
+        Tiled ``within_block`` batches when the metric vectorizes, the
+        scalar reference loop otherwise (always, in the ``python``
+        oracle's override).  Both reconstruct scalar stop positions, so
+        ``(counts, charged)`` agree — only ``computed`` (tile overshoot)
+        differs.
         """
-        if metric.vectorized:
-            return self._count_metric_tiled(
-                queries, candidates, r, need, metric
-            )
-        return scalar_metric_count(queries, candidates, r, need, metric)
+        if not metric.vectorized:
+            return scalar_metric_count(queries, candidates, r, need, metric)
 
-    def _count_metric_tiled(
-        self,
-        queries: np.ndarray,
-        candidates: np.ndarray,
-        r: float,
-        need: int,
-        metric,
+        def match(q: np.ndarray, start: int, stop: int) -> np.ndarray:
+            return metric.within_block(q, candidates[start:stop], r)
+
+        return self._scan_tiles(queries, candidates.shape[0], need, match)
+
+    def _scan_tiles(
+        self, queries: np.ndarray, n_c: int, need: int, match
     ) -> tuple[np.ndarray, int, int]:
-        # Same masked-early-termination machinery as the numpy Euclidean
-        # tile, with the metric's within_block supplying the match matrix.
-        counts = np.zeros(queries.shape[0], dtype=np.int64)
-        undecided = np.arange(queries.shape[0])
-        charged = 0
-        computed = 0
-        width = max(8, min(self.tile, 2 * need))
-        start = 0
-        while start < candidates.shape[0] and undecided.size:
-            block = candidates[start:start + width]
-            start += block.shape[0]
-            width = min(self.tile, 2 * width)
-            q = queries[undecided]
-            within = metric.within_block(q, block, r)
-            computed += q.shape[0] * block.shape[0]
-            cumulative = counts[undecided, None] + np.cumsum(within, axis=1)
-            reached = cumulative >= need
-            decided_here = reached[:, -1]
-            if decided_here.any():
-                stop_at = reached[decided_here].argmax(axis=1) + 1
-                charged += int(stop_at.sum())
-                counts[undecided[decided_here]] = need
-            still = ~decided_here
-            charged += int(still.sum()) * block.shape[0]
-            counts[undecided[still]] += within[still].sum(axis=1)
-            undecided = undecided[still]
+        """The one tiled scan every vectorised path runs through.
+
+        ``match(q, start, stop)`` returns the boolean ``(len(q),
+        stop - start)`` tile of ``d(q[i], candidate[start + j]) <= r`` —
+        all that differs between metrics.  Queries go in blocks of
+        ``ROW_BLOCK`` rows (independent, so blocking is invisible); a
+        block walks tiles whose width doubles from ``~2 x need`` up to
+        the ``tile`` cap and sheds rows as they decide.  A row count
+        says who decided; only those rows pay the prefix sum that
+        recovers their scalar stop position.
+        """
+        counts = np.empty(queries.shape[0], dtype=np.int64)
+        charged = computed = 0
+        for low in range(0, queries.shape[0], ROW_BLOCK):
+            q = queries[low:low + ROW_BLOCK]
+            rows = np.arange(low, low + q.shape[0])
+            running = np.zeros(q.shape[0], dtype=np.int64)
+            width = min(self.tile, max(8, 2 * need))
+            start = 0
+            while start < n_c and rows.size:
+                stop = min(n_c, start + width)
+                width = min(self.tile, 2 * width)
+                within = match(q, start, stop)
+                computed += within.size
+                total = running + within.sum(axis=1)
+                hit = (total >= need).nonzero()[0]
+                if hit.size:
+                    missing = (need - running[hit])[:, None]
+                    reached = np.cumsum(within[hit], axis=1) >= missing
+                    # Scalar stop: 1-based column of the need-th match,
+                    # and the count pinned at ``need`` — not the tile's.
+                    charged += int(reached.argmax(axis=1).sum()) + hit.size
+                    counts[rows[hit]] = need
+                    keep = total < need
+                    q, rows, total = q[keep], rows[keep], total[keep]
+                charged += rows.size * (stop - start)
+                running = total
+                start = stop
+            counts[rows] = running
         return counts, charged, computed
 
 

@@ -1,10 +1,11 @@
 """The ``numpy`` backend: query-block x candidate-tile batched scan.
 
-Candidates are processed in tiles; each tile evaluates a dense
-(undecided-queries x tile) distance matrix, then a cumulative-count
-mask recovers, per query, the exact position where a scalar loop would
-have stopped.  Queries decided inside a tile leave the working set, so
-later tiles shrink — masked early termination at tile granularity, with
+The scan is :meth:`~repro.kernels.base.Kernel._scan_tiles`, the one
+tiled driver shared with the vectorised-metric path; this backend
+supplies only the Euclidean match tile.  Per tile a row count settles
+which queries reached ``need``, and those alone pay the prefix sum that
+recovers where a scalar loop would have stopped.  Decided queries leave
+the working set — masked early termination at tile granularity, with
 *charged* evals kept scalar-faithful at candidate granularity:
 
 * a query whose cumulative count reaches ``need`` at tile column ``j`` is
@@ -18,25 +19,29 @@ batching, visible in the ``kernel`` counter group as the
 charged/computed ratio.
 
 Tile widths grow geometrically from ``~2 x need`` up to the ``tile``
-cap: on early-exit-friendly workloads most queries stop within their
-first few dozen candidates, so a fixed wide tile would compute an order
-of magnitude more distances than the scalar loop charges and hand the
-vectorization win straight back.  Narrow first tiles keep the overshoot
-bounded while survivors still get full-width batches.  Tiling width
-never affects results — the cumulative-count mask reconstructs the same
-scalar stop positions under any split.
+cap: most queries of an early-exit-friendly workload stop within their
+first few dozen candidates, where a fixed wide tile would compute an
+order of magnitude more distances than the scalar loop charges.  Neither
+tile width nor query blocking affects results — the prefix sum
+reconstructs the same scalar stop positions under any split.
+
+Nothing but the boolean result is allocated per tile: distances
+accumulate through ``out=`` into two flat buffers made once per call,
+sized to the call and reshaped (contiguous views) per tile.  A fresh
+``(rows, tile)`` float64 temporary arrives as page-faulted memory and
+costs several times the arithmetic it holds.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import Kernel
+from . import base
 
 __all__ = ["NumpyKernel"]
 
 
-class NumpyKernel(Kernel):
+class NumpyKernel(base.Kernel):
     """Tiled vectorized scan with masked early termination."""
 
     name = "numpy"
@@ -49,38 +54,25 @@ class NumpyKernel(Kernel):
         need: int,
     ) -> tuple[np.ndarray, int, int]:
         r2 = r * r
-        counts = np.zeros(queries.shape[0], dtype=np.int64)
-        undecided = np.arange(queries.shape[0])
-        charged = 0
-        computed = 0
-        width = max(8, min(self.tile, 2 * need))
-        start = 0
-        while start < candidates.shape[0] and undecided.size:
-            block = candidates[start:start + width]
-            start += block.shape[0]
-            width = min(self.tile, 2 * width)
-            q = queries[undecided]
+        n_c = candidates.shape[0]
+        columns = np.ascontiguousarray(candidates.T)
+        scratch = np.empty(
+            (2, min(base.ROW_BLOCK, queries.shape[0]) * min(self.tile, n_c))
+        )
+
+        def match(q: np.ndarray, start: int, stop: int) -> np.ndarray:
             # Per-coordinate accumulation, in coordinate order: the same
             # float ops the scalar oracle performs, so d2 is bitwise
             # identical (no a^2+b^2-2ab expansion, whose rounding could
-            # flip exact boundary distances) — and ~8x faster than a
-            # (n_q, tile, d) broadcast by skipping the 3-D intermediate.
-            d2 = np.square(q[:, 0, None] - block[None, :, 0])
+            # flip exact boundary distances).
+            rows, width = q.shape[0], stop - start
+            d2, sq = scratch[:, :rows * width].reshape(2, rows, width)
+            np.subtract(q[:, :1], columns[0, start:stop], out=d2)
+            np.square(d2, out=d2)
             for j in range(1, q.shape[1]):
-                d2 += np.square(q[:, j, None] - block[None, :, j])
-            computed += q.shape[0] * block.shape[0]
-            within = d2 <= r2
-            cumulative = counts[undecided, None] + np.cumsum(within, axis=1)
-            reached = cumulative >= need
-            decided_here = reached[:, -1]
-            if decided_here.any():
-                stop_at = reached[decided_here].argmax(axis=1) + 1
-                charged += int(stop_at.sum())
-                # Scalar stop count: the running count the moment it hit
-                # ``need`` — not the tile's full match count.
-                counts[undecided[decided_here]] = need
-            still = ~decided_here
-            charged += int(still.sum()) * block.shape[0]
-            counts[undecided[still]] += within[still].sum(axis=1)
-            undecided = undecided[still]
-        return counts, charged, computed
+                np.subtract(q[:, j:j + 1], columns[j, start:stop], out=sq)
+                np.square(sq, out=sq)
+                np.add(d2, sq, out=d2)
+            return d2 <= r2
+
+        return self._scan_tiles(queries, n_c, need, match)

@@ -24,6 +24,7 @@ from repro.kernels import (
     numba_available,
     resolve_kernel,
 )
+from repro.metrics.builtin import MinkowskiMetric
 
 BACKENDS = ["python", "numpy"] + (
     ["numba"] if numba_available() else []
@@ -201,6 +202,27 @@ class TestAccounting:
             )
             assert np.array_equal(counts, expected_counts), tile
             assert evals == expected_evals, tile
+
+    def test_one_candidate_tiles_compute_what_they_charge(self):
+        # ``tile`` is a cap: at tile=1 there is no tile to overshoot in.
+        batched = NumpyKernel(tile=1)
+        _, charged = batched.count_neighbors(Q, C, 1.0, 3)
+        assert charged == PythonKernel().count_neighbors(Q, C, 1.0, 3)[1]
+        assert batched.evals_computed == batched.evals_charged
+
+    @pytest.mark.parametrize("tile", [1, 2, 7])
+    def test_no_match_tile_is_wider_than_tile(self, tile):
+        widths = []
+
+        class Recording(MinkowskiMetric):
+            def within_block(self, queries, candidates, r):
+                widths.append(candidates.shape[0])
+                return super().within_block(queries, candidates, r)
+
+        NumpyKernel(tile=tile).count_neighbors(
+            Q, C, 1.0, 3, metric=Recording(1.0)
+        )
+        assert widths and max(widths) <= tile
 
     def test_need_nonpositive_still_counts_the_call(self, kernel):
         kernel.count_neighbors(Q, C, 1.0, 0)
