@@ -6,7 +6,8 @@ centralized algorithm can be applied independently on each partition") and
 any partitioning strategy.  This example:
 
 1. implements a striped partitioning strategy (vertical slabs of equal
-   width) as a ~20-line PartitioningStrategy subclass;
+   point count, cut at the quantiles of the input batch's x column) as
+   a ~20-line PartitioningStrategy subclass;
 2. runs it through the standard pipeline;
 3. swaps the reducer-side algorithm for the KD-tree extension detector,
    growing the paper's algorithm candidate set A.
@@ -26,26 +27,26 @@ from repro.partitioning import (
 
 
 class StripedPartitioner(PartitioningStrategy):
-    """Vertical slabs of equal width — simple, but density-oblivious."""
+    """Vertical slabs holding equal shares of the points."""
 
     name = "Striped"
     uses_support_area = True
 
     def build_plan(self, runtime, input_data, request):
+        # ``input_data`` is the dataset as one RecordBatch: ``.ids`` is
+        # the (n,) id column, ``.points`` the (n, d) coordinate matrix.
         domain = request.domain
         m = request.n_partitions
-        width = domain.widths[0] / m
+        cuts = np.quantile(
+            input_data.points[:, 0], np.linspace(0, 1, m + 1)[1:-1]
+        )
+        edges = [domain.low[0], *cuts.tolist(), domain.high[0]]
         partitions = [
             Partition(
                 pid=i,
                 rect=Rect(
-                    (domain.low[0] + i * width, domain.low[1]),
-                    (
-                        domain.high[0]
-                        if i == m - 1
-                        else domain.low[0] + (i + 1) * width,
-                        domain.high[1],
-                    ),
+                    (edges[i], domain.low[1]),
+                    (edges[i + 1], domain.high[1]),
                 ),
             )
             for i in range(m)

@@ -48,7 +48,7 @@ def main() -> None:
         seed=2,
     )
     plan = DMTPartitioner(DSHCConfig(t_max_fraction=0.5)).build_plan(
-        runtime, list(data.records()), request
+        runtime, data.batch(), request
     )
 
     print(f"dataset: {data.name}  n={data.n}  density={data.density:.2f}")

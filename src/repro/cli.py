@@ -775,7 +775,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         seed=args.seed, metric="euclidean", tier="exact",
     )
     plan = cfg.strategy.timed_plan(
-        LocalRuntime(cluster), list(dataset.records()),
+        LocalRuntime(cluster), dataset.batch(),
         cfg.plan_request(dataset.bounds),
     )
     save_plan(plan, args.output)

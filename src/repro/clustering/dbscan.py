@@ -39,6 +39,7 @@ from ..mapreduce import (
     ClusterConfig,
     LocalRuntime,
     MapReduceJob,
+    RecordBatch,
     Reducer,
     TaskContext,
 )
@@ -123,14 +124,13 @@ class _LocalDBSCANReducer(Reducer):
         self.min_pts = min_pts
 
     def reduce(self, key, values, ctx: TaskContext):
-        ids = [pid for _, pid, _ in values]
-        points = np.asarray([pt for _, _, pt in values], dtype=float)
-        if points.shape[0] == 0:
-            return
+        rows = RecordBatch.concat(values)
+        ids = rows.ids.tolist()
         local = dbscan_reference(
-            Dataset(points, np.arange(len(ids))), self.eps, self.min_pts
+            Dataset(rows.points, np.arange(len(ids))), self.eps,
+            self.min_pts,
         )
-        ctx.add_cost(float(points.shape[0]))
+        ctx.add_cost(float(len(ids)))
         for row, label in local.labels.items():
             if label == NOISE:
                 continue
@@ -194,7 +194,7 @@ def distributed_dbscan(
         reducer=_LocalDBSCANReducer(eps, min_pts),
         n_reducers=n_reducers,
     )
-    result = runtime.run(job, list(dataset.records()))
+    result = runtime.run(job, dataset.batch())
 
     # ------------------------------------------------------------------
     # Merge phase: unify local clusters that share any point id.

@@ -14,6 +14,7 @@ from typing import Iterator
 import numpy as np
 
 from ..geometry import Rect
+from ..mapreduce.batch import RecordBatch
 
 __all__ = ["Dataset"]
 
@@ -79,10 +80,14 @@ class Dataset:
             name or self.name,
         )
 
+    def batch(self) -> RecordBatch:
+        """Every row as one record batch — what a job over this dataset
+        reads; its columns are this dataset's arrays, not copies."""
+        return RecordBatch(self.ids, self.points)
+
     def records(self) -> Iterator[tuple[int, np.ndarray]]:
-        """Iterate ``(id, point)`` records — the HDFS record format."""
-        for pid, point in zip(self.ids.tolist(), self.points):
-            yield pid, point
+        """Iterate ``(id, point)`` records, one Python pair per row."""
+        return iter(self.batch())
 
     def concat(self, other: "Dataset", name: str | None = None) -> "Dataset":
         """Union of two datasets with disjoint ids."""

@@ -9,8 +9,9 @@ holds the three steps they have in common, each taking the resolved
 
 * :func:`route` — the Fig. 3 map function: one core record per point
   plus a support record for every partition whose ``r``-expansion
-  contains it.  Batch runs call it inside map tasks, checkpointed and
-  streaming runs on the driver, grouped by :func:`route_partitions`;
+  contains it, as one :class:`~repro.mapreduce.RecordBatch` per
+  partition.  Batch runs call it inside map tasks, checkpointed and
+  streaming runs on the driver;
 * :func:`run_routed` — the detection job over records that are already
   routed: pack the partitions onto reducers, detect, report
   ``(partition, outlier_id)``;
@@ -22,7 +23,15 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import (
+    Callable,
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+)
 
 import numpy as np
 
@@ -34,6 +43,7 @@ from ..mapreduce import (
     LocalRuntime,
     MapReduceJob,
     Mapper,
+    RecordBatch,
     Reducer,
     TaskContext,
 )
@@ -49,8 +59,8 @@ from ..tiers import (
 from .config import RunConfig
 from .dataset import Dataset
 
-__all__ = ["TierPass", "annotate_tier", "route", "route_partitions",
-           "run_routed", "run_tier_prelude"]
+__all__ = ["TierPass", "annotate_tier", "route", "run_routed",
+           "run_tier_prelude"]
 
 #: Cost units charged per mapper input record (plan lookup) and per emitted
 #: record (serialization into the shuffle).  One constant for every
@@ -60,60 +70,46 @@ _MAP_RECORD_COST = 1.0
 _MAP_EMIT_COST = 1.0
 
 
+def _id_array(ids: Collection[int]) -> np.ndarray:
+    """An id collection (set, list or array) as an int64 array."""
+    if isinstance(ids, np.ndarray):
+        return ids
+    return np.fromiter(ids, dtype=np.int64, count=len(ids))
+
+
 def route(
     plan: PartitionPlan,
-    ids: List[int],
-    points: np.ndarray,
+    batch: RecordBatch,
     r: float,
-    certified: frozenset = frozenset(),
-    dropped: frozenset = frozenset(),
-) -> List[tuple]:
-    """Route points through ``plan``: ``[(pid, (tag, id, point))]``.
+    certified: Collection[int] = (),
+    dropped: Collection[int] = (),
+) -> List[Tuple[int, RecordBatch]]:
+    """Route a block through ``plan``: ``[(pid, tagged batch)]``, one
+    pair per partition the block touches, in ascending ``pid``.
 
-    Every point yields one record for its core partition, then one
+    Every point yields one record for its core partition, and one
     support record (tag 1, Def. 3.3) for each partition whose
-    ``r``-expansion contains it.  ``certified`` ids are the fast tier's
-    pre-cleared inliers: they enter their *own* partition demoted from
-    core (tag 0) to support, so every pool stays complete (Lemma 3.1)
-    but no detector re-decides them.  ``dropped`` ids (certified points
-    farther than ``r`` from every residue point) can witness no
-    remaining query and are not routed at all.
+    ``r``-expansion contains it; a partition's batch holds its core
+    records in block order, then its support records in block order.
+    ``certified`` ids are the fast tier's pre-cleared inliers: they
+    enter their *own* partition demoted from core (tag 0) to support,
+    so every pool stays complete (Lemma 3.1) but no detector re-decides
+    them.  ``dropped`` ids (certified points farther than ``r`` from
+    every residue point) can witness no remaining query and are not
+    routed at all.
     """
-    points = np.asarray(points, dtype=float)
-    if dropped:
-        keep = [i for i, pid in enumerate(ids) if pid not in dropped]
-        ids = [ids[i] for i in keep]
-        points = points[keep]
-    if not ids:
+    if len(dropped):
+        batch = batch[~np.isin(batch.ids, _id_array(dropped))]
+    if not len(batch):
         return []
-    core, support_pairs = plan.assign_batch(points, r)
-    tuples = list(map(tuple, points.tolist()))
-    pairs = [
-        (key, (1 if pid in certified else 0, pid, point))
-        for key, pid, point in zip(core.tolist(), ids, tuples)
-    ]
-    pairs.extend(
-        (pid, (1, ids[row], tuples[row]))
-        for row, pid in support_pairs.tolist()
-    )
-    return pairs
-
-
-def route_partitions(
-    plan: PartitionPlan,
-    ids: List[int],
-    points: np.ndarray,
-    r: float,
-    certified: frozenset = frozenset(),
-    dropped: frozenset = frozenset(),
-) -> Dict[int, List[tuple]]:
-    """:func:`route`, grouped: ``{pid: [(tag, id, point), ...]}``, each
-    partition's records in route order — the shape :func:`run_routed`
-    takes.  Only partitions that received a record are keys."""
-    grouped: Dict[int, List[tuple]] = {}
-    for pid, record in route(plan, ids, points, r, certified, dropped):
-        grouped.setdefault(pid, []).append(record)
-    return grouped
+    core, support_pairs = plan.assign_batch(batch.points, r)
+    rows = np.concatenate([np.arange(len(batch)), support_pairs[:, 0]])
+    tags = np.ones(rows.shape[0], dtype=np.int8)
+    tags[:len(batch)] = np.isin(batch.ids, _id_array(certified))
+    return RecordBatch(
+        batch.ids[rows], batch.points[rows], tags,
+        np.concatenate([core, support_pairs[:, 1]]),
+    ).group_by_key()
 
 
 def _charge_kernel_counters(ctx: TaskContext, result) -> None:
@@ -200,26 +196,16 @@ class _DODReducer(Reducer):
         self.algorithm_plan = algorithm_plan
 
     def reduce(self, key, values, ctx: TaskContext):
-        core_ids: List[int] = []
-        core_pts: List[tuple] = []
-        support_pts: List[tuple] = []
-        for tag, pid, point in values:
-            if tag == 0:
-                core_ids.append(pid)
-                core_pts.append(point)
-            else:
-                support_pts.append(point)
-        if not core_pts:
+        rows = RecordBatch.concat(values)
+        core = rows.tags == 0
+        if not core.any():
             return
         algorithm = self.algorithm_plan.get(key) or self.cfg.detector
         ctx.counters.incr("dod", f"algorithm_{algorithm}")
         ctx.counters.incr("dod", "partitions_processed")
         result = _detect_partition(
             ctx, self.cfg, algorithm, key,
-            np.asarray(core_pts),
-            np.asarray(core_ids, dtype=np.int64),
-            np.asarray(support_pts) if support_pts
-            else np.empty((0, len(core_pts[0]))),
+            rows.points[core], rows.ids[core], rows.points[~core],
         )
         for outlier_id in result.outlier_ids:
             yield key, outlier_id
@@ -228,9 +214,10 @@ class _DODReducer(Reducer):
 class _RoutedMapper(Mapper):
     """Identity mapper for records already routed to their partition.
 
-    Checkpointed and streaming runs keep ``(partition, (tag, id, point))``
-    records per partition, so their job's map side only re-emits them
-    into the shuffle — the plan lookup was paid once, on the driver.
+    Checkpointed and streaming runs keep each partition's tagged
+    batches, so their job's map side only re-emits a block's rows into
+    the shuffle under the keys they carry — the plan lookup was paid
+    once, on the driver.
     """
 
     def map(self, key, value, ctx: TaskContext):
@@ -239,7 +226,7 @@ class _RoutedMapper(Mapper):
 
     def map_block(self, records, ctx: TaskContext):
         ctx.add_cost((_MAP_RECORD_COST + _MAP_EMIT_COST) * len(records))
-        return list(records)
+        return records.group_by_key()
 
 
 def run_routed(
@@ -247,7 +234,7 @@ def run_routed(
     name: str,
     cfg: RunConfig,
     plan: PartitionPlan,
-    partition_records: Dict[int, List[tuple]],
+    partition_records: Dict[int, List[RecordBatch]],
     pids: Iterable[int],
     on_commit: Optional[Callable] = None,
 ) -> Optional[JobResult]:
@@ -263,14 +250,16 @@ def run_routed(
     there), so what that one observes is always already handled.
     """
     target = sorted(pids)
-    sizes = [len(partition_records.get(pid, ())) for pid in target]
+    batches = [partition_records.get(pid, ()) for pid in target]
+    sizes = [sum(map(len, held)) for held in batches]
     if not any(sizes):
         return None
-    records = [
-        (pid, record)
-        for pid in target
-        for record in partition_records.get(pid, ())
-    ]
+    # One keyed batch, partitions in pid order: the runtime cuts map
+    # tasks at record boundaries, whatever partition they fall in.
+    rows = RecordBatch.concat([b for held in batches for b in held])
+    records = RecordBatch(
+        rows.ids, rows.points, rows.tags, np.repeat(target, sizes)
+    )
     alloc = allocate(sizes, min(cfg.n_reducers, len(target)))
     table = {pid: alloc.assignment[i] for i, pid in enumerate(target)}
     job = MapReduceJob(
@@ -322,7 +311,6 @@ def run_tier_prelude(
     runtime: LocalRuntime,
     dataset: Dataset,
     cfg: RunConfig,
-    records: Optional[List[tuple]] = None,
     certify: bool = True,
 ) -> TierPass:
     """Resolve ``cfg.tier`` against the data and run the fast pass.
@@ -335,10 +323,8 @@ def run_tier_prelude(
     """
     if cfg.tier == "exact":
         return TierPass()
-    if records is None:
-        records = list(dataset.records())
     stats = collect_minibucket_stats(
-        runtime, records, dataset.bounds,
+        runtime, dataset.batch(), dataset.bounds,
         n_buckets=cfg.n_buckets, rate=cfg.sample_rate, seed=cfg.seed,
         n_reducers=cfg.n_reducers,
     )
@@ -354,7 +340,7 @@ def run_tier_prelude(
     if not certify:
         return TierPass(tier, sample)
     certified, dropped, certification, job = run_certification(
-        runtime, records, sample, cfg
+        runtime, dataset.batch(), sample, cfg
     )
     return TierPass(
         tier, sample, frozenset(certified), frozenset(dropped),

@@ -22,7 +22,7 @@ Two pipelines are provided, both run by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Collection, Dict, List
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from ..mapreduce import (
     LocalRuntime,
     MapReduceJob,
     Mapper,
+    RecordBatch,
     Reducer,
     TaskContext,
 )
@@ -43,6 +44,7 @@ from .execute import (
     _MAP_RECORD_COST,
     _detect_partition,
     _DODReducer,
+    _id_array,
     route,
 )
 from .outliers import OutlierParams, neighbor_counts
@@ -95,13 +97,13 @@ class _DODMapper(Mapper):
         self,
         plan: PartitionPlan,
         r: float,
-        certified_ids: Optional[frozenset] = None,
-        dropped_ids: Optional[frozenset] = None,
+        certified_ids: Collection[int] = (),
+        dropped_ids: Collection[int] = (),
     ) -> None:
         self.plan = plan
         self.r = r
-        self.certified_ids = certified_ids or frozenset()
-        self.dropped_ids = dropped_ids or frozenset()
+        self.certified_ids = _id_array(certified_ids)
+        self.dropped_ids = _id_array(dropped_ids)
 
     def map(self, key, value, ctx: TaskContext):
         pid, point = key, value
@@ -121,23 +123,24 @@ class _DODMapper(Mapper):
         ctx.add_cost(_MAP_RECORD_COST + _MAP_EMIT_COST * emitted)
 
     def map_block(self, records, ctx: TaskContext):
-        """Vectorized block path: same output pairs as :meth:`map`."""
+        """Vectorized block path: the records :meth:`map` emits, as one
+        batch per partition."""
         if not records:
             return []
-        ids = [r[0] for r in records]
-        n_kept = len(ids)
-        if self.dropped_ids:
-            n_kept -= sum(1 for pid in ids if pid in self.dropped_ids)
-            ctx.counters.incr("dod", "dropped_records", len(ids) - n_kept)
+        n_kept = len(records)
+        if len(self.dropped_ids):
+            n_kept -= int(np.isin(records.ids, self.dropped_ids).sum())
+            ctx.counters.incr(
+                "dod", "dropped_records", len(records) - n_kept
+            )
         pairs = route(
-            self.plan, ids,
-            np.asarray([r[1] for r in records], dtype=float), self.r,
-            self.certified_ids, self.dropped_ids,
+            self.plan, records, self.r, self.certified_ids, self.dropped_ids
         )
+        n_out = sum(len(batch) for _, batch in pairs)
         if pairs:
-            ctx.counters.incr("dod", "support_records", len(pairs) - n_kept)
+            ctx.counters.incr("dod", "support_records", n_out - n_kept)
         ctx.add_cost(
-            _MAP_RECORD_COST * len(ids) + _MAP_EMIT_COST * len(pairs)
+            _MAP_RECORD_COST * len(records) + _MAP_EMIT_COST * n_out
         )
         return pairs
 
@@ -147,8 +150,8 @@ def _run_framework(
     input_data,
     plan: PartitionPlan,
     cfg: RunConfig,
-    certified_ids: Optional[frozenset] = None,
-    dropped_ids: Optional[frozenset] = None,
+    certified_ids: Collection[int] = (),
+    dropped_ids: Collection[int] = (),
 ) -> DetectionRun:
     """The single-pass framework: one MapReduce job end to end."""
     partitioner = (
@@ -196,17 +199,15 @@ class _LocalOnlyMapper(Mapper):
         yield self.plan.core_pid(point_t), (pid, point_t)
 
     def map_block(self, records, ctx: TaskContext):
-        """Vectorized block path: same output pairs as :meth:`map`."""
+        """Vectorized block path: the records :meth:`map` emits, as one
+        batch per partition."""
         if not records:
             return []
-        ids = [r[0] for r in records]
-        points = np.asarray([r[1] for r in records], dtype=float)
-        core = self.plan.core_pids_batch(points)
         ctx.add_cost((_MAP_RECORD_COST + _MAP_EMIT_COST) * len(records))
-        return [
-            (int(core[i]), (ids[i], tuple(map(float, points[i]))))
-            for i in range(len(records))
-        ]
+        return RecordBatch(
+            records.ids, records.points,
+            keys=self.plan.core_pids_batch(records.points),
+        ).group_by_key()
 
 
 class _LocalDetectReducer(Reducer):
@@ -231,8 +232,8 @@ class _LocalDetectReducer(Reducer):
 
     def reduce(self, key, values, ctx: TaskContext):
         params = self.cfg.params
-        ids = np.asarray([v[0] for v in values], dtype=np.int64)
-        pts = np.asarray([v[1] for v in values], dtype=float)
+        rows = RecordBatch.concat(values)
+        ids, pts = rows.ids, rows.points
         result = _detect_partition(
             ctx, self.cfg, self.cfg.detector, key,
             pts, ids, np.empty((0, pts.shape[1])),

@@ -2,9 +2,9 @@
 
 :func:`detect_outliers` is the library's main entry point.  It
 
-1. turns the dataset into ``(id, point)`` records, which the runtime
-   cuts into blocks of ``ClusterConfig.hdfs_block_records`` (one map
-   task each),
+1. hands the runtime the dataset's columns as one record batch, which
+   it slices into blocks of ``ClusterConfig.hdfs_block_records`` (one
+   map task each),
 2. asks the chosen partitioning strategy for a plan (strategies that need
    statistics run the sampling pre-processing job here),
 3. runs the detection MapReduce job (or the two-job Domain baseline), and
@@ -218,7 +218,7 @@ def detect_outliers(
     runtime = runtime or LocalRuntime(cluster)
     tracer = tracer or runtime.tracer or Tracer()
 
-    records = list(dataset.records())
+    records = dataset.batch()
     prev_tracer = runtime.tracer
     runtime.tracer = tracer
     try:
@@ -238,7 +238,7 @@ def detect_outliers(
                 requested = strategy_name = plan.strategy
 
             start = time.perf_counter()
-            tier_pass = run_tier_prelude(runtime, dataset, cfg, records)
+            tier_pass = run_tier_prelude(runtime, dataset, cfg)
             if uses_support:
                 run = _run_framework(
                     runtime, records, plan, cfg,

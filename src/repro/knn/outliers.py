@@ -43,6 +43,7 @@ from ..mapreduce import (
     LocalRuntime,
     MapReduceJob,
     Mapper,
+    RecordBatch,
     Reducer,
     TaskContext,
 )
@@ -108,13 +109,11 @@ class _RoutingMapper(Mapper):
     def map_block(self, records, ctx: TaskContext):
         if not records:
             return []
-        points = np.asarray([r[1] for r in records], dtype=float)
-        core = self.plan.core_pids_batch(points)
         ctx.add_cost(float(len(records)))
-        return [
-            (int(core[i]), (records[i][0], tuple(map(float, points[i]))))
-            for i in range(len(records))
-        ]
+        return RecordBatch(
+            records.ids, records.points,
+            keys=self.plan.core_pids_batch(records.points),
+        ).group_by_key()
 
 
 class _BoundReducer(Reducer):
@@ -124,12 +123,10 @@ class _BoundReducer(Reducer):
         self.k = k
 
     def reduce(self, key, values, ctx: TaskContext):
-        ids = [pid for pid, _ in values]
-        points = np.asarray([pt for _, pt in values], dtype=float)
-        bounds = _knn_distance(points, points, self.k)
-        ctx.add_cost(float(points.shape[0]))
-        for pid, bound in zip(ids, bounds):
-            yield pid, float(bound)
+        rows = RecordBatch.concat(values)
+        bounds = _knn_distance(rows.points, rows.points, self.k)
+        ctx.add_cost(float(len(rows)))
+        yield from zip(rows.ids.tolist(), bounds.tolist())
 
 
 class _RefineMapper(Mapper):
@@ -211,7 +208,7 @@ def distributed_knn_outliers(
         ],
         strategy="knn-grid",
     )
-    records = list(dataset.records())
+    records = dataset.batch()
 
     bound_job = MapReduceJob(
         "knn-bound", _RoutingMapper(plan), _BoundReducer(k),

@@ -36,6 +36,7 @@ from ..mapreduce import (
     ClusterConfig,
     LocalRuntime,
     MapReduceJob,
+    RecordBatch,
     Reducer,
     TaskContext,
 )
@@ -110,18 +111,13 @@ class _LOCIReducer(Reducer):
         self.params = params
 
     def reduce(self, key, values, ctx: TaskContext):
-        core_ids = [pid for tag, pid, _ in values if tag == 0]
-        core_pts = np.asarray(
-            [pt for tag, _, pt in values if tag == 0], dtype=float
-        )
-        all_pts = np.asarray([pt for _, _, pt in values], dtype=float)
-        if core_pts.shape[0] == 0:
+        rows = RecordBatch.concat(values)
+        core = rows.tags == 0
+        if not core.any():
             return
-        ctx.add_cost(float(all_pts.shape[0] * len(self.params.radii)))
-        flags = _loci_flags(core_pts, all_pts, self.params)
-        for pid, flagged in zip(core_ids, flags):
-            if flagged:
-                yield pid
+        ctx.add_cost(float(len(rows) * len(self.params.radii)))
+        flags = _loci_flags(rows.points[core], rows.points, self.params)
+        yield from rows.ids[core][flags].tolist()
 
 
 def distributed_loci(
@@ -149,5 +145,5 @@ def distributed_loci(
         reducer=_LOCIReducer(params),
         n_reducers=n_reducers,
     )
-    result = runtime.run(job, list(dataset.records()))
+    result = runtime.run(job, dataset.batch())
     return set(result.outputs)

@@ -1,5 +1,6 @@
 """Simulated MapReduce substrate (jobs, runtimes, cluster model)."""
 
+from .batch import RecordBatch
 from .cluster import LOCAL_TEST_CLUSTER, ClusterConfig, makespan
 from .counters import Counters
 from .failures import (
@@ -62,6 +63,7 @@ __all__ = [
     "DictPartitioner",
     "MapReduceJob",
     "TaskContext",
+    "RecordBatch",
     "JobResult",
     "LocalRuntime",
     "ParallelRuntime",

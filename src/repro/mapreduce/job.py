@@ -68,12 +68,16 @@ class Mapper(abc.ABC):
         """Process one input record; yield ``(key, value)`` pairs."""
 
     def map_block(
-        self, records: list, ctx: TaskContext
+        self, records, ctx: TaskContext
     ) -> Optional[Iterable[tuple]]:
         """Optional vectorized path: process one whole input block.
 
-        Return an iterable of ``(key, value)`` pairs to take over the
-        block, or ``None`` to fall back to per-record :meth:`map` calls.
+        ``records`` is a slice of the job's input: a
+        :class:`~repro.mapreduce.batch.RecordBatch` of point rows, or a
+        list of generic records.  Return an iterable of ``(key, value)``
+        pairs to take over the block — a point mapper emits one
+        ``(key, batch)`` pair per key — or ``None`` to fall back to
+        per-record :meth:`map` calls.
         Semantically equivalent to mapping each record; it exists because
         a real MapReduce worker's per-record cost is a few machine
         instructions, while a Python-level per-record loop would dominate

@@ -51,6 +51,7 @@ from .runtime import (
     LocalRuntime,
     TaskStats,
     _empty_reduce_output,
+    _record_count,
     _shuffle,
 )
 from .scheduler import SPECULATIVE_ATTEMPT_BASE
@@ -207,16 +208,17 @@ class ParallelRuntime(LocalRuntime):
                     map_results
                 ):
                     task_bytes = _shuffle(job, pairs, reducer_inputs)
+                    n_out = _record_count(value for _, value in pairs)
                     result.map_tasks.append(
                         TaskStats(task_id, "map", wall, cost_units,
-                                  len(blocks[task_id]), len(pairs))
+                                  len(blocks[task_id]), n_out)
                     )
                     result.counters.merge(counters)
-                    result.shuffle_records += len(pairs)
+                    result.shuffle_records += n_out
                     result.shuffle_bytes += task_bytes
                     span.annotate(
                         input_records=len(blocks[task_id]),
-                        output_records=len(pairs),
+                        output_records=n_out,
                         shuffle_bytes=task_bytes,
                         dispatch_bytes=task_bytes_map[task_id],
                     )

@@ -1,14 +1,16 @@
 """The local MapReduce runtime: map -> combine -> shuffle/sort -> reduce.
 
-Executes a :class:`~repro.mapreduce.job.MapReduceJob` over a list of
-records, cut into blocks of ``ClusterConfig.hdfs_block_records`` the way
-the paper's input sits in HDFS ("points randomly distributed over
-blocks", Sec. III-B).  Every phase is fully materialized in-process, but
+Executes a :class:`~repro.mapreduce.job.MapReduceJob` over a
+:class:`~repro.mapreduce.batch.RecordBatch` of points (or a list of
+generic records), cut into blocks of ``ClusterConfig.hdfs_block_records``
+the way the paper's input sits in HDFS ("points randomly distributed
+over blocks", Sec. III-B).  Every phase is fully materialized in-process, but
 the runtime keeps the books a real cluster would:
 
 * one map task per block, one reduce task per reducer index;
 * per-task wall time and reported cost units;
-* shuffle volume (records and approximate bytes) between map and reduce;
+* shuffle volume between map and reduce (a batch counts its rows and
+  its column bytes; generic pairs count one each and an estimate);
 * a simulated *makespan* per phase from the cluster slot model.
 
 This is the substrate every experiment in the paper runs on: the paper's
@@ -23,9 +25,11 @@ import sys
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence
+from itertools import chain
+from typing import Any, Dict, Iterable, List, Sequence
 
 from ..observability.tracing import Span, Tracer
+from .batch import RecordBatch
 from .cluster import ClusterConfig
 from .counters import Counters
 from .job import MapReduceJob, TaskContext
@@ -78,7 +82,8 @@ class JobResult:
           relative cost of indexing vs. distance arithmetic in this
           implementation.
         * ``"units"`` — the task's deterministic cost units (distance
-          evaluations + index operations), machine-independent.
+          evaluations + index operations), machine-independent.  Only a
+          job in which no task reported any falls back to wall seconds.
         """
         return self.simulated_phase_time(
             "map", cluster, metric
@@ -98,14 +103,20 @@ class JobResult:
 
         return makespan([self._task_cost(t, metric) for t in tasks], slots)
 
-    @staticmethod
-    def _task_cost(task: TaskStats, metric: str = "wall") -> float:
+    def _task_cost(self, task: TaskStats, metric: str = "wall") -> float:
         if metric == "wall":
             return task.wall_seconds
         if metric == "units":
-            return (
-                task.cost_units if task.cost_units > 0 else task.wall_seconds
-            )
+            # A task that did no chargeable work (a reducer whose
+            # partitions hold support rows only) costs the zero it
+            # reported: reading the clock for it would make the units
+            # of a job that does report them differ from run to run.
+            if any(
+                t.cost_units > 0
+                for t in chain(self.map_tasks, self.reduce_tasks)
+            ):
+                return task.cost_units
+            return task.wall_seconds
         raise ValueError(f"unknown metric: {metric!r}")
 
     def reduce_task_costs(self, metric: str = "wall") -> List[float]:
@@ -163,9 +174,9 @@ class LocalRuntime:
     ) -> JobResult:
         """Execute ``job`` over ``input_data`` and return its result.
 
-        ``input_data`` is a record sequence, split into blocks of
-        ``block_records`` records (default: the cluster's
-        ``hdfs_block_records``), one map task each.
+        ``input_data`` is a :class:`RecordBatch` or a record sequence,
+        sliced into blocks of ``block_records`` records (default: the
+        cluster's ``hdfs_block_records``), one map task each.
         """
         blocks = self._resolve_blocks(input_data, block_records)
         result = JobResult(job.name, outputs=[], counters=Counters())
@@ -190,15 +201,16 @@ class LocalRuntime:
                 empty=list,
             )
             task_bytes = _shuffle(job, pairs, reducer_inputs)
+            n_out = _record_count(value for _, value in pairs)
             result.map_tasks.append(
                 TaskStats(task_id, "map", wall, ctx.cost_units,
-                          len(block), len(pairs))
+                          len(block), n_out)
             )
             result.counters.merge(ctx.counters)
-            result.shuffle_records += len(pairs)
+            result.shuffle_records += n_out
             result.shuffle_bytes += task_bytes
             task_span.annotate(
-                input_records=len(block), output_records=len(pairs),
+                input_records=len(block), output_records=n_out,
                 shuffle_bytes=task_bytes,
             )
             map_span.add_child(task_span)
@@ -279,7 +291,7 @@ class LocalRuntime:
 
     def _map_attempt(self, job: MapReduceJob, block, ctx: TaskContext):
         pairs: List[tuple] = []
-        block_out = job.mapper.map_block(list(block), ctx)
+        block_out = job.mapper.map_block(block, ctx)
         if block_out is not None:
             pairs.extend(block_out)
         else:
@@ -296,7 +308,7 @@ class LocalRuntime:
         n_in = 0
         for key in sorted(groups):
             values = groups[key]
-            n_in += len(values)
+            n_in += _record_count(values)
             outputs.extend(job.reducer.reduce(key, values, ctx))
         return outputs, n_in
 
@@ -310,11 +322,13 @@ class LocalRuntime:
         )
         if size < 1:
             raise ValueError("block size must be at least one record")
-        records = list(input_data)
-        if not records:
-            return [()]
+        if not isinstance(input_data, (RecordBatch, list, tuple)):
+            input_data = list(input_data)
+        # Slices: a block of a batch is a view of its columns.  Empty
+        # input still schedules one (empty) map task.
         return [
-            tuple(records[i:i + size]) for i in range(0, len(records), size)
+            input_data[i:i + size]
+            for i in range(0, max(len(input_data), 1), size)
         ]
 
     @staticmethod
@@ -341,6 +355,14 @@ def _empty_reduce_output() -> tuple:
     return [], 0
 
 
+def _record_count(values: Iterable) -> int:
+    """Records in a run of shuffle values: a batch is its rows."""
+    return sum(
+        len(value) if isinstance(value, RecordBatch) else 1
+        for value in values
+    )
+
+
 def _shuffle(
     job: MapReduceJob,
     pairs: Sequence[tuple],
@@ -351,8 +373,8 @@ def _shuffle(
     The partitioner is asked, and its answer range-checked, once per
     distinct key of the task: a key's destination is a function of the
     key alone, or its values would not meet in one reduce call.  Returns
-    the task's shuffle-byte estimate: records x the width of its first
-    record.
+    the task's shuffle bytes: the column bytes of its batches, or for
+    generic pairs an estimate, records x the width of the first record.
     """
     values_of: Dict[Any, List[Any]] = {}
     for key, value in pairs:
@@ -369,6 +391,8 @@ def _shuffle(
     if not pairs:
         return 0
     key, value = pairs[0]
+    if isinstance(value, RecordBatch):
+        return sum(batch.nbytes for _, batch in pairs)
     return len(pairs) * (_approx_size(key) + _approx_size(value))
 
 

@@ -17,28 +17,23 @@ This module makes the dispatch path pluggable:
 * :class:`ShmTransport` — the zero-copy plane.  A :class:`ShmArena`
   writes the job context once and each phase's task payloads once into
   ``multiprocessing.shared_memory`` segments; only tiny ``(segment,
-  offset, shape, dtype)`` descriptors (:class:`ShmRef`) travel through
+  offset, size, buffers)`` descriptors (:class:`ShmRef`) travel through
   the pool.  Workers attach read-only views, cache the decoded job
   context per process, and retries / speculative duplicates reuse the
   same segment instead of re-pickling.
 
-Payload encodings (tried in order, first match wins):
-
-* ``"block"`` — an input block of ``(id, point)`` records
-  (:func:`records_as_arrays`): one int64 id array
-  plus one ``(n, d)`` point array, original dtype preserved bit-exactly
-  (float32 inputs stay float32).  Decoded records hand the mapper
-  read-only row views into the segment — no copy.
-* ``"groups"`` — a reducer input ``{int key: [(int, ..., point-tuple)]}``
-  mapping with uniform value arity, the shape both detection shuffles
-  produce: key/offset/int-column/point arrays, key order and per-key
-  value order preserved exactly.
-* ``"pickle"`` — anything else is pickled *once* into the segment; the
-  descriptor still keeps the executor pipe payload O(1).
-
-All three decode to objects that compare equal to the originals, which
-is what lets the differential suite assert byte-identical outlier sets,
-counters, and ``distance_evals`` across transports.
+One payload encoding: pickle protocol 5 with out-of-band buffers.  The
+pickle stream of a payload holds its structure; every contiguous numpy
+array in it — the columns of a :class:`~repro.mapreduce.batch
+.RecordBatch` block, of each batch in a reducer's ``{key: [batch, ...]}``
+input, the plan's tables in the job context — is laid out in the
+segment as raw bytes, and a worker rebuilds it as a read-only view of
+the segment, not a copy.  What is columnar is so because its type says
+so; nothing guesses a layout from a payload's elements, and a payload
+without arrays is simply a pickle stream with no buffers.  Decoded
+payloads compare equal to the originals, which is what lets the
+differential suite assert byte-identical outlier sets, counters, and
+``distance_evals`` across transports.
 
 Segment lifecycle is deterministic and crash-safe: the runtime
 releases the arena in a ``finally`` (so failure-injected
@@ -50,21 +45,19 @@ into ``/dev/shm``.
 from __future__ import annotations
 
 import multiprocessing
-import operator
 import os
 import pickle
 import time
 import uuid
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 __all__ = [
     "TRANSPORTS",
     "SEGMENT_PREFIX",
-    "ArrayRef",
     "ShmRef",
     "ShmArena",
     "PickleEnvelope",
@@ -99,179 +92,20 @@ _PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
 # Descriptors
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class ArrayRef:
-    """One array (or raw byte span) inside a segment."""
-
-    offset: int
-    shape: Tuple[int, ...]
-    dtype: str  # numpy dtype string, or "bytes" for a raw pickle span
-
-
-@dataclass(frozen=True)
 class ShmRef:
-    """Descriptor of one encoded payload: everything a worker needs to
-    attach and rebuild it, small enough to ship through the pool pipe."""
+    """Descriptor of one packed payload, small enough to ship through
+    the pool pipe whatever the payload holds: its pickle stream is
+    ``size`` bytes at ``offset``; the ``(offset, nbytes)`` table of its
+    ``buffers`` out-of-band buffers follows, in the segment too."""
 
     segment: str
-    kind: str  # "block" | "groups" | "pickle"
-    arrays: Tuple[ArrayRef, ...]
+    offset: int
+    size: int
+    buffers: int
 
 
-# ----------------------------------------------------------------------
-# Payload codecs (encode: payload -> (kind, arrays-or-bytes);
-#                 decode: segment views -> payload)
-# ----------------------------------------------------------------------
-def records_as_arrays(
-    records: Sequence,
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Columnar ``(ids, points)`` arrays for ``(id, point)`` records.
-
-    The detection pipeline's HDFS record format is ``(id, point)`` with a
-    plain-int id and a 1-D numeric point of uniform dimensionality.  When
-    ``records`` matches that shape, return ``(ids int64 (n,), points
-    (n, d))`` with the points' original dtype preserved — the columnar
-    form the shared-memory transport writes into its segments.  Return
-    ``None`` for anything else (empty blocks, mixed shapes, non-numeric
-    payloads); callers then fall back to generic serialization.
-    """
-    if not records:
-        return None
-    first = records[0]
-    if type(first) is not tuple or len(first) != 2:
-        return None
-    p0 = first[1]
-    if (
-        not isinstance(p0, np.ndarray)
-        or p0.ndim != 1
-        or p0.dtype.kind not in "fiu"
-    ):
-        return None
-    # Validation runs as C-level set/map passes over whole columns
-    # rather than a per-record Python loop: this sits on the dispatch
-    # hot path of the shared-memory transport.  The uniform-dtype check
-    # is load-bearing — np.stack would silently upcast a mixed
-    # float32/float64 column, changing detector arithmetic downstream.
-    if (
-        set(map(type, records)) != {tuple}
-        or set(map(len, records)) != {2}
-    ):
-        return None
-    ids = [r[0] for r in records]
-    rows = [r[1] for r in records]
-    if set(map(type, ids)) != {int} or set(map(type, rows)) != {np.ndarray}:
-        return None
-    get_dtype = operator.attrgetter("dtype")
-    get_shape = operator.attrgetter("shape")
-    if (
-        set(map(get_dtype, rows)) != {p0.dtype}
-        or set(map(get_shape, rows)) != {p0.shape}
-    ):
-        return None
-    try:
-        id_col = np.asarray(ids, dtype=np.int64)
-    except OverflowError:  # ids beyond int64 range
-        return None
-    # np.stack copies row by row in C (handling non-contiguous inputs)
-    # and keeps the uniform dtype verified above.
-    return id_col, np.stack(rows)
-
-
-def _encode_block(payload) -> Optional[Tuple[str, List[np.ndarray]]]:
-    if not isinstance(payload, (tuple, list)):
-        return None
-    columns = records_as_arrays(payload)
-    if columns is None:
-        return None
-    ids, points = columns
-    return "block", [ids, points]
-
-
-def _decode_block(views: List[np.ndarray]) -> List[tuple]:
-    ids, points = views
-    return list(zip(ids.tolist(), points))
-
-
-def _encode_groups(payload) -> Optional[Tuple[str, List[np.ndarray]]]:
-    if not isinstance(payload, dict):
-        return None
-    keys: List[int] = []
-    counts: List[int] = []
-    flat: List[tuple] = []
-    for key, values in payload.items():
-        if type(key) is not int or not isinstance(values, list):
-            return None
-        keys.append(key)
-        counts.append(len(values))
-        flat.extend(values)
-    arity = ndim = None
-    for value in flat:  # cheap structural scan; element types come below
-        if type(value) is not tuple or not value:
-            return None
-        point = value[-1]
-        if type(point) is not tuple:
-            return None
-        if arity is None:
-            arity, ndim = len(value), len(point)
-        elif len(value) != arity or len(point) != ndim:
-            return None
-    if arity is None:  # no values at all; shapes still carry the layout
-        arity, ndim = 1, 0
-    n_values = len(flat)
-    # Element validation is vectorized: dtype *inference* (no forced
-    # dtype) makes numpy reject mixed or non-numeric columns for us —
-    # a float in an int column infers float64, a string infers object,
-    # both fall back to the pickle codec.  Columns are converted one at
-    # a time because a 1-D asarray over scalars is ~2x cheaper than a
-    # 2-D asarray over row tuples.  The one silent coercion is
-    # bool-for-int (True -> 1), which compares equal on decode.
-    try:
-        if arity > 1:
-            cols = []
-            for i in range(arity - 1):
-                col = np.asarray([v[i] for v in flat])
-                if col.dtype != np.int64 or col.ndim != 1:
-                    return None
-                cols.append(col)
-            int_cols = np.stack(cols, axis=1)
-        else:
-            int_cols = np.empty((n_values, 0), dtype=np.int64)
-        if ndim > 0 and n_values:
-            points_list = [v[-1] for v in flat]
-            pcols = []
-            for j in range(ndim):
-                col = np.asarray([p[j] for p in points_list])
-                if col.dtype != np.float64 or col.ndim != 1:
-                    return None
-                pcols.append(col)
-            points = np.stack(pcols, axis=1)
-        else:
-            points = np.empty((n_values, ndim), dtype=np.float64)
-    except (ValueError, OverflowError):  # ragged rows, huge ints
-        return None
-    offsets = np.zeros(len(keys) + 1, dtype=np.int64)
-    if counts:
-        np.cumsum(counts, out=offsets[1:])
-    return "groups", [
-        np.asarray(keys, dtype=np.int64),
-        offsets,
-        int_cols,
-        points,
-    ]
-
-
-def _decode_groups(views: List[np.ndarray]) -> Dict[int, list]:
-    keys, offsets, int_cols, points = views
-    key_list = keys.tolist()
-    bounds = offsets.tolist()
-    ints = int_cols.tolist()
-    pts = points.tolist()
-    values = [
-        (*ints[i], tuple(pts[i])) for i in range(len(ints))
-    ]
-    return {
-        key: values[bounds[j]:bounds[j + 1]]
-        for j, key in enumerate(key_list)
-    }
+def _aligned(cursor: int) -> int:
+    return -(-cursor // _ALIGN) * _ALIGN
 
 
 # ----------------------------------------------------------------------
@@ -423,53 +257,43 @@ class ShmArena:
         """Encode ``payloads`` into one new segment; return descriptors."""
         if self._released:
             raise RuntimeError("arena already released")
-        plans: Dict[Any, Tuple[str, list]] = {}
-        for tid, payload in payloads.items():
-            plan = _encode_block(payload) or _encode_groups(payload)
-            if plan is None:
-                plan = "pickle", [
-                    pickle.dumps(payload, protocol=_PICKLE_PROTO)
-                ]
-            plans[tid] = plan
-
-        # Lay out every array/blob back to back, aligned.
+        # Lay out every stream, buffer table and buffer back to back,
+        # aligned so rebuilt arrays are element-aligned.
         cursor = 0
-        placed: Dict[Any, List[Tuple[int, Any]]] = {}
-        for tid, (_, parts) in plans.items():
-            spans = []
-            for part in parts:
-                cursor = -(-cursor // _ALIGN) * _ALIGN
-                spans.append((cursor, part))
-                cursor += (
-                    len(part) if isinstance(part, bytes) else part.nbytes
-                )
-            placed[tid] = spans
+        spans: List[Tuple[int, Any]] = []  # (offset, bytes to write)
+        layout: Dict[Any, Tuple[int, int, int]] = {}
+        for tid, payload in payloads.items():
+            buffers: List[pickle.PickleBuffer] = []
+            stream = pickle.dumps(
+                payload, protocol=_PICKLE_PROTO,
+                buffer_callback=buffers.append,
+            )
+            raws = [buffer.raw() for buffer in buffers]
+            start = _aligned(cursor)
+            table_at = _aligned(start + len(stream))
+            cursor = table_at + 16 * len(raws)
+            offsets = []
+            for raw in raws:
+                cursor = _aligned(cursor)
+                offsets.append(cursor)
+                cursor += raw.nbytes
+            table = np.array(
+                [(at, raw.nbytes) for at, raw in zip(offsets, raws)],
+                dtype=np.int64,
+            ).tobytes()
+            spans += [(start, stream), (table_at, table), *zip(offsets, raws)]
+            layout[tid] = (start, len(stream), len(raws))
 
         segment = self._create_segment(cursor)
-        refs: Dict[Any, ShmRef] = {}
-        for tid, (kind, _) in plans.items():
-            array_refs = []
-            for offset, part in placed[tid]:
-                if isinstance(part, bytes):
-                    segment.buf[offset:offset + len(part)] = part
-                    array_refs.append(
-                        ArrayRef(offset, (len(part),), "bytes")
-                    )
-                else:
-                    dest = np.ndarray(
-                        part.shape, dtype=part.dtype,
-                        buffer=segment.buf, offset=offset,
-                    )
-                    dest[...] = part
-                    array_refs.append(
-                        ArrayRef(offset, part.shape, part.dtype.str)
-                    )
-            refs[tid] = ShmRef(segment.name, kind, tuple(array_refs))
-        return refs
+        for offset, part in spans:
+            segment.buf[offset:offset + len(part)] = part
+        return {
+            tid: ShmRef(segment.name, *span) for tid, span in layout.items()
+        }
 
     def pack_object(self, obj: Any) -> ShmRef:
-        """Pickle ``obj`` once into its own segment (the job context)."""
-        return self.pack({0: _AlwaysPickle(obj)})[0]
+        """Pack ``obj`` alone into its own segment (the job context)."""
+        return self.pack({0: obj})[0]
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -515,22 +339,6 @@ class ShmArena:
         self._segments.clear()
 
 
-class _AlwaysPickle:
-    """Wrapper that forces the generic pickle encoding for its value."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Any) -> None:
-        self.value = value
-
-    def __reduce__(self):
-        return _rebuild_value, (self.value,)
-
-
-def _rebuild_value(value):
-    return value
-
-
 # ----------------------------------------------------------------------
 # Worker side: attach + decode
 # ----------------------------------------------------------------------
@@ -563,47 +371,36 @@ def _attach(segment: str) -> shared_memory.SharedMemory:
 
 def close_attachments() -> None:
     """Close this process's cached attachments (test/bench hygiene)."""
+    # Cached payloads are views of the segments: drop them first.
+    _OBJECT_CACHE.clear()
     for handle in _ATTACHMENTS.values():
         handle.close()
     _ATTACHMENTS.clear()
-    _OBJECT_CACHE.clear()
-
-
-def _views(ref: ShmRef) -> List[Any]:
-    buf = _attach(ref.segment).buf
-    out: List[Any] = []
-    for aref in ref.arrays:
-        if aref.dtype == "bytes":
-            out.append(bytes(buf[aref.offset:aref.offset + aref.shape[0]]))
-        else:
-            view = np.ndarray(
-                aref.shape, dtype=np.dtype(aref.dtype),
-                buffer=buf, offset=aref.offset,
-            )
-            view.flags.writeable = False
-            out.append(view)
-    return out
 
 
 def resolve_ref(ref: ShmRef, cache: bool = False) -> Any:
-    """Rebuild the payload a descriptor points at.
+    """Rebuild the payload a descriptor points at; its arrays are
+    read-only views of the segment.
 
     ``cache=True`` memoizes the decoded object per process — used for
     the job context so each worker unpickles the runtime + job (plan
     included) once per job instead of once per task.
     """
-    key = (ref.segment, ref.arrays[0].offset if ref.arrays else 0)
+    key = (ref.segment, ref.offset)
     if cache and key in _OBJECT_CACHE:
         return _OBJECT_CACHE[key]
-    views = _views(ref)
-    if ref.kind == "block":
-        payload = _decode_block(views)
-    elif ref.kind == "groups":
-        payload = _decode_groups(views)
-    elif ref.kind == "pickle":
-        payload = pickle.loads(views[0])
-    else:  # pragma: no cover - descriptor corruption
-        raise ValueError(f"unknown payload kind {ref.kind!r}")
+    buf = _attach(ref.segment).buf.toreadonly()
+    table = np.frombuffer(
+        buf, dtype=np.int64, count=2 * ref.buffers,
+        offset=_aligned(ref.offset + ref.size),
+    )
+    payload = pickle.loads(
+        buf[ref.offset:ref.offset + ref.size],
+        buffers=[
+            buf[start:start + nbytes]
+            for start, nbytes in table.reshape(-1, 2).tolist()
+        ],
+    )
     if cache:
         _OBJECT_CACHE[key] = payload
     return payload

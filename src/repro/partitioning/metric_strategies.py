@@ -141,10 +141,9 @@ class MetricSafePartitioner(PartitioningStrategy):
             self.metric if self.metric is not None
             else getattr(request, "metric", None)
         )
-        records = list(input_data)
-        if not records:
+        n = len(input_data)
+        if not n:
             raise ValueError("cannot partition an empty dataset")
-        n = len(records)
         target = max(
             request.n_partitions,
             int(round(request.sample_rate * n)),
@@ -153,7 +152,7 @@ class MetricSafePartitioner(PartitioningStrategy):
         rng = np.random.default_rng(request.seed)
         idx = rng.choice(n, size=min(target, n), replace=False)
         idx.sort()
-        sample = np.asarray([records[i][1] for i in idx], dtype=float)
+        sample = input_data.points[idx]
 
         n_parts = min(request.n_partitions, sample.shape[0])
         pivot_rows = select_pivots_maxmin(

@@ -72,8 +72,9 @@ class PartitioningStrategy(abc.ABC):
     ) -> PartitionPlan:
         """Build the partition plan for ``input_data``.
 
-        ``input_data`` is a record list of ``(id, point)`` pairs (used
-        only by strategies that sample).
+        ``input_data`` is the points as one
+        :class:`~repro.mapreduce.RecordBatch` — ``.ids``, ``.points``
+        (used only by strategies that sample).
         """
 
     def timed_plan(

@@ -43,7 +43,7 @@ from ..core.dataset import Dataset
 from ..core.execute import (
     TierPass,
     annotate_tier,
-    route_partitions,
+    route,
     run_routed,
     run_tier_prelude,
 )
@@ -252,10 +252,13 @@ def _run(
 
     # Route every record once (the map side's work, paid up front so
     # replayed partitions never touch their points again).
-    partition_records = route_partitions(
-        plan, dataset.ids.tolist(), dataset.points, cfg.params.r,
-        tier_pass.certified, tier_pass.dropped,
-    )
+    partition_records = {
+        pid: [batch]
+        for pid, batch in route(
+            plan, dataset.batch(), cfg.params.r,
+            tier_pass.certified, tier_pass.dropped,
+        )
+    }
 
     all_pids = [p.pid for p in plan.partitions]
     pending = [pid for pid in all_pids if pid not in committed]
@@ -342,7 +345,7 @@ def _load_or_build_plan(
         ).finish()
     else:
         plan = cfg.strategy.timed_plan(
-            runtime, list(dataset.records()),
+            runtime, dataset.batch(),
             cfg.plan_request(dataset.bounds),
         )
     write_artifact(

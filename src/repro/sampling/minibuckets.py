@@ -122,16 +122,14 @@ class _SampleMapper(Mapper):
         """
         if not records:
             return []
-        ids = np.asarray([r[0] for r in records], dtype=np.uint64)
-        keep = self._keep_mask(ids)
+        keep = self._keep_mask(records.ids)
         kept = int(keep.sum())
         ctx.counters.incr("sampling", "kept", kept)
         if kept == 0:
             return []
-        points = np.asarray(
-            [r[1] for r in records], dtype=float
-        )[keep]
-        flats = self.grid.flat_indices(self.grid.cells_of(points))
+        flats = self.grid.flat_indices(
+            self.grid.cells_of(records.points[keep])
+        )
         counts = np.bincount(flats, minlength=self.grid.n_cells)
         occupied = np.flatnonzero(counts)
         # ``tolist`` materializes python ints, so the emitted pairs stay
@@ -193,7 +191,7 @@ def collect_minibucket_stats(
 ) -> MiniBucketStats:
     """Run the sampling job and assemble :class:`MiniBucketStats`.
 
-    ``input_data`` is a record list of ``(id, point)`` records.
+    ``input_data`` is the points' :class:`~repro.mapreduce.RecordBatch`.
     ``n_buckets`` is the approximate mini-bucket count; the grid
     is balanced across dimensions.  ``n_reducers`` defaults to the paper's
     centralized single reducer (Fig. 6); callers that already hold a sized

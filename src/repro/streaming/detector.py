@@ -45,11 +45,11 @@ from ..core.config import RunConfig, resolve_strategy
 from ..core.dataset import Dataset
 from ..core.execute import (
     annotate_tier,
-    route_partitions,
+    route,
     run_routed,
     run_tier_prelude,
 )
-from ..mapreduce import ClusterConfig, Counters, LocalRuntime
+from ..mapreduce import ClusterConfig, Counters, LocalRuntime, RecordBatch
 from ..geometry import Rect, UniformGrid
 from ..observability import Span, Tracer
 from ..params import OutlierParams
@@ -175,9 +175,9 @@ class StreamingDetector:
         self._ids: np.ndarray | None = None  # (n,) int64
         self._points: np.ndarray | None = None  # (n, d) float
         self._cache: DMTPlanCache | None = None
-        #: pid -> [(tag, id, point_tuple), ...], the reducer input shape.
-        #: Derived from plan + points + sample, so never persisted.
-        self._partition_records: Dict[int, List[tuple]] = {}
+        #: pid -> tagged batches in arrival order, the reducer input
+        #: shape.  Derived from plan + points + sample, so never persisted.
+        self._partition_records: Dict[int, List[RecordBatch]] = {}
         self._outliers_by_pid: Dict[int, Set[int]] = {}
         self._batch_index = 0
 
@@ -399,27 +399,28 @@ class StreamingDetector:
     # ------------------------------------------------------------------
     def _routed(
         self, ids: np.ndarray, points: np.ndarray
-    ) -> tuple[Dict[int, List[tuple]], Dict[str, int]]:
+    ) -> tuple[List[tuple[int, RecordBatch]], Dict[str, int]]:
         """Route points through the current plan, certifying them
-        against the witness sample when there is one: ``(records by
-        pid, tier counter increments)``.  A pure function of plan,
-        points and sample — the live path applies both halves,
+        against the witness sample when there is one: ``(one batch per
+        partition touched, tier counter increments)``.  A pure function
+        of plan, points and sample — the live path applies both halves,
         :meth:`load` re-derives the records and leaves the counters."""
-        certified: frozenset = frozenset()
+        certified = ids[:0]
         tier_work: Dict[str, int] = {}
         if self._sample is not None and points.shape[0]:
             mask, evals = certified_mask(
                 points, ids, self._sample, self.params,
                 kernel=self.kernel, metric=self.metric,
             )
-            certified = frozenset(ids[mask].tolist())
+            certified = ids[mask]
             tier_work = {
                 "certified": len(certified),
                 "residue": int(points.shape[0] - len(certified)),
                 "distance_evals": int(evals),
             }
-        routed = route_partitions(
-            self._cache.plan, ids.tolist(), points, self.params.r, certified
+        routed = route(
+            self._cache.plan, RecordBatch(ids, points), self.params.r,
+            certified,
         )
         return routed, tier_work
 
@@ -428,19 +429,19 @@ class StreamingDetector:
         routed, tier_work = self._routed(ids, points)
         for name, amount in tier_work.items():
             self.counters.incr("tier", name, amount)
-        for pid, records in routed.items():
+        for pid, batch in routed:
             # A new list, so a failed batch rolls back by reference.
             self._partition_records[pid] = (
-                self._partition_records.get(pid, []) + records
+                self._partition_records.get(pid, []) + [batch]
             )
-        return set(routed)
+        return {pid for pid, _ in routed}
 
     def _rebuild(self) -> None:
         """Re-plan from every point seen; re-route all records."""
         dataset = self.dataset()
         cfg = self.config.sized(dataset.n)
         plan = self.strategy.timed_plan(
-            self.runtime, list(dataset.records()),
+            self.runtime, dataset.batch(),
             cfg.plan_request(dataset.bounds),
         )
         self._cache = DMTPlanCache.build(
@@ -644,9 +645,10 @@ class StreamingDetector:
             )
             rebuilt.batches_served = int(cache["batches_served"])
             detector._cache = rebuilt
-            detector._partition_records, _ = detector._routed(
-                detector._ids, detector._points
-            )
+            routed, _ = detector._routed(detector._ids, detector._points)
+            detector._partition_records = {
+                pid: [batch] for pid, batch in routed
+            }
         detector._outliers_by_pid = {
             int(pid): set(outliers)
             for pid, outliers in payload["outliers_by_pid"].items()

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Optional, Set, Tuple
+from typing import Optional, Set, Tuple
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from ..mapreduce import (
     LocalRuntime,
     MapReduceJob,
     Mapper,
+    RecordBatch,
     Reducer,
     TaskContext,
 )
@@ -362,18 +363,16 @@ class _CertifyMapper(Mapper):
         self.cfg = cfg
 
     def map(self, key, value, ctx: TaskContext):
-        yield from self.map_block([(key, value)], ctx)
+        yield from self.map_block(RecordBatch([key], [value]), ctx)
 
     def map_block(self, records, ctx: TaskContext):
         if not records:
             return []
-        ids = np.asarray([r[0] for r in records], dtype=np.int64)
-        points = np.asarray([r[1] for r in records], dtype=float)
         mask, evals = certified_mask(
-            points, ids, self.sample, self.cfg.params,
+            records.points, records.ids, self.sample, self.cfg.params,
             kernel=self.cfg.kernel, metric=self.cfg.metric,
         )
-        certified = ids[mask]
+        certified = records.ids[mask]
         ctx.add_cost(float(evals))
         ctx.counters.incr("tier", "tasks")
         ctx.counters.incr("tier", "certified", int(mask.sum()))
@@ -387,16 +386,14 @@ class _UnionReducer(Reducer):
         merged: Set[int] = set()
         for ids in values:
             merged.update(int(i) for i in ids)
-        # A zero-cost task falls back to wall-clock in the "units"
-        # accounting, which would make bench cost_units nondeterministic;
-        # charge the union its actual (deterministic) size instead.
+        # The union is charged its (deterministic) size.
         ctx.add_cost(1.0 + float(len(merged)))
         yield key, sorted(merged)
 
 
 def run_certification(
     runtime: LocalRuntime,
-    records: Iterable[tuple],
+    records: RecordBatch,
     sample: SensitivitySample,
     cfg,
 ) -> Tuple[Set[int], Set[int], TierCertification, JobResult]:
@@ -411,7 +408,6 @@ def run_certification(
     deterministic cost units; callers append it to the run's job list so
     reports/benches see the tier work like any other phase.
     """
-    records = list(records)
     job = MapReduceJob(
         name="tier-certify",
         mapper=_CertifyMapper(sample, cfg),
@@ -427,11 +423,11 @@ def run_certification(
     certified: Set[int] = set()
     for _, out_ids in result.outputs:
         certified.update(out_ids)
-    all_ids = np.asarray([r[0] for r in records], dtype=np.int64)
-    all_points = np.asarray([r[1] for r in records], dtype=float)
-    cert_mask = np.isin(all_ids, np.fromiter(certified, dtype=np.int64))
+    cert_mask = np.isin(
+        records.ids, np.fromiter(certified, dtype=np.int64)
+    )
     dropped, halo_evals = support_halo(
-        all_points, all_ids, cert_mask, cfg.params,
+        records.points, records.ids, cert_mask, cfg.params,
         grid=sample.grid, kernel=cfg.kernel, metric=cfg.metric,
     )
     result.counters.incr("tier", "shuffle_dropped", len(dropped))

@@ -722,7 +722,7 @@ def _dmt_plan(dataset, n_buckets):
         sample_rate=0.4, seed=1,
     )
     return DMTPartitioner().build_plan(
-        LocalRuntime(), list(dataset.records()), request
+        LocalRuntime(), dataset.batch(), request
     )
 
 

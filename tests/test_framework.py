@@ -9,10 +9,21 @@ from repro.core import (
     brute_force_outliers,
     detect_outliers,
 )
+from repro.core.config import RunConfig
+from repro.core.execute import _DODReducer, route
 from repro.core.framework import _DODMapper, _LocalOnlyMapper
+from repro.data import clustered_mixture
 from repro.geometry import Rect
-from repro.mapreduce import ClusterConfig, TaskContext
+from repro.mapreduce import (
+    ClusterConfig,
+    LocalRuntime,
+    ParallelRuntime,
+    TaskContext,
+)
 from repro.partitioning import Partition, PartitionPlan
+from repro.recovery import run_checkpointed
+
+from .helpers import batch_rows
 
 CLUSTER = ClusterConfig(nodes=2, hdfs_block_records=512)
 DOMAIN = Rect((0.0, 0.0), (10.0, 10.0))
@@ -64,11 +75,15 @@ class TestDODMapper:
         plan = halves_plan()
         mapper = _DODMapper(plan, r=1.2)
         data = grid_data(300, seed=1)
-        records = list(data.records())
+        records = data.batch()
         scalar = []
         for pid, point in records:
             scalar.extend(mapper.map(pid, point, TaskContext(0)))
-        batch = mapper.map_block(records, TaskContext(1))
+        batch = [
+            (dest, row)
+            for dest, rows in mapper.map_block(records, TaskContext(1))
+            for row in batch_rows(rows)
+        ]
 
         def norm(pairs):
             return sorted(
@@ -82,11 +97,15 @@ class TestDODMapper:
         plan = halves_plan()
         mapper = _LocalOnlyMapper(plan)
         data = grid_data(200, seed=2)
-        records = list(data.records())
+        records = data.batch()
         scalar = []
         for pid, point in records:
             scalar.extend(mapper.map(pid, point, TaskContext(0)))
-        batch = mapper.map_block(records, TaskContext(1))
+        batch = [
+            (dest, row)
+            for dest, rows in mapper.map_block(records, TaskContext(1))
+            for row in batch_rows(rows)
+        ]
 
         def norm(pairs):
             return sorted(
@@ -95,6 +114,113 @@ class TestDODMapper:
             )
 
         assert norm(scalar) == norm(batch)
+
+
+def _accounting(job):
+    return {
+        "shuffle_records": job.shuffle_records,
+        "map": [
+            (t.input_records, t.output_records, t.cost_units)
+            for t in job.map_tasks
+        ],
+        "reduce": [
+            (t.input_records, t.output_records, t.cost_units)
+            for t in job.reduce_tasks
+        ],
+        "support_records": job.counters.get("dod", "support_records"),
+    }
+
+
+@pytest.mark.parametrize("transport", [None, "pickle", "shm"])
+class TestRecordAccounting:
+    """A record is a row, and is counted as one.  The literals are what
+    the tuple-per-record shuffle of PR 20 reported for these two runs:
+    1 500 clustered points in six 256-record blocks through one DMT
+    plan (18 partitions, 3 reducers), map-side and driver-side routed."""
+
+    DATA = clustered_mixture(
+        1500, Rect((0.0, 0.0), (60.0, 60.0)), n_clusters=3, seed=3
+    )
+    PARAMS = OutlierParams(r=2.0, k=4)
+    SIZING = dict(strategy="DMT", n_partitions=6, n_reducers=3, seed=3)
+
+    def _detect(self, transport):
+        cluster = ClusterConfig(nodes=2, hdfs_block_records=256)
+        runtime = LocalRuntime(cluster) if transport is None else (
+            ParallelRuntime(cluster, workers=2, transport=transport)
+        )
+        result = detect_outliers(
+            self.DATA, self.PARAMS, cluster=cluster, runtime=runtime,
+            sample_rate=0.5, **self.SIZING,
+        )
+        return result, cluster, runtime
+
+    def test_single_pass_job(self, transport):
+        result, _, _ = self._detect(transport)
+        assert _accounting(result.run.jobs[-1]) == {
+            "shuffle_records": 3350,
+            "map": [
+                (256, 630, 886.0), (256, 615, 871.0), (256, 623, 879.0),
+                (256, 615, 871.0), (256, 545, 801.0), (220, 322, 542.0),
+            ],
+            "reduce": [
+                (171, 118, 20483.0), (1270, 124, 22022.0),
+                (1909, 34, 28518.0),
+            ],
+            "support_records": 1850,
+        }
+        assert (result.map_units, result.reduce_units) == (4850.0, 71023.0)
+        assert len(result.outlier_ids) == 276
+
+    def test_routed_job(self, transport, tmp_path):
+        """``run_routed``: map tasks cut every 256 *records* of the
+        pid-sorted rows, wherever partitions begin and end."""
+        result, cluster, runtime = self._detect(transport)
+        ckpt = run_checkpointed(
+            self.DATA, self.PARAMS, checkpoint_dir=str(tmp_path),
+            cluster=cluster, runtime=runtime, plan=result.run.plan,
+            **self.SIZING,
+        )
+        assert _accounting(ckpt.jobs[-1]) == {
+            "shuffle_records": 3350,
+            "map": [(256, 256, 512.0)] * 13 + [(22, 22, 44.0)],
+            "reduce": [
+                (1121, 61, 17808.0), (1118, 92, 18428.0),
+                (1111, 123, 34787.0),
+            ],
+            "support_records": 0,
+        }
+        assert ckpt.outlier_ids == result.outlier_ids
+
+
+def test_batches_out_of_block_order_are_a_different_scan():
+    """The order contract can fail: a reducer concatenates its batches
+    as they arrive, and the detectors' seeded scans charge by position.
+    Partition 7's six batches in block order are the 20 483 units the
+    single-pass literal above pins for reducer 0; reversed, the verdicts
+    stand and the charge does not."""
+    cls = TestRecordAccounting
+    cluster = ClusterConfig(nodes=2, hdfs_block_records=256)
+    plan = detect_outliers(
+        cls.DATA, cls.PARAMS, cluster=cluster, sample_rate=0.5, **cls.SIZING
+    ).run.plan
+    rows = cls.DATA.batch()
+    batches = [
+        batch
+        for lo in range(0, len(rows), 256)
+        for pid, batch in route(plan, rows[lo:lo + 256], cls.PARAMS.r)
+        if pid == 7
+    ]
+    assert len(batches) == 6
+    reducer = _DODReducer(
+        RunConfig.resolve(cls.PARAMS, cluster=cluster, n=len(rows)),
+        plan.algorithm_plan,
+    )
+    in_order, reverse = TaskContext(0), TaskContext(1)
+    verdicts = sorted(reducer.reduce(7, batches, in_order))
+    assert sorted(reducer.reduce(7, batches[::-1], reverse)) == verdicts
+    assert in_order.cost_units == 20483.0
+    assert reverse.cost_units == 20527.0
 
 
 class TestDODFramework:

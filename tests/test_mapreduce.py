@@ -2,6 +2,7 @@
 
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
 from repro.mapreduce import (
@@ -14,10 +15,11 @@ from repro.mapreduce import (
     Mapper,
     ParallelRuntime,
     Partitioner,
+    RecordBatch,
     Reducer,
     makespan,
 )
-from repro.mapreduce.runtime import _approx_size, _shuffle
+from repro.mapreduce.runtime import _approx_size, _record_count, _shuffle
 
 
 class WordSplitMapper(Mapper):
@@ -240,6 +242,23 @@ def keyed_job(partitioner=None):
     )
 
 
+class ModFiveMapper(Mapper):
+    """Point rows keyed by ``id % 5``: one batch per key per block."""
+
+    def map(self, key, value, ctx):
+        yield key % 5, RecordBatch([key], [value])
+
+    def map_block(self, records, ctx):
+        return RecordBatch(
+            records.ids, records.points, keys=records.ids % 5
+        ).group_by_key()
+
+
+class IdsReducer(Reducer):
+    def reduce(self, key, values, ctx):
+        yield key, RecordBatch.concat(values).ids.tolist()
+
+
 class TestShuffle:
     """The one partition-and-group helper both runtimes call."""
 
@@ -276,6 +295,18 @@ class TestShuffle:
         assert _shuffle(keyed_job(), pairs, inputs) == 2 * width
         assert _shuffle(keyed_job(), [], inputs) == 0
 
+    def test_a_batch_counts_its_rows_and_its_column_bytes(self):
+        inputs = [defaultdict(list) for _ in range(3)]
+        a = RecordBatch([1, 2, 3], np.zeros((3, 2)), tags=[0, 0, 1])
+        b = RecordBatch([4], np.zeros((1, 2)), tags=[1])
+        job = keyed_job()
+        # ids 8 + two coordinates 16 + tag 1 bytes a row; keys are free.
+        assert _shuffle(job, [(5, a), (7, b), (5, b)], inputs) == 5 * 25
+        assert _record_count([a, b, b]) == 5
+        assert _record_count(["a", (1, 2), [3, 4, 5]]) == 3
+        assert job.partitioner.asked == [5, 7]
+        assert inputs[2][5] == [a, b] and inputs[1][7] == [b]
+
     def test_out_of_range_destination_rejected(self):
         class Bad(Partitioner):
             def partition(self, key, n_reducers):
@@ -304,6 +335,54 @@ class TestShuffle:
         assert [t.input_records for t in serial.reduce_tasks] == [
             t.input_records for t in pooled.reduce_tasks
         ]
+
+
+    @pytest.mark.parametrize("transport", [None, "pickle", "shm"])
+    def test_a_batch_job_is_accounted_by_row_on_every_runtime(
+        self, transport
+    ):
+        """37 rows in blocks of 8 (views of the input), keyed by
+        ``id % 5``: every count is in rows, every byte a column byte."""
+        cluster = ClusterConfig(nodes=2)
+        runtime = LocalRuntime(cluster) if transport is None else (
+            ParallelRuntime(cluster, workers=2, transport=transport)
+        )
+        rows = RecordBatch(np.arange(37), np.arange(74.0).reshape(37, 2))
+        blocks = runtime._resolve_blocks(rows, 8)
+        assert [len(block) for block in blocks] == [8, 8, 8, 8, 5]
+        assert all(np.shares_memory(b.points, rows.points) for b in blocks)
+        job = MapReduceJob(
+            "mod5", ModFiveMapper(), IdsReducer(), n_reducers=3,
+            partitioner=ModPartitioner(),
+        )
+        result = runtime.run(job, rows, block_records=8)
+        assert result.shuffle_records == 37
+        assert result.shuffle_bytes == 37 * 24
+        assert [
+            (t.input_records, t.output_records) for t in result.map_tasks
+        ] == [(8, 8), (8, 8), (8, 8), (8, 8), (5, 5)]
+        # keys 0 and 3 meet on reducer 0, 1 and 4 on 1, 2 alone on 2
+        assert [
+            (t.input_records, t.output_records) for t in result.reduce_tasks
+        ] == [(15, 2), (15, 2), (7, 1)]
+        # a key's batches arrive in block order, rows in block order
+        assert dict(result.outputs) == {
+            key: list(range(key, 37, 5)) for key in range(5)
+        }
+
+    def test_a_mapper_without_map_block_reads_a_batch_row_by_row(self):
+        class MapOnly(ModFiveMapper):
+            map_block = Mapper.map_block
+
+        rows = RecordBatch(np.arange(12), np.arange(24.0).reshape(12, 2))
+        job = MapReduceJob("rows", MapOnly(), IdsReducer(), n_reducers=2)
+        result = LocalRuntime(ClusterConfig(nodes=2)).run(
+            job, rows, block_records=5
+        )
+        assert result.shuffle_records == 12
+        assert dict(result.outputs) == {
+            key: list(range(key, 12, 5)) for key in range(5)
+        }
 
 
 class TestDictPartitioner:

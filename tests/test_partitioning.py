@@ -143,7 +143,7 @@ def build(strategy, data, **kwargs):
         sample_rate=kwargs.pop("sample_rate", 0.5),
         seed=1,
     )
-    return strategy.build_plan(runtime, list(data.records()), request)
+    return strategy.build_plan(runtime, data.batch(), request)
 
 
 STRATEGIES = [

@@ -102,6 +102,34 @@ class TestDetectOutliers:
         assert len(result.reducer_loads()) == 4
         assert result.load_imbalance >= 1.0
 
+    def test_units_never_read_the_clock(self):
+        """Fast tier: a reduce task whose partitions hold support rows
+        only charges nothing — and must cost that zero, not its wall
+        time, in a job whose other tasks report units."""
+        from repro.data import region_dataset
+
+        data = region_dataset("NE", 4000, seed=3)
+        params = OutlierParams(r=2.0, k=12)
+        runs = [
+            detect_outliers(data, params, strategy="DMT", tier="fast")
+            for _ in range(2)
+        ]
+        reported = [
+            sum(
+                task.cost_units
+                for job in result.run.jobs
+                for task in job.map_tasks + job.reduce_tasks
+            )
+            for result in runs
+        ]
+        detect_job = runs[0].run.jobs[-1]
+        assert any(
+            t.cost_units == 0 and t.input_records > 0
+            for t in detect_job.reduce_tasks
+        )
+        units = [r.map_units + r.reduce_units for r in runs]
+        assert units[0] == units[1] == reported[0] == reported[1]
+
     def test_wall_metrics_positive(self):
         data = small_data(400, seed=5)
         params = OutlierParams(r=2.0, k=4)
@@ -182,7 +210,7 @@ class TestPrecomputedPlan:
             n_reducers=2, sample_rate=0.5,
         )
         plan = DomainPartitioner().build_plan(
-            runtime, list(data.records()), request
+            runtime, data.batch(), request
         )
         result = detect_outliers(
             data, params, n_reducers=2, cluster=CLUSTER, plan=plan

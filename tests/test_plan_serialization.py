@@ -27,7 +27,7 @@ def build_dmt_plan(seed=0):
         seed=1,
     )
     return DMTPartitioner().build_plan(
-        runtime, list(data.records()), request
+        runtime, data.batch(), request
     ), data
 
 

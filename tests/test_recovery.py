@@ -41,6 +41,8 @@ from repro.recovery import (
     write_artifact,
 )
 
+from .helpers import batch_rows
+
 
 def small_dataset(n=260, seed=3) -> Dataset:
     rng = np.random.default_rng(seed)
@@ -325,11 +327,20 @@ def _task_costs(report):
     ]
 
 
+def _partition_rows(detector):
+    """The stream's routed records, per partition, as ``(tag, id,
+    point)`` rows in the order a reducer concatenates them."""
+    return {
+        pid: [row for batch in batches for row in batch_rows(batch)]
+        for pid, batches in detector._partition_records.items()
+    }
+
+
 def _tag_split(detector, ordered_pool=True):
     """Per partition, what the reducer builds its arrays from: the core
     records and the support pool, each in list order."""
     split = {}
-    for pid, records in detector._partition_records.items():
+    for pid, records in _partition_rows(detector).items():
         pool = [rec for rec in records if rec[0] != 0]
         split[pid] = (
             [rec for rec in records if rec[0] == 0],
@@ -361,7 +372,7 @@ def _old_format(detector, payload):
         str(pid): [
             [tag, pt_id, list(point)] for tag, pt_id, point in records
         ]
-        for pid, records in detector._partition_records.items()
+        for pid, records in _partition_rows(detector).items()
     })
 
 

@@ -8,6 +8,11 @@ draws points from where the two could disagree: partition faces shifted
 by 0, ±r and one ulp, the closed upper edge of the domain, outside the
 domain, gaps in the tiling, and a zero-width axis.  The replication
 (Def. 3.3) must not move by a single record, in value or in order.
+
+``route`` now emits one batch per partition instead of the oracle's
+flat ``(pid, (tag, id, point))`` list; what a reducer sees is each
+partition's records in order, so that is what is compared: the oracle's
+list grouped by ``pid`` against every emitted batch expanded to rows.
 """
 
 import pickle
@@ -20,7 +25,7 @@ from hypothesis import given, strategies as st
 from repro.core.execute import route
 from repro.data import clustered_mixture
 from repro.geometry import Rect, UniformGrid
-from repro.mapreduce import ClusterConfig, LocalRuntime
+from repro.mapreduce import ClusterConfig, LocalRuntime, RecordBatch
 from repro.params import OutlierParams
 from repro.partitioning import (
     CDrivenPartitioner,
@@ -31,6 +36,8 @@ from repro.partitioning import (
     UniSpacePartitioner,
     base,
 )
+
+from .helpers import batch_rows
 
 RADII = [0.0, 0.5, 1.0, 2.0]
 
@@ -109,6 +116,28 @@ def broadcast_route(plan, ids, points, r, certified=frozenset(),
     return pairs
 
 
+def by_partition(pairs):
+    """The oracle's flat list as a reducer receives it:
+    ``{pid: [(tag, id, point), ...]}``, each partition in list order."""
+    grouped = {}
+    for pid, record in pairs:
+        grouped.setdefault(pid, []).append(record)
+    return grouped
+
+
+def rows_by_partition(blocks_pairs):
+    """``route`` outputs of consecutive blocks, as the shuffle hands them
+    to reducers: per partition, its batches in block order, expanded to
+    ``(tag, id, point)`` rows of Python scalars."""
+    grouped = {}
+    for pairs in blocks_pairs:
+        for pid, batch in pairs:
+            assert type(pid) is int and len(batch) > 0
+            assert batch.keys is None
+            grouped.setdefault(pid, []).extend(batch_rows(batch))
+    return grouped
+
+
 # ----------------------------------------------------------------------
 # Plans
 # ----------------------------------------------------------------------
@@ -123,7 +152,7 @@ def _strategy_plan(strategy, ndim, n_buckets=64, n_reducers=4):
         n_partitions=9, n_reducers=n_reducers, n_buckets=n_buckets,
         sample_rate=0.5, seed=1,
     )
-    return strategy.build_plan(runtime, list(data.records()), request)
+    return strategy.build_plan(runtime, data.batch(), request)
 
 
 def _gap_plan(ndim):
@@ -278,25 +307,46 @@ class TestRoutingEquivalence:
         ids = [100 + 7 * i for i in range(len(points))]
         subsets = st.frozensets(st.sampled_from(ids))
         certified, dropped = data.draw(subsets), data.draw(subsets)
-        got = route(plan, ids, points, r, certified, dropped)
-        assert got == broadcast_route(
-            plan, ids, points, r, certified, dropped
+        got = route(plan, RecordBatch(ids, points), r, certified, dropped)
+        assert [pid for pid, _ in got] == sorted({pid for pid, _ in got})
+        assert rows_by_partition([got]) == by_partition(
+            broadcast_route(plan, ids, points, r, certified, dropped)
         )
-        for key, (tag, pid, point) in got:
-            assert type(key) is int and type(tag) is int
-            assert all(type(x) is float for x in point)
+
+    @given(data=st.data(), r=st.sampled_from(RADII),
+           cuts=st.lists(st.integers(0, 30), min_size=2, max_size=4))
+    def test_blocks_arrive_as_several_batches(self, name, data, r, cuts):
+        """A dataset cut into >= 3 blocks: a partition's rows reach its
+        reducer as one batch per block, in block order — the oracle
+        routed block by block and concatenated."""
+        plan = plan_named(name)
+        points = data.draw(point_blocks(name))
+        ids = [100 + 7 * i for i in range(len(points))]
+        subsets = st.frozensets(st.sampled_from(ids))
+        certified, dropped = data.draw(subsets), data.draw(subsets)
+        bounds = [0, *sorted(min(c, len(ids)) for c in cuts), len(ids)]
+        batch = RecordBatch(ids, points)
+        got, want = [], []
+        for lo, hi in zip(bounds, bounds[1:]):
+            got.append(route(plan, batch[lo:hi], r, certified, dropped))
+            want += broadcast_route(
+                plan, ids[lo:hi], points[lo:hi], r, certified, dropped
+            )
+        assert rows_by_partition(got) == by_partition(want)
 
     @given(data=st.data(), r=st.sampled_from(RADII))
     def test_pickled_plan_routes_identically(self, name, data, r):
         plan = plan_named(name)
         points = data.draw(point_blocks(name))
-        ids = list(range(len(points)))
-        want = route(plan, ids, points, r)  # builds the table
+        batch = RecordBatch(list(range(len(points))), points)
+        want = route(plan, batch, r)  # builds the table
         assert "_cells" in vars(plan)
         clone = pickle.loads(pickle.dumps(plan))
         assert "_cells" not in vars(clone)
         assert clone == plan
-        assert route(clone, ids, points, r) == want
+        assert rows_by_partition([route(clone, batch, r)]) == (
+            rows_by_partition([want])
+        )
 
 
 # ----------------------------------------------------------------------
@@ -315,19 +365,23 @@ def test_route_literal():
         [2.0, 2.0],    # interior, dropped below
     ])
     got = route(
-        plan, ids, points, 1.0,
+        plan, RecordBatch(ids, points), 1.0,
         certified=frozenset({2, 6}), dropped=frozenset({6}),
     )
-    assert got == [
-        (16, (0, 1, (4.0, 3.3))),
-        (13, (1, 2, (10.0, 1.0))),
-        (16, (0, 3, (9.0, 8.0))),
-        (10, (0, 4, (3.0, 5.0))),
-        (13, (0, 5, (12.0, -1.0))),
-        (10, (1, 1, (4.0, 3.3))),
-        (13, (1, 1, (4.0, 3.3))),
-        (16, (1, 4, (3.0, 5.0))),
-    ]
+    assert [pid for pid, _ in got] == [10, 13, 16]
+    assert rows_by_partition([got]) == {
+        10: [(0, 4, (3.0, 5.0)), (1, 1, (4.0, 3.3))],
+        13: [
+            (1, 2, (10.0, 1.0)),
+            (0, 5, (12.0, -1.0)),
+            (1, 1, (4.0, 3.3)),
+        ],
+        16: [
+            (0, 1, (4.0, 3.3)),
+            (0, 3, (9.0, 8.0)),
+            (1, 4, (3.0, 5.0)),
+        ],
+    }
 
 
 def test_table_is_derived_state():

@@ -187,7 +187,7 @@ def build_plan(strategy, metric=None):
         metric=metric,
     )
     return strategy.timed_plan(
-        LocalRuntime(CLUSTER), list(DATA.records()), request
+        LocalRuntime(CLUSTER), DATA.batch(), request
     )
 
 

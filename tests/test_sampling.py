@@ -23,7 +23,7 @@ def runtime():
 def records(n=2000, seed=0, side=40.0):
     rng = np.random.default_rng(seed)
     data = Dataset.from_points(rng.uniform(0, side, size=(n, 2)))
-    return list(data.records()), data
+    return data.batch(), data
 
 
 class TestSampleMapper:
@@ -211,7 +211,7 @@ class TestZeroAreaBuckets:
         points = np.repeat([[3.0, 7.0]], n, axis=0)
         data = Dataset.from_points(points)
         stats = collect_minibucket_stats(
-            runtime(), list(data.records()), data.bounds,
+            runtime(), data.batch(), data.bounds,
             n_buckets=16, rate=1.0,
         )
         return data, stats

@@ -69,7 +69,7 @@ def make_plan(points, n_partitions=8):
         n_buckets=64, sample_rate=0.5, seed=3,
     )
     return strategy.timed_plan(
-        LocalRuntime(CLUSTER), list(dataset.records()), request
+        LocalRuntime(CLUSTER), dataset.batch(), request
     )
 
 

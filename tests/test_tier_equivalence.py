@@ -104,7 +104,7 @@ class TestCertificationDecomposition:
         points, params = pool
         dataset = Dataset.from_points(points)
         stats = collect_minibucket_stats(
-            LocalRuntime(CLUSTER), list(dataset.records()),
+            LocalRuntime(CLUSTER), dataset.batch(),
             dataset.bounds, n_buckets=16, rate=0.5, seed=5,
         )
         sample = build_sensitivity_sample(
@@ -127,7 +127,7 @@ class TestCertificationDecomposition:
         points, params = pool
         dataset = Dataset.from_points(points)
         stats = collect_minibucket_stats(
-            LocalRuntime(CLUSTER), list(dataset.records()),
+            LocalRuntime(CLUSTER), dataset.batch(),
             dataset.bounds, n_buckets=16, rate=0.5, seed=5,
         )
         sample = build_sensitivity_sample(

@@ -82,7 +82,7 @@ def metric_oracle(points, ids, params, metric) -> set:
 
 def stats_for(dataset, n_buckets=64, rate=0.5, seed=3):
     return collect_minibucket_stats(
-        runtime(), list(dataset.records()), dataset.bounds,
+        runtime(), dataset.batch(), dataset.bounds,
         n_buckets=n_buckets, rate=rate, seed=seed,
     )
 

@@ -4,9 +4,10 @@ Two layers:
 
 * **codec round-trips** (hypothesis, in-process) — whatever the arena
   packs, ``resolve_ref`` must hand back a payload that compares equal,
-  including the awkward shapes: empty blocks/groups, zero-dimensional
-  points, Fortran-ordered and non-contiguous inputs, float32 data (which
-  must keep its dtype bit-exactly or fall back to pickle).
+  including the awkward shapes: empty batches, zero-width points,
+  Fortran-ordered and strided sources, batches with and without tags,
+  a reducer's ``{pid: [batch, batch]}`` input, and payloads that hold
+  no array at all.
 * **end-to-end pipelines** — the same detection run through the serial
   runtime and through ``ParallelRuntime`` with each transport must agree
   on outlier sets, every counter group (minus ``transport``, which only
@@ -15,6 +16,7 @@ Two layers:
 """
 
 import gc
+import pickle
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from repro.mapreduce import (
     Counters,
     LocalRuntime,
     ParallelRuntime,
+    RecordBatch,
     SchedulerConfig,
 )
 from repro.mapreduce.shm import (
@@ -49,7 +52,7 @@ def roundtrip(payload):
     arena = ShmArena("test")
     try:
         refs = arena.pack({0: payload})
-        return resolve_ref(refs[0]), refs[0].kind
+        return resolve_ref(refs[0]), refs[0]
     finally:
         arena.release()
         assert live_segments() == frozenset()
@@ -65,112 +68,133 @@ def _close_attachments():
 # ----------------------------------------------------------------------
 # Codec round-trips
 # ----------------------------------------------------------------------
-point_dtypes = st.sampled_from([np.float64, np.float32, np.int64])
-
-
 @st.composite
-def record_blocks(draw):
-    """(id, point) record lists incl. edge shapes and layouts."""
-    n = draw(st.integers(min_value=0, max_value=12))
-    d = draw(st.integers(min_value=0, max_value=3))
-    dtype = draw(point_dtypes)
+def batches(draw, min_rows=0, ndim=None):
+    """Batches incl. edge shapes and source layouts: empty, zero-width
+    points, Fortran-ordered and strided point matrices, tags or none."""
+    n = draw(st.integers(min_value=min_rows, max_value=12))
+    d = draw(st.integers(0, 3)) if ndim is None else ndim
     layout = draw(st.sampled_from(["c", "fortran", "strided"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    base = rng.uniform(-5, 5, size=(2 * n + 1, d)).astype(dtype)
+    points = rng.uniform(-5, 5, size=(2 * n, d))
     if layout == "fortran":
-        base = np.asfortranarray(base)
-    rows = base[::2] if layout == "strided" else base[: n or 1]
-    return [(i, rows[i % rows.shape[0]]) for i in range(n)]
+        points = np.asfortranarray(points)
+    points = points[::2] if layout == "strided" else points[:n]
+    ids = rng.permutation(4 * n)[::4]  # strided too
+    tags = rng.integers(0, 2, size=n) if draw(st.booleans()) else None
+    return RecordBatch(ids, points, tags)
+
+
+def assert_same_batch(got, want):
+    assert type(got) is RecordBatch and len(got) == len(want)
+    for name in ("ids", "points", "tags", "keys"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+        else:
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b), name
 
 
 class TestBlockCodec:
-    @given(record_blocks())
-    def test_roundtrip(self, records):
-        out, _kind = roundtrip(records)
-        assert len(out) == len(records)
-        for (rid, point), (oid, opoint) in zip(records, out):
-            assert oid == rid
-            assert np.array_equal(np.asarray(opoint), point)
-            assert np.asarray(opoint).dtype == point.dtype
+    """A map task's payload: one block of the input batch."""
 
-    def test_float32_keeps_dtype(self):
-        records = [
-            (i, np.arange(2, dtype=np.float32) + i) for i in range(5)
-        ]
-        out, _ = roundtrip(records)
-        assert all(p.dtype == np.float32 for _, p in out)
+    @given(batches())
+    def test_roundtrip(self, batch):
+        out, _ref = roundtrip(batch)
+        assert_same_batch(out, batch)
 
-    def test_mixed_dtypes_fall_back_but_roundtrip(self):
-        records = [
-            (0, np.zeros(2, dtype=np.float32)),
-            (1, np.zeros(2, dtype=np.float64)),
-        ]
-        out, kind = roundtrip(records)
-        assert kind == "pickle"
-        for (rid, point), (oid, opoint) in zip(records, out):
-            assert oid == rid and opoint.dtype == point.dtype
+    def test_block_is_a_view_of_its_dataset(self):
+        """What the runtime packs is a slice of the dataset's own
+        columns; it ships the slice's rows, not the base arrays."""
+        data = _dataset(n=50)
+        block = data.batch()[10:20]
+        assert np.shares_memory(block.points, data.points)
+        out, ref = roundtrip(block)
+        assert_same_batch(out, block)
+        assert ref.buffers == 2  # ids and points, out of band
+
+    def test_keyed_block(self):
+        """The routed job's input rows carry their shuffle key."""
+        block = RecordBatch(
+            [3, 4, 5], np.ones((3, 2)), tags=[0, 1, 1], keys=[7, 7, 9]
+        )
+        out, ref = roundtrip(block)
+        assert_same_batch(out, block)
+        assert ref.buffers == 4
 
     def test_readonly_views_cannot_corrupt_segment(self):
-        records = [(i, np.ones(2)) for i in range(3)]
-        out, kind = roundtrip(records)
-        assert kind == "block"
-        with pytest.raises(ValueError):
-            out[0][1][0] = 99.0
+        out, _ = roundtrip(RecordBatch([0, 1, 2], np.ones((3, 2)), [0, 0, 1]))
+        for column in (out.ids, out.points, out.tags):
+            with pytest.raises(ValueError):
+                column[0] = 99
 
 
 @st.composite
 def group_payloads(draw):
-    """Shuffle-style {key: [(ints..., (floats...))]} dicts."""
-    arity = draw(st.integers(min_value=1, max_value=3))
+    """Reducer inputs: ``{pid: [batch, ...]}``, a partition's batches in
+    map-task order, all of one width."""
     ndim = draw(st.integers(min_value=0, max_value=3))
-    fl = st.floats(allow_nan=False, allow_infinity=False, width=32)
-
-    def value():
-        head = draw(
-            st.lists(st.integers(-10**6, 10**6),
-                     min_size=arity - 1, max_size=arity - 1)
-        )
-        point = draw(
-            st.lists(fl, min_size=ndim, max_size=ndim)
-        )
-        return (*head, tuple(point))
-
     n_keys = draw(st.integers(min_value=0, max_value=5))
-    payload = {}
-    for key in range(n_keys):
-        n_values = draw(st.integers(min_value=0, max_value=8))
-        # min_value=0 covers partitions with empty support lists
-        payload[key * 3] = [value() for _ in range(n_values)]
-    return payload
+    return {
+        key * 3: draw(st.lists(batches(ndim=ndim), max_size=3))
+        for key in range(n_keys)
+    }
+
+
+def assert_same_groups(got, want):
+    assert list(got) == list(want)  # key order kept
+    for key, held in want.items():
+        assert len(got[key]) == len(held)
+        for a, b in zip(got[key], held):
+            assert_same_batch(a, b)
 
 
 class TestGroupsCodec:
+    """A reduce task's payload: its partitions' batches."""
+
     @given(group_payloads())
     def test_roundtrip(self, payload):
-        out, _kind = roundtrip(payload)
-        assert out == payload
+        out, _ref = roundtrip(payload)
+        assert_same_groups(out, payload)
 
     def test_empty_support_groups(self):
-        payload = {0: [], 5: [(1, 2, (0.5,))], 9: []}
+        """A partition nothing supports, one with no rows at all, and
+        one whose list is empty."""
+        core_only = RecordBatch([1, 2], [[0.5], [1.5]], tags=[0, 0])
+        payload = {0: [], 5: [core_only, core_only[:0]], 9: []}
         out, _ = roundtrip(payload)
-        assert out == payload
+        assert_same_groups(out, payload)
 
     def test_zero_dim_points(self):
-        payload = {0: [(3, ()), (4, ())]}
+        payload = {0: [RecordBatch([3, 4], np.empty((2, 0)), [0, 1])]}
         out, _ = roundtrip(payload)
-        assert out == payload
+        assert_same_groups(out, payload)
+        assert out[0][0].points.shape == (2, 0)
 
-    def test_non_tuple_values_fall_back(self):
-        payload = {0: [[1, 2.0]], 1: ["text"]}
-        out, kind = roundtrip(payload)
-        assert kind == "pickle"
+    def test_non_batch_values_are_a_plain_pickle(self):
+        """Generic shuffle values (the sampling job's counts, a word
+        count) hold no arrays: a stream and nothing out of band."""
+        payload = {0: [[1, 2.0]], 1: ["text"], 2: [(1, (0.0,)), (2.5, ())]}
+        out, ref = roundtrip(payload)
         assert out == payload
+        assert ref.buffers == 0
 
-    def test_float_in_int_column_falls_back(self):
-        payload = {0: [(1, (0.0,)), (2.5, (1.0,))]}
-        out, kind = roundtrip(payload)
-        assert kind == "pickle"
-        assert out == payload
+    def test_descriptor_is_small_whatever_it_describes(self):
+        """Buffer offsets live in the segment, not in the envelope."""
+        many = {
+            pid: [RecordBatch([pid], [[0.0, 1.0]], [0])]
+            for pid in range(200)
+        }
+        arena = ShmArena("test")
+        try:
+            ref = arena.pack({0: many})[0]
+            assert ref.buffers == 600
+            assert len(pickle.dumps(ref)) < 200
+            assert_same_groups(resolve_ref(ref), many)
+        finally:
+            arena.release()
+        assert live_segments() == frozenset()
 
 
 # ----------------------------------------------------------------------
