@@ -173,17 +173,23 @@ def _run_cell(
             kernel_spec = make_kernel(kernel)
         else:
             kernel_spec = kernel
+        # One runtime per repeat, closed inside the timed region: a
+        # parallel cell's wall holds one pool start and one shutdown,
+        # and ``transport_totals`` below means "this repeat".
         start = time.perf_counter()
-        last = detect_outliers(
-            dataset, params,
-            strategy=config.strategy, detector=detector,
-            n_partitions=config.n_partitions,
-            n_reducers=config.n_reducers,
-            cluster=cluster, runtime=runtime, seed=config.seed,
-            kernel=kernel_spec,
-            metric=None if config.metric == "euclidean" else config.metric,
-            tier=tier,
-        )
+        with runtime:
+            last = detect_outliers(
+                dataset, params,
+                strategy=config.strategy, detector=detector,
+                n_partitions=config.n_partitions,
+                n_reducers=config.n_reducers,
+                cluster=cluster, runtime=runtime, seed=config.seed,
+                kernel=kernel_spec,
+                metric=(
+                    None if config.metric == "euclidean" else config.metric
+                ),
+                tier=tier,
+            )
         walls.append(time.perf_counter() - start)
         detect_walls.append(last.detect_wall)
         reduce_walls.append(sum(last.run.reduce_task_costs("wall")))

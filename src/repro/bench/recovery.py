@@ -65,13 +65,12 @@ class RecoveryBenchConfig:
         return cls(**defaults)
 
 
-def _checkpointed(config, dataset, params, checkpoint_dir, **kwargs):
-    cluster = ClusterConfig(nodes=config.nodes)
+def _checkpointed(config, dataset, params, checkpoint_dir, runtime,
+                  **kwargs):
     return run_checkpointed(
         dataset, params, checkpoint_dir,
         strategy=config.strategy, detector=config.detector,
-        runtime=make_runtime(cluster, config.workers, config.transport),
-        cluster=cluster,
+        runtime=runtime, cluster=runtime.cluster,
         n_partitions=config.n_partitions,
         n_reducers=config.n_reducers,
         seed=config.seed, **kwargs,
@@ -94,10 +93,12 @@ def run_recovery_bench(
         )
 
     workdir = tempfile.mkdtemp(prefix="repro-recovery-bench-")
+    # One runtime for every run of the matrix, crashed ones included: a
+    # job that raises leaves its runtime usable.
+    cluster = ClusterConfig(nodes=config.nodes)
+    runtime = make_runtime(cluster, config.workers, config.transport)
     try:
         # Plain run: the no-durability reference wall.
-        cluster = ClusterConfig(nodes=config.nodes)
-        runtime = make_runtime(cluster, config.workers, config.transport)
         start = time.perf_counter()
         plain = detect_outliers(
             dataset, params,
@@ -111,7 +112,9 @@ def run_recovery_bench(
         # Uninterrupted checkpointed run: plain + journal overhead.
         base_dir = os.path.join(workdir, "baseline")
         start = time.perf_counter()
-        baseline = _checkpointed(config, dataset, params, base_dir)
+        baseline = _checkpointed(
+            config, dataset, params, base_dir, runtime
+        )
         baseline_wall = time.perf_counter() - start
         n_parts = baseline.n_partitions
         if log is not None:
@@ -128,7 +131,7 @@ def run_recovery_bench(
             start = time.perf_counter()
             try:
                 _checkpointed(
-                    config, dataset, params, crash_dir,
+                    config, dataset, params, crash_dir, runtime,
                     abort_after_commits=commits,
                 )
                 raise AssertionError(
@@ -138,7 +141,9 @@ def run_recovery_bench(
                 pass
             crashed_wall = time.perf_counter() - start
             start = time.perf_counter()
-            resumed = _checkpointed(config, dataset, params, crash_dir)
+            resumed = _checkpointed(
+                config, dataset, params, crash_dir, runtime
+            )
             resume_wall = time.perf_counter() - start
             identical = resumed.outlier_ids == baseline.outlier_ids
             rows.append({
@@ -169,6 +174,7 @@ def run_recovery_bench(
                     f"identical={identical}"
                 )
     finally:
+        runtime.close()
         shutil.rmtree(workdir, ignore_errors=True)
 
     return {

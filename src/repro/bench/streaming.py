@@ -90,69 +90,71 @@ def run_stream_bench(
         )
 
     cluster = ClusterConfig(nodes=config.nodes)
-    detector = StreamingDetector(
-        params,
-        strategy=config.strategy,
-        detector=config.detector,
-        runtime=make_runtime(cluster, config.workers, config.transport),
-        cluster=cluster,
-        n_partitions=config.n_partitions,
-        n_reducers=config.n_reducers,
-        drift_threshold=config.drift_threshold,
-        seed=config.seed,
-    )
-    detector.ingest(dataset.subset(np.arange(n_initial)))
-
-    rows: List[Dict[str, Any]] = []
-    seen = np.arange(n_initial)
-    incremental_total = 0.0
-    full_total = 0.0
-    for batch_no, idx in enumerate(batches, start=1):
-        report = detector.ingest(dataset.subset(idx))
-        seen = np.concatenate([seen, idx])
-        prefix = dataset.subset(seen)
-        full_runtime = make_runtime(
-            cluster, config.workers, config.transport
-        )
-        start = time.perf_counter()
-        full = detect_outliers(
-            prefix, params,
-            strategy=config.strategy, detector=config.detector,
+    # One runtime for the stream and for the full re-runs it is compared
+    # with: both sides pay the same (warm) fixed cost per job.
+    with make_runtime(
+        cluster, config.workers, config.transport
+    ) as runtime:
+        detector = StreamingDetector(
+            params,
+            strategy=config.strategy,
+            detector=config.detector,
+            runtime=runtime,
+            cluster=cluster,
             n_partitions=config.n_partitions,
             n_reducers=config.n_reducers,
-            cluster=cluster, runtime=full_runtime, seed=config.seed,
+            drift_threshold=config.drift_threshold,
+            seed=config.seed,
         )
-        full_wall = time.perf_counter() - start
-        identical = detector.outlier_ids == full.outlier_ids
-        incremental_total += report.wall_seconds
-        full_total += full_wall
-        rows.append({
-            "batch": batch_no,
-            "batch_points": int(idx.size),
-            "points_seen": int(seen.size),
-            "dirty_partitions": report.dirty_partitions,
-            "total_partitions": report.total_partitions,
-            "dirty_ratio": report.dirty_ratio,
-            "cache_hit": report.cache_hit,
-            "invalidation_reason": report.invalidation_reason,
-            "incremental_wall_seconds": report.wall_seconds,
-            "full_rerun_wall_seconds": full_wall,
-            "speedup_vs_full": (
-                full_wall / report.wall_seconds
-                if report.wall_seconds > 0 else 0.0
-            ),
-            "n_outliers": len(report.outlier_ids),
-            "outliers_hash": _outliers_hash(report.outlier_ids),
-            "identical_outliers": identical,
-        })
-        if log is not None:
-            log(
-                f"  batch {batch_no}: +{idx.size} pts, dirty "
-                f"{report.dirty_partitions}/{report.total_partitions} "
-                f"({report.dirty_ratio:.0%}), incr "
-                f"{report.wall_seconds:.3f}s vs full {full_wall:.3f}s, "
-                f"identical={identical}"
+        detector.ingest(dataset.subset(np.arange(n_initial)))
+
+        rows: List[Dict[str, Any]] = []
+        seen = np.arange(n_initial)
+        incremental_total = 0.0
+        full_total = 0.0
+        for batch_no, idx in enumerate(batches, start=1):
+            report = detector.ingest(dataset.subset(idx))
+            seen = np.concatenate([seen, idx])
+            prefix = dataset.subset(seen)
+            start = time.perf_counter()
+            full = detect_outliers(
+                prefix, params,
+                strategy=config.strategy, detector=config.detector,
+                n_partitions=config.n_partitions,
+                n_reducers=config.n_reducers,
+                cluster=cluster, runtime=runtime, seed=config.seed,
             )
+            full_wall = time.perf_counter() - start
+            identical = detector.outlier_ids == full.outlier_ids
+            incremental_total += report.wall_seconds
+            full_total += full_wall
+            rows.append({
+                "batch": batch_no,
+                "batch_points": int(idx.size),
+                "points_seen": int(seen.size),
+                "dirty_partitions": report.dirty_partitions,
+                "total_partitions": report.total_partitions,
+                "dirty_ratio": report.dirty_ratio,
+                "cache_hit": report.cache_hit,
+                "invalidation_reason": report.invalidation_reason,
+                "incremental_wall_seconds": report.wall_seconds,
+                "full_rerun_wall_seconds": full_wall,
+                "speedup_vs_full": (
+                    full_wall / report.wall_seconds
+                    if report.wall_seconds > 0 else 0.0
+                ),
+                "n_outliers": len(report.outlier_ids),
+                "outliers_hash": _outliers_hash(report.outlier_ids),
+                "identical_outliers": identical,
+            })
+            if log is not None:
+                log(
+                    f"  batch {batch_no}: +{idx.size} pts, dirty "
+                    f"{report.dirty_partitions}/{report.total_partitions} "
+                    f"({report.dirty_ratio:.0%}), incr "
+                    f"{report.wall_seconds:.3f}s vs full {full_wall:.3f}s, "
+                    f"identical={identical}"
+                )
 
     hits = detector.counters.get("streaming", "plan_cache_hits")
     served = detector.counters.get("streaming", "batches")

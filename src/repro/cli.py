@@ -279,10 +279,11 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if args.append:
         return _detect_append(args)
     dataset, params, cluster = _detect(args)
-    result = detect_outliers(
-        dataset, params, cluster=cluster,
-        runtime=_build_runtime(args, cluster), **_run_kwargs(args),
-    )
+    with _build_runtime(args, cluster) as runtime:
+        result = detect_outliers(
+            dataset, params, cluster=cluster, runtime=runtime,
+            **_run_kwargs(args),
+        )
     report = {
         "n_points": dataset.n,
         "params": {"r": params.r, "k": params.k},
@@ -339,16 +340,17 @@ def _run_checkpointed_cli(args, checkpoint_dir: str) -> int:
 
     dataset, params, cluster = _detect(args)
     try:
-        result = run_checkpointed(
-            dataset, params, checkpoint_dir,
-            runtime=_build_runtime(args, cluster), cluster=cluster,
-            **_run_kwargs(args),
-            manifest_extra={
-                "input": args.input,
-                "with_ids": bool(args.with_ids),
-                "nodes": int(args.nodes),
-            },
-        )
+        with _build_runtime(args, cluster) as runtime:
+            result = run_checkpointed(
+                dataset, params, checkpoint_dir,
+                runtime=runtime, cluster=cluster,
+                **_run_kwargs(args),
+                manifest_extra={
+                    "input": args.input,
+                    "with_ids": bool(args.with_ids),
+                    "nodes": int(args.nodes),
+                },
+            )
     except CheckpointMismatch as exc:
         raise CLIError(str(exc)) from exc
     if result.resumed:
@@ -411,12 +413,12 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     return _run_checkpointed_cli(ns, args.checkpoint_dir)
 
 
-def _streaming_detector(args, params, cluster):
+def _streaming_detector(args, params, cluster, runtime):
     from .streaming import StreamingDetector
 
     return StreamingDetector(
         params,
-        runtime=_build_runtime(args, cluster),
+        runtime=runtime,
         cluster=cluster,
         drift_threshold=args.drift_threshold,
         **_run_kwargs(args),
@@ -455,7 +457,12 @@ def _stream_report(detector, params, batches: list) -> dict:
 def _detect_append(args: argparse.Namespace) -> int:
     """``detect --append``: initial detection + incremental batches."""
     dataset, params, cluster = _detect(args)
-    detector = _streaming_detector(args, params, cluster)
+    with _build_runtime(args, cluster) as runtime:
+        return _append_batches(args, dataset, params, cluster, runtime)
+
+
+def _append_batches(args, dataset, params, cluster, runtime) -> int:
+    detector = _streaming_detector(args, params, cluster, runtime)
     batches = [_batch_summary(detector.ingest(dataset))]
     for path in args.append:
         batch = _load_dataset(path, args.with_ids, args.quarantine_out)
@@ -492,13 +499,18 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     )
     params = OutlierParams(r=args.r, k=args.k)
     cluster = ClusterConfig(nodes=args.nodes)
+    with _build_runtime(args, cluster) as runtime:
+        return _stream_batches(args, dataset, params, cluster, runtime)
+
+
+def _stream_batches(args, dataset, params, cluster, runtime) -> int:
     if args.snapshot:
         from .streaming import StreamingDetector
 
         try:
             detector = StreamingDetector.restore(
                 args.snapshot, params,
-                runtime=_build_runtime(args, cluster), cluster=cluster,
+                runtime=runtime, cluster=cluster,
                 drift_threshold=args.drift_threshold,
                 **_run_kwargs(args),
             )
@@ -512,7 +524,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
     else:
-        detector = _streaming_detector(args, params, cluster)
+        detector = _streaming_detector(args, params, cluster, runtime)
 
     n_initial = (
         args.initial if args.initial is not None else args.batch_size

@@ -10,7 +10,10 @@ Implementation notes: tasks are dispatched per map block / per reducer;
 the job object (mapper, reducer, partitioner and their captured plans)
 must be picklable, which every built-in component is.  Failure injection,
 retries, timeouts, and backoff run inside each worker, preserving
-commit-on-success semantics.
+commit-on-success semantics.  The workers outlive the job (one pool per
+runtime, see :class:`ParallelRuntime`), so everything a job needs —
+runtime configuration, injector, scheduler, kernel — travels in its
+context, never by having been forked in.
 
 **Speculative execution** happens here, in the dispatching process: when
 ``SchedulerConfig.speculate`` is on, the phase monitor compares each
@@ -36,11 +39,16 @@ spans.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import statistics
+import threading
 import time
+import weakref
 from collections import defaultdict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing.connection import wait as wait_readable
 from typing import Any, Dict, List, Sequence
 
 from ..observability.tracing import Span
@@ -67,6 +75,34 @@ __all__ = ["ParallelRuntime", "make_runtime"]
 #: Seconds between speculation checks while a phase has tasks in flight.
 _POLL_SECONDS = 0.02
 
+#: An attempt younger than this is never a straggler, whatever multiple
+#: of the median it is.  On a warm pool small tasks finish in a
+#: millisecond and their median is scheduling jitter; while every job
+#: forked its own pool, the fork's latency sat in every duration and was
+#: this floor implicitly.  A duplicate costs a dispatch and a poll to
+#: notice it, so below this age it cannot pay.
+_MIN_STRAGGLER_SECONDS = 0.1
+
+
+def _exit_with_driver() -> None:
+    """Pool initializer: this worker dies when its driver does.
+
+    A pool worker blocked on the call queue never learns that its parent
+    is gone — it inherited both ends of that pipe, so no EOF arrives —
+    and a runtime's workers now idle between jobs for the runtime's whole
+    life.  The parent sentinel is the pipe ``multiprocessing`` gives every
+    child for exactly this: it turns readable when the last process
+    holding the driver's end (the driver, and siblings forked after this
+    worker, which watch their own sentinel) has exited, however it died.
+    """
+    sentinel = multiprocessing.parent_process().sentinel
+
+    def watch() -> None:
+        wait_readable([sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True, name="driver-watch").start()
+
 
 class _PoolBox:
     """A replaceable process pool.
@@ -75,25 +111,27 @@ class _PoolBox:
     in-flight future raises :class:`BrokenProcessPool` and the executor
     refuses further submissions.  Wrapping the pool lets the phase loop
     swap in a fresh executor (``respawn``) without rebinding names across
-    the dispatch bookkeeping.
+    the dispatch bookkeeping, and lets the runtime that owns the box keep
+    using it for its later jobs.
     """
 
     def __init__(self, workers: int) -> None:
         self.workers = workers
-        self.pool = ProcessPoolExecutor(max_workers=workers)
+        self.pool = ProcessPoolExecutor(
+            max_workers=workers, initializer=_exit_with_driver
+        )
 
     def submit(self, fn, arg):
         return self.pool.submit(fn, arg)
 
     def respawn(self) -> None:
         self.pool.shutdown(wait=False, cancel_futures=True)
-        self.pool = ProcessPoolExecutor(max_workers=self.workers)
+        self.pool = ProcessPoolExecutor(
+            max_workers=self.workers, initializer=_exit_with_driver
+        )
 
-    def __enter__(self) -> "_PoolBox":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.pool.shutdown(wait=True)
+    def shutdown(self, wait: bool) -> None:
+        self.pool.shutdown(wait=wait, cancel_futures=True)
 
 
 def _run_map_task(args):
@@ -130,7 +168,14 @@ def _run_reduce_task(args):
 
 
 class ParallelRuntime(LocalRuntime):
-    """Drop-in LocalRuntime that fans tasks out to worker processes."""
+    """Drop-in LocalRuntime that fans tasks out to worker processes.
+
+    The pool belongs to the runtime, not to a job: constructing a
+    runtime forks nothing, the first ``run`` starts the workers, every
+    later job reuses them (a pool broken by a dead worker is replaced in
+    place), and ``close`` — or leaving the ``with`` block — stops them.
+    One job at a time: jobs of one runtime share its workers.
+    """
 
     def __init__(
         self,
@@ -162,6 +207,29 @@ class ParallelRuntime(LocalRuntime):
         # pipelines discard intermediate JobResults (e.g. the planning
         # job's), so per-job stats alone undercount a run's dispatches.
         self.transport_totals: Dict[str, Any] = {}
+        # The worker pool: started by the first job, so a worker is
+        # forked from the driver as that job finds it, then kept for
+        # every later job until ``close``.
+        self._pool: _PoolBox | None = None
+
+    def _started_pool(self) -> _PoolBox:
+        if self._pool is None:
+            self._pool = _PoolBox(self.workers)
+            # A runtime dropped without ``close`` must not leave workers
+            # behind.  Not at interpreter exit: there the executor's own
+            # exit hook has already joined them.
+            self._finalizer = weakref.finalize(
+                self, self._pool.shutdown, wait=False
+            )
+            self._finalizer.atexit = False
+        return self._pool
+
+    def close(self) -> None:
+        """Shut the worker pool down; a later ``run`` starts a new one."""
+        if self._pool is not None:
+            self._finalizer.detach()
+            self._pool.shutdown(wait=True)
+            self._pool = None
 
     def run(
         self,
@@ -185,76 +253,76 @@ class ParallelRuntime(LocalRuntime):
             scheduler=self.scheduler,
         )
         worker_rt.transport_label = self.transport
+        pool = self._started_pool()
         transport = make_transport(self.transport)
         transport.open_job(worker_rt, job)
 
         try:
-            with _PoolBox(self.workers) as pool:
-                t0 = time.perf_counter()
-                map_span = job_span.child(
-                    "map", "phase", n_tasks=len(blocks)
+            t0 = time.perf_counter()
+            map_span = job_span.child(
+                "map", "phase", n_tasks=len(blocks)
+            )
+            reducer_inputs: List[Dict[Any, List[Any]]] = [
+                defaultdict(list) for _ in range(job.n_reducers)
+            ]
+            envelopes, task_bytes_map = transport.encode_tasks(
+                dict(enumerate(blocks))
+            )
+            map_results = self._run_phase(
+                pool, _run_map_task, envelopes, result.counters,
+                "map", map_span,
+            )
+            for task_id, pairs, wall, cost_units, counters, span in (
+                map_results
+            ):
+                task_bytes = _shuffle(job, pairs, reducer_inputs)
+                n_out = _record_count(value for _, value in pairs)
+                result.map_tasks.append(
+                    TaskStats(task_id, "map", wall, cost_units,
+                              len(blocks[task_id]), n_out)
                 )
-                reducer_inputs: List[Dict[Any, List[Any]]] = [
-                    defaultdict(list) for _ in range(job.n_reducers)
-                ]
-                envelopes, task_bytes_map = transport.encode_tasks(
-                    dict(enumerate(blocks))
+                result.counters.merge(counters)
+                result.shuffle_records += n_out
+                result.shuffle_bytes += task_bytes
+                span.annotate(
+                    input_records=len(blocks[task_id]),
+                    output_records=n_out,
+                    shuffle_bytes=task_bytes,
+                    dispatch_bytes=task_bytes_map[task_id],
                 )
-                map_results = self._run_phase(
-                    pool, _run_map_task, envelopes, result.counters,
-                    "map", map_span,
-                )
-                for task_id, pairs, wall, cost_units, counters, span in (
-                    map_results
-                ):
-                    task_bytes = _shuffle(job, pairs, reducer_inputs)
-                    n_out = _record_count(value for _, value in pairs)
-                    result.map_tasks.append(
-                        TaskStats(task_id, "map", wall, cost_units,
-                                  len(blocks[task_id]), n_out)
-                    )
-                    result.counters.merge(counters)
-                    result.shuffle_records += n_out
-                    result.shuffle_bytes += task_bytes
-                    span.annotate(
-                        input_records=len(blocks[task_id]),
-                        output_records=n_out,
-                        shuffle_bytes=task_bytes,
-                        dispatch_bytes=task_bytes_map[task_id],
-                    )
-                    map_span.add_child(span)
-                map_span.finish()
-                result.phase_times["map"] = time.perf_counter() - t0
+                map_span.add_child(span)
+            map_span.finish()
+            result.phase_times["map"] = time.perf_counter() - t0
 
-                t0 = time.perf_counter()
-                reduce_span = job_span.child(
-                    "reduce", "phase", n_tasks=job.n_reducers
+            t0 = time.perf_counter()
+            reduce_span = job_span.child(
+                "reduce", "phase", n_tasks=job.n_reducers
+            )
+            envelopes, task_bytes_map = transport.encode_tasks(
+                {
+                    rid: dict(reducer_inputs[rid])
+                    for rid in range(job.n_reducers)
+                }
+            )
+            reduce_results = self._run_phase(
+                pool, _run_reduce_task, envelopes, result.counters,
+                "reduce", reduce_span,
+            )
+            for (rid, outputs, n_in, wall, cost_units, counters,
+                 span) in reduce_results:
+                result.outputs.extend(outputs)
+                result.reduce_tasks.append(
+                    TaskStats(rid, "reduce", wall, cost_units, n_in,
+                              len(outputs))
                 )
-                envelopes, task_bytes_map = transport.encode_tasks(
-                    {
-                        rid: dict(reducer_inputs[rid])
-                        for rid in range(job.n_reducers)
-                    }
+                result.counters.merge(counters)
+                span.annotate(
+                    input_records=n_in, output_records=len(outputs),
+                    dispatch_bytes=task_bytes_map[rid],
                 )
-                reduce_results = self._run_phase(
-                    pool, _run_reduce_task, envelopes, result.counters,
-                    "reduce", reduce_span,
-                )
-                for (rid, outputs, n_in, wall, cost_units, counters,
-                     span) in reduce_results:
-                    result.outputs.extend(outputs)
-                    result.reduce_tasks.append(
-                        TaskStats(rid, "reduce", wall, cost_units, n_in,
-                                  len(outputs))
-                    )
-                    result.counters.merge(counters)
-                    span.annotate(
-                        input_records=n_in, output_records=len(outputs),
-                        dispatch_bytes=task_bytes_map[rid],
-                    )
-                    reduce_span.add_child(span)
-                reduce_span.finish()
-                result.phase_times["reduce"] = time.perf_counter() - t0
+                reduce_span.add_child(span)
+            reduce_span.finish()
+            result.phase_times["reduce"] = time.perf_counter() - t0
         finally:
             # Deterministic data-plane teardown: shared-memory segments
             # are unlinked here even when a task exhausts its attempts
@@ -314,77 +382,86 @@ class ParallelRuntime(LocalRuntime):
         committed = {}        # task_id -> worker result tuple
         resubmits = defaultdict(int)  # task_id -> pool-death re-dispatches
 
-        for tid, envelope in payloads.items():
-            try:
-                fut = pool.submit(fn, (envelope, False, 0))
-            except BrokenProcessPool:
-                # A worker died while dispatch was still in flight; the
-                # completion loop below respawns and re-dispatches
-                # everything uncommitted, this task included.
-                break
-            futures[fut] = (tid, False)
-            primary[tid] = fut
-            live.add(fut)
-            submit_time[tid] = time.perf_counter()
-
-        while len(committed) < len(payloads):
-            # No live attempts with work outstanding means the pool
-            # broke before (or while) dispatching — same respawn path
-            # as a death observed through a future.
-            broken = not live
-            done = ()
-            if live:
-                done, _ = wait(
-                    live, timeout=_POLL_SECONDS,
-                    return_when=FIRST_COMPLETED,
-                )
-            for fut in done:
-                live.discard(fut)
-                tid, is_spec = futures[fut]
-                if tid in committed:
-                    continue  # the cancelled loser finishing late
+        try:
+            for tid, envelope in payloads.items():
                 try:
-                    out = fut.result()
+                    fut = pool.submit(fn, (envelope, False, 0))
                 except BrokenProcessPool:
-                    # Not this task's failure: the pool died under it.
-                    # Every sibling future is equally dead; respawn once
-                    # after draining the done set.
-                    broken = True
-                    continue
-                except Exception as exc:
-                    # The rival attempt (if any) may still commit this
-                    # task; the job only fails once every attempt of a
-                    # task has failed (checked below).
-                    failed.setdefault(tid, exc)
-                    continue
-                committed[tid] = out
-                if phase == "reduce" and self.commit_listener is not None:
-                    self.commit_listener(phase, tid, out[1])
-                durations.append(
-                    time.perf_counter() - submit_time[tid]
-                )
-                self._record_outcome(
-                    tid, is_spec, out[-1], primary, duplicates, counters
-                )
-            if broken:
-                self._respawn(
-                    pool, fn, payloads, cfg, futures, live, primary,
-                    duplicates, submit_time, resubmits, committed,
-                    failed, counters, phase, phase_span,
-                )
-            for tid, exc in failed.items():
-                if tid not in committed and not (
-                    primary[tid] in live
-                    or duplicates.get(tid) in live
-                ):
-                    for other in live:
-                        other.cancel()
-                    raise exc
-            if cfg.speculate:
-                self._speculate(
-                    pool, fn, payloads, cfg, futures, live, duplicates,
-                    failed, committed, submit_time, durations, counters,
-                )
+                    # A worker died while dispatch was still in flight, or
+                    # while the pool idled since the last job; the
+                    # completion loop below respawns and re-dispatches
+                    # everything uncommitted, this task included.
+                    break
+                futures[fut] = (tid, False)
+                primary[tid] = fut
+                live.add(fut)
+                submit_time[tid] = time.perf_counter()
+
+            while len(committed) < len(payloads):
+                # No live attempts with work outstanding means the pool
+                # broke before (or while) dispatching — same respawn path
+                # as a death observed through a future.
+                broken = not live
+                done = ()
+                if live:
+                    done, _ = wait(
+                        live, timeout=_POLL_SECONDS,
+                        return_when=FIRST_COMPLETED,
+                    )
+                for fut in done:
+                    live.discard(fut)
+                    tid, is_spec = futures[fut]
+                    if tid in committed:
+                        continue  # the cancelled loser finishing late
+                    try:
+                        out = fut.result()
+                    except BrokenProcessPool:
+                        # Not this task's failure: the pool died under it.
+                        # Every sibling future is equally dead; respawn once
+                        # after draining the done set.
+                        broken = True
+                        continue
+                    except Exception as exc:
+                        # The rival attempt (if any) may still commit this
+                        # task; the job only fails once every attempt of a
+                        # task has failed (checked below).
+                        failed.setdefault(tid, exc)
+                        continue
+                    committed[tid] = out
+                    if phase == "reduce" and self.commit_listener is not None:
+                        self.commit_listener(phase, tid, out[1])
+                    durations.append(
+                        time.perf_counter() - submit_time[tid]
+                    )
+                    self._record_outcome(
+                        tid, is_spec, out[-1], primary, duplicates, counters
+                    )
+                if broken:
+                    self._respawn(
+                        pool, fn, payloads, cfg, futures, live, primary,
+                        duplicates, submit_time, resubmits, committed,
+                        failed, counters, phase, phase_span,
+                    )
+                for tid, exc in failed.items():
+                    if tid not in committed and not (
+                        primary[tid] in live
+                        or duplicates.get(tid) in live
+                    ):
+                        raise exc
+                if cfg.speculate:
+                    self._speculate(
+                        pool, fn, payloads, cfg, futures, live, duplicates,
+                        failed, committed, submit_time, durations, counters,
+                    )
+        finally:
+            # Drain: what is still queued is cancelled, what is running —
+            # a speculation loser, the siblings of a task that ran out of
+            # attempts — is waited for, so no task of this job runs once
+            # ``run`` has released its arena, and the next job on this
+            # pool does not queue behind this one's stragglers.
+            for fut in live:
+                fut.cancel()
+            wait(live)
         return sorted(committed.values(), key=lambda item: item[0])
 
     # ------------------------------------------------------------------
@@ -478,12 +555,15 @@ class ParallelRuntime(LocalRuntime):
         median = statistics.median(durations)
         if median <= 0:
             return
+        limit = max(
+            cfg.speculation_threshold * median, _MIN_STRAGGLER_SECONDS
+        )
         now = time.perf_counter()
         for tid in payloads:
             if (tid in committed or tid in duplicates
                     or tid in failed):
                 continue
-            if now - submit_time[tid] > cfg.speculation_threshold * median:
+            if now - submit_time[tid] > limit:
                 # Speculative duplicates reuse the encoded envelope —
                 # with the shm transport that is a descriptor, not a
                 # re-pickled partition.

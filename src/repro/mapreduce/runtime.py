@@ -165,6 +165,16 @@ class LocalRuntime:
         #: verdicts from it.  Driver-side only; never crosses a pipe.
         self.commit_listener = None
 
+    def close(self) -> None:
+        """Release what the runtime holds between jobs — here nothing;
+        whoever makes a runtime closes it, whichever kind it is."""
+
+    def __enter__(self) -> "LocalRuntime":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     # ------------------------------------------------------------------
     def run(
         self,

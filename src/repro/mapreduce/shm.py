@@ -19,8 +19,9 @@ This module makes the dispatch path pluggable:
   ``multiprocessing.shared_memory`` segments; only tiny ``(segment,
   offset, size, buffers)`` descriptors (:class:`ShmRef`) travel through
   the pool.  Workers attach read-only views, cache the decoded job
-  context per process, and retries / speculative duplicates reuse the
-  same segment instead of re-pickling.
+  context per process — until the first task of the next job, which
+  evicts both — and retries / speculative duplicates reuse the same
+  segment instead of re-pickling.
 
 One payload encoding: pickle protocol 5 with out-of-band buffers.  The
 pickle stream of a payload holds its structure; every contiguous numpy
@@ -370,12 +371,22 @@ def _attach(segment: str) -> shared_memory.SharedMemory:
 
 
 def close_attachments() -> None:
-    """Close this process's cached attachments (test/bench hygiene)."""
+    """Close this process's cached attachments and decoded contexts.
+
+    The eviction rule of a long-lived worker (:func:`open_envelope`): an
+    unlinked segment stays allocated for as long as a process maps it.
+    """
     # Cached payloads are views of the segments: drop them first.
     _OBJECT_CACHE.clear()
-    for handle in _ATTACHMENTS.values():
-        handle.close()
-    _ATTACHMENTS.clear()
+    for name, handle in list(_ATTACHMENTS.items()):
+        try:
+            handle.close()
+        except BufferError:
+            # A view of it is still referenced — an attempt abandoned at
+            # its timeout is still reading its block.  Kept, and closed
+            # by a later eviction.
+            continue
+        del _ATTACHMENTS[name]
 
 
 def resolve_ref(ref: ShmRef, cache: bool = False) -> Any:
@@ -432,6 +443,11 @@ def open_envelope(envelope) -> Tuple[Any, Any, int, Any]:
     if isinstance(envelope, PickleEnvelope):
         runtime, job, payload = pickle.loads(envelope.blob)
         return runtime, job, envelope.task_id, payload
+    if envelope.context.segment not in _ATTACHMENTS:
+        # First task of a new job in this process: the previous job's
+        # segments are unlinked by now, so a pool worker never maps more
+        # than one job's.
+        close_attachments()
     runtime, job = resolve_ref(envelope.context, cache=True)
     payload = resolve_ref(envelope.payload)
     return runtime, job, envelope.task_id, payload

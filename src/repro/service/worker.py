@@ -7,9 +7,12 @@ everything expensive stays warm between jobs:
 * the **runtime** (:class:`~repro.mapreduce.ParallelRuntime` when the
   job asks for worker processes, else a serial
   :class:`~repro.mapreduce.LocalRuntime`) is built once per
-  ``(nodes, workers, transport)`` shape and reused — its
+  ``(nodes, workers, transport)`` shape and reused — a parallel one
+  keeps its process pool between jobs, so a job pays no fork, and its
   ``transport_totals`` keep accumulating across jobs, exactly as the
-  dispatch-accounting layer intends;
+  dispatch-accounting layer intends; ``close`` stops the pools when
+  the worker drains or shuts down, and a worker killed outright takes
+  its pool with it (see :mod:`repro.mapreduce.parallel`);
 * the **plan memo** caches a :class:`~repro.streaming.DMTPlanCache`
   per (dataset fingerprint, params, sizing): a repeat submission skips
   the sampling pre-processing job entirely and reuses the cached
@@ -164,6 +167,12 @@ class ServiceWorker:
                 transport=transport,
             )
         return runtime
+
+    def close(self) -> None:
+        """Stop the warm runtimes' worker pools (drain / shutdown)."""
+        for runtime in self._runtimes.values():
+            runtime.close()
+        self._runtimes.clear()
 
     def _memo_get(self, key: tuple) -> Optional[DMTPlanCache]:
         cached = self._plan_memo.get(key)
@@ -513,9 +522,12 @@ def worker_main(
 ) -> int:
     """Entry point the serve driver spawns worker processes on."""
     worker = ServiceWorker(spool_dir, worker_id=worker_id)
-    return worker.run_forever(
-        max_jobs=max_jobs, drain=drain, parent_pid=parent_pid
-    )
+    try:
+        return worker.run_forever(
+            max_jobs=max_jobs, drain=drain, parent_pid=parent_pid
+        )
+    finally:
+        worker.close()
 
 
 def _atomic_write_json(path: str, payload: Dict[str, Any]) -> None:

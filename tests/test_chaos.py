@@ -8,14 +8,18 @@ Two kill targets, two recovery mechanisms:
   budget, and never hang — with byte-identical results;
 * the **driver** SIGKILLed at a journal commit boundary (the
   ``REPRO_CHAOS_KILL_AFTER_COMMITS`` hook fires a real ``os.kill``)
-  must be resumable by ``repro resume`` with byte-identical results.
+  must be resumable by ``repro resume`` with byte-identical results;
+* the **driver** SIGKILLed while it owns a pool — mid-job or between
+  two jobs — takes its workers with it: nobody is left to reap them.
 """
 
+import glob
 import json
 import os
 import signal
 import subprocess
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -28,7 +32,9 @@ from repro.mapreduce import (
     LocalRuntime,
     ParallelRuntime,
     WorkerKill,
+    clean_stale_segments,
 )
+from repro.mapreduce.shm import SEGMENT_PREFIX
 from repro.params import OutlierParams
 
 # Real process kills and subprocess drivers: multi-second wall time.
@@ -205,3 +211,100 @@ class TestDriverKill:
         assert result.returncode == 2
         assert "cannot be combined with --append" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+# ----------------------------------------------------------------------
+# Driver SIGKILL while it owns a pool: workers must not be orphaned
+# ----------------------------------------------------------------------
+_POOL_DRIVER = """
+import os, sys, time
+from repro.mapreduce import MapReduceJob, Mapper, ParallelRuntime, Reducer
+
+pid_file, ready_file, nap = sys.argv[1], sys.argv[2], float(sys.argv[3])
+
+
+class PidMapper(Mapper):
+    def map(self, key, value, ctx):
+        with open(pid_file, "a") as f:
+            f.write(f"{os.getpid()}\\n")
+        time.sleep(nap if nap else 0.05)
+        yield 0, 1
+
+
+class Count(Reducer):
+    def reduce(self, key, values, ctx):
+        yield key, len(values)
+
+
+runtime = ParallelRuntime(workers=2, transport="shm")
+runtime.run(MapReduceJob("pids", PidMapper(), Count(), n_reducers=1),
+            list(range(4)), block_records=1)
+open(ready_file, "w").close()  # between two jobs: the workers idle
+time.sleep(60)
+"""
+
+
+def _alive(pid: int) -> bool:
+    """Running or sleeping — a zombie awaiting its reaper is dead."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _wait_for(condition, seconds: float) -> bool:
+    deadline = time.monotonic() + seconds
+    while time.monotonic() < deadline:
+        if condition():
+            return True
+        time.sleep(0.02)
+    return condition()
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="reads /proc/<pid>/stat"
+)
+class TestDriverKillWithPool:
+    @pytest.mark.parametrize("when", ["mid_job", "between_jobs"])
+    def test_workers_die_with_their_driver(self, tmp_path, when):
+        pid_file = tmp_path / "pids"
+        ready_file = tmp_path / "ready"
+        # mid-job: the mappers outlast the test, so a parent commit that
+        # forks a pool per job has live workers to orphan as well.
+        nap = "30" if when == "mid_job" else "0"
+        env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+        driver = subprocess.Popen(
+            [sys.executable, "-c", _POOL_DRIVER, str(pid_file),
+             str(ready_file), nap],
+            env=env, cwd=str(tmp_path),
+        )
+        workers: set = set()
+
+        def recorded():
+            if pid_file.exists():
+                workers.update(map(int, pid_file.read_text().split()))
+            return len(workers) == 2
+
+        try:
+            if when == "mid_job":
+                assert _wait_for(recorded, 30.0), "mappers never started"
+            else:
+                assert _wait_for(ready_file.exists, 30.0), "job never ended"
+                assert recorded()
+            assert all(_alive(pid) for pid in workers)
+            driver.kill()
+            driver.wait(timeout=10)
+            assert _wait_for(
+                lambda: not any(_alive(pid) for pid in workers), 2.0
+            ), f"orphaned workers: {[p for p in workers if _alive(p)]}"
+            clean_stale_segments(0)
+            assert glob.glob(
+                f"/dev/shm/{SEGMENT_PREFIX}-{driver.pid % 10**7}-*"
+            ) == []
+        finally:
+            driver.kill()
+            driver.wait(timeout=10)
+            for pid in workers:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)

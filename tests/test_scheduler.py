@@ -205,6 +205,36 @@ class TestSpeculation:
         ) >= 1
         assert result.counters.get("runtime", "speculative_wins") == 0
 
+    def test_straggler_does_not_reach_into_the_next_job(self):
+        # One runtime, one pool: the first job's cancelled loser is still
+        # asleep in a worker when its winner commits.  The phase drains
+        # before the job returns, so the second job starts on idle
+        # workers and its span tree holds its own attempts only.
+        rt = ParallelRuntime(
+            CLUSTER, workers=3,
+            failure_injector=SlowTasks({("map", 0): 1.0}),
+            scheduler=SchedulerConfig(
+                speculate=True, speculation_min_tasks=3
+            ),
+        )
+        with rt:
+            first = rt.run(job(), list(range(80)), block_records=10)
+            rt.failure_injector = None
+            second = rt.run(job(), list(range(80)), block_records=10)
+        assert first.counters.get("runtime", "cancelled_attempts") >= 1
+        # the straggler was waited for, not left behind
+        assert first.trace.end - first.trace.start >= 1.0
+        attempts = [
+            s for s in second.trace.walk() if s.kind == "attempt"
+        ]
+        assert len(attempts) == 8 + 2  # one per task
+        for span in attempts:
+            assert span.attrs["status"] == "ok"
+            assert not span.attrs.get("speculative")
+            assert span.start >= first.trace.end
+        assert second.counters.group("runtime") == {}
+        assert sorted(second.outputs) == sorted(first.outputs)
+
 
 class TestDegradation:
     def test_skip_partition_records_and_warns(self):

@@ -31,10 +31,13 @@ from repro.mapreduce import (
     RecordBatch,
     SchedulerConfig,
 )
+from repro.mapreduce import shm
 from repro.mapreduce.shm import (
     ShmArena,
+    ShmEnvelope,
     close_attachments,
     live_segments,
+    open_envelope,
     resolve_ref,
 )
 
@@ -195,6 +198,54 @@ class TestGroupsCodec:
         finally:
             arena.release()
         assert live_segments() == frozenset()
+
+
+# ----------------------------------------------------------------------
+# Eviction: what a worker that outlives its job still maps
+# ----------------------------------------------------------------------
+class TestEviction:
+    """``open_envelope`` as a pool worker calls it, job after job."""
+
+    @pytest.fixture
+    def arenas(self):
+        made = [ShmArena(str(i)) for i in range(3)]
+        yield made
+        for arena in made:
+            arena.release()
+
+    @staticmethod
+    def _task(arena, rows):
+        context = arena.pack_object(("runtime", "job"))
+        batch = RecordBatch(np.arange(rows), np.ones((rows, 2)))
+        return ShmEnvelope(0, context, arena.pack({0: batch})[0])
+
+    def test_a_new_job_evicts_the_previous_one(self, arenas):
+        first, second, _ = arenas
+        task = self._task(first, 4)
+        open_envelope(task)
+        open_envelope(task)  # same job: nothing to evict
+        assert set(shm._ATTACHMENTS) == set(first.segments)
+        assert len(shm._OBJECT_CACHE) == 1
+        *_, block = open_envelope(self._task(second, 6))
+        assert set(shm._ATTACHMENTS) == set(second.segments)
+        assert len(shm._OBJECT_CACHE) == 1
+        assert len(block) == 6
+
+    def test_a_segment_still_viewed_is_evicted_later(self, arenas):
+        """An attempt abandoned at its timeout may still read its block
+        when the next job arrives: its segment stays mapped (and
+        readable) and goes at the first eviction after the view does."""
+        first, second, third = arenas
+        task = self._task(first, 4)
+        *_, held = open_envelope(task)
+        open_envelope(self._task(second, 6))
+        assert set(shm._ATTACHMENTS) == {
+            task.payload.segment, *second.segments
+        }
+        assert held.points.sum() == 8.0
+        del held
+        open_envelope(self._task(third, 2))
+        assert set(shm._ATTACHMENTS) == set(third.segments)
 
 
 # ----------------------------------------------------------------------
