@@ -91,31 +91,16 @@ def _reset_quarantine_counter() -> None:
 def _load_dataset(
     path: str, with_ids: bool, quarantine_out: str | None = None
 ) -> Dataset:
-    from .data.io import finite_row_mask
+    from .data.io import _read_table, _table_dataset
 
-    source = sys.stdin if path == "-" else path
-    try:
-        raw = np.loadtxt(source, delimiter=",", ndmin=2)
-    except FileNotFoundError:
-        raise CLIError(f"input file not found: {path}") from None
-    except (OSError, ValueError) as exc:
-        # np.loadtxt raises ValueError for ragged rows (dimension
-        # mismatch) and unparsable fields alike.
-        raise CLIError(
-            f"could not read {path} as CSV points: {exc}"
-        ) from exc
-    if raw.shape[0] == 0:
-        raise CLIError(f"{path}: no points")
-    if with_ids and raw.shape[1] < 2:
-        raise CLIError(
-            f"{path}: --with-ids needs an id column plus at least one "
-            "coordinate column"
-        )
-    coords = raw[:, 1:] if with_ids else raw
-    mask = finite_row_mask(coords)
-    n_bad = int((~mask).sum())
     global _last_quarantined
-    _last_quarantined += n_bad if quarantine_out is not None else 0
+    try:
+        raw, mask = _read_table(
+            path, with_ids, source=sys.stdin if path == "-" else path
+        )
+    except ValueError as exc:
+        raise CLIError(str(exc)) from exc
+    n_bad = int((~mask).sum())
     if n_bad:
         if quarantine_out is None:
             raise CLIError(
@@ -123,7 +108,11 @@ def _load_dataset(
                 "the input or pass --quarantine-out FILE to divert "
                 "them and continue"
             )
-        np.savetxt(quarantine_out, raw[~mask], delimiter=",", fmt="%.8g")
+        # One file per command: its first diverted rows replace what an
+        # earlier command left there, later inputs' rows follow them.
+        with open(quarantine_out, "a" if _last_quarantined else "w") as f:
+            np.savetxt(f, raw[~mask], delimiter=",", fmt="%.8g")
+        _last_quarantined += n_bad
         print(
             f"quarantined {n_bad} rows with non-finite coordinates "
             f"-> {quarantine_out}",
@@ -132,9 +121,10 @@ def _load_dataset(
         raw = raw[mask]
         if raw.shape[0] == 0:
             raise CLIError(f"{path}: every row was quarantined")
-    if with_ids:
-        return Dataset(raw[:, 1:], raw[:, 0].astype(np.int64))
-    return Dataset.from_points(raw)
+    return _table_dataset(raw, with_ids)
+
+
+_NEGATIVE_WORKERS = "--workers must be >= 0 (0 = serial in-process execution)"
 
 
 def _validate_runtime_flags(args) -> tuple[list, list]:
@@ -145,13 +135,15 @@ def _validate_runtime_flags(args) -> tuple[list, list]:
     """
     errors: list[str] = []
     warnings: list[str] = []
-    if args.workers == 0 and args.transport != "pickle":
+    if args.workers < 0:
+        errors.append(_NEGATIVE_WORKERS)
+    if args.workers <= 0 and args.transport != "pickle":
         errors.append(
             f"--transport {args.transport} requires --workers > 0: "
             "serial execution is in-process and never dispatches "
             "task payloads"
         )
-    if args.speculate and args.workers == 0:
+    if args.speculate and args.workers <= 0:
         errors.append(
             "--speculate requires --workers > 0: the serial runtime "
             "runs one attempt at a time, so a duplicate straggler "
@@ -241,12 +233,6 @@ def _build_runtime(args: argparse.Namespace, cluster: ClusterConfig):
         speculation_threshold=args.straggler_threshold,
         degradation=args.degrade,
     )
-    if args.workers <= 0 and args.transport != "pickle":
-        print(
-            f"note: --transport {args.transport} needs --workers > 0; "
-            "running serially (in-process, no dispatch transport)",
-            file=sys.stderr,
-        )
     return make_runtime(
         cluster, workers=args.workers, transport=args.transport,
         scheduler=scheduler,
@@ -441,7 +427,7 @@ def _batch_summary(report) -> dict:
 
 
 def _stream_report(detector, params, batches: list) -> dict:
-    return {
+    report = {
         "n_points": detector.n_seen,
         "params": {"r": params.r, "k": params.k},
         "strategy": detector.strategy.name,
@@ -452,6 +438,9 @@ def _stream_report(detector, params, batches: list) -> dict:
         "batches": batches,
         "streaming": detector.counters.group("streaming"),
     }
+    if _last_quarantined:
+        report["rows_quarantined"] = _last_quarantined
+    return report
 
 
 def _detect_append(args: argparse.Namespace) -> int:
@@ -631,6 +620,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     if not os.path.exists(args.input):
         raise CLIError(f"input file not found: {args.input}")
+    if args.workers < 0:
+        raise CLIError(_NEGATIVE_WORKERS)
     with ServiceClient(args.spool) as client:
         try:
             job_id = client.submit(

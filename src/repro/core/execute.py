@@ -220,10 +220,6 @@ class _RoutedMapper(Mapper):
     once, on the driver.
     """
 
-    def map(self, key, value, ctx: TaskContext):
-        ctx.add_cost(_MAP_RECORD_COST + _MAP_EMIT_COST)
-        yield key, value
-
     def map_block(self, records, ctx: TaskContext):
         ctx.add_cost((_MAP_RECORD_COST + _MAP_EMIT_COST) * len(records))
         return records.group_by_key()

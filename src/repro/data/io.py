@@ -34,6 +34,48 @@ def finite_row_mask(coords: np.ndarray) -> np.ndarray:
     return np.isfinite(np.asarray(coords, dtype=float)).all(axis=1)
 
 
+def _read_table(
+    path: str, with_ids: bool, delimiter: str = ",", source=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a point-per-line CSV: the raw table and its
+    :func:`finite_row_mask` (the id column, if any, is not screened).
+
+    The one parse behind :func:`load_csv`, ``repro detect`` and the
+    service worker; they differ only in what they do with non-finite
+    rows.  ``source`` is what is read when it is not ``path`` itself
+    (the CLI's stdin).  Raises ``ValueError`` when the input is missing,
+    unreadable, empty or too narrow.
+    """
+    try:
+        raw = np.loadtxt(
+            path if source is None else source, delimiter=delimiter, ndmin=2
+        )
+    except FileNotFoundError:
+        raise ValueError(f"input file not found: {path}") from None
+    except (OSError, ValueError) as exc:
+        # np.loadtxt raises ValueError for ragged rows (dimension
+        # mismatch) and unparsable fields alike.
+        raise ValueError(
+            f"could not read {path} as CSV points: {exc}"
+        ) from exc
+    if raw.shape[0] == 0:
+        raise ValueError(f"{path}: no points")
+    if with_ids and raw.shape[1] < 2:
+        raise ValueError(
+            f"{path}: with ids, a row needs an id column plus at least "
+            "one coordinate column"
+        )
+    return raw, finite_row_mask(raw[:, 1:] if with_ids else raw)
+
+
+def _table_dataset(
+    raw: np.ndarray, with_ids: bool, name: str = "dataset"
+) -> Dataset:
+    if with_ids:
+        return Dataset(raw[:, 1:], raw[:, 0].astype(np.int64), name)
+    return Dataset.from_points(raw, name)
+
+
 def load_csv(
     path: str,
     with_ids: bool = False,
@@ -46,14 +88,12 @@ def load_csv(
     With ``with_ids`` the first column is taken as the integer point id;
     otherwise ids are assigned ``0..n-1``.  Rows with NaN/inf
     coordinates are rejected (``invalid="error"``, the default) or
-    silently dropped (``invalid="drop"``).
+    silently dropped (``invalid="drop"``).  A missing, unreadable or
+    empty file is a ``ValueError`` too.
     """
     if invalid not in ("error", "drop"):
         raise ValueError("invalid must be 'error' or 'drop'")
-    raw = np.loadtxt(path, delimiter=delimiter, ndmin=2)
-    if raw.shape[1] < (2 if with_ids else 1):
-        raise ValueError(f"{path}: not enough columns")
-    mask = finite_row_mask(raw[:, 1:] if with_ids else raw)
+    raw, mask = _read_table(path, with_ids, delimiter)
     if not mask.all():
         if invalid == "error":
             raise ValueError(
@@ -61,13 +101,9 @@ def load_csv(
                 "coordinates (load with invalid='drop' to discard them)"
             )
         raw = raw[mask]
-    if raw.shape[0] == 0:
-        raise ValueError(f"{path}: no usable rows")
-    if with_ids:
-        return Dataset(
-            raw[:, 1:], raw[:, 0].astype(np.int64), name or path
-        )
-    return Dataset.from_points(raw, name or path)
+        if raw.shape[0] == 0:
+            raise ValueError(f"{path}: no usable rows")
+    return _table_dataset(raw, with_ids, name or path)
 
 
 def save_csv(

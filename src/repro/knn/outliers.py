@@ -103,9 +103,6 @@ class _RoutingMapper(Mapper):
     def __init__(self, plan: PartitionPlan) -> None:
         self.plan = plan
 
-    def map(self, key, value, ctx: TaskContext):
-        yield self.plan.core_pid(value), (key, tuple(map(float, value)))
-
     def map_block(self, records, ctx: TaskContext):
         if not records:
             return []

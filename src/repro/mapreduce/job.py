@@ -5,7 +5,8 @@ combiner and a custom :class:`Partitioner`), then bundles them into a
 :class:`MapReduceJob` for the runtime.  The interfaces follow Hadoop's
 contract:
 
-* ``map(key, value, ctx)`` yields zero or more ``(key, value)`` pairs;
+* ``map(key, value, ctx)`` yields zero or more ``(key, value)`` pairs
+  (``map_block(records, ctx)`` does the same for a whole input block);
 * the framework shuffles pairs to reducers by ``partitioner(key)``, groups
   by key, and sorts groups by key within each reducer;
 * ``reduce(key, values, ctx)`` yields zero or more output records.
@@ -60,30 +61,37 @@ class TaskContext:
         return self._cost_units
 
 
-class Mapper(abc.ABC):
-    """Map side of a job."""
+class Mapper:
+    """Map side of a job: a subclass defines :meth:`map`, or
+    :meth:`map_block`, or both (then ``map`` is the per-record reference
+    the block path is tested against — the runtime calls ``map_block``
+    only)."""
 
-    @abc.abstractmethod
     def map(self, key: Any, value: Any, ctx: TaskContext) -> Iterable[tuple]:
         """Process one input record; yield ``(key, value)`` pairs."""
+        raise NotImplementedError(
+            f"{type(self).__name__} defines neither map nor map_block"
+        )
 
-    def map_block(
-        self, records, ctx: TaskContext
-    ) -> Optional[Iterable[tuple]]:
-        """Optional vectorized path: process one whole input block.
+    def map_block(self, records, ctx: TaskContext) -> Iterable[tuple]:
+        """Process one whole input block; the runtime's only entry.
 
         ``records`` is a slice of the job's input: a
         :class:`~repro.mapreduce.batch.RecordBatch` of point rows, or a
-        list of generic records.  Return an iterable of ``(key, value)``
-        pairs to take over the block — a point mapper emits one
-        ``(key, batch)`` pair per key — or ``None`` to fall back to
-        per-record :meth:`map` calls.
-        Semantically equivalent to mapping each record; it exists because
-        a real MapReduce worker's per-record cost is a few machine
-        instructions, while a Python-level per-record loop would dominate
-        the simulation and distort phase breakdowns.
+        list of generic records.  A point mapper overrides this to emit
+        one ``(key, batch)`` pair per key: a real MapReduce worker's
+        per-record cost is a few machine instructions, while a
+        Python-level per-record loop would dominate the simulation and
+        distort phase breakdowns.  The default is that loop — one
+        :meth:`map` call per record, a record being a ``(key, value)``
+        pair (a batch iterates as ``(id, point)``) or a bare value.
         """
-        return None
+        for record in records:
+            if isinstance(record, tuple) and len(record) == 2:
+                key, value = record
+            else:
+                key, value = None, record
+            yield from self.map(key, value, ctx)
 
 
 class Reducer(abc.ABC):

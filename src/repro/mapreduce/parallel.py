@@ -6,6 +6,13 @@ map and reduce tasks in a process pool — the results (outputs, counters,
 cost units) are identical by construction; only wall times change.  Use
 it when the goal is answers rather than measurements.
 
+The construction: a job is ``LocalRuntime._run_job`` — the one map ->
+shuffle -> reduce loop and every book it keeps — and a worker runs a
+task through the same ``LocalRuntime._run_task`` the serial runtime
+calls.  What this module adds is a *phase executor*: how one phase's
+tasks get executed (encode, submit, speculate, respawn, drain), and the
+dispatch accounting that only exists when tasks cross a process boundary.
+
 Implementation notes: tasks are dispatched per map block / per reducer;
 the job object (mapper, reducer, partitioner and their captured plans)
 must be picklable, which every built-in component is.  Failure injection,
@@ -48,20 +55,13 @@ import weakref
 from collections import defaultdict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from multiprocessing.connection import wait as wait_readable
 from typing import Any, Dict, List, Sequence
 
 from ..observability.tracing import Span
-from .counters import Counters
 from .job import MapReduceJob
-from .runtime import (
-    JobResult,
-    LocalRuntime,
-    TaskStats,
-    _empty_reduce_output,
-    _record_count,
-    _shuffle,
-)
+from .runtime import JobResult, LocalRuntime
 from .scheduler import SPECULATIVE_ATTEMPT_BASE
 from .shm import (
     TRANSPORTS,
@@ -134,37 +134,63 @@ class _PoolBox:
         self.pool.shutdown(wait=wait, cancel_futures=True)
 
 
-def _run_map_task(args):
-    """Worker entry: execute one map task attempt loop; return pickleables.
+def _run_task(args):
+    """Worker entry: open the envelope and run its task's attempt loop.
 
     The task span rides back with the result — spans are plain dataclass
     trees of builtins and use epoch timestamps, so they pickle cleanly
     and stay comparable with spans built in the parent process.
-    ``attempt_base`` is nonzero only when the dispatcher resubmits a task
-    whose previous worker died; it keeps attempt numbering monotonic
-    across pool respawns.
     """
-    envelope, speculative, attempt_base = args
-    runtime, job, task_id, block = open_envelope(envelope)
-    ctx, pairs, wall, span = runtime._run_attempts(
-        "map", task_id,
-        lambda ctx: runtime._map_attempt(job, block, ctx),
-        empty=list, speculative=speculative, attempt_base=attempt_base,
+    envelope, phase, speculative, attempt_base = args
+    runtime, job, task_id, payload = open_envelope(envelope)
+    return runtime._run_task(
+        phase, job, task_id, payload, speculative, attempt_base
     )
-    return task_id, pairs, wall, ctx.cost_units, ctx.counters, span
 
 
-def _run_reduce_task(args):
-    envelope, speculative, attempt_base = args
-    runtime, job, reducer_id, groups = open_envelope(envelope)
-    ctx, (outputs, n_in), wall, span = runtime._run_attempts(
-        "reduce", reducer_id,
-        lambda ctx: runtime._reduce_attempt(job, groups, ctx),
-        empty=_empty_reduce_output, speculative=speculative,
-        attempt_base=attempt_base,
-    )
-    return (reducer_id, outputs, n_in, wall, ctx.cost_units,
-            ctx.counters, span)
+class _Dispatch:
+    """One phase's in-flight state: which attempts are out, which tasks
+    have committed, and what it has cost to get there."""
+
+    def __init__(self, pool: _PoolBox, phase: str, envelopes, counters,
+                 phase_span: Span) -> None:
+        self.pool = pool
+        self.phase = phase
+        self.envelopes = envelopes    # task_id -> transport envelope
+        self.counters = counters
+        self.phase_span = phase_span
+        self.futures = {}             # future -> (task_id, is_speculative)
+        self.live = set()
+        self.primary = {}
+        self.duplicates = {}          # task_id -> speculative future
+        self.failed = {}              # task_id -> first exception seen
+        self.submit_time = {}
+        self.durations: List[float] = []
+        self.committed = {}           # task_id -> worker result tuple
+        self.resubmits = defaultdict(int)  # task_id -> pool-death re-dispatches
+
+    def submit(self, tid: int, speculative: bool = False,
+               attempt_base: int = 0) -> bool:
+        """Hand one attempt of ``tid`` to the pool; False if it is broken
+        (the completion loop then respawns it and re-dispatches everything
+        uncommitted, this task included).  A duplicate reuses the encoded
+        envelope — with the shm transport a descriptor, not a re-pickled
+        partition — and is timed from its primary's submission."""
+        try:
+            fut = self.pool.submit(
+                _run_task,
+                (self.envelopes[tid], self.phase, speculative, attempt_base),
+            )
+        except BrokenProcessPool:
+            return False
+        self.futures[fut] = (tid, speculative)
+        self.live.add(fut)
+        if speculative:
+            self.duplicates[tid] = fut
+        else:
+            self.primary[tid] = fut
+            self.submit_time[tid] = time.perf_counter()
+        return True
 
 
 class ParallelRuntime(LocalRuntime):
@@ -238,12 +264,8 @@ class ParallelRuntime(LocalRuntime):
         block_records: int | None = None,
     ) -> JobResult:
         blocks = self._resolve_blocks(input_data, block_records)
-        result = JobResult(job.name, outputs=[], counters=Counters())
-        job_span = Span.begin(
-            f"job:{job.name}", "job",
-            job=job.name, n_reducers=job.n_reducers,
-            runtime=type(self).__name__, workers=self.workers,
-            transport=self.transport,
+        job_span = self._job_span(
+            job, workers=self.workers, transport=self.transport
         )
         # One retry-capable LocalRuntime travels to the workers; it only
         # carries configuration (cluster shape, injector, scheduler), not
@@ -253,76 +275,13 @@ class ParallelRuntime(LocalRuntime):
             scheduler=self.scheduler,
         )
         worker_rt.transport_label = self.transport
-        pool = self._started_pool()
+        self._started_pool()
         transport = make_transport(self.transport)
         transport.open_job(worker_rt, job)
-
         try:
-            t0 = time.perf_counter()
-            map_span = job_span.child(
-                "map", "phase", n_tasks=len(blocks)
+            result = self._run_job(
+                job, blocks, partial(self._run_phase, transport), job_span
             )
-            reducer_inputs: List[Dict[Any, List[Any]]] = [
-                defaultdict(list) for _ in range(job.n_reducers)
-            ]
-            envelopes, task_bytes_map = transport.encode_tasks(
-                dict(enumerate(blocks))
-            )
-            map_results = self._run_phase(
-                pool, _run_map_task, envelopes, result.counters,
-                "map", map_span,
-            )
-            for task_id, pairs, wall, cost_units, counters, span in (
-                map_results
-            ):
-                task_bytes = _shuffle(job, pairs, reducer_inputs)
-                n_out = _record_count(value for _, value in pairs)
-                result.map_tasks.append(
-                    TaskStats(task_id, "map", wall, cost_units,
-                              len(blocks[task_id]), n_out)
-                )
-                result.counters.merge(counters)
-                result.shuffle_records += n_out
-                result.shuffle_bytes += task_bytes
-                span.annotate(
-                    input_records=len(blocks[task_id]),
-                    output_records=n_out,
-                    shuffle_bytes=task_bytes,
-                    dispatch_bytes=task_bytes_map[task_id],
-                )
-                map_span.add_child(span)
-            map_span.finish()
-            result.phase_times["map"] = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            reduce_span = job_span.child(
-                "reduce", "phase", n_tasks=job.n_reducers
-            )
-            envelopes, task_bytes_map = transport.encode_tasks(
-                {
-                    rid: dict(reducer_inputs[rid])
-                    for rid in range(job.n_reducers)
-                }
-            )
-            reduce_results = self._run_phase(
-                pool, _run_reduce_task, envelopes, result.counters,
-                "reduce", reduce_span,
-            )
-            for (rid, outputs, n_in, wall, cost_units, counters,
-                 span) in reduce_results:
-                result.outputs.extend(outputs)
-                result.reduce_tasks.append(
-                    TaskStats(rid, "reduce", wall, cost_units, n_in,
-                              len(outputs))
-                )
-                result.counters.merge(counters)
-                span.annotate(
-                    input_records=n_in, output_records=len(outputs),
-                    dispatch_bytes=task_bytes_map[rid],
-                )
-                reduce_span.add_child(span)
-            reduce_span.finish()
-            result.phase_times["reduce"] = time.perf_counter() - t0
         finally:
             # Deterministic data-plane teardown: shared-memory segments
             # are unlinked here even when a task exhausts its attempts
@@ -357,13 +316,14 @@ class ParallelRuntime(LocalRuntime):
         return self._commit_trace(result, job_span)
 
     # ------------------------------------------------------------------
-    def _run_phase(self, pool, fn, payloads, counters, phase, phase_span):
-        """Dispatch one phase's tasks, speculating on stragglers.
+    def _run_phase(self, transport, phase, job, payloads, counters,
+                   phase_span):
+        """The pool's phase executor: dispatch the phase's tasks,
+        speculating on stragglers.
 
-        ``payloads`` maps ``task_id`` to the transport envelope for that
-        task.  Returns the worker result tuples sorted by task id —
-        exactly one committed result per task, whichever attempt
-        (primary or speculative duplicate) finished first.
+        Returns the worker result tuples sorted by task id — exactly one
+        committed result per task, whichever attempt (primary or
+        speculative duplicate) finished first.
 
         A dead worker (SIGKILL, OOM) breaks the whole pool: every live
         future raises :class:`BrokenProcessPool`.  The loop respawns the
@@ -371,33 +331,18 @@ class ParallelRuntime(LocalRuntime):
         under the scheduler's backoff policy, failing a task only after
         ``max_attempts`` dispatches have died under it.
         """
-        cfg = self.scheduler
-        futures = {}          # future -> (task_id, is_speculative)
-        live = set()
-        primary = {}
-        duplicates = {}       # task_id -> speculative future
-        failed = {}           # task_id -> first exception seen
-        submit_time = {}
-        durations: List[float] = []
-        committed = {}        # task_id -> worker result tuple
-        resubmits = defaultdict(int)  # task_id -> pool-death re-dispatches
-
+        envelopes, dispatch_bytes = transport.encode_tasks(
+            dict(enumerate(payloads))
+        )
+        state = _Dispatch(self._pool, phase, envelopes, counters, phase_span)
+        live, committed, failed = state.live, state.committed, state.failed
         try:
-            for tid, envelope in payloads.items():
-                try:
-                    fut = pool.submit(fn, (envelope, False, 0))
-                except BrokenProcessPool:
-                    # A worker died while dispatch was still in flight, or
-                    # while the pool idled since the last job; the
-                    # completion loop below respawns and re-dispatches
-                    # everything uncommitted, this task included.
+            for tid in envelopes:
+                # A worker died while dispatch was still in flight, or
+                # while the pool idled since the last job.
+                if not state.submit(tid):
                     break
-                futures[fut] = (tid, False)
-                primary[tid] = fut
-                live.add(fut)
-                submit_time[tid] = time.perf_counter()
-
-            while len(committed) < len(payloads):
+            while len(committed) < len(envelopes):
                 # No live attempts with work outstanding means the pool
                 # broke before (or while) dispatching — same respawn path
                 # as a death observed through a future.
@@ -410,7 +355,7 @@ class ParallelRuntime(LocalRuntime):
                     )
                 for fut in done:
                     live.discard(fut)
-                    tid, is_spec = futures[fut]
+                    tid, is_spec = state.futures[fut]
                     if tid in committed:
                         continue  # the cancelled loser finishing late
                     try:
@@ -427,32 +372,21 @@ class ParallelRuntime(LocalRuntime):
                         # task has failed (checked below).
                         failed.setdefault(tid, exc)
                         continue
-                    committed[tid] = out
-                    if phase == "reduce" and self.commit_listener is not None:
-                        self.commit_listener(phase, tid, out[1])
-                    durations.append(
-                        time.perf_counter() - submit_time[tid]
+                    committed[tid] = self._committed(phase, out)
+                    state.durations.append(
+                        time.perf_counter() - state.submit_time[tid]
                     )
-                    self._record_outcome(
-                        tid, is_spec, out[-1], primary, duplicates, counters
-                    )
+                    self._record_outcome(state, tid, is_spec, out[-1])
                 if broken:
-                    self._respawn(
-                        pool, fn, payloads, cfg, futures, live, primary,
-                        duplicates, submit_time, resubmits, committed,
-                        failed, counters, phase, phase_span,
-                    )
+                    self._respawn(state)
                 for tid, exc in failed.items():
                     if tid not in committed and not (
-                        primary[tid] in live
-                        or duplicates.get(tid) in live
+                        state.primary[tid] in live
+                        or state.duplicates.get(tid) in live
                     ):
                         raise exc
-                if cfg.speculate:
-                    self._speculate(
-                        pool, fn, payloads, cfg, futures, live, duplicates,
-                        failed, committed, submit_time, durations, counters,
-                    )
+                if self.scheduler.speculate:
+                    self._speculate(state)
         finally:
             # Drain: what is still queued is cancelled, what is running —
             # a speculation loser, the siblings of a task that ran out of
@@ -462,71 +396,64 @@ class ParallelRuntime(LocalRuntime):
             for fut in live:
                 fut.cancel()
             wait(live)
+        for tid, out in committed.items():
+            out[-1].annotate(dispatch_bytes=dispatch_bytes[tid])
         return sorted(committed.values(), key=lambda item: item[0])
 
     # ------------------------------------------------------------------
-    def _respawn(self, pool, fn, payloads, cfg, futures, live, primary,
-                 duplicates, submit_time, resubmits, committed, failed,
-                 counters, phase, phase_span):
+    def _respawn(self, state: _Dispatch) -> None:
         """Replace a broken pool and resubmit its uncommitted tasks.
 
         Tasks already in ``failed`` exhausted their own attempts before
         the pool broke; they are left to the failure policy rather than
         granted a fresh lease by someone else's death.
         """
-        counters.incr("recovery", "worker_deaths")
-        pool.respawn()
-        live.clear()
-        duplicates.clear()
+        cfg, phase = self.scheduler, state.phase
+        state.counters.incr("recovery", "worker_deaths")
+        state.pool.respawn()
+        state.live.clear()
+        state.duplicates.clear()
         lost = sorted(
-            tid for tid in payloads
-            if tid not in committed and tid not in failed
+            tid for tid in state.envelopes
+            if tid not in state.committed and tid not in state.failed
         )
-        phase_span.child(
+        state.phase_span.child(
             "worker_death", "event", phase=phase, lost_tasks=lost,
         ).finish()
         delay = 0.0
         for tid in lost:
-            resubmits[tid] += 1
-            if resubmits[tid] >= cfg.max_attempts:
+            state.resubmits[tid] += 1
+            if state.resubmits[tid] >= cfg.max_attempts:
                 raise BrokenProcessPool(
                     f"{phase} task {tid}: worker died under all "
                     f"{cfg.max_attempts} dispatches"
                 )
             delay = max(
-                delay, cfg.backoff_delay(phase, tid, resubmits[tid])
+                delay, cfg.backoff_delay(phase, tid, state.resubmits[tid])
             )
         # One backoff pause per respawn (the deaths were correlated —
         # it was one pool), sized by the slowest task's schedule.
         if delay > 0:
             time.sleep(delay)
         for tid in lost:
-            try:
-                fut = pool.submit(
-                    fn, (payloads[tid], False, resubmits[tid])
-                )
-            except BrokenProcessPool:
-                # The replacement pool broke already (another instant
-                # kill); the completion loop respawns once more, with
-                # this cycle's resubmit counts still charged.
+            # If the replacement pool broke already (another instant
+            # kill), the completion loop respawns once more, with this
+            # cycle's resubmit counts still charged.
+            if not state.submit(tid, attempt_base=state.resubmits[tid]):
                 break
-            futures[fut] = (tid, False)
-            primary[tid] = fut
-            live.add(fut)
-            submit_time[tid] = time.perf_counter()
-            counters.incr("recovery", "tasks_resubmitted")
+            state.counters.incr("recovery", "tasks_resubmitted")
 
     @staticmethod
-    def _record_outcome(tid, is_spec, span, primary, duplicates, counters):
+    def _record_outcome(state: _Dispatch, tid, is_spec, span) -> None:
         """Book the commit: who won, who was cancelled, on span+counters."""
-        loser = primary.get(tid) if is_spec else duplicates.get(tid)
+        loser = (state.primary if is_spec else state.duplicates).get(tid)
         if is_spec:
-            counters.incr("runtime", "speculative_wins")
+            state.counters.incr("runtime", "speculative_wins")
             span.annotate(speculative_winner=True)
         if loser is None:
             return
         loser.cancel()
-        counters.incr("runtime", "cancelled_attempts")
+        state.counters.incr("runtime", "cancelled_attempts")
         # The loser ran (or was queued) in another process; its spans are
         # discarded with its result, so record a tombstone attempt here.
         if is_spec:
@@ -541,42 +468,33 @@ class ParallelRuntime(LocalRuntime):
         ghost.finish(status="cancelled")
         span.add_child(ghost)
 
-    @staticmethod
-    def _speculate(pool, fn, payloads, cfg, futures, live, duplicates,
-                   failed, committed, submit_time, durations, counters):
+    def _speculate(self, state: _Dispatch) -> None:
         """Launch duplicate attempts for tasks flagged as stragglers.
 
         Elapsed time is measured from submission, so on a saturated pool
         queued tasks can be flagged early; the duplicates are harmless —
         attempts are deterministic and only the first commit counts.
         """
-        if len(durations) < cfg.speculation_min_tasks:
+        cfg = self.scheduler
+        if len(state.durations) < cfg.speculation_min_tasks:
             return
-        median = statistics.median(durations)
+        median = statistics.median(state.durations)
         if median <= 0:
             return
         limit = max(
             cfg.speculation_threshold * median, _MIN_STRAGGLER_SECONDS
         )
         now = time.perf_counter()
-        for tid in payloads:
-            if (tid in committed or tid in duplicates
-                    or tid in failed):
+        for tid in state.envelopes:
+            if (tid in state.committed or tid in state.duplicates
+                    or tid in state.failed):
                 continue
-            if now - submit_time[tid] > limit:
-                # Speculative duplicates reuse the encoded envelope —
-                # with the shm transport that is a descriptor, not a
-                # re-pickled partition.
-                try:
-                    fut = pool.submit(fn, (payloads[tid], True, 0))
-                except BrokenProcessPool:
-                    # The pool died since the last poll; the wait loop
-                    # will notice and respawn — don't speculate into it.
+            if now - state.submit_time[tid] > limit:
+                # If the pool died since the last poll, the wait loop
+                # will notice and respawn — don't speculate into it.
+                if not state.submit(tid, speculative=True):
                     return
-                futures[fut] = (tid, True)
-                duplicates[tid] = fut
-                live.add(fut)
-                counters.incr("runtime", "speculative_attempts")
+                state.counters.incr("runtime", "speculative_attempts")
 
 
 def make_runtime(

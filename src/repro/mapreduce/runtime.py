@@ -127,6 +127,11 @@ class JobResult:
 class LocalRuntime:
     """Runs jobs against a simulated cluster.
 
+    What a job is — the map -> shuffle -> reduce loop and its books —
+    lives in :meth:`_run_job` and what a task is in :meth:`_run_task`,
+    here only; a runtime differs from this one in how a phase's tasks
+    get executed (:meth:`_run_phase`), nothing else.
+
     Fault tolerance follows Hadoop's contract: a task attempt's outputs
     commit only when the attempt succeeds; failed attempts (injected via
     ``failure_injector``, or real exceptions from user code) are retried
@@ -189,71 +194,77 @@ class LocalRuntime:
         cluster's ``hdfs_block_records``), one map task each.
         """
         blocks = self._resolve_blocks(input_data, block_records)
-        result = JobResult(job.name, outputs=[], counters=Counters())
-        job_span = Span.begin(
+        job_span = self._job_span(job)
+        result = self._run_job(job, blocks, self._run_phase, job_span)
+        return self._commit_trace(result, job_span)
+
+    def _job_span(self, job: MapReduceJob, **attrs) -> Span:
+        return Span.begin(
             f"job:{job.name}", "job",
             job=job.name, n_reducers=job.n_reducers,
-            runtime=type(self).__name__,
+            runtime=type(self).__name__, **attrs,
         )
 
-        # ----------------------------- map phase -----------------------
-        t0 = time.perf_counter()
-        map_span = job_span.child("map", "phase", n_tasks=len(blocks))
+    def _run_job(
+        self, job: MapReduceJob, blocks: List[Sequence], run_phase,
+        job_span: Span,
+    ) -> JobResult:
+        """The job: map -> shuffle -> reduce, and all of its books.
+
+        A runtime decides only how a phase's tasks are executed:
+        ``run_phase(phase, job, payloads, counters, phase_span)`` gives
+        one :meth:`_run_task` result per payload in task-id order (and
+        has told :meth:`_committed` of each as it committed).
+        """
+        result = JobResult(job.name, outputs=[], counters=Counters())
         # One spill per (map task, reducer): the shuffle routes each pair as
         # it is emitted, like Hadoop's map-side partitioned spill files.
         reducer_inputs: List[Dict[Any, List[Any]]] = [
-            defaultdict(list) for _ in range(job.n_reducers)
+            {} for _ in range(job.n_reducers)
         ]
-        for task_id, block in enumerate(blocks):
-            ctx, pairs, wall, task_span = self._run_attempts(
-                "map", task_id,
-                lambda ctx: self._map_attempt(job, block, ctx),
-                empty=list,
-            )
-            task_bytes = _shuffle(job, pairs, reducer_inputs)
-            n_out = _record_count(value for _, value in pairs)
-            result.map_tasks.append(
-                TaskStats(task_id, "map", wall, ctx.cost_units,
-                          len(block), n_out)
-            )
-            result.counters.merge(ctx.counters)
-            result.shuffle_records += n_out
-            result.shuffle_bytes += task_bytes
-            task_span.annotate(
-                input_records=len(block), output_records=n_out,
-                shuffle_bytes=task_bytes,
-            )
-            map_span.add_child(task_span)
-        map_span.finish()
-        result.phase_times["map"] = time.perf_counter() - t0
+        for phase, payloads, tasks in (
+            ("map", blocks, result.map_tasks),
+            ("reduce", reducer_inputs, result.reduce_tasks),
+        ):
+            t0 = time.perf_counter()
+            phase_span = job_span.child(phase, "phase", n_tasks=len(payloads))
+            for task_id, out, n_in, wall, cost_units, counters, span in (
+                run_phase(phase, job, payloads, result.counters, phase_span)
+            ):
+                if phase == "map":
+                    task_bytes = _shuffle(job, out, reducer_inputs)
+                    n_out = _record_count(value for _, value in out)
+                    result.shuffle_records += n_out
+                    result.shuffle_bytes += task_bytes
+                    volume = {"shuffle_bytes": task_bytes}
+                else:
+                    result.outputs.extend(out)
+                    n_out, volume = len(out), {}
+                span.annotate(
+                    input_records=n_in, output_records=n_out, **volume
+                )
+                tasks.append(
+                    TaskStats(task_id, phase, wall, cost_units, n_in, n_out)
+                )
+                result.counters.merge(counters)
+                phase_span.add_child(span)
+            phase_span.finish()
+            result.phase_times[phase] = time.perf_counter() - t0
+        return result
 
-        # --------------------------- reduce phase ----------------------
-        t0 = time.perf_counter()
-        reduce_span = job_span.child(
-            "reduce", "phase", n_tasks=job.n_reducers
-        )
-        for reducer_id in range(job.n_reducers):
-            groups = reducer_inputs[reducer_id]
-            ctx, (outputs, n_in), wall, task_span = self._run_attempts(
-                "reduce", reducer_id,
-                lambda ctx: self._reduce_attempt(job, groups, ctx),
-                empty=_empty_reduce_output,
+    def _run_phase(self, phase, job, payloads, counters, phase_span):
+        """The serial phase executor: task after task, lazily — a map
+        task's output is shuffled before the next task runs."""
+        for task_id, payload in enumerate(payloads):
+            yield self._committed(
+                phase, self._run_task(phase, job, task_id, payload)
             )
-            result.outputs.extend(outputs)
-            if self.commit_listener is not None:
-                self.commit_listener("reduce", reducer_id, outputs)
-            result.reduce_tasks.append(
-                TaskStats(reducer_id, "reduce", wall, ctx.cost_units,
-                          n_in, len(outputs))
-            )
-            result.counters.merge(ctx.counters)
-            task_span.annotate(
-                input_records=n_in, output_records=len(outputs)
-            )
-            reduce_span.add_child(task_span)
-        reduce_span.finish()
-        result.phase_times["reduce"] = time.perf_counter() - t0
-        return self._commit_trace(result, job_span)
+
+    def _committed(self, phase: str, result: tuple) -> tuple:
+        """Tell the commit listener of a reduce task's committed result."""
+        if phase == "reduce" and self.commit_listener is not None:
+            self.commit_listener(phase, result[0], result[1])
+        return result
 
     # ------------------------------------------------------------------
     def _commit_trace(self, result: JobResult, job_span: Span) -> JobResult:
@@ -281,37 +292,41 @@ class LocalRuntime:
             self.tracer.record(job_span)
         return result
 
-    def _run_attempts(self, phase: str, task_id: int, body,
-                      empty=None, speculative: bool = False,
-                      attempt_base: int = 0):
-        """Execute a task under the scheduler; commit only on success.
+    def _run_task(self, phase: str, job: MapReduceJob, task_id: int,
+                  payload, speculative: bool = False,
+                  attempt_base: int = 0) -> tuple:
+        """Execute one task under the scheduler; commit only on success.
 
-        Failed attempts are recorded on the *successful* attempt's context
-        counters, so they survive the trip back from worker processes.
-        Returns ``(ctx, out, wall, task_span)``; the task span carries one
-        ``attempt`` child per attempt (failed ones annotated with the
-        error) and, via ``ctx.span``, any spans user code attached.
-        ``empty`` builds the task's empty output for skip-partition
-        degradation; ``speculative`` marks a duplicate straggler copy.
+        What the serial phase calls and what a pool worker calls on the
+        envelope it opened.  Returns ``(task_id, out, input_records,
+        wall, cost_units, counters, task_span)``.  Failed attempts are
+        recorded on the *successful* attempt's context counters, so they
+        survive the trip back from worker processes; the task span
+        carries one ``attempt`` child per attempt (failed ones annotated
+        with the error) and, via ``ctx.span``, any spans user code
+        attached.  ``speculative`` marks a duplicate straggler copy;
+        ``attempt_base`` is nonzero only when a pool resubmits a task
+        whose previous worker died, and keeps attempt numbering
+        monotonic across pool respawns.
         """
-        return TaskScheduler(self.scheduler, self.failure_injector).run_task(
-            phase, task_id, body, empty=empty, speculative=speculative,
-            transport=self.transport_label, attempt_base=attempt_base,
+        attempt = self._map_attempt if phase == "map" else self._reduce_attempt
+        ctx, (out, n_in), wall, span = TaskScheduler(
+            self.scheduler, self.failure_injector
+        ).run_task(
+            phase, task_id, lambda ctx: attempt(job, payload, ctx),
+            # Skip-partition degradation: no outputs; a skipped block
+            # still counts as read, a skipped reducer read nothing.
+            empty=lambda: ([], len(payload) if phase == "map" else 0),
+            speculative=speculative, transport=self.transport_label,
+            attempt_base=attempt_base,
         )
+        return task_id, out, n_in, wall, ctx.cost_units, ctx.counters, span
 
     def _map_attempt(self, job: MapReduceJob, block, ctx: TaskContext):
-        pairs: List[tuple] = []
-        block_out = job.mapper.map_block(block, ctx)
-        if block_out is not None:
-            pairs.extend(block_out)
-        else:
-            for record in block:
-                key, value = self._record_kv(record)
-                for out in job.mapper.map(key, value, ctx):
-                    pairs.append(out)
+        pairs = list(job.mapper.map_block(block, ctx))
         if job.combiner is not None:
             pairs = self._combine(job, pairs, ctx)
-        return pairs
+        return pairs, len(block)
 
     def _reduce_attempt(self, job: MapReduceJob, groups, ctx: TaskContext):
         outputs: List[Any] = []
@@ -342,13 +357,6 @@ class LocalRuntime:
         ]
 
     @staticmethod
-    def _record_kv(record) -> tuple:
-        """Input records may be ``(key, value)`` pairs or bare values."""
-        if isinstance(record, tuple) and len(record) == 2:
-            return record
-        return None, record
-
-    @staticmethod
     def _combine(job: MapReduceJob, pairs: List[tuple], ctx: TaskContext) -> List[tuple]:
         groups: Dict[Any, List[Any]] = defaultdict(list)
         for key, value in pairs:
@@ -358,11 +366,6 @@ class LocalRuntime:
             for out in job.combiner.reduce(key, values, ctx):
                 combined.append(out)
         return combined
-
-
-def _empty_reduce_output() -> tuple:
-    """Skip-partition placeholder for a reduce task: no outputs, no input."""
-    return [], 0
 
 
 def _record_count(values: Iterable) -> int:
@@ -396,7 +399,9 @@ def _shuffle(
                     f"partitioner returned {dest} for key {key!r}; "
                     f"must be in [0, {job.n_reducers})"
                 )
-            values = values_of[key] = reducer_inputs[dest][key]
+            values = values_of[key] = reducer_inputs[dest].setdefault(
+                key, []
+            )
         values.append(value)
     if not pairs:
         return 0

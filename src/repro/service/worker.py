@@ -46,11 +46,9 @@ import traceback
 from collections import OrderedDict
 from typing import Any, Dict, Optional
 
-import numpy as np
-
 from ..core import Dataset
 from ..core.config import RunConfig
-from ..data.io import finite_row_mask
+from ..data.io import _read_table, _table_dataset
 from ..mapreduce import ClusterConfig, LocalRuntime, make_runtime
 from ..observability import RunReport, Span
 from ..params import OutlierParams
@@ -108,33 +106,19 @@ def _job_spec_defaults(spec: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def load_job_dataset(spec: Dict[str, Any]) -> Dataset:
-    """Load the job's CSV exactly as ``repro detect`` would.
+    """Load the job's CSV through the parse ``repro detect`` uses.
 
     Raises ``ValueError`` on unreadable/empty/non-finite input — the
     worker converts that into a ``failed`` job, not a dead worker.
     """
     path = spec["input"]
-    try:
-        raw = np.loadtxt(path, delimiter=",", ndmin=2)
-    except FileNotFoundError:
-        raise ValueError(f"input file not found: {path}") from None
-    except (OSError, ValueError) as exc:
-        raise ValueError(
-            f"could not read {path} as CSV points: {exc}"
-        ) from exc
-    if raw.shape[0] == 0:
-        raise ValueError(f"{path}: no points")
-    if spec["with_ids"] and raw.shape[1] < 2:
-        raise ValueError(f"{path}: with_ids needs id + coordinates")
-    coords = raw[:, 1:] if spec["with_ids"] else raw
-    if not bool(finite_row_mask(coords).all()):
+    raw, mask = _read_table(path, spec["with_ids"])
+    if not mask.all():
         raise ValueError(
             f"{path}: rows with NaN/inf coordinates; clean the input "
             "before submitting (the service never guesses)"
         )
-    if spec["with_ids"]:
-        return Dataset(raw[:, 1:], raw[:, 0].astype(np.int64))
-    return Dataset.from_points(raw)
+    return _table_dataset(raw, spec["with_ids"])
 
 
 class ServiceWorker:

@@ -362,9 +362,6 @@ class _CertifyMapper(Mapper):
         self.sample = sample
         self.cfg = cfg
 
-    def map(self, key, value, ctx: TaskContext):
-        yield from self.map_block(RecordBatch([key], [value]), ctx)
-
     def map_block(self, records, ctx: TaskContext):
         if not records:
             return []

@@ -122,6 +122,36 @@ class TestRuntimeFlagValidation:
         assert code == 2
         assert "--workers > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [
+        [], ["--speculate"], ["--transport", "shm"],
+    ])
+    @pytest.mark.parametrize("command", ["detect", "stream"])
+    def test_negative_workers_error(
+        self, command, extra, csv_points, capsys
+    ):
+        """A negative count is not a spelling of serial: it used to
+        slip past both ``requires --workers > 0`` rules and run."""
+        code = main([command, csv_points, "-r", "2.0", "-k", "5",
+                     "--workers", "-3", *extra])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("--workers must be >= 0") == 1
+        assert "running serially" not in err
+        if extra:
+            assert f"{extra[0]} " in err and "requires --workers > 0" in err
+
+    def test_resume_and_submit_reject_negative_workers(
+        self, csv_points, tmp_path, capsys
+    ):
+        assert main(["resume", str(tmp_path / "ckpt"),
+                     "--workers", "-1"]) == 2
+        assert "--workers must be >= 0" in capsys.readouterr().err
+        spool = tmp_path / "spool"
+        assert main(["submit", csv_points, "-r", "2.0", "-k", "5",
+                     "--spool", str(spool), "--workers", "-1"]) == 2
+        assert "--workers must be >= 0" in capsys.readouterr().err
+        assert not spool.exists()
+
     def test_speculate_without_workers_errors(self, csv_points, capsys):
         code = main(["detect", csv_points, "-r", "2.0", "-k", "5",
                      "--speculate"])
@@ -267,6 +297,34 @@ class TestInputHardening:
         report = json.loads(out.read_text())
         assert report["rows_quarantined"] == 2
         assert report["n_points"] == 6
+
+    @pytest.mark.parametrize("command", ["detect", "stream"])
+    def test_quarantine_keeps_every_input_files_rows(
+        self, command, tmp_path, capsys
+    ):
+        """One bad row in each of two inputs: both reach the quarantine
+        file, in input order, and the stream-shaped report counts them."""
+        first = tmp_path / "in.csv"
+        first.write_text("1,2\nnan,1\n1.5,2.5\n4,5\n1,1\n2,2\n")
+        second = tmp_path / "more.csv"
+        second.write_text("9,9\ninf,2\n8,8\n")
+        quarantine = tmp_path / "q.csv"
+        quarantine.write_text("7,7\n")  # an earlier command's leftovers
+        out = tmp_path / "report.json"
+        argv = [command, str(first), "-r", "2.0", "-k", "2",
+                "--quarantine-out", str(quarantine), "-o", str(out)]
+        if command == "detect":
+            argv += ["--append", str(second)]
+        assert main(argv) == 0
+        report = json.loads(out.read_text())
+        if command == "detect":
+            assert quarantine.read_text() == "nan,1\ninf,2\n"
+            assert report["rows_quarantined"] == 2
+            assert report["n_points"] == 7
+        else:
+            assert quarantine.read_text() == "nan,1\n"
+            assert report["rows_quarantined"] == 1
+            assert report["n_points"] == 5
 
     def test_quarantine_counter_resets_per_command(self, tmp_path):
         # Embedders (and tests) invoke command functions directly,

@@ -385,6 +385,63 @@ class TestShuffle:
         }
 
 
+class BlockOnlyMapper(Mapper):
+    """No ``map`` at all: the block is the mapper's only entry."""
+
+    def map_block(self, records, ctx):
+        return [(key % 2, value) for key, value in records]
+
+
+class NoEntryMapper(Mapper):
+    pass
+
+
+class SeenMapper(Mapper):
+    """``map`` only; emits what it was handed, types included."""
+
+    def map(self, key, value, ctx):
+        yield 0, (type(key).__name__, key, value.tolist())
+
+
+class TestMapperContract:
+    """A mapper defines ``map`` or ``map_block``; jobs run ``map_block``."""
+
+    @pytest.mark.parametrize("transport", [None, "pickle", "shm"])
+    def test_map_block_alone_is_a_mapper(self, transport):
+        cluster = ClusterConfig(nodes=2)
+        job = MapReduceJob(
+            "blocks", BlockOnlyMapper(), ListReducer(), n_reducers=2
+        )
+        records = [(i, f"v{i}") for i in range(10)]
+        with (
+            LocalRuntime(cluster) if transport is None
+            else ParallelRuntime(cluster, workers=2, transport=transport)
+        ) as runtime:
+            result = runtime.run(job, records, block_records=4)
+        assert dict(result.outputs) == {
+            0: [f"v{i}" for i in range(0, 10, 2)],
+            1: [f"v{i}" for i in range(1, 10, 2)],
+        }
+        assert [t.output_records for t in result.map_tasks] == [4, 4, 2]
+
+    def test_a_mapper_with_neither_entry_names_itself(self):
+        job = MapReduceJob("none", NoEntryMapper(), ListReducer())
+        with pytest.raises(NotImplementedError, match="NoEntryMapper"):
+            LocalRuntime(ClusterConfig(nodes=2)).run(job, [(1, "a")])
+
+    def test_map_sees_id_and_point_of_each_batch_row(self):
+        rows = RecordBatch([7, 8, 9], np.arange(6.0).reshape(3, 2))
+        job = MapReduceJob("seen", SeenMapper(), ListReducer())
+        result = LocalRuntime(ClusterConfig(nodes=2)).run(
+            job, rows, block_records=2
+        )
+        assert result.outputs == [(0, [
+            ("int", 7, [0.0, 1.0]), ("int", 8, [2.0, 3.0]),
+            ("int", 9, [4.0, 5.0]),
+        ])]
+        assert [t.input_records for t in result.map_tasks] == [2, 1]
+
+
 class TestDictPartitioner:
     def test_table_and_fallback(self):
         p = DictPartitioner({"x": 3})

@@ -1,5 +1,6 @@
 """Tests for the multiprocess execution backend."""
 
+import dataclasses
 import gc
 import multiprocessing
 import os
@@ -23,6 +24,7 @@ from repro.mapreduce import (
     shm,
 )
 from repro.mapreduce.failures import SimulatedTaskFailure
+from repro.observability import Tracer
 
 CLUSTER = ClusterConfig(nodes=2)
 
@@ -102,6 +104,77 @@ class TestParallelRuntime:
         )
         assert serial.outlier_ids == parallel.outlier_ids
         assert serial.reduce_units == parallel.reduce_units
+
+
+# ----------------------------------------------------------------------
+# One job loop: a runtime only decides how a phase's tasks are executed,
+# so the books of a job cannot depend on which runtime ran it.
+# ----------------------------------------------------------------------
+#: What only a pool has to say about a job or a task.
+POOL_ONLY = {
+    "runtime", "workers", "transport", "dispatch_bytes", "dispatch_seconds",
+}
+
+
+def span_shape(span):
+    """Names, kinds, child order and attribute key sets of a span tree."""
+    return (
+        span.name, span.kind, sorted(set(span.attrs) - POOL_ONLY),
+        [span_shape(child) for child in span.children],
+    )
+
+
+def task_books(result):
+    return [
+        dataclasses.replace(task, wall_seconds=0.0)
+        for task in result.map_tasks + result.reduce_tasks
+    ]
+
+
+class TestOneJobLoop:
+    def test_generic_job_has_the_same_books_on_both_runtimes(self):
+        records = [(i % 5, f"w{i % 7} w{i % 3}") for i in range(90)]
+        serial = LocalRuntime(CLUSTER).run(job(), records, block_records=20)
+        with ParallelRuntime(CLUSTER, workers=2) as pool:
+            pooled = pool.run(job(), records, block_records=20)
+        assert span_shape(serial.trace) == span_shape(pooled.trace)
+        assert [c.name for c in serial.trace.children] == ["map", "reduce"]
+        assert [c.name for c in serial.trace.children[0].children] == [
+            f"map[{i}]" for i in range(5)
+        ]
+        assert task_books(serial) == task_books(pooled)
+        assert len(task_books(serial)) == 5 + 2
+
+    @pytest.mark.parametrize("transport", ["pickle", "shm"])
+    def test_detection_has_the_same_books_on_both_runtimes(self, transport):
+        rng = np.random.default_rng(11)
+        data = Dataset.from_points(rng.uniform(0, 30, size=(900, 2)))
+        kwargs = dict(
+            strategy="DMT", n_partitions=9, n_reducers=3, cluster=CLUSTER,
+            sample_rate=0.5,
+        )
+        serial_tracer, pooled_tracer = Tracer(), Tracer()
+        serial = detect_outliers(
+            data, OutlierParams(r=2.0, k=5), runtime=LocalRuntime(CLUSTER),
+            tracer=serial_tracer, **kwargs,
+        )
+        with ParallelRuntime(
+            CLUSTER, workers=2, transport=transport
+        ) as pool:
+            pooled = detect_outliers(
+                data, OutlierParams(r=2.0, k=5), runtime=pool,
+                tracer=pooled_tracer, **kwargs,
+            )
+        assert serial.outlier_ids == pooled.outlier_ids
+        serial_jobs = serial_tracer.job_spans()
+        pooled_jobs = pooled_tracer.job_spans()
+        assert len(serial_jobs) == len(pooled_jobs) >= 2  # plan + detect
+        assert [span_shape(s) for s in serial_jobs] == [
+            span_shape(s) for s in pooled_jobs
+        ]
+        assert [task_books(j) for j in serial.run.jobs] == [
+            task_books(j) for j in pooled.run.jobs
+        ]
 
 
 # ----------------------------------------------------------------------

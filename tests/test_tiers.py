@@ -10,7 +10,6 @@ under every tier.
 """
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from repro.core import (
     detect_outliers,
 )
 from repro.costmodel import default_sample_size, select_tier
-from repro.geometry import Rect
 from repro.mapreduce import ClusterConfig, LocalRuntime
 from repro.mapreduce.counters import Counters
 from repro.metrics import resolve_metric
