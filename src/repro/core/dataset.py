@@ -23,7 +23,8 @@ __all__ = ["Dataset"]
 class Dataset:
     """An immutable point collection with ids.
 
-    ``points`` is ``(n, d)`` float64; ``ids`` is ``(n,)`` int64 and unique.
+    ``points`` is ``(n, d)`` float64 and finite; ``ids`` is ``(n,)``
+    int64 and unique.
     """
 
     points: np.ndarray
@@ -39,6 +40,12 @@ class Dataset:
             raise ValueError("ids must be a 1-d array aligned with points")
         if len(np.unique(ids)) != len(ids):
             raise ValueError("point ids must be unique")
+        finite = np.isfinite(points).all(axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"row {int(np.argmin(finite))} has NaN/inf coordinates; "
+                "distances to it are undefined"
+            )
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "ids", ids)
 

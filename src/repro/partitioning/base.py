@@ -28,22 +28,53 @@ __all__ = ["Partition", "PartitionPlan"]
 
 #: Largest cell table a plan builds (4 MiB of positions).  The table has
 #: up to ``(2m + 1) ** d`` cells for ``m`` unaligned partitions; past this
-#: cap assignment scans per-axis masks over all partitions instead.
+#: cap the core partition is found by the slab sweep instead.
 _MAX_TABLE_CELLS = 1 << 19
 
 
-def _axis_mask(
-    points: np.ndarray, lows: np.ndarray, highs: np.ndarray, upper_cmp
-) -> np.ndarray:
-    """``(n, m)`` mask of ``lows[j] <= points[i]`` and
-    ``upper_cmp(points[i], highs[j])`` on every axis, built one axis at
-    a time so no ``(n, m, d)`` temporary exists."""
-    mask = np.ones((points.shape[0], lows.shape[0]), dtype=bool)
-    for axis in range(lows.shape[1]):
-        x = points[:, axis, None]
-        mask &= x >= lows[:, axis]
-        mask &= upper_cmp(x, highs[:, axis])
-    return mask
+def _slab_pairs(
+    points: np.ndarray,
+    lows: np.ndarray,
+    highs: np.ndarray,
+    closed: bool,
+    exclude: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, positions)`` of every pair with ``lows[j] <= points[i]``
+    and ``points[i] <= highs[j]`` (``closed``) or ``< highs[j]`` on every
+    axis, less the pairs ``(i, exclude[i])``, in row-major ``(row,
+    position)`` order.
+
+    The block is sorted once on axis 0, so a partition's interval on
+    that axis is one contiguous run of the order (two ``searchsorted``);
+    the run is filtered on the other axes with the same comparisons
+    against the same floats.  Work and memory scale with the rows in each
+    partition's slab, not with ``n × m``.
+    """
+    order = np.argsort(points[:, 0], kind="stable")
+    cols = points[order].T
+    starts = np.searchsorted(cols[0], lows[:, 0], "left").tolist()
+    ends = np.searchsorted(
+        cols[0], highs[:, 0], "right" if closed else "left"
+    ).tolist()
+    upper_cmp = np.less_equal if closed else np.less
+    skip = None if exclude is None else exclude[order]
+    others = range(1, points.shape[1])
+    runs = [np.empty(0, dtype=np.intp)]
+    for j, (lo, hi, start, end) in enumerate(
+        zip(lows.tolist(), highs.tolist(), starts, ends)
+    ):
+        if start >= end:
+            continue
+        keep = np.ones(end - start, dtype=bool) if skip is None else (
+            skip[start:end] != j
+        )
+        for a in others:
+            x = cols[a, start:end]
+            keep &= x >= lo[a]
+            keep &= upper_cmp(x, hi[a])
+        runs.append(order[start:end][keep] * len(lows) + j)
+    # Unique (row, position) keys: sorting them is row-major order.
+    return np.divmod(np.sort(np.concatenate(runs)), len(lows))
 
 
 @dataclass
@@ -147,13 +178,12 @@ class PartitionPlan:
         core = self._pids[pos]
         if r is None:
             return core, None
-        support = _axis_mask(
-            points, self._lows - r, self._highs + r, np.less_equal
-        )
         # A point never supports its own core partition.
-        support[np.arange(points.shape[0]), pos] = False
-        srows, spos = np.nonzero(support)
-        return core, np.stack([srows, self._pids[spos]], axis=1)
+        rows, positions = _slab_pairs(
+            points, self._lows - r, self._highs + r, closed=True,
+            exclude=pos,
+        )
+        return core, np.stack([rows, self._pids[positions]], axis=1)
 
     # ------------------------------------------------------------------
     # Internals
@@ -195,9 +225,13 @@ class PartitionPlan:
         """Row -> position of the covering partition, -1 if none."""
         cells = self._cells
         if cells is None:
-            inside = _axis_mask(points, self._lows, self._upper, np.less)
-            pos = inside.argmax(axis=1)
-            pos[~inside.any(axis=1)] = -1
+            rows, positions = _slab_pairs(
+                points, self._lows, self._upper, closed=False
+            )
+            # Where rectangles overlap the first partition wins.
+            covered, first = np.unique(rows, return_index=True)
+            pos = np.full(points.shape[0], -1, dtype=np.intp)
+            pos[covered] = positions[first]
             return pos
         edges, table = cells
         return table[tuple(

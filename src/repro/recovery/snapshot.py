@@ -8,11 +8,14 @@ skew are detected the same way everywhere:
 "crc32": ..., "payload": ...}``
 
 The CRC covers the *canonical* JSON serialization of the payload
-(sorted keys, no whitespace), so a bit flip anywhere in the payload is
-caught on read regardless of how the file was pretty-printed.  Writes
-are atomic (temp file in the same directory + ``fsync`` + ``os.replace``
-+ directory ``fsync``): a crash mid-save leaves either the previous
-artifact or none, never a torn one.
+(sorted keys, no whitespace), and the file carries exactly those bytes
+after ``"payload":`` — the envelope is written compactly and the payload
+serialised once.  A bit flip anywhere in the payload is caught on read;
+the reader re-serialises what it parses, so artifacts written in the
+older indented layout load too.  Writes are atomic (temp file in the
+same directory + ``fsync`` + ``os.replace`` + directory ``fsync``): a
+crash mid-save leaves either the previous artifact or none, never a
+torn one.
 
 Readers raise :class:`SnapshotError` with a machine-checkable
 ``reason`` (``missing`` / ``unreadable`` / ``corrupt`` /
@@ -26,6 +29,8 @@ import json
 import os
 import tempfile
 import zlib
+from functools import reduce
+from operator import iconcat
 from typing import Any
 
 from .diskguard import DiskPressureError, is_disk_full
@@ -39,6 +44,9 @@ __all__ = [
 ]
 
 _FORMAT = "repro-artifact"
+#: Element types a JSON array holds without nesting anything.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_ROWS = frozenset({list, tuple})
 
 
 class SnapshotError(Exception):
@@ -69,28 +77,88 @@ def payload_crc32(payload: Any) -> int:
     return zlib.crc32(canonical_bytes(payload)) & 0xFFFFFFFF
 
 
+def _non_str_key(node: Any) -> list | None:
+    """Key path to the first dict key under ``node`` that is not a str.
+
+    JSON writes such a key as a string, so the checksum of the live
+    payload would not be the one a reader recomputes from the file.
+    Containers whose children cannot hold a dict are cleared in C
+    (:func:`_flat`), so a payload's bulk — lists of numbers — is never
+    walked in Python."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if not isinstance(key, str):
+                return [key]
+            if type(value) not in _SCALARS:
+                found = _non_str_key(value)
+                if found is not None:
+                    return [key, *found]
+    elif isinstance(node, (list, tuple)) and not _flat(node):
+        for i, item in enumerate(node):
+            found = _non_str_key(item)
+            if found is not None:
+                return [i, *found]
+    return None
+
+
+def _flat(items: list | tuple) -> bool:
+    """Whether ``items`` are scalars, or rows of numbers, decided in C:
+    ``sum`` refuses a str, list or dict among the numbers it adds."""
+    try:
+        sum(items)
+        return True
+    except TypeError:
+        pass
+    if _SCALARS.issuperset(map(type, items)):
+        return True
+    if not _ROWS.issuperset(map(type, items)):
+        return False
+    try:
+        sum(reduce(iconcat, items, []))
+        return True
+    except TypeError:
+        return False
+
+
 def write_artifact(path: str, kind: str, version: int, payload: Any) -> None:
     """Atomically write a checksummed artifact to ``path``.
 
-    A full disk raises a typed
+    The file is the compact envelope with the payload written as the
+    very bytes its ``crc32`` covers (:func:`canonical_bytes`), so the
+    payload is serialised once.  A dict key that is not a ``str`` is a
+    ``TypeError`` before anything touches the directory.  A full disk
+    raises a typed
     :class:`~repro.recovery.diskguard.DiskPressureError`; the write is
     staged in a temp file, so the previous artifact (or its absence) is
     untouched either way.
     """
-    body = {
-        "format": _FORMAT,
-        "kind": kind,
-        "version": version,
-        "crc32": payload_crc32(payload),
-        "payload": payload,
-    }
+    bad = _non_str_key(payload)
+    if bad is not None:
+        where = "payload" + "".join(f"[{key!r}]" for key in bad)
+        raise TypeError(
+            f"{where}: artifact dict keys must be str, not "
+            f"{type(bad[-1]).__name__}"
+        )
+    body = canonical_bytes(payload)
+    head = json.dumps(
+        {
+            "format": _FORMAT,
+            "kind": kind,
+            "version": version,
+            "crc32": zlib.crc32(body) & 0xFFFFFFFF,
+        },
+        separators=(",", ":"),
+    ).encode("utf-8")
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(
         prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
     )
     try:
-        with os.fdopen(fd, "w") as f:
-            json.dump(body, f, indent=1)
+        with os.fdopen(fd, "wb") as f:
+            # The envelope less its closing brace, then the payload.
+            f.write(head[:-1] + b',"payload":')
+            f.write(body)
+            f.write(b"}")
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)

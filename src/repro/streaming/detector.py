@@ -359,9 +359,7 @@ class StreamingDetector:
 
     # ------------------------------------------------------------------
     def _coerce(self, batch) -> tuple[np.ndarray, np.ndarray]:
-        if isinstance(batch, Dataset):
-            ids, points = batch.ids, batch.points
-        else:
+        if not isinstance(batch, Dataset):
             records = list(batch)
             if not records:
                 ndim = 2 if self._points is None else self._points.shape[1]
@@ -369,12 +367,12 @@ class StreamingDetector:
                     np.empty(0, dtype=np.int64),
                     np.empty((0, ndim), dtype=float),
                 )
-            ids = np.asarray([r[0] for r in records], dtype=np.int64)
-            points = np.asarray([r[1] for r in records], dtype=float)
-        if points.ndim != 2:
-            raise ValueError("batch points must form an (n, d) array")
-        if len(np.unique(ids)) != len(ids):
-            raise ValueError("batch ids must be unique")
+            # A Dataset checks shape, unique ids and finite coordinates.
+            batch = Dataset(
+                np.asarray([r[1] for r in records], dtype=float),
+                np.asarray([r[0] for r in records], dtype=np.int64),
+            )
+        ids, points = batch.ids, batch.points
         if self._ids is not None:
             if points.shape[1] != self._points.shape[1]:
                 raise ValueError(

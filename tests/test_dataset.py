@@ -24,6 +24,27 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.zeros((5, 2)), np.arange(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_coordinates_rejected(self, bad):
+        pts = np.zeros((4, 2))
+        pts[2, 1] = pts[3, 0] = bad
+        with pytest.raises(ValueError, match=r"row 2 has NaN/inf"):
+            Dataset.from_points(pts)
+
+    @pytest.mark.parametrize("strategy", ["DMT", "uniSpace"])
+    def test_nonfinite_row_never_reaches_a_strategy(self, strategy):
+        """Below the CLI a NaN row used to die deep in the grid (DMT) or
+        get a verdict of its own (uniSpace)."""
+        from repro.core import OutlierParams, detect_outliers
+
+        pts = np.random.default_rng(0).uniform(0.0, 10.0, size=(50, 2))
+        pts[7] = np.nan
+        with pytest.raises(ValueError, match="row 7 has NaN/inf"):
+            detect_outliers(
+                Dataset.from_points(pts), OutlierParams(r=1.0, k=3),
+                strategy=strategy, n_partitions=4, n_reducers=2,
+            )
+
     def test_bounds_and_density(self):
         pts = np.array([[0.0, 0.0], [2.0, 4.0]])
         data = Dataset.from_points(pts)

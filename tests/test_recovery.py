@@ -13,6 +13,7 @@ import os
 import tempfile
 import warnings
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -167,6 +168,74 @@ class TestArtifact:
         with pytest.raises(SnapshotError) as err:
             read_artifact(str(tmp_path / "nope"), "t", 1)
         assert err.value.reason == "missing"
+
+    def test_compact_layout_literal(self, tmp_path):
+        path = tmp_path / "a.json"
+        write_artifact(str(path), "t", 1, {"y": "z", "x": [1, 2.5]})
+        assert path.read_bytes() == (
+            b'{"format":"repro-artifact","kind":"t","version":1,'
+            b'"crc32":2604762975,"payload":{"x":[1,2.5],"y":"z"}}'
+        )
+
+    def test_file_carries_the_bytes_its_crc_covers(self, tmp_path):
+        path = tmp_path / "s.snap"
+        detector = _stream(batches=2)
+        detector.save(str(path))
+        blob = path.read_bytes()
+        head, _, tail = blob.partition(b'"payload":')
+        assert tail.endswith(b"}")
+        payload = read_artifact(str(path), "streaming-snapshot", 1)
+        assert tail[:-1] == canonical_bytes(payload)
+        assert json.loads(head[:-1] + b"}")["crc32"] == zlib.crc32(
+            tail[:-1]
+        )
+
+    def test_payload_serialised_once_per_write(self, tmp_path, monkeypatch):
+        from repro.recovery import snapshot
+
+        calls = []
+
+        def counting(payload):
+            calls.append(payload)
+            return canonical_bytes(payload)
+
+        monkeypatch.setattr(snapshot, "canonical_bytes", counting)
+        write_artifact(str(tmp_path / "a.json"), "t", 1, {"x": [[1.0]]})
+        write_artifact(str(tmp_path / "b.json"), "t", 1, {"y": 2})
+        assert len(calls) == 2
+
+    def test_indented_artifact_still_loads(self, tmp_path):
+        """The layout artifacts had before the compact envelope."""
+        path = tmp_path / "old.json"
+        path.write_text(
+            '{\n "format": "repro-artifact",\n "kind": "t",\n'
+            ' "version": 1,\n "crc32": 2817772184,\n "payload": {\n'
+            '  "x": [\n   1,\n   2\n  ],\n  "y": "z"\n }\n}'
+        )
+        assert read_artifact(str(path), "t", 1) == {"x": [1, 2], "y": "z"}
+
+    def test_stream_snapshot_crc_unchanged(self, tmp_path):
+        """Same state, same checksum as the indented writer stored."""
+        path = tmp_path / "s.snap"
+        _stream(batches=3).save(str(path))
+        assert json.loads(path.read_bytes())["crc32"] == 2564964660
+
+    @pytest.mark.parametrize("payload,where", [
+        ({"x": {2: "a", 10: "b"}}, "payload['x'][2]"),
+        ({"rows": [[0.0, 1.0]], "meta": [{"a": 1}, {3.5: 0}]},
+         "payload['meta'][1][3.5]"),
+        ({"rows": [[0.0, 1.0], [{None: 1}]]}, "payload['rows'][1][0][None]"),
+        ([1, "s", ({True: 0},)], "payload[2][0][True]"),
+    ])
+    def test_non_str_keys_refused_before_any_write(
+        self, tmp_path, payload, where
+    ):
+        """JSON turns such keys into strings, so the artifact would fail
+        its own checksum on read; nothing reaches the directory."""
+        with pytest.raises(TypeError) as err:
+            write_artifact(str(tmp_path / "a.json"), "t", 1, payload)
+        assert str(err.value).startswith(where + ":")
+        assert list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------------------

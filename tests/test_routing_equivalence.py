@@ -13,6 +13,13 @@ domain, gaps in the tiling, and a zero-width axis.  The replication
 flat ``(pid, (tag, id, point))`` list; what a reducer sees is each
 partition's records in order, so that is what is compared: the oracle's
 list grouped by ``pid`` against every emitted batch expanded to rows.
+
+The support set (and the core partition past the cell cap) is found by
+a slab sweep: the block sorted on one axis, each partition's expanded
+interval a contiguous run of that order.  The per-axis ``(n, m)`` mask
+it replaced is the second oracle, kept verbatim; the plans added for it
+are the sweep's worst cases — stripes whose slab on the sorted axis
+holds every row, and a one-dimensional line.
 """
 
 import pickle
@@ -116,6 +123,56 @@ def broadcast_route(plan, ids, points, r, certified=frozenset(),
     return pairs
 
 
+# ----------------------------------------------------------------------
+# The second oracle: assign_batch as it was before the slab sweep — the
+# per-axis (n, m) mask, kept verbatim (``self`` -> ``plan``).
+# ----------------------------------------------------------------------
+def _axis_mask(
+    points: np.ndarray, lows: np.ndarray, highs: np.ndarray, upper_cmp
+) -> np.ndarray:
+    """``(n, m)`` mask of ``lows[j] <= points[i]`` and
+    ``upper_cmp(points[i], highs[j])`` on every axis, built one axis at
+    a time so no ``(n, m, d)`` temporary exists."""
+    mask = np.ones((points.shape[0], lows.shape[0]), dtype=bool)
+    for axis in range(lows.shape[1]):
+        x = points[:, axis, None]
+        mask &= x >= lows[:, axis]
+        mask &= upper_cmp(x, highs[:, axis])
+    return mask
+
+
+def mask_core_positions(plan, points):
+    """Row -> position of the covering partition, -1 if none."""
+    cells = plan._cells
+    if cells is None:
+        inside = _axis_mask(points, plan._lows, plan._upper, np.less)
+        pos = inside.argmax(axis=1)
+        pos[~inside.any(axis=1)] = -1
+        return pos
+    edges, table = cells
+    return table[tuple(
+        np.searchsorted(e, points[:, a], "right")
+        for a, e in enumerate(edges)
+    )]
+
+
+def mask_assign(plan, points, r):
+    points = np.asarray(points, dtype=float)
+    pos = mask_core_positions(plan, points)
+    for i in np.nonzero(pos < 0)[0]:
+        pos[i] = plan._nearest_position(points[i])
+    core = plan._pids[pos]
+    if r is None:
+        return core, None
+    support = _axis_mask(
+        points, plan._lows - r, plan._highs + r, np.less_equal
+    )
+    # A point never supports its own core partition.
+    support[np.arange(points.shape[0]), pos] = False
+    srows, spos = np.nonzero(support)
+    return core, np.stack([srows, plan._pids[spos]], axis=1)
+
+
 def by_partition(pairs):
     """The oracle's flat list as a reducer receives it:
     ``{pid: [(tag, id, point), ...]}``, each partition in list order."""
@@ -188,6 +245,33 @@ def _flat_plan():
     )
 
 
+def _stripe_plan(axis):
+    """Stripes across the whole domain, cut on ``axis`` only: on the
+    other axis every partition's slab holds every row."""
+    cuts = [0.0, 2.0, 5.0, 5.5, 10.0]
+    boxes = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        low, high = [0.0, 0.0], [10.0, 10.0]
+        low[axis], high[axis] = lo, hi
+        boxes.append(Rect(tuple(low), tuple(high)))
+    return PartitionPlan(
+        Rect((0.0, 0.0), (10.0, 10.0)),
+        [Partition(20 - i, box) for i, box in enumerate(boxes)],
+    )
+
+
+def _line_plan():
+    """One dimension: intervals of uneven width, pids out of order."""
+    cuts = [0.0, 1.5, 4.0, 4.25, 10.0]
+    return PartitionPlan(
+        Rect((0.0,), (10.0,)),
+        [
+            Partition(7 * (4 - i), Rect((lo,), (hi,)))
+            for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+        ],
+    )
+
+
 PLAN_BUILDERS = {
     "uniSpace-2d": lambda: _strategy_plan(UniSpacePartitioner(), 2),
     "uniSpace-3d": lambda: _strategy_plan(UniSpacePartitioner(), 3),
@@ -200,6 +284,9 @@ PLAN_BUILDERS = {
     "gap-2d": lambda: _gap_plan(2),
     "gap-3d": lambda: _gap_plan(3),
     "flat-2d": _flat_plan,
+    "hstripes-2d": lambda: _stripe_plan(1),
+    "vstripes-2d": lambda: _stripe_plan(0),
+    "line-1d": _line_plan,
 }
 PLAN_NAMES = list(PLAN_BUILDERS)
 
@@ -236,9 +323,9 @@ def point_blocks(draw, name):
     return np.array(rows, dtype=float)
 
 
-def assert_same_assignment(plan, points, r):
+def assert_same_assignment(plan, points, r, oracle=None):
     core, pairs = plan.assign_batch(points, r)
-    want_core, want_pairs = broadcast_assign(plan, points, r)
+    want_core, want_pairs = (oracle or broadcast_assign)(plan, points, r)
     assert core.dtype == want_core.dtype
     assert np.array_equal(core, want_core)
     if r is None:
@@ -286,6 +373,44 @@ class TestRoutingEquivalence:
         try:
             assert plan._cells is None
             assert_same_assignment(plan, points, r)
+        finally:
+            base._MAX_TABLE_CELLS = cap
+
+    @given(data=st.data(), r=st.sampled_from(RADII + [None]),
+           table=st.booleans())
+    def test_sweep_equals_mask(self, name, data, r, table):
+        """Values, row-major order and dtypes of the mask it replaced,
+        with the cell table and without it (the core by sweep too)."""
+        points = data.draw(point_blocks(name))
+        plan = pickle.loads(pickle.dumps(plan_named(name)))
+        cap = base._MAX_TABLE_CELLS
+        if not table:
+            base._MAX_TABLE_CELLS = 0
+        try:
+            assert (plan._cells is None) is not table
+            assert_same_assignment(plan, points, r, mask_assign)
+        finally:
+            base._MAX_TABLE_CELLS = cap
+
+    @pytest.mark.parametrize("table", [True, False])
+    def test_empty_and_single_row_blocks(self, name, table):
+        plan = pickle.loads(pickle.dumps(plan_named(name)))
+        ndim = plan.domain.ndim
+        cap = base._MAX_TABLE_CELLS
+        if not table:
+            base._MAX_TABLE_CELLS = 0
+        try:
+            values = axis_values(name)
+            longest = max(len(v) for v in values)
+            blocks = [np.empty((0, ndim))] + [
+                np.array([row])
+                for row in zip(*(np.resize(v, longest) for v in values))
+            ]
+            for points in blocks:
+                for r in RADII + [None]:
+                    assert_same_assignment(plan, points, r, mask_assign)
+            core, pairs = plan.assign_batch(np.empty((0, ndim)), 1.0)
+            assert core.shape == (0,) and pairs.shape == (0, 2)
         finally:
             base._MAX_TABLE_CELLS = cap
 

@@ -260,6 +260,29 @@ class TestAppendOnlyContract:
         with pytest.raises(ValueError, match="dims"):
             detector.ingest_points(np.zeros((1, 3)))
 
+    @pytest.mark.parametrize("as_records", [False, True])
+    def test_nonfinite_batch_refused_and_stream_unchanged(
+        self, tmp_path, as_records
+    ):
+        detector = make_detector()
+        detector.ingest_points(cluster_stream(23, n=200))
+        snap = str(tmp_path / "stream.snap")
+        before = _persisted(detector, snap)
+        points = np.array([[5.0, 5.0], [6.0, np.inf], [np.nan, 1.0]])
+        ids = [500, 501, 502]
+        with pytest.raises(ValueError, match="row 1 has NaN/inf"):
+            if as_records:
+                detector.ingest(list(zip(ids, points.tolist())))
+            else:
+                detector.ingest_points(points, ids)
+        assert detector.n_seen == 200
+        assert _persisted(detector, snap) == before
+        report = detector.ingest_points(points[:1], ids[:1])
+        assert report.batch_index == 2
+        assert detector.outlier_ids == brute_force_outliers(
+            detector.dataset(), PARAMS
+        )
+
     def test_record_batches_and_auto_ids(self):
         detector = make_detector()
         detector.ingest([(7, [1.0, 1.0]), (9, [2.0, 2.0])])
