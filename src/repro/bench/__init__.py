@@ -1,7 +1,6 @@
 """Performance benchmark harness (``repro bench``).
 
-Runs the fixed serial-vs-parallel x transport x detector x kernel
-matrix over a fig8-scale workload and emits ``BENCH_<label>.json`` —
+Runs the fixed serial-vs-parallel x detector x kernel matrix over a fig8-scale workload and emits ``BENCH_<label>.json`` —
 the artifact that seeds the repo's perf trajectory and backs the CI
 regression gate.
 """

@@ -1,8 +1,8 @@
 """Benchmark matrix runner behind ``repro bench``.
 
 The matrix is fixed so results stay comparable run over run: for each
-detector, one serial (in-process) run plus one parallel run per dispatch
-transport, each repeated ``repeats`` times with the **minimum** wall time
+detector, one serial (in-process) run plus one parallel (process-pool)
+run, each repeated ``repeats`` times with the **minimum** wall time
 reported (min-of-N is the standard noise filter for microbenchmarks —
 the minimum is the run least disturbed by the OS).
 
@@ -10,16 +10,16 @@ Each ``BENCH_<label>.json`` carries three kinds of numbers:
 
 * **deterministic** — outlier count + SHA-256 of the sorted outlier ids,
   ``distance_evals``, cost units.  Identical on every machine; the CI
-  gate compares them exactly, and any divergence between transports is a
+  gate compares them exactly, and any divergence between cells is a
   correctness bug, not a perf regression.
 * **machine-local walls** — min/all wall seconds and throughput.  Never
   compared across machines.
-* **same-machine ratios** — per-task dispatch overhead per transport,
-  the pickle/shm overhead ratio, and the python/numpy kernel speedup
-  ratio.  Dimensionless and roughly portable, so the CI gate checks
-  them against the checked-in baseline with a one-sided tolerance (a
-  *faster* shm path or numpy kernel is never a regression).  The
-  kernel ratio additionally has an absolute floor
+* **same-machine numbers** — the parallel cells' per-task dispatch
+  cost, reported but not gated, and the python/numpy kernel speedup
+  ratio.  The ratio is dimensionless and roughly portable, so the CI
+  gate checks it against the checked-in baseline with a one-sided
+  tolerance (a *faster* numpy kernel is never a regression), and it
+  additionally has an absolute floor
   (:data:`KERNEL_SPEEDUP_FLOOR`): the vectorized backend must stay at
   least that many times faster than the scalar oracle on the
   reduce-side detection work it vectorizes.
@@ -91,7 +91,9 @@ class BenchConfig:
     k: int = 12
     strategy: str = "DMT"
     detectors: tuple = ("nested_loop", "cell_based", "proximity_graph")
-    transports: tuple = ("pickle", "shm")
+    #: The parallel cells' dispatch transport: ("shm",), the only one, or
+    #: () for a serial-only matrix.
+    transports: tuple = ("shm",)
     #: Distance backends for the serial kernel axis; parallel cells all
     #: run on the last entry (the production default).
     kernels: tuple = ("python", "numpy")
@@ -141,7 +143,6 @@ def _run_cell(
     dataset,
     detector: str,
     runtime_kind: str,
-    transport: str,
     kernel: str,
     log=None,
     tier: str = "exact",
@@ -162,7 +163,6 @@ def _run_cell(
         runtime = make_runtime(
             cluster,
             workers=config.workers if runtime_kind == "parallel" else 0,
-            transport=transport,
         )
         if runtime_kind == "serial":
             # A shared Kernel instance: serial tasks run in-process, so
@@ -214,7 +214,7 @@ def _run_cell(
     n_reduce_tasks = len(last.run.reduce_task_costs("wall"))
     cell = {
         "runtime": runtime_kind,
-        "transport": transport,
+        "transport": runtime.transport_label,
         "detector": detector,
         "kernel": kernel,
         "workers": config.workers if runtime_kind == "parallel" else 0,
@@ -273,7 +273,7 @@ def _run_cell(
     if log is not None:
         tag = "" if tier == "exact" else f" tier={tier}"
         log(
-            f"  {runtime_kind:<8} {transport:<7} {detector:<12} "
+            f"  {runtime_kind:<8} {cell['transport']:<7} {detector:<12} "
             f"{kernel:<7} {wall:8.3f}s  outliers={cell['n_outliers']}"
             f"{tag}"
         )
@@ -310,25 +310,22 @@ def run_bench(config: BenchConfig, log=None) -> Dict[str, Any]:
     for detector in detectors:
         for kernel in config.kernels:
             runs.append(
-                _run_cell(
-                    config, dataset, detector, "serial", "inline",
-                    kernel, log,
-                )
+                _run_cell(config, dataset, detector, "serial", kernel, log)
             )
         for tier in config.tiers:
             if tier == "exact":
                 continue  # the kernel axis already covers exact
             runs.append(
                 _run_cell(
-                    config, dataset, detector, "serial", "inline",
-                    default_kernel, log, tier=tier,
+                    config, dataset, detector, "serial", default_kernel,
+                    log, tier=tier,
                 )
             )
-        for transport in config.transports:
+        if config.transports:
             runs.append(
                 _run_cell(
-                    config, dataset, detector, "parallel", transport,
-                    default_kernel, log,
+                    config, dataset, detector, "parallel", default_kernel,
+                    log,
                 )
             )
     workload = {
@@ -362,7 +359,7 @@ def _derive(
     config: BenchConfig,
     detectors: tuple | None = None,
 ) -> Dict[str, Any]:
-    """Cross-cell summaries: transport agreement + dispatch overhead."""
+    """Cross-cell summaries: outlier agreement, dispatch cost, speedups."""
     derived: Dict[str, Any] = {"per_detector": {}}
     identical = True
     for detector in (detectors if detectors is not None
@@ -379,10 +376,6 @@ def _derive(
         }
         if overhead:
             entry["dispatch_per_task_us"] = overhead
-        if overhead.get("shm") and overhead.get("pickle"):
-            entry["dispatch_overhead_ratio"] = (
-                overhead["pickle"] / overhead["shm"]
-            )
         # Kernel/dispatch summaries compare exact-tier cells only; the
         # tier axis gets its own summary below.
         serial_cells = [
@@ -469,10 +462,8 @@ def check_against(
     * every detector must keep ``identical_outliers`` true.
 
     Absolute wall times and throughput are machine-local and never
-    compared.  Neither is ``dispatch_overhead_ratio`` (pickle per-task
-    dispatch cost / shm): a ratio of two sub-millisecond walls, it failed
-    on unchanged code on shared boxes, so it is computed, stored and
-    printed but not gated.
+    compared.  Neither is the per-task dispatch cost: a sub-millisecond
+    wall, it is stored but not gated.
     """
     problems: List[str] = []
     if result.get("workload") != baseline.get("workload"):
@@ -517,7 +508,7 @@ def check_against(
         run_entry = run_per.get(detector, {})
         if not run_entry.get("identical_outliers", False):
             problems.append(
-                f"{detector}: outlier sets differ across transports"
+                f"{detector}: outlier sets differ across matrix cells"
             )
         base_kernel_ratio = base_entry.get("kernel_speedup_ratio")
         run_kernel_ratio = run_entry.get("kernel_speedup_ratio")

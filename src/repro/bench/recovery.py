@@ -50,7 +50,6 @@ class RecoveryBenchConfig:
     #: Fractions of partition commits after which the driver "crashes".
     crash_fractions: tuple = (0.25, 0.5, 0.75)
     workers: int = 0
-    transport: str = "pickle"
     seed: int = 7
     nodes: int = 4
 
@@ -96,7 +95,7 @@ def run_recovery_bench(
     # One runtime for every run of the matrix, crashed ones included: a
     # job that raises leaves its runtime usable.
     cluster = ClusterConfig(nodes=config.nodes)
-    runtime = make_runtime(cluster, config.workers, config.transport)
+    runtime = make_runtime(cluster, config.workers)
     try:
         # Plain run: the no-durability reference wall.
         start = time.perf_counter()
@@ -190,7 +189,6 @@ def run_recovery_bench(
             "n_partitions": config.n_partitions,
             "n_reducers": config.n_reducers,
             "workers": config.workers,
-            "transport": config.transport,
             "seed": config.seed,
         },
         "crashes": rows,

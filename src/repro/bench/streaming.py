@@ -48,7 +48,6 @@ class StreamBenchConfig:
     initial_fraction: float = 0.7
     n_batches: int = 6
     workers: int = 0
-    transport: str = "pickle"
     n_partitions: int = 16
     n_reducers: int = 8
     drift_threshold: float = 0.25
@@ -92,9 +91,7 @@ def run_stream_bench(
     cluster = ClusterConfig(nodes=config.nodes)
     # One runtime for the stream and for the full re-runs it is compared
     # with: both sides pay the same (warm) fixed cost per job.
-    with make_runtime(
-        cluster, config.workers, config.transport
-    ) as runtime:
+    with make_runtime(cluster, config.workers) as runtime:
         detector = StreamingDetector(
             params,
             strategy=config.strategy,
@@ -174,7 +171,6 @@ def run_stream_bench(
             "n_partitions": config.n_partitions,
             "n_reducers": config.n_reducers,
             "workers": config.workers,
-            "transport": config.transport,
             "drift_threshold": config.drift_threshold,
             "seed": config.seed,
         },

@@ -5,7 +5,7 @@ Subcommands::
     python -m repro generate --kind state --name MA -n 30000 -o data.csv
     python -m repro detect data.csv -r 2.0 -k 12 --strategy DMT -o out.json
     python -m repro detect data.csv -r 2.0 -k 12 --trace-out run.jsonl
-    python -m repro detect data.csv -r 2.0 -k 12 --workers 4 --transport shm
+    python -m repro detect data.csv -r 2.0 -k 12 --workers 4
     python -m repro detect data.csv -r 2.0 -k 12 --kernel python
     python -m repro detect data.csv -r 2.0 -k 12 --append day2.csv
     python -m repro detect data.csv -r 2.0 -k 12 --checkpoint-dir ckpt/
@@ -48,7 +48,6 @@ from .core.config import RunConfig
 from .kernels import KERNEL_CHOICES, KernelUnavailable, resolve_kernel
 from .metrics import METRIC_CHOICES, MetricUnsupported, resolve_metric
 from .mapreduce import (
-    TRANSPORTS,
     ClusterConfig,
     LocalRuntime,
     SchedulerConfig,
@@ -137,12 +136,6 @@ def _validate_runtime_flags(args) -> tuple[list, list]:
     warnings: list[str] = []
     if args.workers < 0:
         errors.append(_NEGATIVE_WORKERS)
-    if args.workers <= 0 and args.transport != "pickle":
-        errors.append(
-            f"--transport {args.transport} requires --workers > 0: "
-            "serial execution is in-process and never dispatches "
-            "task payloads"
-        )
     if args.speculate and args.workers <= 0:
         errors.append(
             "--speculate requires --workers > 0: the serial runtime "
@@ -233,10 +226,7 @@ def _build_runtime(args: argparse.Namespace, cluster: ClusterConfig):
         speculation_threshold=args.straggler_threshold,
         degradation=args.degrade,
     )
-    return make_runtime(
-        cluster, workers=args.workers, transport=args.transport,
-        scheduler=scheduler,
-    )
+    return make_runtime(cluster, workers=args.workers, scheduler=scheduler)
 
 
 def _write_report(report: dict, output: str | None) -> None:
@@ -523,14 +513,13 @@ def _stream_batches(args, dataset, params, cluster, runtime) -> int:
     while cuts[-1] < dataset.n:
         cuts.append(min(dataset.n, cuts[-1] + args.batch_size))
     batches = []
-    offset = 0
-    if args.snapshot and detector.n_seen:
-        # Auto-numbered ids must continue the resumed stream's sequence.
-        offset = int(detector._ids.max()) + 1
+    # Auto-numbered ids must continue the resumed stream's sequence; a
+    # file's own ids (--with-ids) are kept as they are.
+    renumber = detector.n_seen > 0 and not args.with_ids
     for lo, hi in zip(cuts, cuts[1:]):
         batch = dataset.subset(np.arange(lo, hi))
         try:
-            if offset:
+            if renumber:
                 report = detector.ingest_points(batch.points)
             else:
                 report = detector.ingest(batch)
@@ -627,7 +616,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             job_id = client.submit(
                 args.input, r=args.r, k=args.k, tenant=args.tenant,
                 lane=args.lane, nodes=args.nodes, workers=args.workers,
-                transport=args.transport, with_ids=args.with_ids,
+                with_ids=args.with_ids,
                 **_run_kwargs(args),
             )
         except QueueFull as exc:
@@ -963,14 +952,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             t for t in args.transports.split(",")
             if t and t != "none"
         )
-        for transport in transports:
-            if transport not in ("pickle", "shm"):
-                print(
-                    f"error: --transports accepts pickle,shm or none "
-                    f"(got {transport!r})",
-                    file=sys.stderr,
-                )
-                return 2
+        if not set(transports) <= {"shm"}:
+            print(
+                f"error: --transports accepts shm or none "
+                f"(got {args.transports!r})",
+                file=sys.stderr,
+            )
+            return 2
         overrides["transports"] = transports
     if args.tiers:
         tiers = tuple(args.tiers.split(","))
@@ -1000,13 +988,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     derived = result["derived"]
     for detector, entry in derived["per_detector"].items():
-        ratio = entry.get("dispatch_overhead_ratio")
-        if ratio is not None:
-            print(
-                f"{detector}: shm dispatch {ratio:.2f}x cheaper per "
-                f"task than pickle; identical outliers: "
-                f"{entry['identical_outliers']}"
-            )
+        print(
+            f"{detector}: identical outliers: "
+            f"{entry['identical_outliers']}"
+        )
         kernel_ratio = entry.get("kernel_speedup_ratio")
         if kernel_ratio is not None:
             print(
@@ -1074,6 +1059,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--strategy", default="DMT")
         p.add_argument("--nodes", type=int, default=4)
         p.add_argument("--seed", type=int, default=1)
+
+    def add_quarantine_flag(p):
         p.add_argument("--quarantine-out", metavar="CSV", default=None,
                        help="divert rows with NaN/inf coordinates to "
                             "this CSV and continue (default: such rows "
@@ -1087,12 +1074,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workers", type=int, default=0,
                        help="run tasks in this many worker processes "
                             "(0 = serial in-process execution)")
-        p.add_argument("--transport", choices=list(TRANSPORTS),
-                       default="pickle",
-                       help="dispatch transport with --workers > 0: "
-                            "'pickle' re-serializes each task's payload, "
-                            "'shm' ships shared-memory descriptors "
-                            "(identical results, lower dispatch cost)")
         p.add_argument("--max-attempts", type=int, default=4,
                        help="attempts per task before the degradation "
                             "policy applies (default 4)")
@@ -1143,6 +1124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     det = sub.add_parser("detect", help="run the detection pipeline")
     add_common(det)
+    add_quarantine_flag(det)
     det.add_argument("--detector", default="nested_loop")
     det.add_argument("-o", "--output", help="write JSON report here")
     det.add_argument("--trace-out", metavar="PATH",
@@ -1177,9 +1159,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="checkpoint directory of the killed run")
     resume.add_argument("-o", "--output",
                         help="write JSON report here")
+    # No --metric or --tier: both are run identity, read from the
+    # manifest, so a resume never re-detects under another distance.
     add_runtime_flags(resume)
     add_kernel_flag(resume)
-    add_metric_flag(resume)
     resume.set_defaults(func=_cmd_resume)
 
     stream = sub.add_parser(
@@ -1188,6 +1171,7 @@ def build_parser() -> argparse.ArgumentParser:
              "stdin with '-'); re-runs only dirty partitions per batch",
     )
     add_common(stream)
+    add_quarantine_flag(stream)
     stream.add_argument("--detector", default="nested_loop")
     stream.add_argument("--batch-size", type=int, default=500,
                         help="points per micro-batch (default 500)")
@@ -1282,8 +1266,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--workers", type=int, default=0,
                         help="worker processes the job's runtime uses "
                              "(0 = serial)")
-    submit.add_argument("--transport", choices=list(TRANSPORTS),
-                        default="pickle")
     add_kernel_flag(submit)
     add_metric_flag(submit)
     submit.add_argument("--tier", choices=list(TIER_CHOICES),
@@ -1382,6 +1364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan = sub.add_parser("plan", help="build and save a partition plan")
     add_common(plan)
+    add_quarantine_flag(plan)
     plan.add_argument("--partitions", type=int, default=16)
     plan.add_argument("--reducers", type=int, default=8)
     plan.add_argument("-o", "--output", required=True)
@@ -1394,8 +1377,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run the serial/parallel x transport x detector perf "
-             "matrix and emit BENCH_<label>.json",
+        help="run the serial/parallel x detector perf matrix and emit "
+             "BENCH_<label>.json",
     )
     bench.add_argument("--label", default=None,
                        help="output label (BENCH_<label>.json); "
@@ -1438,9 +1421,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "identity (default exact,fast; --quick "
                             "defaults to exact only)")
     bench.add_argument("--transports", default=None,
-                       help="comma-separated dispatch transports for "
-                            "the parallel cells (default pickle,shm); "
-                            "'none' drops the parallel cells entirely "
+                       help="'shm' (default) runs one parallel cell per "
+                            "detector; 'none' drops the parallel cells "
                             "for a serial-only deterministic matrix")
     bench.add_argument("--metric", default=None, metavar="SPEC",
                        help="distance metric for the whole matrix; "

@@ -27,15 +27,11 @@ from .parallel import ParallelRuntime, make_runtime
 from .runtime import JobResult, LocalRuntime, TaskStats
 from .scheduler import SchedulerConfig, TaskScheduler, TaskTimeout
 from .shm import (
-    TRANSPORTS,
-    PickleTransport,
     ShmArena,
     ShmTransport,
-    Transport,
     clean_stale_segments,
     install_exit_cleanup,
     live_segments,
-    make_transport,
     stale_segments,
 )
 
@@ -69,12 +65,8 @@ __all__ = [
     "ParallelRuntime",
     "make_runtime",
     "TaskStats",
-    "TRANSPORTS",
-    "Transport",
-    "PickleTransport",
     "ShmTransport",
     "ShmArena",
-    "make_transport",
     "live_segments",
     "install_exit_cleanup",
     "stale_segments",

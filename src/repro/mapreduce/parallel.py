@@ -33,13 +33,11 @@ preempted across a process boundary, so its eventual result is simply
 discarded — and both the duplicate and the cancellation are recorded in
 counters and the task's span.
 
-**Dispatch transport** is pluggable (``transport="pickle" | "shm"``, see
-:mod:`repro.mapreduce.shm`): the pickle transport re-serializes the job
-context and payload per task (the historical wire format, now measured),
-while the shm transport writes everything into shared-memory segments
-once and ships descriptors — speculative duplicates then resubmit a
-~200-byte envelope instead of re-pickling the partition.  Results are
-identical by construction either way; per-job dispatch cost lands in
+**Dispatch** has one data plane, shared memory (see
+:mod:`repro.mapreduce.shm`): a job's context and each phase's payloads
+are written into segments once and tasks ship descriptors, so a retry
+or a speculative duplicate resubmits a ~200-byte envelope instead of
+re-pickling the partition.  Per-job dispatch cost lands in
 ``JobResult.transport``, the ``transport`` counter group, and the task
 spans.
 """
@@ -63,12 +61,7 @@ from ..observability.tracing import Span
 from .job import MapReduceJob
 from .runtime import JobResult, LocalRuntime
 from .scheduler import SPECULATIVE_ATTEMPT_BASE
-from .shm import (
-    TRANSPORTS,
-    install_exit_cleanup,
-    make_transport,
-    open_envelope,
-)
+from .shm import ShmTransport, install_exit_cleanup, open_envelope
 
 __all__ = ["ParallelRuntime", "make_runtime"]
 
@@ -156,7 +149,7 @@ class _Dispatch:
                  phase_span: Span) -> None:
         self.pool = pool
         self.phase = phase
-        self.envelopes = envelopes    # task_id -> transport envelope
+        self.envelopes = envelopes    # task_id -> ShmEnvelope
         self.counters = counters
         self.phase_span = phase_span
         self.futures = {}             # future -> (task_id, is_speculative)
@@ -174,8 +167,8 @@ class _Dispatch:
         """Hand one attempt of ``tid`` to the pool; False if it is broken
         (the completion loop then respawns it and re-dispatches everything
         uncommitted, this task included).  A duplicate reuses the encoded
-        envelope — with the shm transport a descriptor, not a re-pickled
-        partition — and is timed from its primary's submission."""
+        envelope — a descriptor, not a re-pickled partition — and is
+        timed from its primary's submission."""
         try:
             fut = self.pool.submit(
                 _run_task,
@@ -211,20 +204,22 @@ class ParallelRuntime(LocalRuntime):
         workers: int = 4,
         tracer=None,
         scheduler=None,
-        transport: str = "pickle",
+        transport: str = "shm",
     ) -> None:
         super().__init__(cluster, failure_injector, max_attempts,
                          tracer=tracer, scheduler=scheduler)
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if transport not in TRANSPORTS:
+        # Shared memory is the only transport.  The keyword survives
+        # only because the perfbench workloads pass ``transport="shm"``.
+        if transport != ShmTransport.name:
             raise ValueError(
-                f"unknown transport {transport!r}; known: {TRANSPORTS}"
+                f"unknown transport {transport!r}; tasks reach the pool "
+                "only through shared memory ('shm')"
             )
         self.workers = workers
-        self.transport = transport
-        self.transport_label = transport
-        # A killed driver never reaches the transports' unlink-in-finally
+        self.transport_label = ShmTransport.name
+        # A killed process never reaches the transport's unlink-in-finally
         # path; the atexit/SIGTERM sweep is the backstop that keeps
         # /dev/shm clean for every survivable exit (`repro clean-shm`
         # handles the SIGKILL case, which no in-process hook survives).
@@ -265,7 +260,7 @@ class ParallelRuntime(LocalRuntime):
     ) -> JobResult:
         blocks = self._resolve_blocks(input_data, block_records)
         job_span = self._job_span(
-            job, workers=self.workers, transport=self.transport
+            job, workers=self.workers, transport=self.transport_label
         )
         # One retry-capable LocalRuntime travels to the workers; it only
         # carries configuration (cluster shape, injector, scheduler), not
@@ -274,9 +269,9 @@ class ParallelRuntime(LocalRuntime):
             self.cluster, failure_injector=self.failure_injector,
             scheduler=self.scheduler,
         )
-        worker_rt.transport_label = self.transport
+        worker_rt.transport_label = self.transport_label
         self._started_pool()
-        transport = make_transport(self.transport)
+        transport = ShmTransport()
         transport.open_job(worker_rt, job)
         try:
             result = self._run_job(
@@ -500,15 +495,12 @@ class ParallelRuntime(LocalRuntime):
 def make_runtime(
     cluster,
     workers: int = 0,
-    transport: str = "pickle",
     scheduler=None,
 ) -> LocalRuntime:
-    """A ``workers``-process pool over ``transport`` when ``workers > 0``,
-    else the serial runtime (which dispatches nothing, so ``transport``
-    does not apply)."""
+    """A ``workers``-process pool when ``workers > 0``, else the serial
+    runtime."""
     if workers > 0:
         return ParallelRuntime(
-            cluster, workers=workers, transport=transport,
-            scheduler=scheduler,
+            cluster, workers=workers, scheduler=scheduler
         )
     return LocalRuntime(cluster, scheduler=scheduler)

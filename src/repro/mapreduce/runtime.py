@@ -63,7 +63,7 @@ class JobResult:
     shuffle_records: int = 0
     shuffle_bytes: int = 0
     trace: Span | None = None
-    #: Dispatch-transport accounting (``Transport.stats()``) — empty for
+    #: Dispatch accounting (``ShmTransport.stats()``) — empty for
     #: the serial runtime, which never crosses a process boundary.
     transport: Dict[str, Any] = field(default_factory=dict)
 
@@ -162,8 +162,8 @@ class LocalRuntime:
         self.max_attempts = self.scheduler.max_attempts
         self.tracer = tracer
         # "inline" = tasks run in-process, nothing crosses a pipe.
-        # ParallelRuntime overrides this with its transport choice so
-        # task spans record how their payload actually travelled.
+        # ParallelRuntime overrides this with "shm" so task spans record
+        # how their payload actually travelled.
         self.transport_label = "inline"
         #: Optional ``(phase, task_id, outputs)`` hook fired the moment a
         #: task's outputs commit — the recovery layer journals partition

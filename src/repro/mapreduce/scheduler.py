@@ -187,8 +187,8 @@ class TaskScheduler:
         execution as a duplicate straggler copy: its attempts are
         numbered from :data:`SPECULATIVE_ATTEMPT_BASE` so injectors can
         model it running on a healthy node.  ``transport`` annotates the
-        task span with how the payload reached this process ("inline",
-        "pickle", or "shm").  ``attempt_base`` offsets attempt numbering
+        task span with how the payload reached this process ("inline"
+        or "shm").  ``attempt_base`` offsets attempt numbering
         for re-dispatches that already consumed attempts elsewhere — the
         parallel runtime uses it when it resubmits a task lost to a dead
         worker, so injectors see one monotonic attempt sequence instead

@@ -1,27 +1,20 @@
 """Zero-copy shared-memory data plane for :class:`ParallelRuntime`.
 
-The process-pool backend used to re-pickle each task's whole payload —
-the serialized runtime, the job (carrying the partition plan), and the
-task's point records — into the executor pipe *per task attempt*, and
-again for every speculative duplicate.  That transport cost is exactly
-the term the paper's communication model (Sec. III) does not have: the
-framework's win is that communication scales with support-area overlap,
-not with how many times the scheduler ships a partition.
-
-This module makes the dispatch path pluggable:
-
-* :class:`PickleTransport` — the status-quo wire format, made explicit:
-  each task envelope carries ``pickle.dumps((runtime, job, payload))``,
-  so its cost is measured instead of hidden in the executor's feeder
-  thread.
-* :class:`ShmTransport` — the zero-copy plane.  A :class:`ShmArena`
-  writes the job context once and each phase's task payloads once into
-  ``multiprocessing.shared_memory`` segments; only tiny ``(segment,
-  offset, size, buffers)`` descriptors (:class:`ShmRef`) travel through
-  the pool.  Workers attach read-only views, cache the decoded job
-  context per process — until the first task of the next job, which
-  evicts both — and retries / speculative duplicates reuse the same
-  segment instead of re-pickling.
+A pool task reaches its worker through shared memory and nothing else.
+Re-pickling each task's whole payload — the runtime, the job (carrying
+the partition plan), and the task's point records — into the executor
+pipe per attempt, and again for every speculative duplicate, is a
+transport cost the paper's communication model (Sec. III) does not
+have: the framework's win is that communication scales with
+support-area overlap, not with how many times the scheduler ships a
+partition.  So :class:`ShmTransport` has a :class:`ShmArena` write the
+job context once and each phase's task payloads once into
+``multiprocessing.shared_memory`` segments; only tiny ``(segment,
+offset, size, buffers)`` descriptors (:class:`ShmRef`) travel through
+the pool.  Workers attach read-only views, cache the decoded job
+context per process — until the first task of the next job, which
+evicts both — and retries / speculative duplicates reuse the same
+segment instead of re-pickling.
 
 One payload encoding: pickle protocol 5 with out-of-band buffers.  The
 pickle stream of a payload holds its structure; every contiguous numpy
@@ -34,7 +27,7 @@ so; nothing guesses a layout from a payload's elements, and a payload
 without arrays is simply a pickle stream with no buffers.  Decoded
 payloads compare equal to the originals, which is what lets the
 differential suite assert byte-identical outlier sets, counters, and
-``distance_evals`` across transports.
+``distance_evals`` between the pool and the serial runtime.
 
 Segment lifecycle is deterministic and crash-safe: the runtime
 releases the arena in a ``finally`` (so failure-injected
@@ -57,27 +50,19 @@ from typing import Any, Dict, List, Tuple
 import numpy as np
 
 __all__ = [
-    "TRANSPORTS",
     "SEGMENT_PREFIX",
     "ShmRef",
     "ShmArena",
-    "PickleEnvelope",
     "ShmEnvelope",
     "open_envelope",
     "resolve_ref",
-    "Transport",
-    "PickleTransport",
     "ShmTransport",
-    "make_transport",
     "live_segments",
     "close_attachments",
     "install_exit_cleanup",
     "stale_segments",
     "clean_stale_segments",
 ]
-
-#: Transport names accepted by ``ParallelRuntime(transport=...)``.
-TRANSPORTS = ("pickle", "shm")
 
 #: Prefix of every segment this module creates (kept short: POSIX shm
 #: names are limited to 31 chars on some platforms).
@@ -146,7 +131,7 @@ def _cleanup_live_segments() -> None:
 def install_exit_cleanup() -> None:
     """Make sure a dying driver unlinks its segments.
 
-    The transports already unlink in ``finally``, which covers normal
+    The transport already unlinks in ``finally``, which covers normal
     returns and handled exceptions.  This adds the two survivable abnormal
     exits: interpreter shutdown with segments still live (``atexit``) and
     SIGTERM (the handler chains to a previous Python handler, stays
@@ -166,6 +151,11 @@ def install_exit_cleanup() -> None:
     import threading
 
     atexit.register(_cleanup_live_segments)
+    # A forked child — a pool worker — inherits the hooks but owns none
+    # of its parent's segments: a pool torn down after a worker death
+    # SIGTERMs its survivors, which must not unlink the running job's
+    # context from under the replacement workers.
+    os.register_at_fork(after_in_child=_LIVE_SEGMENTS.clear)
     if threading.current_thread() is threading.main_thread():
         previous = signal.getsignal(signal.SIGTERM)
 
@@ -418,31 +408,20 @@ def resolve_ref(ref: ShmRef, cache: bool = False) -> Any:
 
 
 # ----------------------------------------------------------------------
-# Envelopes: what actually crosses the executor pipe
+# What actually crosses the executor pipe
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class PickleEnvelope:
-    """Status-quo wire format: the full context + payload, pickled."""
-
-    task_id: int
-    blob: bytes
-
-
-@dataclass(frozen=True)
 class ShmEnvelope:
-    """Zero-copy wire format: two descriptors, nothing else."""
+    """One task's wire format: two descriptors, nothing else."""
 
     task_id: int
     context: ShmRef
     payload: ShmRef
 
 
-def open_envelope(envelope) -> Tuple[Any, Any, int, Any]:
+def open_envelope(envelope: ShmEnvelope) -> Tuple[Any, Any, int, Any]:
     """Worker entry: resolve an envelope to ``(runtime, job, task_id,
     payload)``, attaching/caching shared memory as needed."""
-    if isinstance(envelope, PickleEnvelope):
-        runtime, job, payload = pickle.loads(envelope.blob)
-        return runtime, job, envelope.task_id, payload
     if envelope.context.segment not in _ATTACHMENTS:
         # First task of a new job in this process: the previous job's
         # segments are unlinked by now, so a pool worker never maps more
@@ -453,86 +432,22 @@ def open_envelope(envelope) -> Tuple[Any, Any, int, Any]:
     return runtime, job, envelope.task_id, payload
 
 
-# ----------------------------------------------------------------------
-# Transports
-# ----------------------------------------------------------------------
-class Transport:
-    """Parent-side dispatch codec for one job run.
+class ShmTransport:
+    """Parent-side dispatch for one job run: write the job context and
+    each phase's payloads to shared memory once, dispatch descriptors.
 
-    Subclasses encode each phase's task payloads into envelopes; the
-    runtime measures nothing itself — encode time and bytes are
-    accounted here so both transports are costed identically.
+    The runtime measures nothing itself — encode time and bytes are
+    accounted here, and :meth:`stats` is what ``JobResult.transport``
+    carries.
     """
 
-    name = "?"
+    name = "shm"
 
     def __init__(self) -> None:
         self.tasks = 0
         self.dispatch_seconds = 0.0
         self.dispatch_bytes = 0
         self.context_bytes = 0
-
-    def open_job(self, runtime, job) -> None:
-        raise NotImplementedError
-
-    def encode_tasks(
-        self, payloads: Dict[int, Any]
-    ) -> Tuple[Dict[int, Any], Dict[int, int]]:
-        """Encode a phase's payloads; return (envelopes, bytes-per-task)."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release transport resources; must be called in a ``finally``."""
-
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "tasks": self.tasks,
-            "dispatch_seconds": self.dispatch_seconds,
-            "dispatch_bytes": self.dispatch_bytes,
-            "context_bytes": self.context_bytes,
-            "segments": 0,
-            "segment_bytes": 0,
-        }
-
-
-class PickleTransport(Transport):
-    """Re-pickle the full context + payload per task (the baseline)."""
-
-    name = "pickle"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._context: Tuple[Any, Any] | None = None
-
-    def open_job(self, runtime, job) -> None:
-        self._context = (runtime, job)
-
-    def encode_tasks(self, payloads):
-        runtime, job = self._context
-        envelopes: Dict[int, Any] = {}
-        sizes: Dict[int, int] = {}
-        start = time.perf_counter()
-        for tid, payload in payloads.items():
-            blob = pickle.dumps(
-                (runtime, job, payload), protocol=_PICKLE_PROTO
-            )
-            envelopes[tid] = PickleEnvelope(tid, blob)
-            sizes[tid] = len(blob)
-        self.dispatch_seconds += time.perf_counter() - start
-        self.dispatch_bytes += sum(sizes.values())
-        self.context_bytes += sum(sizes.values())  # context rides along
-        self.tasks += len(payloads)
-        return envelopes, sizes
-
-
-class ShmTransport(Transport):
-    """Write payloads to shared memory once; dispatch descriptors."""
-
-    name = "shm"
-
-    def __init__(self) -> None:
-        super().__init__()
         self.arena: ShmArena | None = None
         self._context_ref: ShmRef | None = None
 
@@ -543,8 +458,11 @@ class ShmTransport(Transport):
         self.dispatch_seconds += time.perf_counter() - start
         self.context_bytes = self.arena.segment_bytes
 
-    def encode_tasks(self, payloads):
-        envelopes: Dict[int, Any] = {}
+    def encode_tasks(
+        self, payloads: Dict[int, Any]
+    ) -> Tuple[Dict[int, ShmEnvelope], Dict[int, int]]:
+        """Encode a phase's payloads; return (envelopes, bytes-per-task)."""
+        envelopes: Dict[int, ShmEnvelope] = {}
         sizes: Dict[int, int] = {}
         start = time.perf_counter()
         refs = self.arena.pack(payloads)
@@ -558,25 +476,17 @@ class ShmTransport(Transport):
         return envelopes, sizes
 
     def close(self) -> None:
+        """Unlink the job's segments; must be called in a ``finally``."""
         if self.arena is not None:
             self.arena.release()
 
     def stats(self) -> Dict[str, Any]:
-        stats = super().stats()
-        if self.arena is not None:
-            stats["segments"] = self.arena.segments_created
-            stats["segment_bytes"] = self.arena.segment_bytes
-        return stats
-
-
-def make_transport(spec) -> Transport:
-    """Build a transport from a name (or pass an instance through)."""
-    if isinstance(spec, Transport):
-        return spec
-    if spec == "pickle":
-        return PickleTransport()
-    if spec == "shm":
-        return ShmTransport()
-    raise ValueError(
-        f"unknown transport {spec!r}; known: {TRANSPORTS}"
-    )
+        return {
+            "name": self.name,
+            "tasks": self.tasks,
+            "dispatch_seconds": self.dispatch_seconds,
+            "dispatch_bytes": self.dispatch_bytes,
+            "context_bytes": self.context_bytes,
+            "segments": self.arena.segments_created if self.arena else 0,
+            "segment_bytes": self.arena.segment_bytes if self.arena else 0,
+        }

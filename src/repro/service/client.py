@@ -87,7 +87,6 @@ class ServiceClient:
         seed: int = 1,
         nodes: int = 4,
         workers: int = 0,
-        transport: str = "pickle",
         kernel: Optional[str] = None,
         metric: Optional[str] = None,
         with_ids: bool = False,
@@ -114,7 +113,6 @@ class ServiceClient:
             "seed": int(seed),
             "nodes": int(nodes),
             "workers": int(workers),
-            "transport": transport,
             "kernel": kernel,
             "metric": metric,
             "n_partitions": n_partitions,

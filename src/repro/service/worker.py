@@ -7,7 +7,7 @@ everything expensive stays warm between jobs:
 * the **runtime** (:class:`~repro.mapreduce.ParallelRuntime` when the
   job asks for worker processes, else a serial
   :class:`~repro.mapreduce.LocalRuntime`) is built once per
-  ``(nodes, workers, transport)`` shape and reused — a parallel one
+  ``(nodes, workers)`` shape and reused — a parallel one
   keeps its process pool between jobs, so a job pays no fork, and its
   ``transport_totals`` keep accumulating across jobs, exactly as the
   dispatch-accounting layer intends; ``close`` stops the pools when
@@ -99,7 +99,6 @@ def _job_spec_defaults(spec: Dict[str, Any]) -> Dict[str, Any]:
         "with_ids": False,
         "nodes": 4,
         "workers": 0,
-        "transport": "pickle",
     }
     out.update(spec)
     return out
@@ -139,16 +138,12 @@ class ServiceWorker:
 
     # -- warm state ----------------------------------------------------
     def _runtime(self, spec: Dict[str, Any]) -> LocalRuntime:
-        key = (
-            int(spec["nodes"]), int(spec["workers"]),
-            str(spec["transport"]),
-        )
+        key = (int(spec["nodes"]), int(spec["workers"]))
         runtime = self._runtimes.get(key)
         if runtime is None:
-            nodes, workers, transport = key
+            nodes, workers = key
             runtime = self._runtimes[key] = make_runtime(
-                ClusterConfig(nodes=nodes), workers=workers,
-                transport=transport,
+                ClusterConfig(nodes=nodes), workers=workers
             )
         return runtime
 

@@ -14,7 +14,7 @@ from repro.bench import (
 
 TINY = BenchConfig(
     label="tiny", base_n=120, r=2.0, k=3,
-    detectors=("nested_loop",), transports=("pickle", "shm"),
+    detectors=("nested_loop",),
     workers=2, repeats=1, n_partitions=4, n_reducers=2,
     block_records=30,
 )
@@ -42,19 +42,27 @@ class TestBenchConfig:
 class TestRunBench:
     def test_matrix_shape(self, tiny_result):
         runs = tiny_result["runs"]
-        # one serial cell per kernel + one parallel cell per transport +
-        # one serial cell per non-exact tier, per detector
+        # one serial cell per kernel + one parallel cell + one serial
+        # cell per non-exact tier, per detector
         extra_tiers = [t for t in TINY.tiers if t != "exact"]
         assert len(runs) == len(TINY.detectors) * (
-            len(TINY.kernels) + len(TINY.transports) + len(extra_tiers)
+            len(TINY.kernels) + 1 + len(extra_tiers)
         )
         kinds = {(r["runtime"], r["transport"], r["kernel"]) for r in runs}
         assert kinds == {
             ("serial", "inline", "python"),
             ("serial", "inline", "numpy"),
-            ("parallel", "pickle", "numpy"),
             ("parallel", "shm", "numpy"),
         }
+
+    def test_transports_none_is_a_serial_only_matrix(self):
+        serial_only = run_bench(BenchConfig(
+            label="serial", base_n=120, r=2.0, k=3,
+            detectors=("nested_loop",), kernels=("numpy",), tiers=("exact",),
+            transports=(), workers=2, repeats=1, n_partitions=4,
+            n_reducers=2, block_records=30,
+        ))
+        assert [r["runtime"] for r in serial_only["runs"]] == ["serial"]
 
     def test_deterministic_fields_agree_across_cells(self, tiny_result):
         runs = tiny_result["runs"]
@@ -76,10 +84,15 @@ class TestRunBench:
             else:
                 assert "transport_stats" not in cell
 
-    def test_derived_has_overhead_ratio(self, tiny_result):
+    def test_derived_has_dispatch_cost_per_task(self, tiny_result):
         entry = tiny_result["derived"]["per_detector"]["nested_loop"]
-        assert entry["dispatch_overhead_ratio"] > 0
-        assert set(entry["dispatch_per_task_us"]) == {"pickle", "shm"}
+        (cell,) = [
+            c for c in tiny_result["runs"] if c["runtime"] == "parallel"
+        ]
+        assert entry["dispatch_per_task_us"] == {
+            "shm": cell["dispatch_per_task_us"]
+        }
+        assert "dispatch_overhead_ratio" not in entry
 
     def test_derived_has_kernel_speedup(self, tiny_result):
         entry = tiny_result["derived"]["per_detector"]["nested_loop"]
@@ -107,22 +120,20 @@ class TestCheckAgainst:
         assert any("outliers_hash" in p for p in problems)
 
     def test_ratio_regression_fails_one_sided(self, tiny_result):
-        """The dispatch ratio is a reported number, not a gate: a ratio
-        of two sub-millisecond walls, it failed on unchanged code.  It is
-        still derived; the kernel ratio and the exact fields still gate."""
+        """The per-task dispatch cost is a reported number, not a gate:
+        a sub-millisecond wall.  The kernel ratio and the exact fields
+        gate."""
         fresh = copy.deepcopy(tiny_result)
         entry = fresh["derived"]["per_detector"]["nested_loop"]
-        base = entry["dispatch_overhead_ratio"]
-        assert base > 0
-        for moved in (base * 0.01, base * 10, None):
-            entry["dispatch_overhead_ratio"] = moved
+        for moved in (0.01, 1e6):
+            entry["dispatch_per_task_us"] = {"shm": moved}
             assert check_against(fresh, tiny_result, tolerance=0.25) == []
         entry["kernel_speedup_ratio"] *= 0.5
         fresh["runs"][0]["cost_units"] += 1
         problems = check_against(fresh, tiny_result, tolerance=0.25)
         assert any("kernel_speedup_ratio" in p for p in problems)
         assert any("cost_units" in p for p in problems)
-        assert not any("dispatch_overhead_ratio" in p for p in problems)
+        assert not any("dispatch" in p for p in problems)
 
     def test_kernel_ratio_regression_fails_one_sided(self, tiny_result):
         fresh = copy.deepcopy(tiny_result)
@@ -174,7 +185,7 @@ class TestCheckAgainst:
             "identical_outliers"
         ] = False
         problems = check_against(fresh, tiny_result)
-        assert any("differ across transports" in p for p in problems)
+        assert any("differ across matrix cells" in p for p in problems)
 
 
 class TestBenchIO:

@@ -236,7 +236,7 @@ class Count(Reducer):
         yield key, len(values)
 
 
-runtime = ParallelRuntime(workers=2, transport="shm")
+runtime = ParallelRuntime(workers=2)
 runtime.run(MapReduceJob("pids", PidMapper(), Count(), n_reducers=1),
             list(range(4)), block_records=1)
 open(ready_file, "w").close()  # between two jobs: the workers idle

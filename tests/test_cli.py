@@ -115,12 +115,32 @@ class TestDetect:
         assert main(["trace", str(trace)]) == 0
 
 
+def refused(argv) -> int:
+    """Exit code of an invocation argparse refuses (it raises)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
 class TestRuntimeFlagValidation:
     def test_shm_without_workers_errors(self, csv_points, capsys):
-        code = main(["detect", csv_points, "-r", "2.0", "-k", "5",
-                     "--transport", "shm", "--workers", "0"])
-        assert code == 2
-        assert "--workers > 0" in capsys.readouterr().err
+        assert refused(["detect", csv_points, "-r", "2.0", "-k", "5",
+                        "--transport", "shm", "--workers", "0"]) == 2
+        assert "unrecognized arguments: --transport" in (
+            capsys.readouterr().err
+        )
+
+    def test_transport_flag_is_gone(self, csv_points, tmp_path):
+        """Shared memory is the only transport: resume and submit offer
+        no choice either (detect and stream are refused above and
+        below), whatever the worker count."""
+        assert refused(["resume", str(tmp_path / "ckpt"), "--workers", "2",
+                        "--transport", "shm"]) == 2
+        spool = tmp_path / "spool"
+        assert refused(["submit", csv_points, "-r", "2.0", "-k", "5",
+                        "--spool", str(spool), "--workers", "2",
+                        "--transport", "shm"]) == 2
+        assert not spool.exists()
 
     @pytest.mark.parametrize("extra", [
         [], ["--speculate"], ["--transport", "shm"],
@@ -131,8 +151,13 @@ class TestRuntimeFlagValidation:
     ):
         """A negative count is not a spelling of serial: it used to
         slip past both ``requires --workers > 0`` rules and run."""
-        code = main([command, csv_points, "-r", "2.0", "-k", "5",
-                     "--workers", "-3", *extra])
+        argv = [command, csv_points, "-r", "2.0", "-k", "5",
+                "--workers", "-3", *extra]
+        if extra[:1] == ["--transport"]:
+            # Refused before any rule runs: the flag no longer exists.
+            assert refused(argv) == 2
+            return
+        code = main(argv)
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("--workers must be >= 0") == 1
@@ -176,9 +201,18 @@ class TestRuntimeFlagValidation:
 
     def test_stream_subcommand_validates_too(self, csv_points, capsys):
         code = main(["stream", csv_points, "-r", "2.0", "-k", "5",
-                     "--transport", "shm"])
+                     "--speculate"])
         assert code == 2
         assert "--workers > 0" in capsys.readouterr().err
+
+    def test_submit_refuses_quarantine_out(self, csv_points, tmp_path):
+        """The service refuses non-finite rows, so submit offers no
+        quarantine file it would then ignore."""
+        spool = tmp_path / "spool"
+        assert refused(["submit", csv_points, "-r", "2.0", "-k", "5",
+                        "--spool", str(spool),
+                        "--quarantine-out", str(tmp_path / "q.csv")]) == 2
+        assert not spool.exists()
 
 
 class TestStreaming:
@@ -459,6 +493,47 @@ class TestRecoveryCLI:
         assert second["resumed"] is True
         assert second["partitions_executed"] == []
         assert "resumed:" in capsys.readouterr().err
+
+    def test_resume_refuses_metric(self, csv_points, tmp_path):
+        """The metric is run identity, read from the manifest: resume
+        offers no --metric it would then overwrite."""
+        ckpt = tmp_path / "ckpt"
+        assert main([
+            "detect", csv_points, "-r", "2.0", "-k", "5",
+            "--checkpoint-dir", str(ckpt), "-o", str(tmp_path / "a.json"),
+        ]) == 0
+        assert refused(["resume", str(ckpt), "--metric", "minkowski:1",
+                        "-o", str(tmp_path / "b.json")]) == 2
+        assert not (tmp_path / "b.json").exists()
+
+    def test_stream_snapshot_resume_keeps_file_ids(self, tmp_path):
+        """A resumed ``--with-ids`` stream ingests the file's ids, not a
+        continuation of the snapshot's: non-contiguous ids end on the
+        one-shot stream's outliers."""
+        rng = np.random.default_rng(4)
+        pts = np.vstack([
+            rng.normal((10, 10), 1.0, size=(260, 2)),
+            rng.uniform(0, 40, size=(40, 2)),
+        ])[rng.permutation(300)]
+        ids = np.concatenate([np.arange(1000, 1200), np.arange(5000, 5100)])
+        table = np.hstack([ids[:, None], pts])
+        part1, part2 = tmp_path / "p1.csv", tmp_path / "p2.csv"
+        everything = tmp_path / "all.csv"
+        np.savetxt(part1, table[:200], delimiter=",", fmt="%.10g")
+        np.savetxt(part2, table[200:], delimiter=",", fmt="%.10g")
+        np.savetxt(everything, table, delimiter=",", fmt="%.10g")
+        common = ["-r", "2.0", "-k", "5", "--with-ids",
+                  "--batch-size", "100"]
+        snap = tmp_path / "snap.json"
+        for path in (part1, part2):
+            assert main(["stream", str(path), *common, "--snapshot",
+                         str(snap), "-o", str(tmp_path / "s.json")]) == 0
+        assert main(["stream", str(everything), *common,
+                     "-o", str(tmp_path / "one.json")]) == 0
+        resumed = json.loads((tmp_path / "s.json").read_text())
+        oneshot = json.loads((tmp_path / "one.json").read_text())
+        assert any(i >= 5000 for i in oneshot["outliers"])
+        assert resumed["outliers"] == oneshot["outliers"]
 
     def test_stream_snapshot_resume_matches_uninterrupted(
         self, csv_points, tmp_path, capsys

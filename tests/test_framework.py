@@ -131,7 +131,7 @@ def _accounting(job):
     }
 
 
-@pytest.mark.parametrize("transport", [None, "pickle", "shm"])
+@pytest.mark.parametrize("transport", [None, "shm"])
 class TestRecordAccounting:
     """A record is a row, and is counted as one.  The literals are what
     the tuple-per-record shuffle of PR 20 reported for these two runs:

@@ -319,7 +319,7 @@ class TestShuffle:
             "partitioner returned -1 for key 2; must be in [0, 3)"
         )
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
+    @pytest.mark.parametrize("transport", ["shm"])
     def test_pool_and_serial_account_the_same_shuffle(self, transport):
         cluster = ClusterConfig(nodes=2)
         records = [(i % 5, f"v{i}") for i in range(40)]
@@ -337,7 +337,7 @@ class TestShuffle:
         ]
 
 
-    @pytest.mark.parametrize("transport", [None, "pickle", "shm"])
+    @pytest.mark.parametrize("transport", [None, "shm"])
     def test_a_batch_job_is_accounted_by_row_on_every_runtime(
         self, transport
     ):
@@ -406,7 +406,7 @@ class SeenMapper(Mapper):
 class TestMapperContract:
     """A mapper defines ``map`` or ``map_block``; jobs run ``map_block``."""
 
-    @pytest.mark.parametrize("transport", [None, "pickle", "shm"])
+    @pytest.mark.parametrize("transport", [None, "shm"])
     def test_map_block_alone_is_a_mapper(self, transport):
         cluster = ClusterConfig(nodes=2)
         job = MapReduceJob(

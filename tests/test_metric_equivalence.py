@@ -2,7 +2,7 @@
 
 The metric ABI's promise is stronger than the kernel ABI's: a metric
 *defines* the answer, so every execution shape — each metric-generic
-detector, each distance backend, serial or parallel, any transport —
+detector, each distance backend, serial or parallel —
 must return the byte-identical outlier set of the O(n^2) oracle under
 that metric.  This suite enforces the promise three ways:
 
@@ -17,8 +17,7 @@ that metric.  This suite enforces the promise three ways:
   inequality (the load-bearing axiom: metric-safe partitioning and
   pivot pruning both derive their correctness from it);
 * end-to-end: the full pipeline under each metric x detector must agree
-  across serial, parallel+pickle, and parallel+shm execution, and with
-  the oracle.
+  across serial and parallel execution, and with the oracle.
 
 CI runs this with ``HYPOTHESIS_PROFILE=ci`` in the metric-equivalence
 job.
@@ -229,7 +228,7 @@ class TestMetricAxioms:
 
 
 # ----------------------------------------------------------------------
-# End-to-end: serial / parallel+pickle / parallel+shm
+# End-to-end: serial / parallel
 # ----------------------------------------------------------------------
 def _workload(seed=3, n=240):
     rng = np.random.default_rng(seed)
@@ -251,16 +250,7 @@ class TestPipelineEquivalence:
         )
         runtimes = [
             ("serial", lambda c: LocalRuntime(c)),
-            (
-                "pickle",
-                lambda c: ParallelRuntime(
-                    c, workers=2, transport="pickle"
-                ),
-            ),
-            (
-                "shm",
-                lambda c: ParallelRuntime(c, workers=2, transport="shm"),
-            ),
+            ("parallel", lambda c: ParallelRuntime(c, workers=2)),
         ]
         for label, make_runtime in runtimes:
             cluster = ClusterConfig(**CLUSTER_KW)

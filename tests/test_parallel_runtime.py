@@ -88,6 +88,12 @@ class TestParallelRuntime:
         with pytest.raises(ValueError):
             ParallelRuntime(CLUSTER, workers=0)
 
+    def test_shared_memory_is_the_only_transport(self):
+        with pytest.raises(ValueError, match="shared memory"):
+            ParallelRuntime(CLUSTER, workers=2, transport="pickle")
+        rt = ParallelRuntime(CLUSTER, workers=2, transport="shm")
+        assert rt.transport_label == "shm"
+
     def test_full_pipeline_parallel(self):
         rng = np.random.default_rng(4)
         data = Dataset.from_points(rng.uniform(0, 40, size=(1500, 2)))
@@ -145,7 +151,7 @@ class TestOneJobLoop:
         assert task_books(serial) == task_books(pooled)
         assert len(task_books(serial)) == 5 + 2
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
+    @pytest.mark.parametrize("transport", ["shm"])
     def test_detection_has_the_same_books_on_both_runtimes(self, transport):
         rng = np.random.default_rng(11)
         data = Dataset.from_points(rng.uniform(0, 30, size=(900, 2)))
@@ -250,7 +256,7 @@ class TestPoolReuse:
         assert first == second
         assert os.getpid() not in first
 
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
+    @pytest.mark.parametrize("transport", ["shm"])
     def test_reused_runtime_equals_fresh_and_serial(self, transport):
         serial = _detect(LocalRuntime(CLUSTER))
         with ParallelRuntime(
@@ -270,7 +276,7 @@ class TestPoolReuse:
             "logged", LoggingMapper(str(log)), SumReducer(), n_reducers=1
         )
         with ParallelRuntime(
-            CLUSTER, workers=2, max_attempts=2, transport="shm",
+            CLUSTER, workers=2, max_attempts=2,
             failure_injector=ScriptedFailures({("map", 0): 99}),
         ) as rt:
             with pytest.raises(SimulatedTaskFailure):
@@ -327,7 +333,7 @@ class TestPoolReuse:
     def test_a_worker_maps_one_job_at_a_time(self):
         probe = pid_job(AttachmentProbe())
         most = 0
-        with ParallelRuntime(CLUSTER, workers=2, transport="shm") as rt:
+        with ParallelRuntime(CLUSTER, workers=2) as rt:
             for _ in range(20):
                 result = rt.run(probe, list(range(8)), block_records=1)
                 per_job = result.transport["segments"]

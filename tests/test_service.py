@@ -20,6 +20,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core import Dataset, detect_outliers
 from repro.observability import RunReport
 from repro.params import OutlierParams
@@ -207,7 +208,37 @@ class TestWorkerInProcess:
             _submit(client, points_csv, tenant="b")
             worker = ServiceWorker(spool)
             worker.run_forever(drain=True)
-        assert len(worker._runtimes) == 1  # one (nodes,workers,transport)
+        assert len(worker._runtimes) == 1  # one (nodes, workers)
+
+    def test_stored_pickle_transport_spec_still_runs(
+        self, spool, points_csv, tmp_path
+    ):
+        """A spec queued before shared memory became the only transport
+        still names one; it runs over shared memory all the same."""
+        out = tmp_path / "detect.json"
+        assert main(["detect", points_csv, "-r", str(PARAMS.r),
+                     "-k", str(PARAMS.k), "-o", str(out)]) == 0
+        spec = {
+            "input": points_csv, "with_ids": False,
+            "r": PARAMS.r, "k": PARAMS.k, "strategy": "DMT",
+            "detector": "nested_loop", "seed": SIZING["seed"],
+            "nodes": 2, "workers": 2, "transport": "pickle",
+            "kernel": None, "metric": None,
+            "n_partitions": SIZING["n_partitions"],
+            "n_reducers": SIZING["n_reducers"], "tier": None,
+        }
+        with ServiceClient(spool) as client:
+            job_id = client.store.submit(spec, tenant="old", lane="batch")
+            worker = ServiceWorker(spool)
+            try:
+                assert worker.run_forever(drain=True) == 1
+                assert list(worker._runtimes) == [(2, 2)]
+            finally:
+                worker.close()
+            report = client.result(job_id, timeout=5.0)
+            trace = RunReport.load(client.trace_path(job_id))
+        assert report["outliers"] == json.loads(out.read_text())["outliers"]
+        assert trace.counters["transport"]["segments"] > 0
 
 
 # ----------------------------------------------------------------------

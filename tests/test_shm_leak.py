@@ -1,7 +1,7 @@
 """Shared-memory segment lifecycle: nothing may outlive a run.
 
-Every ``ParallelRuntime.run`` with the shm transport must leave zero
-segments behind — in the normal path, when tasks crash and are retried,
+Every ``ParallelRuntime.run`` must leave zero segments behind — in the
+normal path, when tasks crash and are retried,
 when attempts hang and are timeout-skipped, and when the job fails
 terminally.  Leaks are checked three ways: the module's own
 ``live_segments()`` ledger, the actual ``/dev/shm`` directory (scoped to
@@ -69,20 +69,20 @@ def _raise_resource_warnings():
 
 class TestSegmentLifecycle:
     def test_normal_run_leaves_nothing(self):
-        rt = ParallelRuntime(CLUSTER, workers=2, transport="shm")
+        rt = ParallelRuntime(CLUSTER, workers=2)
         result = rt.run(job(), ["a b"] * 20, block_records=5)
         assert dict(result.outputs)["a"] == 20
         assert_no_segments()
 
     def test_repeated_runs_leave_nothing(self):
-        rt = ParallelRuntime(CLUSTER, workers=2, transport="shm")
+        rt = ParallelRuntime(CLUSTER, workers=2)
         for _ in range(3):
             rt.run(job(), ["x y z"] * 9, block_records=3)
             assert_no_segments()
 
     def test_crash_injected_run_leaves_nothing(self):
         rt = ParallelRuntime(
-            CLUSTER, workers=2, transport="shm",
+            CLUSTER, workers=2,
             failure_injector=ScriptedFailures(
                 {("map", 0): 2, ("reduce", 1): 1}
             ),
@@ -94,7 +94,7 @@ class TestSegmentLifecycle:
 
     def test_timeout_skipped_run_leaves_nothing(self):
         rt = ParallelRuntime(
-            CLUSTER, workers=2, transport="shm",
+            CLUSTER, workers=2,
             failure_injector=HangingTasks({("map", 0): 1}),
             scheduler=SchedulerConfig(timeout=0.5),
         )
@@ -105,7 +105,7 @@ class TestSegmentLifecycle:
 
     def test_terminal_job_failure_leaves_nothing(self):
         rt = ParallelRuntime(
-            CLUSTER, workers=2, transport="shm", max_attempts=2,
+            CLUSTER, workers=2, max_attempts=2,
             failure_injector=ScriptedFailures({("map", 0): 99}),
         )
         with pytest.raises(SimulatedTaskFailure):
@@ -114,7 +114,7 @@ class TestSegmentLifecycle:
 
     def test_speculative_run_leaves_nothing(self):
         rt = ParallelRuntime(
-            CLUSTER, workers=2, transport="shm",
+            CLUSTER, workers=2,
             scheduler=SchedulerConfig(
                 speculate=True, speculation_min_tasks=2,
                 speculation_threshold=1.5,
@@ -122,11 +122,6 @@ class TestSegmentLifecycle:
         )
         result = rt.run(job(), ["a b"] * 20, block_records=4)
         assert dict(result.outputs)["a"] == 20
-        assert_no_segments()
-
-    def test_pickle_transport_creates_no_segments(self):
-        rt = ParallelRuntime(CLUSTER, workers=2, transport="pickle")
-        rt.run(job(), ["a b"] * 10, block_records=5)
         assert_no_segments()
 
 

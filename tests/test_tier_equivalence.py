@@ -10,8 +10,8 @@ Hypothesis draws quantized pools sampled with replacement, so duplicate
 points and exact r-boundary distances — the certification-count edge
 cases (self-witness exclusion, ties at ``d == r``) — are common instead
 of measure-zero.  The property is asserted across kernels, across
-metrics (through the MetricSafe degrade path), and across the serial,
-parallel-pickle and parallel-shm runtimes.
+metrics (through the MetricSafe degrade path), and across the serial
+and parallel runtimes.
 
 CI runs this with ``HYPOTHESIS_PROFILE=ci`` in the tier-equivalence
 job (derandomized, more examples); the ``dev`` profile keeps local
@@ -173,7 +173,7 @@ class TestPipelineEquivalence:
         assert exact.outlier_ids == oracle
 
 
-@pytest.fixture(scope="module", params=["pickle", "shm"])
+@pytest.fixture(scope="module", params=["shm"])
 def parallel_runtime(request):
     runtime = ParallelRuntime(
         CLUSTER, workers=2, transport=request.param

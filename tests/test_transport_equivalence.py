@@ -1,4 +1,5 @@
-"""Differential tests: the shm transport must be invisible in results.
+"""Differential tests: the shared-memory data plane must be invisible
+in results.
 
 Two layers:
 
@@ -9,7 +10,7 @@ Two layers:
   a reducer's ``{pid: [batch, batch]}`` input, and payloads that hold
   no array at all.
 * **end-to-end pipelines** — the same detection run through the serial
-  runtime and through ``ParallelRuntime`` with each transport must agree
+  runtime and through the ``ParallelRuntime`` pool must agree
   on outlier sets, every counter group (minus ``transport``, which only
   exists across a process boundary), and ``distance_evals`` — across
   worker counts and with speculation enabled.
@@ -288,33 +289,26 @@ class TestPipelineEquivalence:
             data, LocalRuntime(ClusterConfig(**CLUSTER_KW)),
             ClusterConfig(**CLUSTER_KW),
         )
-        for transport in ("pickle", "shm"):
-            cluster = ClusterConfig(**CLUSTER_KW)
-            got = _detect(
-                data,
-                ParallelRuntime(
-                    cluster, workers=workers, transport=transport
-                ),
-                cluster,
-            )
-            assert got[0] == serial[0], transport
-            assert got[1] == serial[1], transport
+        cluster = ClusterConfig(**CLUSTER_KW)
+        with ParallelRuntime(cluster, workers=workers) as rt:
+            got = _detect(data, rt, cluster)
+        assert got[0] == serial[0]
+        assert got[1] == serial[1]
 
     def test_transports_match_with_speculation(self):
         data = _dataset(seed=5)
-        results = {}
-        for transport in ("pickle", "shm"):
-            cluster = ClusterConfig(**CLUSTER_KW)
-            rt = ParallelRuntime(
-                cluster, workers=2, transport=transport,
-                scheduler=SchedulerConfig(
-                    speculate=True, speculation_min_tasks=2,
-                    speculation_threshold=1.5,
-                ),
-            )
-            results[transport] = _detect(data, rt, cluster)
-        assert results["pickle"][0] == results["shm"][0]
-        assert results["pickle"][1] == results["shm"][1]
+        cluster = ClusterConfig(**CLUSTER_KW)
+        serial = _detect(data, LocalRuntime(cluster), cluster)
+        cluster2 = ClusterConfig(**CLUSTER_KW)
+        with ParallelRuntime(
+            cluster2, workers=2,
+            scheduler=SchedulerConfig(
+                speculate=True, speculation_min_tasks=2,
+                speculation_threshold=1.5,
+            ),
+        ) as rt:
+            got = _detect(data, rt, cluster2)
+        assert got == serial
 
     @pytest.mark.parametrize(
         "dtype,layout",
@@ -326,12 +320,9 @@ class TestPipelineEquivalence:
         cluster = ClusterConfig(**CLUSTER_KW)
         serial = _detect(data, LocalRuntime(cluster), cluster)
         cluster2 = ClusterConfig(**CLUSTER_KW)
-        shm = _detect(
-            data,
-            ParallelRuntime(cluster2, workers=2, transport="shm"),
-            cluster2,
-        )
-        assert shm == serial
+        with ParallelRuntime(cluster2, workers=2) as rt:
+            pooled = _detect(data, rt, cluster2)
+        assert pooled == serial
 
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 2**16), n=st.integers(40, 120))
@@ -339,9 +330,6 @@ class TestPipelineEquivalence:
         data = _dataset(seed=seed, n=n)
         cluster = ClusterConfig(**CLUSTER_KW)
         serial = _detect(data, LocalRuntime(cluster), cluster)
-        for transport in ("pickle", "shm"):
-            c = ClusterConfig(**CLUSTER_KW)
-            got = _detect(
-                data, ParallelRuntime(c, workers=2, transport=transport), c
-            )
-            assert got == serial, transport
+        c = ClusterConfig(**CLUSTER_KW)
+        with ParallelRuntime(c, workers=2) as rt:
+            assert _detect(data, rt, c) == serial
