@@ -50,6 +50,7 @@ from ..core import detect_outliers
 from ..data import region_dataset
 from ..detectors import METRIC_GENERIC_DETECTORS
 from ..kernels import make_kernel
+from ..metrics import resolve_metric
 from ..mapreduce import (
     ClusterConfig,
     Counters,
@@ -113,6 +114,14 @@ class BenchConfig:
     #: HDFS block size in records — one map task per block, so this sets
     #: map-side parallelism (the paper ties map tasks to block count).
     block_records: int = 250
+
+    def __post_init__(self) -> None:
+        if self.repeats < 1:
+            raise ValueError("repeats must be >= 1")
+        # One spelling per metric, so the workload identity compares.
+        object.__setattr__(
+            self, "metric", resolve_metric(self.metric).spec()
+        )
 
     @classmethod
     def quick(cls, **overrides) -> "BenchConfig":

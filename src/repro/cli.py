@@ -27,7 +27,12 @@ Subcommands::
     python -m repro bench --service --quick
 
 Exit codes: 0 success, 1 gate/consistency failure, 2 usage or input
-error, 3 transient service condition (queue full, result timeout).
+error (an invalid flag value included), 3 transient service condition
+(queue full, result timeout).
+
+The run flags are declared once (``_RUN_FLAGS``) and every command turns
+its flags into the library's own values before it reads any input
+(``_configure``): a value is legal exactly when the library accepts it.
 
 CSV format: one point per line, ``x,y[,z...]``; an optional leading
 ``id`` column is accepted with ``--with-ids``.
@@ -36,17 +41,19 @@ CSV format: one point per line, ``x,y[,z...]``; an optional leading
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import data as datagen
 from .core import Dataset, detect_outliers
 from .core.config import RunConfig
-from .kernels import KERNEL_CHOICES, KernelUnavailable, resolve_kernel
-from .metrics import METRIC_CHOICES, MetricUnsupported, resolve_metric
+from .kernels import DEFAULT_KERNEL, KERNEL_CHOICES, KernelUnavailable
+from .metrics import DEFAULT_METRIC, METRIC_CHOICES, MetricUnsupported
 from .mapreduce import (
     ClusterConfig,
     LocalRuntime,
@@ -56,7 +63,7 @@ from .mapreduce import (
 from .observability import RunReport, render_report
 from .params import OutlierParams
 from .partitioning import save_plan
-from .tiers import TIER_CHOICES, resolve_tier
+from .tiers import DEFAULT_TIER, TIER_CHOICES
 
 __all__ = ["main", "CLIError"]
 
@@ -70,70 +77,163 @@ class CLIError(Exception):
     """
 
 
-#: Rows diverted by ``--quarantine-out`` across the current command —
-#: surfaced as the ``rows_quarantined`` counter in JSON reports.
-_last_quarantined = 0
+#: What the library raises for a value it refuses.
+_REFUSED = (ValueError, MetricUnsupported, KernelUnavailable)
+
+#: ``RunConfig.resolve``'s own defaults, quoted by the help text.
+_DEFAULTS = {
+    name: param.default
+    for name, param in inspect.signature(RunConfig.resolve).parameters.items()
+}
+
+#: The run flags, each declared here once and named like the
+#: ``RunConfig.resolve`` keyword it sets.  An unset flag stays ``None``
+#: and is not passed on, so every default is the library's.
+_RUN_FLAGS = {
+    "strategy": dict(
+        help=f"partitioning strategy (default {_DEFAULTS['strategy']})"
+    ),
+    "detector": dict(
+        help="centralized detector; plans that choose one per partition "
+             "by the cost model (DMT, CDriven) use it only as a fallback "
+             f"(default {_DEFAULTS['detector']})"
+    ),
+    "seed": dict(
+        type=int,
+        help=f"sampling and scan seed (default {_DEFAULTS['seed']})",
+    ),
+    "kernel": dict(
+        choices=list(KERNEL_CHOICES),
+        help="distance backend for scan-based detectors ('python' scalar "
+             "oracle, 'numpy' vectorized, 'numba' optional JIT); results "
+             "are identical, only wall time changes (default: "
+             f"$REPRO_KERNEL or {DEFAULT_KERNEL})",
+    ),
+    "metric": dict(
+        metavar="SPEC",
+        help="distance metric: " + ", ".join(METRIC_CHOICES)
+             + "; minkowski takes 'minkowski:P' (e.g. minkowski:1 for "
+             "Manhattan). Unlike --kernel this changes the answer: "
+             "non-Euclidean runs use metric-safe pivot partitioning and "
+             "require a metric-generic detector (default: $REPRO_METRIC "
+             f"or {DEFAULT_METRIC})",
+    ),
+    "tier": dict(
+        choices=list(TIER_CHOICES),
+        help="detection tier: 'exact' runs the full machinery, 'fast' "
+             "prepends a sensitivity-sampled certification pass "
+             "(identical outlier set, less exact work), 'auto' picks via "
+             f"the cost model (default: $REPRO_TIER or {DEFAULT_TIER}; "
+             "a submitted job takes its lane's: fast for interactive, "
+             "exact for batch)",
+    ),
+}
 
 
-def _reset_quarantine_counter() -> None:
-    """Zero the row-quarantine counter at command entry.
+class _InputReader:
+    """Reads one command's CSV inputs; ``quarantined`` counts the rows
+    ``--quarantine-out`` diverted across all of them."""
 
-    Commands that read ``_last_quarantined`` must call this first:
-    the module-level counter would otherwise accumulate across
-    in-process invocations (tests, embedding callers that invoke
-    ``_cmd_*`` directly) and over-report ``rows_quarantined``.
-    """
-    global _last_quarantined
-    _last_quarantined = 0
+    def __init__(self, with_ids: bool, quarantine_out: str | None = None):
+        self.with_ids = with_ids
+        self.quarantine_out = quarantine_out
+        self.quarantined = 0
 
+    def load(self, path: str) -> Dataset:
+        from .data.io import _read_table, _table_dataset
 
-def _load_dataset(
-    path: str, with_ids: bool, quarantine_out: str | None = None
-) -> Dataset:
-    from .data.io import _read_table, _table_dataset
-
-    global _last_quarantined
-    try:
-        raw, mask = _read_table(
-            path, with_ids, source=sys.stdin if path == "-" else path
-        )
-    except ValueError as exc:
-        raise CLIError(str(exc)) from exc
-    n_bad = int((~mask).sum())
-    if n_bad:
-        if quarantine_out is None:
-            raise CLIError(
-                f"{path}: {n_bad} rows have NaN/inf coordinates; fix "
-                "the input or pass --quarantine-out FILE to divert "
-                "them and continue"
+        try:
+            raw, mask = _read_table(
+                path, self.with_ids,
+                source=sys.stdin if path == "-" else path,
             )
-        # One file per command: its first diverted rows replace what an
-        # earlier command left there, later inputs' rows follow them.
-        with open(quarantine_out, "a" if _last_quarantined else "w") as f:
-            np.savetxt(f, raw[~mask], delimiter=",", fmt="%.8g")
-        _last_quarantined += n_bad
-        print(
-            f"quarantined {n_bad} rows with non-finite coordinates "
-            f"-> {quarantine_out}",
-            file=sys.stderr,
+        except ValueError as exc:
+            raise CLIError(str(exc)) from exc
+        n_bad = int((~mask).sum())
+        if n_bad:
+            if self.quarantine_out is None:
+                raise CLIError(
+                    f"{path}: {n_bad} rows have NaN/inf coordinates; fix "
+                    "the input or pass --quarantine-out FILE to divert "
+                    "them and continue"
+                )
+            # One file per command: its first diverted rows replace what
+            # an earlier command left there, later inputs' rows follow.
+            mode = "a" if self.quarantined else "w"
+            with open(self.quarantine_out, mode) as f:
+                np.savetxt(f, raw[~mask], delimiter=",", fmt="%.8g")
+            self.quarantined += n_bad
+            print(
+                f"quarantined {n_bad} rows with non-finite coordinates "
+                f"-> {self.quarantine_out}",
+                file=sys.stderr,
+            )
+            raw = raw[mask]
+            if raw.shape[0] == 0:
+                raise CLIError(f"{path}: every row was quarantined")
+        return _table_dataset(raw, self.with_ids)
+
+
+@dataclass(frozen=True)
+class _Setup:
+    """One command's flags as the library's values."""
+
+    params: OutlierParams
+    cluster: ClusterConfig
+    #: The run flags that were set, as ``RunConfig.resolve`` keywords.
+    flags: dict
+    cfg: RunConfig
+    #: ``None`` for commands without the scheduler flags.
+    scheduler: SchedulerConfig | None
+    reader: _InputReader
+
+
+def _configure(args: argparse.Namespace, **fixed) -> _Setup:
+    """Build the library's values from the command's flags, once.
+
+    Runs before any input is read or the spool is opened, so every
+    rejection is the library's own check, raised as a :class:`CLIError`.
+    ``fixed`` holds the ``RunConfig.resolve`` keywords the command
+    decides itself.
+    """
+    flags = {
+        name: getattr(args, name)
+        for name in _RUN_FLAGS
+        if getattr(args, name, None) is not None
+    }
+    try:
+        params = OutlierParams(r=args.r, k=args.k)
+        cluster = ClusterConfig(nodes=args.nodes)
+        cfg = RunConfig.resolve(
+            params, cluster=cluster, **{**flags, **fixed}
         )
-        raw = raw[mask]
-        if raw.shape[0] == 0:
-            raise CLIError(f"{path}: every row was quarantined")
-    return _table_dataset(raw, with_ids)
+        scheduler = None
+        if hasattr(args, "max_attempts"):
+            scheduler = SchedulerConfig(
+                max_attempts=args.max_attempts,
+                timeout=args.timeout,
+                backoff_base=args.backoff,
+                seed=cfg.seed,
+                speculate=args.speculate,
+                speculation_threshold=args.straggler_threshold,
+                degradation=args.degrade,
+            )
+    except _REFUSED as exc:
+        raise CLIError(str(exc)) from exc
+    reader = _InputReader(args.with_ids, getattr(args, "quarantine_out", None))
+    return _Setup(params, cluster, flags, cfg, scheduler, reader)
 
 
 _NEGATIVE_WORKERS = "--workers must be >= 0 (0 = serial in-process execution)"
 
 
-def _validate_runtime_flags(args) -> tuple[list, list]:
-    """Reject or call out nonsensical runtime/scheduler flag combos.
+def _validate_runtime_flags(args) -> None:
+    """The runtime-flag rules no library value can see.
 
-    Returns ``(errors, warnings)``: errors abort the command (exit 2),
-    warnings go to stderr but the run proceeds.
+    Every broken rule is reported together in one :class:`CLIError`; a
+    warning goes to stderr and the run proceeds.
     """
     errors: list[str] = []
-    warnings: list[str] = []
     if args.workers < 0:
         errors.append(_NEGATIVE_WORKERS)
     if args.speculate and args.workers <= 0:
@@ -142,40 +242,24 @@ def _validate_runtime_flags(args) -> tuple[list, list]:
             "runs one attempt at a time, so a duplicate straggler "
             "attempt could never overlap the original"
         )
+    # SchedulerConfig refuses this too; here it is reported with its peers.
     if args.timeout is not None and args.timeout <= 0:
         errors.append("--timeout must be positive")
-    try:
-        # Fail here, before any data is read, when the requested
-        # backend's optional dependency is missing.
-        resolve_kernel(getattr(args, "kernel", None))
-    except KernelUnavailable as exc:
-        errors.append(str(exc))
-    try:
-        # Same early-exit policy for a malformed --metric spec.
-        resolve_metric(getattr(args, "metric", None))
-    except (ValueError, MetricUnsupported) as exc:
-        errors.append(str(exc))
-    try:
-        resolve_tier(getattr(args, "tier", None))
-    except ValueError as exc:
-        errors.append(str(exc))
-    if args.speculate and args.timeout is None and not errors:
-        warnings.append(
+    if errors:
+        raise CLIError("\nerror: ".join(errors))
+    if args.speculate and args.timeout is None:
+        print(
             "warning: --speculate without --timeout: stragglers are "
             "duplicated once detected, but a hung original attempt is "
-            "never reaped; consider adding --timeout"
+            "never reaped; consider adding --timeout",
+            file=sys.stderr,
         )
-    return errors, warnings
 
 
-def _enforce_runtime_flags(args) -> int:
-    """Print validation results; non-zero = abort the command."""
-    errors, warnings = _validate_runtime_flags(args)
-    for message in warnings:
-        print(message, file=sys.stderr)
-    for message in errors:
-        print(f"error: {message}", file=sys.stderr)
-    return 2 if errors else 0
+def _build_runtime(args: argparse.Namespace, setup: _Setup):
+    return make_runtime(
+        setup.cluster, workers=args.workers, scheduler=setup.scheduler
+    )
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -197,38 +281,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _detect(args: argparse.Namespace):
-    dataset = _load_dataset(
-        args.input, args.with_ids,
-        getattr(args, "quarantine_out", None),
-    )
-    params = OutlierParams(r=args.r, k=args.k)
-    cluster = ClusterConfig(nodes=args.nodes)
-    return dataset, params, cluster
-
-
-def _run_kwargs(args: argparse.Namespace) -> dict:
-    """The run-configuration flags, as every entry point spells them."""
-    return dict(
-        strategy=args.strategy, detector=args.detector, seed=args.seed,
-        kernel=args.kernel, metric=args.metric, tier=args.tier,
-    )
-
-
-def _build_runtime(args: argparse.Namespace, cluster: ClusterConfig):
-    """Runtime + scheduler policy from the detect subcommand's flags."""
-    scheduler = SchedulerConfig(
-        max_attempts=args.max_attempts,
-        timeout=args.timeout,
-        backoff_base=args.backoff,
-        seed=args.seed,
-        speculate=args.speculate,
-        speculation_threshold=args.straggler_threshold,
-        degradation=args.degrade,
-    )
-    return make_runtime(cluster, workers=args.workers, scheduler=scheduler)
-
-
 def _write_report(report: dict, output: str | None) -> None:
     text = json.dumps(report, indent=2)
     if output:
@@ -240,32 +292,31 @@ def _write_report(report: dict, output: str | None) -> None:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    _reset_quarantine_counter()
-    code = _enforce_runtime_flags(args)
-    if code:
-        return code
+    _validate_runtime_flags(args)
+    if args.checkpoint_dir and args.append:
+        raise CLIError(
+            "--checkpoint-dir journals a single detection run; it "
+            "cannot be combined with --append (snapshot the stream "
+            "with 'repro stream --snapshot' instead)"
+        )
+    setup = _configure(args)
     if args.checkpoint_dir:
-        if args.append:
-            raise CLIError(
-                "--checkpoint-dir journals a single detection run; it "
-                "cannot be combined with --append (snapshot the stream "
-                "with 'repro stream --snapshot' instead)"
-            )
-        return _detect_checkpointed(args)
+        return _run_checkpointed_cli(args, setup)
     if args.append:
-        return _detect_append(args)
-    dataset, params, cluster = _detect(args)
-    with _build_runtime(args, cluster) as runtime:
+        return _detect_append(args, setup)
+    dataset = setup.reader.load(args.input)
+    with _build_runtime(args, setup) as runtime:
         result = detect_outliers(
-            dataset, params, cluster=cluster, runtime=runtime,
-            **_run_kwargs(args),
+            dataset, setup.params, cluster=setup.cluster, runtime=runtime,
+            **setup.flags,
         )
     report = {
         "n_points": dataset.n,
-        "params": {"r": params.r, "k": params.k},
+        "params": {"r": setup.params.r, "k": setup.params.k},
         "strategy": result.strategy,
-        "kernel": resolve_kernel(args.kernel).name,
-        "metric": resolve_metric(args.metric).spec(),
+        # The backend the run resolved and recorded on its root span.
+        "kernel": result.trace.attrs["kernel"],
+        "metric": setup.cfg.metric or "euclidean",
         "tier": result.tier,
         "outliers": sorted(result.outlier_ids),
         "n_outliers": len(result.outlier_ids),
@@ -279,7 +330,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         report["residue_fraction"] = result.certification.residue_fraction
         report["tier_dropped"] = result.certification.dropped
     if args.quarantine_out:
-        report["rows_quarantined"] = _last_quarantined
+        report["rows_quarantined"] = setup.reader.quarantined
     if args.trace_out:
         run_report = result.report(
             straggler_threshold=args.straggler_threshold
@@ -290,37 +341,37 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _checkpoint_report(result, params, metric: str) -> dict:
+def _checkpoint_report(result, setup: _Setup) -> dict:
     report = {
-        "params": {"r": params.r, "k": params.k},
+        "params": {"r": setup.params.r, "k": setup.params.k},
         "outliers": sorted(result.outlier_ids),
         "n_outliers": len(result.outlier_ids),
         "resumed": result.resumed,
         "partitions_replayed": result.replayed_partitions,
         "partitions_executed": result.executed_partitions,
         "recovery": result.counters.group("recovery"),
-        "metric": metric,
+        "metric": setup.cfg.metric or "euclidean",
         "tier": getattr(result, "tier", "exact"),
     }
     tier_counters = result.counters.group("tier")
     if tier_counters:
         report["tier_counters"] = tier_counters
-    if _last_quarantined:
-        report["rows_quarantined"] = _last_quarantined
+    if setup.reader.quarantined:
+        report["rows_quarantined"] = setup.reader.quarantined
     return report
 
 
-def _run_checkpointed_cli(args, checkpoint_dir: str) -> int:
+def _run_checkpointed_cli(args, setup: _Setup) -> int:
     """Shared driver behind ``detect --checkpoint-dir`` and ``resume``."""
     from .recovery import CheckpointMismatch, run_checkpointed
 
-    dataset, params, cluster = _detect(args)
+    dataset = setup.reader.load(args.input)
     try:
-        with _build_runtime(args, cluster) as runtime:
+        with _build_runtime(args, setup) as runtime:
             result = run_checkpointed(
-                dataset, params, checkpoint_dir,
-                runtime=runtime, cluster=cluster,
-                **_run_kwargs(args),
+                dataset, setup.params, args.checkpoint_dir,
+                runtime=runtime, cluster=setup.cluster,
+                **setup.flags,
                 manifest_extra={
                     "input": args.input,
                     "with_ids": bool(args.with_ids),
@@ -336,25 +387,20 @@ def _run_checkpointed_cli(args, checkpoint_dir: str) -> int:
             f"{len(result.executed_partitions)} re-executed",
             file=sys.stderr,
         )
-    metric = resolve_metric(args.metric).spec()
-    _write_report(
-        _checkpoint_report(result, params, metric), args.output
-    )
+    _write_report(_checkpoint_report(result, setup), args.output)
     return 0
 
 
-def _detect_checkpointed(args: argparse.Namespace) -> int:
-    return _run_checkpointed_cli(args, args.checkpoint_dir)
+#: What ``RunConfig.identity`` leaves out of a manifest's config when it
+#: is the default.
+_IDENTITY_OMITS = {"metric": "euclidean", "tier": "exact"}
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
     """Finish an interrupted ``detect --checkpoint-dir`` run."""
     from .recovery import SnapshotError, read_manifest
 
-    _reset_quarantine_counter()
-    code = _enforce_runtime_flags(args)
-    if code:
-        return code
+    _validate_runtime_flags(args)
     try:
         manifest = read_manifest(args.checkpoint_dir)
     except SnapshotError as exc:
@@ -376,29 +422,31 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     ns.nodes = int(extra.get("nodes", 4))
     ns.r = float(config["r"])
     ns.k = int(config["k"])
-    ns.strategy = config["strategy"]
-    ns.detector = config["detector"]
-    ns.seed = int(config["seed"])
-    # The metric is run identity: the manifest's record wins, so a
-    # resume never silently re-detects under a different distance.
-    ns.metric = config.get("metric")
-    # Same for the tier: a fast run resumes fast, an exact run exact
-    # (old manifests predate tiers and were always exact).
-    ns.tier = config.get("tier", "exact")
-    ns.quarantine_out = None
-    return _run_checkpointed_cli(ns, args.checkpoint_dir)
+    # The run flags resume does not offer are run identity: the
+    # manifest's record wins, so a resume never re-detects under another
+    # strategy, distance or tier.
+    for name in _RUN_FLAGS.keys() - vars(args).keys():
+        setattr(ns, name, config.get(name, _IDENTITY_OMITS.get(name)))
+    return _run_checkpointed_cli(ns, _configure(ns))
 
 
-def _streaming_detector(args, params, cluster, runtime):
+def _open_stream(args, setup: _Setup, runtime):
+    """A fresh streaming detector, or the one ``--snapshot`` restores."""
     from .streaming import StreamingDetector
 
-    return StreamingDetector(
-        params,
-        runtime=runtime,
-        cluster=cluster,
-        drift_threshold=args.drift_threshold,
-        **_run_kwargs(args),
+    kwargs = dict(
+        runtime=runtime, cluster=setup.cluster,
+        drift_threshold=args.drift_threshold, **setup.flags,
     )
+    snapshot = getattr(args, "snapshot", None)
+    try:
+        if snapshot:
+            return StreamingDetector.restore(
+                snapshot, setup.params, **kwargs
+            )
+        return StreamingDetector(setup.params, **kwargs)
+    except ValueError as exc:
+        raise CLIError(str(exc)) from exc
 
 
 def _batch_summary(report) -> dict:
@@ -416,10 +464,10 @@ def _batch_summary(report) -> dict:
     }
 
 
-def _stream_report(detector, params, batches: list) -> dict:
+def _stream_report(detector, setup: _Setup, batches: list) -> dict:
     report = {
         "n_points": detector.n_seen,
-        "params": {"r": params.r, "k": params.k},
+        "params": {"r": setup.params.r, "k": setup.params.k},
         "strategy": detector.strategy.name,
         "metric": detector.metric or "euclidean",
         "tier": detector.tier,
@@ -428,83 +476,59 @@ def _stream_report(detector, params, batches: list) -> dict:
         "batches": batches,
         "streaming": detector.counters.group("streaming"),
     }
-    if _last_quarantined:
-        report["rows_quarantined"] = _last_quarantined
+    if setup.reader.quarantined:
+        report["rows_quarantined"] = setup.reader.quarantined
     return report
 
 
-def _detect_append(args: argparse.Namespace) -> int:
+def _detect_append(args: argparse.Namespace, setup: _Setup) -> int:
     """``detect --append``: initial detection + incremental batches."""
-    dataset, params, cluster = _detect(args)
-    with _build_runtime(args, cluster) as runtime:
-        return _append_batches(args, dataset, params, cluster, runtime)
-
-
-def _append_batches(args, dataset, params, cluster, runtime) -> int:
-    detector = _streaming_detector(args, params, cluster, runtime)
-    batches = [_batch_summary(detector.ingest(dataset))]
-    for path in args.append:
-        batch = _load_dataset(path, args.with_ids, args.quarantine_out)
-        try:
-            if args.with_ids:
-                report = detector.ingest(batch)
-            else:
-                report = detector.ingest_points(batch.points)
-        except ValueError as exc:
-            # Dimension mismatches and id reuse between the prior state
-            # and the appended batch arrive as ValueError.
-            raise CLIError(f"cannot append {path}: {exc}") from exc
-        batches.append(_batch_summary(report))
-        print(
-            f"appended {path}: +{report.n_points} points, "
-            f"{report.dirty_partitions}/{report.total_partitions} "
-            "partitions re-detected",
-            file=sys.stderr,
-        )
-    _write_report(_stream_report(detector, params, batches), args.output)
+    with _build_runtime(args, setup) as runtime:
+        detector = _open_stream(args, setup, runtime)
+        dataset = setup.reader.load(args.input)
+        batches = [_batch_summary(detector.ingest(dataset))]
+        for path in args.append:
+            batch = setup.reader.load(path)
+            try:
+                if args.with_ids:
+                    report = detector.ingest(batch)
+                else:
+                    report = detector.ingest_points(batch.points)
+            except ValueError as exc:
+                # Dimension mismatches and id reuse between the prior
+                # state and the appended batch arrive as ValueError.
+                raise CLIError(f"cannot append {path}: {exc}") from exc
+            batches.append(_batch_summary(report))
+            print(
+                f"appended {path}: +{report.n_points} points, "
+                f"{report.dirty_partitions}/{report.total_partitions} "
+                "partitions re-detected",
+                file=sys.stderr,
+            )
+        _write_report(_stream_report(detector, setup, batches), args.output)
     return 0
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    _reset_quarantine_counter()
-    code = _enforce_runtime_flags(args)
-    if code:
-        return code
+    _validate_runtime_flags(args)
     if args.batch_size < 1:
-        print("error: --batch-size must be >= 1", file=sys.stderr)
-        return 2
-    dataset = _load_dataset(
-        args.input, args.with_ids, args.quarantine_out
-    )
-    params = OutlierParams(r=args.r, k=args.k)
-    cluster = ClusterConfig(nodes=args.nodes)
-    with _build_runtime(args, cluster) as runtime:
-        return _stream_batches(args, dataset, params, cluster, runtime)
+        raise CLIError("--batch-size must be >= 1")
+    setup = _configure(args)
+    with _build_runtime(args, setup) as runtime:
+        detector = _open_stream(args, setup, runtime)
+        dataset = setup.reader.load(args.input)
+        return _stream_batches(args, setup, detector, dataset)
 
 
-def _stream_batches(args, dataset, params, cluster, runtime) -> int:
-    if args.snapshot:
-        from .streaming import StreamingDetector
-
-        try:
-            detector = StreamingDetector.restore(
-                args.snapshot, params,
-                runtime=runtime, cluster=cluster,
-                drift_threshold=args.drift_threshold,
-                **_run_kwargs(args),
-            )
-        except ValueError as exc:
-            raise CLIError(str(exc)) from exc
-        if detector.n_seen:
-            print(
-                f"resumed stream from {args.snapshot}: "
-                f"{detector.n_seen} points, "
-                f"{len(detector.outlier_ids)} outliers",
-                file=sys.stderr,
-            )
-    else:
-        detector = _streaming_detector(args, params, cluster, runtime)
-
+def _stream_batches(args, setup: _Setup, detector, dataset) -> int:
+    resumed = detector.n_seen > 0
+    if resumed:
+        print(
+            f"resumed stream from {args.snapshot}: "
+            f"{detector.n_seen} points, "
+            f"{len(detector.outlier_ids)} outliers",
+            file=sys.stderr,
+        )
     n_initial = (
         args.initial if args.initial is not None else args.batch_size
     )
@@ -515,7 +539,7 @@ def _stream_batches(args, dataset, params, cluster, runtime) -> int:
     batches = []
     # Auto-numbered ids must continue the resumed stream's sequence; a
     # file's own ids (--with-ids) are kept as they are.
-    renumber = detector.n_seen > 0 and not args.with_ids
+    renumber = resumed and not args.with_ids
     for lo, hi in zip(cuts, cuts[1:]):
         batch = dataset.subset(np.arange(lo, hi))
         try:
@@ -524,8 +548,9 @@ def _stream_batches(args, dataset, params, cluster, runtime) -> int:
             else:
                 report = detector.ingest(batch)
         except ValueError as exc:
+            stream = "the resumed stream" if resumed else "the stream"
             raise CLIError(
-                f"cannot ingest batch into the resumed stream: {exc}"
+                f"cannot ingest batch into {stream}: {exc}"
             ) from exc
         if args.snapshot:
             detector.save(args.snapshot)
@@ -542,7 +567,7 @@ def _stream_batches(args, dataset, params, cluster, runtime) -> int:
             f"outliers {len(report.outlier_ids)}",
             file=sys.stderr,
         )
-    _write_report(_stream_report(detector, params, batches), args.output)
+    _write_report(_stream_report(detector, setup, batches), args.output)
     return 0
 
 
@@ -606,18 +631,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     from .service import QueueFull, ServiceClient, ServiceError
+    from .service.worker import _lane_tier
 
     if not os.path.exists(args.input):
         raise CLIError(f"input file not found: {args.input}")
     if args.workers < 0:
         raise CLIError(_NEGATIVE_WORKERS)
+    # Checked under the tier the job will run at; the spec keeps only
+    # the flags that were set, so an unset tier stays the lane's.
+    setup = _configure(args, tier=args.tier or _lane_tier(args.lane))
     with ServiceClient(args.spool) as client:
         try:
             job_id = client.submit(
                 args.input, r=args.r, k=args.k, tenant=args.tenant,
                 lane=args.lane, nodes=args.nodes, workers=args.workers,
                 with_ids=args.with_ids,
-                **_run_kwargs(args),
+                **setup.flags,
             )
         except QueueFull as exc:
             # Explicit backpressure: fail fast, tell the caller to
@@ -758,16 +787,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    dataset, params, cluster = _detect(args)
     # Plan files hold rectangle plans: Euclidean whatever REPRO_METRIC
     # says (a metric run plans for itself, with pivot balls).
-    cfg = RunConfig.resolve(
-        params, strategy=args.strategy, n=dataset.n,
-        n_partitions=args.partitions, n_reducers=args.reducers,
-        seed=args.seed, metric="euclidean", tier="exact",
+    setup = _configure(
+        args, n_partitions=args.partitions, n_reducers=args.reducers,
+        metric="euclidean", tier="exact",
     )
+    dataset = setup.reader.load(args.input)
+    cfg = setup.cfg.sized(dataset.n)
     plan = cfg.strategy.timed_plan(
-        LocalRuntime(cluster), dataset.batch(),
+        LocalRuntime(setup.cluster), dataset.batch(),
         cfg.plan_request(dataset.bounds),
     )
     save_plan(plan, args.output)
@@ -778,118 +807,43 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stream_bench(args: argparse.Namespace) -> int:
-    from .bench import StreamBenchConfig, run_stream_bench, save_bench
+def _bench_overrides(args: argparse.Namespace, *names: str) -> dict:
+    """The bench flags that were set, as bench-config keywords."""
+    overrides = {"label": args.label} if args.label else {}
+    for name in names:
+        if getattr(args, name) is not None:
+            overrides[name] = getattr(args, name)
+    return overrides
 
-    if args.check:
-        print(
-            "error: --check compares the fixed perf matrix; it does not "
-            "apply to --stream",
-            file=sys.stderr,
-        )
-        return 2
-    overrides = {}
-    if args.label:
-        overrides["label"] = args.label
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.base_n is not None:
-        overrides["base_n"] = args.base_n
-    if args.quick:
-        config = StreamBenchConfig.quick(**overrides)
-    else:
-        config = StreamBenchConfig(**overrides)
 
-    result = run_stream_bench(config, log=print)
-    out_path = args.output or f"STREAM_{config.label}.json"
-    save_bench(result, out_path)
-    print(f"stream bench result -> {out_path}")
+def _bench_config(cls, args: argparse.Namespace, overrides: dict):
+    try:
+        return cls.quick(**overrides) if args.quick else cls(**overrides)
+    except _REFUSED as exc:
+        raise CLIError(str(exc)) from exc
 
-    derived = result["derived"]
-    print(
+
+def _stream_summary(derived: dict) -> list:
+    return [
         f"incremental {derived['incremental_total_seconds']:.3f}s vs "
         f"full re-runs {derived['full_rerun_total_seconds']:.3f}s "
         f"({derived['speedup_vs_full']:.2f}x); identical outliers: "
         f"{derived['identical_outliers']}; plan cache hit rate "
         f"{derived['plan_cache_hit_rate']:.0%}"
-    )
-    return 0 if derived["identical_outliers"] else 1
+    ]
 
 
-def _recovery_bench(args: argparse.Namespace) -> int:
-    from .bench import (
-        RecoveryBenchConfig,
-        run_recovery_bench,
-        save_bench,
-    )
-
-    if args.check:
-        print(
-            "error: --check compares the fixed perf matrix; it does not "
-            "apply to --recovery",
-            file=sys.stderr,
-        )
-        return 2
-    overrides = {}
-    if args.label:
-        overrides["label"] = args.label
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.base_n is not None:
-        overrides["base_n"] = args.base_n
-    if args.quick:
-        config = RecoveryBenchConfig.quick(**overrides)
-    else:
-        config = RecoveryBenchConfig(**overrides)
-
-    result = run_recovery_bench(config, log=print)
-    out_path = args.output or f"RECOVERY_{config.label}.json"
-    save_bench(result, out_path)
-    print(f"recovery bench result -> {out_path}")
-
-    derived = result["derived"]
-    print(
+def _recovery_summary(derived: dict) -> list:
+    return [
         f"journal overhead {derived['journal_overhead_ratio']:.2f}x "
         f"over a plain run; mean resume cost "
         f"{derived['mean_resume_over_full_ratio']:.2f}x of a full run; "
         f"identical outliers: {derived['identical_outliers']}"
-    )
-    return 0 if derived["identical_outliers"] else 1
+    ]
 
 
-def _service_bench(args: argparse.Namespace) -> int:
-    from .bench import (
-        ServiceBenchConfig,
-        run_service_bench,
-        save_bench,
-    )
-
-    if args.check:
-        print(
-            "error: --check compares the fixed perf matrix; it does not "
-            "apply to --service",
-            file=sys.stderr,
-        )
-        return 2
-    overrides = {}
-    if args.label:
-        overrides["label"] = args.label
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.base_n is not None:
-        overrides["base_n"] = args.base_n
-    if args.quick:
-        config = ServiceBenchConfig.quick(**overrides)
-    else:
-        config = ServiceBenchConfig(**overrides)
-
-    result = run_service_bench(config, log=print)
-    out_path = args.output or f"SERVICE_{config.label}.json"
-    save_bench(result, out_path)
-    print(f"service bench result -> {out_path}")
-
-    derived = result["derived"]
-    print(
+def _service_summary(derived: dict) -> list:
+    return [
         f"{derived['n_jobs']} jobs drained in "
         f"{derived['drain_wall_seconds']:.3f}s "
         f"({derived['jobs_per_second']:.2f} jobs/s); mean latency "
@@ -897,52 +851,71 @@ def _service_bench(args: argparse.Namespace) -> int:
         f"{derived['mean_queue_wait_seconds']:.3f}s); plan cache hit "
         f"rate {derived['plan_cache_hit_rate']:.0%}; identical "
         f"outliers: {derived['identical_outliers']}"
-    )
-    for tenant, rates in sorted(derived["tenant_rates"].items()):
-        print(
-            f"  {tenant}: {rates['submitted']} submitted, "
-            f"{rates['done']} done, {rates['failed']} failed, "
-            f"{rates['quarantined']} quarantined; queue wait "
-            f"p50 {rates.get('queue_wait_p50_seconds', 0.0):.3f}s / "
-            f"p95 {rates.get('queue_wait_p95_seconds', 0.0):.3f}s"
+    ] + [
+        f"  {tenant}: {rates['submitted']} submitted, "
+        f"{rates['done']} done, {rates['failed']} failed, "
+        f"{rates['quarantined']} quarantined; queue wait "
+        f"p50 {rates.get('queue_wait_p50_seconds', 0.0):.3f}s / "
+        f"p95 {rates.get('queue_wait_p95_seconds', 0.0):.3f}s"
+        for tenant, rates in sorted(derived["tenant_rates"].items())
+    ]
+
+
+#: ``bench --stream / --recovery / --service``: the config class and the
+#: runner (names in :mod:`repro.bench`), the output file prefix and the
+#: summary lines of each.
+_BENCH_MODES = {
+    "stream": (
+        "StreamBenchConfig", "run_stream_bench", "STREAM", _stream_summary
+    ),
+    "recovery": (
+        "RecoveryBenchConfig", "run_recovery_bench", "RECOVERY",
+        _recovery_summary,
+    ),
+    "service": (
+        "ServiceBenchConfig", "run_service_bench", "SERVICE",
+        _service_summary,
+    ),
+}
+
+
+def _mode_bench(args: argparse.Namespace, mode: str) -> int:
+    from . import bench
+
+    config_name, runner_name, prefix, summary = _BENCH_MODES[mode]
+    if args.check:
+        raise CLIError(
+            "--check compares the fixed perf matrix; it does not "
+            f"apply to --{mode}"
         )
+    config = _bench_config(
+        getattr(bench, config_name), args,
+        _bench_overrides(args, "workers", "base_n"),
+    )
+    result = getattr(bench, runner_name)(config, log=print)
+    out_path = args.output or f"{prefix}_{config.label}.json"
+    bench.save_bench(result, out_path)
+    print(f"{mode} bench result -> {out_path}")
+
+    derived = result["derived"]
+    for line in summary(derived):
+        print(line)
     return 0 if derived["identical_outliers"] else 1
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .bench import BenchConfig, check_against, run_bench, save_bench
 
-    modes = [
-        name for name, on in [
-            ("--stream", args.stream),
-            ("--recovery", args.recovery),
-            ("--service", args.service),
-        ] if on
-    ]
+    modes = [mode for mode in _BENCH_MODES if getattr(args, mode)]
     if len(modes) > 1:
-        print(
-            f"error: pick one of {' / '.join(modes)}", file=sys.stderr
+        raise CLIError(
+            f"pick one of {' / '.join('--' + mode for mode in modes)}"
         )
-        return 2
-    if args.recovery:
-        return _recovery_bench(args)
-    if args.stream:
-        return _stream_bench(args)
-    if args.service:
-        return _service_bench(args)
-    overrides = {}
-    if args.label:
-        overrides["label"] = args.label
-    if args.repeats is not None:
-        overrides["repeats"] = args.repeats
-    if args.workers is not None:
-        overrides["workers"] = args.workers
-    if args.base_n is not None:
-        overrides["base_n"] = args.base_n
-    if args.r is not None:
-        overrides["r"] = args.r
-    if args.k is not None:
-        overrides["k"] = args.k
+    if modes:
+        return _mode_bench(args, modes[0])
+    overrides = _bench_overrides(
+        args, "repeats", "workers", "base_n", "r", "k"
+    )
     if args.detectors:
         overrides["detectors"] = tuple(args.detectors.split(","))
     if args.kernels:
@@ -953,33 +926,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             if t and t != "none"
         )
         if not set(transports) <= {"shm"}:
-            print(
-                f"error: --transports accepts shm or none "
-                f"(got {args.transports!r})",
-                file=sys.stderr,
+            raise CLIError(
+                f"--transports accepts shm or none "
+                f"(got {args.transports!r})"
             )
-            return 2
         overrides["transports"] = transports
     if args.tiers:
         tiers = tuple(args.tiers.split(","))
         for tier in tiers:
             if tier not in ("exact", "fast"):
-                print(
-                    f"error: --tiers accepts exact,fast (got {tier!r})",
-                    file=sys.stderr,
+                raise CLIError(
+                    f"--tiers accepts exact,fast (got {tier!r})"
                 )
-                return 2
         overrides["tiers"] = tiers
     if args.metric:
-        try:
-            overrides["metric"] = resolve_metric(args.metric).spec()
-        except (ValueError, MetricUnsupported) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.quick:
-        config = BenchConfig.quick(**overrides)
-    else:
-        config = BenchConfig(**overrides)
+        overrides["metric"] = args.metric
+    config = _bench_config(BenchConfig, args, overrides)
 
     result = run_bench(config, log=print)
     out_path = args.output or f"BENCH_{config.label}.json"
@@ -1019,7 +981,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    dataset = _load_dataset(args.input, args.with_ids)
+    dataset = _InputReader(args.with_ids).load(args.input)
     bounds = dataset.bounds
     print(f"points:  {dataset.n}")
     print(f"dims:    {dataset.ndim}")
@@ -1056,9 +1018,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="distance threshold")
         p.add_argument("-k", type=int, required=True,
                        help="neighbor-count threshold")
-        p.add_argument("--strategy", default="DMT")
         p.add_argument("--nodes", type=int, default=4)
-        p.add_argument("--seed", type=int, default=1)
+
+    def add_run_flags(p, *names):
+        for name in names or _RUN_FLAGS:
+            p.add_argument(f"--{name}", **_RUN_FLAGS[name])
 
     def add_quarantine_flag(p):
         p.add_argument("--quarantine-out", metavar="CSV", default=None,
@@ -1092,40 +1056,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="when a task exhausts its attempts: fail the "
                             "run, or skip its partition with a warning")
 
-    def add_kernel_flag(p):
-        p.add_argument("--kernel", choices=list(KERNEL_CHOICES),
-                       default=None,
-                       help="distance backend for scan-based detectors "
-                            "('python' scalar oracle, 'numpy' vectorized "
-                            "default, 'numba' optional JIT); results are "
-                            "identical, only wall time changes "
-                            "(default: auto = $REPRO_KERNEL or numpy)")
-
-    def add_metric_flag(p):
-        p.add_argument("--metric", default=None, metavar="SPEC",
-                       help="distance metric: "
-                            + ", ".join(METRIC_CHOICES)
-                            + "; minkowski takes 'minkowski:P' (e.g. "
-                            "minkowski:1 for Manhattan). Unlike --kernel "
-                            "this changes the answer: non-Euclidean runs "
-                            "use metric-safe pivot partitioning and "
-                            "require a metric-generic detector "
-                            "(default: auto = $REPRO_METRIC or euclidean)")
-
-    def add_tier_flag(p):
-        p.add_argument("--tier", choices=list(TIER_CHOICES),
-                       default=None,
-                       help="detection tier: 'exact' runs the full "
-                            "machinery, 'fast' prepends a sensitivity-"
-                            "sampled certification pass (identical "
-                            "outlier set, less exact work), 'auto' "
-                            "picks via the cost model (default: "
-                            "$REPRO_TIER or exact)")
-
     det = sub.add_parser("detect", help="run the detection pipeline")
     add_common(det)
+    add_run_flags(det)
     add_quarantine_flag(det)
-    det.add_argument("--detector", default="nested_loop")
     det.add_argument("-o", "--output", help="write JSON report here")
     det.add_argument("--trace-out", metavar="PATH",
                      help="write the JSONL run report (spans, reducer "
@@ -1145,9 +1079,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "resume DIR' (replays committed partitions, "
                           "re-runs only the rest)")
     add_runtime_flags(det)
-    add_kernel_flag(det)
-    add_metric_flag(det)
-    add_tier_flag(det)
     det.set_defaults(func=_cmd_detect)
 
     resume = sub.add_parser(
@@ -1159,10 +1090,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="checkpoint directory of the killed run")
     resume.add_argument("-o", "--output",
                         help="write JSON report here")
-    # No --metric or --tier: both are run identity, read from the
-    # manifest, so a resume never re-detects under another distance.
+    # Only --kernel: the other run flags are run identity, read from
+    # the manifest, so a resume never re-detects under another distance.
+    add_run_flags(resume, "kernel")
     add_runtime_flags(resume)
-    add_kernel_flag(resume)
     resume.set_defaults(func=_cmd_resume)
 
     stream = sub.add_parser(
@@ -1171,8 +1102,8 @@ def build_parser() -> argparse.ArgumentParser:
              "stdin with '-'); re-runs only dirty partitions per batch",
     )
     add_common(stream)
+    add_run_flags(stream)
     add_quarantine_flag(stream)
-    stream.add_argument("--detector", default="nested_loop")
     stream.add_argument("--batch-size", type=int, default=500,
                         help="points per micro-batch (default 500)")
     stream.add_argument("--initial", type=int, default=None,
@@ -1191,9 +1122,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "it stopped (corrupt snapshots fall back "
                              "to a clean start)")
     add_runtime_flags(stream)
-    add_kernel_flag(stream)
-    add_metric_flag(stream)
-    add_tier_flag(stream)
     stream.set_defaults(func=_cmd_stream)
 
     def add_spool_flag(p):
@@ -1254,7 +1182,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="queue a detection job on the service; prints its job id",
     )
     add_common(submit)
-    submit.add_argument("--detector", default="nested_loop")
+    add_run_flags(submit)
     add_spool_flag(submit)
     submit.add_argument("--tenant", default="default",
                         help="tenant the job is accounted to "
@@ -1266,13 +1194,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--workers", type=int, default=0,
                         help="worker processes the job's runtime uses "
                              "(0 = serial)")
-    add_kernel_flag(submit)
-    add_metric_flag(submit)
-    submit.add_argument("--tier", choices=list(TIER_CHOICES),
-                        default=None,
-                        help="detection tier for this job (default: "
-                             "the lane's default — fast for "
-                             "interactive, exact for batch)")
     submit.add_argument("--wait", type=float, metavar="SECONDS",
                         default=None,
                         help="block for the result up to SECONDS "
@@ -1364,6 +1285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     plan = sub.add_parser("plan", help="build and save a partition plan")
     add_common(plan)
+    add_run_flags(plan, "strategy", "seed")
     add_quarantine_flag(plan)
     plan.add_argument("--partitions", type=int, default=16)
     plan.add_argument("--reducers", type=int, default=8)
@@ -1442,10 +1364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    global _last_quarantined
-    _last_quarantined = 0
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CLIError as exc:

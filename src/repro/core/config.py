@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
 
-from ..detectors import METRIC_GENERIC_DETECTORS
+from ..detectors import DETECTOR_REGISTRY, METRIC_GENERIC_DETECTORS
 from ..geometry import Rect
 from ..kernels import resolve_kernel
 from ..mapreduce import ClusterConfig
@@ -106,6 +106,11 @@ class RunConfig:
         metric_obj = resolve_metric(metric)
         metric = None if metric_obj.is_euclidean else metric_obj.spec()
         strategy = resolve_strategy(strategy)
+        if detector not in DETECTOR_REGISTRY:
+            raise ValueError(
+                f"unknown detector {detector!r}; known: "
+                f"{sorted(DETECTOR_REGISTRY)}"
+            )
         if metric is not None:
             if detector not in METRIC_GENERIC_DETECTORS:
                 raise MetricUnsupported(
@@ -124,6 +129,10 @@ class RunConfig:
             n_reducers = min(cluster.reduce_slots, 64)
         if n_partitions is None:
             n_partitions = 2 * n_reducers
+        if n_partitions < 1:
+            raise ValueError("need at least one partition")
+        if n_reducers < 1:
+            raise ValueError("need at least one reducer")
         config = cls(
             params=params, strategy=strategy, detector=detector,
             n_partitions=int(n_partitions), n_reducers=int(n_reducers),

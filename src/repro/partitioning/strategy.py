@@ -30,7 +30,8 @@ class PlanRequest:
     grid strategies ignore it — the pipeline swaps them for the
     metric-safe strategy before planning a non-Euclidean run — while
     :class:`~repro.partitioning.metric_strategies.MetricSafePartitioner`
-    partitions under it.
+    partitions under it.  The sizes are checked where they are resolved,
+    in :meth:`repro.core.config.RunConfig.resolve`.
     """
 
     domain: Rect
@@ -41,12 +42,6 @@ class PlanRequest:
     sample_rate: float = 0.005
     seed: int = 1
     metric: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_partitions < 1:
-            raise ValueError("need at least one partition")
-        if self.n_reducers < 1:
-            raise ValueError("need at least one reducer")
 
 
 class PartitioningStrategy(abc.ABC):

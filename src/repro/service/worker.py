@@ -93,6 +93,13 @@ _RUN_SPEC_KEYS = (
 )
 
 
+def _lane_tier(lane: str) -> str:
+    """The tier of a job whose spec names none: the interactive lane
+    trades nothing but the certification pass for latency (verdicts are
+    tier-invariant), batch jobs stay on the exact path."""
+    return "fast" if lane == "interactive" else "exact"
+
+
 def _job_spec_defaults(spec: Dict[str, Any]) -> Dict[str, Any]:
     """Fill a submitted spec's input and runtime-shape defaults."""
     out = {
@@ -272,17 +279,9 @@ class ServiceWorker:
         params = OutlierParams(r=float(spec["r"]), k=int(spec["k"]))
         cluster = ClusterConfig(nodes=int(spec["nodes"]))
         runtime = self._runtime(spec)
-        # Lane default: the interactive lane trades nothing but the
-        # certification pass for latency (verdicts are tier-invariant),
-        # batch jobs stay on the exact path.  An explicit spec tier
-        # always wins.
-        tier = spec.get("tier")
-        if tier is None:
-            tier = (
-                "fast" if job["lane_name"] == "interactive" else "exact"
-            )
         cfg = RunConfig.resolve(
-            params, cluster=cluster, n=dataset.n, tier=tier,
+            params, cluster=cluster, n=dataset.n,
+            tier=spec.get("tier") or _lane_tier(job["lane_name"]),
             **{k: spec[k] for k in _RUN_SPEC_KEYS if k in spec},
         )
         # The memo key is the run identity the manifest will record,

@@ -56,7 +56,7 @@ from ..params import OutlierParams
 from ..partitioning import PartitionPlan, plan_from_dict, plan_to_dict
 from ..recovery.snapshot import SnapshotError, read_artifact, write_artifact
 from ..tiers import SensitivitySample, certified_mask
-from .plan_cache import DMTPlanCache
+from .plan_cache import DMTPlanCache, _check_drift_threshold
 
 #: Versioned schema of :meth:`StreamingDetector.save` artifacts.
 SNAPSHOT_KIND = "streaming-snapshot"
@@ -137,8 +137,7 @@ class StreamingDetector:
                 f"{strategy.name!r} runs the two-job baseline "
                 "instead and cannot localize a batch's effect"
             )
-        if drift_threshold <= 0:
-            raise ValueError("drift_threshold must be positive")
+        _check_drift_threshold(drift_threshold)
         self.cluster = cluster or ClusterConfig()
         # Resolved like a batch run's; under a non-Euclidean metric the
         # strategy degrades the same way, and the dirty-partition rule

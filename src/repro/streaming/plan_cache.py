@@ -33,6 +33,12 @@ from ..partitioning import PartitionPlan
 __all__ = ["DMTPlanCache"]
 
 
+def _check_drift_threshold(drift_threshold: float) -> None:
+    """A total-variation distance lies in [0, 1]; 0 would rebuild always."""
+    if not 0.0 < drift_threshold <= 1.0:
+        raise ValueError("drift_threshold must be in (0, 1]")
+
+
 @dataclass
 class DMTPlanCache:
     """A cached partition plan plus the histogram that justifies it."""
@@ -45,8 +51,7 @@ class DMTPlanCache:
     batches_served: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.drift_threshold <= 1.0:
-            raise ValueError("drift_threshold must be in (0, 1]")
+        _check_drift_threshold(self.drift_threshold)
         self.live_counts = np.array(self.baseline_counts, dtype=float)
 
     # ------------------------------------------------------------------

@@ -38,6 +38,17 @@ class TestBenchConfig:
         q = BenchConfig.quick(label="x", workers=1, repeats=3)
         assert (q.label, q.workers, q.repeats) == ("x", 1, 3)
 
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_fewer_than_one_repeat_is_refused(self, repeats):
+        # A cell with no run has no result to report counters from.
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            BenchConfig(repeats=repeats)
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            BenchConfig.quick(repeats=repeats)
+
+    def test_metric_is_stored_in_its_canonical_spelling(self):
+        assert BenchConfig(metric="minkowski:1.0").metric == "minkowski:1"
+
 
 class TestRunBench:
     def test_matrix_shape(self, tiny_result):

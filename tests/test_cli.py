@@ -95,10 +95,10 @@ class TestDetect:
         assert (json.loads(base.read_text())["outliers"]
                 == json.loads(tuned.read_text())["outliers"])
 
-    def test_scheduler_flag_validation(self, csv_points):
-        with pytest.raises(ValueError):
-            main(["detect", csv_points, "-r", "2.0", "-k", "5",
-                  "--max-attempts", "0"])
+    def test_scheduler_flag_validation(self, csv_points, capsys):
+        assert main(["detect", csv_points, "-r", "2.0", "-k", "5",
+                     "--max-attempts", "0"]) == 2
+        assert "max_attempts must be >= 1" in capsys.readouterr().err
 
     def test_trace_out_records_scheduler(self, csv_points, tmp_path,
                                          capsys):
@@ -213,6 +213,71 @@ class TestRuntimeFlagValidation:
                         "--spool", str(spool),
                         "--quarantine-out", str(tmp_path / "q.csv")]) == 2
         assert not spool.exists()
+
+
+#: Invocations the library refuses, and the start of its message.  Each
+#: row runs as ``<command> CSV -r 2.0 -k 5 <flags>`` (a repeated flag's
+#: last value wins).
+REFUSALS = [
+    ("detect", ["--strategy", "Bogus"], "unknown strategy 'Bogus'"),
+    ("detect", ["-k", "0"], "neighbor count threshold k must be >= 1"),
+    ("detect", ["-r", "-1"], "distance threshold r must be positive"),
+    ("detect", ["--nodes", "0"], "need at least one node"),
+    ("detect", ["--max-attempts", "0"], "max_attempts must be >= 1"),
+    ("detect", ["--backoff", "-1"], "backoff delays must be >= 0"),
+    ("detect", ["--straggler-threshold", "0.5"],
+     "speculation_threshold must be > 1"),
+    ("detect", ["--tier", "fast", "--strategy", "Domain"],
+     "the fast tier pre-clears"),
+    ("detect", ["--metric", "haversine", "--detector", "cell_based"],
+     "detector 'cell_based' assumes Euclidean"),
+    ("detect", ["--detector", "bogus"], "unknown detector 'bogus'"),
+    ("stream", ["--strategy", "Domain"],
+     "streaming needs a supporting-area strategy"),
+    ("stream", ["--drift-threshold", "1.5"],
+     "drift_threshold must be in (0, 1]"),
+    ("plan", ["--strategy", "Bogus"], "unknown strategy 'Bogus'"),
+    ("plan", ["--partitions", "0"], "need at least one partition"),
+    ("submit", ["--strategy", "Bogus"], "unknown strategy 'Bogus'"),
+    ("submit", ["-r", "-1"], "distance threshold r must be positive"),
+    ("submit", ["-k", "0"], "neighbor count threshold k must be >= 1"),
+    ("submit", ["--metric", "haversine", "--detector", "cell_based"],
+     "detector 'cell_based' assumes Euclidean"),
+]
+
+
+class TestRefusals:
+    """Every value the library refuses is a usage error: exit 2, one
+    ``error:`` line, no traceback, nothing written."""
+
+    @pytest.mark.parametrize(
+        "command,flags,message", REFUSALS,
+        ids=[" ".join([c, *f]) for c, f, _ in REFUSALS],
+    )
+    def test_refused_before_anything_is_written(
+        self, command, flags, message, csv_points, tmp_path, capsys
+    ):
+        out = tmp_path / "out.json"
+        spool = tmp_path / "spool"
+        argv = [command, csv_points, "-r", "2.0", "-k", "5", *flags,
+                "-o", str(out)]
+        if command == "submit":
+            argv += ["--spool", str(spool)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert not spool.exists()
+
+    def test_bench_zero_repeats(self, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--quick", "--repeats", "0",
+                     "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: repeats must be >= 1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestStreaming:
@@ -362,10 +427,9 @@ class TestInputHardening:
 
     def test_quarantine_counter_resets_per_command(self, tmp_path):
         # Embedders (and tests) invoke command functions directly,
-        # bypassing main(): the module-level counter must be zeroed at
-        # command entry, not only in main(), or repeated in-process
-        # invocations over-report rows_quarantined.
-        import repro.cli as cli_module
+        # bypassing main(): the count belongs to one invocation, so a
+        # repeated in-process invocation never over-reports it.
+        from repro.cli import build_parser
 
         path = tmp_path / "bad.csv"
         path.write_text(
@@ -373,13 +437,13 @@ class TestInputHardening:
         )
         quarantine = tmp_path / "quarantine.csv"
         out = tmp_path / "report.json"
-        args = cli_module.build_parser().parse_args([
+        args = build_parser().parse_args([
             "detect", str(path), "-r", "2.0", "-k", "2",
             "--quarantine-out", str(quarantine), "-o", str(out),
         ])
-        cli_module._last_quarantined = 99  # stale prior-run state
-        assert args.func(args) == 0
-        assert json.loads(out.read_text())["rows_quarantined"] == 2
+        for _ in range(2):
+            assert args.func(args) == 0
+            assert json.loads(out.read_text())["rows_quarantined"] == 2
 
     def test_missing_input_is_clean_error(self, tmp_path, capsys):
         code = main([

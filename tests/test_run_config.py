@@ -124,6 +124,8 @@ REJECTED = [
     (dict(strategy="kmeans"), ValueError),
     (dict(kernel="no-such-backend"), ValueError),
     (dict(strategy="Domain", tier="fast"), ValueError),
+    (dict(detector="bogus"), ValueError),
+    (dict(n_partitions=0), ValueError),
 ]
 
 
@@ -156,6 +158,13 @@ class TestOneResolution:
                 call()
         assert runtime.jobs_run == 0
         assert not os.path.exists(tmp_path / "ckpt")
+
+    def test_unknown_detector_is_refused_under_dmt(self):
+        # DMT plans name a detector per partition, so a bogus fallback
+        # used to run unnoticed; uniSpace failed inside a reduce task.
+        for strategy in ("DMT", "uniSpace"):
+            with pytest.raises(ValueError, match="unknown detector 'bogus'"):
+                RunConfig.resolve(PARAMS, strategy=strategy, detector="bogus")
 
     def test_domain_auto_stays_exact_everywhere_it_runs(self, tmp_path):
         calls = entry_points(tmp_path, strategy="Domain", tier="auto")

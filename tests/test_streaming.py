@@ -155,6 +155,14 @@ class TestExactness:
         with pytest.raises(ValueError, match="supporting-area"):
             make_detector(strategy="Domain")
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.5])
+    def test_invalid_drift_threshold_rejected_at_construction(
+        self, threshold
+    ):
+        """The plan cache's rule, applied before the first ingest."""
+        with pytest.raises(ValueError, match=r"must be in \(0, 1\]"):
+            make_detector(drift_threshold=threshold)
+
 
 class TestIncrementality:
     def test_localized_batch_dirties_few_partitions(self):
