@@ -10,9 +10,9 @@ distributed DBSCAN built from the same pieces — partition plans, the
 
 How it works
 ------------
-* **map**: identical to the DOD mapper — each point is routed to its core
-  partition and replicated into every partition whose ``eps``-expansion
-  contains it.
+* **map**: the DOD mapper itself (the core's supporting-area job on
+  uniSpace's grid plan) — each point is routed to its core partition and
+  replicated into every partition whose ``eps``-expansion contains it.
 * **reduce** (per partition): run centralized DBSCAN over core ∪ support
   points.  Core-point status computed this way is globally exact, by the
   same argument as Lemma 3.1.  Emit ``(point_id, partition, local_label,
@@ -35,17 +35,16 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from ..core.dataset import Dataset
+from ..core.framework import _support_job
 from ..mapreduce import (
     ClusterConfig,
     LocalRuntime,
-    MapReduceJob,
     RecordBatch,
     Reducer,
     TaskContext,
 )
-from ..core.framework import _DODMapper
-from ..geometry import UniformGrid
-from ..partitioning import Partition, PartitionPlan
+from ..params import check_positive_finite, check_whole
+from ..partitioning.grid_strategies import _grid_plan
 
 __all__ = ["DBSCANResult", "dbscan_reference", "distributed_dbscan"]
 
@@ -171,29 +170,15 @@ def distributed_dbscan(
     Uses an equi-width partition plan (any disjoint rectangular tiling
     works); the supporting radius equals ``eps``.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if min_pts < 1:
+    check_positive_finite(eps, "eps")
+    if check_whole(min_pts, "min_pts") < 1:
         raise ValueError("min_pts must be >= 1")
-    cluster = cluster or ClusterConfig(nodes=4)
-    runtime = LocalRuntime(cluster)
-    domain = dataset.bounds
-    grid = UniformGrid.with_cells(domain, n_partitions)
-    plan = PartitionPlan(
-        domain,
-        [
-            Partition(pid=grid.flat_index(idx), rect=grid.cell_rect(idx))
-            for idx in grid.iter_cells()
-        ],
-        strategy="dbscan-grid",
+    plan = _grid_plan(dataset.bounds, n_partitions, "dbscan-grid")
+    job = _support_job(
+        "distributed-dbscan", plan, eps,
+        _LocalDBSCANReducer(eps, min_pts), n_reducers,
     )
-
-    job = MapReduceJob(
-        name="distributed-dbscan",
-        mapper=_DODMapper(plan, r=eps),
-        reducer=_LocalDBSCANReducer(eps, min_pts),
-        n_reducers=n_reducers,
-    )
+    runtime = LocalRuntime(cluster or ClusterConfig(nodes=4))
     result = runtime.run(job, dataset.batch())
 
     # ------------------------------------------------------------------

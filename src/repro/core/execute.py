@@ -80,7 +80,7 @@ def _id_array(ids: Collection[int]) -> np.ndarray:
 def route(
     plan: PartitionPlan,
     batch: RecordBatch,
-    r: float,
+    r: float | np.ndarray,
     certified: Collection[int] = (),
     dropped: Collection[int] = (),
 ) -> List[Tuple[int, RecordBatch]]:
@@ -89,7 +89,8 @@ def route(
 
     Every point yields one record for its core partition, and one
     support record (tag 1, Def. 3.3) for each partition whose
-    ``r``-expansion contains it; a partition's batch holds its core
+    ``r``-expansion contains it (``r`` may be one radius per partition,
+    as ``plan.assign_batch`` takes it); a partition's batch holds its core
     records in block order, then its support records in block order.
     ``certified`` ids are the fast tier's pre-cleared inliers: they
     enter their *own* partition demoted from core (tag 0) to support,

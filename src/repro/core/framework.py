@@ -96,7 +96,7 @@ class _DODMapper(Mapper):
     def __init__(
         self,
         plan: PartitionPlan,
-        r: float,
+        r: float | np.ndarray,
         certified_ids: Collection[int] = (),
         dropped_ids: Collection[int] = (),
     ) -> None:
@@ -145,6 +145,40 @@ class _DODMapper(Mapper):
         return pairs
 
 
+def _support_job(
+    name: str,
+    plan: PartitionPlan,
+    r: float | np.ndarray,
+    reducer: Reducer,
+    n_reducers: int,
+    certified_ids: Collection[int] = (),
+    dropped_ids: Collection[int] = (),
+) -> MapReduceJob:
+    """A supporting-area job (Fig. 3): the DOD mapper routes each point
+    to its core partition and to every partition whose ``r``-expansion
+    contains it (``r`` is one radius or one per partition, as
+    :meth:`~repro.partitioning.PartitionPlan.assign_batch` takes it),
+    and ``reducer`` sees one partition's tagged pool per call.
+
+    Detection and every extension (DBSCAN, LOCI, kNN refinement) differ
+    only in the reducer they hand in.
+    """
+    partitioner = (
+        DictPartitioner(plan.allocation)
+        if plan.allocation is not None
+        else HashPartitioner()
+    )
+    return MapReduceJob(
+        name=name,
+        mapper=_DODMapper(
+            plan, r, certified_ids=certified_ids, dropped_ids=dropped_ids,
+        ),
+        reducer=reducer,
+        n_reducers=n_reducers,
+        partitioner=partitioner,
+    )
+
+
 def _run_framework(
     runtime: LocalRuntime,
     input_data,
@@ -154,20 +188,10 @@ def _run_framework(
     dropped_ids: Collection[int] = (),
 ) -> DetectionRun:
     """The single-pass framework: one MapReduce job end to end."""
-    partitioner = (
-        DictPartitioner(plan.allocation)
-        if plan.allocation is not None
-        else HashPartitioner()
-    )
-    job = MapReduceJob(
-        name=f"dod-detect-{plan.strategy}",
-        mapper=_DODMapper(
-            plan, cfg.params.r, certified_ids=certified_ids,
-            dropped_ids=dropped_ids,
-        ),
-        reducer=_DODReducer(cfg, plan.algorithm_plan),
-        n_reducers=cfg.n_reducers,
-        partitioner=partitioner,
+    job = _support_job(
+        f"dod-detect-{plan.strategy}", plan, cfg.params.r,
+        _DODReducer(cfg, plan.algorithm_plan), cfg.n_reducers,
+        certified_ids, dropped_ids,
     )
     result = runtime.run(job, input_data)
     usage = {

@@ -14,12 +14,14 @@ The distributed algorithm is a bound-and-refine scheme in the spirit of
    ``u_i`` on its true kNN distance (more candidates can only shrink it).
 2. **Refine loop**: candidates are the points whose upper bound exceeds
    the current threshold (the n-th largest exact value known so far,
-   seeded by the n-th largest upper bound).  A refine job replicates into
-   each partition all points within that partition's *own* maximum
-   candidate bound — per-partition support radii, so dense partitions
-   with tight bounds stay small — and computes exact kNN distances for
-   the candidates.  The threshold then rises, the candidate set shrinks,
-   and the loop repeats until no unrefined candidate remains.
+   seeded by the n-th largest upper bound).  A refine job is the core's
+   supporting-area job with one radius per partition: each partition
+   receives all points within its *own* maximum candidate bound — so
+   dense partitions with tight bounds stay small, the data-driven
+   replication bound of kNN joins (Lu et al.) — and every non-candidate
+   is demoted to a support record, so the reducer's tag-0 rows are
+   exactly the queries.  The threshold then rises, the candidate set
+   shrinks, and the loop repeats until no unrefined candidate remains.
 
 Exactness argument: a true top-n point ``j`` satisfies
 ``u_j >= d_k(j) >= T >= T_hat`` for every intermediate threshold
@@ -31,23 +33,23 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from ..core.dataset import Dataset
-from ..geometry import UniformGrid
+from ..core.framework import _LocalOnlyMapper, _support_job
 from ..mapreduce import (
     ClusterConfig,
     LocalRuntime,
     MapReduceJob,
-    Mapper,
     RecordBatch,
     Reducer,
     TaskContext,
 )
-from ..partitioning import Partition, PartitionPlan
+from ..params import check_whole
+from ..partitioning.grid_strategies import _grid_plan
 
 __all__ = ["KNNOutlierResult", "knn_outliers_reference",
            "distributed_knn_outliers"]
@@ -85,8 +87,7 @@ def knn_outliers_reference(
     dataset: Dataset, k: int, n: int
 ) -> KNNOutlierResult:
     """Centralized exact top-n kNN outliers (the [10] semantics)."""
-    if k < 1 or n < 1:
-        raise ValueError("k and n must be >= 1")
+    k, n = _check_counts(k, n)
     d_k = _knn_distance(dataset.points, dataset.points, k)
     order = sorted(
         range(dataset.n), key=lambda i: (-d_k[i], dataset.ids[i])
@@ -97,24 +98,9 @@ def knn_outliers_reference(
     )
 
 
-class _RoutingMapper(Mapper):
-    """Route each point to its core partition (no support)."""
-
-    def __init__(self, plan: PartitionPlan) -> None:
-        self.plan = plan
-
-    def map_block(self, records, ctx: TaskContext):
-        if not records:
-            return []
-        ctx.add_cost(float(len(records)))
-        return RecordBatch(
-            records.ids, records.points,
-            keys=self.plan.core_pids_batch(records.points),
-        ).group_by_key()
-
-
 class _BoundReducer(Reducer):
-    """Partition-local kNN: upper bounds on every point's kNN distance."""
+    """Partition-local kNN: an upper bound on every point's kNN distance,
+    reported with the partition it is core in."""
 
     def __init__(self, k: int) -> None:
         self.k = k
@@ -123,61 +109,25 @@ class _BoundReducer(Reducer):
         rows = RecordBatch.concat(values)
         bounds = _knn_distance(rows.points, rows.points, self.k)
         ctx.add_cost(float(len(rows)))
-        yield from zip(rows.ids.tolist(), bounds.tolist())
-
-
-class _RefineMapper(Mapper):
-    """Replicate every point into partitions whose candidates may need it.
-
-    Partition ``P`` receives all points within ``radius[P]`` of ``P``
-    (its maximum candidate upper bound) — the per-partition analogue of
-    the supporting area, with a data-driven radius.
-    """
-
-    def __init__(self, plan: PartitionPlan, radii: Dict[int, float],
-                 candidates: set[int]) -> None:
-        self.plan = plan
-        self.radii = radii
-        self.candidates = candidates
-
-    def map(self, key, value, ctx: TaskContext):
-        point = tuple(map(float, value))
-        core = self.plan.core_pid(point)
-        tag = 1 if key in self.candidates else 0
-        emitted = 0
-        if core in self.radii:
-            yield core, (tag, key, point)
-            emitted += 1
-        for part in self.plan.partitions:
-            pid = part.pid
-            if pid == core or pid not in self.radii:
-                continue
-            if part.rect.expand(self.radii[pid]).contains(point):
-                yield pid, (0, key, point)
-                emitted += 1
-        ctx.add_cost(1.0 + emitted)
+        for pid, bound in zip(rows.ids.tolist(), bounds.tolist()):
+            yield pid, key, bound
 
 
 class _RefineReducer(Reducer):
-    """Exact kNN distances for the candidate core points."""
+    """Exact kNN distances for the partition's candidates — its tag-0
+    rows — over its whole pool."""
 
     def __init__(self, k: int) -> None:
         self.k = k
 
     def reduce(self, key, values, ctx: TaskContext):
-        points = np.asarray([pt for _, _, pt in values], dtype=float)
-        cand_rows = [
-            (row, pid)
-            for row, (tag, pid, _) in enumerate(values)
-            if tag == 1
-        ]
-        if not cand_rows:
+        rows = RecordBatch.concat(values)
+        queries = rows.tags == 0
+        if not queries.any():
             return
-        queries = points[[row for row, _ in cand_rows]]
-        exact = _knn_distance(points, queries, self.k)
-        ctx.add_cost(float(points.shape[0]))
-        for (_, pid), dist in zip(cand_rows, exact):
-            yield pid, float(dist)
+        exact = _knn_distance(rows.points, rows.points[queries], self.k)
+        ctx.add_cost(float(len(rows)))
+        yield from zip(rows.ids[queries].tolist(), exact.tolist())
 
 
 def distributed_knn_outliers(
@@ -190,65 +140,52 @@ def distributed_knn_outliers(
     max_rounds: int = 16,
 ) -> KNNOutlierResult:
     """Exact distributed top-n kNN outliers via bound-and-refine."""
-    if k < 1 or n < 1:
-        raise ValueError("k and n must be >= 1")
+    k, n = _check_counts(k, n)
     if n > dataset.n:
         raise ValueError("cannot request more outliers than points")
-    cluster = cluster or ClusterConfig(nodes=4)
-    runtime = LocalRuntime(cluster)
-    grid = UniformGrid.with_cells(dataset.bounds, n_partitions)
-    plan = PartitionPlan(
-        dataset.bounds,
-        [
-            Partition(pid=grid.flat_index(idx), rect=grid.cell_rect(idx))
-            for idx in grid.iter_cells()
-        ],
-        strategy="knn-grid",
-    )
+    runtime = LocalRuntime(cluster or ClusterConfig(nodes=4))
+    plan = _grid_plan(dataset.bounds, n_partitions, "knn-grid")
     records = dataset.batch()
 
     bound_job = MapReduceJob(
-        "knn-bound", _RoutingMapper(plan), _BoundReducer(k),
+        "knn-bound", _LocalOnlyMapper(plan), _BoundReducer(k),
         n_reducers=n_reducers,
     )
-    bounds: Dict[int, float] = dict(
-        runtime.run(bound_job, records).outputs
-    )
-
-    core_of = {
-        int(pid): int(cp)
-        for pid, cp in zip(
-            dataset.ids, plan.core_pids_batch(dataset.points)
-        )
+    # point id -> (core partition, upper bound on its kNN distance)
+    bounds: Dict[int, Tuple[int, float]] = {
+        pid: (part, bound)
+        for pid, part, bound in runtime.run(bound_job, records).outputs
     }
+
     exact: Dict[int, float] = {}
     rounds = 0
     while rounds < max_rounds:
         threshold = _nth_largest(
             list(exact.values())
-            or sorted(bounds.values(), reverse=True)[:n],
+            or sorted((u for _, u in bounds.values()), reverse=True)[:n],
             n,
         )
         candidates = {
             pid
-            for pid, u in bounds.items()
+            for pid, (_, u) in bounds.items()
             if pid not in exact and u >= threshold
         }
         if not candidates:
             break
         rounds += 1
+        # Each partition's support radius is its largest candidate bound;
+        # a partition without candidates takes no support (-inf).
         radii: Dict[int, float] = {}
         for pid in candidates:
-            part = core_of[pid]
-            radii[part] = max(radii.get(part, 0.0), bounds[pid])
-        refine_job = MapReduceJob(
-            "knn-refine",
-            _RefineMapper(plan, radii, candidates),
-            _RefineReducer(k),
-            n_reducers=n_reducers,
+            part, u = bounds[pid]
+            radii[part] = max(radii.get(part, 0.0), u)
+        refine_job = _support_job(
+            "knn-refine", plan,
+            np.array([radii.get(p.pid, -np.inf) for p in plan.partitions]),
+            _RefineReducer(k), n_reducers,
+            certified_ids=bounds.keys() - candidates,
         )
-        for pid, dist in runtime.run(refine_job, records).outputs:
-            exact[pid] = dist
+        exact.update(runtime.run(refine_job, records).outputs)
     else:
         raise RuntimeError(
             "bound-and-refine did not converge within max_rounds; "
@@ -264,6 +201,14 @@ def distributed_knn_outliers(
         tuple(dist for _, dist in top),
         rounds=rounds,
     )
+
+
+def _check_counts(k, n) -> Tuple[int, int]:
+    """``k`` and ``n`` as ints, refused unless whole and ``>= 1``."""
+    k, n = check_whole(k, "k"), check_whole(n, "n")
+    if k < 1 or n < 1:
+        raise ValueError("k and n must be >= 1")
+    return k, n
 
 
 def _nth_largest(values: List[float], n: int) -> float:

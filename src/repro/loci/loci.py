@@ -16,11 +16,12 @@ For each point ``p`` and radius ``r``:
 ``p`` is flagged iff ``MDEF > k_sigma * sigma_MDEF`` at any tested radius
 (the classic 3-sigma rule).
 
-Distribution: one DOD-style job whose supporting radius is
-``(1 + alpha) * max(radii)`` — a core point's sampling neighborhood
-reaches ``r``, and each sampled neighbor's counting ball reaches another
-``alpha * r``, so every quantity a core point needs lives within that
-expansion.  The reducer then evaluates LOCI locally and exactly.
+Distribution: the core's supporting-area job on uniSpace's grid plan,
+with supporting radius ``(1 + alpha) * max(radii)`` — a core point's
+sampling neighborhood reaches ``r``, and each sampled neighbor's counting
+ball reaches another ``alpha * r``, so every quantity a core point needs
+lives within that expansion.  The reducer then evaluates LOCI locally
+and exactly.
 """
 
 from __future__ import annotations
@@ -30,17 +31,16 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from ..core.dataset import Dataset
-from ..core.framework import _DODMapper
-from ..geometry import UniformGrid
+from ..core.framework import _support_job
 from ..mapreduce import (
     ClusterConfig,
     LocalRuntime,
-    MapReduceJob,
     RecordBatch,
     Reducer,
     TaskContext,
 )
-from ..partitioning import Partition, PartitionPlan
+from ..params import check_positive_finite
+from ..partitioning.grid_strategies import _grid_plan
 
 __all__ = ["LOCIParams", "loci_reference", "distributed_loci"]
 
@@ -54,12 +54,13 @@ class LOCIParams:
     k_sigma: float = 3.0
 
     def __post_init__(self) -> None:
-        if not self.radii or any(r <= 0 for r in self.radii):
-            raise ValueError("radii must be a non-empty positive tuple")
+        if not self.radii:
+            raise ValueError("radii must be a non-empty tuple")
+        for r in self.radii:
+            check_positive_finite(r, "every LOCI radius")
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must be in (0, 1]")
-        if self.k_sigma <= 0:
-            raise ValueError("k_sigma must be positive")
+        check_positive_finite(self.k_sigma, "k_sigma")
 
     @property
     def support_radius(self) -> float:
@@ -128,22 +129,10 @@ def distributed_loci(
     cluster: ClusterConfig | None = None,
 ) -> set[int]:
     """Exact LOCI via the supporting-area MapReduce framework."""
-    cluster = cluster or ClusterConfig(nodes=4)
-    runtime = LocalRuntime(cluster)
-    grid = UniformGrid.with_cells(dataset.bounds, n_partitions)
-    plan = PartitionPlan(
-        dataset.bounds,
-        [
-            Partition(pid=grid.flat_index(idx), rect=grid.cell_rect(idx))
-            for idx in grid.iter_cells()
-        ],
-        strategy="loci-grid",
+    plan = _grid_plan(dataset.bounds, n_partitions, "loci-grid")
+    job = _support_job(
+        "distributed-loci", plan, params.support_radius,
+        _LOCIReducer(params), n_reducers,
     )
-    job = MapReduceJob(
-        name="distributed-loci",
-        mapper=_DODMapper(plan, r=params.support_radius),
-        reducer=_LOCIReducer(params),
-        n_reducers=n_reducers,
-    )
-    result = runtime.run(job, dataset.batch())
-    return set(result.outputs)
+    runtime = LocalRuntime(cluster or ClusterConfig(nodes=4))
+    return set(runtime.run(job, dataset.batch()).outputs)

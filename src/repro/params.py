@@ -7,6 +7,9 @@ and none of them should drag in the full core package.
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -53,7 +56,27 @@ class OutlierParams:
     k: int
 
     def __post_init__(self) -> None:
-        if self.r <= 0:
-            raise ValueError("distance threshold r must be positive")
-        if self.k < 1:
+        check_positive_finite(self.r, "distance threshold r")
+        k = check_whole(self.k, "neighbor count threshold k")
+        if k < 1:
             raise ValueError("neighbor count threshold k must be >= 1")
+        object.__setattr__(self, "k", k)
+
+
+def check_positive_finite(value, name: str) -> None:
+    """Refuse ``value`` unless it is a finite number ``> 0`` (NaN and
+    ``inf`` included: no distance comparison means anything with them)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_whole(value, name: str) -> int:
+    """``value`` as an ``int``: any integer type, or a float that is a
+    whole number (``12.0``); a fractional count is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        pass
+    if isinstance(value, numbers.Real) and float(value).is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")

@@ -159,17 +159,19 @@ class PartitionPlan:
         return core
 
     def assign_batch(
-        self, points: np.ndarray, r: float | None
+        self, points: np.ndarray, r: float | np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray | None]:
         """Vectorized core and support assignment for a point block.
 
         Returns ``(core_pids, support_pairs)`` where ``support_pairs`` is a
         ``(k, 2)`` array of ``(point_row, pid)`` support assignments in
         row-major ``(row, partition position)`` order (or None when ``r``
-        is None).  The core partition is one ``searchsorted`` per axis
-        and one gather from the plan's cell table; points no partition
-        covers (outside the domain, or in a gap) snap to the nearest
-        partition.
+        is None).  ``r`` is one radius for every partition or one per
+        partition, aligned with :attr:`partitions`; a radius of ``-inf``
+        admits no support.  The core partition is one ``searchsorted``
+        per axis and one gather from the plan's cell table; points no
+        partition covers (outside the domain, or in a gap) snap to the
+        nearest partition.
         """
         points = np.asarray(points, dtype=float)
         pos = self._core_positions(points)
@@ -178,6 +180,8 @@ class PartitionPlan:
         core = self._pids[pos]
         if r is None:
             return core, None
+        if np.ndim(r):
+            r = np.asarray(r, dtype=float)[:, None]
         # A point never supports its own core partition.
         rows, positions = _slab_pairs(
             points, self._lows - r, self._highs + r, closed=True,

@@ -16,7 +16,7 @@ zero pre-processing cost.
 
 from __future__ import annotations
 
-from ..geometry import UniformGrid
+from ..geometry import Rect, UniformGrid
 from ..mapreduce import LocalRuntime
 from .base import Partition, PartitionPlan
 from .strategy import PartitioningStrategy, PlanRequest
@@ -24,14 +24,18 @@ from .strategy import PartitioningStrategy, PlanRequest
 __all__ = ["DomainPartitioner", "UniSpacePartitioner"]
 
 
-def _grid_plan(request: PlanRequest, strategy_name: str) -> PartitionPlan:
-    grid = UniformGrid.with_cells(request.domain, request.n_partitions)
+def _grid_plan(
+    domain: Rect, n_partitions: int, strategy_name: str
+) -> PartitionPlan:
+    """An equi-width grid of about ``n_partitions`` cells over ``domain``;
+    also the plan the extensions (DBSCAN, LOCI, kNN) run on."""
+    grid = UniformGrid.with_cells(domain, n_partitions)
     partitions = [
         Partition(pid=grid.flat_index(idx), rect=grid.cell_rect(idx))
         for idx in grid.iter_cells()
     ]
     return PartitionPlan(
-        domain=request.domain,
+        domain=domain,
         partitions=partitions,
         allocation=None,  # hash partitioning, as in stock Hadoop
         strategy=strategy_name,
@@ -47,7 +51,7 @@ class DomainPartitioner(PartitioningStrategy):
     def build_plan(
         self, runtime: LocalRuntime, input_data, request: PlanRequest
     ) -> PartitionPlan:
-        return _grid_plan(request, self.name)
+        return _grid_plan(request.domain, request.n_partitions, self.name)
 
 
 class UniSpacePartitioner(PartitioningStrategy):
@@ -59,4 +63,4 @@ class UniSpacePartitioner(PartitioningStrategy):
     def build_plan(
         self, runtime: LocalRuntime, input_data, request: PlanRequest
     ) -> PartitionPlan:
-        return _grid_plan(request, self.name)
+        return _grid_plan(request.domain, request.n_partitions, self.name)

@@ -36,7 +36,6 @@ the threshold absorbs float rounding in the same always-safe direction
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
 
 import numpy as np
 
@@ -59,8 +58,9 @@ class MetricSafePlan(PartitionPlan):
     """A pivot-ball plan: partition ``i`` is anchored at ``pivots[i]``.
 
     Partitions keep the whole domain as their (nominal) rectangle so
-    rect-reading consumers stay functional, but point resolution is
-    overridden to run entirely on metric distances.
+    rect-reading consumers stay functional, but point resolution
+    (:meth:`assign_batch`, which ``core_pid`` and ``support_pids`` call)
+    is overridden to run entirely on metric distances.
     """
 
     pivots: np.ndarray | None = None
@@ -76,24 +76,8 @@ class MetricSafePlan(PartitionPlan):
         self._metric = resolve_metric(self.metric_spec)
 
     # ------------------------------------------------------------------
-    def core_pid(self, point: Sequence[float]) -> int:
-        p = np.asarray(point, dtype=float).reshape(1, -1)
-        d = self._metric.pairwise(p, self.pivots)[0]
-        return int(self._pids[int(np.argmin(d))])
-
-    def support_pids(self, point: Sequence[float], r: float) -> List[int]:
-        p = np.asarray(point, dtype=float).reshape(1, -1)
-        d = self._metric.pairwise(p, self.pivots)[0]
-        pos = int(np.argmin(d))
-        thresh = (d[pos] + 2.0 * r) * _SUPPORT_SLACK
-        return [
-            int(self._pids[j])
-            for j in range(d.shape[0])
-            if j != pos and d[j] <= thresh
-        ]
-
     def assign_batch(
-        self, points: np.ndarray, r: float | None
+        self, points: np.ndarray, r: float | np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray | None]:
         points = np.asarray(points, dtype=float)
         dists = self._metric.pairwise(points, self.pivots)
@@ -102,8 +86,12 @@ class MetricSafePlan(PartitionPlan):
         if r is None:
             return core, None
         rows = np.arange(points.shape[0])
-        thresh = (dists[rows, pos] + 2.0 * r) * _SUPPORT_SLACK
-        mask = dists <= thresh[:, None]
+        # ``r`` may be one radius per partition: partition ``j``'s rule
+        # is the module's with ``r_j`` in both triangle inequalities.
+        thresh = (
+            dists[rows, pos][:, None] + 2.0 * np.asarray(r, dtype=float)
+        ) * _SUPPORT_SLACK
+        mask = dists <= thresh
         mask[rows, pos] = False
         srows, spos = np.nonzero(mask)
         pairs = np.stack([srows, self._pids[spos]], axis=1)

@@ -222,6 +222,8 @@ REFUSALS = [
     ("detect", ["--strategy", "Bogus"], "unknown strategy 'Bogus'"),
     ("detect", ["-k", "0"], "neighbor count threshold k must be >= 1"),
     ("detect", ["-r", "-1"], "distance threshold r must be positive"),
+    ("detect", ["-r", "nan"], "distance threshold r must be positive and finite"),
+    ("detect", ["-r", "inf"], "distance threshold r must be positive and finite"),
     ("detect", ["--nodes", "0"], "need at least one node"),
     ("detect", ["--max-attempts", "0"], "max_attempts must be >= 1"),
     ("detect", ["--backoff", "-1"], "backoff delays must be >= 0"),
@@ -240,6 +242,7 @@ REFUSALS = [
     ("plan", ["--partitions", "0"], "need at least one partition"),
     ("submit", ["--strategy", "Bogus"], "unknown strategy 'Bogus'"),
     ("submit", ["-r", "-1"], "distance threshold r must be positive"),
+    ("submit", ["-r", "nan"], "distance threshold r must be positive and finite"),
     ("submit", ["-k", "0"], "neighbor count threshold k must be >= 1"),
     ("submit", ["--metric", "haversine", "--detector", "cell_based"],
      "detector 'cell_based' assumes Euclidean"),

@@ -117,6 +117,11 @@ class TestDistributed:
             distributed_dbscan(data, eps=0.0, min_pts=3)
         with pytest.raises(ValueError):
             distributed_dbscan(data, eps=1.0, min_pts=0)
+        for eps in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="eps"):
+                distributed_dbscan(data, eps=eps, min_pts=3)
+        with pytest.raises(ValueError, match="min_pts"):
+            distributed_dbscan(data, eps=1.0, min_pts=2.5)
 
     @settings(max_examples=10, deadline=None)
     @given(

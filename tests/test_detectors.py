@@ -240,6 +240,16 @@ class TestRegistry:
             OutlierParams(r=0.0, k=1)
         with pytest.raises(ValueError):
             OutlierParams(r=1.0, k=0)
+        for r in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                OutlierParams(r=r, k=1)
+        for k in (2.5, float("nan"), float("inf"), np.float64(3.5)):
+            with pytest.raises(ValueError, match="whole number"):
+                OutlierParams(r=1.0, k=k)
+        # Integer types keep working; a whole float is normalised.
+        for k in (np.int64(12), np.int32(12), 12.0, np.float64(12.0)):
+            params = OutlierParams(r=1.0, k=k)
+            assert params.k == 12 and type(params.k) is int
 
 
 class TestPartitionSeeding:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Dataset
+from repro.geometry import Rect
 from repro.knn import distributed_knn_outliers, knn_outliers_reference
+from repro.knn import outliers as knn_outliers
 
 
 def blob_with_strays(seed=0, n_blob=300, n_stray=20):
@@ -74,6 +76,40 @@ class TestDistributed:
         )
         assert set(dist.outlier_ids) == set(ref.outlier_ids)
 
+    def test_refine_reaches_a_neighbour_exactly_at_the_radius(
+        self, monkeypatch
+    ):
+        """The candidate q sits on its partition's low face x = 4; its
+        nearest neighbour p lies across that face at distance 1, exactly
+        the partition's refine radius (q's own bound): the closed
+        expansion must put p in q's pool, as ``Rect.expand().contains()``
+        does."""
+        points = np.array([
+            [4.0, 2.0],                # 0: q, bound 1 (its neighbour a)
+            [5.0, 2.0], [5.0, 2.5],    # 1, 2: a and a tight partner
+            [3.0, 2.0], [2.5, 2.0],    # 3, 4: p, across the face
+            [0.0, 0.0], [0.0, 0.1],    # corners that fix the domain
+            [8.0, 8.0], [8.0, 7.9],
+        ])
+        data = Dataset.from_points(points)
+        pools = {}
+        refine = knn_outliers._RefineReducer.reduce
+
+        def recording(self, key, values, ctx):
+            pools[key] = {int(i) for b in values for i in b.ids}
+            return refine(self, key, values, ctx)
+
+        monkeypatch.setattr(knn_outliers._RefineReducer, "reduce", recording)
+        dist = distributed_knn_outliers(
+            data, k=1, n=1, n_partitions=4, n_reducers=2
+        )
+        assert dist == knn_outliers_reference(data, k=1, n=1)
+        assert dist.as_dict() == {0: 1.0} and dist.rounds == 1
+        face = Rect((4.0, 0.0), (8.0, 4.0))  # q's partition on the 2x2 grid
+        assert face.expand(1.0).contains(points[3])
+        (pool,) = [ids for ids in pools.values() if 0 in ids]
+        assert pool == {0, 1, 2, 3}
+
     def test_converges_quickly(self):
         data = blob_with_strays(seed=6)
         dist = distributed_knn_outliers(data, k=4, n=10)
@@ -83,6 +119,16 @@ class TestDistributed:
         data = blob_with_strays(seed=7, n_blob=10, n_stray=0)
         with pytest.raises(ValueError):
             distributed_knn_outliers(data, k=2, n=100)
+
+    def test_validation(self):
+        data = blob_with_strays(seed=7, n_blob=10, n_stray=0)
+        for k, n in ((2.5, 3), (2, 1.5), (float("nan"), 3), (0, 3)):
+            with pytest.raises(ValueError):
+                distributed_knn_outliers(data, k=k, n=n)
+        # A whole float count is the same query as its int.
+        assert distributed_knn_outliers(data, k=2.0, n=3.0) == (
+            distributed_knn_outliers(data, k=2, n=3)
+        )
 
     @settings(max_examples=10, deadline=None)
     @given(

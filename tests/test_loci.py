@@ -33,6 +33,13 @@ class TestParams:
             LOCIParams(radii=(1.0,), alpha=1.5)
         with pytest.raises(ValueError):
             LOCIParams(radii=(1.0,), k_sigma=0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="LOCI radius"):
+                LOCIParams(radii=(1.0, bad))
+            with pytest.raises(ValueError, match="k_sigma"):
+                LOCIParams(radii=(1.0,), k_sigma=bad)
+        with pytest.raises(ValueError, match="alpha"):
+            LOCIParams(radii=(1.0,), alpha=float("nan"))
 
 
 class TestReference:

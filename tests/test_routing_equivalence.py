@@ -37,6 +37,7 @@ from repro.params import OutlierParams
 from repro.partitioning import (
     CDrivenPartitioner,
     DMTPartitioner,
+    MetricSafePartitioner,
     Partition,
     PartitionPlan,
     PlanRequest,
@@ -171,6 +172,21 @@ def mask_assign(plan, points, r):
     support[np.arange(points.shape[0]), pos] = False
     srows, spos = np.nonzero(support)
     return core, np.stack([srows, plan._pids[spos]], axis=1)
+
+
+def per_partition_assign(plan, points, radii):
+    """What ``assign_batch`` owes a radius array: per partition, the
+    scalar call's pairs at that partition's own radius, merged in
+    row-major ``(row, partition position)`` order."""
+    core, _ = plan.assign_batch(points, None)
+    keep = [np.empty((0, 3), dtype=np.int64)]
+    for pos, (part, r) in enumerate(zip(plan.partitions, radii)):
+        _, pairs = plan.assign_batch(points, r)
+        mine = pairs[pairs[:, 1] == part.pid]
+        keep.append(np.column_stack([mine, np.full(len(mine), pos)]))
+    rows = np.concatenate(keep)
+    rows = rows[np.lexsort((rows[:, 2], rows[:, 0]))]
+    return core, rows[:, :2]
 
 
 def by_partition(pairs):
@@ -359,10 +375,25 @@ def test_dmt_refinement_leaves_the_minibucket_grid():
 
 @pytest.mark.parametrize("name", PLAN_NAMES)
 class TestRoutingEquivalence:
-    @given(data=st.data(), r=st.sampled_from(RADII + [None]))
+    @given(data=st.data(), r=st.one_of(
+        st.sampled_from(RADII + [None]), st.just("per-partition")
+    ))
     def test_batch_equals_broadcast(self, name, data, r):
         points = data.draw(point_blocks(name))
-        assert_same_assignment(plan_named(name), points, r)
+        plan = plan_named(name)
+        if r != "per-partition":
+            assert_same_assignment(plan, points, r)
+            return
+        # One radius per partition (the blocks hold points exactly at
+        # low - r and high + r); at least one admits no support.
+        radii = data.draw(st.lists(
+            st.sampled_from(RADII + [-np.inf]),
+            min_size=plan.n_partitions, max_size=plan.n_partitions,
+        ))
+        radii[data.draw(st.integers(0, plan.n_partitions - 1))] = -np.inf
+        assert_same_assignment(
+            plan, points, np.array(radii), per_partition_assign
+        )
 
     @given(data=st.data(), r=st.sampled_from(RADII))
     def test_mask_scan_equals_broadcast(self, name, data, r):
@@ -507,6 +538,24 @@ def test_route_literal():
             (1, 4, (3.0, 5.0)),
         ],
     }
+
+
+def test_metric_safe_plan_takes_per_partition_radii():
+    """The pivot-ball plan's support rule, one radius per partition: each
+    partition's scalar rule at its own radius (``-inf``: no support)."""
+    data = clustered_mixture(400, Rect((0.0, 0.0), (60.0, 60.0)),
+                             n_clusters=3, seed=3)
+    request = PlanRequest(
+        domain=data.bounds, params=OutlierParams(r=2.0, k=4),
+        n_partitions=6, n_reducers=2, seed=1,
+    )
+    plan = MetricSafePartitioner("minkowski:1").build_plan(
+        LocalRuntime(ClusterConfig(nodes=2)), data.batch(), request
+    )
+    radii = np.resize([0.0, 2.0, -np.inf, 5.0], plan.n_partitions)
+    assert_same_assignment(
+        plan, data.points, radii, per_partition_assign
+    )
 
 
 def test_table_is_derived_state():
