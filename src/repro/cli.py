@@ -61,6 +61,7 @@ from .mapreduce import (
     make_runtime,
 )
 from .observability import RunReport, render_report
+from .observability.report import DEFAULT_STRAGGLER_THRESHOLD
 from .params import OutlierParams
 from .partitioning import save_plan
 from .tiers import DEFAULT_TIER, TIER_CHOICES
@@ -85,6 +86,18 @@ _DEFAULTS = {
     name: param.default
     for name, param in inspect.signature(RunConfig.resolve).parameters.items()
 }
+
+#: The scheduler flags and the ``SchedulerConfig`` field each one sets;
+#: an unset flag stays ``None`` and the field keeps its default.
+_SCHEDULER_FLAGS = {
+    "max_attempts": "max_attempts",
+    "timeout": "timeout",
+    "backoff": "backoff_base",
+    "speculate": "speculate",
+    "straggler_threshold": "speculation_threshold",
+}
+#: ``SchedulerConfig``'s own defaults, quoted by the help text.
+_SCHEDULER_DEFAULTS = SchedulerConfig()
 
 #: The run flags, each declared here once and named like the
 #: ``RunConfig.resolve`` keyword it sets.  An unset flag stays ``None``
@@ -209,15 +222,11 @@ def _configure(args: argparse.Namespace, **fixed) -> _Setup:
         )
         scheduler = None
         if hasattr(args, "max_attempts"):
-            scheduler = SchedulerConfig(
-                max_attempts=args.max_attempts,
-                timeout=args.timeout,
-                backoff_base=args.backoff,
-                seed=cfg.seed,
-                speculate=args.speculate,
-                speculation_threshold=args.straggler_threshold,
-                degradation=args.degrade,
-            )
+            scheduler = SchedulerConfig(seed=cfg.seed, **{
+                field: getattr(args, flag)
+                for flag, field in _SCHEDULER_FLAGS.items()
+                if getattr(args, flag) is not None
+            })
     except _REFUSED as exc:
         raise CLIError(str(exc)) from exc
     reader = _InputReader(args.with_ids, getattr(args, "quarantine_out", None))
@@ -332,8 +341,9 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     if args.quarantine_out:
         report["rows_quarantined"] = setup.reader.quarantined
     if args.trace_out:
+        threshold = args.straggler_threshold
         run_report = result.report(
-            straggler_threshold=args.straggler_threshold
+            DEFAULT_STRAGGLER_THRESHOLD if threshold is None else threshold
         )
         run_report.save(args.trace_out)
         print(f"trace report -> {args.trace_out}")
@@ -1031,30 +1041,29 @@ def build_parser() -> argparse.ArgumentParser:
                             "are an error)")
 
     def add_runtime_flags(p):
-        p.add_argument("--straggler-threshold", type=float, default=2.0,
+        sched = _SCHEDULER_DEFAULTS
+        p.add_argument("--straggler-threshold", type=float,
                        help="flag tasks costing more than this multiple "
-                            "of the phase median (default 2.0); also the "
+                            "of the phase median (default "
+                            f"{sched.speculation_threshold}); also the "
                             "speculation trigger with --speculate")
         p.add_argument("--workers", type=int, default=0,
                        help="run tasks in this many worker processes "
                             "(0 = serial in-process execution)")
-        p.add_argument("--max-attempts", type=int, default=4,
-                       help="attempts per task before the degradation "
-                            "policy applies (default 4)")
-        p.add_argument("--timeout", type=float, default=None,
+        p.add_argument("--max-attempts", type=int,
+                       help="attempts per task; a task that fails them "
+                            "all fails the run (default "
+                            f"{sched.max_attempts})")
+        p.add_argument("--timeout", type=float,
                        help="per-attempt wall-clock timeout in seconds "
-                            "(default: none)")
-        p.add_argument("--backoff", type=float, default=0.0,
+                            f"(default: {sched.timeout or 'none'})")
+        p.add_argument("--backoff", type=float,
                        help="base delay before the first retry, doubling "
-                            "per retry with seeded jitter (default 0 = "
-                            "retry immediately)")
-        p.add_argument("--speculate", action="store_true",
+                            "per retry with seeded jitter (default "
+                            f"{sched.backoff_base:g} = retry immediately)")
+        p.add_argument("--speculate", action="store_true", default=None,
                        help="launch duplicate attempts for straggler "
                             "tasks (needs --workers > 0)")
-        p.add_argument("--degrade", choices=["fail", "skip"],
-                       default="fail",
-                       help="when a task exhausts its attempts: fail the "
-                            "run, or skip its partition with a warning")
 
     det = sub.add_parser("detect", help="run the detection pipeline")
     add_common(det)

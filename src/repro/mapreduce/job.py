@@ -1,7 +1,7 @@
 """MapReduce programming interfaces.
 
 User code implements :class:`Mapper` and :class:`Reducer` (and optionally a
-combiner and a custom :class:`Partitioner`), then bundles them into a
+custom :class:`Partitioner`), then bundles them into a
 :class:`MapReduceJob` for the runtime.  The interfaces follow Hadoop's
 contract:
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable
 
 from .counters import Counters
 
@@ -139,19 +139,13 @@ class DictPartitioner(Partitioner):
 
 @dataclass
 class MapReduceJob:
-    """A complete job description.
-
-    ``combiner`` (optional) runs on each map task's local output groups
-    before the shuffle, exactly like a Hadoop combiner; it must be
-    associative and produce the same pair type as the mapper.
-    """
+    """A complete job description."""
 
     name: str
     mapper: Mapper
     reducer: Reducer
     n_reducers: int = 1
     partitioner: Partitioner = field(default_factory=HashPartitioner)
-    combiner: Optional[Reducer] = None
 
     def __post_init__(self) -> None:
         if self.n_reducers < 1:

@@ -76,6 +76,9 @@ _POLL_SECONDS = 0.02
 #: notice it, so below this age it cannot pay.
 _MIN_STRAGGLER_SECONDS = 0.1
 
+#: Completed tasks of a phase before their median is trusted.
+_SPECULATION_MIN_TASKS = 3
+
 
 def _exit_with_driver() -> None:
     """Pool initializer: this worker dies when its driver does.
@@ -200,14 +203,12 @@ class ParallelRuntime(LocalRuntime):
         self,
         cluster=None,
         failure_injector=None,
-        max_attempts: int = 4,
         workers: int = 4,
         tracer=None,
         scheduler=None,
         transport: str = "shm",
     ) -> None:
-        super().__init__(cluster, failure_injector, max_attempts,
-                         tracer=tracer, scheduler=scheduler)
+        super().__init__(cluster, failure_injector, tracer, scheduler)
         if workers < 1:
             raise ValueError("workers must be >= 1")
         # Shared memory is the only transport.  The keyword survives
@@ -471,7 +472,7 @@ class ParallelRuntime(LocalRuntime):
         attempts are deterministic and only the first commit counts.
         """
         cfg = self.scheduler
-        if len(state.durations) < cfg.speculation_min_tasks:
+        if len(state.durations) < _SPECULATION_MIN_TASKS:
             return
         median = statistics.median(state.durations)
         if median <= 0:

@@ -1,4 +1,4 @@
-"""The local MapReduce runtime: map -> combine -> shuffle/sort -> reduce.
+"""The local MapReduce runtime: map -> shuffle/sort -> reduce.
 
 Executes a :class:`~repro.mapreduce.job.MapReduceJob` over a
 :class:`~repro.mapreduce.batch.RecordBatch` of points (or a list of
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import sys
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Dict, Iterable, List, Sequence
@@ -135,31 +134,24 @@ class LocalRuntime:
     Fault tolerance follows Hadoop's contract: a task attempt's outputs
     commit only when the attempt succeeds; failed attempts (injected via
     ``failure_injector``, or real exceptions from user code) are retried
-    up to ``max_attempts`` times before the job errors out.  Retried wall
-    time is accounted in the task's stats, as it would be on a cluster.
-
-    The retry loop itself is delegated to a
-    :class:`~repro.mapreduce.scheduler.TaskScheduler`: pass a
-    :class:`~repro.mapreduce.scheduler.SchedulerConfig` to add
-    per-attempt timeouts, retry backoff, and graceful degradation
-    (``max_attempts`` is then taken from the config).
+    up to ``scheduler.max_attempts`` times before the job errors out.
+    Retried wall time is accounted in the task's stats, as it would be on
+    a cluster.  The retry loop itself is a
+    :class:`~repro.mapreduce.scheduler.TaskScheduler` under ``scheduler``
+    (a :class:`~repro.mapreduce.scheduler.SchedulerConfig`: attempts,
+    per-attempt timeouts, retry backoff).
     """
 
     def __init__(
         self,
         cluster: ClusterConfig | None = None,
         failure_injector=None,
-        max_attempts: int = 4,
         tracer: Tracer | None = None,
         scheduler: SchedulerConfig | None = None,
     ) -> None:
         self.cluster = cluster or ClusterConfig()
         self.failure_injector = failure_injector
-        # SchedulerConfig validates max_attempts >= 1 either way.
-        self.scheduler = scheduler or SchedulerConfig(
-            max_attempts=max_attempts
-        )
-        self.max_attempts = self.scheduler.max_attempts
+        self.scheduler = scheduler or SchedulerConfig()
         self.tracer = tracer
         # "inline" = tasks run in-process, nothing crosses a pipe.
         # ParallelRuntime overrides this with "shm" so task spans record
@@ -269,18 +261,6 @@ class LocalRuntime:
     # ------------------------------------------------------------------
     def _commit_trace(self, result: JobResult, job_span: Span) -> JobResult:
         """Finalize the job span and hand it to the tracer, if any."""
-        skipped = result.counters.group("runtime_skipped")
-        if skipped:
-            import warnings
-
-            warnings.warn(
-                f"job {result.job_name!r}: skipped partitions under "
-                "degradation policy 'skip': "
-                f"{', '.join(sorted(skipped))} — results may be "
-                "incomplete",
-                RuntimeWarning,
-                stacklevel=3,
-            )
         job_span.finish(
             shuffle_records=result.shuffle_records,
             shuffle_bytes=result.shuffle_bytes,
@@ -314,19 +294,13 @@ class LocalRuntime:
             self.scheduler, self.failure_injector
         ).run_task(
             phase, task_id, lambda ctx: attempt(job, payload, ctx),
-            # Skip-partition degradation: no outputs; a skipped block
-            # still counts as read, a skipped reducer read nothing.
-            empty=lambda: ([], len(payload) if phase == "map" else 0),
             speculative=speculative, transport=self.transport_label,
             attempt_base=attempt_base,
         )
         return task_id, out, n_in, wall, ctx.cost_units, ctx.counters, span
 
     def _map_attempt(self, job: MapReduceJob, block, ctx: TaskContext):
-        pairs = list(job.mapper.map_block(block, ctx))
-        if job.combiner is not None:
-            pairs = self._combine(job, pairs, ctx)
-        return pairs, len(block)
+        return list(job.mapper.map_block(block, ctx)), len(block)
 
     def _reduce_attempt(self, job: MapReduceJob, groups, ctx: TaskContext):
         outputs: List[Any] = []
@@ -355,17 +329,6 @@ class LocalRuntime:
             input_data[i:i + size]
             for i in range(0, max(len(input_data), 1), size)
         ]
-
-    @staticmethod
-    def _combine(job: MapReduceJob, pairs: List[tuple], ctx: TaskContext) -> List[tuple]:
-        groups: Dict[Any, List[Any]] = defaultdict(list)
-        for key, value in pairs:
-            groups[key].append(value)
-        combined: List[tuple] = []
-        for key, values in groups.items():
-            for out in job.combiner.reduce(key, values, ctx):
-                combined.append(out)
-        return combined
 
 
 def _record_count(values: Iterable) -> int:

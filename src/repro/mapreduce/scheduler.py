@@ -8,20 +8,19 @@ stragglers with the median-multiple rule; this layer *mitigates* them):
 
 * **timeouts** — each attempt gets a wall-clock budget; an attempt that
   exceeds it is abandoned and counts as a failure (``TaskTimeout``);
-* **backoff** — retries wait ``backoff_base * backoff_factor**(n-1)``
-  seconds (capped at ``backoff_max``) with deterministic seeded jitter,
-  so retry storms after correlated failures spread out reproducibly;
+* **backoff** — retries wait ``backoff_base * 2**(n-1)`` seconds
+  (capped at 30 s) with deterministic seeded jitter of +/- 10 %, so
+  retry storms after correlated failures spread out reproducibly;
 * **speculative execution** — :class:`~repro.mapreduce.parallel
   .ParallelRuntime` launches a duplicate attempt for a task whose
   elapsed time exceeds ``speculation_threshold`` x the median of
   completed tasks (the same rule as
   :func:`repro.observability.report.detect_stragglers`); the first
-  committed result wins and the loser is cancelled and recorded;
-* **graceful degradation** — when a task exhausts its attempts, the
-  ``degradation`` policy either fails the job (``"fail"``, the classic
-  contract) or skips the task's partition with a warning (``"skip"``),
-  recording the skipped partition in counters, the task span, and the
-  :class:`~repro.observability.report.RunReport`.
+  committed result wins and the loser is cancelled and recorded.
+
+A task that exhausts its attempts fails the job: a partition's verdict
+commits complete or not at all, so a checkpointed run resumes it and a
+stream's failed ingest rolls back.
 
 Everything is deterministic given the config seed, which is what lets
 the fault-injection test harness assert byte-identical outlier sets
@@ -49,7 +48,12 @@ __all__ = [
     "SPECULATIVE_ATTEMPT_BASE",
 ]
 
-DEGRADATION_POLICIES = ("fail", "skip")
+#: Retry ``n`` waits ``backoff_base * _BACKOFF_FACTOR**(n-1)`` seconds,
+#: capped at ``_BACKOFF_MAX`` and scaled by a seeded factor in
+#: ``[1 - _BACKOFF_JITTER, 1 + _BACKOFF_JITTER]``.
+_BACKOFF_FACTOR = 2.0
+_BACKOFF_MAX = 30.0
+_BACKOFF_JITTER = 0.1
 
 #: Granularity of interruptible sleeps / speculation polling (seconds).
 _TICK = 0.02
@@ -64,8 +68,7 @@ class SchedulerConfig:
     """Retry/timeout/backoff/speculation policy for task execution.
 
     The default configuration reproduces the historical runtime behavior
-    exactly: four back-to-back attempts, no timeout, no speculation,
-    fail-fast degradation.
+    exactly: four back-to-back attempts, no timeout, no speculation.
     """
 
     max_attempts: int = 4
@@ -73,11 +76,6 @@ class SchedulerConfig:
     timeout: Optional[float] = None
     #: Base delay before the first retry; 0 disables backoff sleeping.
     backoff_base: float = 0.0
-    backoff_factor: float = 2.0
-    backoff_max: float = 30.0
-    #: Relative jitter: each delay is scaled by a deterministic factor in
-    #: ``[1 - jitter, 1 + jitter]`` derived from (seed, phase, task, n).
-    backoff_jitter: float = 0.1
     seed: int = 0
     #: Launch duplicate attempts for stragglers (ParallelRuntime only —
     #: a serial runtime has no spare capacity to speculate into).
@@ -85,29 +83,16 @@ class SchedulerConfig:
     #: A task is a straggler when its elapsed time exceeds this multiple
     #: of the median elapsed time of completed tasks in its phase.
     speculation_threshold: float = 2.0
-    #: Minimum completed tasks before the median is trusted.
-    speculation_min_tasks: int = 3
-    #: "fail" = exhausting attempts fails the job; "skip" = drop the
-    #: task's partition with a warning and keep going.
-    degradation: str = "fail"
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be positive (or None)")
-        if self.backoff_base < 0 or self.backoff_max < 0:
+        if self.backoff_base < 0:
             raise ValueError("backoff delays must be >= 0")
-        if self.backoff_factor < 1:
-            raise ValueError("backoff_factor must be >= 1")
-        if not 0 <= self.backoff_jitter < 1:
-            raise ValueError("backoff_jitter must be in [0, 1)")
         if self.speculation_threshold <= 1:
             raise ValueError("speculation_threshold must be > 1")
-        if self.degradation not in DEGRADATION_POLICIES:
-            raise ValueError(
-                f"degradation must be one of {DEGRADATION_POLICIES}"
-            )
 
     # ------------------------------------------------------------------
     def backoff_delay(self, phase: str, task_id: int, retry: int) -> float:
@@ -120,14 +105,11 @@ class SchedulerConfig:
         if retry < 1 or self.backoff_base <= 0:
             return 0.0
         delay = min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** (retry - 1),
+            _BACKOFF_MAX, self.backoff_base * _BACKOFF_FACTOR ** (retry - 1)
         )
-        if self.backoff_jitter > 0:
-            key = (self.seed, phase == "map", int(task_id), int(retry))
-            rng = np.random.default_rng(abs(hash(key)) % 2**32)
-            delay *= 1.0 + self.backoff_jitter * (2.0 * rng.random() - 1.0)
-        return delay
+        key = (self.seed, phase == "map", int(task_id), int(retry))
+        rng = np.random.default_rng(abs(hash(key)) % 2**32)
+        return delay * (1.0 + _BACKOFF_JITTER * (2.0 * rng.random() - 1.0))
 
     def backoff_schedule(self, phase: str, task_id: int) -> list[float]:
         """The full retry delay sequence for one task."""
@@ -172,18 +154,16 @@ class TaskScheduler:
         phase: str,
         task_id: int,
         body: Callable[[TaskContext], object],
-        empty: Optional[Callable[[], object]] = None,
         speculative: bool = False,
         transport: Optional[str] = None,
         attempt_base: int = 0,
     ) -> Tuple[TaskContext, object, float, Span]:
         """Run ``body`` with retry/timeout/backoff; commit only on success.
 
-        Returns ``(ctx, out, wall, task_span)``.  Failed attempts are
-        recorded on the successful attempt's context counters so they
-        survive the trip back from worker processes.  ``empty`` builds
-        the task's empty result for ``degradation="skip"``; without it
-        the scheduler always fails fast.  ``speculative`` marks this
+        Returns ``(ctx, out, wall, task_span)``; the last attempt's
+        exception propagates.  Failed attempts are recorded on the
+        successful attempt's context counters so they survive the trip
+        back from worker processes.  ``speculative`` marks this
         execution as a duplicate straggler copy: its attempts are
         numbered from :data:`SPECULATIVE_ATTEMPT_BASE` so injectors can
         model it running on a healthy node.  ``transport`` annotates the
@@ -253,11 +233,6 @@ class TaskScheduler:
                     error=type(exc).__name__,
                 )
                 if retry == cfg.max_attempts - 1:
-                    if cfg.degradation == "skip" and empty is not None:
-                        return self._skip(
-                            phase, task_id, task_span,
-                            wall, failures, timeouts, empty,
-                        )
                     task_span.finish(
                         status="failed", failures=failures,
                         timeouts=timeouts, wall_seconds=wall,
@@ -366,34 +341,3 @@ class TaskScheduler:
         if "exc" in box:
             raise box["exc"]
         return box["out"]
-
-    # ------------------------------------------------------------------
-    def _skip(
-        self,
-        phase: str,
-        task_id: int,
-        task_span: Span,
-        wall: float,
-        failures: int,
-        timeouts: int,
-        empty: Callable[[], object],
-    ) -> Tuple[TaskContext, object, float, Span]:
-        """Skip-partition degradation: empty result, loud bookkeeping.
-
-        The counters record the skip; the owning runtime emits the
-        user-facing warning at job commit, so serial and worker-process
-        execution surface skips identically.
-        """
-        ctx = TaskContext(task_id)
-        ctx.counters.incr("runtime", f"{phase}_task_failures", failures)
-        if timeouts:
-            ctx.counters.incr(
-                "runtime", f"{phase}_task_timeouts", timeouts
-            )
-        ctx.counters.incr("runtime", f"{phase}_tasks_skipped")
-        ctx.counters.incr("runtime_skipped", f"{phase}[{task_id}]")
-        task_span.finish(
-            status="skipped", failures=failures, timeouts=timeouts,
-            wall_seconds=wall, counters=ctx.counters.as_dict(),
-        )
-        return ctx, empty(), wall, task_span

@@ -116,11 +116,7 @@ def render_report(report: RunReport) -> str:
 
     # -- scheduler ------------------------------------------------------
     sched = report.scheduler
-    if sched and (
-        sched.get("timeouts")
-        or sched.get("speculative_attempts")
-        or sched.get("skipped")
-    ):
+    if sched.get("timeouts") or sched.get("speculative_attempts"):
         lines.append(
             "scheduler: {t} attempt timeout(s), {a} speculative "
             "attempt(s) ({w} won, {c} cancelled)".format(
@@ -130,11 +126,6 @@ def render_report(report: RunReport) -> str:
                 c=sched.get("speculative_cancelled", 0),
             )
         )
-        if sched.get("skipped"):
-            lines.append(
-                "  SKIPPED partitions (degraded, results incomplete): "
-                + ", ".join(sched["skipped"])
-            )
     # -- transport ------------------------------------------------------
     tp = report.transport
     if tp:

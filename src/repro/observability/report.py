@@ -222,12 +222,7 @@ class RunReport:
 
     @staticmethod
     def _scheduler_summary(merged: Counters) -> Dict[str, Any]:
-        """Retry/timeout/speculation/degradation totals from counters.
-
-        ``skipped`` lists the partitions dropped by the ``skip``
-        degradation policy (``"reduce[3]"`` style labels), the loud
-        record the policy promises.
-        """
+        """Retry/timeout/speculation totals from counters."""
         runtime = merged.group("runtime")
         spec_attempts = runtime.get("speculative_attempts", 0)
         spec_wins = runtime.get("speculative_wins", 0)
@@ -245,7 +240,6 @@ class RunReport:
             # Every launched duplicate either wins or is cancelled.
             "speculative_cancelled": max(0, spec_attempts - spec_wins),
             "cancelled_attempts": runtime.get("cancelled_attempts", 0),
-            "skipped": sorted(merged.group("runtime_skipped")),
         }
 
     @staticmethod

@@ -4,10 +4,9 @@ DMT discretizes the domain into a fine grid of *mini buckets* and estimates
 the per-bucket point count from a small random sample (default rate 0.5%,
 matching the paper).  The statistics are computed by a MapReduce job:
 
-* **map**: Bernoulli-sample each record, emit ``(bucket_id, 1)`` for kept
-  points;
-* **combine**: sum counts locally (so the shuffle carries one record per
-  bucket per map task, not one per sampled point);
+* **map**: Bernoulli-sample each block and emit ``(bucket_id, count)``
+  for its kept points (so the shuffle carries one record per bucket per
+  map task, not one per sampled point);
 * **reduce** (single reducer, as in the paper's Fig. 6): aggregate into the
   final bucket table, scaled back up by the sampling rate.
 """
@@ -116,9 +115,8 @@ class _SampleMapper(Mapper):
     def map_block(self, records, ctx: TaskContext):
         """Vectorized path: sample the block and pre-aggregate counts.
 
-        Emitting ``(bucket, count)`` directly is exactly what the combiner
-        would produce from the per-record pairs, so the reducer sees the
-        same input either way.
+        One ``(bucket, count)`` pair per occupied bucket: the per-record
+        ``(bucket, 1)`` pairs of :meth:`map`, summed per bucket.
         """
         if not records:
             return []
@@ -132,8 +130,8 @@ class _SampleMapper(Mapper):
         )
         counts = np.bincount(flats, minlength=self.grid.n_cells)
         occupied = np.flatnonzero(counts)
-        # ``tolist`` materializes python ints, so the emitted pairs stay
-        # byte-identical to the per-record path's combiner output.
+        # ``tolist`` materializes python ints, as the per-record path's
+        # sums would be.
         return list(zip(occupied.tolist(), counts[occupied].tolist()))
 
     def _keep(self, pid: int) -> bool:
@@ -146,11 +144,6 @@ class _SampleMapper(Mapper):
 
     def _splitmix(self, x: np.ndarray) -> np.ndarray:
         return splitmix64(x, self.seed)
-
-
-class _SumCombiner(Reducer):
-    def reduce(self, key, values, ctx: TaskContext):
-        yield key, sum(values)
 
 
 class _CollectReducer(Reducer):
@@ -203,7 +196,6 @@ def collect_minibucket_stats(
         name="dmt-preprocess-sampling",
         mapper=_SampleMapper(grid, rate, seed),
         reducer=_CollectReducer(),
-        combiner=_SumCombiner(),
         n_reducers=n_reducers,
     )
     result = runtime.run(job, input_data)

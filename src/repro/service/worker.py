@@ -13,11 +13,9 @@ everything expensive stays warm between jobs:
   dispatch-accounting layer intends; ``close`` stops the pools when
   the worker drains or shuts down, and a worker killed outright takes
   its pool with it (see :mod:`repro.mapreduce.parallel`);
-* the **plan memo** caches a :class:`~repro.streaming.DMTPlanCache`
+* the **plan memo** keeps the :class:`~repro.partitioning.PartitionPlan`
   per (dataset fingerprint, params, sizing): a repeat submission skips
-  the sampling pre-processing job entirely and reuses the cached
-  partition plan (the cache retains the mini-bucket histogram, so a
-  future drift check has what it needs).
+  the sampling pre-processing job entirely and reuses that plan.
 
 Durability is delegated to the PR-5 checkpoint layer: every job runs
 through :func:`~repro.recovery.run_checkpointed` with its journal in
@@ -52,13 +50,13 @@ from ..data.io import _read_table, _table_dataset
 from ..mapreduce import ClusterConfig, LocalRuntime, make_runtime
 from ..observability import RunReport, Span
 from ..params import OutlierParams
+from ..partitioning import PartitionPlan
 from ..recovery.checkpoint import _run_resolved, dataset_fingerprint
 from ..recovery.diskguard import (
     DiskPressureError,
     is_disk_full,
     maybe_inject_enospc,
 )
-from ..streaming import DMTPlanCache
 from .store import InvalidTransition, JobDeadlineExceeded, JobStore
 
 __all__ = ["ServiceWorker", "worker_main", "RESULT_FILE", "TRACE_FILE"]
@@ -135,7 +133,7 @@ class ServiceWorker:
         self.worker_id = worker_id
         self.pid = os.getpid()
         self._runtimes: Dict[tuple, LocalRuntime] = {}
-        self._plan_memo: "OrderedDict[tuple, DMTPlanCache]" = (
+        self._plan_memo: "OrderedDict[tuple, PartitionPlan]" = (
             OrderedDict()
         )
         self.jobs_run = 0
@@ -160,14 +158,14 @@ class ServiceWorker:
             runtime.close()
         self._runtimes.clear()
 
-    def _memo_get(self, key: tuple) -> Optional[DMTPlanCache]:
-        cached = self._plan_memo.get(key)
-        if cached is not None:
+    def _memo_get(self, key: tuple) -> Optional[PartitionPlan]:
+        plan = self._plan_memo.get(key)
+        if plan is not None:
             self._plan_memo.move_to_end(key)
-        return cached
+        return plan
 
-    def _memo_put(self, key: tuple, cache: DMTPlanCache) -> None:
-        self._plan_memo[key] = cache
+    def _memo_put(self, key: tuple, plan: PartitionPlan) -> None:
+        self._plan_memo[key] = plan
         self._plan_memo.move_to_end(key)
         while len(self._plan_memo) > _PLAN_MEMO_SLOTS:
             self._plan_memo.popitem(last=False)
@@ -291,8 +289,8 @@ class ServiceWorker:
             dataset_fingerprint(dataset),
             tuple(sorted(cfg.identity().items())),
         )
-        cached = self._memo_get(key)
-        plan_cache_hit = cached is not None
+        warm_plan = self._memo_get(key)
+        plan_cache_hit = warm_plan is not None
 
         # Lease heartbeat + run-deadline check at every journal commit
         # boundary: run_checkpointed chains this listener after its own
@@ -333,19 +331,16 @@ class ServiceWorker:
                 manifest_extra={"job_id": int(job["id"]),
                                 "tenant": job["tenant"],
                                 "input": spec["input"]},
-                warm_plan=cached.plan if plan_cache_hit else None,
+                warm_plan=warm_plan,
             )
         finally:
             runtime.commit_listener = prev_listener
         run_seconds = time.perf_counter() - t0
         if plan_cache_hit:
             self.plan_hits += 1
-            cached.batches_served += 1
         else:
             self.plan_misses += 1
-            self._memo_put(
-                key, DMTPlanCache.build(result.plan, dataset.points)
-            )
+            self._memo_put(key, result.plan)
 
         queue_wait = max(0.0, claimed_at - float(job["submitted_at"]))
         counters = result.counters

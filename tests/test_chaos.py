@@ -31,6 +31,7 @@ from repro.mapreduce import (
     Counters,
     LocalRuntime,
     ParallelRuntime,
+    SchedulerConfig,
     WorkerKill,
     clean_stale_segments,
 )
@@ -83,7 +84,8 @@ class TestWorkerKill:
     def test_killed_reduce_worker_respawns_and_completes(self):
         cluster = ClusterConfig(nodes=2)
         runtime = ParallelRuntime(
-            cluster, workers=2, max_attempts=4,
+            cluster, workers=2,
+            scheduler=SchedulerConfig(max_attempts=4),
             failure_injector=WorkerKill({("reduce", 0): 1}),
         )
         result = _detect(runtime, cluster)
@@ -95,7 +97,8 @@ class TestWorkerKill:
     def test_kills_across_both_phases(self):
         cluster = ClusterConfig(nodes=2)
         runtime = ParallelRuntime(
-            cluster, workers=2, max_attempts=4,
+            cluster, workers=2,
+            scheduler=SchedulerConfig(max_attempts=4),
             failure_injector=WorkerKill(
                 {("map", 0): 1, ("reduce", 1): 1}
             ),
@@ -110,7 +113,8 @@ class TestWorkerKill:
         # max_attempts=4 tolerates up to 3 kills of the same task.
         cluster = ClusterConfig(nodes=2)
         runtime = ParallelRuntime(
-            cluster, workers=2, max_attempts=4,
+            cluster, workers=2,
+            scheduler=SchedulerConfig(max_attempts=4),
             failure_injector=WorkerKill({("reduce", 0): 3}),
         )
         result = _detect(runtime, cluster)
@@ -119,7 +123,8 @@ class TestWorkerKill:
     def test_unsurvivable_kill_fails_promptly_never_hangs(self):
         cluster = ClusterConfig(nodes=2)
         runtime = ParallelRuntime(
-            cluster, workers=2, max_attempts=2,
+            cluster, workers=2,
+            scheduler=SchedulerConfig(max_attempts=2),
             failure_injector=WorkerKill({("reduce", 0): 99}),
         )
         with pytest.raises(BrokenProcessPool, match="worker died"):

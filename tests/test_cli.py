@@ -89,7 +89,7 @@ class TestDetect:
             "--strategy", "DMT", "-o", str(tuned),
             "--workers", "2", "--max-attempts", "6",
             "--timeout", "30", "--backoff", "0.01",
-            "--speculate", "--degrade", "skip",
+            "--speculate",
         ])
         assert code == 0
         assert (json.loads(base.read_text())["outliers"]
@@ -141,6 +141,19 @@ class TestRuntimeFlagValidation:
                         "--spool", str(spool), "--workers", "2",
                         "--transport", "shm"]) == 2
         assert not spool.exists()
+
+    def test_degrade_flag_is_gone(self, csv_points, tmp_path, capsys):
+        """A task that exhausts its attempts fails the run: no command
+        can ask for its partition to be skipped instead."""
+        for argv in (
+            ["detect", csv_points, "-r", "2.0", "-k", "5"],
+            ["resume", str(tmp_path / "ckpt")],
+            ["stream", csv_points, "-r", "2.0", "-k", "5"],
+        ):
+            assert refused([*argv, "--degrade", "skip"]) == 2
+            assert "unrecognized arguments: --degrade" in (
+                capsys.readouterr().err
+            )
 
     @pytest.mark.parametrize("extra", [
         [], ["--speculate"], ["--transport", "shm"],

@@ -75,7 +75,7 @@ INJECTORS = {
 #: duplicates the injected stragglers.
 SCHEDULER = SchedulerConfig(
     max_attempts=6, timeout=1.0, backoff_base=0.01, seed=3,
-    speculate=True, speculation_min_tasks=3,
+    speculate=True,
 )
 
 
@@ -127,7 +127,7 @@ def test_acceptance_crashes_stragglers_and_hangs(clean_outliers, tmp_path):
         CLUSTER, workers=4, failure_injector=injector,
         scheduler=SchedulerConfig(
             max_attempts=8, timeout=1.0, backoff_base=0.01, seed=7,
-            speculate=True, speculation_min_tasks=3,
+            speculate=True,
         ),
     )
     result = run_pipeline(runtime)

@@ -11,6 +11,7 @@ from repro.mapreduce import (
     Mapper,
     RandomFailures,
     Reducer,
+    SchedulerConfig,
     ScriptedFailures,
     SimulatedTaskFailure,
 )
@@ -78,7 +79,7 @@ class TestRetries:
         rt = LocalRuntime(
             CLUSTER,
             failure_injector=ScriptedFailures({("map", 0): 99}),
-            max_attempts=3,
+            scheduler=SchedulerConfig(max_attempts=3),
         )
         with pytest.raises(SimulatedTaskFailure):
             rt.run(job(), list(range(10)), block_records=5)
@@ -89,14 +90,16 @@ class TestRetries:
                 raise RuntimeError("boom")
                 yield  # pragma: no cover
 
-        rt = LocalRuntime(CLUSTER, max_attempts=2)
+        rt = LocalRuntime(
+            CLUSTER, scheduler=SchedulerConfig(max_attempts=2)
+        )
         crash_job = MapReduceJob("crash", Crashing(), SumReducer())
         with pytest.raises(RuntimeError, match="boom"):
             rt.run(crash_job, [1], block_records=1)
 
     def test_max_attempts_validation(self):
-        with pytest.raises(ValueError):
-            LocalRuntime(CLUSTER, max_attempts=0)
+        with pytest.raises(ValueError, match="max_attempts"):
+            SchedulerConfig(max_attempts=0)
 
     def test_outputs_not_duplicated_after_reduce_retry(self):
         rt = LocalRuntime(

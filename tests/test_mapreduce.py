@@ -158,19 +158,6 @@ class TestRuntime:
         with pytest.raises(ValueError, match="partitioner"):
             rt.run(job, ["a"], block_records=1)
 
-    def test_combiner_reduces_shuffle(self):
-        class SumCombiner(Reducer):
-            def reduce(self, key, values, ctx):
-                yield key, sum(values)
-
-        rt = LocalRuntime(ClusterConfig(nodes=2))
-        plain = rt.run(wordcount_job(), ["a a a a"], block_records=1)
-        combined_job = wordcount_job()
-        combined_job.combiner = SumCombiner()
-        combined = rt.run(combined_job, ["a a a a"], block_records=1)
-        assert dict(combined.outputs) == dict(plain.outputs)
-        assert combined.shuffle_records < plain.shuffle_records
-
     def test_cost_units_reported(self):
         rt = LocalRuntime(ClusterConfig(nodes=2))
         result = rt.run(wordcount_job(1), ["a a a"], block_records=1)

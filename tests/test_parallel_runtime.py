@@ -18,6 +18,7 @@ from repro.mapreduce import (
     Mapper,
     ParallelRuntime,
     Reducer,
+    SchedulerConfig,
     ScriptedFailures,
     WorkerKill,
     make_runtime,
@@ -276,7 +277,8 @@ class TestPoolReuse:
             "logged", LoggingMapper(str(log)), SumReducer(), n_reducers=1
         )
         with ParallelRuntime(
-            CLUSTER, workers=2, max_attempts=2,
+            CLUSTER, workers=2,
+            scheduler=SchedulerConfig(max_attempts=2),
             failure_injector=ScriptedFailures({("map", 0): 99}),
         ) as rt:
             with pytest.raises(SimulatedTaskFailure):

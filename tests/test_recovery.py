@@ -22,6 +22,13 @@ from hypothesis import strategies as st
 
 from repro.core import Dataset, brute_force_outliers, detect_outliers
 from repro.data import region_dataset
+from repro.mapreduce import (
+    ClusterConfig,
+    LocalRuntime,
+    SchedulerConfig,
+    ScriptedFailures,
+    SimulatedTaskFailure,
+)
 from repro.metrics import resolve_metric
 from repro.observability import Tracer
 from repro.params import OutlierParams
@@ -284,6 +291,36 @@ class TestCheckpointedRun:
             assert got("recovery", "partitions_executed") == len(
                 resumed.executed_partitions
             )
+
+    def test_exhausted_reducer_journals_nothing_and_reruns(self, tmp_path):
+        """A reducer that runs out of attempts fails the run before any
+        of its partitions reach the journal, so the re-run detects them
+        instead of replaying an empty verdict."""
+        task = 1  # reduce task 0 is also the DMT sampling job's reducer
+        clean = checkpointed(str(tmp_path / "clean"))
+        owned = {
+            pid
+            for span in clean.trace.walk()
+            if span.name == "journal_commit"
+            and span.attrs.get("task_id") == task
+            for pid in span.attrs["partitions"]
+        }
+        assert owned
+        ckpt = str(tmp_path / "ckpt")
+        failing = LocalRuntime(
+            ClusterConfig(),
+            failure_injector=ScriptedFailures({("reduce", task): 99}),
+            scheduler=SchedulerConfig(max_attempts=2),
+        )
+        with pytest.raises(SimulatedTaskFailure):
+            checkpointed(ckpt, runtime=failing)
+        records, _ = ResultJournal.replay(os.path.join(ckpt, JOURNAL_FILE))
+        journaled = {record["pid"] for record in records}
+        assert journaled and not journaled & owned
+        resumed = checkpointed(ckpt)
+        assert resumed.replayed_partitions == sorted(journaled)
+        assert owned <= set(resumed.executed_partitions)
+        assert resumed.outlier_ids == brute_force_outliers(DATASET, PARAMS)
 
     def test_torn_journal_tail_resumes(self, tmp_path):
         ckpt = str(tmp_path / "ckpt")

@@ -1,5 +1,5 @@
 """Unit tests for the task scheduler layer (retry/timeout/backoff/
-speculation/degradation)."""
+speculation, and exhaustion failing the job)."""
 
 import time
 
@@ -21,6 +21,11 @@ from repro.mapreduce import (
     SPECULATIVE_ATTEMPT_BASE,
     TaskScheduler,
     TaskTimeout,
+)
+from repro.mapreduce.scheduler import (
+    _BACKOFF_FACTOR,
+    _BACKOFF_JITTER,
+    _BACKOFF_MAX,
 )
 
 CLUSTER = ClusterConfig(nodes=2)
@@ -47,7 +52,6 @@ class TestSchedulerConfig:
         assert cfg.max_attempts == 4
         assert cfg.timeout is None
         assert not cfg.speculate
-        assert cfg.degradation == "fail"
         assert cfg.backoff_schedule("map", 0) == [0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("kwargs", [
@@ -55,10 +59,10 @@ class TestSchedulerConfig:
         {"timeout": 0.0},
         {"timeout": -1.0},
         {"backoff_base": -1.0},
-        {"backoff_factor": 0.5},
-        {"backoff_jitter": 1.5},
+        {"backoff_base": -1e-9},
+        {"max_attempts": -1},
         {"speculation_threshold": 1.0},
-        {"degradation": "explode"},
+        {"speculation_threshold": 0.5},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -74,19 +78,30 @@ class TestSchedulerConfig:
         ).backoff_schedule("reduce", 3)
         assert first != other_seed
 
+    @pytest.mark.parametrize("knob", [
+        "degradation", "backoff_factor", "backoff_max", "backoff_jitter",
+        "speculation_min_tasks",
+    ])
+    def test_removed_knobs_are_type_errors(self, knob):
+        # A task that exhausts its attempts fails the job; nothing can
+        # ask for its partition to be skipped.  The backoff shape and
+        # the speculation floor are module constants.
+        with pytest.raises(TypeError):
+            SchedulerConfig(**{knob: "skip" if knob == "degradation" else 2})
+
     def test_backoff_grows_and_caps(self):
-        cfg = SchedulerConfig(
-            backoff_base=1.0, backoff_factor=2.0, backoff_max=3.0,
-            backoff_jitter=0.0, max_attempts=5,
-        )
-        assert cfg.backoff_schedule("map", 0) == [1.0, 2.0, 3.0, 3.0]
-        # jitter stays within the +/- band
-        jittered = SchedulerConfig(
-            backoff_base=1.0, backoff_factor=2.0, backoff_max=3.0,
-            backoff_jitter=0.25, max_attempts=5,
+        base = _BACKOFF_MAX / _BACKOFF_FACTOR ** 2
+        schedule = SchedulerConfig(
+            backoff_base=base, max_attempts=6
         ).backoff_schedule("map", 0)
-        for nominal, actual in zip([1.0, 2.0, 3.0, 3.0], jittered):
-            assert 0.75 * nominal <= actual <= 1.25 * nominal
+        nominal = [base, base * _BACKOFF_FACTOR, _BACKOFF_MAX,
+                   _BACKOFF_MAX, _BACKOFF_MAX]
+        assert len(schedule) == len(nominal)
+        # every delay sits in the seeded jitter band around its nominal
+        for expected, actual in zip(nominal, schedule):
+            assert (1 - _BACKOFF_JITTER) * expected <= actual
+            assert actual <= (1 + _BACKOFF_JITTER) * expected
+        assert schedule != nominal
 
     def test_no_backoff_before_first_attempt(self):
         cfg = SchedulerConfig(backoff_base=1.0)
@@ -149,9 +164,7 @@ class TestSpeculation:
         rt = ParallelRuntime(
             CLUSTER, workers=3,
             failure_injector=SlowTasks({("map", 0): 1.0}),
-            scheduler=SchedulerConfig(
-                speculate=True, speculation_min_tasks=3
-            ),
+            scheduler=SchedulerConfig(speculate=True),
         )
         result = rt.run(job(), list(range(80)), block_records=10)
         counters = result.counters
@@ -195,9 +208,7 @@ class TestSpeculation:
             failure_injector=SlowTasks(
                 {("map", 0): 0.6}, slow_speculative=True
             ),
-            scheduler=SchedulerConfig(
-                speculate=True, speculation_min_tasks=3
-            ),
+            scheduler=SchedulerConfig(speculate=True),
         )
         result = rt.run(job(), list(range(80)), block_records=10)
         assert result.counters.get(
@@ -213,9 +224,7 @@ class TestSpeculation:
         rt = ParallelRuntime(
             CLUSTER, workers=3,
             failure_injector=SlowTasks({("map", 0): 1.0}),
-            scheduler=SchedulerConfig(
-                speculate=True, speculation_min_tasks=3
-            ),
+            scheduler=SchedulerConfig(speculate=True),
         )
         with rt:
             first = rt.run(job(), list(range(80)), block_records=10)
@@ -237,37 +246,7 @@ class TestSpeculation:
 
 
 class TestDegradation:
-    def test_skip_partition_records_and_warns(self):
-        rt = LocalRuntime(
-            CLUSTER,
-            failure_injector=ScriptedFailures({("reduce", 0): 99}),
-            scheduler=SchedulerConfig(
-                max_attempts=2, degradation="skip"
-            ),
-        )
-        with pytest.warns(RuntimeWarning, match="skipped partitions"):
-            result = rt.run(job(), list(range(40)), block_records=10)
-        assert result.counters.get(
-            "runtime", "reduce_tasks_skipped"
-        ) == 1
-        assert result.counters.group("runtime_skipped") == {
-            "reduce[0]": 1
-        }
-        skipped_spans = [
-            s for s in result.trace.walk()
-            if s.kind == "task" and s.attrs.get("status") == "skipped"
-        ]
-        assert len(skipped_spans) == 1
-        # the other reducer's partition still committed
-        clean = LocalRuntime(CLUSTER).run(
-            job(), list(range(40)), block_records=10
-        )
-        surviving = [
-            kv for kv in clean.outputs
-            if kv[0] in {k for k, _ in result.outputs}
-        ]
-        assert sorted(result.outputs) == sorted(surviving)
-        assert len(result.outputs) < len(clean.outputs)
+    """There is none: a task that exhausts its attempts fails the job."""
 
     def test_fail_fast_still_default(self):
         rt = LocalRuntime(
@@ -277,18 +256,6 @@ class TestDegradation:
         )
         with pytest.raises(Exception):
             rt.run(job(), list(range(40)), block_records=10)
-
-    def test_skip_in_parallel_workers(self):
-        rt = ParallelRuntime(
-            CLUSTER, workers=2,
-            failure_injector=ScriptedFailures({("map", 0): 99}),
-            scheduler=SchedulerConfig(
-                max_attempts=2, degradation="skip"
-            ),
-        )
-        with pytest.warns(RuntimeWarning):
-            result = rt.run(job(), list(range(20)), block_records=10)
-        assert result.counters.get("runtime", "map_tasks_skipped") == 1
 
 
 class TestInjectors:

@@ -105,7 +105,8 @@ class TestSegmentLifecycle:
 
     def test_terminal_job_failure_leaves_nothing(self):
         rt = ParallelRuntime(
-            CLUSTER, workers=2, max_attempts=2,
+            CLUSTER, workers=2,
+            scheduler=SchedulerConfig(max_attempts=2),
             failure_injector=ScriptedFailures({("map", 0): 99}),
         )
         with pytest.raises(SimulatedTaskFailure):
@@ -116,8 +117,7 @@ class TestSegmentLifecycle:
         rt = ParallelRuntime(
             CLUSTER, workers=2,
             scheduler=SchedulerConfig(
-                speculate=True, speculation_min_tasks=2,
-                speculation_threshold=1.5,
+                speculate=True, speculation_threshold=1.5,
             ),
         )
         result = rt.run(job(), ["a b"] * 20, block_records=4)

@@ -303,8 +303,7 @@ class TestPipelineEquivalence:
         with ParallelRuntime(
             cluster2, workers=2,
             scheduler=SchedulerConfig(
-                speculate=True, speculation_min_tasks=2,
-                speculation_threshold=1.5,
+                speculate=True, speculation_threshold=1.5,
             ),
         ) as rt:
             got = _detect(data, rt, cluster2)
