@@ -117,7 +117,8 @@ def _charge_kernel_counters(ctx: TaskContext, result) -> None:
     """Roll a detection result's kernel work into the ``kernel`` counter
     group — the distance-backend twin of the runtime's ``transport``
     group: which backend ran, what it charged (scalar-faithful evals),
-    and what it actually computed (tile overshoot included)."""
+    and what it actually computed (tile overshoot included, candidates
+    the numpy sweep skips not)."""
     extras = result.extras
     if "kernel" not in extras:
         return  # index-structure detectors (kdtree, pivot) bypass the ABI

@@ -24,8 +24,12 @@ differential suite in ``tests/test_kernel_equivalence.py``):
 * ``distance_evals`` charges each query the number of candidates a
   scalar loop would have examined: the 1-based position of its
   ``need``-th match, or the full candidate count if it never terminated.
-  Backends may *compute* more distances than they charge (tile rounding);
-  the overshoot is reported separately as ``evals_computed``.
+  What a backend *computes* is reported separately as
+  ``evals_computed`` and may differ either way: tiles overshoot a stop
+  position (more), and the numpy backend's sweep never computes a
+  candidate that cannot match (fewer) — neither moves the charge.
+* ``r`` is a radius: negative or NaN is a ``ValueError`` (``r * r``
+  would square the sign away).
 * ``need <= 0`` means every query is decided before examining anything:
   zero counts, zero evals.  Empty query or candidate blocks likewise
   charge nothing.
@@ -104,6 +108,9 @@ class Kernel(abc.ABC):
             candidates.shape[0] and candidates.shape[1] != queries.shape[1]
         ):
             raise ValueError("candidates must be (m, d) with matching d")
+        r = float(r)
+        if not r >= 0:  # NaN fails this too
+            raise ValueError(f"r must be a radius >= 0, got {r}")
         n_q = queries.shape[0]
         counts = np.zeros(n_q, dtype=np.int64)
         self.calls += 1
@@ -115,11 +122,11 @@ class Kernel(abc.ABC):
         start = time.perf_counter()
         if metric is None or metric.is_euclidean:
             counts, charged, computed = self._count(
-                queries, candidates, float(r), int(need)
+                queries, candidates, r, int(need)
             )
         else:
             counts, charged, computed = self._count_metric(
-                queries, candidates, float(r), int(need), metric
+                queries, candidates, r, int(need), metric
             )
         self.wall_seconds += time.perf_counter() - start
         self.evals_charged += charged
@@ -165,7 +172,12 @@ class Kernel(abc.ABC):
         return self._scan_tiles(queries, candidates.shape[0], need, match)
 
     def _scan_tiles(
-        self, queries: np.ndarray, n_c: int, need: int, match
+        self,
+        queries: np.ndarray,
+        n_c: int,
+        need: int,
+        match,
+        positions: np.ndarray | None = None,
     ) -> tuple[np.ndarray, int, int]:
         """The one tiled scan every vectorised path runs through.
 
@@ -177,7 +189,15 @@ class Kernel(abc.ABC):
         the ``tile`` cap and sheds rows as they decide.  A row count
         says who decided; only those rows pay the prefix sum that
         recovers their scalar stop position.
+
+        ``positions`` is the position map of a scan over a subset of the
+        ``n_c`` candidates that holds every one that can match: tiles
+        walk ``len(positions)`` columns, column ``j`` being candidate
+        ``positions[j]`` of the scan order.  A decided row is charged
+        its stop column's position + 1 and an undecided row all ``n_c``
+        — the scalar loop's charge over the full order either way.
         """
+        span = n_c if positions is None else positions.size
         counts = np.empty(queries.shape[0], dtype=np.int64)
         charged = computed = 0
         for low in range(0, queries.shape[0], ROW_BLOCK):
@@ -186,8 +206,8 @@ class Kernel(abc.ABC):
             running = np.zeros(q.shape[0], dtype=np.int64)
             width = min(self.tile, max(8, 2 * need))
             start = 0
-            while start < n_c and rows.size:
-                stop = min(n_c, start + width)
+            while start < span and rows.size:
+                stop = min(span, start + width)
                 width = min(self.tile, 2 * width)
                 within = match(q, start, stop)
                 computed += within.size
@@ -196,16 +216,20 @@ class Kernel(abc.ABC):
                 if hit.size:
                     missing = (need - running[hit])[:, None]
                     reached = np.cumsum(within[hit], axis=1) >= missing
-                    # Scalar stop: 1-based column of the need-th match,
-                    # and the count pinned at ``need`` — not the tile's.
-                    charged += int(reached.argmax(axis=1).sum()) + hit.size
+                    # Scalar stop: the need-th match's position (through
+                    # the map) + 1, and the count pinned at ``need`` —
+                    # not the tile's.
+                    stop_at = start + reached.argmax(axis=1)
+                    if positions is not None:
+                        stop_at = positions[stop_at]
+                    charged += int(stop_at.sum()) + hit.size
                     counts[rows[hit]] = need
                     keep = total < need
                     q, rows, total = q[keep], rows[keep], total[keep]
-                charged += rows.size * (stop - start)
                 running = total
                 start = stop
             counts[rows] = running
+            charged += rows.size * n_c
         return counts, charged, computed
 
 

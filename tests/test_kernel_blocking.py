@@ -12,11 +12,15 @@ patched down to 1 / 2 / 7 / 16 so blocks split mid-data, the last block
 is short, and rows decide in the first, a middle and the last tile of a
 block.  One fixed case runs at the shipped constant, and a
 ``tracemalloc`` bound pins the buffer reuse that the speed comes from.
+The loops know no sweep, so ``driver_count`` keeps the numpy kernel on
+its plain scan (``tests/test_kernel_sweep.py`` holds the sweep to the
+oracle).
 
 CI runs this with ``HYPOTHESIS_PROFILE=ci`` in the kernel-equivalence
 job.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -24,7 +28,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.kernels import NumpyKernel, PythonKernel, base
+from repro.kernels import NumpyKernel, PythonKernel, base, numpy_backend
 from repro.kernels.base import scalar_metric_count
 from repro.metrics import make_metric
 
@@ -100,10 +104,12 @@ def guarded(reference, queries, candidates, r, need, *rest):
 
 
 def driver_count(queries, candidates, r, need, tile, rows, metric=None):
-    """``(counts, charged, computed)`` of the shipped kernel with the
-    row-block constant patched to ``rows`` (``None``: as shipped)."""
+    """``(counts, charged, computed)`` of the shipped kernel's plain scan
+    with the row-block constant patched to ``rows`` (``None``: as
+    shipped)."""
     kernel = NumpyKernel(tile=tile)
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numpy_backend, "SWEEP_MIN_QUERIES", math.inf)
         if rows is not None:
             patch.setattr(base, "ROW_BLOCK", rows)
         counts, charged = kernel.count_neighbors(
@@ -225,7 +231,9 @@ class TestBoundariesAreCrossed:
 
     def test_default_constant_past_a_block_and_the_tile_cap(self):
         # Un-patched: 1 300 queries are three row blocks (the last
-        # short), 700 candidates reach the 256 cap twice.
+        # short), 700 candidates reach the 256 cap twice.  The call is
+        # sparse enough to sweep; driver_count keeps it on the plain
+        # scan the frozen loops reproduce.
         assert base.ROW_BLOCK < 1300
         rng = np.random.default_rng(20)
         queries = rng.random((1300, 2)) * 40

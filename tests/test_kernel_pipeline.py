@@ -17,6 +17,7 @@ from repro.kernels import (
     KERNEL_ENV,
     KernelUnavailable,
     numba_available,
+    numpy_backend,
 )
 from repro.observability import Tracer
 from repro.params import OutlierParams
@@ -113,6 +114,9 @@ class TestObservability:
         )
         counters = kernel_counters(res)
         assert counters["backend_numpy"] == counters["tasks"] > 0
+        # No call on 260 points reaches the numpy sweep, the one path
+        # that computes fewer distances than it charges.
+        assert DATASET.n < numpy_backend.SWEEP_MIN_QUERIES
         assert counters["evals_computed"] >= counters["evals_charged"] > 0
         # The group carries no wall time: two identical runs must agree
         # bit-for-bit (the transport-equivalence suite relies on this).

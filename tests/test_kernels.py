@@ -24,6 +24,7 @@ from repro.kernels import (
     numba_available,
     resolve_kernel,
 )
+from repro.kernels import numpy_backend
 from repro.metrics.builtin import MinkowskiMetric
 
 BACKENDS = ["python", "numpy"] + (
@@ -168,8 +169,23 @@ class TestContractEdges:
         with pytest.raises(ValueError):
             kernel.count_neighbors(Q[:, 0], C, 1.0, 2)
 
+    @pytest.mark.parametrize("r", [-1.0, -np.inf, np.nan])
+    def test_impossible_radius_rejected(self, kernel, r):
+        # ``r * r`` squared a negative radius into a positive one (a
+        # neighbour at 0.5 counted under r = -1), and a NaN radius
+        # matched nothing yet charged a full scan.
+        with pytest.raises(ValueError, match="r must be"):
+            kernel.count_neighbors(
+                np.array([[0.0]]), np.array([[0.5]]), r, 1
+            )
+
 
 class TestAccounting:
+    def test_inputs_stay_off_the_sweep(self):
+        # ``computed >= charged`` below holds on the plain tiled scan
+        # only: a swept call computes less than it charges.
+        assert len(Q) < numpy_backend.SWEEP_MIN_QUERIES
+
     def test_stats_accumulate_across_calls(self, kernel):
         assert kernel.calls == 0 and kernel.evals_charged == 0
         kernel.count_neighbors(Q, C, 1.0, 3)
