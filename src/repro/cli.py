@@ -52,7 +52,7 @@ import numpy as np
 from . import data as datagen
 from .core import Dataset, detect_outliers
 from .core.config import RunConfig
-from .kernels import DEFAULT_KERNEL, KERNEL_CHOICES, KernelUnavailable
+from .kernels import DEFAULT_KERNEL, KERNEL_CHOICES
 from .metrics import DEFAULT_METRIC, METRIC_CHOICES, MetricUnsupported
 from .mapreduce import (
     ClusterConfig,
@@ -79,7 +79,7 @@ class CLIError(Exception):
 
 
 #: What the library raises for a value it refuses.
-_REFUSED = (ValueError, MetricUnsupported, KernelUnavailable)
+_REFUSED = (ValueError, MetricUnsupported)
 
 #: ``RunConfig.resolve``'s own defaults, quoted by the help text.
 _DEFAULTS = {
@@ -118,9 +118,8 @@ _RUN_FLAGS = {
     "kernel": dict(
         choices=list(KERNEL_CHOICES),
         help="distance backend for scan-based detectors ('python' scalar "
-             "oracle, 'numpy' vectorized, 'numba' optional JIT); results "
-             "are identical, only wall time changes (default: "
-             f"$REPRO_KERNEL or {DEFAULT_KERNEL})",
+             "oracle, 'numpy' vectorized); results are identical, only "
+             f"wall time changes (default {DEFAULT_KERNEL})",
     ),
     "metric": dict(
         metavar="SPEC",
@@ -128,15 +127,14 @@ _RUN_FLAGS = {
              + "; minkowski takes 'minkowski:P' (e.g. minkowski:1 for "
              "Manhattan). Unlike --kernel this changes the answer: "
              "non-Euclidean runs use metric-safe pivot partitioning and "
-             "require a metric-generic detector (default: $REPRO_METRIC "
-             f"or {DEFAULT_METRIC})",
+             f"require a metric-generic detector (default {DEFAULT_METRIC})",
     ),
     "tier": dict(
         choices=list(TIER_CHOICES),
         help="detection tier: 'exact' runs the full machinery, 'fast' "
              "prepends a sensitivity-sampled certification pass "
              "(identical outlier set, less exact work), 'auto' picks via "
-             f"the cost model (default: $REPRO_TIER or {DEFAULT_TIER}; "
+             f"the cost model (default {DEFAULT_TIER}; "
              "a submitted job takes its lane's: fast for interactive, "
              "exact for batch)",
     ),
@@ -797,11 +795,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    # Plan files hold rectangle plans: Euclidean whatever REPRO_METRIC
-    # says (a metric run plans for itself, with pivot balls).
     setup = _configure(
         args, n_partitions=args.partitions, n_reducers=args.reducers,
-        metric="euclidean", tier="exact",
     )
     dataset = setup.reader.load(args.input)
     cfg = setup.cfg.sized(dataset.n)

@@ -95,11 +95,12 @@ class RunConfig:
     ) -> "RunConfig":
         """Resolve the entry points' keyword arguments.
 
-        Reads ``REPRO_METRIC``/``REPRO_TIER`` here and nowhere later;
-        an unavailable kernel backend (``numba`` without numba) fails
-        here, not inside a reducer subprocess.  ``n`` is the dataset
-        cardinality when known; ``plan`` a precomputed partition plan,
-        whose own support-area convention and metric then apply.
+        The arguments are the whole request: ``None`` means the
+        library default, never a value read from the environment.  An
+        unknown kernel backend fails here, not inside a reducer
+        subprocess.  ``n`` is the dataset cardinality when known;
+        ``plan`` a precomputed partition plan, whose own support-area
+        convention and metric then apply.
         Every rejection fires before any job runs.
         """
         resolve_kernel(kernel)

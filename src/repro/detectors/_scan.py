@@ -13,8 +13,8 @@ candidates a scalar implementation would have examined before finding its
 not whatever tile-rounded amount the backend happened to compute.  That
 keeps the deterministic cost accounting aligned with Lemma 4.1's
 execution model, which is also what the cost-based planners assume — and
-it is what makes backends interchangeable: ``python``, ``numpy``, and
-``numba`` all return byte-identical ``(counts, distance_evals)``.
+it is what makes backends interchangeable: ``python`` and ``numpy``
+return byte-identical ``(counts, distance_evals)``.
 """
 
 from __future__ import annotations

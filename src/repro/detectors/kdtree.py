@@ -60,8 +60,8 @@ class KDTreeDetector(Detector):
             candidates = core_points
         n_cand = candidates.shape[0]
 
-        # Imported where the tree is built: scipy, like numba, is never
-        # loaded unless its tactic is selected.
+        # Imported where the tree is built: scipy is never loaded
+        # unless its tactic is selected.
         from scipy.spatial import cKDTree
 
         tree = cKDTree(candidates)

@@ -10,79 +10,44 @@ one knob:
 * ``numpy``  — tiled vectorized scan with masked early termination; the
   default, identical results at an order-of-magnitude lower wall time on
   ``distance_evals``-bound workloads.
-* ``numba``  — optional JIT-compiled scalar loop behind a feature flag;
-  selecting it without numba installed fails with a clear
-  :class:`KernelUnavailable`, never an ImportError.
 
-Selection precedence: an explicit kernel (``--kernel`` / ``kernel=``
-argument) wins; ``"auto"``/``None`` consults the ``REPRO_KERNEL``
-environment variable; otherwise :data:`DEFAULT_KERNEL` applies.  See
+The backend is what the ``--kernel`` flag / ``kernel=`` argument names;
+``"auto"``/``None`` means :data:`DEFAULT_KERNEL`.  See
 ``docs/kernels.md``.
 """
 
 from __future__ import annotations
 
-import os
-
-from .base import Kernel, KernelUnavailable
-from .numba_backend import NumbaKernel, numba_available
+from .base import Kernel
 from .numpy_backend import NumpyKernel
 from .python_backend import PythonKernel
 
 __all__ = [
     "Kernel",
-    "KernelUnavailable",
     "PythonKernel",
     "NumpyKernel",
-    "NumbaKernel",
     "KERNEL_REGISTRY",
     "KERNEL_CHOICES",
     "DEFAULT_KERNEL",
-    "KERNEL_ENV",
-    "available_kernels",
-    "kernel_available",
     "make_kernel",
     "resolve_kernel",
-    "numba_available",
 ]
 
 #: Backend registry: name -> constructor (all accept ``tile=``).
 KERNEL_REGISTRY: dict[str, type[Kernel]] = {
     PythonKernel.name: PythonKernel,
     NumpyKernel.name: NumpyKernel,
-    NumbaKernel.name: NumbaKernel,
 }
 
 #: What a ``--kernel`` flag accepts.
 KERNEL_CHOICES = ("auto",) + tuple(KERNEL_REGISTRY)
 
-#: Backend used when nothing is requested anywhere.
+#: Backend used when nothing is requested.
 DEFAULT_KERNEL = "numpy"
-
-#: Environment override consulted by ``"auto"`` resolution.
-KERNEL_ENV = "REPRO_KERNEL"
-
-
-def kernel_available(name: str) -> bool:
-    """True iff ``name`` is registered and can run here."""
-    if name not in KERNEL_REGISTRY:
-        return False
-    if name == NumbaKernel.name:
-        return numba_available()
-    return True
-
-
-def available_kernels() -> list[str]:
-    """Registered backends that can actually run in this environment."""
-    return [name for name in KERNEL_REGISTRY if kernel_available(name)]
 
 
 def make_kernel(name: str, tile: int = 256) -> Kernel:
-    """Instantiate a backend by name.
-
-    Raises ``ValueError`` for unknown names and ``KernelUnavailable``
-    when the backend's optional dependency is missing.
-    """
+    """Instantiate a backend by name; ``ValueError`` for unknown names."""
     try:
         cls = KERNEL_REGISTRY[name]
     except KeyError:
@@ -97,13 +62,12 @@ def resolve_kernel(spec=None, tile: int = 256) -> Kernel:
 
     ``spec`` may be a :class:`Kernel` instance (returned as-is, so a
     caller can aggregate stats across several scans), a registry name,
-    or ``None``/``"auto"`` — which consults ``REPRO_KERNEL`` and falls
-    back to :data:`DEFAULT_KERNEL`.
+    or ``None``/``"auto"`` — :data:`DEFAULT_KERNEL`.
     """
     if isinstance(spec, Kernel):
         return spec
     if spec is None or spec == "auto":
-        spec = os.environ.get(KERNEL_ENV) or DEFAULT_KERNEL
+        spec = DEFAULT_KERNEL
     if not isinstance(spec, str):
         raise TypeError(
             f"kernel spec must be a name or Kernel, got {type(spec)!r}"

@@ -5,10 +5,10 @@ candidate points under the early-exit-at-``need`` scan semantics of
 Lemma 4.1 — the inner loop every scan-based detector (Nested-Loop, the
 Cell-Based fallback, the ring fallback) spends its time in.  Keeping the
 contract this narrow is what lets backends swap freely: the scalar
-``python`` oracle, the tiled ``numpy`` backend, and the optional compiled
-``numba`` backend must all be *observationally identical* — same counts,
-same ``distance_evals`` — so switching backends can only ever change wall
-time, never results or deterministic cost accounting.
+``python`` oracle and the tiled ``numpy`` backend must be
+*observationally identical* — same counts, same ``distance_evals`` — so
+switching backends can only ever change wall time, never results or
+deterministic cost accounting.
 
 Contract (enforced by :meth:`Kernel.count_neighbors`, verified by the
 differential suite in ``tests/test_kernel_equivalence.py``):
@@ -48,15 +48,11 @@ import time
 
 import numpy as np
 
-__all__ = ["Kernel", "KernelUnavailable", "scalar_metric_count"]
+__all__ = ["Kernel", "scalar_metric_count"]
 
 #: Query rows per block of the tiled scan, so two float64 ``ROW_BLOCK x
 #: tile`` buffers stay cache-resident; 256 / 512 / 1024 measure the same.
 ROW_BLOCK = 512
-
-
-class KernelUnavailable(RuntimeError):
-    """The requested backend cannot run here (missing optional dep)."""
 
 
 class Kernel(abc.ABC):
@@ -67,7 +63,7 @@ class Kernel(abc.ABC):
     constructed uniformly.
     """
 
-    #: Registry name ("python", "numpy", "numba").
+    #: Registry name ("python", "numpy").
     name: str = "kernel"
 
     def __init__(self, tile: int = 256) -> None:

@@ -5,16 +5,13 @@ which only changes wall time), so it threads through run identity
 everywhere: checkpoint manifests, streaming snapshots, bench workload
 dicts, and service job specs all record it.
 
-Selection mirrors ``repro.kernels``: an explicit metric (``--metric`` /
-``metric=`` argument) wins; ``"auto"``/``None`` consults the
-``REPRO_METRIC`` environment variable; otherwise :data:`DEFAULT_METRIC`
-applies.  Parameterized metrics use ``name:param`` specs —
-``minkowski:1.5`` is L_1.5.  See ``docs/metrics.md``.
+The metric is what the ``--metric`` flag / ``metric=`` argument names;
+``"auto"``/``None`` means :data:`DEFAULT_METRIC`.  Parameterized metrics
+use ``name:param`` specs — ``minkowski:1.5`` is L_1.5.  See
+``docs/metrics.md``.
 """
 
 from __future__ import annotations
-
-import os
 
 from .base import Metric, MetricUnsupported
 from .builtin import (
@@ -40,7 +37,6 @@ __all__ = [
     "METRIC_REGISTRY",
     "METRIC_CHOICES",
     "DEFAULT_METRIC",
-    "METRIC_ENV",
     "make_metric",
     "resolve_metric",
 ]
@@ -57,11 +53,8 @@ METRIC_REGISTRY: dict[str, type[Metric]] = {
 #: What a ``--metric`` flag accepts (parameterized specs also allowed).
 METRIC_CHOICES = ("auto",) + tuple(METRIC_REGISTRY)
 
-#: Metric used when nothing is requested anywhere.
+#: Metric used when nothing is requested.
 DEFAULT_METRIC = "euclidean"
-
-#: Environment override consulted by ``"auto"`` resolution.
-METRIC_ENV = "REPRO_METRIC"
 
 
 def make_metric(spec: str) -> Metric:
@@ -90,13 +83,12 @@ def resolve_metric(spec=None) -> Metric:
     """Turn a metric spec into a ready instance.
 
     ``spec`` may be a :class:`Metric` instance (returned as-is), a
-    registry spec string, or ``None``/``"auto"`` — which consults
-    ``REPRO_METRIC`` and falls back to :data:`DEFAULT_METRIC`.
+    registry spec string, or ``None``/``"auto"`` — :data:`DEFAULT_METRIC`.
     """
     if isinstance(spec, Metric):
         return spec
     if spec is None or spec == "auto":
-        spec = os.environ.get(METRIC_ENV) or DEFAULT_METRIC
+        spec = DEFAULT_METRIC
     if not isinstance(spec, str):
         raise TypeError(
             f"metric spec must be a name or Metric, got {type(spec)!r}"

@@ -51,6 +51,7 @@ from ..core.execute import (
 )
 from ..mapreduce import ClusterConfig, Counters, LocalRuntime, RecordBatch
 from ..geometry import Rect, UniformGrid
+from ..kernels import KERNEL_CHOICES, Kernel
 from ..observability import Span, Tracer
 from ..params import OutlierParams
 from ..partitioning import PartitionPlan, plan_from_dict, plan_to_dict
@@ -522,7 +523,11 @@ class StreamingDetector:
             },
             "strategy": self.strategy.name,
             "detector": cfg.detector,
-            "kernel": cfg.kernel,
+            # A shared backend instance is stored by its name.
+            "kernel": (
+                cfg.kernel.name if isinstance(cfg.kernel, Kernel)
+                else cfg.kernel
+            ),
             "metric": self.metric,
             "seed": cfg.seed,
             "drift_threshold": float(self.drift_threshold),
@@ -586,13 +591,16 @@ class StreamingDetector:
         deliberately not persisted; pass fresh ones.
         """
         payload = read_artifact(path, SNAPSHOT_KIND, SNAPSHOT_VERSION)
+        # The stored kernel is a hint, not identity: a backend this
+        # build does not register loads on the default.
+        kernel = payload.get("kernel")
         detector = cls(
             OutlierParams(
                 r=payload["params"]["r"], k=payload["params"]["k"]
             ),
             strategy=payload["strategy"],
             detector=payload["detector"],
-            kernel=payload.get("kernel"),
+            kernel=kernel if kernel in KERNEL_CHOICES else None,
             metric=payload.get("metric"),
             runtime=runtime,
             cluster=cluster,
@@ -679,7 +687,8 @@ class StreamingDetector:
         ``kernel`` is *not* part of the snapshot's identity — backends
         are observationally identical by the ABI contract — so a
         restored stream adopts the requested kernel (falling back to the
-        snapshot's recorded one when ``None``).  ``metric`` *is*
+        snapshot's recorded one when ``None``, and to the default when
+        that one is not registered).  ``metric`` *is*
         identity: it defines the answer, so a snapshot taken under a
         different metric raises ``ValueError`` like any other parameter
         mismatch.  ``tier`` joins the identity the same way (compared as

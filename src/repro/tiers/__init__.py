@@ -3,7 +3,6 @@
 from .fastpass import (
     DEFAULT_TIER,
     TIER_CHOICES,
-    TIER_ENV,
     SensitivitySample,
     TierCertification,
     build_sensitivity_sample,
@@ -18,7 +17,6 @@ from .fastpass import (
 __all__ = [
     "DEFAULT_TIER",
     "TIER_CHOICES",
-    "TIER_ENV",
     "SensitivitySample",
     "TierCertification",
     "build_sensitivity_sample",

@@ -26,7 +26,6 @@ verified with the actual metric), so the tier composes with the
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional, Set, Tuple
 
@@ -50,7 +49,6 @@ from ..sampling.minibuckets import MiniBucketStats
 
 __all__ = [
     "TIER_CHOICES",
-    "TIER_ENV",
     "DEFAULT_TIER",
     "SensitivitySample",
     "TierCertification",
@@ -66,9 +64,6 @@ __all__ = [
 #: What a ``--tier`` flag accepts.
 TIER_CHOICES = ("exact", "fast", "auto")
 
-#: Environment override consulted when no tier is requested anywhere.
-TIER_ENV = "REPRO_TIER"
-
 #: Tier used when nothing is requested: the exact machinery, unchanged.
 DEFAULT_TIER = "exact"
 
@@ -76,15 +71,12 @@ DEFAULT_TIER = "exact"
 def resolve_tier(spec: Optional[str]) -> str:
     """Normalize a tier request to ``"exact"``, ``"fast"`` or ``"auto"``.
 
-    ``None`` consults the ``REPRO_TIER`` environment variable and falls
-    back to :data:`DEFAULT_TIER`.  ``"auto"`` stays symbolic — the caller
-    resolves it against the cost model
+    ``None`` means :data:`DEFAULT_TIER`.  ``"auto"`` stays symbolic —
+    the caller resolves it against the cost model
     (:func:`repro.costmodel.select_tier`) once dataset statistics are in
     hand, and persists the *resolved* tier in run identity.
     """
-    if spec is None:
-        spec = os.environ.get(TIER_ENV) or DEFAULT_TIER
-    tier = str(spec).lower()
+    tier = DEFAULT_TIER if spec is None else str(spec).lower()
     if tier not in TIER_CHOICES:
         raise ValueError(
             f"unknown tier {spec!r}; choose from {TIER_CHOICES}"

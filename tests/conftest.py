@@ -11,10 +11,10 @@ import os
 import pytest
 from hypothesis import HealthCheck, settings
 
-#: Runtime knobs the package reads from the environment.  A developer
-#: shell with REPRO_KERNEL=numba exported, or a chaos test that died
-#: before cleanup with REPRO_CHAOS_KILL_AFTER_COMMITS set, must not
-#: leak behavior into an unrelated test run.
+#: Fault hooks the package reads from the environment.  A chaos test
+#: that died before cleanup with REPRO_CHAOS_KILL_AFTER_COMMITS set, or
+#: a shell with an ENOSPC injection exported, must not leak behavior
+#: into an unrelated test run.
 _REPRO_ENV_PREFIX = "REPRO_"
 
 
@@ -22,8 +22,8 @@ _REPRO_ENV_PREFIX = "REPRO_"
 def _scrub_repro_env():
     """Strip ``REPRO_*`` vars for the whole session, restore after.
 
-    Tests that *want* a knob (kernel selection, chaos kill hooks) set
-    it explicitly — on themselves via monkeypatch, or on the child's
+    Tests that *want* a hook (chaos kills, ENOSPC injection) set it
+    explicitly — on themselves via monkeypatch, or on the child's
     env for subprocess tests — so scrubbing only removes ambient
     state, never test-owned state.
     """

@@ -1,8 +1,8 @@
 """The default import is the detection path and nothing else.
 
 ``import repro`` — and every entry point built on it — must not pull in
-scipy or numba (each is loaded only when its tactic / backend is
-selected) nor the four extension packages nothing in the detection path
+scipy (loaded only when its tactic is selected) nor the four
+extension packages nothing in the detection path
 uses; those are imported by name.  Checked in a fresh interpreter, where
 ``sys.modules`` is the whole truth.
 """
@@ -27,7 +27,7 @@ def loaded(*roots):
     )
 
 
-assert not loaded("scipy", "numba"), loaded("scipy", "numba")
+assert not loaded("scipy"), loaded("scipy")
 assert not loaded(*EXTENSIONS), loaded(*EXTENSIONS)
 
 import numpy as np

@@ -8,8 +8,7 @@ This suite enforces the promise three ways:
 * property-based: hypothesis-generated blocks (with quantized
   coordinates, so exact duplicates and exact boundary distances are
   common, where a sloppy vectorization would diverge first) must give
-  byte-identical counts and evals on python vs numpy (vs numba when
-  installed);
+  byte-identical counts and evals on python vs numpy;
 * end-to-end: fig8/fig10-style smoke workloads through the full
   pipeline must produce identical outlier sets and identical
   deterministic distance-eval counters per backend;
@@ -30,10 +29,10 @@ from hypothesis import strategies as st
 
 from repro.core import detect_outliers
 from repro.data import region_dataset, tiger_like
-from repro.kernels import KERNEL_ENV, make_kernel, numba_available
+from repro.kernels import make_kernel
 from repro.params import OutlierParams
 
-BACKENDS = ["numpy"] + (["numba"] if numba_available() else [])
+BACKENDS = ["numpy"]
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -158,12 +157,27 @@ class TestCiSmokeBaselinePin:
     def test_numpy_backend_reproduces_checked_in_costs(
         self, monkeypatch
     ):
-        from repro.experiments.ci_smoke import run_smoke
+        from repro.experiments import ci_smoke
 
-        monkeypatch.setenv(KERNEL_ENV, "numpy")
-        summary = run_smoke()
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append(detect_outliers(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(ci_smoke, "detect_outliers", recorded)
+        summary = ci_smoke.run_smoke()
         baseline_path = (
             REPO_ROOT / "benchmarks" / "baselines" / "ci_smoke.json"
         )
         baseline = json.loads(baseline_path.read_text())
         assert summary == baseline
+        # The smoke run names no kernel: the default is the numpy one.
+        (result,) = runs
+        backends = {}
+        for job in result.run.jobs:
+            for name, value in job.counters.group("kernel").items():
+                if name.startswith("backend_"):
+                    backends[name] = backends.get(name, 0) + value
+        assert set(backends) == {"backend_numpy"}
+        assert backends["backend_numpy"] > 0

@@ -12,13 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import Dataset, detect_outliers
-from repro.kernels import (
-    DEFAULT_KERNEL,
-    KERNEL_ENV,
-    KernelUnavailable,
-    numba_available,
-    numpy_backend,
-)
+from repro.kernels import DEFAULT_KERNEL, numpy_backend
 from repro.observability import Tracer
 from repro.params import OutlierParams
 from repro.recovery import SimulatedCrash, run_checkpointed
@@ -88,8 +82,7 @@ class TestPersistenceOrthogonality:
 
 
 class TestObservability:
-    def test_run_span_annotated_with_resolved_backend(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
+    def test_run_span_annotated_with_resolved_backend(self):
         for requested, resolved in [
             ("python", "python"), (None, DEFAULT_KERNEL),
         ]:
@@ -133,10 +126,3 @@ class TestObservability:
             == oracle_counters["evals_charged"]
             == counters["evals_charged"]
         )
-
-    @pytest.mark.skipif(
-        numba_available(), reason="numba installed: gate cannot trip"
-    )
-    def test_unavailable_backend_fails_before_any_work(self):
-        with pytest.raises(KernelUnavailable, match="numba"):
-            detect_outliers(DATASET, PARAMS, kernel="numba", **SIZING)

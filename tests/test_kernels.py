@@ -2,8 +2,8 @@
 
 Covers the contract edges every backend must agree on — empty blocks,
 ``need <= 0``, ``need`` larger than the candidate set, duplicate points,
-single-column inputs — plus registry resolution, the numba feature gate,
-and the per-instance stat accounting the detectors and bench rely on.
+single-column inputs — plus registry resolution and the per-instance
+stat accounting the detectors and bench rely on.
 """
 
 import numpy as np
@@ -12,24 +12,17 @@ import pytest
 from repro.kernels import (
     DEFAULT_KERNEL,
     KERNEL_CHOICES,
-    KERNEL_ENV,
     KERNEL_REGISTRY,
     Kernel,
-    KernelUnavailable,
     NumpyKernel,
     PythonKernel,
-    available_kernels,
-    kernel_available,
     make_kernel,
-    numba_available,
     resolve_kernel,
 )
 from repro.kernels import numpy_backend
 from repro.metrics.builtin import MinkowskiMetric
 
-BACKENDS = ["python", "numpy"] + (
-    ["numba"] if numba_available() else []
-)
+BACKENDS = ["python", "numpy"]
 
 
 @pytest.fixture(params=BACKENDS)
@@ -56,13 +49,14 @@ class TestRegistry:
             make_kernel("numpy", tile=0)
 
     def test_python_and_numpy_always_available(self):
-        assert kernel_available("python")
-        assert kernel_available("numpy")
-        assert "python" in available_kernels()
-        assert "numpy" in available_kernels()
+        assert set(KERNEL_REGISTRY) == {"python", "numpy"}
+        for name in KERNEL_REGISTRY:
+            assert make_kernel(name).name == name
 
     def test_unknown_name_is_not_available(self):
-        assert not kernel_available("fortran")
+        assert "fortran" not in KERNEL_REGISTRY
+        with pytest.raises(ValueError, match="fortran"):
+            resolve_kernel("fortran")
 
 
 class TestResolution:
@@ -73,35 +67,18 @@ class TestResolution:
     def test_name_resolution(self):
         assert resolve_kernel("python").name == "python"
 
-    def test_auto_falls_back_to_default(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        assert resolve_kernel(None).name == DEFAULT_KERNEL
+    def test_auto_falls_back_to_default(self):
+        assert resolve_kernel(None).name == DEFAULT_KERNEL == "numpy"
         assert resolve_kernel("auto").name == DEFAULT_KERNEL
 
-    def test_auto_consults_environment(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "python")
-        assert resolve_kernel(None).name == "python"
-        assert resolve_kernel("auto").name == "python"
-        # An explicit spec always beats the environment.
-        assert resolve_kernel("numpy").name == "numpy"
+    def test_auto_ignores_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "python")
+        assert resolve_kernel(None).name == DEFAULT_KERNEL
+        assert resolve_kernel("auto").name == DEFAULT_KERNEL
 
     def test_non_string_spec_rejected(self):
         with pytest.raises(TypeError):
             resolve_kernel(42)
-
-
-class TestNumbaGate:
-    def test_numba_listed_but_gated(self):
-        assert "numba" in KERNEL_REGISTRY
-        assert kernel_available("numba") == numba_available()
-
-    @pytest.mark.skipif(
-        numba_available(), reason="numba installed: gate cannot trip"
-    )
-    def test_missing_numba_raises_kernel_unavailable(self):
-        with pytest.raises(KernelUnavailable, match="numba"):
-            make_kernel("numba")
-        assert "numba" not in available_kernels()
 
 
 class TestContractEdges:

@@ -16,11 +16,17 @@ import numpy as np
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core import Dataset, OutlierParams, detect_outliers
+from repro.core import (
+    Dataset,
+    OutlierParams,
+    brute_force_outliers,
+    detect_outliers,
+)
 from repro.core.config import RunConfig
-from repro.kernels import kernel_available
+from repro.kernels import NumpyKernel
 from repro.mapreduce import ClusterConfig, LocalRuntime
 from repro.metrics import MetricUnsupported, resolve_metric
+from repro.observability import Tracer
 from repro.partitioning import (
     DomainPartitioner,
     MetricSafePartitioner,
@@ -31,6 +37,7 @@ from repro.partitioning import (
 from repro.recovery import CheckpointMismatch, run_checkpointed
 from repro.recovery.checkpoint import dataset_fingerprint
 from repro.recovery.snapshot import read_artifact, write_artifact
+from repro.service import ServiceClient, ServiceWorker
 from repro.streaming import StreamingDetector
 
 CLUSTER = ClusterConfig(nodes=2, hdfs_block_records=64)
@@ -428,6 +435,33 @@ class TestSnapshotIdentity:
         assert det.kernel == "python"
         assert (det.config.seed, det.config.n_reducers) == (5, 3)
 
+    def test_stream_with_a_kernel_instance_saves_and_loads(self, tmp_path):
+        path = str(tmp_path / "stream.snap")
+        det = StreamingDetector(
+            PARAMS, cluster=CLUSTER, kernel=NumpyKernel(), **SIZING
+        )
+        det.ingest(DATA)
+        det.save(path)
+        assert read_artifact(path, "streaming-snapshot", 1)[
+            "kernel"] == "numpy"
+        loaded = StreamingDetector.load(path, cluster=CLUSTER)
+        assert loaded.kernel == "numpy"
+        assert loaded.outlier_ids == det.outlier_ids
+
+    @pytest.mark.parametrize("stored", ["numba", "fortran"])
+    def test_unregistered_stored_kernel_is_only_a_hint(
+        self, tmp_path, stored
+    ):
+        path = str(tmp_path / "stream.snap")
+        literal_snapshot(path, kernel=stored)
+        assert StreamingDetector.load(path, cluster=CLUSTER).kernel is None
+        det = StreamingDetector.restore(
+            path, PARAMS, cluster=CLUSTER, kernel="python", **SIZING
+        )
+        assert det.kernel == "python"
+        det.ingest(DATA)
+        assert det.outlier_ids == brute_force_outliers(DATA, PARAMS)
+
     def test_saved_payload_keys_are_frozen(self, tmp_path):
         path = str(tmp_path / "stream.snap")
         det = StreamingDetector(
@@ -506,46 +540,60 @@ class TestRestoreFallbacks:
 
 
 # ----------------------------------------------------------------------
-# Environment knobs are read at resolution, and only there
+# A run is what its arguments say: REPRO_* variables change nothing
 # ----------------------------------------------------------------------
 class TestEnvironment:
-    def test_metric_and_tier_env_are_read_once(self, monkeypatch):
+    def test_stream_ignores_metric_env_set_between_batches(
+        self, monkeypatch
+    ):
+        det = StreamingDetector(PARAMS, cluster=CLUSTER, **SIZING)
+        half = DATA.n // 2
+        det.ingest_points(DATA.points[:half], ids=DATA.ids[:half])
+        monkeypatch.setenv("REPRO_METRIC", "minkowski:1")
+        det.ingest_points(DATA.points[half:], ids=DATA.ids[half:])
+        assert det.metric is None
+        assert det.outlier_ids == brute_force_outliers(DATA, PARAMS)
+
+    def test_detect_outliers_ignores_the_environment(self, monkeypatch):
+        clean = detect_outliers(DATA, PARAMS, cluster=CLUSTER, **SIZING)
         monkeypatch.setenv("REPRO_METRIC", "minkowski:1")
         monkeypatch.setenv("REPRO_TIER", "fast")
-        det = StreamingDetector(PARAMS, cluster=CLUSTER, **SIZING)
-        assert (det.metric, det.config.tier) == ("minkowski:1", "fast")
-        # The environment changing mid-run must not change the run.
-        monkeypatch.setenv("REPRO_METRIC", "haversine")
-        monkeypatch.setenv("REPRO_TIER", "exact")
-        det.ingest(DATA)
-        assert det.tier == "fast"
-        assert det.outlier_ids == metric_oracle(DATA, PARAMS, "minkowski:1")
+        monkeypatch.setenv("REPRO_KERNEL", "python")
+        tracer = Tracer()
+        result = detect_outliers(
+            DATA, PARAMS, cluster=CLUSTER, tracer=tracer, **SIZING
+        )
+        assert result.outlier_ids == clean.outlier_ids
+        assert result.tier == "exact"
+        assert tracer.roots[0].attrs["kernel"] == "numpy"
 
-    def test_explicit_arguments_beat_the_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_METRIC", "haversine")
+    def test_domain_runs_under_tier_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_TIER", "fast")
-        cfg = RunConfig.resolve(PARAMS, metric="euclidean", tier="exact")
-        assert (cfg.metric, cfg.tier) == (None, "exact")
+        result = detect_outliers(
+            DATA, PARAMS, strategy="Domain", cluster=CLUSTER, **SIZING
+        )
+        assert result.outlier_ids == brute_force_outliers(DATA, PARAMS)
 
-    @pytest.mark.parametrize(
-        "backend,error",
-        [
-            ("no-such-backend", ValueError),
-            pytest.param(
-                "numba", Exception,
-                marks=pytest.mark.skipif(
-                    kernel_available("numba"),
-                    reason="numba is installed here",
-                ),
-            ),
-        ],
-    )
-    def test_kernel_env_fails_before_any_job(
-        self, tmp_path, monkeypatch, backend, error
+    def test_service_worker_ignores_its_environment(
+        self, tmp_path, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_KERNEL", backend)
+        csv = tmp_path / "points.csv"
+        np.savetxt(csv, DATA.points, delimiter=",", fmt="%.17g")
+        spool = str(tmp_path / "spool")
+        with ServiceClient(spool) as client:
+            job_id = client.submit(
+                str(csv), r=PARAMS.r, k=PARAMS.k, nodes=2, **SIZING
+            )
+            monkeypatch.setenv("REPRO_METRIC", "minkowski:1")
+            assert ServiceWorker(spool).run_forever(drain=True) == 1
+            report = client.result(job_id, timeout=5.0)
+        assert set(report["outliers"]) == brute_force_outliers(DATA, PARAMS)
+
+    def test_unknown_kernel_fails_before_any_job(self, tmp_path):
         runtime = CountingRuntime()
-        for call in entry_points(tmp_path, runtime=runtime).values():
-            with pytest.raises(error, match=backend):
+        for call in entry_points(
+            tmp_path, runtime=runtime, kernel="no-such-backend"
+        ).values():
+            with pytest.raises(ValueError, match="no-such-backend"):
                 call()
         assert runtime.jobs_run == 0

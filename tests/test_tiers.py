@@ -34,7 +34,6 @@ from repro.sampling import collect_minibucket_stats
 from repro.streaming import StreamingDetector
 from repro.tiers import (
     DEFAULT_TIER,
-    TIER_ENV,
     SensitivitySample,
     build_sensitivity_sample,
     certified_mask,
@@ -94,15 +93,12 @@ def sample_for(dataset, seed=3, target_size=None, rate=0.5):
 
 
 class TestResolveTier:
-    def test_default_is_exact(self, monkeypatch):
-        monkeypatch.delenv(TIER_ENV, raising=False)
+    def test_default_is_exact(self):
         assert resolve_tier(None) == DEFAULT_TIER == "exact"
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(TIER_ENV, "fast")
-        assert resolve_tier(None) == "fast"
-        # An explicit request always beats the environment.
-        assert resolve_tier("exact") == "exact"
+    def test_environment_is_ignored(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TIER", "fast")
+        assert resolve_tier(None) == DEFAULT_TIER
 
     def test_case_insensitive(self):
         assert resolve_tier("FAST") == "fast"
