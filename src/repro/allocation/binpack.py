@@ -17,6 +17,7 @@ comparison isolates the *cost-model* difference, not the packer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
@@ -69,8 +70,10 @@ def allocate(
     if n_bins < 1:
         raise ValueError("need at least one bin")
     costs = [float(c) for c in costs]
-    if any(c < 0 for c in costs):
-        raise ValueError("costs must be non-negative")
+    # A NaN load compares false against everything: LPT would pile every
+    # item into bin 0.
+    if not all(0 <= c < math.inf for c in costs):
+        raise ValueError("costs must be finite and non-negative")
     if not costs:
         # The empty allocation: an all-pruned input must not come back
         # as "n_bins perfectly balanced empty bins" — downstream code

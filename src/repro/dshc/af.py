@@ -28,6 +28,16 @@ class AggregateFeature:
     num_points: float
     rect: Rect
 
+    @property
+    def low(self) -> tuple:
+        """``minB``: the bounds the AF-tree reads off every leaf entry."""
+        return self.rect.low
+
+    @property
+    def high(self) -> tuple:
+        """``maxB``."""
+        return self.rect.high
+
     @cached_property
     def density(self) -> float:
         """``numPoints / prod_i (maxB(i) - minB(i))`` (Def. 5.1)."""

@@ -1,9 +1,10 @@
 """The AF-tree: an R-tree-like index over DSHC clusters (Sec. V-A).
 
-Leaf entries are clusters, each represented by an
-:class:`~repro.dshc.af.AggregateFeature`; internal entries are child nodes
-summarized by their minimum bounding rectangles.  The tree supports the four
-operations the paper describes:
+Leaf entries are clusters — anything with ``low`` / ``high`` coordinate
+tuples: an :class:`~repro.dshc.af.AggregateFeature`, or the plain records
+the DSHC driver keeps; internal entries are child nodes summarized by their
+minimum bounding rectangles.  The tree supports the four operations the
+paper describes:
 
 * **search** — find clusters overlapping *or adjacent to* a query rect (the
   LMC candidate list);
@@ -11,6 +12,11 @@ operations the paper describes:
   node split on overflow;
 * **merge** — remove + AF-merge + reinsert, driven by the DSHC driver;
 * **split** — the standard R-tree split, triggered by insert.
+
+The DSHC driver reads its LMC lists off a cell table instead (see
+:mod:`repro.dshc.dshc`) and asks the tree only what the tree decides: where
+a cluster goes, and — through :meth:`AFTree.position` — which of several
+equally good candidates comes first in :meth:`AFTree.clusters` order.
 
 Inside the tree a box is a bare ``(low, high)`` pair of coordinate tuples:
 the helpers below repeat :class:`~repro.geometry.Rect`'s arithmetic (same
@@ -41,10 +47,17 @@ def _union(low: tuple, high: tuple, other_low: tuple, other_high: tuple):
 
 
 def _union_area(low, high, other_low, other_high) -> float:
-    """``_area(*_union(...))`` without materialising the union."""
-    return math.prod(map(
-        operator.sub, map(max, high, other_high), map(min, low, other_low)
-    ))
+    """``_area(*_union(...))`` without materialising the union.
+
+    The hottest arithmetic of the tree (ChooseLeaf, the split's seeds), so
+    ``max`` / ``min`` are spelled as comparisons — same values, the first
+    operand kept on ties — and the product is accumulated as ``math.prod``
+    does, from ``1`` in axis order.
+    """
+    area = 1
+    for lo, hi, o_lo, o_hi in zip(low, high, other_low, other_high):
+        area *= (hi if hi >= o_hi else o_hi) - (lo if lo <= o_lo else o_lo)
+    return area
 
 
 class _Node:
@@ -65,16 +78,20 @@ class _Node:
         self.parent: Optional["_Node"] = None
         self.box: Optional[tuple] = None
 
-    def entry_bounds(self) -> list:
-        """``(low, high)`` of every entry: a leaf's cluster rectangles, an
-        internal node's child MBRs."""
+    def entry_bounds(self) -> tuple[list, list]:
+        """The lows and the highs of the entries: a leaf's cluster
+        rectangles, an internal node's child MBRs."""
         if self.is_leaf:
-            return [(af.rect.low, af.rect.high) for af in self.entries]
-        return [(c.box or c.refresh())[:2] for c in self.entries]
+            return (
+                [af.low for af in self.entries],
+                [af.high for af in self.entries],
+            )
+        boxes = [c.box or c.refresh() for c in self.entries]
+        return [box[0] for box in boxes], [box[1] for box in boxes]
 
     def refresh(self) -> tuple:
         """Recompute and cache ``box`` from the entries, in entry order."""
-        lows, highs = zip(*self.entry_bounds())
+        lows, highs = self.entry_bounds()
         low = tuple(map(min, zip(*lows)))
         high = tuple(map(max, zip(*highs)))
         self.box = (low, high, _area(low, high))
@@ -89,7 +106,7 @@ class _Node:
 
 
 class AFTree:
-    """R-tree over AggregateFeatures with adjacency-aware search."""
+    """R-tree over clusters with adjacency-aware search."""
 
     def __init__(self, max_entries: int = 8) -> None:
         if max_entries < 4:
@@ -134,7 +151,7 @@ class AFTree:
         leaf = node.is_leaf
         for entry in node.entries:
             if leaf:
-                e_low, e_high = entry.rect.low, entry.rect.high
+                e_low, e_high = entry.low, entry.high
             else:
                 e_low, e_high, _ = entry.box or entry.refresh()
             # Rect.intersects: closed boxes, touching faces count.
@@ -147,22 +164,36 @@ class AFTree:
                 else:
                     self._search(entry, low, high, out)
 
-    def best_insertion_leaf(self, rect: Rect) -> "_Node":
-        """ChooseLeaf: descend by least MBR enlargement (ties: least area).
+    def position(self, af: AggregateFeature) -> List[int]:
+        """Where ``af`` stands in :meth:`clusters` order: its entry index in
+        each node from the root down (lists compare in DFS order).
 
-        Exposed because DSHC's insert operation wants "the leaf node that
-        can accommodate this new mini bucket with least enlargement" even
-        when the LMC list is empty.
+        This is the order :meth:`search_candidates` lists clusters in, so it
+        is DSHC's tie-break among equally density-similar candidates.
         """
-        low, high = rect.low, rect.high
+        node = self._leaf[id(af)]
+        path = [next(i for i, e in enumerate(node.entries) if e is af)]
+        while node.parent is not None:
+            # _Node has no __eq__: ``index`` matches by identity.
+            path.append(node.parent.entries.index(node))
+            node = node.parent
+        path.reverse()
+        return path
 
-        def choose_key(child: _Node) -> tuple[float, float]:
-            c_low, c_high, area = child.box or child.refresh()
-            return (_union_area(c_low, c_high, low, high) - area, area)
-
+    def _choose_leaf(self, low: tuple, high: tuple) -> "_Node":
+        """ChooseLeaf: descend by least MBR enlargement (ties: least area),
+        the first such child winning as under ``min``."""
         node = self._root
         while not node.is_leaf:
-            node = min(node.entries, key=choose_key)
+            best = None
+            for child in node.entries:
+                c_low, c_high, area = child.box or child.refresh()
+                growth = _union_area(c_low, c_high, low, high) - area
+                if best is None or growth < best_growth or (
+                    growth == best_growth and area < best_area
+                ):
+                    best, best_growth, best_area = child, growth, area
+            node = best
         return node
 
     # ------------------------------------------------------------------
@@ -174,7 +205,7 @@ class AFTree:
         ``near`` pins the target leaf (DSHC attaches a new cluster next to
         its most density-similar LMC neighbor's leaf when one exists).
         """
-        leaf = near if near is not None else self.best_insertion_leaf(af.rect)
+        leaf = near if near is not None else self._choose_leaf(af.low, af.high)
         leaf.entries.append(af)
         self._leaf[id(af)] = leaf
         leaf.invalidate()
@@ -224,13 +255,14 @@ class AFTree:
     def _split(self, node: _Node) -> tuple[_Node, _Node]:
         """Guttman quadratic split."""
         entries = node.entries
-        boxes = node.entry_bounds()
+        boxes = list(zip(*node.entry_bounds()))
         areas = [_area(low, high) for low, high in boxes]
         # Pick seeds: the pair whose combined box wastes the most area.
         best_pair, best_waste = (0, 1), -1.0
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                waste = _union_area(*boxes[i], *boxes[j]) - areas[i] - areas[j]
+        sized = [(low, high, area) for (low, high), area in zip(boxes, areas)]
+        for i, (low, high, area) in enumerate(sized):
+            for j, (o_low, o_high, o_area) in enumerate(sized[i + 1:], i + 1):
+                waste = _union_area(low, high, o_low, o_high) - area - o_area
                 if waste > best_waste:
                     best_pair, best_waste = (i, j), waste
         # Each half's ``box`` is the running MBR of what it holds so far.

@@ -18,6 +18,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -159,6 +160,19 @@ class UniformGrid:
                 self.shape,
             )
         ]
+
+    @cached_property
+    def faces(self) -> list[list[tuple[float, float]]]:
+        """:meth:`_axis_faces` of every whole axis, computed once per grid
+        for the callers that read them per rectangle."""
+        return self._axis_faces()
+
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        """The flat-index step of one cell along each axis (row-major)."""
+        return tuple(
+            math.prod(self.shape[axis + 1:]) for axis in range(len(self.shape))
+        )
 
     def iter_cells(self) -> Iterator[tuple[int, ...]]:
         """All multi-indices in row-major order."""

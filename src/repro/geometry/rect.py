@@ -15,7 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Rect"]
+__all__ = ["Rect", "RECT_TOL", "forms_rectangle"]
+
+#: Def. 5.3's absolute tolerance: faces closer than this count as equal.
+RECT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -179,25 +182,13 @@ class Rect:
             tuple(max(a, b) for a, b in zip(self.high, other.high)),
         )
 
-    def forms_rectangle_with(self, other: "Rect", tol: float = 1e-9) -> bool:
+    def forms_rectangle_with(self, other: "Rect", tol: float = RECT_TOL) -> bool:
         """Def. 5.3: can the two boxes be merged into one exact rectangle?
 
         Requires identical bounds in ``d - 1`` dimensions and exact
         face-to-face contact in the remaining dimension.
         """
-        mismatched = [
-            i
-            for i in range(self.ndim)
-            if abs(self.low[i] - other.low[i]) > tol
-            or abs(self.high[i] - other.high[i]) > tol
-        ]
-        if len(mismatched) != 1:
-            return False
-        i = mismatched[0]
-        return (
-            abs(self.low[i] - other.high[i]) <= tol
-            or abs(self.high[i] - other.low[i]) <= tol
-        )
+        return forms_rectangle(self.low, self.high, other.low, other.high, tol)
 
     # ------------------------------------------------------------------
     # Misc
@@ -225,3 +216,17 @@ class Rect:
             f"[{lo:g}, {hi:g}]" for lo, hi in zip(self.low, self.high)
         )
         return f"Rect({dims})"
+
+
+def forms_rectangle(low, high, other_low, other_high, tol: float = RECT_TOL) -> bool:
+    """:meth:`Rect.forms_rectangle_with` on bare ``(low, high)`` bounds, for
+    callers that keep boxes as coordinate tuples (DSHC's cluster records)."""
+    touching = False
+    mismatched = 0
+    for lo, hi, o_lo, o_hi in zip(low, high, other_low, other_high):
+        if abs(lo - o_lo) > tol or abs(hi - o_hi) > tol:
+            mismatched += 1
+            if mismatched > 1:
+                return False
+            touching = abs(lo - o_hi) <= tol or abs(hi - o_lo) <= tol
+    return touching

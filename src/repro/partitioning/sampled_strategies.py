@@ -255,15 +255,14 @@ def _axis_cover(grid, *rects):
     index is ``sum(offsets)``, its area ``math.prod(widths)`` and its
     covered fraction ``math.prod`` of a rect's factors, in axis order.  A
     zero-width axis has nothing to cover and contributes the factor 1.0.
+    The faces and strides are the grid's own, computed once per grid.
     """
-    ranges = grid._axis_ranges(rects[0])
     offsets, widths, fractions = [], [], [[] for _ in rects]
-    stride = grid.n_cells
-    for axis, (cells, faces) in enumerate(
-        zip(ranges, grid._axis_faces(ranges))
+    for axis, (cells, axis_faces, stride) in enumerate(
+        zip(grid._axis_ranges(rects[0]), grid.faces, grid.strides)
     ):
-        stride //= grid.shape[axis]
-        offsets.append([i * stride for i in cells])
+        faces = axis_faces[cells.start:cells.stop]
+        offsets.append(range(cells.start * stride, cells.stop * stride, stride))
         widths.append([chi - clo for clo, chi in faces])
         for rect, out in zip(rects, fractions):
             lo, hi = rect.low[axis], rect.high[axis]
@@ -285,8 +284,9 @@ def _estimate_points(stats, rect) -> float:
     covered fraction of their area (uniformity within a bucket).
     """
     total = 0.0
+    counts = stats.count_list
     for offsets, _, fractions in _axis_cover(stats.grid, rect):
-        count = float(stats.counts[sum(offsets)])
+        count = counts[sum(offsets)]
         if count == 0:
             continue
         total += count * math.prod(fractions)
@@ -299,11 +299,12 @@ def _rect_buckets(stats, rect):
     Partially covered buckets contribute proportionally to the covered
     area fraction (uniformity within a bucket).
     """
+    counts = stats.count_list
     for offsets, widths, fractions in _axis_cover(stats.grid, rect):
         overlap = math.prod(fractions)
         if overlap <= 0:
             continue
-        count = float(stats.counts[sum(offsets)])
+        count = counts[sum(offsets)]
         yield count * overlap, math.prod(widths) * overlap
 
 
@@ -314,10 +315,11 @@ def _support_buckets(stats, rect, r):
     (Def. 3.3); each bucket contributes its coverage by the expansion
     minus its coverage by the core rect.
     """
+    counts = stats.count_list
     for offsets, widths, by_expanded, by_core in _axis_cover(
         stats.grid, rect.expand(r), rect
     ):
-        count = float(stats.counts[sum(offsets)])
+        count = counts[sum(offsets)]
         if count == 0:
             continue
         w = math.prod(by_expanded) - math.prod(by_core)

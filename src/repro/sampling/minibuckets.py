@@ -14,6 +14,7 @@ matching the paper).  The statistics are computed by a MapReduce job:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +64,11 @@ class MiniBucketStats:
     def __post_init__(self) -> None:
         if self.counts.shape != (self.grid.n_cells,):
             raise ValueError("counts must have one entry per bucket")
+
+    @cached_property
+    def count_list(self) -> list:
+        """``counts`` as Python floats, read once for per-bucket loops."""
+        return np.asarray(self.counts, dtype=float).tolist()
 
     @property
     def estimated_total(self) -> float:

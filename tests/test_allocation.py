@@ -50,6 +50,12 @@ class TestAllocate:
         with pytest.raises(ValueError):
             allocate([-1.0], 2)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_cost_rejected(self, bad):
+        # NaN used to put every item in bin 0 with load nan.
+        with pytest.raises(ValueError, match="finite"):
+            allocate([bad, 1.0, 2.0], 2)
+
     def test_table_shape(self):
         result = allocate([1.0, 2.0, 3.0], 2)
         table = result.as_table()

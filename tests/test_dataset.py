@@ -18,6 +18,15 @@ class TestDataset:
         with pytest.raises(ValueError, match="unique"):
             Dataset(np.zeros((2, 2)), np.array([1, 1]))
 
+    def test_unsorted_duplicate_negative_ids_rejected(self):
+        ids = np.array([7, -3, 12, -9, 0, -3, 5])
+        with pytest.raises(ValueError, match="unique"):
+            Dataset(np.zeros((7, 2)), ids)
+        ids[5] = -4
+        assert Dataset(np.zeros((7, 2)), ids).ids.tolist() == [
+            7, -3, 12, -9, 0, -4, 5
+        ]
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros(5), np.arange(5))

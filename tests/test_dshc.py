@@ -1,12 +1,17 @@
 """Unit and property tests for DSHC clustering and the AF-tree."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import Dataset
+from repro.data import region_dataset
 from repro.dshc import AFTree, AggregateFeature, DSHCConfig, run_dshc
 from repro.geometry import Rect, UniformGrid
-from repro.sampling import MiniBucketStats
+from repro.mapreduce import LocalRuntime
+from repro.sampling import MiniBucketStats, collect_minibucket_stats
 
 
 def af(lo, hi, n=10.0):
@@ -226,6 +231,17 @@ class TestDSHC:
             DSHCConfig(max_tree_entries=3)
         assert DSHCConfig(max_tree_entries=4).max_tree_entries == 4
 
+    def test_nan_threshold_and_fractional_fanout_rejected(self):
+        # ``diff >= nan`` is never true: a NaN T_diff would merge across
+        # any density difference instead of failing.
+        with pytest.raises(ValueError, match="t_diff_fraction"):
+            DSHCConfig(t_diff_fraction=float("nan"))
+        with pytest.raises(ValueError, match="t_max_fraction"):
+            DSHCConfig(t_max_fraction=float("nan"))
+        with pytest.raises(ValueError, match="max_tree_entries"):
+            DSHCConfig(max_tree_entries=4.5)
+        assert DSHCConfig(max_tree_entries=np.int64(6)).max_tree_entries == 6
+
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_partition_invariants_property(self, seed):
@@ -240,3 +256,109 @@ class TestDSHC:
         assert sum(c.rect.area for c in result.clusters) == (
             pytest.approx(stats.grid.domain.area)
         )
+
+
+# ----------------------------------------------------------------------
+# Literal pins of DSHC's own output at benchmark scale.  The digest covers
+# every cluster's ``(num_points, low, high)`` in tree order plus the merge
+# counts: values made of ``+``, ``min`` and ``max`` over the bucket counts
+# and faces, so it holds on every interpreter.  The digests were taken
+# from the AF-tree-searching DSHC, before candidates came from the cell
+# table.
+# ----------------------------------------------------------------------
+def _digest(result) -> str:
+    payload = repr((
+        [(c.num_points, c.rect.low, c.rect.high) for c in result.clusters],
+        (result.merges, result.recursive_merges),
+    ))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _batch_dmt_map() -> MiniBucketStats:
+    """perfbench's first ``batch_dmt`` input at seed 7 (a 10 000-point
+    sample of the NE map, rescaled), sampled as ``detect_outliers`` sizes
+    it: ~n / 20 buckets at rate 2000 / n."""
+    pool = region_dataset("NE", base_n=40000, seed=7)
+    n = pool.n // 8
+    rng = np.random.default_rng(7)
+    points = pool.points[np.sort(rng.choice(pool.n, n, replace=False))]
+    data = Dataset.from_points(points * (n / pool.n) ** 0.5, pool.name)
+    return collect_minibucket_stats(
+        LocalRuntime(), data.batch(), data.bounds,
+        n_buckets=n // 20, rate=2000 / n, seed=1,
+    )
+
+
+def _cube_map() -> MiniBucketStats:
+    """Two blobs in a uniform 3-D cube, on an 8 x 8 x 8 bucket grid."""
+    rng = np.random.default_rng(11)
+    points = np.vstack([
+        rng.normal((10.0, 10.0, 10.0), 1.5, size=(3000, 3)),
+        rng.normal((28.0, 30.0, 12.0), 3.0, size=(1500, 3)),
+        rng.uniform(0.0, 40.0, size=(3000, 3)),
+    ])
+    data = Dataset.from_points(points)
+    return collect_minibucket_stats(
+        LocalRuntime(), data.batch(), data.bounds,
+        n_buckets=512, rate=0.4, seed=1,
+    )
+
+
+class TestLiteralPins:
+    def test_batch_dmt_map(self):
+        stats = _batch_dmt_map()
+        assert stats.grid.shape == (23, 22)
+        result = run_dshc(stats)
+        assert (len(result.clusters), result.merges,
+                result.recursive_merges) == (183, 308, 15)
+        assert _digest(result) == (
+            "7e1dc5ed603b1ebe2f2d62332748f706fef97d99104f87252fabb6c4a9c085be"
+        )
+
+    def test_cube_map(self):
+        stats = _cube_map()
+        assert stats.grid.shape == (8, 8, 8)
+        result = run_dshc(stats)
+        assert (len(result.clusters), result.merges,
+                result.recursive_merges) == (104, 338, 70)
+        assert _digest(result) == (
+            "102bf160004848876718db6b66d12e737d8fa75fec7572cebb90e0aa4731c49b"
+        )
+
+    def test_ulp_equal_faces_touch_across_an_index(self):
+        """Thirteen cells across 1e-12 at -1e3 are narrower than an ulp:
+        some have equal faces, so bucket 0 touches bucket 2 and must be
+        one of its candidates (an index-adjacency rule gives other
+        clusters here)."""
+        grid = UniformGrid(Rect((-1e3, 0.0), (-1e3 + 1e-12, 2.0)), (13, 2))
+        (_, high0), (low1, high1), (low2, _) = grid.faces[0][:3]
+        assert high0 == low1 == high1 == low2
+        assert grid.cell_rect((0, 0)).intersects(grid.cell_rect((2, 0)))
+        counts = np.array([
+            [5, 0], [0, 5], [10, 0], [5, 5], [0, 5], [5, 5], [5, 5],
+            [0, 40], [5, 0], [5, 5], [40, 10], [5, 0], [0, 5],
+        ], dtype=float)
+        stats = MiniBucketStats(grid, counts.ravel(), 1.0, 160)
+        result = run_dshc(stats, DSHCConfig(0.5, 1.0, 4))
+        assert (len(result.clusters), result.merges,
+                result.recursive_merges) == (18, 8, 0)
+        assert _digest(result) == (
+            "5353906ab239513bbd94c019797fcf94ed5f2f6f28198e79656157e73a231db3"
+        )
+
+    def test_integer_counts_cluster_as_float_counts(self):
+        """``MiniBucketStats`` takes any numeric ``counts``; DSHC's clusters
+        carry float ``num_points`` either way, as ``AggregateFeature``
+        always has."""
+        stats = _cube_map()
+        as_ints = MiniBucketStats(
+            stats.grid, stats.counts.round().astype(np.int64),
+            stats.sample_rate, stats.sampled_points,
+        )
+        as_floats = MiniBucketStats(
+            stats.grid, as_ints.counts.astype(float),
+            stats.sample_rate, stats.sampled_points,
+        )
+        result = run_dshc(as_ints)
+        assert all(type(c.num_points) is float for c in result.clusters)
+        assert _digest(result) == _digest(run_dshc(as_floats))
