@@ -23,8 +23,8 @@ __all__ = ["Dataset"]
 class Dataset:
     """An immutable point collection with ids.
 
-    ``points`` is ``(n, d)`` float64 and finite; ``ids`` is ``(n,)``
-    int64 and unique.
+    ``points`` is ``(n, d)`` float64 and finite with ``d >= 1``;
+    ``ids`` is ``(n,)`` int64 and unique.
     """
 
     points: np.ndarray
@@ -36,6 +36,8 @@ class Dataset:
         ids = np.asarray(self.ids, dtype=np.int64)
         if points.ndim != 2:
             raise ValueError("points must be an (n, d) array")
+        if points.shape[1] == 0:
+            raise ValueError("points need at least one coordinate (d >= 1)")
         if ids.shape != (points.shape[0],):
             raise ValueError("ids must be a 1-d array aligned with points")
         # Sort and compare neighbours: ``np.unique`` costs about 1 us per

@@ -36,7 +36,7 @@ from typing import (
 import numpy as np
 
 from ..allocation import allocate
-from ..detectors import make_partition_detector
+from ..detectors import make_partition_detector, run_partitions
 from ..mapreduce import (
     DictPartitioner,
     JobResult,
@@ -164,15 +164,21 @@ def _detect_partition(
     core_ids: np.ndarray,
     support_points: np.ndarray,
 ):
-    """Run ``algorithm`` on one partition and charge the task for it:
-    cost units, the detector span, ``dod/distance_evals`` and the
-    ``kernel`` / ``graph`` counter groups."""
+    """Run ``algorithm`` on one partition and charge the task for it."""
     # Seeded per partition: partitions must not share one scan
     # permutation (correlated early-termination across reducers).
     detector = make_partition_detector(
         algorithm, key, kernel=cfg.kernel, metric=cfg.metric
     )
     result = detector.run(core_points, core_ids, support_points, cfg.params)
+    _charge_detection(ctx, key, result)
+    return result
+
+
+def _charge_detection(ctx: TaskContext, key: int, result) -> None:
+    """Charge the task for one partition's detection: cost units, the
+    detector span, ``dod/distance_evals`` and the ``kernel`` / ``graph``
+    counter groups."""
     ctx.add_cost(result.cost_units)
     if result.span is not None and ctx.span is not None:
         result.span.annotate(partition=key)
@@ -180,7 +186,6 @@ def _detect_partition(
     ctx.counters.incr("dod", "distance_evals", int(result.distance_evals))
     _charge_kernel_counters(ctx, result)
     _charge_graph_counters(ctx, result)
-    return result
 
 
 class _DODReducer(Reducer):
@@ -188,7 +193,10 @@ class _DODReducer(Reducer):
     outlier as ``(partition, outlier_id)``.
 
     The partition tag lets the driver journal, or replace, exactly one
-    partition's verdicts when merging job output.
+    partition's verdicts when merging job output.  A reduce task hands
+    all of its partitions to the detectors at once
+    (:meth:`reduce_block`), so detectors of one tactic can scan them in
+    one kernel batch; :meth:`reduce` is the one-partition reference.
     """
 
     def __init__(
@@ -197,20 +205,67 @@ class _DODReducer(Reducer):
         self.cfg = cfg
         self.algorithm_plan = algorithm_plan
 
-    def reduce(self, key, values, ctx: TaskContext):
-        rows = RecordBatch.concat(values)
-        core = rows.tags == 0
-        if not core.any():
-            return
-        algorithm = self.algorithm_plan.get(key) or self.cfg.detector
+    @staticmethod
+    def _count(ctx: TaskContext, algorithm: str) -> None:
         ctx.counters.incr("dod", f"algorithm_{algorithm}")
         ctx.counters.incr("dod", "partitions_processed")
-        result = _detect_partition(
-            ctx, self.cfg, algorithm, key,
-            rows.points[core], rows.ids[core], rows.points[~core],
-        )
-        for outlier_id in result.outlier_ids:
-            yield key, outlier_id
+
+    def reduce(self, key, values, ctx: TaskContext):
+        for _, *inputs in _split_task({key: values}):
+            algorithm = self.algorithm_plan.get(key) or self.cfg.detector
+            self._count(ctx, algorithm)
+            result = _detect_partition(ctx, self.cfg, algorithm, key, *inputs)
+            for outlier_id in result.outlier_ids:
+                yield key, outlier_id
+
+    def reduce_block(self, groups, ctx: TaskContext):
+        keys, algorithms, detectors, inputs = [], [], [], []
+        for key, *partition in _split_task(groups):
+            algorithm = self.algorithm_plan.get(key) or self.cfg.detector
+            keys.append(key)
+            algorithms.append(algorithm)
+            detectors.append(make_partition_detector(
+                algorithm, key,
+                kernel=self.cfg.kernel, metric=self.cfg.metric,
+            ))
+            inputs.append(partition)
+        results = run_partitions(detectors, inputs, self.cfg.params)
+        # Charged in pid order, as the per-key path charges them: the
+        # same counters in the same order, and the task's cost units the
+        # same float sum.
+        for key, algorithm, result in zip(keys, algorithms, results):
+            self._count(ctx, algorithm)
+            _charge_detection(ctx, key, result)
+            for outlier_id in result.outlier_ids:
+                yield key, outlier_id
+
+
+def _split_task(groups):
+    """``(key, core_points, core_ids, support_points)`` per key of one
+    reduce task's groups that holds a core record, in key order.
+
+    A key's records are its batches concatenated in order, split by tag
+    with each side keeping that order.  One concatenation and one stable
+    sort by ``(key, tag)`` serve the whole task, so each partition's
+    core and support rows are slices of one array."""
+    keys = sorted(groups)
+    if not keys:
+        return
+    sizes = [sum(map(len, groups[key])) for key in keys]
+    rows = RecordBatch.concat([batch for key in keys for batch in groups[key]])
+    segment = np.repeat(np.arange(len(keys)), sizes)
+    order = np.argsort(2 * segment + rows.tags, kind="stable")
+    ids, points = rows.ids[order], rows.points[order]
+    n_core = np.bincount(segment[rows.tags == 0], minlength=len(keys))
+    start = 0
+    for key, size, core in zip(keys, sizes, n_core.tolist()):
+        if core:
+            mid = start + core
+            yield (
+                key, points[start:mid], ids[start:mid],
+                points[mid:start + size],
+            )
+        start += size
 
 
 class _RoutedMapper(Mapper):

@@ -51,6 +51,24 @@ def make_detector(name: str, **kwargs) -> Detector:
     return cls(**kwargs)
 
 
+def run_partitions(detectors, partitions, params) -> list:
+    """``detectors[i].run(*partitions[i], params)`` for every ``i``, in
+    one :meth:`~repro.detectors.base.Detector.run_batch` per detector
+    class — how a reduce task detects all of its partitions at once."""
+    results: list = [None] * len(detectors)
+    by_class: dict = {}
+    for i, detector in enumerate(detectors):
+        by_class.setdefault(type(detector), []).append(i)
+    for cls, index in by_class.items():
+        batch = cls.run_batch(
+            [detectors[i] for i in index],
+            [partitions[i] for i in index], params,
+        )
+        for i, result in zip(index, batch):
+            results[i] = result
+    return results
+
+
 def partition_scan_seed(partition_id: int, base_seed: int = 7) -> int:
     """Deterministic per-partition scan seed.
 
@@ -104,4 +122,5 @@ __all__ = [
     "make_detector",
     "make_partition_detector",
     "partition_scan_seed",
+    "run_partitions",
 ]

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..kernels import resolve_kernel
 
-__all__ = ["random_scan_counts"]
+__all__ = ["random_scan_counts", "scan_order"]
 
 
 def random_scan_counts(
@@ -56,9 +56,14 @@ def random_scan_counts(
     if n_q == 0 or candidates.shape[0] == 0 or need <= 0:
         return np.zeros(n_q, dtype=np.int64), 0
 
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(candidates.shape[0])
+    order = scan_order(candidates.shape[0], seed)
     backend = resolve_kernel(kernel, tile=chunk)
     return backend.count_neighbors(
         queries, candidates[order], r, need, metric=metric
     )
+
+
+def scan_order(n_candidates: int, seed: int) -> np.ndarray:
+    """The random scan order of ``n_candidates`` candidates under
+    ``seed`` — what :func:`random_scan_counts` permutes them by."""
+    return np.random.default_rng(seed).permutation(n_candidates)

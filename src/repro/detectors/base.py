@@ -119,13 +119,38 @@ class Detector(abc.ABC):
         The span records input sizes and the cost-unit breakdown; callers
         that trace (the DOD reducers) use this instead of ``detect``.
         """
-        span = Span.begin(
+        span = self._begin_span(core_points, support_points)
+        result = self.detect(core_points, core_ids, support_points, params)
+        return self._end_span(span, result)
+
+    @classmethod
+    def run_batch(
+        cls,
+        detectors: list["Detector"],
+        partitions: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+        params: OutlierParams,
+    ) -> list[DetectionResult]:
+        """``detectors[i].run(*partitions[i], params)`` for every ``i``:
+        each partition is a ``(core_points, core_ids, support_points)``
+        triple and gets its own result and span.  A class whose
+        detectors can share work across partitions overrides this; the
+        base runs them one by one."""
+        return [
+            detector.run(*partition, params)
+            for detector, partition in zip(detectors, partitions)
+        ]
+
+    def _begin_span(self, core_points, support_points) -> Span:
+        return Span.begin(
             f"detector:{self.name}", "detector",
             algorithm=self.name,
             n_core=int(np.asarray(core_points).shape[0]),
             n_support=int(np.asarray(support_points).shape[0]),
         )
-        result = self.detect(core_points, core_ids, support_points, params)
+
+    @staticmethod
+    def _end_span(span: Span, result: DetectionResult) -> DetectionResult:
+        """Annotate and close ``span`` with ``result``; attach it."""
         if "kernel" in result.extras:
             span.annotate(kernel=result.extras["kernel"])
         if "metric" in result.extras:

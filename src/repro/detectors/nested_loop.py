@@ -21,8 +21,8 @@ import numpy as np
 
 from ..kernels import resolve_kernel
 from ..metrics import resolve_metric
-from ..params import OutlierParams
-from ._scan import random_scan_counts
+from ..params import OutlierParams, check_whole
+from ._scan import random_scan_counts, scan_order
 from .base import DetectionResult, Detector, validate_partition_inputs
 
 __all__ = ["NestedLoopDetector"]
@@ -47,6 +47,7 @@ class NestedLoopDetector(Detector):
     def __init__(
         self, chunk: int = 256, seed: int = 7, kernel=None, metric=None
     ) -> None:
+        chunk = check_whole(chunk, "chunk")
         if chunk < 1:
             raise ValueError("chunk must be >= 1")
         self.chunk = chunk
@@ -61,20 +62,11 @@ class NestedLoopDetector(Detector):
         support_points: np.ndarray,
         params: OutlierParams,
     ) -> DetectionResult:
-        core_points, core_ids, support_points = validate_partition_inputs(
+        core_points, core_ids, candidates = _pool(
             core_points, core_ids, support_points
         )
-        n_core = core_points.shape[0]
-        if n_core == 0:
+        if core_points.shape[0] == 0:
             return DetectionResult([])
-
-        # Candidate pool: core plus support.  Every core point occurs in
-        # the pool exactly once and matches itself at distance zero, so
-        # inliers need k + 1 matches.
-        if support_points.shape[0]:
-            candidates = np.vstack([core_points, support_points])
-        else:
-            candidates = core_points
         backend = resolve_kernel(self.kernel, tile=self.chunk)
         metric = resolve_metric(self.metric)
         computed_before = backend.evals_computed
@@ -84,20 +76,103 @@ class NestedLoopDetector(Detector):
             chunk=self.chunk, seed=self.seed, kernel=backend,
             metric=metric,
         )
-        outliers = core_ids[counts < params.k + 1]
-        extras = {
-            "n_core": n_core,
-            "n_support": support_points.shape[0],
-            "kernel": backend.name,
-            "kernel_evals_computed":
-                backend.evals_computed - computed_before,
-            "kernel_wall_seconds":
-                backend.wall_seconds - wall_before,
-        }
-        if not metric.is_euclidean:
-            extras["metric"] = metric.spec()
-        return DetectionResult(
-            outlier_ids=outliers.tolist(),
-            distance_evals=distance_evals,
-            extras=extras,
+        return _result(
+            core_ids, counts, candidates.shape[0], params, backend, metric,
+            distance_evals, backend.evals_computed - computed_before,
+            backend.wall_seconds - wall_before,
         )
+
+    @classmethod
+    def run_batch(cls, detectors, partitions, params):
+        """Scan the partitions the kernel can share in one batch.
+
+        A partition the backend scans alone
+        (:meth:`~repro.kernels.Kernel.scans_alone`: a swept one, any on
+        the ``python`` oracle or under another metric) runs through
+        :meth:`run`, as does a lone batchable one.  The rest go to one
+        :meth:`~repro.kernels.Kernel.count_neighbors_batch` call; each
+        keeps its own scan order (its detector's ``seed``), result and
+        span, equal to what :meth:`run` gives it.  Detectors that
+        differ in kernel, chunk or metric run one by one.
+        """
+        first = detectors[0]
+        shared = (first.kernel, first.chunk, first.metric)
+        if any((d.kernel, d.chunk, d.metric) != shared for d in detectors):
+            return super().run_batch(detectors, partitions, params)
+        backend = resolve_kernel(first.kernel, tile=first.chunk)
+        metric = resolve_metric(first.metric)
+        need = params.k + 1
+        batch = []
+        for i, partition in enumerate(partitions):
+            core_points, core_ids, candidates = _pool(*partition)
+            if core_points.shape[0] and not backend.scans_alone(
+                core_points, candidates, params.r, need, metric
+            ):
+                batch.append((i, core_points, core_ids, candidates))
+        if len(batch) < 2:
+            batch = []
+        batched = {i for i, *_ in batch}
+        results = [
+            None if i in batched else detector.run(*partition, params)
+            for i, (detector, partition) in enumerate(
+                zip(detectors, partitions)
+            )
+        ]
+        if not batch:
+            return results
+        spans, scans = [], []
+        for i, core_points, _, candidates in batch:
+            given_core, _, given_support = partitions[i]
+            spans.append(detectors[i]._begin_span(given_core, given_support))
+            order = scan_order(candidates.shape[0], detectors[i].seed)
+            scans.append((core_points, candidates[order]))
+        wall_before = backend.wall_seconds
+        scanned = backend.count_neighbors_batch(
+            scans, params.r, need, metric=metric
+        )
+        # The shared call's wall, shared out by computed evals.
+        wall = (backend.wall_seconds - wall_before) / max(
+            1, sum(computed for _, _, computed in scanned)
+        )
+        for (i, _, core_ids, candidates), span, scan in zip(
+            batch, spans, scanned
+        ):
+            counts, charged, computed = scan
+            results[i] = cls._end_span(span, _result(
+                core_ids, counts, candidates.shape[0], params, backend,
+                metric, charged, computed, wall * computed,
+            ))
+        return results
+
+
+def _pool(core_points, core_ids, support_points):
+    """Validated ``(core_points, core_ids, candidates)``; the candidate
+    pool is core plus support.  Every core point occurs in the pool
+    exactly once and matches itself at distance zero, so inliers need
+    ``k + 1`` matches."""
+    core_points, core_ids, support_points = validate_partition_inputs(
+        core_points, core_ids, support_points
+    )
+    if support_points.shape[0]:
+        return core_points, core_ids, np.vstack([core_points, support_points])
+    return core_points, core_ids, core_points
+
+
+def _result(
+    core_ids, counts, n_candidates, params, backend, metric,
+    distance_evals, computed, wall,
+) -> DetectionResult:
+    extras = {
+        "n_core": core_ids.shape[0],
+        "n_support": n_candidates - core_ids.shape[0],
+        "kernel": backend.name,
+        "kernel_evals_computed": computed,
+        "kernel_wall_seconds": wall,
+    }
+    if not metric.is_euclidean:
+        extras["metric"] = metric.spec()
+    return DetectionResult(
+        outlier_ids=core_ids[counts < params.k + 1].tolist(),
+        distance_evals=distance_evals,
+        extras=extras,
+    )

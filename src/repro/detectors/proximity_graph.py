@@ -30,7 +30,7 @@ import numpy as np
 
 from ..kernels import resolve_kernel
 from ..metrics import resolve_metric
-from ..params import OutlierParams
+from ..params import OutlierParams, check_whole
 from ._scan import random_scan_counts
 from .base import DetectionResult, Detector, validate_partition_inputs
 
@@ -81,6 +81,7 @@ class ProximityGraphDetector(Detector):
             raise ValueError("graph_k must be >= 1")
         if iters < 0:
             raise ValueError("iters must be >= 0")
+        chunk = check_whole(chunk, "chunk")
         if chunk < 1:
             raise ValueError("chunk must be >= 1")
         self.graph_k = graph_k

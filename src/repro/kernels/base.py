@@ -32,7 +32,11 @@ differential suite in ``tests/test_kernel_equivalence.py``):
   would square the sign away).
 * ``need <= 0`` means every query is decided before examining anything:
   zero counts, zero evals.  Empty query or candidate blocks likewise
-  charge nothing.
+  charge nothing.  Points have at least one coordinate (``d >= 1``).
+* :meth:`Kernel.count_neighbors_batch` scans several independent
+  ``(queries, candidates)`` problems under one ``r`` and ``need``; each
+  problem's counts, charged *and* computed evals are its own call's
+  (``tests/test_kernel_batch.py``).
 
 Instances additionally accumulate ``calls`` / ``evals_charged`` /
 ``evals_computed`` / ``wall_seconds`` across calls, which the detectors
@@ -47,6 +51,8 @@ import abc
 import time
 
 import numpy as np
+
+from ..params import check_whole
 
 __all__ = ["Kernel", "scalar_metric_count"]
 
@@ -67,6 +73,7 @@ class Kernel(abc.ABC):
     name: str = "kernel"
 
     def __init__(self, tile: int = 256) -> None:
+        tile = check_whole(tile, "tile")
         if tile < 1:
             raise ValueError("tile must be >= 1")
         self.tile = tile
@@ -96,24 +103,14 @@ class Kernel(abc.ABC):
         reference loop otherwise — under the same counts/charged
         contract.
         """
-        queries = np.ascontiguousarray(queries, dtype=np.float64)
-        candidates = np.ascontiguousarray(candidates, dtype=np.float64)
-        if queries.ndim != 2:
-            raise ValueError("queries must be (n, d)")
-        if candidates.ndim != 2 or (
-            candidates.shape[0] and candidates.shape[1] != queries.shape[1]
-        ):
-            raise ValueError("candidates must be (m, d) with matching d")
-        r = float(r)
-        if not r >= 0:  # NaN fails this too
-            raise ValueError(f"r must be a radius >= 0, got {r}")
-        n_q = queries.shape[0]
-        counts = np.zeros(n_q, dtype=np.int64)
+        queries, candidates = _validated(queries, candidates)
+        r = _radius(r)
+        counts = np.zeros(queries.shape[0], dtype=np.int64)
         self.calls += 1
         # A scalar loop checks "found >= need" before each evaluation, so
         # need <= 0 (or nothing to scan) terminates without charging a
-        # single distance — the partial-block accounting fix of ISSUE 6.
-        if need <= 0 or n_q == 0 or candidates.shape[0] == 0:
+        # single distance.
+        if need <= 0 or queries.shape[0] == 0 or candidates.shape[0] == 0:
             return counts, 0
         start = time.perf_counter()
         if metric is None or metric.is_euclidean:
@@ -128,6 +125,73 @@ class Kernel(abc.ABC):
         self.evals_charged += charged
         self.evals_computed += computed
         return counts, charged
+
+    def count_neighbors_batch(
+        self,
+        problems,
+        r: float,
+        need: int,
+        metric=None,
+    ) -> list[tuple[np.ndarray, int, int]]:
+        """:meth:`count_neighbors` over several independent
+        ``(queries, candidates)`` problems that share ``r``, ``need`` and
+        ``metric``: one ``(counts, charged, computed)`` per problem, each
+        exactly what that problem's own call returns and books (its
+        ``evals_computed`` included).  Each problem counts as one call.
+
+        A problem the backend scans alone (:meth:`scans_alone` — in the
+        base, every one) goes through :meth:`count_neighbors`, and so does
+        a lone one left over; the rest share one :meth:`_count_batch`
+        pass.
+        """
+        problems = [_validated(q, c) for q, c in problems]
+        r = _radius(r)
+        together = [
+            i for i, (queries, candidates) in enumerate(problems)
+            if need > 0 and queries.shape[0] and candidates.shape[0]
+            and not self.scans_alone(queries, candidates, r, need, metric)
+        ]
+        if len(together) < 2:
+            together = []
+        shared = set(together)
+        results: list = [None] * len(problems)
+        for i, (queries, candidates) in enumerate(problems):
+            if i not in shared:
+                before = self.evals_computed
+                counts, charged = self.count_neighbors(
+                    queries, candidates, r, need, metric
+                )
+                results[i] = (counts, charged, self.evals_computed - before)
+        if together:
+            self.calls += len(together)
+            start = time.perf_counter()
+            scanned = self._count_batch(
+                [problems[i] for i in together], r, int(need)
+            )
+            self.wall_seconds += time.perf_counter() - start
+            for i, result in zip(together, scanned):
+                results[i] = result
+                self.evals_charged += result[1]
+                self.evals_computed += result[2]
+        return results
+
+    def scans_alone(
+        self, queries: np.ndarray, candidates: np.ndarray, r: float,
+        need: int, metric=None,
+    ) -> bool:
+        """Whether :meth:`count_neighbors_batch` would scan this problem
+        by its own :meth:`count_neighbors` call rather than in the
+        shared pass.  The base scans every problem alone; a backend that
+        batches some overrides this and :meth:`_count_batch` together."""
+        return True
+
+    def _count_batch(
+        self, problems, r: float, need: int
+    ) -> list[tuple[np.ndarray, int, int]]:
+        """Scan the problems :meth:`scans_alone` declined, in one pass;
+        they are validated, non-empty, ``need >= 1``.  Returns ``(counts,
+        charged, computed)`` per problem."""
+        raise NotImplementedError
 
     @abc.abstractmethod
     def _count(
@@ -162,29 +226,37 @@ class Kernel(abc.ABC):
         if not metric.vectorized:
             return scalar_metric_count(queries, candidates, r, need, metric)
 
-        def match(q: np.ndarray, start: int, stop: int) -> np.ndarray:
+        def match(q: np.ndarray, own, start: int, stop: int) -> np.ndarray:
             return metric.within_block(q, candidates[start:stop], r)
 
-        return self._scan_tiles(queries, candidates.shape[0], need, match)
+        counts, (charged,), (computed,) = self._scan_tiles(
+            queries, candidates.shape[0], need, match
+        )
+        return counts, charged, computed
 
     def _scan_tiles(
         self,
         queries: np.ndarray,
-        n_c: int,
+        n_c,
         need: int,
         match,
         positions: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, int, int]:
+        owner: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, list, list]:
         """The one tiled scan every vectorised path runs through.
 
-        ``match(q, start, stop)`` returns the boolean ``(len(q),
+        Returns ``(counts, charged, computed)``: a count per query row,
+        and charged and computed evals per problem (one problem unless
+        ``owner`` is given).
+
+        ``match(q, own, start, stop)`` returns the boolean ``(len(q),
         stop - start)`` tile of ``d(q[i], candidate[start + j]) <= r`` —
-        all that differs between metrics.  Queries go in blocks of
-        ``ROW_BLOCK`` rows (independent, so blocking is invisible); a
-        block walks tiles whose width doubles from ``~2 x need`` up to
-        the ``tile`` cap and sheds rows as they decide.  A row count
-        says who decided; only those rows pay the prefix sum that
-        recovers their scalar stop position.
+        all that differs between metrics and backends.  Queries go in
+        blocks of ``ROW_BLOCK`` rows (independent, so blocking is
+        invisible); a block walks tiles whose width doubles from ``~2 x
+        need`` up to the ``tile`` cap and sheds rows as they decide.  A
+        row count says who decided; only those rows pay the prefix sum
+        that recovers their scalar stop position.
 
         ``positions`` is the position map of a scan over a subset of the
         ``n_c`` candidates that holds every one that can match: tiles
@@ -192,23 +264,50 @@ class Kernel(abc.ABC):
         ``positions[j]`` of the scan order.  A decided row is charged
         its stop column's position + 1 and an undecided row all ``n_c``
         — the scalar loop's charge over the full order either way.
+
+        ``owner`` stacks several problems: query row ``i`` scans problem
+        ``owner[i]``'s candidates (``owner`` non-decreasing, every
+        problem with a row), and ``n_c`` holds each row's own candidate
+        count.  ``match`` then gets ``own``, the tile's problem as an
+        ``int`` when its live rows all share one, else each live row's
+        problem.  A row leaves when it decides or when its problem's
+        candidates run out, and is booked against its own ``n_c`` only:
+        the columns it was live for, clipped to its ``n_c``.  So every
+        problem's three numbers are the ones its own scan gives it (all
+        rows start their tile schedule at column 0, whatever problem
+        they belong to).
         """
-        span = n_c if positions is None else positions.size
-        counts = np.empty(queries.shape[0], dtype=np.int64)
-        charged = computed = 0
-        for low in range(0, queries.shape[0], ROW_BLOCK):
+        n_q = queries.shape[0]
+        counts = np.empty(n_q, dtype=np.int64)
+        if owner is None:
+            charged = computed = 0
+        else:  # booked per row, summed per problem at the end
+            charged = np.empty(n_q, dtype=np.int64)
+            computed = np.empty(n_q, dtype=np.int64)
+        for low in range(0, n_q, ROW_BLOCK):
             q = queries[low:low + ROW_BLOCK]
             rows = np.arange(low, low + q.shape[0])
             running = np.zeros(q.shape[0], dtype=np.int64)
+            if owner is None:
+                own, limit = 0, None
+                span = n_c if positions is None else positions.size
+            else:
+                own, limit = owner[rows], n_c[rows]
+                span = int(limit.max())
             width = min(self.tile, max(8, 2 * need))
             start = 0
             while start < span and rows.size:
                 stop = min(span, start + width)
                 width = min(self.tile, 2 * width)
-                within = match(q, start, stop)
-                computed += within.size
+                within = match(
+                    q, own if limit is None or own[0] != own[-1] else own[0],
+                    start, stop,
+                )
+                if limit is None:
+                    computed += within.size
                 total = running + within.sum(axis=1)
                 hit = (total >= need).nonzero()[0]
+                keep = None
                 if hit.size:
                     missing = (need - running[hit])[:, None]
                     reached = np.cumsum(within[hit], axis=1) >= missing
@@ -218,15 +317,71 @@ class Kernel(abc.ABC):
                     stop_at = start + reached.argmax(axis=1)
                     if positions is not None:
                         stop_at = positions[stop_at]
-                    charged += int(stop_at.sum()) + hit.size
-                    counts[rows[hit]] = need
+                    decided = rows[hit]
+                    counts[decided] = need
+                    if limit is None:
+                        charged += int(stop_at.sum()) + hit.size
+                    else:
+                        charged[decided] = stop_at + 1
+                        computed[decided] = np.minimum(limit[hit], stop)
                     keep = total < need
+                if limit is not None:
+                    # Rows whose problem has no column past this tile.
+                    spent = limit <= stop
+                    if keep is not None:
+                        spent &= keep
+                    if spent.any():
+                        gone = rows[spent]
+                        counts[gone] = total[spent]
+                        charged[gone] = computed[gone] = limit[spent]
+                        keep = ~spent if keep is None else keep & ~spent
+                if keep is not None:
                     q, rows, total = q[keep], rows[keep], total[keep]
+                    if limit is not None:
+                        own, limit = own[keep], limit[keep]
+                        span = int(limit.max()) if rows.size else 0
                 running = total
                 start = stop
+            # Rows still here scanned every column without deciding
+            # (only ever a single problem's: ``owner`` rows are spent).
             counts[rows] = running
-            charged += rows.size * n_c
-        return counts, charged, computed
+            if limit is None:
+                charged += rows.size * n_c
+        if owner is None:
+            return counts, [charged], [computed]
+        first = np.flatnonzero(np.diff(owner, prepend=-1))
+        return (
+            counts,
+            np.add.reduceat(charged, first).tolist(),
+            np.add.reduceat(computed, first).tolist(),
+        )
+
+
+def _radius(r: float) -> float:
+    r = float(r)
+    if not r >= 0:  # NaN fails this too
+        raise ValueError(f"r must be a radius >= 0, got {r}")
+    return r
+
+
+def _validated(
+    queries: np.ndarray, candidates: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One problem's blocks as C-contiguous float64 ``(n, d)`` /
+    ``(m, d)`` arrays; ``ValueError`` for any other shape."""
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
+    candidates = np.ascontiguousarray(candidates, dtype=np.float64)
+    if queries.ndim != 2:
+        raise ValueError("queries must be (n, d)")
+    if queries.shape[1] == 0:
+        # No coordinate to differ in: every backend would have to call
+        # all pairs neighbours, and the tiled ones cannot even index one.
+        raise ValueError("points need at least one coordinate (d >= 1)")
+    if candidates.ndim != 2 or (
+        candidates.shape[0] and candidates.shape[1] != queries.shape[1]
+    ):
+        raise ValueError("candidates must be (m, d) with matching d")
+    return queries, candidates
 
 
 def scalar_metric_count(

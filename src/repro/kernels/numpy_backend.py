@@ -31,6 +31,15 @@ sized to the call and reshaped (contiguous views) per tile.  A fresh
 ``(rows, tile)`` float64 temporary arrives as page-faulted memory and
 costs several times the arithmetic it holds.
 
+**Several problems.**  ``count_neighbors_batch`` hands the problems
+that do not sweep (below) to one pass (``_scan``): their query rows are
+stacked in problem order and their candidates held in one
+coordinate-major block, padded with ``+inf`` past each problem's own
+``n_c``, so a row never matches a padded column.  A tile whose live rows
+share one problem broadcasts its columns; otherwise each row gathers
+its own.  Rows are booked against their own ``n_c``, so every problem's
+counts, charged and computed evals are its own call's.
+
 **The sweep.**  Lemma 4.1 puts a query's stop position near
 ``need · A(bbox) / A(ball_r)`` of the random-order candidates, so on a
 large sparse call the plain scan computes most of the candidates for
@@ -101,34 +110,82 @@ class NumpyKernel(base.Kernel):
         r: float,
         need: int,
     ) -> tuple[np.ndarray, int, int]:
-        r2 = r * r
-        n_c = candidates.shape[0]
-        columns = np.ascontiguousarray(candidates.T)
-        scratch = np.empty(
-            (2, min(base.ROW_BLOCK, queries.shape[0]) * min(self.tile, n_c))
-        )
-
-        def scan(q: np.ndarray, cols: np.ndarray, positions=None):
-            def match(q: np.ndarray, start: int, stop: int) -> np.ndarray:
-                # Per-coordinate accumulation, in coordinate order: the
-                # same float ops the scalar oracle performs, so d2 is
-                # bitwise identical (no a^2+b^2-2ab expansion, whose
-                # rounding could flip exact boundary distances).
-                rows, width = q.shape[0], stop - start
-                d2, sq = scratch[:, :rows * width].reshape(2, rows, width)
-                np.subtract(q[:, :1], cols[0, start:stop], out=d2)
-                np.square(d2, out=d2)
-                for j in range(1, q.shape[1]):
-                    np.subtract(q[:, j:j + 1], cols[j, start:stop], out=sq)
-                    np.square(sq, out=sq)
-                    np.add(d2, sq, out=d2)
-                return d2 <= r2
-
-            return self._scan_tiles(q, n_c, need, match, positions)
-
         axis = _sweep_axis(queries, candidates, r, need)
         if axis is None:
-            return scan(queries, columns)
+            return self._scan([(queries, candidates)], r, need)[0]
+        return self._sweep(queries, candidates, r, need, axis)
+
+    def scans_alone(self, queries, candidates, r, need, metric=None) -> bool:
+        # Other metrics, and calls the sweep takes, go one at a time.
+        return (
+            metric is not None and not metric.is_euclidean
+        ) or _sweep_axis(queries, candidates, r, need) is not None
+
+    def _count_batch(
+        self, problems, r: float, need: int
+    ) -> list[tuple[np.ndarray, int, int]]:
+        """One tiled pass per dimension among the problems."""
+        results: list = [None] * len(problems)
+        by_dim: dict[int, list[int]] = {}
+        for i, (queries, _) in enumerate(problems):
+            by_dim.setdefault(queries.shape[1], []).append(i)
+        for index in by_dim.values():
+            for i, result in zip(index, self._scan(
+                [problems[i] for i in index], r, need
+            )):
+                results[i] = result
+        return results
+
+    def _scan(
+        self, problems, r: float, need: int
+    ) -> list[tuple[np.ndarray, int, int]]:
+        """One tiled pass over the queries of every problem (one ``d``).
+
+        Candidates are held as one coordinate-major ``(d, P, max n_c)``
+        block, each problem's row padded with ``+inf`` past its ``n_c``:
+        no query is within ``r`` of a padded column, so a tile may run
+        past a row's own candidates without it matching anything there.
+        """
+        sizes = [queries.shape[0] for queries, _ in problems]
+        n_c = np.array([candidates.shape[0] for _, candidates in problems])
+        if len(problems) == 1:
+            ((queries, candidates),) = problems
+            planes = np.ascontiguousarray(candidates.T)[:, None, :]
+            owner, limits = None, int(n_c[0])
+        else:
+            queries = np.concatenate([q for q, _ in problems])
+            owner = np.repeat(np.arange(len(problems)), sizes)
+            limits = n_c[owner]
+            planes = np.full(
+                (queries.shape[1], len(problems), int(n_c.max())), np.inf
+            )
+            for p, (_, candidates) in enumerate(problems):
+                planes[:, p, :candidates.shape[0]] = candidates.T
+        match = _match(planes, r * r, self._scratch(
+            queries.shape[0], int(n_c.max())
+        ))
+        counts, charged, computed = self._scan_tiles(
+            queries, limits, need, match, owner=owner
+        )
+        ends = np.cumsum(sizes).tolist()
+        return [
+            (counts[end - size:end], c, m)
+            for end, size, c, m in zip(ends, sizes, charged, computed)
+        ]
+
+    def _sweep(
+        self,
+        queries: np.ndarray,
+        candidates: np.ndarray,
+        r: float,
+        need: int,
+        axis: int,
+    ) -> tuple[np.ndarray, int, int]:
+        """Strips of queries along ``axis``, each scanning only its
+        ``r``-window of the candidates (module docstring: the sweep)."""
+        n_c = candidates.shape[0]
+        columns = np.ascontiguousarray(candidates.T)
+        scratch = self._scratch(queries.shape[0], n_c)
         order = np.argsort(queries[:, axis], kind="stable")
         x = queries[order, axis]
         by_x = np.argsort(columns[axis], kind="stable")
@@ -144,13 +201,44 @@ class NumpyKernel(base.Kernel):
                 np.searchsorted(cx, x[high - 1] + reach, side="right")
             ])
             rows = order[low:high]
-            strip_counts, strip_charged, strip_computed = scan(
-                queries[rows], columns[:, window], window
+            match = _match(columns[:, window][:, None, :], r * r, scratch)
+            strip_counts, (strip_charged,), (strip_computed,) = (
+                self._scan_tiles(queries[rows], n_c, need, match, window)
             )
             counts[rows] = strip_counts
             charged += strip_charged
             computed += strip_computed
         return counts, charged, computed
+
+    def _scratch(self, n_q: int, n_c: int) -> np.ndarray:
+        """The two flat distance buffers of one call, sized to it."""
+        return np.empty(
+            (2, min(base.ROW_BLOCK, n_q) * min(self.tile, n_c))
+        )
+
+
+def _match(planes: np.ndarray, r2: float, scratch: np.ndarray):
+    """The Euclidean ``match`` of :meth:`~repro.kernels.base.Kernel.
+    _scan_tiles` over coordinate-major candidates ``planes[j, p, c]``
+    (coordinate ``j`` of problem ``p``'s candidate ``c``)."""
+
+    def match(q: np.ndarray, own, start: int, stop: int) -> np.ndarray:
+        # Per-coordinate accumulation, in coordinate order: the same
+        # float ops the scalar oracle performs, so d2 is bitwise
+        # identical (no a^2+b^2-2ab expansion, whose rounding could flip
+        # exact boundary distances).  An ``int`` ``own`` broadcasts one
+        # problem's candidates; an array gathers each row's own.
+        rows, width = q.shape[0], stop - start
+        d2, sq = scratch[:, :rows * width].reshape(2, rows, width)
+        np.subtract(q[:, :1], planes[0, own, start:stop], out=d2)
+        np.square(d2, out=d2)
+        for j in range(1, q.shape[1]):
+            np.subtract(q[:, j:j + 1], planes[j, own, start:stop], out=sq)
+            np.square(sq, out=sq)
+            np.add(d2, sq, out=d2)
+        return d2 <= r2
+
+    return match
 
 
 def _sweep_axis(

@@ -9,7 +9,9 @@ contract:
   (``map_block(records, ctx)`` does the same for a whole input block);
 * the framework shuffles pairs to reducers by ``partitioner(key)``, groups
   by key, and sorts groups by key within each reducer;
-* ``reduce(key, values, ctx)`` yields zero or more output records.
+* ``reduce(key, values, ctx)`` yields zero or more output records
+  (``reduce_block(groups, ctx)`` does the same for a whole reduce
+  task's key groups).
 
 The :class:`TaskContext` carries counters and a *cost units* channel — the
 deterministic work measure used for makespan simulation.
@@ -95,13 +97,26 @@ class Mapper:
 
 
 class Reducer(abc.ABC):
-    """Reduce side of a job."""
+    """Reduce side of a job: :meth:`reduce` per key group, and
+    :meth:`reduce_block` over a whole reduce task's groups — the
+    runtime's only entry, the twin of :meth:`Mapper.map_block`."""
 
     @abc.abstractmethod
     def reduce(
         self, key: Any, values: list, ctx: TaskContext
     ) -> Iterable[Any]:
         """Process one key group; yield output records."""
+
+    def reduce_block(
+        self, groups: dict, ctx: TaskContext
+    ) -> Iterable[Any]:
+        """Process one reduce task's ``{key: values}`` groups; yield
+        output records.  The default is one :meth:`reduce` call per key
+        in sorted key order; a reducer whose keys can share work
+        overrides it (then ``reduce`` is the per-key reference the block
+        path is tested against)."""
+        for key in sorted(groups):
+            yield from self.reduce(key, groups[key], ctx)
 
 
 class Partitioner(abc.ABC):

@@ -303,13 +303,8 @@ class LocalRuntime:
         return list(job.mapper.map_block(block, ctx)), len(block)
 
     def _reduce_attempt(self, job: MapReduceJob, groups, ctx: TaskContext):
-        outputs: List[Any] = []
-        n_in = 0
-        for key in sorted(groups):
-            values = groups[key]
-            n_in += _record_count(values)
-            outputs.extend(job.reducer.reduce(key, values, ctx))
-        return outputs, n_in
+        n_in = sum(_record_count(values) for values in groups.values())
+        return list(job.reducer.reduce_block(groups, ctx)), n_in
 
     # ------------------------------------------------------------------
     def _resolve_blocks(

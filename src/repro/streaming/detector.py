@@ -179,6 +179,10 @@ class StreamingDetector:
         #: shape.  Derived from plan + points + sample, so never persisted.
         self._partition_records: Dict[int, List[RecordBatch]] = {}
         self._outliers_by_pid: Dict[int, Set[int]] = {}
+        #: The union of ``_outliers_by_pid``, kept current by
+        #: :meth:`_detect` (each point is core in one partition, so the
+        #: sets are disjoint); replaced, never mutated.
+        self._outliers: frozenset = frozenset()
         self._batch_index = 0
 
     # ------------------------------------------------------------------
@@ -197,12 +201,9 @@ class StreamingDetector:
         return None if self._cache is None else self._cache.plan
 
     @property
-    def outlier_ids(self) -> Set[int]:
+    def outlier_ids(self) -> frozenset:
         """The exact outlier set of all points ingested so far."""
-        out: Set[int] = set()
-        for ids in self._outliers_by_pid.values():
-            out |= ids
-        return out
+        return self._outliers
 
     def dataset(self, name: str = "stream") -> Dataset:
         """All points seen so far as one :class:`Dataset`."""
@@ -245,7 +246,7 @@ class StreamingDetector:
 
         report.wall_seconds = time.perf_counter() - start
         outliers = self.outlier_ids
-        report.outlier_ids = frozenset(outliers)
+        report.outlier_ids = outliers
         report.new_outliers = frozenset(outliers - previous_outliers)
         report.resolved_outliers = frozenset(previous_outliers - outliers)
         report.trace = span
@@ -262,10 +263,11 @@ class StreamingDetector:
     # ------------------------------------------------------------------
     def _capture(self) -> tuple:
         """The state one batch can change, for :meth:`_rollback`.  The
-        arrays, the cache, the sample and each partition's record list
-        and verdict set are replaced, never mutated in place, so
-        references (and shallow copies of the two maps) are enough; the
-        cache's live histogram and the counters are mutated, so copied."""
+        arrays, the cache, the sample, the outlier set and each
+        partition's record list and verdict set are replaced, never
+        mutated in place, so references (and shallow copies of the two
+        maps) are enough; the cache's live histogram and the counters
+        are mutated, so copied."""
         cache = self._cache
         histogram = None if cache is None else (
             cache.live_counts.copy(), cache.batches_served
@@ -273,14 +275,15 @@ class StreamingDetector:
         return (
             self._ids, self._points, cache, self._sample, self.tier,
             self._batch_index, dict(self._partition_records),
-            dict(self._outliers_by_pid), Counters().merge(self.counters),
-            histogram,
+            dict(self._outliers_by_pid), self._outliers,
+            Counters().merge(self.counters), histogram,
         )
 
     def _rollback(self, before: tuple) -> None:
         (self._ids, self._points, self._cache, self._sample, self.tier,
          self._batch_index, self._partition_records,
-         self._outliers_by_pid, self.counters, histogram) = before
+         self._outliers_by_pid, self._outliers, self.counters,
+         histogram) = before
         if histogram is not None:
             self._cache.live_counts, self._cache.batches_served = histogram
 
@@ -449,6 +452,7 @@ class StreamingDetector:
         )
         self._partition_records = {}
         self._outliers_by_pid = {}
+        self._outliers = frozenset()
         # The stream certifies each batch as it routes it, so it needs
         # the witness sample, not a certification job.
         tier_pass = run_tier_prelude(
@@ -464,15 +468,18 @@ class StreamingDetector:
             self.runtime, "stream", self.config, self._cache.plan,
             self._partition_records, dirty,
         )
-        for pid in dirty:
-            self._outliers_by_pid[pid] = set()
-        if result is None:
-            # An all-pruned batch: nothing to re-check, nothing ran.
-            return []
-        self.counters.merge(result.counters)
-        for pid, outlier_id in result.outputs:
-            self._outliers_by_pid[pid].add(outlier_id)
-        return [result]
+        stale = [self._outliers_by_pid.get(pid, ()) for pid in dirty]
+        fresh: Dict[int, Set[int]] = {pid: set() for pid in dirty}
+        if result is not None:
+            self.counters.merge(result.counters)
+            for pid, outlier_id in result.outputs:
+                fresh[pid].add(outlier_id)
+        self._outliers_by_pid.update(fresh)
+        self._outliers = self._outliers.difference(*stale).union(
+            *fresh.values()
+        )
+        # An all-pruned batch: nothing to re-check, nothing ran.
+        return [] if result is None else [result]
 
     # ------------------------------------------------------------------
     def ingest_points(
@@ -658,6 +665,9 @@ class StreamingDetector:
             int(pid): set(outliers)
             for pid, outliers in payload["outliers_by_pid"].items()
         }
+        detector._outliers = frozenset().union(
+            *detector._outliers_by_pid.values()
+        )
         for group, names in payload.get("counters", {}).items():
             for name, value in names.items():
                 detector.counters.incr(group, name, value)
