@@ -87,8 +87,8 @@ class NestedLoopDetector(Detector):
         """Scan the partitions the kernel can share in one batch.
 
         A partition the backend scans alone
-        (:meth:`~repro.kernels.Kernel.scans_alone`: a swept one, any on
-        the ``python`` oracle or under another metric) runs through
+        (:meth:`~repro.kernels.Kernel.scans_alone`: any on the
+        ``python`` oracle or under another metric) runs through
         :meth:`run`, as does a lone batchable one.  The rest go to one
         :meth:`~repro.kernels.Kernel.count_neighbors_batch` call; each
         keeps its own scan order (its detector's ``seed``), result and

@@ -30,6 +30,8 @@ differential suite in ``tests/test_kernel_equivalence.py``):
   candidate that cannot match (fewer) — neither moves the charge.
 * ``r`` is a radius: negative or NaN is a ``ValueError`` (``r * r``
   would square the sign away).
+* ``need`` is a whole number (``2.0`` is ``2``; ``1.5`` is a
+  ``ValueError``, not a scan for one match).
 * ``need <= 0`` means every query is decided before examining anything:
   zero counts, zero evals.  Empty query or candidate blocks likewise
   charge nothing.  Points have at least one coordinate (``d >= 1``).
@@ -105,6 +107,7 @@ class Kernel(abc.ABC):
         """
         queries, candidates = _validated(queries, candidates)
         r = _radius(r)
+        need = check_whole(need, "need")
         counts = np.zeros(queries.shape[0], dtype=np.int64)
         self.calls += 1
         # A scalar loop checks "found >= need" before each evaluation, so
@@ -115,11 +118,11 @@ class Kernel(abc.ABC):
         start = time.perf_counter()
         if metric is None or metric.is_euclidean:
             counts, charged, computed = self._count(
-                queries, candidates, r, int(need)
+                queries, candidates, r, need
             )
         else:
             counts, charged, computed = self._count_metric(
-                queries, candidates, r, int(need), metric
+                queries, candidates, r, need, metric
             )
         self.wall_seconds += time.perf_counter() - start
         self.evals_charged += charged
@@ -146,6 +149,7 @@ class Kernel(abc.ABC):
         """
         problems = [_validated(q, c) for q, c in problems]
         r = _radius(r)
+        need = check_whole(need, "need")
         together = [
             i for i, (queries, candidates) in enumerate(problems)
             if need > 0 and queries.shape[0] and candidates.shape[0]
@@ -166,7 +170,7 @@ class Kernel(abc.ABC):
             self.calls += len(together)
             start = time.perf_counter()
             scanned = self._count_batch(
-                [problems[i] for i in together], r, int(need)
+                [problems[i] for i in together], r, need
             )
             self.wall_seconds += time.perf_counter() - start
             for i, result in zip(together, scanned):
@@ -240,8 +244,8 @@ class Kernel(abc.ABC):
         n_c,
         need: int,
         match,
-        positions: np.ndarray | None = None,
         owner: np.ndarray | None = None,
+        positions: np.ndarray | None = None,
     ) -> tuple[np.ndarray, list, list]:
         """The one tiled scan every vectorised path runs through.
 
@@ -250,32 +254,38 @@ class Kernel(abc.ABC):
         ``owner`` is given).
 
         ``match(q, own, start, stop)`` returns the boolean ``(len(q),
-        stop - start)`` tile of ``d(q[i], candidate[start + j]) <= r`` —
-        all that differs between metrics and backends.  Queries go in
-        blocks of ``ROW_BLOCK`` rows (independent, so blocking is
-        invisible); a block walks tiles whose width doubles from ``~2 x
-        need`` up to the ``tile`` cap and sheds rows as they decide.  A
-        row count says who decided; only those rows pay the prefix sum
-        that recovers their scalar stop position.
-
-        ``positions`` is the position map of a scan over a subset of the
-        ``n_c`` candidates that holds every one that can match: tiles
-        walk ``len(positions)`` columns, column ``j`` being candidate
-        ``positions[j]`` of the scan order.  A decided row is charged
-        its stop column's position + 1 and an undecided row all ``n_c``
-        — the scalar loop's charge over the full order either way.
+        stop - start)`` tile of ``d(q[i], column start + j) <= r`` — all
+        that differs between metrics and backends.  Queries go in blocks
+        of ``ROW_BLOCK`` rows (independent, so blocking is invisible); a
+        block walks tiles whose width doubles from ``~2 x need`` up to
+        the ``tile`` cap and sheds rows as they decide.  A row count says
+        who decided; only those rows' matches are listed to recover
+        their scalar stop position.
 
         ``owner`` stacks several problems: query row ``i`` scans problem
-        ``owner[i]``'s candidates (``owner`` non-decreasing, every
-        problem with a row), and ``n_c`` holds each row's own candidate
-        count.  ``match`` then gets ``own``, the tile's problem as an
-        ``int`` when its live rows all share one, else each live row's
-        problem.  A row leaves when it decides or when its problem's
-        candidates run out, and is booked against its own ``n_c`` only:
-        the columns it was live for, clipped to its ``n_c``.  So every
-        problem's three numbers are the ones its own scan gives it (all
-        rows start their tile schedule at column 0, whatever problem
-        they belong to).
+        ``owner[i]`` (``owner`` non-decreasing, every problem with a
+        row), and ``n_c`` holds each problem's candidate count.
+        ``match`` then gets ``own``, the tile's problem as an ``int``
+        when its live rows all share one, else each live row's problem.
+
+        ``positions`` (with ``owner`` only) narrows each problem to a
+        window of its scan order that holds every candidate that can
+        match its queries: a ``(P, max_w)`` map whose row ``p`` lists,
+        ascending, the scan positions of problem ``p``'s window, padded
+        with ``n_c[p]`` past its width.  Column ``j`` of problem ``p``
+        is then candidate ``positions[p, j]``; without the map it is
+        candidate ``j`` and the window is all ``n_c[p]``.
+
+        A row leaves when it decides or when its window runs out.  A
+        decided row is charged its stop column's position + 1 and its
+        count pinned at ``need``; an undecided one keeps its exact count
+        and is charged its problem's full ``n_c`` — the scalar loop's
+        charge over the full order either way, since nothing outside the
+        window could have matched.  It is booked as computed the columns
+        it was live for, clipped to its window.  So every problem's
+        three numbers are the ones its own scan gives it (all rows start
+        their tile schedule at column 0, whatever problem they belong
+        to).
         """
         n_q = queries.shape[0]
         counts = np.empty(n_q, dtype=np.int64)
@@ -284,15 +294,18 @@ class Kernel(abc.ABC):
         else:  # booked per row, summed per problem at the end
             charged = np.empty(n_q, dtype=np.int64)
             computed = np.empty(n_q, dtype=np.int64)
+            widths = n_c if positions is None else (
+                positions < n_c[:, None]
+            ).sum(axis=1)
         for low in range(0, n_q, ROW_BLOCK):
             q = queries[low:low + ROW_BLOCK]
             rows = np.arange(low, low + q.shape[0])
             running = np.zeros(q.shape[0], dtype=np.int64)
             if owner is None:
-                own, limit = 0, None
-                span = n_c if positions is None else positions.size
+                own, limit, span = 0, None, n_c
             else:
-                own, limit = owner[rows], n_c[rows]
+                own = owner[rows]
+                limit = widths[own]
                 span = int(limit.max())
             width = min(self.tile, max(8, 2 * need))
             start = 0
@@ -305,35 +318,42 @@ class Kernel(abc.ABC):
                 )
                 if limit is None:
                     computed += within.size
-                total = running + within.sum(axis=1)
+                total = running + within.sum(axis=1, dtype=np.int32)
                 hit = (total >= need).nonzero()[0]
                 keep = None
                 if hit.size:
-                    missing = (need - running[hit])[:, None]
-                    reached = np.cumsum(within[hit], axis=1) >= missing
                     # Scalar stop: the need-th match's position (through
                     # the map) + 1, and the count pinned at ``need`` —
-                    # not the tile's.
-                    stop_at = start + reached.argmax(axis=1)
-                    if positions is not None:
-                        stop_at = positions[stop_at]
+                    # not the tile's.  Each deciding row's matches in
+                    # this tile, laid end to end in row order: its
+                    # (need - running)-th is its stop column.
+                    matched = total[hit] - running[hit]
+                    found = np.flatnonzero(within[hit])[
+                        np.cumsum(matched) - matched + need - running[hit] - 1
+                    ]
+                    stop_at = start + found - np.arange(hit.size) * (
+                        stop - start
+                    )
                     decided = rows[hit]
                     counts[decided] = need
                     if limit is None:
                         charged += int(stop_at.sum()) + hit.size
                     else:
+                        if positions is not None:
+                            stop_at = positions[own[hit], stop_at]
                         charged[decided] = stop_at + 1
                         computed[decided] = np.minimum(limit[hit], stop)
                     keep = total < need
                 if limit is not None:
-                    # Rows whose problem has no column past this tile.
+                    # Rows whose window has no column past this tile.
                     spent = limit <= stop
                     if keep is not None:
                         spent &= keep
                     if spent.any():
                         gone = rows[spent]
                         counts[gone] = total[spent]
-                        charged[gone] = computed[gone] = limit[spent]
+                        charged[gone] = n_c[own[spent]]
+                        computed[gone] = limit[spent]
                         keep = ~spent if keep is None else keep & ~spent
                 if keep is not None:
                     q, rows, total = q[keep], rows[keep], total[keep]
@@ -342,11 +362,14 @@ class Kernel(abc.ABC):
                         span = int(limit.max()) if rows.size else 0
                 running = total
                 start = stop
-            # Rows still here scanned every column without deciding
-            # (only ever a single problem's: ``owner`` rows are spent).
+            # Rows still here scanned every column without deciding: a
+            # single problem's, or stacked rows whose windows are empty.
             counts[rows] = running
             if limit is None:
                 charged += rows.size * n_c
+            else:
+                charged[rows] = n_c[own]
+                computed[rows] = limit
         if owner is None:
             return counts, [charged], [computed]
         first = np.flatnonzero(np.diff(owner, prepend=-1))

@@ -3,10 +3,11 @@
 The scan is :meth:`~repro.kernels.base.Kernel._scan_tiles`, the one
 tiled driver shared with the vectorised-metric path; this backend
 supplies only the Euclidean match tile.  Per tile a row count settles
-which queries reached ``need``, and those alone pay the prefix sum that
-recovers where a scalar loop would have stopped.  Decided queries leave
-the working set — masked early termination at tile granularity, with
-*charged* evals kept scalar-faithful at candidate granularity:
+which queries reached ``need``, and those alone have their matches
+listed to recover where a scalar loop would have stopped.  Decided
+queries leave the working set — masked early termination at tile
+granularity, with *charged* evals kept scalar-faithful at candidate
+granularity:
 
 * a query whose cumulative count reaches ``need`` at tile column ``j`` is
   charged ``j + 1`` evals for that tile (its scalar stop position) and
@@ -22,8 +23,8 @@ Tile widths grow geometrically from ``~2 x need`` up to the ``tile``
 cap: most queries of an early-exit-friendly workload stop within their
 first few dozen candidates, where a fixed wide tile would compute an
 order of magnitude more distances than the scalar loop charges.  Neither
-tile width nor query blocking affects results — the prefix sum
-reconstructs the same scalar stop positions under any split.
+tile width nor query blocking affects results — the stop positions are
+the same scalar ones under any split.
 
 Nothing but the boolean result is allocated per tile: distances
 accumulate through ``out=`` into two flat buffers made once per call,
@@ -31,48 +32,60 @@ sized to the call and reshaped (contiguous views) per tile.  A fresh
 ``(rows, tile)`` float64 temporary arrives as page-faulted memory and
 costs several times the arithmetic it holds.
 
-**Several problems.**  ``count_neighbors_batch`` hands the problems
-that do not sweep (below) to one pass (``_scan``): their query rows are
-stacked in problem order and their candidates held in one
-coordinate-major block, padded with ``+inf`` past each problem's own
-``n_c``, so a row never matches a padded column.  A tile whose live rows
-share one problem broadcasts its columns; otherwise each row gathers
-its own.  Rows are booked against their own ``n_c``, so every problem's
-counts, charged and computed evals are its own call's.
+**Several problems.**  ``count_neighbors_batch`` hands every Euclidean
+problem to the tiled passes of ``_scan``, swept or not: per dimension,
+one pass over the problems scanned whole and one over the cells of the
+swept ones (below).  Each *piece* of a pass — a whole problem or a cell
+— is a run of stacked query rows with its own window of candidates.
+The windows are held in one coordinate-major block, padded with
+``+inf`` past each one's width, so a row never matches a padded column;
+cells and whole problems take separate passes because a cell's window
+is small (the gate sweeps only sparse problems) and a whole problem's is
+all its candidates, which would pad every cell beside it.  A tile whose
+live rows share one piece broadcasts its columns; otherwise each row
+gathers its own.  Rows are booked against their own problem (a position
+map turns a cell's window column back into a scan position), so every
+problem's counts, charged and computed evals are its own call's.
 
 **The sweep.**  Lemma 4.1 puts a query's stop position near
-``need · A(bbox) / A(ball_r)`` of the random-order candidates, so on a
-large sparse call the plain scan computes most of the candidates for
-every query, nearly all of them far away.  A candidate farther than
-``r`` from a query along one axis cannot match it.  So the queries are
-cut into strips along the candidates' widest axis, and each strip scans
-only the candidates whose coordinate on that axis lies within ``reach``
-of the strip — in their given order, through the same tiled driver and
-buffers, with a position map: a decided query is charged its
-``need``-th match's position in the full order + 1, an undecided one all
-``n_c``.  Counts and charged evals are the plain scan's;
-``evals_computed`` (and wall time) fall, below the charge.
+``need · A(D) / A(ball_r)`` of the random-order candidates of the region
+``D`` it scans, so on a large sparse problem the plain scan computes
+most of the candidates for every query, nearly all of them far away.  A
+candidate farther than ``r`` from a query along one axis cannot match
+it.  So the queries are cut into *cells*: bins of a grid
+``CELL_LENGTHS[0] * r`` wide along the candidates' widest axis and
+``CELL_LENGTHS[1] * r`` along the second widest (strips only when
+``d == 1``).  A cell scans only the candidates within ``reach`` of its
+own queries on both axes — in their given order, in the pass it shares
+with the other cells of the batch, with its own position map: a decided
+query is charged its ``need``-th match's position in the full order + 1,
+an undecided one all ``n_c``.  Counts and charged evals are the plain scan's;
+``evals_computed`` (and wall time) fall, below the charge.  A cell is
+not a call: ``Kernel.calls`` counts the problem once.
 
-*Exactness.*  ``reach = r + 2**-40 * (r + M)``, with ``M`` the largest
-coordinate magnitude on the sweep axis in the call.  With unit roundoff
-``u = 2**-53``, computing ``reach`` is off by at most ``2u · reach`` and
-a window bound ``fl(x ± reach)`` by at most ``u (M + reach)``, so a
-candidate left out lies more than ``r + 2**-41 (r + M) >= r (1 + 2**-41)``
-from every query of its strip on that axis.  The kernel's ``fl(q - c)``
+*Exactness*, on each cut axis separately.  ``reach = r + 2**-40 * (r +
+M)``, with ``M`` the largest coordinate magnitude on that axis in the
+problem.  With unit roundoff ``u = 2**-53``, computing ``reach`` is off
+by at most ``2u · reach`` and a window bound ``fl(x ± reach)`` by at
+most ``u (M + reach)``, so a candidate left out of a cell's window lies,
+on some cut axis, more than ``r + 2**-41 (r + M) >= r (1 + 2**-41)``
+from every query of the cell.  The kernel's ``fl(q - c)`` on that axis
 and its square each lose at most a factor ``1 - u``, and adding the
 other axes' non-negative squares never rounds the sum below that term,
 so the computed ``d2 > r² (1 + 2**-41)² (1 - u)³ > fl(r * r)``: the
 candidate could not have matched.  That needs ``r * r`` to be a normal
 float (no underflow, no overflow), which the gate checks, and ``r >= 0``,
-which :meth:`~repro.kernels.base.Kernel.count_neighbors` enforces.
+which :meth:`~repro.kernels.base.Kernel.count_neighbors` enforces.  How
+queries are grouped never matters: a cell's bounds are its own queries'
+extremes, so a grid key that rounds can only split a cell.
 
-*When.*  A window pays only where queries would scan far: a dense call's
-queries stop early, and there a window costs more than it saves.  The
-gate reads only the call's shape — ``n_q``, ``n_c``, ``need``, ``r`` and
-the candidates' bounding box — and sweeps when there are at least
-:data:`SWEEP_MIN_QUERIES` queries and Lemma 4.1's stop position is at
-least :data:`SWEEP_STOP_SHARE` of the candidates.  Like
-``base.ROW_BLOCK`` these and the strip sizes are module constants, not
+*When.*  A window pays only where queries would scan far: a dense
+problem's queries stop early, and there a window costs more than it
+saves.  The gate reads only the problem's shape — ``n_q``, ``n_c``,
+``need``, ``r`` and the candidates' bounding box — and sweeps when there
+are at least :data:`SWEEP_MIN_QUERIES` queries and Lemma 4.1's stop
+position is at least :data:`SWEEP_STOP_SHARE` of the candidates.  Like
+``base.ROW_BLOCK`` these and the cell lengths are module constants, not
 settings (``docs/kernels.md``, "The sweep").
 """
 
@@ -86,16 +99,15 @@ from . import base
 
 __all__ = ["NumpyKernel"]
 
-#: A call sweeps only with at least this many queries (enough to fill
-#: strips) ...
+#: A problem sweeps only with at least this many queries (enough to
+#: fill cells) ...
 SWEEP_MIN_QUERIES = 512
 #: ... and when Lemma 4.1's stop position ``need · A(bbox) / A(ball_r)``
 #: is at least this share of its candidates.
 SWEEP_STOP_SHARE = 0.25
-#: A strip takes the queries within ``STRIP_WIDTH * r`` of its first
-#: along the sweep axis, and at least ``STRIP_MIN_QUERIES`` of them.
-STRIP_WIDTH = 0.5
-STRIP_MIN_QUERIES = 64
+#: A swept problem's cells are bins this many ``r`` wide (positive)
+#: along the candidates' widest axis, then the second widest.
+CELL_LENGTHS = (1.5, 2.0)
 
 
 class NumpyKernel(base.Kernel):
@@ -110,105 +122,111 @@ class NumpyKernel(base.Kernel):
         r: float,
         need: int,
     ) -> tuple[np.ndarray, int, int]:
-        axis = _sweep_axis(queries, candidates, r, need)
-        if axis is None:
-            return self._scan([(queries, candidates)], r, need)[0]
-        return self._sweep(queries, candidates, r, need, axis)
+        return self._count_batch([(queries, candidates)], r, need)[0]
 
     def scans_alone(self, queries, candidates, r, need, metric=None) -> bool:
-        # Other metrics, and calls the sweep takes, go one at a time.
-        return (
-            metric is not None and not metric.is_euclidean
-        ) or _sweep_axis(queries, candidates, r, need) is not None
+        # Other metrics go one at a time; every Euclidean problem shares.
+        return metric is not None and not metric.is_euclidean
 
     def _count_batch(
         self, problems, r: float, need: int
     ) -> list[tuple[np.ndarray, int, int]]:
-        """One tiled pass per dimension among the problems."""
+        """Per dimension, one tiled pass over the problems scanned whole
+        and one over the cells of those that sweep.  A pass pads every
+        window to its widest, and a whole problem's window is all its
+        candidates, where a cell's is a small box of a sparse problem's
+        (module docstring: the sweep)."""
         results: list = [None] * len(problems)
-        by_dim: dict[int, list[int]] = {}
-        for i, (queries, _) in enumerate(problems):
-            by_dim.setdefault(queries.shape[1], []).append(i)
-        for index in by_dim.values():
-            for i, result in zip(index, self._scan(
-                [problems[i] for i in index], r, need
-            )):
+        passes: dict[tuple[int, bool], list] = {}
+        for i, (queries, candidates) in enumerate(problems):
+            columns = np.ascontiguousarray(candidates.T)
+            cells = _cells(queries, columns, r, need)
+            passes.setdefault((queries.shape[1], cells is None), []).append(
+                (i, queries, columns, cells)
+            )
+        for scans in passes.values():
+            for (i, *_), result in zip(scans, self._scan(scans, r, need)):
                 results[i] = result
         return results
 
     def _scan(
-        self, problems, r: float, need: int
+        self, scans, r: float, need: int
     ) -> list[tuple[np.ndarray, int, int]]:
-        """One tiled pass over the queries of every problem (one ``d``).
+        """One tiled pass over ``(i, queries, columns, cells)`` problems
+        of one ``d`` (``columns``: the candidates coordinate-major), all
+        scanned whole or all in their cells (``cells``, module
+        docstring: the sweep).
 
-        Candidates are held as one coordinate-major ``(d, P, max n_c)``
-        block, each problem's row padded with ``+inf`` past its ``n_c``:
-        no query is within ``r`` of a padded column, so a tile may run
-        past a row's own candidates without it matching anything there.
+        Either way each *piece* — a whole problem or a cell — is a run
+        of stacked query rows with its own window of candidates.
+        Windows are held as one coordinate-major ``(d, pieces, max w)``
+        block, padded with ``+inf`` past each one's width: no query is
+        within ``r`` of a padded column, so a tile may run past a row's
+        own window without it matching anything there.
         """
-        sizes = [queries.shape[0] for queries, _ in problems]
-        n_c = np.array([candidates.shape[0] for _, candidates in problems])
-        if len(problems) == 1:
-            ((queries, candidates),) = problems
-            planes = np.ascontiguousarray(candidates.T)[:, None, :]
-            owner, limits = None, int(n_c[0])
-        else:
-            queries = np.concatenate([q for q, _ in problems])
-            owner = np.repeat(np.arange(len(problems)), sizes)
-            limits = n_c[owner]
-            planes = np.full(
-                (queries.shape[1], len(problems), int(n_c.max())), np.inf
+        if len(scans) == 1 and scans[0][3] is None:
+            ((_, queries, columns, _),) = scans
+            match = _match(columns[:, None, :], r * r, self._scratch(
+                queries.shape[0], columns.shape[1]
+            ))
+            counts, charged, computed = self._scan_tiles(
+                queries, columns.shape[1], need, match
             )
-            for p, (_, candidates) in enumerate(problems):
-                planes[:, p, :candidates.shape[0]] = candidates.T
-        match = _match(planes, r * r, self._scratch(
-            queries.shape[0], int(n_c.max())
-        ))
-        counts, charged, computed = self._scan_tiles(
-            queries, limits, need, match, owner=owner
-        )
-        ends = np.cumsum(sizes).tolist()
-        return [
-            (counts[end - size:end], c, m)
-            for end, size, c, m in zip(ends, sizes, charged, computed)
+            return [(counts, charged[0], computed[0])]
+        # Per problem: its query rows in stacked order (``None``: as
+        # given), and its pieces' query counts and windows (``None``:
+        # all of its candidates, in order).
+        parts = [
+            cells or (None, [queries.shape[0]], [None])
+            for _, queries, _, cells in scans
         ]
-
-    def _sweep(
-        self,
-        queries: np.ndarray,
-        candidates: np.ndarray,
-        r: float,
-        need: int,
-        axis: int,
-    ) -> tuple[np.ndarray, int, int]:
-        """Strips of queries along ``axis``, each scanning only its
-        ``r``-window of the candidates (module docstring: the sweep)."""
-        n_c = candidates.shape[0]
-        columns = np.ascontiguousarray(candidates.T)
-        scratch = self._scratch(queries.shape[0], n_c)
-        order = np.argsort(queries[:, axis], kind="stable")
-        x = queries[order, axis]
-        by_x = np.argsort(columns[axis], kind="stable")
-        cx = columns[axis, by_x]
-        scale = max(abs(x[0]), abs(x[-1]), abs(cx[0]), abs(cx[-1]))
-        reach = r + 2.0**-40 * (r + float(scale))
-        counts = np.empty(queries.shape[0], dtype=np.int64)
-        charged = computed = 0
-        for low, high in _strips(x, r):
-            # The strip's window, back in the given (scan) order.
-            window = np.sort(by_x[
-                np.searchsorted(cx, x[low] - reach):
-                np.searchsorted(cx, x[high - 1] + reach, side="right")
-            ])
-            rows = order[low:high]
-            match = _match(columns[:, window][:, None, :], r * r, scratch)
-            strip_counts, (strip_charged,), (strip_computed,) = (
-                self._scan_tiles(queries[rows], n_c, need, match, window)
-            )
-            counts[rows] = strip_counts
-            charged += strip_charged
-            computed += strip_computed
-        return counts, charged, computed
+        owner = np.repeat(
+            np.arange(len(scans)), [len(sizes) for _, sizes, _ in parts]
+        )
+        windows = [window for _, _, part in parts for window in part]
+        n_c = np.array([columns.shape[1] for _, _, columns, _ in scans])
+        width = int(max(
+            n_c[p] if window is None else window.size
+            for p, window in zip(owner, windows)
+        ))
+        planes = np.full((scans[0][2].shape[0], owner.size, width), np.inf)
+        positions = None
+        if scans[0][3] is not None:
+            positions = np.repeat(n_c[owner][:, None], width, axis=1)
+        for at, (p, window) in enumerate(zip(owner.tolist(), windows)):
+            columns = scans[p][2]
+            if window is None:
+                planes[:, at, :n_c[p]] = columns
+            else:
+                planes[:, at, :window.size] = columns[:, window]
+                positions[at, :window.size] = window
+        queries = np.concatenate([
+            queries if rows is None else queries[rows]
+            for (_, queries, _, _), (rows, _, _) in zip(scans, parts)
+        ])
+        sizes = np.concatenate([sizes for _, sizes, _ in parts])
+        match = _match(planes, r * r, self._scratch(queries.shape[0], width))
+        counts, charged, computed = self._scan_tiles(
+            queries, n_c[owner], need, match,
+            owner=np.repeat(np.arange(owner.size), sizes),
+            positions=positions,
+        )
+        # Sums per problem, and counts back in each problem's own order.
+        first = np.flatnonzero(np.diff(owner, prepend=-1))
+        charged = np.add.reduceat(charged, first).tolist()
+        computed = np.add.reduceat(computed, first).tolist()
+        results, low = [], 0
+        for (_, queries, _, _), (rows, _, _), p_charged, p_computed in zip(
+            scans, parts, charged, computed
+        ):
+            high = low + queries.shape[0]
+            p_counts = counts[low:high]
+            if rows is not None:
+                p_counts = np.empty_like(p_counts)
+                p_counts[rows] = counts[low:high]
+            results.append((p_counts, p_charged, p_computed))
+            low = high
+        return results
 
     def _scratch(self, n_q: int, n_c: int) -> np.ndarray:
         """The two flat distance buffers of one call, sized to it."""
@@ -241,18 +259,21 @@ def _match(planes: np.ndarray, r2: float, scratch: np.ndarray):
     return match
 
 
-def _sweep_axis(
-    queries: np.ndarray, candidates: np.ndarray, r: float, need: int
-) -> int | None:
-    """The axis to sweep this call along, or ``None`` for the plain scan
-    (module docstring: the gate, and why the margin needs ``r * r``
-    normal and the coordinates finite)."""
-    n_c, d = candidates.shape
+def _sweep_axes(
+    queries: np.ndarray, columns: np.ndarray, r: float, need: int
+) -> list[tuple[int, float]] | None:
+    """The axes to cut a problem's cells along — the candidates' widest,
+    then second widest — each with ``M``, the largest coordinate
+    magnitude on it; ``None`` for the plain scan (module docstring: the
+    gate, and why the margin needs ``r * r`` normal and the coordinates
+    finite).  ``columns`` holds the candidates coordinate-major."""
+    d, n_c = columns.shape
     if queries.shape[0] < SWEEP_MIN_QUERIES or not (
         np.finfo(np.float64).tiny <= r * r < math.inf
     ):
         return None
-    extent = candidates.max(axis=0) - candidates.min(axis=0)
+    low, high = columns.min(axis=1), columns.max(axis=1)
+    extent = high - low
     if not np.isfinite(extent).all():
         return None
     # need · A(bbox) / A(ball_r) against a share of n_c, with the unit
@@ -262,23 +283,67 @@ def _sweep_axis(
     stop = need * math.prod(e / r for e in extent.tolist()) / unit_ball
     if stop < SWEEP_STOP_SHARE * n_c:
         return None
-    axis = int(extent.argmax())
-    if not np.isfinite(queries[:, axis]).all():
+    axes = []
+    for axis in np.argsort(-extent, kind="stable")[:len(CELL_LENGTHS)]:
+        x = queries[:, axis]
+        ends = [low[axis], high[axis], x.min(), x.max()]
+        if not np.isfinite(ends).all():
+            return None
+        axes.append((int(axis), float(np.abs(ends).max())))
+    return axes
+
+
+def _cells(
+    queries: np.ndarray, columns: np.ndarray, r: float, need: int
+) -> tuple[np.ndarray, list[int], list[np.ndarray]] | None:
+    """A swept problem's cells: ``(rows, sizes, windows)`` — its query
+    rows in cell order, each cell's query count, and each cell's window
+    (ascending, i.e. in scan order); ``None`` if it does not sweep.
+    ``columns`` holds the candidates coordinate-major.
+
+    A cell is the queries of one occupied bin of a grid
+    ``CELL_LENGTHS[i] * r`` wide along the ``i``-th cut axis; its window
+    is the candidates within ``reach`` of the cell's own queries on each
+    cut axis.  Cells are taken strip by strip (one bin along the first
+    axis), each strip's candidates found once.
+    """
+    axes = _sweep_axes(queries, columns, r, need)
+    if axes is None:
         return None
-    return axis
-
-
-def _strips(x: np.ndarray, r: float):
-    """``(low, high)`` runs of the sorted sweep coordinates ``x``: each
-    holds the queries within ``STRIP_WIDTH * r`` of its first and at
-    least ``STRIP_MIN_QUERIES``; a shorter tail joins the last strip."""
-    low, n = 0, x.size
-    while low < n:
-        high = max(
-            int(np.searchsorted(x, x[low] + STRIP_WIDTH * r, side="right")),
-            low + STRIP_MIN_QUERIES,
+    coords = [queries[:, axis] for axis, _ in axes]
+    bins = [
+        np.floor((x - x.min()) / (length * r))
+        for x, length in zip(coords, CELL_LENGTHS)
+    ]
+    # Bin order.  Cells end wherever a bin changes, so a key that
+    # rounds can split a cell but never merge two.
+    key = bins[0]
+    if len(bins) > 1:
+        key = key * (bins[1].max() + 1) + bins[1]
+    rows = np.argsort(key)
+    coords = [x[rows] for x in coords]
+    edges = [np.diff(b[rows]) != 0 for b in bins]
+    cells = np.concatenate(
+        [[0], np.flatnonzero(np.logical_or.reduce(edges)) + 1, [rows.size]]
+    )
+    strips = np.searchsorted(
+        cells, np.concatenate([[0], np.flatnonzero(edges[0]) + 1, [rows.size]])
+    )
+    low = [np.minimum.reduceat(x, cells[:-1]) for x in coords]
+    high = [np.maximum.reduceat(x, cells[:-1]) for x in coords]
+    reach = [r + 2.0**-40 * (r + scale) for _, scale in axes]
+    along = columns[axes[0][0]]
+    windows = []
+    for first, last in zip(strips[:-1].tolist(), strips[1:].tolist()):
+        # The strip's candidates, then each of its cells' among them.
+        near = np.flatnonzero(
+            (along >= low[0][first:last].min() - reach[0])
+            & (along <= high[0][first:last].max() + reach[0])
         )
-        if n - high < STRIP_MIN_QUERIES:
-            high = n
-        yield low, high
-        low = high
+        inside = np.ones((last - first, near.size), dtype=bool)
+        for (axis, _), lo, hi, margin in zip(axes, low, high, reach):
+            cx = columns[axis, near]
+            inside &= cx >= (lo[first:last] - margin)[:, None]
+            inside &= cx <= (hi[first:last] + margin)[:, None]
+        windows.extend(near.compress(cell) for cell in inside)
+    return rows, np.diff(cells).tolist(), windows

@@ -4,9 +4,10 @@
 candidates)`` problems at once.  Its promise is that batching is
 invisible per problem: counts, charged evals *and* computed evals equal
 what that problem's own ``count_neighbors`` returns and books, on every
-backend.  The numpy backend earns that with one tiled pass whose rows
+backend.  The numpy backend earns that with tiled passes whose rows
 scan their own problem's candidates (padded with ``+inf``) and are
-booked against their own ``n_c``; swept problems still go alone.
+booked against their own ``n_c``: one over the problems scanned whole,
+and one over the cells of the swept ones.
 
 One level up, ``_DODReducer.reduce_block`` hands a reduce task's
 Nested-Loop partitions to that entry together; the task's outputs, cost
@@ -135,11 +136,11 @@ class TestBatchDifferential:
     @settings(deadline=None)
     def test_swept_problems_mixed_with_scanned_ones(self, problems, r, need):
         # With the gate open from 8 queries on, the larger problems of a
-        # list sweep alone and the rest share the tiled pass.
+        # list are scanned as cells, in the same call as the rest.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(numpy_backend, "SWEEP_MIN_QUERIES", 8)
             patch.setattr(numpy_backend, "SWEEP_STOP_SHARE", 0.0)
-            patch.setattr(numpy_backend, "STRIP_MIN_QUERIES", 2)
+            patch.setattr(numpy_backend, "CELL_LENGTHS", (0.5, 0.5))
             got = batched("numpy", 16, problems, r, need)
             assert_same(got, one_by_one("numpy", 16, problems, r, need))
 
@@ -365,7 +366,7 @@ class TestWhatGoesAlone:
         )
         assert seen == [2, 4]
 
-    def test_numpy_scans_a_swept_problem_alone(self):
+    def test_numpy_shares_the_pass_with_swept_problems(self):
         rng = np.random.default_rng(2)
         problems = [
             (rng.random((10, 2)) * 20, rng.random((50, 2)) * 20),
@@ -377,14 +378,17 @@ class TestWhatGoesAlone:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(numpy_backend, "SWEEP_MIN_QUERIES", 8)
             patch.setattr(numpy_backend, "SWEEP_STOP_SHARE", 0.0)
+            assert numpy_backend._cells(
+                problems[0][0], problems[0][1].T.copy(), 1.0, 3
+            ) is not None
             got = kernel.count_neighbors_batch(problems, 1.0, 3)
             assert_same(got, one_by_one("numpy", 256, problems, 1.0, 3))
-        assert seen == [10]
+        # The swept problem's cells are not calls of their own.
+        assert seen == []
         assert kernel.calls == 3
-        # One problem left over for the shared pass goes alone as well.
-        seen.clear()
+        # A lone problem left over goes through its own call.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(numpy_backend, "SWEEP_MIN_QUERIES", 8)
             patch.setattr(numpy_backend, "SWEEP_STOP_SHARE", 0.0)
-            kernel.count_neighbors_batch(problems[:2], 1.0, 3)
-        assert seen == [10, 3]
+            kernel.count_neighbors_batch(problems[:1], 1.0, 3)
+        assert seen == [10]

@@ -156,6 +156,27 @@ class TestContractEdges:
                 np.array([[0.0]]), np.array([[0.5]]), r, 1
             )
 
+    @pytest.mark.parametrize("need", [0.5, 1.5, -0.5])
+    def test_fractional_need_rejected(self, kernel, need):
+        # ``int(need)`` used to truncate after the ``need <= 0`` check:
+        # at need = 0.5 numpy scanned for zero matches (counts [0, 0], 2
+        # evals) while the oracle stopped at its first (counts [1, 0],
+        # 3 evals); need = 1.5 silently scanned for one.
+        queries = np.array([[0.0, 0.0], [5.0, 5.0]])
+        candidates = np.array([[0.0, 0.1], [9.0, 9.0]])
+        with pytest.raises(ValueError, match="need must be a whole"):
+            kernel.count_neighbors(queries, candidates, 1.0, need)
+        with pytest.raises(ValueError, match="need must be a whole"):
+            kernel.count_neighbors_batch(
+                [(queries, candidates), (queries, candidates)], 1.0, need
+            )
+        assert kernel.calls == 0
+
+    def test_whole_float_need_is_the_integer(self, kernel):
+        counts, evals = kernel.count_neighbors(Q, C, 1.0, 2.0)
+        expected = make_kernel(kernel.name).count_neighbors(Q, C, 1.0, 2)
+        assert (counts.tolist(), evals) == (expected[0].tolist(), expected[1])
+
 
 class TestAccounting:
     def test_inputs_stay_off_the_sweep(self):
