@@ -1,6 +1,6 @@
 """Geometric substrate: hyper-rectangles and uniform grids."""
 
-from .grid import UniformGrid, balanced_factorization
+from .grid import CellIndex, UniformGrid, balanced_factorization
 from .rect import Rect
 
-__all__ = ["Rect", "UniformGrid", "balanced_factorization"]
+__all__ = ["CellIndex", "Rect", "UniformGrid", "balanced_factorization"]

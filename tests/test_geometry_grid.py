@@ -102,15 +102,6 @@ class TestGeometry:
         for p in rng.uniform((0, 0), (10, 20), size=(100, 2)):
             assert g.cell_rect(g.cell_of(p)).contains(p)
 
-    def test_neighborhood_clipped(self):
-        g = UniformGrid(DOMAIN, (3, 3))
-        cells = set(g.neighborhood((0, 0), 1))
-        assert cells == {(0, 0), (0, 1), (1, 0), (1, 1)}
-
-    def test_neighborhood_interior(self):
-        g = UniformGrid(DOMAIN, (5, 5))
-        assert len(list(g.neighborhood((2, 2), 1))) == 9
-
     def test_with_cells(self):
         g = UniformGrid.with_cells(DOMAIN, 30)
         assert g.n_cells >= 30
