@@ -23,7 +23,7 @@ import numpy as np
 
 from ..kernels import resolve_kernel
 
-__all__ = ["random_scan_counts", "scan_order"]
+__all__ = ["random_scan_counts", "scan_order", "window_counts"]
 
 
 def random_scan_counts(
@@ -67,3 +67,33 @@ def scan_order(n_candidates: int, seed: int) -> np.ndarray:
     """The random scan order of ``n_candidates`` candidates under
     ``seed`` — what :func:`random_scan_counts` permutes them by."""
     return np.random.default_rng(seed).permutation(n_candidates)
+
+
+def window_counts(
+    backend, queries, members, pool, rows, windows, r, need, metric=None
+) -> tuple[np.ndarray, int]:
+    """Neighbor counts of stacked ``queries`` and the evals charged:
+    problem ``p`` is the next ``members[p]`` queries against the next
+    ``windows[p]`` of ``pool[rows]``, with ``need[p]`` (or one ``need``).
+
+    A batched pass pads every window to its widest, so problems share a
+    ``count_neighbors_batch`` call only with a like ``need`` and a window
+    size within the same power of two: none pads past twice its width.
+    """
+    classes = np.stack(
+        [np.broadcast_to(need, windows.shape), np.frexp(windows)[1]], axis=1
+    )
+    keys, call = np.unique(classes, axis=0, return_inverse=True)
+    counts = np.zeros(queries.shape[0], dtype=np.int64)
+    distance_evals = 0
+    for at, (value, _) in enumerate(keys.tolist()):
+        problem = call.ravel() == at
+        mine = np.repeat(problem, members)
+        results = backend.count_neighbors_batch(list(zip(
+            np.split(queries[mine], np.cumsum(members[problem])[:-1]),
+            np.split(pool[rows[np.repeat(problem, windows)]],
+                     np.cumsum(windows[problem])[:-1]),
+        )), r, value, metric=metric)
+        counts[mine] = np.concatenate([found for found, _, _ in results])
+        distance_evals += sum(charged for _, charged, _ in results)
+    return counts, distance_evals
