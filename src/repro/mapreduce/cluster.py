@@ -20,6 +20,8 @@ import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..params import check_whole
+
 __all__ = ["ClusterConfig", "makespan"]
 
 
@@ -30,7 +32,7 @@ def makespan(task_costs: Sequence[float], slots: int) -> float:
     degenerates to ``max(task_costs)``, the paper's cost of a partition plan
     (Def. 3.5 discussion).
     """
-    if slots < 1:
+    if check_whole(slots, "slots") < 1:
         raise ValueError("need at least one slot")
     costs = sorted((float(c) for c in task_costs), reverse=True)
     if not costs:
@@ -58,6 +60,13 @@ class ClusterConfig:
     hdfs_block_records: int = 8192
 
     def __post_init__(self) -> None:
+        for name in (
+            "nodes", "map_slots_per_node", "reduce_slots_per_node",
+            "hdfs_block_records",
+        ):
+            object.__setattr__(
+                self, name, check_whole(getattr(self, name), name)
+            )
         if self.nodes < 1:
             raise ValueError("need at least one node")
         if self.map_slots_per_node < 1 or self.reduce_slots_per_node < 1:

@@ -23,6 +23,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
+from ..params import check_whole
 from .counters import Counters
 
 __all__ = [
@@ -163,5 +164,6 @@ class MapReduceJob:
     partitioner: Partitioner = field(default_factory=HashPartitioner)
 
     def __post_init__(self) -> None:
+        self.n_reducers = check_whole(self.n_reducers, "n_reducers")
         if self.n_reducers < 1:
             raise ValueError("a job needs at least one reducer")

@@ -37,9 +37,14 @@ counters and the task's span.
 :mod:`repro.mapreduce.shm`): a job's context and each phase's payloads
 are written into segments once and tasks ship descriptors, so a retry
 or a speculative duplicate resubmits a ~200-byte envelope instead of
-re-pickling the partition.  Per-job dispatch cost lands in
-``JobResult.transport``, the ``transport`` counter group, and the task
-spans.
+re-pickling the partition.  The shuffle stays there too: each map
+dispatch carries the name of a fresh spill segment, a worker writes its
+task's output batches into it and returns row ranges, and on commit the
+driver maps the spill and hands the job loop batch views of it, which
+the reduce payloads then reference instead of copying.  Per-job
+dispatch cost lands in ``JobResult.transport``, the ``transport``
+counter group, and the task spans (``dispatch_bytes``; map tasks also
+``spill_bytes``).
 """
 
 from __future__ import annotations
@@ -58,10 +63,17 @@ from multiprocessing.connection import wait as wait_readable
 from typing import Any, Dict, List, Sequence
 
 from ..observability.tracing import Span
+from ..params import check_whole
 from .job import MapReduceJob
 from .runtime import JobResult, LocalRuntime
 from .scheduler import SPECULATIVE_ATTEMPT_BASE
-from .shm import ShmTransport, install_exit_cleanup, open_envelope
+from .shm import (
+    ShmTransport,
+    Spill,
+    install_exit_cleanup,
+    open_envelope,
+    write_spill,
+)
 
 __all__ = ["ParallelRuntime", "make_runtime"]
 
@@ -121,7 +133,9 @@ class _PoolBox:
         return self.pool.submit(fn, arg)
 
     def respawn(self) -> None:
-        self.pool.shutdown(wait=False, cancel_futures=True)
+        # Waits for the broken pool's survivors to be terminated, so none
+        # of them writes a spill after its job has released the names.
+        self.pool.shutdown(wait=True, cancel_futures=True)
         self.pool = ProcessPoolExecutor(
             max_workers=self.workers, initializer=_exit_with_driver
         )
@@ -133,24 +147,33 @@ class _PoolBox:
 def _run_task(args):
     """Worker entry: open the envelope and run its task's attempt loop.
 
+    A map task's committed output goes into the spill the driver named
+    for this dispatch, and a :class:`Spill` of row ranges rides back in
+    its place — unless it is not all batches, then it returns in-band.
     The task span rides back with the result — spans are plain dataclass
     trees of builtins and use epoch timestamps, so they pickle cleanly
     and stay comparable with spans built in the parent process.
     """
-    envelope, phase, speculative, attempt_base = args
+    envelope, phase, speculative, attempt_base, spill = args
     runtime, job, task_id, payload = open_envelope(envelope)
-    return runtime._run_task(
+    result = runtime._run_task(
         phase, job, task_id, payload, speculative, attempt_base
     )
+    if spill is None:
+        return result
+    spilled = write_spill(spill, result[1])
+    result[-1].annotate(spill_bytes=spilled.nbytes if spilled else 0)
+    return result if spilled is None else (result[0], spilled, *result[2:])
 
 
 class _Dispatch:
     """One phase's in-flight state: which attempts are out, which tasks
     have committed, and what it has cost to get there."""
 
-    def __init__(self, pool: _PoolBox, phase: str, envelopes, counters,
-                 phase_span: Span) -> None:
+    def __init__(self, pool: _PoolBox, transport: ShmTransport, phase: str,
+                 envelopes, counters, phase_span: Span) -> None:
         self.pool = pool
+        self.transport = transport
         self.phase = phase
         self.envelopes = envelopes    # task_id -> ShmEnvelope
         self.counters = counters
@@ -171,11 +194,14 @@ class _Dispatch:
         (the completion loop then respawns it and re-dispatches everything
         uncommitted, this task included).  A duplicate reuses the encoded
         envelope — a descriptor, not a re-pickled partition — and is
-        timed from its primary's submission."""
+        timed from its primary's submission.  Each map dispatch gets a
+        spill name of its own, tracked before the worker can see it."""
+        spill = self.transport.spill_name() if self.phase == "map" else None
         try:
             fut = self.pool.submit(
                 _run_task,
-                (self.envelopes[tid], self.phase, speculative, attempt_base),
+                (self.envelopes[tid], self.phase, speculative, attempt_base,
+                 spill),
             )
         except BrokenProcessPool:
             return False
@@ -209,6 +235,7 @@ class ParallelRuntime(LocalRuntime):
         transport: str = "shm",
     ) -> None:
         super().__init__(cluster, failure_injector, tracer, scheduler)
+        workers = check_whole(workers, "workers")
         if workers < 1:
             raise ValueError("workers must be >= 1")
         # Shared memory is the only transport.  The keyword survives
@@ -330,7 +357,9 @@ class ParallelRuntime(LocalRuntime):
         envelopes, dispatch_bytes = transport.encode_tasks(
             dict(enumerate(payloads))
         )
-        state = _Dispatch(self._pool, phase, envelopes, counters, phase_span)
+        state = _Dispatch(
+            self._pool, transport, phase, envelopes, counters, phase_span
+        )
         live, committed, failed = state.live, state.committed, state.failed
         try:
             for tid in envelopes:
@@ -368,6 +397,8 @@ class ParallelRuntime(LocalRuntime):
                         # task has failed (checked below).
                         failed.setdefault(tid, exc)
                         continue
+                    if isinstance(out[1], Spill):
+                        out = (out[0], transport.open_spill(out[1]), *out[2:])
                     committed[tid] = self._committed(phase, out)
                     state.durations.append(
                         time.perf_counter() - state.submit_time[tid]
@@ -386,9 +417,10 @@ class ParallelRuntime(LocalRuntime):
         finally:
             # Drain: what is still queued is cancelled, what is running —
             # a speculation loser, the siblings of a task that ran out of
-            # attempts — is waited for, so no task of this job runs once
-            # ``run`` has released its arena, and the next job on this
-            # pool does not queue behind this one's stragglers.
+            # attempts — is waited for, so no task of this job runs (or
+            # writes a spill) once ``run`` has released its arena, and the
+            # next job on this pool does not queue behind this one's
+            # stragglers.
             for fut in live:
                 fut.cancel()
             wait(live)

@@ -28,6 +28,7 @@ from itertools import chain
 from typing import Any, Dict, Iterable, List, Sequence
 
 from ..observability.tracing import Span, Tracer
+from ..params import check_whole
 from .batch import RecordBatch
 from .cluster import ClusterConfig
 from .counters import Counters
@@ -312,7 +313,7 @@ class LocalRuntime:
     ) -> List[Sequence]:
         size = (
             self.cluster.hdfs_block_records if block_records is None
-            else block_records
+            else check_whole(block_records, "block_records")
         )
         if size < 1:
             raise ValueError("block size must be at least one record")

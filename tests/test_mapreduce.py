@@ -108,6 +108,38 @@ class TestClusterConfig:
             ClusterConfig(hdfs_block_records=size)
 
 
+class TestWholeCounts:
+    """A count of the runtime layer is refused where it is given when it
+    is fractional, not by a ``TypeError`` inside a later run."""
+
+    @pytest.mark.parametrize("workers", [2.5, "2"])
+    def test_parallel_runtime_workers(self, workers):
+        with pytest.raises(ValueError, match="workers must be a whole"):
+            ParallelRuntime(ClusterConfig(nodes=2), workers=workers)
+
+    @pytest.mark.parametrize("field", [
+        "nodes", "map_slots_per_node", "reduce_slots_per_node",
+        "hdfs_block_records",
+    ])
+    def test_cluster_config(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be a whole"):
+            ClusterConfig(**{field: 1.5})
+        assert type(getattr(ClusterConfig(**{field: 2.0}), field)) is int
+
+    def test_run_block_records(self):
+        rt = LocalRuntime(ClusterConfig(nodes=2))
+        with pytest.raises(ValueError, match="block_records must be a whole"):
+            rt.run(wordcount_job(), ["a a", "b"], block_records=2.5)
+
+    def test_makespan_slots(self):
+        with pytest.raises(ValueError, match="slots must be a whole"):
+            makespan([1.0, 2.0, 3.0], 1.5)
+
+    def test_job_n_reducers(self):
+        with pytest.raises(ValueError, match="n_reducers must be a whole"):
+            wordcount_job(n_reducers=1.5)
+
+
 class TestRuntime:
     def test_wordcount(self):
         rt = LocalRuntime(ClusterConfig(nodes=2))

@@ -13,7 +13,12 @@ Two layers:
   runtime and through the ``ParallelRuntime`` pool must agree
   on outlier sets, every counter group (minus ``transport``, which only
   exists across a process boundary), and ``distance_evals`` — across
-  worker counts and with speculation enabled.
+  worker counts and with speculation enabled;
+* **spills** — map output stays in the workers' spill segments: the
+  reduce payloads the driver writes do not grow with the shuffle, and
+  every job built on the supporting-area framework (the extensions and
+  the Domain baseline included), a map task that emits nothing and the
+  sampling job's in-band output all keep the serial runtime's books.
 """
 
 import gc
@@ -24,23 +29,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Dataset, OutlierParams, detect_outliers
+from repro.core.framework import _support_job
 from repro.mapreduce import (
     ClusterConfig,
     Counters,
     LocalRuntime,
+    MapReduceJob,
+    Mapper,
     ParallelRuntime,
     RecordBatch,
+    Reducer,
     SchedulerConfig,
 )
 from repro.mapreduce import shm
 from repro.mapreduce.shm import (
     ShmArena,
     ShmEnvelope,
+    ShmTransport,
     close_attachments,
     live_segments,
     open_envelope,
     resolve_ref,
 )
+from repro.observability import Tracer
+from repro.partitioning.grid_strategies import _grid_plan
+from repro.sampling.minibuckets import collect_minibucket_stats
 
 CLUSTER_KW = dict(nodes=2, hdfs_block_records=64)
 
@@ -201,6 +214,55 @@ class TestGroupsCodec:
         assert live_segments() == frozenset()
 
 
+class TestSpillCodec:
+    """A map task's output through its spill: written by the worker,
+    mapped by the driver, referenced from a reduce payload and rebuilt
+    by the reducer's worker."""
+
+    @given(st.integers(0, 3).flatmap(
+        lambda d: st.lists(batches(ndim=d), min_size=1, max_size=4)
+    ), st.booleans())
+    def test_roundtrip(self, parts, keyed):
+        tagged = parts[0].tags is not None
+        parts = [
+            RecordBatch(
+                b.ids, b.points,
+                (np.zeros(len(b)) if b.tags is None else b.tags)
+                if tagged else None,
+                np.arange(len(b)) if keyed else None,
+            )
+            for b in parts
+        ]
+        pairs = [(key * 7, batch) for key, batch in enumerate(parts)]
+        arena = ShmArena("test")
+        try:
+            spill = shm.write_spill(arena.spill_name(), pairs)
+            assert [g[0] for g in spill.groups] == [k for k, _ in pairs]
+            views = arena.open_spill(spill)
+            for (_, got), (_, want) in zip(views, pairs):
+                assert_same_batch(got, want)
+            payload = {key: [batch] for key, batch in views}
+            ref = arena.pack({0: payload})[0]
+            assert ref.buffers == 0  # references, not columns
+            assert_same_groups(
+                resolve_ref(ref), {key: [b] for key, b in pairs}
+            )
+        finally:
+            arena.release()
+        assert live_segments() == frozenset()
+
+    def test_mixed_layouts_stay_in_band(self):
+        one = RecordBatch([0], [[1.0, 2.0]])
+        assert shm.write_spill("unused", []) is None
+        assert shm.write_spill("unused", [(0, 1), (1, 2)]) is None
+        assert shm.write_spill(
+            "unused", [(0, one), (1, RecordBatch([1], [[1.0]]))]
+        ) is None
+        assert shm.write_spill(
+            "unused", [(0, one), (1, RecordBatch([1], [[1.0, 2.0]], [1]))]
+        ) is None
+
+
 # ----------------------------------------------------------------------
 # Eviction: what a worker that outlives its job still maps
 # ----------------------------------------------------------------------
@@ -332,3 +394,206 @@ class TestPipelineEquivalence:
         c = ClusterConfig(**CLUSTER_KW)
         with ParallelRuntime(c, workers=2) as rt:
             assert _detect(data, rt, c) == serial
+
+
+# ----------------------------------------------------------------------
+# Spills: the shuffle stays in shared memory
+# ----------------------------------------------------------------------
+class KeyedBlockMapper(Mapper):
+    """One batch per key of a block: row ``i`` goes to key ``i % keys``."""
+
+    def __init__(self, keys):
+        self.keys = keys
+
+    def map_block(self, records, ctx):
+        return RecordBatch(
+            records.ids, records.points, keys=records.ids % self.keys
+        ).group_by_key()
+
+
+class RowTotals(Reducer):
+    def reduce(self, key, values, ctx):
+        yield key, sum(len(b) for b in values), float(
+            sum(b.points.sum() for b in values)
+        )
+
+
+def _books(result):
+    """What a job's run must not owe to the runtime that ran it."""
+    counters = result.counters.as_dict()
+    counters.pop("transport", None)
+    return (
+        result.outputs, counters, result.shuffle_records,
+        result.shuffle_bytes,
+        [task.cost_units for task in result.map_tasks + result.reduce_tasks],
+    )
+
+
+def _run_both(job, records, block_records=64):
+    cluster = ClusterConfig(nodes=2)
+    serial = LocalRuntime(cluster).run(job, records, block_records)
+    with ParallelRuntime(cluster, workers=2) as rt:
+        pooled = rt.run(job, records, block_records)
+    return serial, pooled
+
+
+def _map_spans(result):
+    (map_phase, _reduce_phase) = result.trace.children
+    return map_phase.children
+
+
+class TestSpills:
+    def _reduce_segment_bytes(self, monkeypatch, rows_per_key):
+        """Bytes of the segment the driver writes for the reduce phase."""
+        written = []
+        encode = ShmTransport.encode_tasks
+
+        def measured(self, payloads):
+            before = self.arena.segment_bytes
+            out = encode(self, payloads)
+            written.append(self.arena.segment_bytes - before)
+            return out
+
+        monkeypatch.setattr(ShmTransport, "encode_tasks", measured)
+        n = 8 * 4 * rows_per_key
+        batch = RecordBatch(
+            np.arange(n), np.random.default_rng(0).uniform(size=(n, 3))
+        )
+        job = MapReduceJob(
+            "keyed", KeyedBlockMapper(8), RowTotals(), n_reducers=2
+        )
+        with ParallelRuntime(ClusterConfig(nodes=2), workers=2) as rt:
+            result = rt.run(job, batch, block_records=n // 4)
+        assert sorted(key for key, _, _ in result.outputs) == list(range(8))
+        assert result.shuffle_records == n
+        _map_bytes, reduce_bytes = written
+        return reduce_bytes
+
+    def test_reduce_payloads_do_not_grow_with_the_shuffle(self, monkeypatch):
+        """Doubling the rows of every key doubles the shuffle, not what
+        the driver writes for the reducers: they read the spills."""
+        small = self._reduce_segment_bytes(monkeypatch, 40)
+        large = self._reduce_segment_bytes(monkeypatch, 80)
+        # 32 batches, each a (spill, start, stop) reference: only the
+        # pickled width of a row offset may grow, a byte per offset.
+        assert small <= large <= small + 2 * 32 + shm._ALIGN
+        assert small < 8 * 4 * 40 * 8  # less than the ids column alone
+
+    def test_map_tasks_spill_and_report_it(self):
+        job = MapReduceJob(
+            "keyed", KeyedBlockMapper(5), RowTotals(), n_reducers=3
+        )
+        records = RecordBatch(
+            np.arange(300), np.random.default_rng(1).uniform(size=(300, 2))
+        )
+        serial, pooled = _run_both(job, records)
+        assert _books(pooled) == _books(serial)
+        spilled = [span.attrs["spill_bytes"] for span in _map_spans(pooled)]
+        assert len(spilled) == 5 and all(
+            n >= span.attrs["shuffle_bytes"]
+            for n, span in zip(spilled, _map_spans(pooled))
+        )
+        # context, map payloads, reduce payloads and one spill per task
+        assert pooled.transport["segments"] == 3 + 5
+        assert pooled.transport["segment_bytes"] > sum(spilled)
+        assert pooled.counters.get("transport", "segments") == 3 + 5
+
+    def test_extension_jobs_match_serial(self):
+        from repro.clustering.dbscan import _LocalDBSCANReducer
+        from repro.knn.outliers import _RefineReducer
+        from repro.loci.loci import LOCIParams, _LOCIReducer
+
+        rng = np.random.default_rng(7)
+        data = Dataset.from_points(np.vstack([
+            rng.normal((10.0, 10.0), 1.0, size=(300, 2)),
+            rng.normal((30.0, 30.0), 1.0, size=(300, 2)),
+            rng.uniform(0, 40, size=(25, 2)),
+        ]))
+        plan = _grid_plan(data.bounds, 6, "ext-grid")
+        loci = LOCIParams(radii=(2.0, 4.0))
+        radii = np.array([
+            2.5 if p.pid % 2 else -np.inf for p in plan.partitions
+        ])
+        jobs = [
+            _support_job("dbscan", plan, 2.0, _LocalDBSCANReducer(2.0, 4), 3),
+            _support_job(
+                "knn-refine", plan, radii, _RefineReducer(4), 3,
+                certified_ids=data.ids[::3].tolist(),
+            ),
+            _support_job(
+                "loci", plan, loci.support_radius, _LOCIReducer(loci), 3
+            ),
+        ]
+        for job in jobs:
+            serial, pooled = _run_both(job, data.batch())
+            assert serial.outputs, job.name
+            assert _books(pooled) == _books(serial), job.name
+
+    def test_domain_baseline_matches_serial(self):
+        data = _dataset(seed=4, n=300)
+        books = []
+        for runtime in (LocalRuntime, ParallelRuntime):
+            cluster = ClusterConfig(**CLUSTER_KW)
+            with runtime(cluster) as rt:
+                result = detect_outliers(
+                    data, OutlierParams(r=2.0, k=3), strategy="Domain",
+                    n_partitions=4, n_reducers=2, cluster=cluster,
+                    runtime=rt, seed=3,
+                )
+            books.append((
+                result.outlier_ids,
+                [_books(job)[1:] for job in result.run.jobs],
+            ))
+        assert len(books[0][1]) == 2  # detection + confirmation
+        assert books[1] == books[0]
+
+    def test_a_map_task_that_emits_nothing(self):
+        """The fast tier drops a block that is all certified inliers far
+        from every residue point: that map task has no output to spill."""
+        rng = np.random.default_rng(2)
+        data = Dataset.from_points(np.vstack([
+            rng.normal((5.0, 5.0), 0.3, size=(64, 2)),
+            rng.uniform(20, 60, size=(200, 2)),
+        ]))
+        runs = []
+        for runtime in (LocalRuntime, ParallelRuntime):
+            cluster = ClusterConfig(**CLUSTER_KW)
+            tracer = Tracer()
+            with runtime(cluster) as rt:
+                result = detect_outliers(
+                    data, OutlierParams(r=2.0, k=3), strategy="DMT",
+                    n_partitions=4, n_reducers=2, cluster=cluster,
+                    runtime=rt, tier="fast", sample_rate=0.5, seed=3,
+                    tracer=tracer,
+                )
+            runs.append((result.outlier_ids, _counters(result), tracer))
+        assert runs[1][:2] == runs[0][:2]
+        (detect,) = [
+            job for job in runs[1][2].job_spans()
+            if job.name.startswith("job:dod-detect")
+        ]
+        first, *rest = detect.children[0].children
+        assert first.attrs["output_records"] == 0
+        assert first.attrs["spill_bytes"] == 0
+        assert all(span.attrs["spill_bytes"] > 0 for span in rest)
+
+    def test_sampling_output_stays_in_band(self):
+        """``(bucket, count)`` pairs are not batches: nothing spills."""
+        data = _dataset(seed=8, n=500)
+        domain = data.bounds
+        cluster = ClusterConfig(nodes=2, hdfs_block_records=100)
+        serial = collect_minibucket_stats(
+            LocalRuntime(cluster), data.batch(), domain, rate=0.5
+        )
+        tracer = Tracer()
+        with ParallelRuntime(cluster, workers=2, tracer=tracer) as rt:
+            pooled = collect_minibucket_stats(
+                rt, data.batch(), domain, rate=0.5
+            )
+            assert rt.transport_totals["segments"] == 3
+        assert np.array_equal(pooled.counts, serial.counts)
+        assert pooled.sampled_points == serial.sampled_points
+        (job,) = tracer.job_spans()
+        assert [s.attrs["spill_bytes"] for s in job.children[0].children] == [
+            0
+        ] * 5
