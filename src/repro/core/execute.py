@@ -196,7 +196,7 @@ class _DODReducer(Reducer):
     partition's verdicts when merging job output.  A reduce task hands
     all of its partitions to the detectors at once
     (:meth:`reduce_block`), so detectors of one tactic can scan them in
-    one kernel batch; :meth:`reduce` is the one-partition reference.
+    one kernel batch; :meth:`reduce` is its block of one key.
     """
 
     def __init__(
@@ -205,18 +205,8 @@ class _DODReducer(Reducer):
         self.cfg = cfg
         self.algorithm_plan = algorithm_plan
 
-    @staticmethod
-    def _count(ctx: TaskContext, algorithm: str) -> None:
-        ctx.counters.incr("dod", f"algorithm_{algorithm}")
-        ctx.counters.incr("dod", "partitions_processed")
-
     def reduce(self, key, values, ctx: TaskContext):
-        for _, *inputs in _split_task({key: values}):
-            algorithm = self.algorithm_plan.get(key) or self.cfg.detector
-            self._count(ctx, algorithm)
-            result = _detect_partition(ctx, self.cfg, algorithm, key, *inputs)
-            for outlier_id in result.outlier_ids:
-                yield key, outlier_id
+        return self.reduce_block({key: values}, ctx)
 
     def reduce_block(self, groups, ctx: TaskContext):
         keys, algorithms, detectors, inputs = [], [], [], []
@@ -230,11 +220,12 @@ class _DODReducer(Reducer):
             ))
             inputs.append(partition)
         results = run_partitions(detectors, inputs, self.cfg.params)
-        # Charged in pid order, as the per-key path charges them: the
+        # Charged in pid order, as one block per key charges them: the
         # same counters in the same order, and the task's cost units the
         # same float sum.
         for key, algorithm, result in zip(keys, algorithms, results):
-            self._count(ctx, algorithm)
+            ctx.counters.incr("dod", f"algorithm_{algorithm}")
+            ctx.counters.incr("dod", "partitions_processed")
             _charge_detection(ctx, key, result)
             for outlier_id in result.outlier_ids:
                 yield key, outlier_id

@@ -50,13 +50,8 @@ def random_scan_counts(
     aggregate), or ``None`` for the resolved default.  ``chunk`` is the
     tile width for batched backends constructed here.
     """
-    queries = np.asarray(queries, dtype=float)
     candidates = np.asarray(candidates, dtype=float)
-    n_q = queries.shape[0]
-    if n_q == 0 or candidates.shape[0] == 0 or need <= 0:
-        return np.zeros(n_q, dtype=np.int64), 0
-
-    order = scan_order(candidates.shape[0], seed)
+    order = scan_order(len(candidates), seed)
     backend = resolve_kernel(kernel, tile=chunk)
     return backend.count_neighbors(
         queries, candidates[order], r, need, metric=metric

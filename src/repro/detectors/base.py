@@ -29,7 +29,7 @@ __all__ = ["DetectionResult", "Detector", "validate_partition_inputs"]
 class DetectionResult:
     """Outcome of running a detector on one partition.
 
-    ``span`` is populated by the traced entry point :meth:`Detector.run`
+    ``span`` is populated by the traced entry :meth:`Detector.run_batch`
     (never by ``detect`` itself); the DOD reducers graft it into the task
     span so per-partition detector work shows up in run traces.
     """
@@ -114,14 +114,11 @@ class Detector(abc.ABC):
         support_points: np.ndarray,
         params: OutlierParams,
     ) -> DetectionResult:
-        """Traced entry point: :meth:`detect` wrapped in a span.
-
-        The span records input sizes and the cost-unit breakdown; callers
-        that trace (the DOD reducers) use this instead of ``detect``.
-        """
-        span = self._begin_span(core_points, support_points)
-        result = self.detect(core_points, core_ids, support_points, params)
-        return self._end_span(span, result)
+        """The traced entry for one partition: :meth:`run_batch` of
+        one."""
+        return self.run_batch(
+            [self], [(core_points, core_ids, support_points)], params
+        )[0]
 
     @classmethod
     def run_batch(
@@ -130,15 +127,23 @@ class Detector(abc.ABC):
         partitions: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
         params: OutlierParams,
     ) -> list[DetectionResult]:
-        """``detectors[i].run(*partitions[i], params)`` for every ``i``:
-        each partition is a ``(core_points, core_ids, support_points)``
-        triple and gets its own result and span.  A class whose
+        """The traced entry: ``detectors[i]`` classifies
+        ``partitions[i]``, a ``(core_points, core_ids, support_points)``
+        triple, for every ``i``.  Each result carries a span recording
+        input sizes and the cost-unit breakdown; callers that trace (the
+        DOD reducers) use this instead of ``detect``.  A class whose
         detectors can share work across partitions overrides this; the
-        base runs them one by one."""
-        return [
-            detector.run(*partition, params)
-            for detector, partition in zip(detectors, partitions)
-        ]
+        base runs :meth:`detect` on them one by one."""
+        results = []
+        for detector, (core_points, core_ids, support_points) in zip(
+            detectors, partitions
+        ):
+            span = detector._begin_span(core_points, support_points)
+            result = detector.detect(
+                core_points, core_ids, support_points, params
+            )
+            results.append(detector._end_span(span, result))
+        return results
 
     def _begin_span(self, core_points, support_points) -> Span:
         return Span.begin(

@@ -113,7 +113,6 @@ class _CellDetector(Detector):
 
         backend = resolve_kernel(self.kernel, tile=self.chunk)
         computed_before = backend.evals_computed
-        wall_before = backend.wall_seconds
         failed, distance_evals, extras = self._fallback(
             core_points[rows], np.bincount(cell_of)[unresolved],
             cells[unresolved], w1[unresolved], index, pool, backend, params,
@@ -129,8 +128,6 @@ class _CellDetector(Detector):
                     "kernel": backend.name,
                     "kernel_evals_computed":
                         backend.evals_computed - computed_before,
-                    "kernel_wall_seconds":
-                        backend.wall_seconds - wall_before,
                     "cells_pruned_inlier": int(inlier.sum()),
                     "cells_pruned_outlier": int(outlier.sum()),
                     "cells_unresolved": int(unresolved.sum())},

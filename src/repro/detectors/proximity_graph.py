@@ -189,7 +189,7 @@ class ProximityGraphDetector(Detector):
             extras.update(
                 graph_certified=n_core, graph_residue=0,
                 graph_distance_evals=0, graph_k=0, graph_iters=0,
-                kernel_evals_computed=0, kernel_wall_seconds=0.0,
+                kernel_evals_computed=0,
             )
             return DetectionResult([], extras=extras)
 
@@ -214,7 +214,6 @@ class ProximityGraphDetector(Detector):
         certified = int(cert_mask.sum())
 
         computed_before = backend.evals_computed
-        wall_before = backend.wall_seconds
         scan_evals = 0
         outliers: list[int] = []
         if residue_rows.size:
@@ -236,7 +235,6 @@ class ProximityGraphDetector(Detector):
             graph_k=int(K),
             graph_iters=self.iters,
             kernel_evals_computed=backend.evals_computed - computed_before,
-            kernel_wall_seconds=backend.wall_seconds - wall_before,
         )
         return DetectionResult(
             outlier_ids=outliers,

@@ -10,8 +10,9 @@ contract this narrow is what lets backends swap freely: the scalar
 switching backends can only ever change wall time, never results or
 deterministic cost accounting.
 
-Contract (enforced by :meth:`Kernel.count_neighbors`, verified by the
-differential suite in ``tests/test_kernel_equivalence.py``):
+Contract (enforced by :meth:`Kernel.count_neighbors_batch`, the one
+scan entry, verified by the differential suite in
+``tests/test_kernel_equivalence.py``):
 
 * Candidates are examined **in the order given**.  Callers that need the
   random-order scan permute candidates first (``repro.detectors._scan``).
@@ -37,14 +38,16 @@ differential suite in ``tests/test_kernel_equivalence.py``):
   charge nothing.  Points have at least one coordinate (``d >= 1``).
 * :meth:`Kernel.count_neighbors_batch` scans several independent
   ``(queries, candidates)`` problems under one ``r`` and ``need``; each
-  problem's counts, charged *and* computed evals are its own call's
-  (``tests/test_kernel_batch.py``).
+  problem's counts, charged *and* computed evals are those of a batch
+  of it alone (``tests/test_kernel_batch.py``).
+  :meth:`Kernel.count_neighbors` is that batch of one.
 
-Instances additionally accumulate ``calls`` / ``evals_charged`` /
-``evals_computed`` / ``wall_seconds`` across calls, which the detectors
-surface in result extras and the reducers roll into the ``kernel``
-counter group.  ``wall_seconds`` times only the backend body, so the
-bench harness can compare backends on exactly the work they vectorize.
+Instances additionally accumulate ``calls`` (one per problem) /
+``evals_charged`` / ``evals_computed`` / ``wall_seconds`` across calls;
+the detectors surface computed evals in result extras and the reducers
+roll them into the ``kernel`` counter group.  ``wall_seconds`` times
+only the backend body, so the bench harness can compare backends on
+exactly the work they vectorize.
 """
 
 from __future__ import annotations
@@ -95,38 +98,11 @@ class Kernel(abc.ABC):
     ) -> tuple[np.ndarray, int]:
         """Scan ``candidates`` (in order) for each query; early exit at
         ``need`` matches.  Returns ``(counts, distance_evals)`` under the
-        module-level contract.
-
-        ``metric`` selects the distance: ``None`` or the Euclidean
-        metric keeps the backend's native squared-distance fast path
-        (``_count``); any other :class:`~repro.metrics.Metric` routes
-        through the metric-generic path (``_count_metric``) — tiled
-        ``within_block`` batches when the metric vectorizes, the scalar
-        reference loop otherwise — under the same counts/charged
-        contract.
-        """
-        queries, candidates = _validated(queries, candidates)
-        r = _radius(r)
-        need = check_whole(need, "need")
-        counts = np.zeros(queries.shape[0], dtype=np.int64)
-        self.calls += 1
-        # A scalar loop checks "found >= need" before each evaluation, so
-        # need <= 0 (or nothing to scan) terminates without charging a
-        # single distance.
-        if need <= 0 or queries.shape[0] == 0 or candidates.shape[0] == 0:
-            return counts, 0
-        start = time.perf_counter()
-        if metric is None or metric.is_euclidean:
-            counts, charged, computed = self._count(
-                queries, candidates, r, need
-            )
-        else:
-            counts, charged, computed = self._count_metric(
-                queries, candidates, r, need, metric
-            )
-        self.wall_seconds += time.perf_counter() - start
-        self.evals_charged += charged
-        self.evals_computed += computed
+        module-level contract: :meth:`count_neighbors_batch` of one
+        problem."""
+        ((counts, charged, _),) = self.count_neighbors_batch(
+            [(queries, candidates)], r, need, metric
+        )
         return counts, charged
 
     def count_neighbors_batch(
@@ -136,79 +112,60 @@ class Kernel(abc.ABC):
         need: int,
         metric=None,
     ) -> list[tuple[np.ndarray, int, int]]:
-        """:meth:`count_neighbors` over several independent
-        ``(queries, candidates)`` problems that share ``r``, ``need`` and
-        ``metric``: one ``(counts, charged, computed)`` per problem, each
-        exactly what that problem's own call returns and books (its
-        ``evals_computed`` included).  Each problem counts as one call.
+        """Scan several independent ``(queries, candidates)`` problems
+        that share ``r``, ``need`` and ``metric``: one ``(counts,
+        charged, computed)`` per problem, each exactly what a batch of
+        that problem alone returns and books.  Each problem counts as
+        one call.
 
-        A problem the backend scans alone (:meth:`scans_alone` — in the
-        base, every one) goes through :meth:`count_neighbors`, and so does
-        a lone one left over; the rest share one :meth:`_count_batch`
-        pass.
+        A trivial problem (``need <= 0``, or nothing to scan) is decided
+        here: zero counts, nothing charged.  ``metric`` selects the
+        distance: ``None`` or the Euclidean metric hands every other
+        problem to the backend's native squared-distance body
+        (:meth:`_count_batch`) in one call; any other
+        :class:`~repro.metrics.Metric` scans each through the
+        metric-generic :meth:`_count_metric` under the same
+        counts/charged contract.
         """
         problems = [_validated(q, c) for q, c in problems]
         r = _radius(r)
         need = check_whole(need, "need")
-        together = [
+        self.calls += len(problems)
+        # A scalar loop checks "found >= need" before each evaluation, so
+        # need <= 0 (or nothing to scan) terminates without charging a
+        # single distance.
+        results = [
+            (np.zeros(queries.shape[0], dtype=np.int64), 0, 0)
+            for queries, _ in problems
+        ]
+        scan = [
             i for i, (queries, candidates) in enumerate(problems)
             if need > 0 and queries.shape[0] and candidates.shape[0]
-            and not self.scans_alone(queries, candidates, r, need, metric)
         ]
-        if len(together) < 2:
-            together = []
-        shared = set(together)
-        results: list = [None] * len(problems)
-        for i, (queries, candidates) in enumerate(problems):
-            if i not in shared:
-                before = self.evals_computed
-                counts, charged = self.count_neighbors(
-                    queries, candidates, r, need, metric
-                )
-                results[i] = (counts, charged, self.evals_computed - before)
-        if together:
-            self.calls += len(together)
-            start = time.perf_counter()
-            scanned = self._count_batch(
-                [problems[i] for i in together], r, need
-            )
-            self.wall_seconds += time.perf_counter() - start
-            for i, result in zip(together, scanned):
-                results[i] = result
-                self.evals_charged += result[1]
-                self.evals_computed += result[2]
+        if not scan:
+            return results
+        start = time.perf_counter()
+        if metric is None or metric.is_euclidean:
+            scanned = self._count_batch([problems[i] for i in scan], r, need)
+        else:
+            scanned = [
+                self._count_metric(*problems[i], r, need, metric)
+                for i in scan
+            ]
+        self.wall_seconds += time.perf_counter() - start
+        for i, result in zip(scan, scanned):
+            results[i] = result
+            self.evals_charged += result[1]
+            self.evals_computed += result[2]
         return results
 
-    def scans_alone(
-        self, queries: np.ndarray, candidates: np.ndarray, r: float,
-        need: int, metric=None,
-    ) -> bool:
-        """Whether :meth:`count_neighbors_batch` would scan this problem
-        by its own :meth:`count_neighbors` call rather than in the
-        shared pass.  The base scans every problem alone; a backend that
-        batches some overrides this and :meth:`_count_batch` together."""
-        return True
-
+    @abc.abstractmethod
     def _count_batch(
         self, problems, r: float, need: int
     ) -> list[tuple[np.ndarray, int, int]]:
-        """Scan the problems :meth:`scans_alone` declined, in one pass;
-        they are validated, non-empty, ``need >= 1``.  Returns ``(counts,
-        charged, computed)`` per problem."""
-        raise NotImplementedError
-
-    @abc.abstractmethod
-    def _count(
-        self,
-        queries: np.ndarray,
-        candidates: np.ndarray,
-        r: float,
-        need: int,
-    ) -> tuple[np.ndarray, int, int]:
-        """Backend body; inputs are validated, non-empty, ``need >= 1``.
-
-        Returns ``(counts, evals_charged, evals_computed)``.
-        """
+        """Backend body: the Euclidean scan of ``problems``, which are
+        validated, non-empty, ``need >= 1``.  Returns ``(counts,
+        charged, computed)`` per problem, each its own scan's."""
 
     # ------------------------------------------------------------------
     def _count_metric(

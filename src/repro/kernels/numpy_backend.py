@@ -45,7 +45,7 @@ all its candidates, which would pad every cell beside it.  A tile whose
 live rows share one piece broadcasts its columns; otherwise each row
 gathers its own.  Rows are booked against their own problem (a position
 map turns a cell's window column back into a scan position), so every
-problem's counts, charged and computed evals are its own call's.
+problem's counts, charged and computed evals are those it gets alone.
 
 **The sweep.**  Lemma 4.1 puts a query's stop position near
 ``need · A(D) / A(ball_r)`` of the random-order candidates of the region
@@ -75,9 +75,9 @@ other axes' non-negative squares never rounds the sum below that term,
 so the computed ``d2 > r² (1 + 2**-41)² (1 - u)³ > fl(r * r)``: the
 candidate could not have matched.  That needs ``r * r`` to be a normal
 float (no underflow, no overflow), which the gate checks, and ``r >= 0``,
-which :meth:`~repro.kernels.base.Kernel.count_neighbors` enforces.  How
-queries are grouped never matters: a cell's bounds are its own queries'
-extremes, so a grid key that rounds can only split a cell.
+which :meth:`~repro.kernels.base.Kernel.count_neighbors_batch` enforces.
+How queries are grouped never matters: a cell's bounds are its own
+queries' extremes, so a grid key that rounds can only split a cell.
 
 *When.*  A window pays only where queries would scan far: a dense
 problem's queries stop early, and there a window costs more than it
@@ -114,19 +114,6 @@ class NumpyKernel(base.Kernel):
     """Tiled vectorized scan with masked early termination."""
 
     name = "numpy"
-
-    def _count(
-        self,
-        queries: np.ndarray,
-        candidates: np.ndarray,
-        r: float,
-        need: int,
-    ) -> tuple[np.ndarray, int, int]:
-        return self._count_batch([(queries, candidates)], r, need)[0]
-
-    def scans_alone(self, queries, candidates, r, need, metric=None) -> bool:
-        # Other metrics go one at a time; every Euclidean problem shares.
-        return metric is not None and not metric.is_euclidean
 
     def _count_batch(
         self, problems, r: float, need: int

@@ -29,30 +29,29 @@ class PythonKernel(Kernel):
         # path is diffed against.
         return scalar_metric_count(queries, candidates, r, need, metric)
 
-    def _count(
-        self,
-        queries: np.ndarray,
-        candidates: np.ndarray,
-        r: float,
-        need: int,
-    ) -> tuple[np.ndarray, int, int]:
+    def _count_batch(
+        self, problems, r: float, need: int
+    ) -> list[tuple[np.ndarray, int, int]]:
         r2 = r * r
-        counts = np.zeros(queries.shape[0], dtype=np.int64)
-        evals = 0
-        cand_rows = candidates.tolist()
-        for i, q in enumerate(queries.tolist()):
-            found = 0
-            examined = 0
-            for row in cand_rows:
-                examined += 1
-                acc = 0.0
-                for a, b in zip(q, row):
-                    diff = a - b
-                    acc += diff * diff
-                if acc <= r2:
-                    found += 1
-                    if found >= need:
-                        break
-            counts[i] = found
-            evals += examined
-        return counts, evals, evals
+        results = []
+        for queries, candidates in problems:
+            counts = np.zeros(queries.shape[0], dtype=np.int64)
+            evals = 0
+            cand_rows = candidates.tolist()
+            for i, q in enumerate(queries.tolist()):
+                found = 0
+                examined = 0
+                for row in cand_rows:
+                    examined += 1
+                    acc = 0.0
+                    for a, b in zip(q, row):
+                        diff = a - b
+                        acc += diff * diff
+                    if acc <= r2:
+                        found += 1
+                        if found >= need:
+                            break
+                counts[i] = found
+                evals += examined
+            results.append((counts, evals, evals))
+        return results

@@ -210,19 +210,10 @@ def certified_mask(
     n = points.shape[0]
     if n == 0 or sample.size == 0:
         return np.zeros(n, dtype=bool), 0
-    backend = resolve_kernel(kernel)
-    metric_obj = resolve_metric(metric)
-    if sample.grid is not None and metric_obj.is_euclidean:
-        counts, evals = _pruned_counts(
-            backend, points, sample, params.r, params.k + 1, metric_obj
-        )
-    else:
-        # Non-Euclidean balls have no cell-distance bound on this grid,
-        # so metric runs (and grid-less samples) scan the whole sample.
-        counts, evals = backend.count_neighbors(
-            points, sample.points, params.r, need=params.k + 1,
-            metric=metric_obj,
-        )
+    counts, evals = _witness_counts(
+        resolve_kernel(kernel), points, sample, params.r, params.k + 1,
+        resolve_metric(metric),
+    )
     in_sample = np.isin(ids, sample.ids)
     witnesses = np.asarray(counts, dtype=np.int64) - in_sample.astype(
         np.int64
@@ -230,24 +221,33 @@ def certified_mask(
     return witnesses >= params.k, int(evals)
 
 
-def _pruned_counts(
+def _witness_counts(
     backend, points, sample, r, need, metric_obj
 ) -> Tuple[np.ndarray, int]:
-    """Witness counts with cell-distance candidate pruning.
+    """Each point's witnesses among ``sample.points`` (``need`` at
+    most) and the evals charged — a whole-sample scan's, whether or not
+    cell distances prune it.
 
-    A sample point can witness a query only if their mini-bucket cells
-    differ by at most ``reach = floor(r / cell_width) + 1`` along every
-    axis — any farther pair is separated by strictly more than ``r``
-    (minimum gap ``(reach + 1) * width > r``).  Queries are therefore
-    grouped by *supercells* of ``reach + 1`` cells a side, and each
-    group scans the sample points in its 3^d supercell window, in sample
-    order — a superset of every member's exact ``±reach`` window, so the
-    pruned counts (capped at ``need`` by the kernel contract) are
-    identical to a full-sample scan.  The coarse grouping trades a ~2x
-    wider window for ~reach^d fewer groups, which share batched kernel
-    calls by window size (:func:`~repro.detectors._scan.window_counts`).
+    Non-Euclidean balls have no cell-distance bound on the grid, so
+    metric runs (and grid-less samples) scan the whole sample.
+    Otherwise a sample point can witness a query only if their
+    mini-bucket cells differ by at most ``reach = floor(r / cell_width)
+    + 1`` along every axis — any farther pair is separated by strictly
+    more than ``r`` (minimum gap ``(reach + 1) * width > r``).  Queries
+    are therefore grouped by *supercells* of ``reach + 1`` cells a side,
+    and each group scans the sample points in its 3^d supercell window,
+    in sample order — a superset of every member's exact ``±reach``
+    window, so the pruned counts (capped at ``need`` by the kernel
+    contract) are identical to a full-sample scan.  The coarse grouping
+    trades a ~2x wider window for ~reach^d fewer groups, which share
+    batched kernel calls by window size
+    (:func:`~repro.detectors._scan.window_counts`).
     """
     grid = sample.grid
+    if grid is None or not metric_obj.is_euclidean:
+        return backend.count_neighbors(
+            points, sample.points, r, need, metric=metric_obj
+        )
     widths = np.asarray(grid.cell_widths, dtype=float)
     shape = np.asarray(grid.shape, dtype=np.int64)
     # Degenerate (zero-width) axes keep the full span along that axis.
@@ -307,21 +307,13 @@ def support_halo(
     if res_rows.size == 0:
         # No queries remain anywhere: every certified point is droppable.
         return {int(i) for i in ids[cert_rows]}, 0
-    backend = resolve_kernel(kernel)
-    metric_obj = resolve_metric(metric)
     residue = SensitivitySample(
-        ids=ids[res_rows], points=points[res_rows],
-        grid=grid if metric_obj.is_euclidean else None,
+        ids=ids[res_rows], points=points[res_rows], grid=grid
     )
-    if residue.grid is not None:
-        counts, evals = _pruned_counts(
-            backend, points[cert_rows], residue, params.r, 1, metric_obj
-        )
-    else:
-        counts, evals = backend.count_neighbors(
-            points[cert_rows], residue.points, params.r, need=1,
-            metric=metric_obj,
-        )
+    counts, evals = _witness_counts(
+        resolve_kernel(kernel), points[cert_rows], residue, params.r, 1,
+        resolve_metric(metric),
+    )
     far = np.asarray(counts) == 0
     return {int(i) for i in ids[cert_rows[far]]}, int(evals)
 

@@ -22,6 +22,7 @@ from repro.detectors import (
     partition_scan_seed,
 )
 from repro.detectors._scan import random_scan_counts
+from repro.kernels import make_kernel
 
 ALL_DETECTORS = [
     NestedLoopDetector(),
@@ -334,3 +335,33 @@ class TestPartitionSeeding:
             else:
                 assert got == exp
         assert evals == expected_evals
+
+
+class TestRandomScanContract:
+    """``random_scan_counts`` decides nothing itself: trivial input is
+    the kernel's to refuse or answer, and a trivial call is a call."""
+
+    @pytest.mark.parametrize("queries, candidates, r, need", [
+        (np.zeros((3, 2)), np.zeros((0, 2)), float("nan"), 2),
+        (np.zeros((0, 2)), np.zeros((5, 2)), -1.0, 2),
+        (np.zeros((3, 2)), np.zeros((5, 2)), 1.0, -0.5),
+    ])
+    def test_bad_arguments_are_refused_on_trivial_input(
+        self, queries, candidates, r, need
+    ):
+        with pytest.raises(ValueError):
+            random_scan_counts(queries, candidates, r, need)
+
+    @pytest.mark.parametrize("queries, candidates, need", [
+        (np.zeros((0, 2)), np.zeros((5, 2)), 2),
+        (np.zeros((3, 2)), np.zeros((0, 2)), 2),
+        (np.zeros((3, 2)), np.zeros((5, 2)), 0),
+    ])
+    def test_a_trivial_scan_counts_one_call(self, queries, candidates, need):
+        kernel = make_kernel("numpy")
+        counts, evals = random_scan_counts(
+            queries, candidates, 1.0, need, kernel=kernel
+        )
+        assert counts.tolist() == [0] * queries.shape[0]
+        assert evals == 0
+        assert (kernel.calls, kernel.evals_charged) == (1, 0)

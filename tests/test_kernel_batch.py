@@ -1,18 +1,21 @@
 """The batched kernel entry and the reduce task that feeds it.
 
-``Kernel.count_neighbors_batch`` scans several independent ``(queries,
-candidates)`` problems at once.  Its promise is that batching is
-invisible per problem: counts, charged evals *and* computed evals equal
-what that problem's own ``count_neighbors`` returns and books, on every
-backend.  The numpy backend earns that with tiled passes whose rows
+``Kernel.count_neighbors_batch`` is the one scan entry: it scans several
+independent ``(queries, candidates)`` problems at once, and
+``count_neighbors`` is its batch of one.  Its promise is that batching
+is invisible per problem: counts, charged evals *and* computed evals
+equal what that problem's own ``count_neighbors`` returns and books, on
+every backend.  Every non-trivial Euclidean problem of a call reaches
+the backend's ``_count_batch`` in one call; other metrics go problem by
+problem through ``_count_metric``.  The numpy backend earns that with tiled passes whose rows
 scan their own problem's candidates (padded with ``+inf``) and are
 booked against their own ``n_c``: one over the problems scanned whole,
 and one over the cells of the swept ones.
 
 One level up, ``_DODReducer.reduce_block`` hands a reduce task's
 Nested-Loop partitions to that entry together; the task's outputs, cost
-units (an exact float sum), counters and detector spans must equal the
-per-key path's.
+units (an exact float sum), counters and detector spans must equal
+those of one block per key.
 
 CI runs this file in the kernel-equivalence job under
 ``HYPOTHESIS_PROFILE=ci``.
@@ -29,9 +32,9 @@ from repro.core import Dataset, detect_outliers
 from repro.core.execute import _DODReducer
 from repro.data import region_dataset
 from repro.detectors import NestedLoopDetector
-from repro.kernels import PythonKernel, base, make_kernel, numpy_backend
+from repro.kernels import base, make_kernel, numpy_backend
 from repro.mapreduce import LocalRuntime, Reducer, TaskContext
-from repro.metrics import MinkowskiMetric
+from repro.metrics import MinkowskiMetric, resolve_metric
 from repro.observability import Span
 from repro.params import OutlierParams
 
@@ -322,8 +325,14 @@ class TestReduceBlock:
             )
 
         block = run()
+        whole_task = _DODReducer.reduce_block
+
+        def one_key_at_a_time(self, groups, ctx):
+            for key in sorted(groups):
+                yield from whole_task(self, {key: groups[key]}, ctx)
+
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_DODReducer, "reduce_block", Reducer.reduce_block)
+            patch.setattr(_DODReducer, "reduce_block", one_key_at_a_time)
             per_key = run()
         assert block == per_key
 
@@ -342,53 +351,102 @@ class TestReduceBlock:
             assert [c for c in python_task[2] if c[0] == "dod"] == counters
 
 
-def _entries(kernel):
-    """Record the query counts of the problems ``kernel`` scans through
-    its own ``count_neighbors``."""
+def _recorded(kernel, body):
+    """Record the query counts of the problems of every call ``kernel``
+    makes to its backend ``body`` (``"_count_batch"`` or
+    ``"_count_metric"``)."""
     seen = []
-    single = kernel.count_neighbors
+    inner = getattr(kernel, body)
 
-    def record(queries, *args, **kwargs):
-        seen.append(len(queries))
-        return single(queries, *args, **kwargs)
+    def record(*args, **kwargs):
+        problems = args[0] if body == "_count_batch" else [args[:2]]
+        seen.append([len(queries) for queries, _ in problems])
+        return inner(*args, **kwargs)
 
-    kernel.count_neighbors = record
+    setattr(kernel, body, record)
     return seen
 
 
-class TestWhatGoesAlone:
-    def test_the_oracle_scans_every_problem_alone(self):
-        kernel = PythonKernel()
-        seen = _entries(kernel)
-        kernel.count_neighbors_batch(
-            [(np.zeros((2, 1)), np.zeros((3, 1))),
-             (np.zeros((4, 1)), np.zeros((1, 1)))], 1.0, 2,
-        )
-        assert seen == [2, 4]
+def _problems(seed, sizes):
+    rng = np.random.default_rng(seed)
+    return [
+        (rng.random((n_q, 2)) * 6, rng.random((n_c, 2)) * 6)
+        for n_q, n_c in sizes
+    ]
 
-    def test_numpy_shares_the_pass_with_swept_problems(self):
-        rng = np.random.default_rng(2)
-        problems = [
-            (rng.random((10, 2)) * 20, rng.random((50, 2)) * 20),
-            (rng.random((3, 2)) * 20, rng.random((40, 2)) * 20),
-            (rng.random((4, 2)) * 20, rng.random((30, 2)) * 20),
-        ]
-        kernel = make_kernel("numpy")
-        seen = _entries(kernel)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(numpy_backend, "SWEEP_MIN_QUERIES", 8)
-            patch.setattr(numpy_backend, "SWEEP_STOP_SHARE", 0.0)
-            assert numpy_backend._cells(
-                problems[0][0], problems[0][1].T.copy(), 1.0, 3
-            ) is not None
-            got = kernel.count_neighbors_batch(problems, 1.0, 3)
-            assert_same(got, one_by_one("numpy", 256, problems, 1.0, 3))
-        # The swept problem's cells are not calls of their own.
+
+class TestOneEntry:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("sizes, scanned", [
+        ([(7, 30)], [7]),
+        ([(7, 30), (3, 12), (5, 50)], [7, 3, 5]),
+        ([(0, 30), (7, 30), (4, 0), (3, 12), (0, 0)], [7, 3]),
+    ])
+    def test_one_backend_call_holds_every_scanned_problem(
+        self, backend, sizes, scanned
+    ):
+        problems = _problems(3, sizes)
+        kernel = make_kernel(backend)
+        seen = _recorded(kernel, "_count_batch")
+        got = kernel.count_neighbors_batch(problems, 1.0, 3)
+        assert seen == [scanned]
+        assert kernel.calls == len(problems)
+        assert_same(got, one_by_one(backend, 256, problems, 1.0, 3))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_trivial_problems_never_reach_the_backend(self, backend):
+        problems = _problems(4, [(0, 5), (3, 0)])
+        kernel = make_kernel(backend)
+        seen = _recorded(kernel, "_count_batch")
+        kernel.count_neighbors_batch(problems, 1.0, 2)
+        kernel.count_neighbors_batch(_problems(4, [(3, 5)]), 1.0, 0)
         assert seen == []
         assert kernel.calls == 3
-        # A lone problem left over goes through its own call.
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(numpy_backend, "SWEEP_MIN_QUERIES", 8)
-            patch.setattr(numpy_backend, "SWEEP_STOP_SHARE", 0.0)
-            kernel.count_neighbors_batch(problems[:1], 1.0, 3)
-        assert seen == [10]
+        assert (kernel.evals_charged, kernel.evals_computed) == (0, 0)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("spec, scale, r", [
+        ("haversine", 0.5, 30.0), ("minkowski:1", 6.0, 1.0),
+    ])
+    def test_other_metrics_go_problem_by_problem(
+        self, backend, spec, scale, r
+    ):
+        rng = np.random.default_rng(6)
+        problems = [
+            (40.0 + rng.random((n_q, 2)) * scale,
+             40.0 + rng.random((n_c, 2)) * scale)
+            for n_q, n_c in [(6, 40), (0, 10), (9, 25), (1, 70)]
+        ]
+        metric = resolve_metric(spec)
+        kernel = make_kernel(backend, tile=8)
+        batches = _recorded(kernel, "_count_batch")
+        singles = _recorded(kernel, "_count_metric")
+        got = kernel.count_neighbors_batch(problems, r, 4, metric)
+        assert batches == []
+        assert singles == [[6], [9], [1]]
+        assert kernel.calls == len(problems)
+        oracle = one_by_one("python", 256, problems, r, 4, metric)
+        for (counts, charged, _), (e_counts, e_charged, _) in zip(
+            got, oracle
+        ):
+            assert counts.tolist() == e_counts.tolist()
+            assert charged == e_charged
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("sizes, need", [
+        ([(12, 80)], 3), ([(0, 10)], 3), ([(5, 9)], 0), ([(600, 600)], 4),
+    ])
+    def test_count_neighbors_is_the_batch_of_one(self, backend, sizes, need):
+        ((queries, candidates),) = _problems(8, sizes)
+        single, batch = make_kernel(backend), make_kernel(backend)
+        counts, charged = single.count_neighbors(
+            queries, candidates, 0.4, need
+        )
+        ((b_counts, b_charged, b_computed),) = batch.count_neighbors_batch(
+            [(queries, candidates)], 0.4, need
+        )
+        assert counts.dtype == b_counts.dtype
+        assert counts.tolist() == b_counts.tolist()
+        assert charged == b_charged == single.evals_charged
+        assert single.evals_computed == b_computed == batch.evals_computed
+        assert single.calls == batch.calls == 1

@@ -91,3 +91,33 @@ class TestPivotExactness:
             data, params
         )
         assert set(result.outlier_ids) == oracle
+
+
+class TestNonFinite:
+    """A NaN coordinate fails every pivot bound, which would read as "no
+    neighbour" and call every point an outlier: refused instead, as the
+    grid tactics refuse it."""
+
+    def _probe(self):
+        rng = np.random.default_rng(0)
+        return np.vstack([
+            rng.uniform(0.0, 3.0, size=(40, 2)), [[np.nan, 1.0]]
+        ])
+
+    @pytest.mark.parametrize("metric", [None, "minkowski:1"])
+    def test_a_nan_core_row_is_refused(self, metric):
+        points = self._probe()
+        with pytest.raises(ValueError, match="finite"):
+            PivotDetector(metric=metric).detect(
+                points, np.arange(points.shape[0]), np.empty((0, 2)),
+                OutlierParams(r=1.0, k=2),
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_support_row_is_refused(self, bad):
+        points = self._probe()[:40]
+        with pytest.raises(ValueError, match="finite"):
+            PivotDetector().detect(
+                points, np.arange(40), np.array([[1.0, bad]]),
+                OutlierParams(r=1.0, k=2),
+            )
