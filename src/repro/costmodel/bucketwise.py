@@ -17,6 +17,7 @@ formulas.
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable, Sequence
 
 from ..params import (
@@ -44,6 +45,14 @@ def density_regimes(params: OutlierParams, ndim: int = 2) -> tuple[float, float]
     return params.k / l1_area, params.k / cand_area
 
 
+@functools.lru_cache(maxsize=64)
+def _constants(params: OutlierParams, ndim: int) -> tuple[float, ...]:
+    """``(ball volume, rho_dense, rho_sparse)``: what every bucketwise
+    cost under one ``(params, ndim)`` shares, computed once for all the
+    partitions of a plan (and of later plans)."""
+    return (ball_volume(params.r, ndim), *density_regimes(params, ndim))
+
+
 def bucketwise_cost(
     algorithm: str,
     buckets: Iterable[tuple[float, float]],
@@ -68,8 +77,7 @@ def bucketwise_cost(
     if n_p <= 0:
         return 0.0
     n_cand = n_p + sum(n for n, _ in support_buckets)
-    v_ball = ball_volume(params.r, ndim)
-    rho_dense, rho_sparse = density_regimes(params, ndim)
+    v_ball, rho_dense, rho_sparse = _constants(params, ndim)
 
     def nl_evals(n_b: float, area_b: float) -> float:
         if area_b <= 0:

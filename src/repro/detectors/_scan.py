@@ -19,6 +19,9 @@ return byte-identical ``(counts, distance_evals)``.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 
 from ..kernels import resolve_kernel
@@ -60,8 +63,20 @@ def random_scan_counts(
 
 def scan_order(n_candidates: int, seed: int) -> np.ndarray:
     """The random scan order of ``n_candidates`` candidates under
-    ``seed`` — what :func:`random_scan_counts` permutes them by."""
-    return np.random.default_rng(seed).permutation(n_candidates)
+    ``seed`` — what :func:`random_scan_counts` permutes them by.
+
+    ``np.random.default_rng(seed).permutation(n_candidates)``, from a
+    fresh generator each call (safe from any thread); only the seed's
+    entropy pool, which a generator never changes, is kept between
+    calls.
+    """
+    bits = np.random.PCG64(_seed_sequence(operator.index(seed)))
+    return np.random.Generator(bits).permutation(n_candidates)
+
+
+@functools.lru_cache(maxsize=1024)
+def _seed_sequence(seed: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(seed)
 
 
 def window_counts(

@@ -61,7 +61,8 @@ def validate_partition_inputs(
     core_ids: np.ndarray,
     support_points: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalize and sanity-check detector inputs."""
+    """Normalize and sanity-check detector inputs: shapes that agree and
+    finite coordinates (a ``ValueError`` otherwise)."""
     core_points = np.asarray(core_points, dtype=float)
     core_ids = np.asarray(core_ids, dtype=np.int64)
     support_points = np.asarray(support_points, dtype=float)
@@ -73,6 +74,10 @@ def validate_partition_inputs(
         support_points = np.empty((0, core_points.shape[1]))
     if support_points.ndim != 2 or support_points.shape[1] != core_points.shape[1]:
         raise ValueError("support_points must be (m, d) with matching d")
+    if not (np.isfinite(core_points).all() and np.isfinite(support_points).all()):
+        # NaN fails every distance comparison, which reads as "no
+        # neighbour": refuse rather than call the point an outlier.
+        raise ValueError("partition coordinates must be finite")
     return core_points, core_ids, support_points
 
 

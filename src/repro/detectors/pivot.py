@@ -100,10 +100,6 @@ class PivotDetector(Detector):
             candidates = np.vstack([core_points, support_points])
         else:
             candidates = core_points
-        if not np.isfinite(candidates).all():
-            # NaN fails every bound comparison, which reads as "no
-            # neighbour": refuse rather than call the point an outlier.
-            raise ValueError("pivot detection needs finite coordinates")
         n_cand = candidates.shape[0]
 
         metric = resolve_metric(self.metric)

@@ -188,32 +188,38 @@ class UniformGrid:
         around the point (equivalently, the cells whose ``r``-expansion
         contains the point, by symmetry of the extension).
         """
-        return itertools.product(*self._axis_ranges(rect))
+        first, last = self.cell_spans([rect.low], [rect.high])
+        return itertools.product(
+            *map(range, first[0].tolist(), (last[0] + 1).tolist())
+        )
 
-    def _axis_ranges(self, rect: Rect) -> list[range]:
-        """Per axis, the indices of the cells whose box intersects ``rect``
-        (:meth:`cells_within` is their product)."""
-        ranges = []
-        for lo, hi, dom_lo, w, s in zip(
-            rect.low,
-            rect.high,
-            self.domain.low,
-            self.cell_widths,
-            self.shape,
-        ):
-            if w <= 0:
-                ranges.append(range(0, 1))
-                continue
-            first = int(math.floor((lo - dom_lo) / w))
-            last = int(math.floor((hi - dom_lo) / w))
-            # A rect face lying exactly on a cell boundary belongs to the
-            # lower cell for its upper face (closed boxes touch).
-            if last * w + dom_lo == hi and last > first:
-                last -= 1
-            first = min(max(first, 0), s - 1)
-            last = min(max(last, 0), s - 1)
-            ranges.append(range(first, last + 1))
-        return ranges
+    def cell_spans(self, low, high) -> tuple[np.ndarray, np.ndarray]:
+        """Per box and axis, the first and last index of the cells whose
+        box intersects the box ``[low[i], high[i]]``: two ``(m, d)`` int
+        arrays for ``(m, d)`` corners (:meth:`cells_within` is the
+        product of one box's spans).
+
+        Every element takes the float operations of the one-box rule, so
+        a box gets the same cells in a batch as alone.
+        """
+        low = np.asarray(low, dtype=float)
+        high = np.asarray(high, dtype=float)
+        origin = np.asarray(self.domain.low, dtype=float)
+        widths = np.asarray(self.cell_widths, dtype=float)
+        flat = widths <= 0
+        step = np.where(flat, 1.0, widths)
+        first = np.floor((low - origin) / step)
+        last = np.floor((high - origin) / step)
+        # A rect face lying exactly on a cell boundary belongs to the
+        # lower cell for its upper face (closed boxes touch).
+        last = np.where(
+            (last * widths + origin == high) & (last > first), last - 1.0, last
+        )
+        top = np.asarray(self.shape) - 1
+        return tuple(
+            np.where(flat, 0, np.clip(index, 0, top)).astype(np.int64)
+            for index in (first, last)
+        )
 
 
 def _find(values: np.ndarray, wanted: np.ndarray):

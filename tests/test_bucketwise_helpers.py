@@ -1,17 +1,10 @@
-"""Unit tests for the bucket-granular helpers used by DMT planning."""
-
-import math
+"""Unit tests for the bucket table DMT planning reads."""
 
 import numpy as np
 import pytest
 
 from repro.geometry import Rect, UniformGrid
-from repro.partitioning.sampled_strategies import (
-    _axis_cover,
-    _estimate_points,
-    _rect_buckets,
-    _support_buckets,
-)
+from repro.partitioning.sampled_strategies import BucketTable, _points
 from repro.sampling import MiniBucketStats
 
 
@@ -21,14 +14,32 @@ def make_stats(counts_2d, width=8.0, height=8.0):
     return MiniBucketStats(grid, counts.ravel(), 1.0, int(counts.sum()))
 
 
+def _rect_buckets(stats, rect):
+    return BucketTable(stats).cover([rect], 0.0)[0][0]
+
+
+def _estimate_points(stats, rect):
+    return _points(_rect_buckets(stats, rect))
+
+
+def _support_buckets(stats, rect, r):
+    return BucketTable(stats).cover([rect], r)[0][1]
+
+
 def _coverage(cell, rect):
     """Fraction of the one-bucket grid ``cell`` covered by ``rect``: the
-    product of the per-axis fractions."""
-    grid = UniformGrid(cell, (1,) * cell.ndim)
-    [(offsets, widths, fractions)] = _axis_cover(grid, rect)
-    assert offsets == (0,) * cell.ndim
-    assert widths == cell.widths
-    return math.prod(fractions)
+    product of the per-axis fractions (a bucket of one point)."""
+    stats = MiniBucketStats(UniformGrid(cell, (1,) * cell.ndim),
+                            np.ones(1), 1.0, 1)
+    table = BucketTable(stats)
+    assert table.flats.tolist() == [0]
+    assert tuple(w[0] for w in table.widths) == cell.widths
+    covered = _rect_buckets(stats, rect)
+    if not covered:
+        return 0.0
+    [(n_b, area_b)] = covered
+    assert area_b == pytest.approx(n_b * cell.area)
+    return n_b
 
 
 class TestCoverage:

@@ -143,17 +143,17 @@ def test_index_refuses_coordinates_it_cannot_number():
 @pytest.mark.parametrize("cls", [CellBasedDetector, CellBasedRingDetector])
 def test_a_nan_coordinate_is_refused_not_answered(cls):
     """A NaN row would spread through the grid origin into every cell
-    key and make every point an inlier; Nested-Loop still answers."""
+    key and make every point an inlier.  The shared partition validator
+    refuses it, for Nested-Loop (which used to call the NaN row an
+    outlier) as for Cell-Based."""
     points = uniform(40, Rect((0.0, 0.0), (3.0, 3.0)), seed=1).points
     points = np.vstack([points, [[np.nan, 1.0]]])
     params = OutlierParams(r=1.0, k=2)
-    assert NestedLoopDetector().detect(
-        points, np.arange(points.shape[0]), np.empty((0, 2)), params
-    ).outlier_ids
-    with pytest.raises(ValueError, match="finite"):
-        cls().detect(
-            points, np.arange(points.shape[0]), np.empty((0, 2)), params
-        )
+    for detector in (NestedLoopDetector(), cls()):
+        with pytest.raises(ValueError, match="finite"):
+            detector.detect(
+                points, np.arange(points.shape[0]), np.empty((0, 2)), params
+            )
 
 
 @pytest.mark.parametrize("cls", [CellBasedDetector, CellBasedRingDetector])

@@ -21,7 +21,7 @@ from repro.detectors import (
     make_partition_detector,
     partition_scan_seed,
 )
-from repro.detectors._scan import random_scan_counts
+from repro.detectors._scan import random_scan_counts, scan_order
 from repro.kernels import make_kernel
 
 ALL_DETECTORS = [
@@ -335,6 +335,34 @@ class TestPartitionSeeding:
             else:
                 assert got == exp
         assert evals == expected_evals
+
+
+class TestScanOrder:
+    """``scan_order`` keeps only seed entropy between calls: every call
+    is ``default_rng(seed).permutation(n)`` from a fresh generator."""
+
+    SEEDS = [0, 7, 12345, 2**32 - 1, 2**40 + 3, np.int64(99),
+             partition_scan_seed(5)]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 256, 1000])
+    def test_equals_a_fresh_default_rng(self, n):
+        for seed in self.SEEDS:
+            for _ in range(3):  # repeated calls: nothing advances
+                assert np.array_equal(
+                    scan_order(n, seed),
+                    np.random.default_rng(seed).permutation(n),
+                )
+
+    def test_threads_get_the_same_orders(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        seeds = [partition_scan_seed(pid) for pid in range(64)] * 4
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            orders = list(pool.map(lambda s: scan_order(300, s), seeds))
+        for seed, order in zip(seeds, orders):
+            assert np.array_equal(
+                order, np.random.default_rng(seed).permutation(300)
+            )
 
 
 class TestRandomScanContract:

@@ -5,11 +5,12 @@ DSHC's tie-break *is* the tree — mini-bucket counts are multiples of
 ``1 / sample_rate`` and most of a map is empty, so exact ties in the
 density difference are the normal case, the winner is the first candidate
 in the search's DFS order, and partition ids are ``tree.clusters()``
-order.  The AF-tree, the ``run_dshc`` loop, the four per-bucket helpers of
-``partitioning/sampled_strategies.py`` and the two grid methods they used
-are therefore kept here **verbatim** as they were before the rewrite, and
-every property below demands equality in value *and in order* — ``==``,
-never ``approx``.  Old and new always run on the same interpreter, so the
+order.  The AF-tree, the ``run_dshc`` loop, the per-bucket helpers of
+``partitioning/sampled_strategies.py`` with the two grid methods they
+used, and DMT's one-rect-at-a-time cost refinement are therefore kept
+here **verbatim** as they were before the rewrites, and every property
+below demands equality in value *and in order* — ``==``, never
+``approx``.  Old and new always run on the same interpreter, so the
 comparison is immune to ``sum()`` becoming compensated in CPython 3.12;
 the literal pins at the end hold only DSHC's own output (plain ``+`` and
 ``min`` / ``max``).
@@ -31,9 +32,17 @@ from repro.dshc import dshc as new_dshc
 from repro.geometry import Rect, UniformGrid
 from repro.mapreduce import LocalRuntime
 from repro.params import OutlierParams
-from repro.partitioning import DMTPartitioner, PlanRequest, plan_to_dict
+from repro.allocation import allocate
+from repro.costmodel import bucketwise_best_algorithm
+from repro.partitioning import (
+    DMTPartitioner,
+    Partition,
+    PartitionPlan,
+    PlanRequest,
+    plan_to_dict,
+)
 from repro.partitioning import sampled_strategies as new
-from repro.sampling import MiniBucketStats
+from repro.sampling import MiniBucketStats, collect_minibucket_stats
 
 
 # ----------------------------------------------------------------------
@@ -537,9 +546,9 @@ WIDTHS = [1.0, 7.3, 0.1, 60.0, 1e3, 0.0, 1e-12]
 
 
 @st.composite
-def bucket_stats(draw):
-    ndim = draw(st.sampled_from([2, 2, 3]))
-    most = 14 if ndim == 2 else 6
+def bucket_stats(draw, ndims=(2, 2, 3)):
+    ndim = draw(st.sampled_from(ndims))
+    most = {1: 40, 2: 14}.get(ndim, 6)
     shape = tuple(draw(st.integers(1, most)) for _ in range(ndim))
     low = tuple(draw(st.sampled_from(ORIGINS)) for _ in range(ndim))
     high = tuple(lo + draw(st.sampled_from(WIDTHS)) for lo in low)
@@ -642,38 +651,73 @@ def probe_rects(draw, grid):
     return Rect(tuple(low), tuple(high))
 
 
+def _table(stats, rects, r):
+    """``BucketTable.cover`` of ``rects``, with each core list's point
+    estimate: ``[(estimate, core, support)]``."""
+    return [
+        (new._points(core), core, support)
+        for core, support in new.BucketTable(stats).cover(rects, r)
+    ]
+
+
+def _loops(stats, rect, r):
+    """The old loops' ``(estimate, core, support)`` for ``rect``, minus
+    the core entries of empty buckets (the table holds occupied buckets
+    only; every bucketwise model ignores ``n_b == 0``)."""
+    old = _old(stats)
+    return (
+        _estimate_points(old, rect),
+        [b for b in _rect_buckets(old, rect) if b[0] != 0],
+        list(_support_buckets(old, rect, r)),
+    )
+
+
 @given(data=st.data())
 def test_bucket_helpers_equal_the_old_loops(data):
-    stats = data.draw(bucket_stats())
-    rect = data.draw(probe_rects(stats.grid))
+    """One batched table pass yields, per rect, exactly the old walks'
+    non-zero entries in their order, on 1-D to 3-D grids (zero-width
+    axes, ulp-narrow cells), for rects on, beside and between bucket
+    faces and overhanging the domain, from ``r = 0`` to past the domain
+    on every side."""
+    stats = data.draw(bucket_stats(ndims=(1, 2, 2, 3)))
+    rects = data.draw(st.lists(probe_rects(stats.grid), min_size=1, max_size=4))
     widths = [w for w in stats.grid.cell_widths if w > 0] or [1.0]
-    # From nothing to past the domain on every side.
     r = data.draw(st.sampled_from(
         [0.0, min(widths) / 2.0, max(widths), 3.0 * max(widths), 5e3]
     ))
-    old = _old(stats)
-    assert new._estimate_points(stats, rect) == _estimate_points(old, rect)
-    assert list(new._rect_buckets(stats, rect)) == list(
-        _rect_buckets(old, rect)
-    )
-    assert list(new._support_buckets(stats, rect, r)) == list(
-        _support_buckets(old, rect, r)
-    )
+    assert _table(stats, rects, r) == [_loops(stats, rect, r) for rect in rects]
 
 
 def test_zero_width_axis_contributes_factor_one():
     grid = UniformGrid(Rect((0.0, 5.0), (8.0, 5.0)), (4, 3))
     stats = MiniBucketStats(grid, np.arange(12.0), 1.0, 66)
     rect = Rect((1.0, 5.0), (5.0, 5.0))
-    assert new._estimate_points(stats, rect) == _estimate_points(
-        _old(stats), rect
-    ) == 0.0 * 0.5 + 3.0 + 6.0 * 0.5
-    assert list(new._rect_buckets(stats, rect)) == list(
-        _rect_buckets(_old(stats), rect)
+    [(estimate, core, support)] = _table(stats, [rect], 1.0)
+    assert estimate == _estimate_points(_old(stats), rect) == (
+        0.0 * 0.5 + 3.0 + 6.0 * 0.5
     )
-    assert list(new._support_buckets(stats, rect, 1.0)) == list(
-        _support_buckets(_old(stats), rect, 1.0)
+    assert (estimate, core, support) == _loops(stats, rect, 1.0)
+
+
+def test_ulp_narrow_cells_past_a_face_stay_out():
+    """Thirteen cells across 1e-12 at -1e3: some are narrower than an
+    ulp, so their faces are equal and a zero-width cell counts as wholly
+    covered.  A rect whose upper face lies on a cell boundary must leave
+    the cells past it out, as the old loops' cell ranges did."""
+    grid = UniformGrid(Rect((-1e3, 0.0), (-1e3 + 1e-12, 2.0)), (13, 2))
+    stats = MiniBucketStats(grid, np.ones(26), 1.0, 26)
+    rects = [Rect((-1e3, 0.0), (high, 1.0)) for _, high in grid.faces[0]]
+    for r in (0.0, 1e-13):
+        assert _table(stats, rects, r) == [
+            _loops(stats, rect, r) for rect in rects
+        ]
+
+
+def test_an_empty_batch_covers_nothing():
+    stats = MiniBucketStats(
+        UniformGrid(Rect((0.0,), (4.0,)), (4,)), np.ones(4), 1.0, 4
     )
+    assert new.BucketTable(stats).cover([], 1.0) == []
 
 
 def test_grid_methods_keep_their_floats():
@@ -715,33 +759,132 @@ PLAN_INPUTS = {
 }
 
 
-def _dmt_plan(dataset, n_buckets):
-    request = PlanRequest(
+def _request(dataset, n_buckets):
+    return PlanRequest(
         domain=dataset.bounds, params=OutlierParams(r=2.0, k=8),
         n_partitions=16, n_reducers=12, n_buckets=n_buckets,
         sample_rate=0.4, seed=1,
     )
-    return DMTPartitioner().build_plan(
-        LocalRuntime(), dataset.batch(), request
+
+
+def _refine_by_cost(
+    pieces: list,
+    stats,
+    cost_of,
+    n_reducers: int,
+    slack: float = 0.6,
+) -> list:
+    """Halve any piece whose cost (``cost_of(rect, n)``) exceeds the
+    per-reducer budget, re-estimating child cardinalities from the mini
+    buckets.
+
+    ``slack`` adds head-room above ``total_cost / n_reducers`` so the
+    allocator can still pack unevenly sized pieces.
+    """
+    total = sum(cost_of(rect, n) for rect, n in pieces)
+    if total <= 0:
+        return pieces
+    budget = max(total / n_reducers * (1.0 + slack), total * 1e-6)
+    out = []
+    work = list(pieces)
+    grid = stats.grid
+    min_widths = [w * 1.5 for w in grid.cell_widths]
+    while work:
+        rect, n = work.pop()
+        too_small = all(
+            hi - lo <= mw
+            for lo, hi, mw in zip(rect.low, rect.high, min_widths)
+        )
+        if cost_of(rect, n) <= budget or too_small:
+            out.append((rect, n))
+            continue
+        axis = max(
+            range(rect.ndim), key=lambda i: rect.high[i] - rect.low[i]
+        )
+        mid = (rect.low[axis] + rect.high[axis]) / 2.0
+        left = Rect(
+            rect.low,
+            tuple(mid if i == axis else h for i, h in enumerate(rect.high)),
+        )
+        right = Rect(
+            tuple(mid if i == axis else lo for i, lo in enumerate(rect.low)),
+            rect.high,
+        )
+        n_left = min(_estimate_points(stats, left), n)
+        work.append((left, n_left))
+        work.append((right, n - n_left))
+    return out
+
+
+def _old_dmt_plan(dataset, n_buckets) -> PartitionPlan:
+    """``DMTPartitioner.build_plan`` as it was: every rect's buckets
+    walked on its own (memoized per rect), DSHC the old loop."""
+    request = _request(dataset, n_buckets)
+    stats = _old(collect_minibucket_stats(
+        LocalRuntime(), dataset.batch(), request.domain,
+        n_buckets=request.n_buckets, rate=request.sample_rate,
+        seed=request.seed,
+    ))
+    clustering = run_dshc(stats, DSHCConfig())
+    ndim = request.domain.ndim
+    candidates = DMTPartitioner().candidates
+
+    cache: dict = {}
+
+    def best_for(rect):
+        # Memoized: refinement re-evaluates the same rects repeatedly.
+        hit = cache.get(rect)
+        if hit is None:
+            hit = bucketwise_best_algorithm(
+                list(_rect_buckets(stats, rect)),
+                request.params,
+                ndim,
+                candidates,
+                support_buckets=list(
+                    _support_buckets(stats, rect, request.params.r)
+                ),
+            )
+            cache[rect] = hit
+        return hit
+
+    pieces = [
+        (c.rect, float(c.num_points)) for c in clustering.clusters
+    ]
+    pieces = _refine_by_cost(
+        pieces, stats, lambda rect, n: best_for(rect)[1],
+        request.n_reducers,
+    )
+    partitions = []
+    for pid, (rect, n) in enumerate(pieces):
+        algorithm, est_cost = best_for(rect)
+        partitions.append(
+            Partition(
+                pid=pid,
+                rect=rect,
+                est_points=n,
+                est_cost=est_cost,
+                algorithm=algorithm,
+            )
+        )
+    alloc = allocate([p.est_cost for p in partitions], request.n_reducers)
+    return PartitionPlan(
+        domain=request.domain,
+        partitions=partitions,
+        allocation=alloc.as_table(),
+        strategy="DMT",
     )
 
 
 @pytest.mark.parametrize("name", sorted(PLAN_INPUTS))
-def test_dmt_plan_equals_the_plan_of_the_old_functions(name, monkeypatch):
+def test_dmt_plan_equals_the_plan_of_the_old_functions(name):
     build, n_buckets = PLAN_INPUTS[name]
     dataset = build()
-    plan = _dmt_plan(dataset, n_buckets)
-    monkeypatch.setattr(
-        new, "run_dshc",
-        lambda stats, config=None: run_dshc(_old(stats), config),
+    plan = DMTPartitioner().build_plan(
+        LocalRuntime(), dataset.batch(), _request(dataset, n_buckets)
     )
-    for helper in (_estimate_points, _rect_buckets, _support_buckets):
-        monkeypatch.setattr(
-            new, helper.__name__,
-            lambda stats, *args, _helper=helper: _helper(_old(stats), *args),
-        )
-    oracle_plan = _dmt_plan(dataset, n_buckets)
-    assert plan_to_dict(plan) == plan_to_dict(oracle_plan)
+    assert plan_to_dict(plan) == plan_to_dict(
+        _old_dmt_plan(dataset, n_buckets)
+    )
     # The comparison is not vacuous: refinement went off the bucket grid.
     assert len(plan.partitions) > 4
 
