@@ -236,27 +236,21 @@ def _split_task(groups):
     reduce task's groups that holds a core record, in key order.
 
     A key's records are its batches concatenated in order, split by tag
-    with each side keeping that order.  One concatenation and one stable
-    sort by ``(key, tag)`` serve the whole task, so each partition's
-    core and support rows are slices of one array."""
-    keys = sorted(groups)
-    if not keys:
-        return
-    sizes = [sum(map(len, groups[key])) for key in keys]
-    rows = RecordBatch.concat([batch for key in keys for batch in groups[key]])
-    segment = np.repeat(np.arange(len(keys)), sizes)
-    order = np.argsort(2 * segment + rows.tags, kind="stable")
-    ids, points = rows.ids[order], rows.points[order]
-    n_core = np.bincount(segment[rows.tags == 0], minlength=len(keys))
-    start = 0
-    for key, size, core in zip(keys, sizes, n_core.tolist()):
-        if core:
-            mid = start + core
-            yield (
-                key, points[start:mid], ids[start:mid],
-                points[mid:start + size],
-            )
-        start += size
+    with each side keeping that order.  Routing lays a partition's batch
+    out as its core rows, then its support rows (:func:`route`), so the
+    usual key is one batch already in that order and its sides are
+    slices of it; only a key whose rows are not is sorted (stably, by
+    tag)."""
+    for key in sorted(groups):
+        rows = RecordBatch.concat(groups[key])
+        ids, points, tags = rows.ids, rows.points, rows.tags
+        n_core = int(np.count_nonzero(tags == 0))
+        if not n_core:
+            continue
+        if np.count_nonzero(tags[:n_core]):  # a support row among them
+            order = np.argsort(tags, kind="stable")
+            ids, points = ids.take(order), points.take(order, axis=0)
+        yield key, points[:n_core], ids[:n_core], points[n_core:]
 
 
 class _RoutedMapper(Mapper):

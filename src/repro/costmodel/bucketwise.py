@@ -18,6 +18,7 @@ formulas.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Iterable, Sequence
 
 from ..params import (
@@ -29,7 +30,8 @@ from ..params import (
 from .models import (
     _stencil_areas,
     ball_volume,
-    expected_occupied_cells,
+    cell_area,
+    occupied_cells,
 )
 
 __all__ = ["bucketwise_cost", "bucketwise_best_algorithm", "density_regimes"]
@@ -47,10 +49,13 @@ def density_regimes(params: OutlierParams, ndim: int = 2) -> tuple[float, float]
 
 @functools.lru_cache(maxsize=64)
 def _constants(params: OutlierParams, ndim: int) -> tuple[float, ...]:
-    """``(ball volume, rho_dense, rho_sparse)``: what every bucketwise
-    cost under one ``(params, ndim)`` shares, computed once for all the
-    partitions of a plan (and of later plans)."""
-    return (ball_volume(params.r, ndim), *density_regimes(params, ndim))
+    """``(ball volume, rho_dense, rho_sparse, cell volume)``: what every
+    bucketwise cost under one ``(params, ndim)`` shares, computed once
+    for all the partitions of a plan (and of later plans)."""
+    return (
+        ball_volume(params.r, ndim), *density_regimes(params, ndim),
+        cell_area(params.r, ndim),
+    )
 
 
 def bucketwise_cost(
@@ -73,11 +78,31 @@ def bucketwise_cost(
     """
     buckets = list(buckets)
     support_buckets = list(support_buckets)
+    return _cost(
+        algorithm, buckets, support_buckets, params, ndim,
+        *_totals(buckets, support_buckets),
+    )
+
+
+def _totals(buckets, support_buckets) -> tuple[float, float]:
+    """``(n_p, n_cand)``: the core points, and core plus support."""
     n_p = sum(n for n, _ in buckets)
+    return n_p, n_p + sum(n for n, _ in support_buckets)
+
+
+def _cost(
+    algorithm: str,
+    buckets: list,
+    support_buckets: list,
+    params: OutlierParams,
+    ndim: int,
+    n_p: float,
+    n_cand: float,
+) -> float:
+    """:func:`bucketwise_cost` over bucket lists and their totals."""
     if n_p <= 0:
         return 0.0
-    n_cand = n_p + sum(n for n, _ in support_buckets)
-    v_ball, rho_dense, rho_sparse = _constants(params, ndim)
+    v_ball, rho_dense, rho_sparse, cell = _constants(params, ndim)
 
     def nl_evals(n_b: float, area_b: float) -> float:
         if area_b <= 0:
@@ -95,13 +120,11 @@ def bucketwise_cost(
     if algorithm in ("cell_based", "cell_based_ring"):
         # Every candidate (core + support) is hashed and occupies cells.
         total = 0.0
-        for n_b, area_b in buckets + support_buckets:
+        for n_b, area_b in itertools.chain(buckets, support_buckets):
             if n_b <= 0:
                 continue
             total += INDEX_WEIGHT * n_b
-            total += CELL_WEIGHT * expected_occupied_cells(
-                n_b, area_b, params.r, ndim
-            )
+            total += CELL_WEIGHT * occupied_cells(n_b, area_b, cell)
         # Per-point evaluations happen for core points in unpruned cells.
         for n_b, area_b in buckets:
             if n_b <= 0:
@@ -155,16 +178,16 @@ def bucketwise_best_algorithm(
     candidates: tuple[str, ...] = ("nested_loop", "cell_based"),
     support_buckets: Sequence[tuple[float, float]] = (),
 ) -> tuple[str, float]:
-    """Cheapest candidate algorithm and its cost for these buckets."""
+    """Cheapest candidate algorithm and its cost for these buckets (the
+    bucket lists and their totals are taken once for all candidates)."""
     if not candidates:
         raise ValueError("need at least one candidate algorithm")
     buckets = list(buckets)
     support_buckets = list(support_buckets)
+    totals = _totals(buckets, support_buckets)
     best, best_cost = None, float("inf")
     for name in candidates:
-        cost = bucketwise_cost(
-            name, buckets, params, ndim, support_buckets
-        )
+        cost = _cost(name, buckets, support_buckets, params, ndim, *totals)
         if cost < best_cost:
             best, best_cost = name, cost
     return best, best_cost

@@ -118,14 +118,23 @@ def expected_occupied_cells(
     — close to ``n`` when points are sparse (every point its own cell) and
     close to ``C`` when dense (cells shared).
     """
+    return occupied_cells(n, area, cell_area(r, ndim))
+
+
+def cell_area(r: float, ndim: int = 2) -> float:
+    """Volume of one Cell-Based grid cell: side ``r / (2 sqrt(d))``."""
+    return (r / (2.0 * math.sqrt(ndim))) ** ndim
+
+
+def occupied_cells(n: float, area: float, cell: float) -> float:
+    """:func:`expected_occupied_cells` for cells of volume ``cell``."""
     if n <= 0:
         return 0.0
     if area <= 0:
         # Degenerate (zero-area) data: every point hashes to the same
         # cell, so exactly one cell is occupied.
         return 1.0
-    cell_area = (r / (2.0 * math.sqrt(ndim))) ** ndim
-    available = area / cell_area
+    available = area / cell
     if available <= 0:
         return 1.0
     return available * (1.0 - math.exp(-n / available))

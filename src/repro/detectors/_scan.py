@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import threading
 
 import numpy as np
 
@@ -65,18 +66,28 @@ def scan_order(n_candidates: int, seed: int) -> np.ndarray:
     """The random scan order of ``n_candidates`` candidates under
     ``seed`` — what :func:`random_scan_counts` permutes them by.
 
-    ``np.random.default_rng(seed).permutation(n_candidates)``, from a
-    fresh generator each call (safe from any thread); only the seed's
-    entropy pool, which a generator never changes, is kept between
-    calls.
+    ``np.random.default_rng(seed).permutation(n_candidates)``.  Each
+    thread keeps one generator of its own and rewinds it to the seed's
+    initial state, which is derived once per seed (seeds are per
+    partition, so they recur across a stream's batches); no generator
+    is shared between threads.
     """
-    bits = np.random.PCG64(_seed_sequence(operator.index(seed)))
-    return np.random.Generator(bits).permutation(n_candidates)
+    generator = getattr(_local, "generator", None)
+    if generator is None:
+        generator = _local.generator = np.random.Generator(
+            np.random.PCG64(0)
+        )
+    generator.bit_generator.state = _initial_state(operator.index(seed))
+    return generator.permutation(n_candidates)
+
+
+_local = threading.local()
 
 
 @functools.lru_cache(maxsize=1024)
-def _seed_sequence(seed: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(seed)
+def _initial_state(seed: int) -> dict:
+    """The state ``default_rng(seed)`` starts from; never mutated."""
+    return np.random.PCG64(seed).state
 
 
 def window_counts(

@@ -22,7 +22,10 @@ import numpy as np
 from ..observability.tracing import Span
 from ..params import CELL_WEIGHT, INDEX_WEIGHT, OutlierParams
 
-__all__ = ["DetectionResult", "Detector", "validate_partition_inputs"]
+__all__ = [
+    "DetectionResult", "Detector", "partition_arrays",
+    "validate_partition_inputs",
+]
 
 
 @dataclass
@@ -56,13 +59,13 @@ class DetectionResult:
         )
 
 
-def validate_partition_inputs(
+def partition_arrays(
     core_points: np.ndarray,
     core_ids: np.ndarray,
     support_points: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Normalize and sanity-check detector inputs: shapes that agree and
-    finite coordinates (a ``ValueError`` otherwise)."""
+    """Normalize detector inputs to float / int64 arrays whose shapes
+    agree (a ``ValueError`` otherwise); coordinates are not read."""
     core_points = np.asarray(core_points, dtype=float)
     core_ids = np.asarray(core_ids, dtype=np.int64)
     support_points = np.asarray(support_points, dtype=float)
@@ -74,6 +77,19 @@ def validate_partition_inputs(
         support_points = np.empty((0, core_points.shape[1]))
     if support_points.ndim != 2 or support_points.shape[1] != core_points.shape[1]:
         raise ValueError("support_points must be (m, d) with matching d")
+    return core_points, core_ids, support_points
+
+
+def validate_partition_inputs(
+    core_points: np.ndarray,
+    core_ids: np.ndarray,
+    support_points: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`partition_arrays`, and finite coordinates (a
+    ``ValueError`` otherwise)."""
+    core_points, core_ids, support_points = partition_arrays(
+        core_points, core_ids, support_points
+    )
     if not (np.isfinite(core_points).all() and np.isfinite(support_points).all()):
         # NaN fails every distance comparison, which reads as "no
         # neighbour": refuse rather than call the point an outlier.

@@ -23,7 +23,7 @@ from ..kernels import resolve_kernel
 from ..metrics import resolve_metric
 from ..params import OutlierParams, check_whole
 from ._scan import scan_order
-from .base import DetectionResult, Detector, validate_partition_inputs
+from .base import DetectionResult, Detector, partition_arrays
 
 __all__ = ["NestedLoopDetector"]
 
@@ -91,30 +91,27 @@ class NestedLoopDetector(Detector):
 
 def _scan(detectors, partitions, params) -> list[DetectionResult]:
     """Detect ``partitions[i]`` with ``detectors[i]``, which share one
-    kernel, chunk and metric: the partitions with core points are one
-    kernel batch."""
+    kernel, chunk and metric: the partitions are one kernel batch, which
+    is also where their coordinates are checked to be finite (once).  A
+    partition without core points is a trivial problem of it: nothing
+    scanned, nothing charged."""
     first = detectors[0]
     backend = resolve_kernel(first.kernel, tile=first.chunk)
     metric = resolve_metric(first.metric)
     pools = [_pool(*partition) for partition in partitions]
-    scanned = iter(backend.count_neighbors_batch(
+    scanned = backend.count_neighbors_batch(
         [
-            (core_points, candidates[
-                scan_order(candidates.shape[0], detector.seed)
-            ])
+            (core_points, _in_scan_order(candidates, detector.seed))
             for detector, (core_points, _, candidates) in zip(
                 detectors, pools
             )
-            if core_points.shape[0]
         ],
         params.r, params.k + 1, metric=metric,
-    ))
+    )
     results = []
-    for core_points, core_ids, candidates in pools:
-        if not core_points.shape[0]:
-            results.append(DetectionResult([]))
-            continue
-        counts, charged, computed = next(scanned)
+    for (_, core_ids, candidates), (counts, charged, computed) in zip(
+        pools, scanned
+    ):
         extras = {
             "n_core": core_ids.shape[0],
             "n_support": candidates.shape[0] - core_ids.shape[0],
@@ -132,13 +129,23 @@ def _scan(detectors, partitions, params) -> list[DetectionResult]:
 
 
 def _pool(core_points, core_ids, support_points):
-    """Validated ``(core_points, core_ids, candidates)``; the candidate
-    pool is core plus support.  Every core point occurs in the pool
-    exactly once and matches itself at distance zero, so inliers need
-    ``k + 1`` matches."""
-    core_points, core_ids, support_points = validate_partition_inputs(
+    """Shape-checked ``(core_points, core_ids, candidates)``; the
+    candidate pool is core then support.  Every core point occurs in the
+    pool exactly once and matches itself at distance zero, so inliers
+    need ``k + 1`` matches."""
+    core_points, core_ids, support_points = partition_arrays(
         core_points, core_ids, support_points
     )
     if support_points.shape[0]:
-        return core_points, core_ids, np.vstack([core_points, support_points])
+        return core_points, core_ids, np.concatenate(
+            (core_points, support_points)
+        )
     return core_points, core_ids, core_points
+
+
+def _in_scan_order(candidates: np.ndarray, seed: int) -> np.ndarray:
+    """``candidates`` permuted by their scan order under ``seed``, in one
+    gather into coordinate-major memory (the numpy kernel scans that
+    layout, so it copies nothing more of a lone problem)."""
+    order = scan_order(candidates.shape[0], seed)
+    return candidates.T.take(order, axis=1).T

@@ -31,6 +31,9 @@ scan entry, verified by the differential suite in
   candidate that cannot match (fewer) — neither moves the charge.
 * ``r`` is a radius: negative or NaN is a ``ValueError`` (``r * r``
   would square the sign away).
+* Coordinates are finite: a NaN or ±inf in any query or candidate of a
+  batch is a ``ValueError``, raised once per batch before anything is
+  scanned (NaN would read as "no neighbour", ``inf - inf`` is NaN).
 * ``need`` is a whole number (``2.0`` is ``2``; ``1.5`` is a
   ``ValueError``, not a scan for one match).
 * ``need <= 0`` means every query is decided before examining anything:
@@ -119,45 +122,53 @@ class Kernel(abc.ABC):
         one call.
 
         A trivial problem (``need <= 0``, or nothing to scan) is decided
-        here: zero counts, nothing charged.  ``metric`` selects the
-        distance: ``None`` or the Euclidean metric hands every other
-        problem to the backend's native squared-distance body
-        (:meth:`_count_batch`) in one call; any other
-        :class:`~repro.metrics.Metric` scans each through the
-        metric-generic :meth:`_count_metric` under the same
+        here: zero counts, nothing charged.  Every coordinate of every
+        problem must be finite (a ``ValueError`` otherwise, checked once
+        for the whole batch before anything is scanned): NaN fails every
+        comparison, so a scan would read it as "no neighbour", and
+        ``inf - inf`` is NaN.  ``metric`` selects the distance: ``None``
+        or the Euclidean metric hands every other problem to the
+        backend's native squared-distance body (:meth:`_count_batch`) in
+        one call; any other :class:`~repro.metrics.Metric` scans each
+        through the metric-generic :meth:`_count_metric` under the same
         counts/charged contract.
         """
         problems = [_validated(q, c) for q, c in problems]
         r = _radius(r)
         need = check_whole(need, "need")
+        blocks = [block.ravel(order="K") for pair in problems for block in pair]
+        if blocks and not np.isfinite(np.concatenate(blocks)).all():
+            raise ValueError("query and candidate coordinates must be finite")
         self.calls += len(problems)
         # A scalar loop checks "found >= need" before each evaluation, so
         # need <= 0 (or nothing to scan) terminates without charging a
         # single distance.
-        results = [
-            (np.zeros(queries.shape[0], dtype=np.int64), 0, 0)
-            for queries, _ in problems
-        ]
         scan = [
             i for i, (queries, candidates) in enumerate(problems)
             if need > 0 and queries.shape[0] and candidates.shape[0]
         ]
-        if not scan:
-            return results
-        start = time.perf_counter()
-        if metric is None or metric.is_euclidean:
-            scanned = self._count_batch([problems[i] for i in scan], r, need)
-        else:
-            scanned = [
-                self._count_metric(*problems[i], r, need, metric)
-                for i in scan
-            ]
-        self.wall_seconds += time.perf_counter() - start
-        for i, result in zip(scan, scanned):
-            results[i] = result
-            self.evals_charged += result[1]
-            self.evals_computed += result[2]
-        return results
+        results = [None] * len(problems)
+        if scan:
+            start = time.perf_counter()
+            if metric is None or metric.is_euclidean:
+                scanned = self._count_batch(
+                    [problems[i] for i in scan], r, need
+                )
+            else:
+                scanned = [
+                    self._count_metric(*problems[i], r, need, metric)
+                    for i in scan
+                ]
+            self.wall_seconds += time.perf_counter() - start
+            for i, result in zip(scan, scanned):
+                results[i] = result
+                self.evals_charged += result[1]
+                self.evals_computed += result[2]
+        return [
+            (np.zeros(queries.shape[0], dtype=np.int64), 0, 0)
+            if result is None else result
+            for (queries, _), result in zip(problems, results)
+        ]
 
     @abc.abstractmethod
     def _count_batch(
@@ -190,10 +201,10 @@ class Kernel(abc.ABC):
         def match(q: np.ndarray, own, start: int, stop: int) -> np.ndarray:
             return metric.within_block(q, candidates[start:stop], r)
 
-        counts, (charged,), (computed,) = self._scan_tiles(
+        counts, charged, computed = self._scan_tiles(
             queries, candidates.shape[0], need, match
         )
-        return counts, charged, computed
+        return counts, int(charged.sum()), int(computed.sum())
 
     def _scan_tiles(
         self,
@@ -203,12 +214,11 @@ class Kernel(abc.ABC):
         match,
         owner: np.ndarray | None = None,
         positions: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, list, list]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The one tiled scan every vectorised path runs through.
 
-        Returns ``(counts, charged, computed)``: a count per query row,
-        and charged and computed evals per problem (one problem unless
-        ``owner`` is given).
+        Returns ``(counts, charged, computed)``, each per query row; a
+        problem's charged and computed evals are the sums over its rows.
 
         ``match(q, own, start, stop)`` returns the boolean ``(len(q),
         stop - start)`` tile of ``d(q[i], column start + j) <= r`` — all
@@ -242,99 +252,89 @@ class Kernel(abc.ABC):
         it was live for, clipped to its window.  So every problem's
         three numbers are the ones its own scan gives it (all rows start
         their tile schedule at column 0, whatever problem they belong
-        to).
+        to).  A tile whose rows all scan one problem passes it as an
+        ``int`` and holds its window width as one; a tile's bookkeeping
+        is a fixed handful of array calls, however many rows decide in
+        it.
         """
         n_q = queries.shape[0]
-        counts = np.empty(n_q, dtype=np.int64)
         if owner is None:
-            charged = computed = 0
-        else:  # booked per row, summed per problem at the end
-            charged = np.empty(n_q, dtype=np.int64)
-            computed = np.empty(n_q, dtype=np.int64)
-            widths = n_c if positions is None else (
-                positions < n_c[:, None]
-            ).sum(axis=1)
+            owner, n_c = np.zeros(n_q, dtype=np.intp), np.array([n_c])
+        widths = n_c if positions is None else (
+            positions < n_c[:, None]
+        ).sum(axis=1)
+        # Booked per row as it leaves: a decided row keeps ``need`` and
+        # is charged its stop position + 1; an undecided one keeps its
+        # count and the full ``n_c``.  Computed is the stop column of the
+        # tile it left in, clipped to its window at the end.
+        counts = np.full(n_q, need, dtype=np.int64)
+        charged = n_c[owner]
+        stops = np.zeros(n_q, dtype=np.int64)
         for low in range(0, n_q, ROW_BLOCK):
             q = queries[low:low + ROW_BLOCK]
             rows = np.arange(low, low + q.shape[0])
-            running = np.zeros(q.shape[0], dtype=np.int64)
-            if owner is None:
-                own, limit, span = 0, None, n_c
-            else:
-                own = owner[rows]
-                limit = widths[own]
-                span = int(limit.max())
+            own, limit, span, end = _live(owner[rows], widths)
+            lack = np.full(q.shape[0], need, dtype=np.int64)
+            if not span:  # every window is empty: no tile, no match
+                counts[rows] = 0
             width = min(self.tile, max(8, 2 * need))
             start = 0
-            while start < span and rows.size:
+            while start < span:
                 stop = min(span, start + width)
                 width = min(self.tile, 2 * width)
-                within = match(
-                    q, own if limit is None or own[0] != own[-1] else own[0],
-                    start, stop,
-                )
-                if limit is None:
-                    computed += within.size
-                total = running + within.sum(axis=1, dtype=np.int32)
-                hit = (total >= need).nonzero()[0]
-                keep = None
-                if hit.size:
-                    # Scalar stop: the need-th match's position (through
-                    # the map) + 1, and the count pinned at ``need`` —
-                    # not the tile's.  Each deciding row's matches in
-                    # this tile, laid end to end in row order: its
-                    # (need - running)-th is its stop column.
-                    matched = total[hit] - running[hit]
-                    found = np.flatnonzero(within[hit])[
-                        np.cumsum(matched) - matched + need - running[hit] - 1
-                    ]
-                    stop_at = start + found - np.arange(hit.size) * (
+                within = match(q, own, start, stop)
+                found = within.sum(axis=1, dtype=np.int32)
+                left = lack - found
+                done = (left <= 0).nonzero()[0]
+                if done.size:
+                    # Scalar stop: the deciding rows' matches in this
+                    # tile, laid end to end in row order; the last one
+                    # each row lacked is its stop column (through the
+                    # map).
+                    nth = found[done].cumsum() + left[done] - 1
+                    at = start + within[done].ravel().nonzero()[0][nth] % (
                         stop - start
                     )
-                    decided = rows[hit]
-                    counts[decided] = need
-                    if limit is None:
-                        charged += int(stop_at.sum()) + hit.size
-                    else:
-                        if positions is not None:
-                            stop_at = positions[own[hit], stop_at]
-                        charged[decided] = stop_at + 1
-                        computed[decided] = np.minimum(limit[hit], stop)
-                    keep = total < need
-                if limit is not None:
-                    # Rows whose window has no column past this tile.
-                    spent = limit <= stop
-                    if keep is not None:
-                        spent &= keep
-                    if spent.any():
-                        gone = rows[spent]
-                        counts[gone] = total[spent]
-                        charged[gone] = n_c[own[spent]]
-                        computed[gone] = limit[spent]
-                        keep = ~spent if keep is None else keep & ~spent
+                    if positions is not None:
+                        at = positions[
+                            own if isinstance(own, int) else own[done], at
+                        ]
+                    decided = rows[done]
+                    charged[decided] = at + 1
+                    stops[decided] = stop
+                if stop >= end:  # some live row's window ends here
+                    live = left > 0
+                    spent = live & (limit <= stop)
+                    gone = rows[spent]
+                    counts[gone] = need - left[spent]
+                    stops[gone] = stop
+                    keep = (live & ~spent).nonzero()[0]
+                elif done.size:
+                    keep = (left > 0).nonzero()[0]
+                else:
+                    keep = None
                 if keep is not None:
-                    q, rows, total = q[keep], rows[keep], total[keep]
-                    if limit is not None:
-                        own, limit = own[keep], limit[keep]
-                        span = int(limit.max()) if rows.size else 0
-                running = total
+                    if not keep.size:
+                        break
+                    q, rows, left = q.take(keep, axis=0), rows[keep], left[keep]
+                    if not isinstance(own, int):
+                        own, limit, span, end = _live(own[keep], widths)
+                lack = left
                 start = stop
-            # Rows still here scanned every column without deciding: a
-            # single problem's, or stacked rows whose windows are empty.
-            counts[rows] = running
-            if limit is None:
-                charged += rows.size * n_c
-            else:
-                charged[rows] = n_c[own]
-                computed[rows] = limit
-        if owner is None:
-            return counts, [charged], [computed]
-        first = np.flatnonzero(np.diff(owner, prepend=-1))
-        return (
-            counts,
-            np.add.reduceat(charged, first).tolist(),
-            np.add.reduceat(computed, first).tolist(),
-        )
+        return counts, charged, np.minimum(widths[owner], stops)
+
+
+def _live(own: np.ndarray, widths: np.ndarray) -> tuple:
+    """``(own, limit, span, end)`` of a block's live rows, whose
+    problems ``own`` are non-decreasing: each row's problem and window
+    width — one ``int`` each when the rows all scan one problem — and
+    the widest and narrowest window."""
+    if own[0] == own[-1]:
+        one = int(own[0])
+        width = int(widths[one])
+        return one, width, width, width
+    limit = widths[own]
+    return own, limit, int(limit.max()), int(limit.min())
 
 
 def _radius(r: float) -> float:
@@ -347,10 +347,12 @@ def _radius(r: float) -> float:
 def _validated(
     queries: np.ndarray, candidates: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One problem's blocks as C-contiguous float64 ``(n, d)`` /
-    ``(m, d)`` arrays; ``ValueError`` for any other shape."""
+    """One problem's blocks as float64 ``(n, d)`` / ``(m, d)`` arrays,
+    the queries C-contiguous (candidates keep their layout: a backend
+    may read them coordinate-major); ``ValueError`` for any other
+    shape."""
     queries = np.ascontiguousarray(queries, dtype=np.float64)
-    candidates = np.ascontiguousarray(candidates, dtype=np.float64)
+    candidates = np.asarray(candidates, dtype=np.float64)
     if queries.ndim != 2:
         raise ValueError("queries must be (n, d)")
     if queries.shape[1] == 0:

@@ -159,7 +159,7 @@ class NumpyKernel(base.Kernel):
             counts, charged, computed = self._scan_tiles(
                 queries, columns.shape[1], need, match
             )
-            return [(counts, charged[0], computed[0])]
+            return [(counts, int(charged.sum()), int(computed.sum()))]
         # Per problem: its query rows in stacked order (``None``: as
         # given), and its pieces' query counts and windows (``None``:
         # all of its candidates, in order).
@@ -199,7 +199,7 @@ class NumpyKernel(base.Kernel):
             positions=positions,
         )
         # Sums per problem, and counts back in each problem's own order.
-        first = np.flatnonzero(np.diff(owner, prepend=-1))
+        first = np.cumsum([0] + [q.shape[0] for _, q, _, _ in scans[:-1]])
         charged = np.add.reduceat(charged, first).tolist()
         computed = np.add.reduceat(computed, first).tolist()
         results, low = [], 0
