@@ -21,14 +21,9 @@ Subcommands::
     python -m repro trace run.jsonl
     python -m repro plan data.csv -r 2.0 -k 12 --strategy DMT -o plan.json
     python -m repro info data.csv
-    python -m repro bench --quick --check benchmarks/baselines/bench_smoke.json
-    python -m repro bench --stream --quick
-    python -m repro bench --recovery --quick
-    python -m repro bench --service --quick
 
-Exit codes: 0 success, 1 gate/consistency failure, 2 usage or input
-error (an invalid flag value included), 3 transient service condition
-(queue full, result timeout).
+Exit codes: 0 success, 2 usage or input error (an invalid flag value
+included), 3 transient service condition (queue full, result timeout).
 
 The run flags are declared once (``_RUN_FLAGS``) and every command turns
 its flags into the library's own values before it reads any input
@@ -812,179 +807,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_overrides(args: argparse.Namespace, *names: str) -> dict:
-    """The bench flags that were set, as bench-config keywords."""
-    overrides = {"label": args.label} if args.label else {}
-    for name in names:
-        if getattr(args, name) is not None:
-            overrides[name] = getattr(args, name)
-    return overrides
-
-
-def _bench_config(cls, args: argparse.Namespace, overrides: dict):
-    try:
-        return cls.quick(**overrides) if args.quick else cls(**overrides)
-    except _REFUSED as exc:
-        raise CLIError(str(exc)) from exc
-
-
-def _stream_summary(derived: dict) -> list:
-    return [
-        f"incremental {derived['incremental_total_seconds']:.3f}s vs "
-        f"full re-runs {derived['full_rerun_total_seconds']:.3f}s "
-        f"({derived['speedup_vs_full']:.2f}x); identical outliers: "
-        f"{derived['identical_outliers']}; plan cache hit rate "
-        f"{derived['plan_cache_hit_rate']:.0%}"
-    ]
-
-
-def _recovery_summary(derived: dict) -> list:
-    return [
-        f"journal overhead {derived['journal_overhead_ratio']:.2f}x "
-        f"over a plain run; mean resume cost "
-        f"{derived['mean_resume_over_full_ratio']:.2f}x of a full run; "
-        f"identical outliers: {derived['identical_outliers']}"
-    ]
-
-
-def _service_summary(derived: dict) -> list:
-    return [
-        f"{derived['n_jobs']} jobs drained in "
-        f"{derived['drain_wall_seconds']:.3f}s "
-        f"({derived['jobs_per_second']:.2f} jobs/s); mean latency "
-        f"{derived['mean_latency_seconds']:.3f}s (queue wait "
-        f"{derived['mean_queue_wait_seconds']:.3f}s); plan cache hit "
-        f"rate {derived['plan_cache_hit_rate']:.0%}; identical "
-        f"outliers: {derived['identical_outliers']}"
-    ] + [
-        f"  {tenant}: {rates['submitted']} submitted, "
-        f"{rates['done']} done, {rates['failed']} failed, "
-        f"{rates['quarantined']} quarantined; queue wait "
-        f"p50 {rates.get('queue_wait_p50_seconds', 0.0):.3f}s / "
-        f"p95 {rates.get('queue_wait_p95_seconds', 0.0):.3f}s"
-        for tenant, rates in sorted(derived["tenant_rates"].items())
-    ]
-
-
-#: ``bench --stream / --recovery / --service``: the config class and the
-#: runner (names in :mod:`repro.bench`), the output file prefix and the
-#: summary lines of each.
-_BENCH_MODES = {
-    "stream": (
-        "StreamBenchConfig", "run_stream_bench", "STREAM", _stream_summary
-    ),
-    "recovery": (
-        "RecoveryBenchConfig", "run_recovery_bench", "RECOVERY",
-        _recovery_summary,
-    ),
-    "service": (
-        "ServiceBenchConfig", "run_service_bench", "SERVICE",
-        _service_summary,
-    ),
-}
-
-
-def _mode_bench(args: argparse.Namespace, mode: str) -> int:
-    from . import bench
-
-    config_name, runner_name, prefix, summary = _BENCH_MODES[mode]
-    if args.check:
-        raise CLIError(
-            "--check compares the fixed perf matrix; it does not "
-            f"apply to --{mode}"
-        )
-    config = _bench_config(
-        getattr(bench, config_name), args,
-        _bench_overrides(args, "workers", "base_n"),
-    )
-    result = getattr(bench, runner_name)(config, log=print)
-    out_path = args.output or f"{prefix}_{config.label}.json"
-    bench.save_bench(result, out_path)
-    print(f"{mode} bench result -> {out_path}")
-
-    derived = result["derived"]
-    for line in summary(derived):
-        print(line)
-    return 0 if derived["identical_outliers"] else 1
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import BenchConfig, check_against, run_bench, save_bench
-
-    modes = [mode for mode in _BENCH_MODES if getattr(args, mode)]
-    if len(modes) > 1:
-        raise CLIError(
-            f"pick one of {' / '.join('--' + mode for mode in modes)}"
-        )
-    if modes:
-        return _mode_bench(args, modes[0])
-    overrides = _bench_overrides(
-        args, "repeats", "workers", "base_n", "r", "k"
-    )
-    if args.detectors:
-        overrides["detectors"] = tuple(args.detectors.split(","))
-    if args.kernels:
-        overrides["kernels"] = tuple(args.kernels.split(","))
-    if args.transports is not None:
-        transports = tuple(
-            t for t in args.transports.split(",")
-            if t and t != "none"
-        )
-        if not set(transports) <= {"shm"}:
-            raise CLIError(
-                f"--transports accepts shm or none "
-                f"(got {args.transports!r})"
-            )
-        overrides["transports"] = transports
-    if args.tiers:
-        tiers = tuple(args.tiers.split(","))
-        for tier in tiers:
-            if tier not in ("exact", "fast"):
-                raise CLIError(
-                    f"--tiers accepts exact,fast (got {tier!r})"
-                )
-        overrides["tiers"] = tiers
-    if args.metric:
-        overrides["metric"] = args.metric
-    config = _bench_config(BenchConfig, args, overrides)
-
-    result = run_bench(config, log=print)
-    out_path = args.output or f"BENCH_{config.label}.json"
-    save_bench(result, out_path)
-    print(f"bench result -> {out_path}")
-
-    derived = result["derived"]
-    for detector, entry in derived["per_detector"].items():
-        print(
-            f"{detector}: identical outliers: "
-            f"{entry['identical_outliers']}"
-        )
-        kernel_ratio = entry.get("kernel_speedup_ratio")
-        if kernel_ratio is not None:
-            print(
-                f"{detector}: numpy kernel {kernel_ratio:.2f}x faster "
-                "per reduce task than the python oracle"
-            )
-
-    if args.check:
-        with open(args.check) as f:
-            baseline = json.load(f)
-        problems = check_against(
-            result, baseline, tolerance=args.tolerance
-        )
-        if problems:
-            print(f"\nBENCH GATE FAILED vs {args.check}:")
-            for problem in problems:
-                print(f"  {problem}")
-            print(
-                "(if intentional, regenerate the baseline with "
-                f"repro bench --quick -o {args.check})"
-            )
-            return 1
-        print(f"bench gate OK vs {args.check}")
-    return 0
-
-
 def _cmd_info(args: argparse.Namespace) -> int:
     dataset = _InputReader(args.with_ids).load(args.input)
     bounds = dataset.bounds
@@ -1301,69 +1123,6 @@ def build_parser() -> argparse.ArgumentParser:
     info.add_argument("--with-ids", action="store_true")
     info.set_defaults(func=_cmd_info)
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the serial/parallel x detector perf matrix and emit "
-             "BENCH_<label>.json",
-    )
-    bench.add_argument("--label", default=None,
-                       help="output label (BENCH_<label>.json); "
-                            "defaults to 'fig8', or 'smoke' with --quick")
-    bench.add_argument("--quick", action="store_true",
-                       help="small matrix for CI (one detector, fewer "
-                            "points, 2 workers, 2 repeats)")
-    bench.add_argument("--stream", action="store_true",
-                       help="run the streaming benchmark instead: "
-                            "incremental micro-batches vs full re-runs, "
-                            "emitting STREAM_<label>.json")
-    bench.add_argument("--recovery", action="store_true",
-                       help="run the recovery benchmark instead: "
-                            "journal overhead + crash/resume cost, "
-                            "emitting RECOVERY_<label>.json")
-    bench.add_argument("--service", action="store_true",
-                       help="run the service benchmark instead: "
-                            "submit->result latency under concurrent "
-                            "tenants, emitting SERVICE_<label>.json")
-    bench.add_argument("--repeats", type=int, default=None,
-                       help="runs per matrix cell; min wall is reported")
-    bench.add_argument("--workers", type=int, default=None,
-                       help="worker processes for the parallel cells")
-    bench.add_argument("--base-n", type=int, default=None,
-                       help="base dataset size (region generator)")
-    bench.add_argument("--r", type=float, default=None,
-                       help="distance threshold in the metric's units "
-                            "(km for haversine; default 2.0)")
-    bench.add_argument("--k", type=int, default=None,
-                       help="neighbor count threshold (default 12)")
-    bench.add_argument("--detectors", default=None,
-                       help="comma-separated detector list")
-    bench.add_argument("--kernels", default=None,
-                       help="comma-separated kernel backends for the "
-                            "serial kernel axis (default python,numpy)")
-    bench.add_argument("--tiers", default=None,
-                       help="comma-separated detection tiers for the "
-                            "serial tier axis (exact,fast); tiers other "
-                            "than plain 'exact' join the workload "
-                            "identity (default exact,fast; --quick "
-                            "defaults to exact only)")
-    bench.add_argument("--transports", default=None,
-                       help="'shm' (default) runs one parallel cell per "
-                            "detector; 'none' drops the parallel cells "
-                            "for a serial-only deterministic matrix")
-    bench.add_argument("--metric", default=None, metavar="SPEC",
-                       help="distance metric for the whole matrix; "
-                            "non-Euclidean metrics drop Euclidean-only "
-                            "detectors from the detector axis and are "
-                            "recorded in the workload identity")
-    bench.add_argument("-o", "--output", default=None,
-                       help="output path (default BENCH_<label>.json)")
-    bench.add_argument("--check", metavar="BASELINE",
-                       help="compare against a baseline BENCH json; "
-                            "non-zero exit on regression")
-    bench.add_argument("--tolerance", type=float, default=0.25,
-                       help="relative tolerance for ratio comparisons "
-                            "with --check (default 0.25)")
-    bench.set_defaults(func=_cmd_bench)
     return parser
 
 

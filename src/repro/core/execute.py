@@ -132,9 +132,9 @@ def _charge_kernel_counters(ctx: TaskContext, result) -> None:
         int(extras.get("kernel_evals_computed", 0)),
     )
     # Deliberately no wall time here: counters must stay deterministic
-    # (the transport-equivalence suite compares them bit-for-bit).  The
-    # bench harness measures backend wall by threading a shared Kernel
-    # instance through serial runs and reading Kernel.wall_seconds.
+    # (the transport-equivalence suite compares them bit-for-bit).
+    # benchmarks/test_kernel_speedup.py measures backend wall by handing
+    # a serial run one Kernel instance and reading its wall_seconds.
 
 
 def _charge_graph_counters(ctx: TaskContext, result) -> None:

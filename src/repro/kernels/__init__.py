@@ -2,7 +2,7 @@
 
 Every scan-based detector routes its inner loop through one narrow ABI
 (:class:`~repro.kernels.base.Kernel`), so the whole system — batch,
-streaming, checkpointed, and benched — picks its distance backend with
+streaming, checkpointed, and served — picks its distance backend with
 one knob:
 
 * ``python`` — the scalar reference loop; slow, but the oracle the

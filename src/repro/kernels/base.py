@@ -49,8 +49,8 @@ Instances additionally accumulate ``calls`` (one per problem) /
 ``evals_charged`` / ``evals_computed`` / ``wall_seconds`` across calls;
 the detectors surface computed evals in result extras and the reducers
 roll them into the ``kernel`` counter group.  ``wall_seconds`` times
-only the backend body, so the bench harness can compare backends on
-exactly the work they vectorize.
+only the backend body, so ``benchmarks/test_kernel_speedup.py`` can
+compare backends on exactly the work they vectorize.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ in :mod:`repro.kernels.base` — one query at a time, one candidate at a
 time, plain float arithmetic — because its job is to *define* the
 semantics the batched backends must reproduce byte for byte.  The
 differential CI job diffs every other backend against this one; its
-slowness is also what the bench harness's kernel axis measures the
-``numpy`` speedup against.
+slowness is also what ``benchmarks/test_kernel_speedup.py`` measures
+the ``numpy`` speedup against.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 The metric is a *result-changing* knob (unlike the kernel backend,
 which only changes wall time), so it threads through run identity
-everywhere: checkpoint manifests, streaming snapshots, bench workload
-dicts, and service job specs all record it.
+everywhere: checkpoint manifests, streaming snapshots and service job
+specs all record it.
 
 The metric is what the ``--metric`` flag / ``metric=`` argument names;
 ``"auto"``/``None`` means :data:`DEFAULT_METRIC`.  Parameterized metrics

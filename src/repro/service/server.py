@@ -19,7 +19,7 @@ watches them, and keeps the queue honest:
 
 ``drain=True`` turns the long-lived service into a batch pump: the
 driver exits once every job in the store has settled — the hermetic
-mode the tests and ``repro bench --service`` drive.
+mode the tests drive.
 
 The supervision sweep is also where the self-healing layer lives:
 
@@ -263,7 +263,7 @@ class ServiceServer:
     def _on_signal(self, signum, frame) -> None:
         self._stop = True
 
-    # -- test/bench conveniences ---------------------------------------
+    # -- test conveniences ---------------------------------------------
     def worker_pids(self) -> List[int]:
         return [
             proc.pid for proc in self._procs.values()

@@ -354,7 +354,7 @@ class ServiceWorker:
             else "plan_cache_misses",
         )
         # Per-tenant rate metric: the counter group carries which
-        # tenant this completion belongs to, so traces/bench can
+        # tenant this completion belongs to, so traces can
         # aggregate rates without re-reading the store.
         counters.incr(
             "service", f"tenant_jobs_done:{job['tenant']}"

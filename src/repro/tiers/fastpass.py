@@ -371,7 +371,7 @@ def run_certification(
     can reach, which the detection mapper skips entirely.  The returned
     :class:`JobResult` carries the ``tier`` counter group and the pass's
     deterministic cost units; callers append it to the run's job list so
-    reports/benches see the tier work like any other phase.
+    reports see the tier work like any other phase.
     """
     job = MapReduceJob(
         name="tier-certify",

@@ -286,12 +286,11 @@ class TestRefusals:
         assert not out.exists()
         assert not spool.exists()
 
-    def test_bench_zero_repeats(self, tmp_path, capsys):
+    def test_bench_is_an_unknown_command(self, tmp_path, capsys):
         out = tmp_path / "bench.json"
-        assert main(["bench", "--quick", "--repeats", "0",
-                     "-o", str(out)]) == 2
+        assert refused(["bench", "--quick", "-o", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "error: repeats must be >= 1" in err
+        assert "invalid choice: 'bench'" in err
         assert "Traceback" not in err
         assert not out.exists()
 

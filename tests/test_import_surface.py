@@ -15,7 +15,7 @@ _SCRIPT = """
 import sys
 
 import repro, repro.cli, repro.streaming, repro.recovery, repro.service
-import repro.bench, repro.experiments
+import repro.experiments
 
 EXTENSIONS = ("repro.clustering", "repro.knn", "repro.loci", "repro.viz")
 

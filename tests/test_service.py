@@ -449,6 +449,17 @@ class TestServeAcceptance:
         # over the pool is scheduling: one worker may drain the queue
         # before the second has finished spawning.
         assert 1 <= len(pids) <= 2
+        # The store counts the same six jobs, two submitted and two done
+        # per tenant.
+        proc = _repro(
+            ["status", "--tenant", "*", "--spool", spool], tmp_path
+        )
+        assert proc.returncode == 0, proc.stderr
+        stats = json.loads(proc.stdout)
+        assert {
+            tenant: (rates["submitted"], rates["done"])
+            for tenant, rates in stats.items()
+        } == {"acme": (2, 2), "beta": (2, 2), "gamma": (2, 2)}
 
     def test_queue_full_submit_exits_3(self, tmp_path, points_csv, spool):
         with JobStore(spool) as store:
