@@ -64,16 +64,18 @@ class DetectionRun:
     def n_jobs(self) -> int:
         return len(self.jobs)
 
-    def map_task_costs(self, metric: str = "wall") -> List[float]:
+    def map_task_costs(self) -> List[float]:
+        """Per-map-task cost units, job by job."""
         return [
-            job._task_cost(t, metric)
+            job._task_cost(t, "units")
             for job in self.jobs
             for t in job.map_tasks
         ]
 
-    def reduce_task_costs(self, metric: str = "wall") -> List[float]:
+    def reduce_task_costs(self) -> List[float]:
+        """Per-reducer cost units, job by job."""
         return [
-            job._task_cost(t, metric)
+            job._task_cost(t, "units")
             for job in self.jobs
             for t in job.reduce_tasks
         ]

@@ -73,12 +73,12 @@ class PipelineResult:
     @property
     def map_units(self) -> float:
         """Deterministic map-side cost units across all jobs."""
-        return sum(self.run.map_task_costs("units"))
+        return sum(self.run.map_task_costs())
 
     @property
     def reduce_units(self) -> float:
         """Deterministic reduce-side cost units across all jobs."""
-        return sum(self.run.reduce_task_costs("units"))
+        return sum(self.run.reduce_task_costs())
 
     @property
     def simulated_map_seconds(self) -> float:
@@ -142,9 +142,9 @@ class PipelineResult:
             "reduce": self.simulated_reduce_seconds,
         }
 
-    def reducer_loads(self, metric: str = "units") -> list[float]:
-        """Per-reducer task costs — the load-balance signal."""
-        return self.run.reduce_task_costs(metric)
+    def reducer_loads(self) -> list[float]:
+        """Per-reducer cost units — the load-balance signal."""
+        return self.run.reduce_task_costs()
 
     @property
     def load_imbalance(self) -> float:

@@ -15,9 +15,14 @@ Mechanics per partition:
 * for a query ``p`` and candidate ``q`` the triangle inequality gives
   ``LB(p,q) = max_v |d(p,v) - d(q,v)|`` and
   ``UB(p,q) = min_v  d(p,v) + d(q,v)``;
-* candidates with ``UB <= r`` are counted as neighbors with no exact
-  distance computation; those with ``LB > r`` are discarded; only the
-  remainder pays an exact evaluation, with early termination at ``k``.
+* candidates with ``UB <= r - margin`` are counted as neighbors with no
+  exact distance computation; those with ``LB > r + margin`` are
+  discarded; only the remainder pays an exact evaluation, with early
+  termination at ``k``.
+
+One loop serves every metric: the rounding ``margin`` means a float
+bound never decides a pair it could get wrong (see
+:class:`PivotDetector`).
 """
 
 from __future__ import annotations
@@ -36,18 +41,16 @@ def select_pivots_maxmin(
 ) -> np.ndarray:
     """Farthest-point pivot selection: indices of the chosen pivots.
 
-    ``metric=None`` keeps the historical Euclidean arithmetic; a
-    :class:`~repro.metrics.Metric` selects pivots by its own distances
-    (selection quality only — any pivot set is exact).
+    Distances are the resolved ``metric``'s (Euclidean by default);
+    they only steer selection quality — any pivot set is exact.
     """
+    metric = resolve_metric(metric)
     n = points.shape[0]
     n_pivots = min(n_pivots, n)
     rng = np.random.default_rng(seed)
     chosen = [int(rng.integers(n))]
 
     def dists_to(row: int) -> np.ndarray:
-        if metric is None:
-            return np.linalg.norm(points - points[row], axis=1)
         return metric.pairwise(points, points[row:row + 1])[:, 0]
 
     min_dist = dists_to(chosen[0])
@@ -63,12 +66,19 @@ class PivotDetector(Detector):
 
     Works in any metric space — the LB/UB pruning *is* the triangle
     inequality, which every registered :class:`~repro.metrics.Metric`
-    satisfies.  The Euclidean path keeps the seed arithmetic bitwise
-    (squared-distance exact checks); non-Euclidean metrics run the same
-    structure on ``metric.pairwise`` distances with a conservative
-    rounding margin on the bounds — the margin only shrinks the
-    pruned/free sets (those pairs fall through to exact
-    ``within_block`` checks), so exactness is preserved.
+    satisfies.  Pivot distances come from ``metric.pairwise`` and exact
+    checks from ``metric.within_block``, Euclidean included.
+
+    Bounds carry a rounding margin: ``definite`` requires
+    ``UB <= r - margin`` and pruning requires ``LB > r + margin``, so a
+    pair whose float bound strays within a hair of ``r`` is never
+    decided by the bound — it falls through to an exact
+    ``within_block`` check.  Without it a pair a hair beyond ``r``
+    with a third point on the segment between them has a rounded
+    ``UB`` at or below ``r`` and would be counted as neighbours.  The
+    margin (1e-9 of the distance scale) dwarfs accumulated float error
+    by six orders of magnitude while costing essentially no pruning
+    power.
     """
 
     name = "pivot"
@@ -103,91 +113,11 @@ class PivotDetector(Detector):
         n_cand = candidates.shape[0]
 
         metric = resolve_metric(self.metric)
-        if not metric.is_euclidean:
-            return self._detect_metric(
-                core_points, core_ids, candidates, params, metric
-            )
-
-        pivot_rows = select_pivots_maxmin(
-            candidates, self.n_pivots, self.seed
-        )
-        pivots = candidates[pivot_rows]
-        # (n_cand, P): each candidate's distance to each pivot.
-        cand_piv = np.linalg.norm(
-            candidates[:, None, :] - pivots[None, :, :], axis=2
-        )
-        index_ops = n_cand * pivots.shape[0]
-
-        k = params.k
-        r = params.r
-        r2 = r * r
-        distance_evals = 0
-        exact_checks = 0
-        free_counts = 0
-        outliers: list[int] = []
-        for i in range(n_core):
-            # Core row i is candidate row i (core block comes first).
-            q_piv = cand_piv[i]
-            distance_evals += pivots.shape[0]  # would compute these live
-            lower = np.max(np.abs(cand_piv - q_piv), axis=1)
-            upper = np.min(cand_piv + q_piv, axis=1)
-            # The self-row's true distance is 0: mark it definite so it is
-            # excluded from the unknown set and subtracted exactly once.
-            upper[i] = 0.0
-            definite = int((upper <= r).sum()) - 1  # excludes self
-            free_counts += max(definite, 0)
-            count = definite
-            if count >= k:
-                continue
-            unknown = np.nonzero((lower <= r) & (upper > r))[0]
-            p = core_points[i]
-            for start in range(0, unknown.shape[0], 256):
-                rows = unknown[start:start + 256]
-                d2 = np.sum((candidates[rows] - p) ** 2, axis=1)
-                within = d2 <= r2
-                exact_checks += rows.shape[0]
-                count += int(within.sum())
-                if count >= k:
-                    break
-            if count < k:
-                outliers.append(int(core_ids[i]))
-
-        distance_evals += exact_checks
-        return DetectionResult(
-            outlier_ids=outliers,
-            distance_evals=distance_evals,
-            index_ops=index_ops,
-            extras={
-                "pivots": pivots.shape[0],
-                "exact_checks": exact_checks,
-                "free_counts": free_counts,
-            },
-        )
-
-    def _detect_metric(
-        self,
-        core_points: np.ndarray,
-        core_ids: np.ndarray,
-        candidates: np.ndarray,
-        params: OutlierParams,
-        metric,
-    ) -> DetectionResult:
-        """The same pruning structure over an arbitrary metric.
-
-        Bounds carry a rounding margin: ``definite`` requires
-        ``UB <= r - margin`` and pruning requires ``LB > r + margin``,
-        so a pair whose float bound strays within a hair of ``r`` is
-        never decided by the bound — it falls through to an exact
-        ``within_block`` check.  The margin (1e-9 of the distance
-        scale) dwarfs accumulated float error by six orders of
-        magnitude while costing essentially no pruning power.
-        """
-        n_core = core_points.shape[0]
-        n_cand = candidates.shape[0]
         pivot_rows = select_pivots_maxmin(
             candidates, self.n_pivots, self.seed, metric=metric
         )
         pivots = candidates[pivot_rows]
+        # (n_cand, P): each candidate's distance to each pivot.
         cand_piv = metric.pairwise(candidates, pivots)
         index_ops = n_cand * pivots.shape[0]
 
@@ -199,8 +129,9 @@ class PivotDetector(Detector):
         free_counts = 0
         outliers: list[int] = []
         for i in range(n_core):
+            # Core row i is candidate row i (core block comes first).
             q_piv = cand_piv[i]
-            distance_evals += pivots.shape[0]
+            distance_evals += pivots.shape[0]  # would compute these live
             lower = np.max(np.abs(cand_piv - q_piv), axis=1)
             upper = np.min(cand_piv + q_piv, axis=1)
             # Self is excluded explicitly (never counted, never checked).
@@ -224,14 +155,16 @@ class PivotDetector(Detector):
                 outliers.append(int(core_ids[i]))
 
         distance_evals += exact_checks
+        extras = {
+            "pivots": pivots.shape[0],
+            "exact_checks": exact_checks,
+            "free_counts": free_counts,
+        }
+        if not metric.is_euclidean:
+            extras["metric"] = metric.spec()
         return DetectionResult(
             outlier_ids=outliers,
             distance_evals=distance_evals,
             index_ops=index_ops,
-            extras={
-                "pivots": pivots.shape[0],
-                "exact_checks": exact_checks,
-                "free_counts": free_counts,
-                "metric": metric.spec(),
-            },
+            extras=extras,
         )

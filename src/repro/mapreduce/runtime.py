@@ -119,10 +119,6 @@ class JobResult:
             return task.wall_seconds
         raise ValueError(f"unknown metric: {metric!r}")
 
-    def reduce_task_costs(self, metric: str = "wall") -> List[float]:
-        """Per-reducer costs — the load-balance signal in Fig. 7/8."""
-        return [self._task_cost(t, metric) for t in self.reduce_tasks]
-
 
 class LocalRuntime:
     """Runs jobs against a simulated cluster.

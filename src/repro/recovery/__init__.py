@@ -45,6 +45,7 @@ from .snapshot import (
     payload_crc32,
     read_artifact,
     write_artifact,
+    write_atomic,
 )
 
 __all__ = [
@@ -69,4 +70,5 @@ __all__ = [
     "read_manifest",
     "run_checkpointed",
     "write_artifact",
+    "write_atomic",
 ]

@@ -31,7 +31,7 @@ import tempfile
 import zlib
 from functools import reduce
 from operator import iconcat
-from typing import Any
+from typing import Any, Iterable
 
 from .diskguard import DiskPressureError, is_disk_full
 
@@ -40,6 +40,7 @@ __all__ = [
     "canonical_bytes",
     "payload_crc32",
     "write_artifact",
+    "write_atomic",
     "read_artifact",
 ]
 
@@ -149,16 +150,29 @@ def write_artifact(path: str, kind: str, version: int, payload: Any) -> None:
         },
         separators=(",", ":"),
     ).encode("utf-8")
+    # The envelope less its closing brace, then the payload.
+    write_atomic(path, [head[:-1] + b',"payload":', body, b"}"])
+
+
+def write_atomic(path: str, chunks: Iterable[bytes]) -> None:
+    """Durably replace ``path`` with the concatenated ``chunks``.
+
+    The bytes go to a temp file in the same directory, which is
+    ``fsync``-ed and ``os.replace``-d onto ``path``; the directory is
+    then ``fsync``-ed so the rename itself survives a crash.  A reader
+    sees the old file (or none) or the new one, never a torn one.  A
+    full disk raises a typed
+    :class:`~repro.recovery.diskguard.DiskPressureError` and leaves no
+    temp file behind.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(
         prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
     )
     try:
         with os.fdopen(fd, "wb") as f:
-            # The envelope less its closing brace, then the payload.
-            f.write(head[:-1] + b',"payload":')
-            f.write(body)
-            f.write(b"}")
+            for chunk in chunks:
+                f.write(chunk)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -170,7 +184,6 @@ def write_artifact(path: str, kind: str, version: int, payload: Any) -> None:
         if is_disk_full(exc) and not isinstance(exc, DiskPressureError):
             raise DiskPressureError(path, "enospc", str(exc)) from exc
         raise
-    # Make the rename itself durable: fsync the containing directory.
     dir_fd = os.open(directory, os.O_RDONLY)
     try:
         os.fsync(dir_fd)

@@ -52,11 +52,8 @@ from ..observability import RunReport, Span
 from ..params import OutlierParams
 from ..partitioning import PartitionPlan
 from ..recovery.checkpoint import _run_resolved, dataset_fingerprint
-from ..recovery.diskguard import (
-    DiskPressureError,
-    is_disk_full,
-    maybe_inject_enospc,
-)
+from ..recovery.diskguard import DiskPressureError, maybe_inject_enospc
+from ..recovery.snapshot import write_atomic
 from .store import InvalidTransition, JobDeadlineExceeded, JobStore
 
 __all__ = ["ServiceWorker", "worker_main", "RESULT_FILE", "TRACE_FILE"]
@@ -189,7 +186,11 @@ class ServiceWorker:
             # Artifacts land before the state flips: a job marked done
             # always has its result.json (a kill in between re-runs the
             # job, which the journal turns into a cheap resume).
-            _atomic_write_json(os.path.join(job_dir, RESULT_FILE), report)
+            result_path = os.path.join(job_dir, RESULT_FILE)
+            maybe_inject_enospc("result", result_path)
+            write_atomic(
+                result_path, [json.dumps(report, indent=2).encode("utf-8")]
+            )
             trace.save(os.path.join(job_dir, TRACE_FILE))
         except Exception as exc:
             return self._settle_failure(job, job_dir, exc)
@@ -502,21 +503,3 @@ def worker_main(
     finally:
         worker.close()
 
-
-def _atomic_write_json(path: str, payload: Dict[str, Any]) -> None:
-    maybe_inject_enospc("result", path)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w") as f:
-            json.dump(payload, f, indent=2)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except OSError as exc:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        if is_disk_full(exc):
-            raise DiskPressureError(path, "enospc", str(exc)) from exc
-        raise

@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import Dataset, OutlierParams, brute_force_outliers
-from repro.detectors import PivotDetector, select_pivots_maxmin
+from repro.core import (
+    Dataset,
+    OutlierParams,
+    brute_force_outliers,
+    detect_outliers,
+)
+from repro.detectors import (
+    NestedLoopDetector,
+    PivotDetector,
+    select_pivots_maxmin,
+)
 
 
 class TestPivotSelection:
@@ -91,6 +100,30 @@ class TestPivotExactness:
             data, params
         )
         assert set(result.outlier_ids) == oracle
+
+
+class TestFloatEdge:
+    """A float bound within rounding of ``r`` never decides a pair."""
+
+    def test_a_pair_past_r_with_a_point_between_is_not_counted(self):
+        # d(p0, p1) is a hair beyond r and p2 lies on their segment, so
+        # the rounded bound d(p0, p2) + d(p2, p1) lands at or below r.
+        data = Dataset.from_points(np.array([
+            [-3.763370959790291, -1.533471020548486],
+            [-2.665128785660934, -3.60132011756488],
+            [-3.159783993352459, -2.6699478313291323],
+        ]))
+        params = OutlierParams(r=2.341396113661226, k=2)
+        assert sorted(brute_force_outliers(data, params)) == [0, 1]
+        nested = NestedLoopDetector().detect_dataset(data, params)
+        assert sorted(nested.outlier_ids) == [0, 1]
+        pivot = PivotDetector().detect_dataset(data, params)
+        assert sorted(pivot.outlier_ids) == [0, 1]
+        result = detect_outliers(
+            data, params, strategy="uniSpace", detector="pivot",
+            n_partitions=1, n_reducers=1,
+        )
+        assert sorted(result.outlier_ids) == [0, 1]
 
 
 class TestNonFinite:

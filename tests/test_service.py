@@ -14,6 +14,7 @@ with exit code 3.
 
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -94,6 +95,33 @@ class TestWorkerInProcess:
         assert report["plan_cache_hit"] is False
         assert report["queue_wait_seconds"] >= 0.0
         assert report["run_seconds"] > 0.0
+
+    def test_result_json_rename_is_made_durable(
+        self, spool, points_csv, monkeypatch
+    ):
+        # result.json lands by rename; only an fsync of its directory
+        # after the rename makes the rename itself survive a crash.
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", stat.S_ISDIR(os.fstat(fd).st_mode)))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            real_replace(src, dst)
+            events.append(("replace", os.path.basename(dst)))
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        with ServiceClient(spool) as client:
+            job_id = _submit(client, points_csv)
+            assert ServiceWorker(spool).run_forever(drain=True) == 1
+            job_dir = client.store.job_dir(job_id)
+            with open(os.path.join(job_dir, "result.json")) as f:
+                assert json.load(f)["outliers"] == ORACLE
+        after = events[events.index(("replace", "result.json")) + 1:]
+        assert next(e for e in after if e[0] == "fsync") == ("fsync", True)
 
     def test_repeat_submission_reuses_warm_plan(self, spool, points_csv):
         with ServiceClient(spool) as client:
