@@ -284,10 +284,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _write_report(report: dict, output: str | None) -> None:
+    from .recovery import write_atomic
+
     text = json.dumps(report, indent=2)
     if output:
-        with open(output, "w") as f:
-            f.write(text)
+        write_atomic(output, [text.encode("utf-8")])
         print(f"{report['n_outliers']} outliers -> {output}")
     else:
         print(text)

@@ -27,6 +27,7 @@ from ..core import detect_outliers
 from ..data import state_dataset
 from ..observability import Tracer, render_report
 from ..params import OutlierParams
+from ..recovery import write_atomic
 from .common import EXPERIMENT_CLUSTER, cost_summary
 
 __all__ = ["run_smoke", "main"]
@@ -90,9 +91,8 @@ def main(argv=None) -> int:
     print(json.dumps(summary, indent=2, sort_keys=True))
 
     if args.update:
-        with open(args.update, "w") as f:
-            json.dump(summary, f, indent=2, sort_keys=True)
-            f.write("\n")
+        text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        write_atomic(args.update, [text.encode("utf-8")])
         print(f"baseline updated -> {args.update}")
         return 0
 

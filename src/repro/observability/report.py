@@ -363,14 +363,21 @@ class RunReport:
         )
 
     def save(self, path: str) -> None:
-        """Write the JSONL trace file: report line, then span lines."""
-        with open(path, "w") as f:
-            f.write(json.dumps(self.to_dict()) + "\n")
-            for root in self.trace:
-                f.write(
-                    json.dumps({"type": "span", "span": root.to_dict()})
-                    + "\n"
-                )
+        """Write the JSONL trace file: report line, then span lines.
+
+        The file is replaced durably, as every file the system writes
+        (:func:`~repro.recovery.snapshot.write_atomic`): a full disk is a
+        ``DiskPressureError`` that leaves the previous file whole."""
+        # Imported here: the recovery package imports this one.
+        from ..recovery.snapshot import write_atomic
+
+        records = [self.to_dict()] + [
+            {"type": "span", "span": root.to_dict()} for root in self.trace
+        ]
+        write_atomic(path, [
+            (json.dumps(record) + "\n").encode("utf-8")
+            for record in records
+        ])
 
     @classmethod
     def load(cls, path: str) -> "RunReport":

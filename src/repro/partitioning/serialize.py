@@ -101,9 +101,14 @@ def plan_from_dict(data: Dict[str, Any]) -> PartitionPlan:
 
 
 def save_plan(plan: PartitionPlan, path: str) -> None:
-    """Write a plan to a JSON file."""
-    with open(path, "w") as f:
-        json.dump(plan_to_dict(plan), f, indent=2)
+    """Write a plan to a JSON file, durably
+    (:func:`~repro.recovery.snapshot.write_atomic`)."""
+    # Imported here: the recovery package imports this one.
+    from ..recovery.snapshot import write_atomic
+
+    write_atomic(
+        path, [json.dumps(plan_to_dict(plan), indent=2).encode("utf-8")]
+    )
 
 
 def load_plan(path: str) -> PartitionPlan:

@@ -19,7 +19,8 @@ vocabulary:
 * chaos injectors — ``REPRO_CHAOS_ENOSPC_AFTER_COMMITS=<n>`` makes the
   journal raise a synthetic :class:`DiskPressureError` after ``n``
   durable appends, and ``REPRO_CHAOS_ENOSPC_AT=<site>`` fails a single
-  named write site (``result`` = the worker's result.json write).
+  named write site (``result`` / ``trace`` = the worker's result.json /
+  trace.jsonl write).
   Both let the fault-matrix harness exercise the full degrade path on
   a machine whose disk is, inconveniently, not full.
 """
@@ -45,7 +46,8 @@ __all__ = [
 #: Chaos: raise DiskPressureError after this many successful journal
 #: appends (per journal instance).
 ENOSPC_AFTER_ENV = "REPRO_CHAOS_ENOSPC_AFTER_COMMITS"
-#: Chaos: fail one named write site ("result" = worker result.json).
+#: Chaos: fail one named write site ("result" / "trace" = the worker's
+#: result.json / trace.jsonl).
 ENOSPC_AT_ENV = "REPRO_CHAOS_ENOSPC_AT"
 
 _DISK_FULL_ERRNOS = frozenset({errno.ENOSPC, errno.EDQUOT})

@@ -24,7 +24,8 @@ manifest plus the committed partition prefix; when the serve driver
 re-queues the orphan, the next worker *resumes* from the last committed
 partition and produces a byte-identical outlier set.
 
-Each finished job leaves two artifacts next to its checkpoint:
+Each finished job leaves two artifacts next to its checkpoint, written
+durably and ``result.json`` last, so its presence means the job is done:
 
 * ``result.json`` — the job report (outliers, timings, recovery
   counters), what ``repro result`` prints;
@@ -183,15 +184,18 @@ class ServiceWorker:
         self._maybe_chaos_kill(job)
         try:
             report, trace = self._execute(job, job_dir)
-            # Artifacts land before the state flips: a job marked done
-            # always has its result.json (a kill in between re-runs the
+            # Artifacts land before the state flips, result.json last:
+            # its presence means every artifact of the job is on disk
+            # and the job is done (a kill before the flip re-runs the
             # job, which the journal turns into a cheap resume).
+            trace_path = os.path.join(job_dir, TRACE_FILE)
+            maybe_inject_enospc("trace", trace_path)
+            trace.save(trace_path)
             result_path = os.path.join(job_dir, RESULT_FILE)
             maybe_inject_enospc("result", result_path)
             write_atomic(
                 result_path, [json.dumps(report, indent=2).encode("utf-8")]
             )
-            trace.save(os.path.join(job_dir, TRACE_FILE))
         except Exception as exc:
             return self._settle_failure(job, job_dir, exc)
         try:
@@ -227,8 +231,9 @@ class ServiceWorker:
             self.store.set_degraded(f"disk pressure: {exc}", kind="disk")
             self.degraded_events += 1
         try:
-            with open(os.path.join(job_dir, "error.txt"), "w") as f:
-                f.write(error + "\n\n" + traceback.format_exc())
+            write_atomic(os.path.join(job_dir, "error.txt"), [
+                (error + "\n\n" + traceback.format_exc()).encode("utf-8")
+            ])
             if failure_kind == "disk":
                 self._degrade_trace(job, error).save(
                     os.path.join(job_dir, TRACE_FILE)

@@ -55,13 +55,22 @@ from ..kernels import KERNEL_CHOICES, Kernel
 from ..observability import Span, Tracer
 from ..params import OutlierParams
 from ..partitioning import PartitionPlan, plan_from_dict, plan_to_dict
-from ..recovery.snapshot import SnapshotError, read_artifact, write_artifact
+from ..recovery.snapshot import (
+    SnapshotError,
+    decode_array,
+    encode_array,
+    read_artifact,
+    write_artifact,
+)
 from ..tiers import SensitivitySample, certified_mask
 from .plan_cache import DMTPlanCache, _check_drift_threshold
 
 #: Versioned schema of :meth:`StreamingDetector.save` artifacts.
+#: Version 2 stores the array columns as bytes
+#: (:func:`~repro.recovery.snapshot.encode_array`); :meth:`load` reads
+#: version 1's JSON lists too.
 SNAPSHOT_KIND = "streaming-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 __all__ = ["StreamBatchReport", "StreamingDetector"]
 
@@ -518,8 +527,8 @@ class StreamingDetector:
                 "plan": plan_to_dict(self._cache.plan),
                 "grid_shape": [int(s) for s in self._cache.grid.shape],
                 "baseline_counts":
-                    self._cache.baseline_counts.tolist(),
-                "live_counts": self._cache.live_counts.tolist(),
+                    encode_array(self._cache.baseline_counts),
+                "live_counts": encode_array(self._cache.live_counts),
                 "batches_served": int(self._cache.batches_served),
                 "drift_threshold": float(self._cache.drift_threshold),
             }
@@ -544,8 +553,8 @@ class StreamingDetector:
             "tier_resolved": self.tier,
             "sample": (
                 None if self._sample is None else {
-                    "ids": self._sample.ids.tolist(),
-                    "points": self._sample.points.tolist(),
+                    "ids": encode_array(self._sample.ids),
+                    "points": encode_array(self._sample.points),
                     # The mini-bucket grid the sample was drawn on: it
                     # only prunes certification candidates, so snapshots
                     # predating it load fine (full-scan fallback).
@@ -567,9 +576,10 @@ class StreamingDetector:
                 }
             ),
             "batch_index": int(self._batch_index),
-            "ids": None if self._ids is None else self._ids.tolist(),
+            "ids": None if self._ids is None else encode_array(self._ids),
             "points": (
-                None if self._points is None else self._points.tolist()
+                None if self._points is None
+                else encode_array(self._points)
             ),
             "cache": cache,
             "outliers_by_pid": {
@@ -592,12 +602,13 @@ class StreamingDetector:
         """Rebuild a detector from a :meth:`save` artifact.
 
         Raises :class:`~repro.recovery.snapshot.SnapshotError` when the
-        file is missing, corrupt, or written under a different schema
-        version — callers that prefer degradation over failure use
-        :meth:`restore`.  Runtime objects (process pools, tracers) are
-        deliberately not persisted; pass fresh ones.
+        file is missing, corrupt, or written under a schema version it
+        does not read (it reads 1 and 2) — callers that prefer
+        degradation over failure use :meth:`restore`.  Runtime objects
+        (process pools, tracers) are deliberately not persisted; pass
+        fresh ones.
         """
-        payload = read_artifact(path, SNAPSHOT_KIND, SNAPSHOT_VERSION)
+        payload = read_artifact(path, SNAPSHOT_KIND, (1, SNAPSHOT_VERSION))
         # The stored kernel is a hint, not identity: a backend this
         # build does not register loads on the default.
         kernel = payload.get("kernel")
@@ -625,8 +636,8 @@ class StreamingDetector:
         if sample is not None:
             sample_grid = sample.get("grid")
             detector._sample = SensitivitySample(
-                ids=np.asarray(sample["ids"], dtype=np.int64),
-                points=np.asarray(sample["points"], dtype=float),
+                ids=decode_array(sample["ids"], np.int64),
+                points=decode_array(sample["points"], float),
                 grid=(
                     None if sample_grid is None else UniformGrid(
                         Rect(
@@ -639,22 +650,18 @@ class StreamingDetector:
             )
         detector._batch_index = int(payload["batch_index"])
         if payload["ids"] is not None:
-            detector._ids = np.asarray(payload["ids"], dtype=np.int64)
-            detector._points = np.asarray(
-                payload["points"], dtype=float
-            )
+            detector._ids = decode_array(payload["ids"], np.int64)
+            detector._points = decode_array(payload["points"], float)
         cache = payload["cache"]
         if cache is not None:
             plan = plan_from_dict(cache["plan"])
             rebuilt = DMTPlanCache(
                 plan,
                 UniformGrid(plan.domain, tuple(cache["grid_shape"])),
-                np.asarray(cache["baseline_counts"], dtype=float),
+                decode_array(cache["baseline_counts"], float),
                 drift_threshold=cache["drift_threshold"],
             )
-            rebuilt.live_counts = np.asarray(
-                cache["live_counts"], dtype=float
-            )
+            rebuilt.live_counts = decode_array(cache["live_counts"], float)
             rebuilt.batches_served = int(cache["batches_served"])
             detector._cache = rebuilt
             routed, _ = detector._routed(detector._ids, detector._points)

@@ -48,6 +48,7 @@ from repro.recovery import (
     run_checkpointed,
     write_artifact,
 )
+from repro.recovery.snapshot import decode_array
 
 from .helpers import batch_rows
 
@@ -191,7 +192,7 @@ class TestArtifact:
         blob = path.read_bytes()
         head, _, tail = blob.partition(b'"payload":')
         assert tail.endswith(b"}")
-        payload = read_artifact(str(path), "streaming-snapshot", 1)
+        payload = read_artifact(str(path), "streaming-snapshot", 2)
         assert tail[:-1] == canonical_bytes(payload)
         assert json.loads(head[:-1] + b"}")["crc32"] == zlib.crc32(
             tail[:-1]
@@ -222,10 +223,11 @@ class TestArtifact:
         assert read_artifact(str(path), "t", 1) == {"x": [1, 2], "y": "z"}
 
     def test_stream_snapshot_crc_unchanged(self, tmp_path):
-        """Same state, same checksum as the indented writer stored."""
+        """Same state, same checksum: the literal pins the bytes of a
+        version-2 payload, whose array columns are base64."""
         path = tmp_path / "s.snap"
         _stream(batches=3).save(str(path))
-        assert json.loads(path.read_bytes())["crc32"] == 2564964660
+        assert json.loads(path.read_bytes())["crc32"] == 298148655
 
     @pytest.mark.parametrize("payload,where", [
         ({"x": {2: "a", 10: "b"}}, "payload['x'][2]"),
@@ -466,15 +468,26 @@ def _counters_outside(detector, groups):
 def _saved_payload(detector, path):
     """The payload ``save`` writes, less the count of saves itself."""
     detector.save(path)
-    payload = read_artifact(path, "streaming-snapshot", 1)
+    payload = read_artifact(path, "streaming-snapshot", 2)
     payload["counters"].pop("recovery", None)
     return payload
 
 
+def _as_lists(value):
+    """``value`` with every encoded array column as the JSON list a
+    version-1 snapshot stored."""
+    if not isinstance(value, dict):
+        return value
+    if set(value) == {"dtype", "shape", "b64"}:
+        return decode_array(value, value["dtype"]).tolist()
+    return {key: _as_lists(item) for key, item in value.items()}
+
+
 def _old_format(detector, payload):
-    """``payload`` as the pre-ISSUE-19 ``save`` wrote it: the routed
-    records stored beside the state they are derived from."""
-    return dict(payload, partition_records={
+    """``payload`` as the oldest version-1 ``save`` wrote it: array
+    columns as JSON lists, and the routed records stored beside the
+    state they are derived from."""
+    return dict(_as_lists(payload), partition_records={
         str(pid): [
             [tag, pt_id, list(point)] for tag, pt_id, point in records
         ]

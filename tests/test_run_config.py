@@ -442,7 +442,7 @@ class TestSnapshotIdentity:
         )
         det.ingest(DATA)
         det.save(path)
-        assert read_artifact(path, "streaming-snapshot", 1)[
+        assert read_artifact(path, "streaming-snapshot", 2)[
             "kernel"] == "numpy"
         loaded = StreamingDetector.load(path, cluster=CLUSTER)
         assert loaded.kernel == "numpy"
@@ -469,7 +469,7 @@ class TestSnapshotIdentity:
         )
         det.ingest(DATA)
         det.save(path)
-        payload = read_artifact(path, "streaming-snapshot", 1)
+        payload = read_artifact(path, "streaming-snapshot", 2)
         # The literal is the old format: routed records are derived
         # state, so a save no longer writes them.
         reference = tmp_path / "reference.snap"

@@ -12,8 +12,8 @@ worker SIGKILL       *commit* (``REPRO_CHAOS_KILL_AFTER_COMMITS`` fires
 driver SIGKILL       *supervision* — nobody left to adopt the orphan
 ENOSPC injection     *commit* (``REPRO_CHAOS_ENOSPC_AFTER_COMMITS`` makes
                      the journal's fsync path fail) and *settle*
-                     (``REPRO_CHAOS_ENOSPC_AT=result`` fails the result
-                     artifact write)
+                     (``REPRO_CHAOS_ENOSPC_AT=trace`` / ``=result``
+                     fails the trace / result artifact write)
 clock-skewed lease   *settle* — a skewed sweeper re-queues a live
                      worker's job; two owners race to finish it
 SQLite busy          *submit/claim/settle* — concurrent connections
@@ -324,14 +324,23 @@ class TestDiskPressure:
     def test_enospc_at_settle_fails_job_not_worker(
         self, spool, points_csv, tmp_path
     ):
-        # The fault strikes the *result artifact* write, after the
-        # whole detection ran: the job must settle failed/disk (never
-        # half-done) and the journal must survive intact.
+        self.check_enospc_at_artifact("result", spool, points_csv, tmp_path)
+
+    def test_enospc_at_trace_write_fails_job_not_worker(
+        self, spool, points_csv, tmp_path
+    ):
+        self.check_enospc_at_artifact("trace", spool, points_csv, tmp_path)
+
+    def check_enospc_at_artifact(self, site, spool, points_csv, tmp_path):
+        # The fault strikes a job artifact write (trace.jsonl, then
+        # result.json), after the whole detection ran: the job must
+        # settle failed/disk (never half-done), the service degrade, no
+        # result.json or temp file be left, and the journal survive.
         job_id = _submit(spool, points_csv)
         healthy_after = _submit(spool, points_csv, tenant="later")
         proc = _serve(
             spool, tmp_path,
-            env_extra={ENOSPC_AT_ENV: "result"},
+            env_extra={ENOSPC_AT_ENV: site},
         )
         assert proc.returncode == 0, proc.stderr
         with JobStore(spool) as store:
@@ -339,7 +348,12 @@ class TestDiskPressure:
             assert row["state"] == "failed"
             assert row["failure_kind"] == "disk"
             assert row["result"] is None
-            ckpt = os.path.join(store.job_dir(job_id), "ckpt")
+            assert store.degraded() is not None
+            job_dir = store.job_dir(job_id)
+            left = os.listdir(job_dir)
+            assert "result.json" not in left
+            assert not [name for name in left if name.endswith(".tmp")]
+            ckpt = os.path.join(job_dir, "ckpt")
             assert os.path.isdir(ckpt)  # journal kept, not torn down
             # Both jobs hit the same fault; both settled, neither hung.
             assert store.get(healthy_after)["state"] == "failed"

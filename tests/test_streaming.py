@@ -313,7 +313,7 @@ def _persisted(detector, path):
     """Everything ``save`` persists (less the count of saves itself),
     canonically serialised, plus the records derived from it."""
     detector.save(path)
-    payload = read_artifact(path, "streaming-snapshot", 1)
+    payload = read_artifact(path, "streaming-snapshot", 2)
     payload["counters"].pop("recovery", None)
     return (
         canonical_bytes(payload),
