@@ -66,18 +66,12 @@ class DetectionRun:
 
     def map_task_costs(self) -> List[float]:
         """Per-map-task cost units, job by job."""
-        return [
-            job._task_cost(t, "units")
-            for job in self.jobs
-            for t in job.map_tasks
-        ]
+        return [t.cost_units for job in self.jobs for t in job.map_tasks]
 
     def reduce_task_costs(self) -> List[float]:
         """Per-reducer cost units, job by job."""
         return [
-            job._task_cost(t, "units")
-            for job in self.jobs
-            for t in job.reduce_tasks
+            t.cost_units for job in self.jobs for t in job.reduce_tasks
         ]
 
     def total_shuffle_records(self) -> int:

@@ -84,7 +84,7 @@ class PipelineResult:
     def simulated_map_seconds(self) -> float:
         """Cluster makespan of all map phases (cost units x UNIT_SECONDS)."""
         return UNIT_SECONDS * sum(
-            job.simulated_phase_time("map", self.cluster, "units")
+            job.simulated_phase_time("map", self.cluster)
             for job in self.run.jobs
         )
 
@@ -93,23 +93,7 @@ class PipelineResult:
         """Cluster makespan of all reduce phases (cost units x
         UNIT_SECONDS)."""
         return UNIT_SECONDS * sum(
-            job.simulated_phase_time("reduce", self.cluster, "units")
-            for job in self.run.jobs
-        )
-
-    @property
-    def wall_map_seconds(self) -> float:
-        """Cluster makespan of map phases from measured task seconds."""
-        return sum(
-            job.simulated_phase_time("map", self.cluster, "wall")
-            for job in self.run.jobs
-        )
-
-    @property
-    def wall_reduce_seconds(self) -> float:
-        """Cluster makespan of reduce phases from measured task seconds."""
-        return sum(
-            job.simulated_phase_time("reduce", self.cluster, "wall")
+            job.simulated_phase_time("reduce", self.cluster)
             for job in self.run.jobs
         )
 

@@ -29,15 +29,15 @@ METRIC_GENERIC_DETECTORS = tuple(
 )
 
 
-def make_detector(name: str, **kwargs) -> Detector:
+def make_detector(name: str, kernel=None, metric=None) -> Detector:
     """Instantiate a detector by registry name.
 
-    A ``kernel`` keyword selects the distance backend for scan-based
-    detectors (``Detector.uses_kernel``); detectors with their own index
+    ``kernel`` selects the distance backend for scan-based detectors
+    (``Detector.uses_kernel``); detectors with their own index
     structures (kdtree, pivot) ignore it, so one kernel spec can be
     threaded through a whole run regardless of the per-partition
-    algorithm plan.  A ``metric`` keyword selects the metric space —
-    every detector accepts it, and the grid tactics raise a typed
+    algorithm plan.  ``metric`` selects the metric space — every
+    detector accepts it, and the grid tactics raise a typed
     ``MetricUnsupported`` at construction when it is non-Euclidean.
     """
     try:
@@ -46,9 +46,9 @@ def make_detector(name: str, **kwargs) -> Detector:
         raise ValueError(
             f"unknown detector {name!r}; known: {sorted(DETECTOR_REGISTRY)}"
         ) from None
-    if "kernel" in kwargs and not cls.uses_kernel:
-        kwargs = {k: v for k, v in kwargs.items() if k != "kernel"}
-    return cls(**kwargs)
+    if cls.uses_kernel:
+        return cls(kernel=kernel, metric=metric)
+    return cls(metric=metric)
 
 
 def run_partitions(detectors, partitions, params) -> list:
@@ -85,7 +85,7 @@ def partition_scan_seed(partition_id: int, base_seed: int = 7) -> int:
 
 
 def make_partition_detector(
-    name: str, partition_id: int, kernel=None, metric=None, **kwargs
+    name: str, partition_id: int, kernel=None, metric=None
 ) -> Detector:
     """Instantiate a detector seeded for one partition.
 
@@ -94,12 +94,8 @@ def make_partition_detector(
     scan-based detectors (ignored by the others); ``metric`` threads the
     metric space to every detector.
     """
-    if kernel is not None:
-        kwargs = {**kwargs, "kernel": kernel}
-    if metric is not None:
-        kwargs = {**kwargs, "metric": metric}
-    detector = make_detector(name, **kwargs)
-    if hasattr(detector, "seed") and "seed" not in kwargs:
+    detector = make_detector(name, kernel=kernel, metric=metric)
+    if hasattr(detector, "seed"):
         detector.seed = partition_scan_seed(
             partition_id, base_seed=detector.seed
         )

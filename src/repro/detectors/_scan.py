@@ -1,4 +1,4 @@
-"""Shared chunked random-order scan with early termination.
+"""Shared random-order scan with early termination.
 
 Both Nested-Loop and the fallback phase of Cell-Based evaluate "distances
 in random order until k neighbors are found" — this module implements
@@ -35,7 +35,6 @@ def random_scan_counts(
     candidates: np.ndarray,
     r: float,
     need: int,
-    chunk: int = 256,
     seed: int = 7,
     kernel=None,
     metric=None,
@@ -51,12 +50,11 @@ def random_scan_counts(
 
     ``kernel`` picks the distance backend: a name, a ready
     :class:`~repro.kernels.Kernel` instance (reused, so its stats
-    aggregate), or ``None`` for the resolved default.  ``chunk`` is the
-    tile width for batched backends constructed here.
+    aggregate), or ``None`` for the resolved default.
     """
     candidates = np.asarray(candidates, dtype=float)
     order = scan_order(len(candidates), seed)
-    backend = resolve_kernel(kernel, tile=chunk)
+    backend = resolve_kernel(kernel)
     return backend.count_neighbors(
         queries, candidates[order], r, need, metric=metric
     )

@@ -40,7 +40,7 @@ import numpy as np
 from ..geometry import CellIndex
 from ..kernels import resolve_kernel
 from ..metrics import MetricUnsupported, resolve_metric
-from ..params import OutlierParams, check_whole
+from ..params import OutlierParams
 from ._scan import random_scan_counts, window_counts
 from .base import DetectionResult, Detector, validate_partition_inputs
 
@@ -63,7 +63,7 @@ class _CellDetector(Detector):
 
     uses_kernel = True
 
-    def __init__(self, chunk: int = 256, kernel=None, metric=None) -> None:
+    def __init__(self, kernel=None, metric=None) -> None:
         # Non-grid metrics are refused up front (a typed error, never a
         # wrong answer): the cell geometry and the Lemma 4.2 stencils
         # are Euclidean theorems.
@@ -74,10 +74,6 @@ class _CellDetector(Detector):
                 f"and cannot run under metric {metric.spec()!r}; use a "
                 "metric-generic tactic (nested_loop, pivot, proximity_graph)"
             )
-        chunk = check_whole(chunk, "chunk")
-        if chunk < 1:
-            raise ValueError("chunk must be >= 1")
-        self.chunk = chunk
         self.kernel = kernel
 
     def detect(
@@ -111,7 +107,7 @@ class _CellDetector(Detector):
         by_cell = np.argsort(cell_of, kind="stable")
         rows = by_cell[unresolved[cell_of[by_cell]]]
 
-        backend = resolve_kernel(self.kernel, tile=self.chunk)
+        backend = resolve_kernel(self.kernel)
         computed_before = backend.evals_computed
         failed, distance_evals, extras = self._fallback(
             core_points[rows], np.bincount(cell_of)[unresolved],
@@ -147,10 +143,8 @@ class CellBasedDetector(_CellDetector):
 
     name = "cell_based"
 
-    def __init__(
-        self, chunk: int = 256, seed: int = 7, kernel=None, metric=None
-    ) -> None:
-        super().__init__(chunk, kernel, metric)
+    def __init__(self, seed: int = 7, kernel=None, metric=None) -> None:
+        super().__init__(kernel, metric)
         self.seed = seed
 
     def _fallback(
@@ -158,7 +152,7 @@ class CellBasedDetector(_CellDetector):
     ) -> tuple[np.ndarray, int, dict]:
         counts, distance_evals = random_scan_counts(
             queries, pool, params.r, params.k + 1,
-            chunk=self.chunk, seed=self.seed, kernel=backend,
+            seed=self.seed, kernel=backend,
         )
         return counts <= params.k, distance_evals, {"unresolved_points": len(queries)}
 

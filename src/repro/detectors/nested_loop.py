@@ -21,7 +21,7 @@ import numpy as np
 
 from ..kernels import resolve_kernel
 from ..metrics import resolve_metric
-from ..params import OutlierParams, check_whole
+from ..params import OutlierParams
 from ._scan import scan_order
 from .base import DetectionResult, Detector, partition_arrays
 
@@ -31,10 +31,9 @@ __all__ = ["NestedLoopDetector"]
 class NestedLoopDetector(Detector):
     """Randomized early-termination nested loop.
 
-    ``chunk`` trades vectorization width against batched-backend tile
-    granularity; ``seed`` fixes the random scan order for
-    reproducibility; ``kernel`` picks the distance backend (a name,
-    a :class:`~repro.kernels.Kernel` instance, or ``None`` for the
+    ``seed`` fixes the random scan order for reproducibility; ``kernel``
+    picks the distance backend (a name, a
+    :class:`~repro.kernels.Kernel` instance, or ``None`` for the
     resolved default — results are backend-independent).  The scan is
     metric-generic: ``metric`` selects the space (``None`` keeps the
     Euclidean fast path).
@@ -44,13 +43,7 @@ class NestedLoopDetector(Detector):
     uses_kernel = True
     metric_generic = True
 
-    def __init__(
-        self, chunk: int = 256, seed: int = 7, kernel=None, metric=None
-    ) -> None:
-        chunk = check_whole(chunk, "chunk")
-        if chunk < 1:
-            raise ValueError("chunk must be >= 1")
-        self.chunk = chunk
+    def __init__(self, seed: int = 7, kernel=None, metric=None) -> None:
         self.seed = seed
         self.kernel = kernel
         self.metric = metric
@@ -71,12 +64,17 @@ class NestedLoopDetector(Detector):
         """Scan every partition with core points in one
         :meth:`~repro.kernels.Kernel.count_neighbors_batch` call; each
         keeps its own scan order (its detector's ``seed``), result and
-        span.  Detectors that differ in kernel, chunk or metric run one
-        by one."""
+        span.  The detectors share one kernel and metric (a reduce
+        task builds them all from one run configuration); a batch that
+        mixes them is a ``ValueError``."""
         first = detectors[0]
-        shared = (first.kernel, first.chunk, first.metric)
-        if any((d.kernel, d.chunk, d.metric) != shared for d in detectors):
-            return super().run_batch(detectors, partitions, params)
+        if any(
+            (d.kernel, d.metric) != (first.kernel, first.metric)
+            for d in detectors
+        ):
+            raise ValueError(
+                "one Nested-Loop batch scans under one kernel and metric"
+            )
         spans = [
             detector._begin_span(core_points, support_points)
             for detector, (core_points, _, support_points) in zip(
@@ -91,12 +89,12 @@ class NestedLoopDetector(Detector):
 
 def _scan(detectors, partitions, params) -> list[DetectionResult]:
     """Detect ``partitions[i]`` with ``detectors[i]``, which share one
-    kernel, chunk and metric: the partitions are one kernel batch, which
+    kernel and metric: the partitions are one kernel batch, which
     is also where their coordinates are checked to be finite (once).  A
     partition without core points is a trivial problem of it: nothing
     scanned, nothing charged."""
     first = detectors[0]
-    backend = resolve_kernel(first.kernel, tile=first.chunk)
+    backend = resolve_kernel(first.kernel)
     metric = resolve_metric(first.metric)
     pools = [_pool(*partition) for partition in partitions]
     scanned = backend.count_neighbors_batch(

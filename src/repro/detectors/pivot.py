@@ -10,7 +10,7 @@ another entry in the multi-tactic candidate set ``A``.
 
 Mechanics per partition:
 
-* choose ``n_pivots`` pivots with max-min (farthest-point) selection;
+* choose ``N_PIVOTS`` pivots with max-min (farthest-point) selection;
 * precompute every candidate's distances to the pivots;
 * for a query ``p`` and candidate ``q`` the triangle inequality gives
   ``LB(p,q) = max_v |d(p,v) - d(q,v)|`` and
@@ -34,6 +34,10 @@ from ..params import OutlierParams
 from .base import DetectionResult, Detector, validate_partition_inputs
 
 __all__ = ["PivotDetector", "select_pivots_maxmin"]
+
+#: Pivots per partition (fewer when the pool is smaller).  Any count is
+#: exact: pivots only move pairs between bound-decided and checked.
+N_PIVOTS = 8
 
 
 def select_pivots_maxmin(
@@ -84,12 +88,7 @@ class PivotDetector(Detector):
     name = "pivot"
     metric_generic = True
 
-    def __init__(
-        self, n_pivots: int = 8, seed: int = 7, metric=None
-    ) -> None:
-        if n_pivots < 1:
-            raise ValueError("need at least one pivot")
-        self.n_pivots = n_pivots
+    def __init__(self, seed: int = 7, metric=None) -> None:
         self.seed = seed
         self.metric = metric
 
@@ -114,7 +113,7 @@ class PivotDetector(Detector):
 
         metric = resolve_metric(self.metric)
         pivot_rows = select_pivots_maxmin(
-            candidates, self.n_pivots, self.seed, metric=metric
+            candidates, N_PIVOTS, self.seed, metric=metric
         )
         pivots = candidates[pivot_rows]
         # (n_cand, P): each candidate's distance to each pivot.

@@ -30,11 +30,21 @@ import numpy as np
 
 from ..kernels import resolve_kernel
 from ..metrics import resolve_metric
-from ..params import OutlierParams, check_whole
+from ..params import OutlierParams
 from ._scan import random_scan_counts
 from .base import DetectionResult, Detector, validate_partition_inputs
 
 __all__ = ["ProximityGraphDetector"]
+
+#: Graph degree above ``k``: certification needs ``k`` within-``r``
+#: edges, the headroom absorbs graph approximation (the degree is
+#: ``k + GRAPH_HEADROOM``, capped by the pool size).
+GRAPH_HEADROOM = 4
+
+#: NN-descent refinement rounds (fewer when a round changes nothing).
+#: Any count is exact: rounds only move points between certified and
+#: scanned.
+GRAPH_ROUNDS = 3
 
 
 def _merge_row(nbr, dist, win, new_idx, new_dist, new_win, K):
@@ -55,38 +65,17 @@ def _merge_row(nbr, dist, win, new_idx, new_dist, new_win, K):
 class ProximityGraphDetector(Detector):
     """Certify inliers via an approximate neighbor graph; scan the rest.
 
-    ``graph_k`` is the graph degree (default ``k + 4`` capped by the
-    pool size: certification needs ``k`` within-``r`` edges, the
-    headroom absorbs graph approximation); ``iters`` bounds the
-    NN-descent refinement rounds (it stops early once a round changes
-    nothing).  ``kernel`` and ``chunk`` configure the exact residue
-    scan; ``metric`` selects the space — this tactic is fully
-    metric-generic.
+    The graph has degree ``k + GRAPH_HEADROOM`` (capped by the pool
+    size) and takes up to ``GRAPH_ROUNDS`` NN-descent rounds.
+    ``kernel`` runs the exact residue scan; ``metric`` selects the
+    space — this tactic is fully metric-generic.
     """
 
     name = "proximity_graph"
     uses_kernel = True
     metric_generic = True
 
-    def __init__(
-        self,
-        graph_k: int | None = None,
-        iters: int = 3,
-        chunk: int = 256,
-        seed: int = 7,
-        kernel=None,
-        metric=None,
-    ) -> None:
-        if graph_k is not None and graph_k < 1:
-            raise ValueError("graph_k must be >= 1")
-        if iters < 0:
-            raise ValueError("iters must be >= 0")
-        chunk = check_whole(chunk, "chunk")
-        if chunk < 1:
-            raise ValueError("chunk must be >= 1")
-        self.graph_k = graph_k
-        self.iters = iters
-        self.chunk = chunk
+    def __init__(self, seed: int = 7, kernel=None, metric=None) -> None:
         self.seed = seed
         self.kernel = kernel
         self.metric = metric
@@ -121,7 +110,7 @@ class ProximityGraphDetector(Detector):
             keep = np.lexsort((pick, d))
             nbr[i], dist[i], win[i] = pick[keep], d[keep], w[keep]
 
-        for _ in range(self.iters):
+        for _ in range(GRAPH_ROUNDS):
             rev: list[list[int]] = [[] for _ in range(n)]
             for i in range(n):
                 for j in nbr[i]:
@@ -171,7 +160,7 @@ class ProximityGraphDetector(Detector):
             pool = core_points
         n_pool = pool.shape[0]
         metric = resolve_metric(self.metric)
-        backend = resolve_kernel(self.kernel, tile=self.chunk)
+        backend = resolve_kernel(self.kernel)
         k = params.k
 
         extras = {
@@ -193,8 +182,7 @@ class ProximityGraphDetector(Detector):
             )
             return DetectionResult([], extras=extras)
 
-        K = self.graph_k if self.graph_k is not None else k + 4
-        K = min(K, n_pool - 1)
+        K = min(k + GRAPH_HEADROOM, n_pool - 1)
         rng = np.random.default_rng(self.seed)
 
         graph_evals = 0
@@ -219,7 +207,7 @@ class ProximityGraphDetector(Detector):
         if residue_rows.size:
             counts, scan_evals = random_scan_counts(
                 pool[residue_rows], pool, params.r, k + 1,
-                chunk=self.chunk, seed=self.seed, kernel=backend,
+                seed=self.seed, kernel=backend,
                 metric=metric,
             )
             outliers = [
@@ -233,7 +221,7 @@ class ProximityGraphDetector(Detector):
             graph_residue=int(residue_rows.size),
             graph_distance_evals=graph_evals,
             graph_k=int(K),
-            graph_iters=self.iters,
+            graph_iters=GRAPH_ROUNDS,
             kernel_evals_computed=backend.evals_computed - computed_before,
         )
         return DetectionResult(

@@ -88,23 +88,6 @@ class Rect:
             lo <= x <= hi for x, lo, hi in zip(point, self.low, self.high)
         )
 
-    def contains_half_open(self, point: Sequence[float], domain: "Rect") -> bool:
-        """Half-open membership ``[low, high)`` except at the domain edge.
-
-        Partition plans tile the domain with rects that share boundaries.
-        A point that sits exactly on a shared boundary must belong to exactly
-        one partition, so plans use this test: the upper face is exclusive
-        unless it coincides with the global ``domain`` upper face.
-        """
-        for x, lo, hi, dom_hi in zip(point, self.low, self.high, domain.high):
-            if x < lo:
-                return False
-            if x > hi:
-                return False
-            if x == hi and hi < dom_hi:
-                return False
-        return True
-
     def contains_mask(self, points: np.ndarray) -> np.ndarray:
         """Vectorized closed-interval membership for an ``(n, d)`` array."""
         points = np.asarray(points, dtype=float)
@@ -150,30 +133,6 @@ class Rect:
                 self.low, self.high, other.low, other.high
             )
         )
-
-    def is_adjacent(self, other: "Rect", tol: float = 1e-9) -> bool:
-        """True when the boxes touch (share part of a face) but do not
-        overlap in their interiors.
-
-        DSHC only considers *spatially adjacent* clusters for merging, so
-        this is the candidate filter used by the AF-tree search operation.
-        Corner-only contact is not adjacency: the shared face must have
-        positive extent in every other dimension.
-        """
-        if self.overlaps_interior(other):
-            return False
-        touching_dims = 0
-        for lo1, hi1, lo2, hi2 in zip(
-            self.low, self.high, other.low, other.high
-        ):
-            if lo1 - tol > hi2 or lo2 - tol > hi1:
-                return False  # a gap in this dimension: disjoint
-            if abs(lo1 - hi2) <= tol or abs(lo2 - hi1) <= tol:
-                # Faces meet in this dimension; for true (d-1)-face contact
-                # the overlap in every other dimension must be positive,
-                # which the surrounding checks enforce.
-                touching_dims += 1
-        return touching_dims >= 1
 
     def union_bbox(self, other: "Rect") -> "Rect":
         """The bounding box of the two rects."""

@@ -33,7 +33,7 @@ __all__ = [
     "resolve_kernel",
 ]
 
-#: Backend registry: name -> constructor (all accept ``tile=``).
+#: Backend registry: name -> constructor (none takes an argument).
 KERNEL_REGISTRY: dict[str, type[Kernel]] = {
     PythonKernel.name: PythonKernel,
     NumpyKernel.name: NumpyKernel,
@@ -46,7 +46,7 @@ KERNEL_CHOICES = ("auto",) + tuple(KERNEL_REGISTRY)
 DEFAULT_KERNEL = "numpy"
 
 
-def make_kernel(name: str, tile: int = 256) -> Kernel:
+def make_kernel(name: str) -> Kernel:
     """Instantiate a backend by name; ``ValueError`` for unknown names."""
     try:
         cls = KERNEL_REGISTRY[name]
@@ -54,10 +54,10 @@ def make_kernel(name: str, tile: int = 256) -> Kernel:
         raise ValueError(
             f"unknown kernel {name!r}; known: {sorted(KERNEL_REGISTRY)}"
         ) from None
-    return cls(tile=tile)
+    return cls()
 
 
-def resolve_kernel(spec=None, tile: int = 256) -> Kernel:
+def resolve_kernel(spec=None) -> Kernel:
     """Turn a kernel spec into a ready instance.
 
     ``spec`` may be a :class:`Kernel` instance (returned as-is, so a
@@ -72,4 +72,4 @@ def resolve_kernel(spec=None, tile: int = 256) -> Kernel:
         raise TypeError(
             f"kernel spec must be a name or Kernel, got {type(spec)!r}"
         )
-    return make_kernel(spec, tile=tile)
+    return make_kernel(spec)

@@ -65,26 +65,22 @@ from ..params import check_whole
 __all__ = ["Kernel", "scalar_metric_count"]
 
 #: Query rows per block of the tiled scan, so two float64 ``ROW_BLOCK x
-#: tile`` buffers stay cache-resident; 256 / 512 / 1024 measure the same.
+#: TILE`` buffers stay cache-resident; 256 / 512 / 1024 measure the same.
 ROW_BLOCK = 512
+
+#: The widest tile of the tiled scan (candidates per tile; widths double
+#: up to it from ``~2 x need``).  Neither it nor ``ROW_BLOCK`` moves a
+#: count or a charge, only what a batched backend computes.
+TILE = 256
 
 
 class Kernel(abc.ABC):
-    """One distance-kernel backend.
-
-    ``tile`` is the vectorization width (candidates per tile) for batched
-    backends; scalar backends accept and ignore it so every backend can be
-    constructed uniformly.
-    """
+    """One distance-kernel backend."""
 
     #: Registry name ("python", "numpy").
     name: str = "kernel"
 
-    def __init__(self, tile: int = 256) -> None:
-        tile = check_whole(tile, "tile")
-        if tile < 1:
-            raise ValueError("tile must be >= 1")
-        self.tile = tile
+    def __init__(self) -> None:
         self.calls = 0
         self.evals_charged = 0
         self.evals_computed = 0
@@ -225,7 +221,7 @@ class Kernel(abc.ABC):
         that differs between metrics and backends.  Queries go in blocks
         of ``ROW_BLOCK`` rows (independent, so blocking is invisible); a
         block walks tiles whose width doubles from ``~2 x need`` up to
-        the ``tile`` cap and sheds rows as they decide.  A row count says
+        the ``TILE`` cap and sheds rows as they decide.  A row count says
         who decided; only those rows' matches are listed to recover
         their scalar stop position.
 
@@ -277,11 +273,11 @@ class Kernel(abc.ABC):
             lack = np.full(q.shape[0], need, dtype=np.int64)
             if not span:  # every window is empty: no tile, no match
                 counts[rows] = 0
-            width = min(self.tile, max(8, 2 * need))
+            width = min(TILE, max(8, 2 * need))
             start = 0
             while start < span:
                 stop = min(span, start + width)
-                width = min(self.tile, 2 * width)
+                width = min(TILE, 2 * width)
                 within = match(q, own, start, stop)
                 found = within.sum(axis=1, dtype=np.int32)
                 left = lack - found

@@ -19,7 +19,7 @@ each stop position) are reported as ``evals_computed`` — the price of
 batching, visible in the ``kernel`` counter group as the
 charged/computed ratio.
 
-Tile widths grow geometrically from ``~2 x need`` up to the ``tile``
+Tile widths grow geometrically from ``~2 x need`` up to the ``TILE``
 cap: most queries of an early-exit-friendly workload stop within their
 first few dozen candidates, where a fixed wide tile would compute an
 order of magnitude more distances than the scalar loop charges.  Neither
@@ -218,7 +218,7 @@ class NumpyKernel(base.Kernel):
     def _scratch(self, n_q: int, n_c: int) -> np.ndarray:
         """The two flat distance buffers of one call, sized to it."""
         return np.empty(
-            (2, min(base.ROW_BLOCK, n_q) * min(self.tile, n_c))
+            (2, min(base.ROW_BLOCK, n_q) * min(base.TILE, n_c))
         )
 
 

@@ -55,7 +55,7 @@ class TaskContext:
     def add_cost(self, units: float) -> None:
         """Report deterministic work performed by this task.
 
-        Tasks that never call this are costed by wall time alone.
+        A task that never calls this costs zero units.
         """
         self._cost_units += units
 

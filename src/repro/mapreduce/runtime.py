@@ -24,7 +24,6 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Any, Dict, Iterable, List, Sequence
 
 from ..observability.tracing import Span, Tracer
@@ -69,30 +68,26 @@ class JobResult:
 
     # ------------------------------------------------------------------
     def simulated_time(
-        self, cluster: ClusterConfig, metric: str = "wall"
+        self, cluster: ClusterConfig, metric: str = "units"
     ) -> float:
         """Slot-model makespan of the whole job.
 
         Map tasks are scheduled on the cluster's map slots and reduce tasks
         on its reduce slots (phases sequential, as in Hadoop without
-        slow-start).  ``metric`` selects the per-task duration:
-
-        * ``"wall"`` — measured seconds of the in-process task.  This is
-          what the experiment harness reports: it reflects the real
-          relative cost of indexing vs. distance arithmetic in this
-          implementation.
-        * ``"units"`` — the task's deterministic cost units (distance
-          evaluations + index operations), machine-independent.  Only a
-          job in which no task reported any falls back to wall seconds.
+        slow-start).  A task lasts its deterministic cost units
+        (distance evaluations + index operations), machine-independent;
+        ``metric`` names that clock and accepts ``"units"`` only.
         """
         return self.simulated_phase_time(
             "map", cluster, metric
         ) + self.simulated_phase_time("reduce", cluster, metric)
 
     def simulated_phase_time(
-        self, phase: str, cluster: ClusterConfig, metric: str = "wall"
+        self, phase: str, cluster: ClusterConfig, metric: str = "units"
     ) -> float:
         """Makespan of a single phase ("map" or "reduce")."""
+        if metric != "units":
+            raise ValueError(f"unknown metric: {metric!r}")
         if phase == "map":
             tasks, slots = self.map_tasks, cluster.map_slots
         elif phase == "reduce":
@@ -101,23 +96,7 @@ class JobResult:
             raise ValueError(f"unknown phase: {phase!r}")
         from .cluster import makespan
 
-        return makespan([self._task_cost(t, metric) for t in tasks], slots)
-
-    def _task_cost(self, task: TaskStats, metric: str = "wall") -> float:
-        if metric == "wall":
-            return task.wall_seconds
-        if metric == "units":
-            # A task that did no chargeable work (a reducer whose
-            # partitions hold support rows only) costs the zero it
-            # reported: reading the clock for it would make the units
-            # of a job that does report them differ from run to run.
-            if any(
-                t.cost_units > 0
-                for t in chain(self.map_tasks, self.reduce_tasks)
-            ):
-                return task.cost_units
-            return task.wall_seconds
-        raise ValueError(f"unknown metric: {metric!r}")
+        return makespan([t.cost_units for t in tasks], slots)
 
 
 class LocalRuntime:

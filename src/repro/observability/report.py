@@ -161,11 +161,10 @@ class RunReport:
         loads = [0.0] * n_reducers
         for job in run.jobs:
             for task in job.reduce_tasks:
-                loads[task.task_id] += job._task_cost(task, "units")
+                loads[task.task_id] += task.cost_units
 
         tasks = [
-            (job.job_name, task.phase, task.task_id,
-             job._task_cost(task, "units"))
+            (job.job_name, task.phase, task.task_id, task.cost_units)
             for job in run.jobs
             for task in (*job.map_tasks, *job.reduce_tasks)
         ]

@@ -41,6 +41,10 @@ from .strategy import PartitioningStrategy, PlanRequest
 
 __all__ = ["DDrivenPartitioner", "CDrivenPartitioner", "DMTPartitioner"]
 
+#: DMT's per-reducer cost budget is ``total / n_reducers`` times
+#: ``1 + BUDGET_SLACK``.
+BUDGET_SLACK = 0.6
+
 
 class _SampledStrategy(PartitioningStrategy):
     """Shared sampling plumbing."""
@@ -194,7 +198,6 @@ def _refine_by_cost(
     r: float,
     select,
     n_reducers: int,
-    slack: float = 0.6,
 ) -> list:
     """Halve any piece whose cost exceeds the per-reducer budget,
     re-estimating child cardinalities from the mini buckets.
@@ -206,15 +209,15 @@ def _refine_by_cost(
     one more; the result is in the order of a work stack that pops a
     piece and pushes its left half, then its right.
 
-    ``slack`` adds head-room above ``total_cost / n_reducers`` so the
-    allocator can still pack unevenly sized pieces.
+    The budget is ``total_cost / n_reducers`` with ``BUDGET_SLACK``
+    head-room, so the allocator can still pack unevenly sized pieces.
     """
     nodes = list(pieces)
     picks = [select(*cover) for cover in table.cover([p[0] for p in nodes], r)]
     total = sum(cost for _, cost in picks)
     if total <= 0:
         return [(*node, pick) for node, pick in zip(nodes, picks)]
-    budget = max(total / n_reducers * (1.0 + slack), total * 1e-6)
+    budget = max(total / n_reducers * (1.0 + BUDGET_SLACK), total * 1e-6)
     min_widths = [w * 1.5 for w in table.grid.cell_widths]
 
     def settled(i):

@@ -224,22 +224,24 @@ class ServiceWorker:
             failure_kind = "deadline"
         elif isinstance(exc, DiskPressureError):
             failure_kind = "disk"
-            # Flip the whole service into degrade mode: new submissions
-            # are rejected with QueueFull(reason="disk") while anything
-            # already running finishes.  The WAL is intact — the journal
-            # truncated itself back to its committed prefix.
-            self.store.set_degraded(f"disk pressure: {exc}", kind="disk")
-            self.degraded_events += 1
+            self._degrade(exc)
         try:
-            write_atomic(os.path.join(job_dir, "error.txt"), [
+            error_path = os.path.join(job_dir, "error.txt")
+            maybe_inject_enospc("error", error_path)
+            write_atomic(error_path, [
                 (error + "\n\n" + traceback.format_exc()).encode("utf-8")
             ])
             if failure_kind == "disk":
                 self._degrade_trace(job, error).save(
                     os.path.join(job_dir, TRACE_FILE)
                 )
+        except DiskPressureError as full:
+            # A full disk degrades the service whatever failed the job;
+            # the row keeps the job's own error and kind.
+            if failure_kind != "disk":
+                self._degrade(full)
         except OSError:
-            pass  # the disk may genuinely be full; the row has the error
+            pass  # best effort: the row has the error
         try:
             return self.store.finish(
                 job_id, "failed", error=error, owner_pid=self.pid,
@@ -247,6 +249,14 @@ class ServiceWorker:
             )
         except InvalidTransition:
             return "lost"
+
+    def _degrade(self, exc: DiskPressureError) -> None:
+        """Flip the whole service into degrade mode: new submissions are
+        rejected with ``QueueFull(reason="disk")`` while anything already
+        running finishes.  The WAL is intact — the journal truncated
+        itself back to its committed prefix."""
+        self.store.set_degraded(f"disk pressure: {exc}", kind="disk")
+        self.degraded_events += 1
 
     def _degrade_trace(self, job: Dict[str, Any], error: str) -> RunReport:
         """The ``service.degraded`` counter + span the ops runbook

@@ -419,8 +419,7 @@ class StreamingDetector:
         tier_work: Dict[str, int] = {}
         if self._sample is not None and points.shape[0]:
             mask, evals = certified_mask(
-                points, ids, self._sample, self.params,
-                kernel=self.kernel, metric=self.metric,
+                points, ids, self._sample, self.config
             )
             certified = ids[mask]
             tier_work = {

@@ -194,25 +194,26 @@ def certified_mask(
     points: np.ndarray,
     ids: np.ndarray,
     sample: SensitivitySample,
-    params: OutlierParams,
-    kernel=None,
-    metric=None,
+    cfg,
 ) -> Tuple[np.ndarray, int]:
-    """Which of ``points`` the sample certifies as inliers.
+    """Which of ``points`` the sample certifies as inliers under the
+    run's :class:`~repro.core.config.RunConfig` ``cfg`` (its params,
+    kernel and metric).
 
     Returns ``(mask, distance_evals)``.  A point certifies when it has at
     least ``k`` sample witnesses within ``r``, *excluding itself* when it
     is part of the sample — asking the kernel for ``need = k + 1``
     witnesses covers both cases under the early-exit contract.
     """
+    params = cfg.params
     points = np.asarray(points, dtype=float)
     ids = np.asarray(ids, dtype=np.int64)
     n = points.shape[0]
     if n == 0 or sample.size == 0:
         return np.zeros(n, dtype=bool), 0
     counts, evals = _witness_counts(
-        resolve_kernel(kernel), points, sample, params.r, params.k + 1,
-        resolve_metric(metric),
+        resolve_kernel(cfg.kernel), points, sample, params.r, params.k + 1,
+        resolve_metric(cfg.metric),
     )
     in_sample = np.isin(ids, sample.ids)
     witnesses = np.asarray(counts, dtype=np.int64) - in_sample.astype(
@@ -279,12 +280,11 @@ def support_halo(
     points: np.ndarray,
     ids: np.ndarray,
     certified: np.ndarray,
-    params: OutlierParams,
+    cfg,
     grid=None,
-    kernel=None,
-    metric=None,
 ) -> Tuple[Set[int], int]:
-    """Certified ids the residue detection can drop from the shuffle.
+    """Certified ids the residue detection can drop from the shuffle,
+    under the run's :class:`~repro.core.config.RunConfig` ``cfg``.
 
     Every detector pool only has to answer queries for *residue* points,
     and a witness for a residue query lies within ``r`` of it.  A
@@ -311,8 +311,8 @@ def support_halo(
         ids=ids[res_rows], points=points[res_rows], grid=grid
     )
     counts, evals = _witness_counts(
-        resolve_kernel(kernel), points[cert_rows], residue, params.r, 1,
-        resolve_metric(metric),
+        resolve_kernel(cfg.kernel), points[cert_rows], residue,
+        cfg.params.r, 1, resolve_metric(cfg.metric),
     )
     far = np.asarray(counts) == 0
     return {int(i) for i in ids[cert_rows[far]]}, int(evals)
@@ -334,8 +334,7 @@ class _CertifyMapper(Mapper):
         if not records:
             return []
         mask, evals = certified_mask(
-            records.points, records.ids, self.sample, self.cfg.params,
-            kernel=self.cfg.kernel, metric=self.cfg.metric,
+            records.points, records.ids, self.sample, self.cfg
         )
         certified = records.ids[mask]
         ctx.add_cost(float(evals))
@@ -392,8 +391,7 @@ def run_certification(
         records.ids, np.fromiter(certified, dtype=np.int64)
     )
     dropped, halo_evals = support_halo(
-        records.points, records.ids, cert_mask, cfg.params,
-        grid=sample.grid, kernel=cfg.kernel, metric=cfg.metric,
+        records.points, records.ids, cert_mask, cfg, grid=sample.grid
     )
     result.counters.incr("tier", "shuffle_dropped", len(dropped))
     result.counters.incr("tier", "distance_evals", halo_evals)

@@ -154,12 +154,3 @@ def test_a_nan_coordinate_is_refused_not_answered(cls):
             detector.detect(
                 points, np.arange(points.shape[0]), np.empty((0, 2)), params
             )
-
-
-@pytest.mark.parametrize("cls", [CellBasedDetector, CellBasedRingDetector])
-def test_chunk_is_checked_at_construction(cls):
-    with pytest.raises(ValueError, match="chunk"):
-        cls(chunk=2.5)
-    with pytest.raises(ValueError, match="chunk must be >= 1"):
-        cls(chunk=0)
-    assert cls(chunk=16.0).chunk == 16

@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.config import RunConfig
 from repro.data import density_dataset
 from repro.detectors import CellBasedDetector, CellBasedRingDetector
 from repro.geometry import Rect, UniformGrid
@@ -184,7 +185,8 @@ TIER_PINS = {
 @pytest.mark.parametrize("flat", [False, True], ids=["2d", "flat"])
 def test_certified_mask_pin(flat):
     points, ids, sample = _gridded_sample(flat)
-    mask, evals = certified_mask(points, ids, sample, OutlierParams(2.0, 4))
+    cfg = RunConfig.resolve(OutlierParams(2.0, 4))
+    mask, evals = certified_mask(points, ids, sample, cfg)
     assert _digest([mask.tolist(), evals]) == TIER_PINS[
         (flat, "certified_mask")
     ]
@@ -193,11 +195,9 @@ def test_certified_mask_pin(flat):
 @pytest.mark.parametrize("flat", [False, True], ids=["2d", "flat"])
 def test_support_halo_pin(flat):
     points, ids, sample = _gridded_sample(flat)
-    params = OutlierParams(2.0, 4)
-    mask, _ = certified_mask(points, ids, sample, params)
-    dropped, evals = support_halo(
-        points, ids, mask, params, grid=sample.grid
-    )
+    cfg = RunConfig.resolve(OutlierParams(2.0, 4))
+    mask, _ = certified_mask(points, ids, sample, cfg)
+    dropped, evals = support_halo(points, ids, mask, cfg, grid=sample.grid)
     assert _digest([sorted(dropped), evals]) == TIER_PINS[
         (flat, "support_halo")
     ]

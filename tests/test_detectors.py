@@ -22,7 +22,7 @@ from repro.detectors import (
     partition_scan_seed,
 )
 from repro.detectors._scan import random_scan_counts, scan_order
-from repro.kernels import make_kernel
+from repro.kernels import base, make_kernel
 
 ALL_DETECTORS = [
     NestedLoopDetector(),
@@ -275,10 +275,6 @@ class TestPartitionSeeding:
         assert d1.seed == partition_scan_seed(1)
         assert d0.seed != d1.seed
 
-    def test_explicit_seed_wins(self):
-        d = make_partition_detector("nested_loop", 5, seed=123)
-        assert d.seed == 123
-
     def test_seedless_detector_passes_through(self):
         d = make_partition_detector("kdtree", 4)
         assert not hasattr(d, "seed")
@@ -296,7 +292,7 @@ class TestPartitionSeeding:
             assert set(got.outlier_ids) == set(expected)
 
     @pytest.mark.parametrize("pid", [0, 1, 17])
-    def test_distance_evals_stay_scalar_faithful(self, pid):
+    def test_distance_evals_stay_scalar_faithful(self, pid, monkeypatch):
         """The vectorized scan must charge exactly what a scalar loop
         scanning the same per-partition permutation would — for any
         partition seed, not just the old global 7."""
@@ -306,8 +302,9 @@ class TestPartitionSeeding:
         r, need = 2.0, 3
         seed = partition_scan_seed(pid)
 
+        monkeypatch.setattr(base, "TILE", 16)
         counts, evals = random_scan_counts(
-            queries, candidates, r, need, chunk=16, seed=seed
+            queries, candidates, r, need, seed=seed
         )
 
         order = np.random.default_rng(seed).permutation(len(candidates))
@@ -327,7 +324,7 @@ class TestPartitionSeeding:
             expected_evals += examined
 
         # A decided query's vectorized count includes the rest of its
-        # final chunk (documented lower-bound semantics); undecided
+        # final tile (documented lower-bound semantics); undecided
         # counts are exact.  The evals total is exact either way.
         for got, exp in zip(counts.tolist(), expected_counts):
             if exp >= need:

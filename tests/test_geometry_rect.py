@@ -66,17 +66,6 @@ class TestContainment:
         assert r.contains((1.0, 1.0))
         assert not r.contains((1.0001, 0.5))
 
-    def test_half_open_boundary_exclusive(self):
-        domain = Rect((0.0, 0.0), (10.0, 10.0))
-        r = Rect((0.0, 0.0), (5.0, 10.0))
-        assert r.contains_half_open((4.999, 5.0), domain)
-        assert not r.contains_half_open((5.0, 5.0), domain)
-
-    def test_half_open_domain_edge_inclusive(self):
-        domain = Rect((0.0, 0.0), (10.0, 10.0))
-        r = Rect((5.0, 0.0), (10.0, 10.0))
-        assert r.contains_half_open((10.0, 10.0), domain)
-
     def test_contains_mask_matches_scalar(self):
         r = Rect((0.0, 0.0), (1.0, 1.0))
         pts = np.array([[0.5, 0.5], [1.5, 0.5], [1.0, 1.0]])
@@ -109,12 +98,6 @@ class TestRelations:
         a = Rect((0.0, 0.0), (1.0, 1.0))
         b = Rect((2.0, 0.0), (3.0, 1.0))
         assert not a.intersects(b)
-        assert not a.is_adjacent(b)
-
-    def test_adjacent_face(self):
-        a = Rect((0.0, 0.0), (1.0, 1.0))
-        b = Rect((1.0, 0.0), (2.0, 1.0))
-        assert a.is_adjacent(b)
 
     def test_corner_touch_not_adjacent_after_overlap_check(self):
         a = Rect((0.0, 0.0), (1.0, 1.0))

@@ -71,12 +71,12 @@ def problem_lists(draw):
     return [draw(problem(d)) for d in dims[:size]]
 
 
-def one_by_one(backend, tile, problems, r, need, metric=None):
+def one_by_one(backend, problems, r, need, metric=None):
     """Each problem through its own ``count_neighbors`` on a fresh
     kernel: ``(counts, charged, computed)``."""
     out = []
     for queries, candidates in problems:
-        kernel = make_kernel(backend, tile=tile)
+        kernel = make_kernel(backend)
         counts, charged = kernel.count_neighbors(
             queries, candidates, r, need, metric=metric
         )
@@ -95,8 +95,8 @@ def assert_same(got, expected):
         assert (charged, computed) == (e_charged, e_computed)
 
 
-def batched(backend, tile, problems, r, need, metric=None):
-    kernel = make_kernel(backend, tile=tile)
+def batched(backend, problems, r, need, metric=None):
+    kernel = make_kernel(backend)
     got = kernel.count_neighbors_batch(problems, r, need, metric=metric)
     assert kernel.calls == len(problems)
     assert kernel.evals_charged == sum(c for _, c, _ in got)
@@ -120,11 +120,12 @@ class TestBatchDifferential:
         # ``rows`` patches the row block down so one block holds pieces
         # of several problems and one problem spans several blocks.
         with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(base, "TILE", tile)
             if rows is not None:
                 patch.setattr(base, "ROW_BLOCK", rows)
-            got = batched(backend, tile, problems, r, need)
-            assert_same(got, one_by_one(backend, tile, problems, r, need))
-        oracle = one_by_one("python", 256, problems, r, need)
+            got = batched(backend, problems, r, need)
+            assert_same(got, one_by_one(backend, problems, r, need))
+        oracle = one_by_one("python", problems, r, need)
         for (counts, charged, _), (e_counts, e_charged, _) in zip(
             got, oracle
         ):
@@ -144,8 +145,9 @@ class TestBatchDifferential:
             patch.setattr(numpy_backend, "SWEEP_MIN_QUERIES", 8)
             patch.setattr(numpy_backend, "SWEEP_STOP_SHARE", 0.0)
             patch.setattr(numpy_backend, "CELL_LENGTHS", (0.5, 0.5))
-            got = batched("numpy", 16, problems, r, need)
-            assert_same(got, one_by_one("numpy", 16, problems, r, need))
+            patch.setattr(base, "TILE", 16)
+            got = batched("numpy", problems, r, need)
+            assert_same(got, one_by_one("numpy", problems, r, need))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_a_non_euclidean_metric_goes_problem_by_problem(self, backend):
@@ -156,8 +158,10 @@ class TestBatchDifferential:
             for n_q, n_c in [(5, 40), (12, 9), (1, 70)]
         ]
         metric = MinkowskiMetric(1.0)
-        got = batched(backend, 8, problems, 1.0, 4, metric)
-        assert_same(got, one_by_one(backend, 8, problems, 1.0, 4, metric))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(base, "TILE", 8)
+            got = batched(backend, problems, 1.0, 4, metric)
+            assert_same(got, one_by_one(backend, problems, 1.0, 4, metric))
 
 
 class TestBatchShape:
@@ -168,11 +172,11 @@ class TestBatchShape:
         far = np.full((3, 2), 100.0)
         near = np.zeros((200, 2))
         problems = [(np.zeros((4, 2)), far), (np.zeros((6, 2)), near)]
-        got = batched("numpy", 256, problems, 1.0, 13)
+        got = batched("numpy", problems, 1.0, 13)
         assert got[0][0].tolist() == [0] * 4
         assert got[0][1:] == (12, 12)
         assert got[1][0].tolist() == [13] * 6
-        assert_same(got, one_by_one("numpy", 256, problems, 1.0, 13))
+        assert_same(got, one_by_one("numpy", problems, 1.0, 13))
 
     def test_a_row_deciding_past_its_own_end_is_booked_its_n_c(self):
         # Problem 0's only match is its last candidate (column 9), so
@@ -183,11 +187,11 @@ class TestBatchShape:
             (np.zeros((3, 1)), candidates),
             (np.zeros((5, 1)), np.full((100, 1), 50.0)),
         ]
-        got = batched("numpy", 256, problems, 1.0, 1)
+        got = batched("numpy", problems, 1.0, 1)
         assert got[0][0].tolist() == [1] * 3
         assert got[0][1:] == (30, 30)
         assert got[1][1:] == (500, 500)
-        assert_same(got, one_by_one("numpy", 256, problems, 1.0, 1))
+        assert_same(got, one_by_one("numpy", problems, 1.0, 1))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_trivial_problems_charge_nothing_but_count(self, backend):
@@ -196,10 +200,10 @@ class TestBatchShape:
             (np.zeros((3, 2)), np.zeros((0, 2))),
             (np.zeros((2, 2)), np.zeros((4, 2))),
         ]
-        got = batched(backend, 256, problems, 1.0, 2)
+        got = batched(backend, problems, 1.0, 2)
         assert [g[0].tolist() for g in got] == [[], [0, 0, 0], [2, 2]]
         assert [g[1:] for g in got[:2]] == [(0, 0), (0, 0)]
-        assert batched(backend, 256, problems, 1.0, 0)[2][1:] == (0, 0)
+        assert batched(backend, problems, 1.0, 0)[2][1:] == (0, 0)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_bad_radius_is_refused(self, backend):
@@ -225,27 +229,6 @@ class TestZeroDimensional:
     def test_dataset_refuses_d_zero(self):
         with pytest.raises(ValueError, match="d >= 1"):
             Dataset(np.zeros((5, 0)), np.arange(5))
-
-
-class TestIntegralTile:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_fractional_tile_is_refused(self, backend):
-        with pytest.raises(ValueError, match="tile"):
-            make_kernel(backend, tile=2.5)
-
-    def test_fractional_chunk_is_refused(self):
-        with pytest.raises(ValueError, match="chunk"):
-            NestedLoopDetector(chunk=2.5)
-
-    def test_whole_float_tile_is_the_integer(self):
-        assert make_kernel("numpy", tile=16.0).tile == 16
-        queries = np.random.default_rng(1).random((30, 2))
-        assert_same(
-            [make_kernel("numpy", tile=16.0).count_neighbors_batch(
-                [(queries, queries)], 0.2, 3
-            )[0]],
-            one_by_one("numpy", 16, [(queries, queries)], 0.2, 3),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -350,6 +333,19 @@ class TestReduceBlock:
             counters = [c for c in numpy_task[2] if c[0] == "dod"]
             assert [c for c in python_task[2] if c[0] == "dod"] == counters
 
+    @pytest.mark.parametrize("other", [
+        {"kernel": "python"}, {"metric": "minkowski:1"},
+    ])
+    def test_a_batch_under_two_kernels_or_metrics_is_refused(self, other):
+        # A reduce task builds every detector from one run config; a
+        # batch that mixes kernels or metrics is not one scan.
+        partition = (np.zeros((3, 2)), np.arange(3), np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="one kernel and metric"):
+            NestedLoopDetector.run_batch(
+                [NestedLoopDetector(), NestedLoopDetector(**other)],
+                [partition, partition], OutlierParams(r=1.0, k=2),
+            )
+
 
 def _recorded(kernel, body):
     """Record the query counts of the problems of every call ``kernel``
@@ -391,7 +387,7 @@ class TestOneEntry:
         got = kernel.count_neighbors_batch(problems, 1.0, 3)
         assert seen == [scanned]
         assert kernel.calls == len(problems)
-        assert_same(got, one_by_one(backend, 256, problems, 1.0, 3))
+        assert_same(got, one_by_one(backend, problems, 1.0, 3))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_trivial_problems_never_reach_the_backend(self, backend):
@@ -418,14 +414,16 @@ class TestOneEntry:
             for n_q, n_c in [(6, 40), (0, 10), (9, 25), (1, 70)]
         ]
         metric = resolve_metric(spec)
-        kernel = make_kernel(backend, tile=8)
+        kernel = make_kernel(backend)
         batches = _recorded(kernel, "_count_batch")
         singles = _recorded(kernel, "_count_metric")
-        got = kernel.count_neighbors_batch(problems, r, 4, metric)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(base, "TILE", 8)
+            got = kernel.count_neighbors_batch(problems, r, 4, metric)
         assert batches == []
         assert singles == [[6], [9], [1]]
         assert kernel.calls == len(problems)
-        oracle = one_by_one("python", 256, problems, r, 4, metric)
+        oracle = one_by_one("python", problems, r, 4, metric)
         for (counts, charged, _), (e_counts, e_charged, _) in zip(
             got, oracle
         ):

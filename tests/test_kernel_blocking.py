@@ -34,8 +34,8 @@ from repro.metrics import make_metric
 
 
 # ----------------------------------------------------------------------
-# The oracle: the parent's two tiled loops, verbatim (``self.tile`` ->
-# ``tile``), behind the guard ``count_neighbors`` applies to both.
+# The oracle: the parent's two tiled loops, verbatim (the tile width
+# is an argument), behind the guard ``count_neighbors`` applies to both.
 # ----------------------------------------------------------------------
 def reference_count(queries, candidates, r, need, tile):
     r2 = r * r
@@ -105,11 +105,13 @@ def guarded(reference, queries, candidates, r, need, *rest):
 
 def driver_count(queries, candidates, r, need, tile, rows, metric=None):
     """``(counts, charged, computed)`` of the shipped kernel's plain scan
-    with the row-block constant patched to ``rows`` (``None``: as
-    shipped)."""
-    kernel = NumpyKernel(tile=tile)
+    with the tile and row-block constants patched to ``tile`` and
+    ``rows`` (``None``: as shipped)."""
+    kernel = NumpyKernel()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(numpy_backend, "SWEEP_MIN_QUERIES", math.inf)
+        if tile is not None:
+            patch.setattr(base, "TILE", tile)
         if rows is not None:
             patch.setattr(base, "ROW_BLOCK", rows)
         counts, charged = kernel.count_neighbors(
@@ -231,15 +233,16 @@ class TestBoundariesAreCrossed:
 
     def test_default_constant_past_a_block_and_the_tile_cap(self):
         # Un-patched: 1 300 queries are three row blocks (the last
-        # short), 700 candidates reach the 256 cap twice.  The call is
+        # short), 700 candidates reach the tile cap twice.  The call is
         # sparse enough to sweep; driver_count keeps it on the plain
         # scan the frozen loops reproduce.
         assert base.ROW_BLOCK < 1300
+        assert 2 * base.TILE < 700
         rng = np.random.default_rng(20)
         queries = rng.random((1300, 2)) * 40
         candidates = rng.random((700, 2)) * 40
-        r, need, tile = 5.0, 41, 256
-        got = driver_count(queries, candidates, r, need, tile, None)
+        r, need, tile = 5.0, 41, base.TILE
+        got = driver_count(queries, candidates, r, need, None, None)
         oracle_counts, oracle_charged = PythonKernel().count_neighbors(
             queries, candidates, r, need
         )

@@ -29,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.core import detect_outliers
 from repro.data import region_dataset, tiger_like
-from repro.kernels import make_kernel
+from repro.kernels import base, make_kernel
 from repro.params import OutlierParams
 
 BACKENDS = ["numpy"]
@@ -94,9 +94,11 @@ class TestDifferential:
         expected = make_kernel("python").count_neighbors(
             queries, candidates, r, need
         )
-        got = make_kernel("numpy", tile=tile).count_neighbors(
-            queries, candidates, r, need
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(base, "TILE", tile)
+            got = make_kernel("numpy").count_neighbors(
+                queries, candidates, r, need
+            )
         assert np.array_equal(got[0], expected[0])
         assert got[1] == expected[1]
 

@@ -17,7 +17,8 @@ window bounds round), ``d`` from 1 (strips only) to 3, zero-width axes,
 and swept problems beside plain ones in one batched call.  Two
 fixed cases put a candidate one ulp past ``fl(q + r)`` on either cut
 axis, where the oracle still counts it; one un-patched call of
-``batch_scan``'s shape asserts that the shipped gate sweeps.
+``batch_scan``'s shape asserts that the shipped gate sweeps, and one
+sparse run asserts it sweeps end to end.
 
 CI runs this with ``HYPOTHESIS_PROFILE=ci`` in the kernel-equivalence
 job.
@@ -28,7 +29,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import NumpyKernel, PythonKernel, numpy_backend
+from repro.core import Dataset, detect_outliers
+from repro.kernels import NumpyKernel, PythonKernel, base, numpy_backend
+from repro.mapreduce.counters import Counters
+from repro.params import OutlierParams
 
 #: ``CELL_LENGTHS`` (in ``r``): one coordinate per cell, small cells,
 #: the shipped ones, and cells wider than a window.
@@ -36,7 +40,8 @@ CELLS = st.sampled_from([(1e-3, 1e-3), (0.5, 0.5), (1.5, 2.0), (4.0, 3.0)])
 TILES = st.sampled_from([8, 256])
 
 
-def open_gate(patch, cells, min_queries=1):
+def open_gate(patch, cells, min_queries=1, tile=256):
+    patch.setattr(base, "TILE", tile)
     patch.setattr(numpy_backend, "SWEEP_MIN_QUERIES", min_queries)
     patch.setattr(numpy_backend, "SWEEP_STOP_SHARE", 0.0)
     patch.setattr(numpy_backend, "CELL_LENGTHS", cells)
@@ -45,9 +50,9 @@ def open_gate(patch, cells, min_queries=1):
 def swept(queries, candidates, r, need, cells=(1e-3, 1e-3), tile=256):
     """``(counts, charged)`` of the numpy kernel with its gate open to
     every call."""
-    kernel = NumpyKernel(tile=tile)
+    kernel = NumpyKernel()
     with pytest.MonkeyPatch.context() as patch:
-        open_gate(patch, cells)
+        open_gate(patch, cells, tile=tile)
         assert numpy_backend._cells(
             queries, np.ascontiguousarray(candidates.T), r, need
         ) is not None
@@ -202,14 +207,14 @@ class TestSweptAndPlainInOneCall:
         self, problems, r, need, cells, tile
     ):
         with pytest.MonkeyPatch.context() as patch:
-            open_gate(patch, cells, min_queries=6)
-            kernel = NumpyKernel(tile=tile)
+            open_gate(patch, cells, min_queries=6, tile=tile)
+            kernel = NumpyKernel()
             got = kernel.count_neighbors_batch(problems, r, need)
             assert kernel.calls == len(problems)
             for (queries, candidates), (counts, charged, computed) in zip(
                 problems, got
             ):
-                alone = NumpyKernel(tile=tile)
+                alone = NumpyKernel()
                 own = alone.count_neighbors(queries, candidates, r, need)
                 assert counts.tolist() == own[0].tolist()
                 assert (charged, computed) == (own[1], alone.evals_computed)
@@ -256,3 +261,29 @@ class TestShippedGate:
         assert_oracle(got, queries, candidates, 5.0, 41)
         # Only a swept call computes fewer distances than it charges.
         assert kernel.evals_computed < kernel.evals_charged
+
+    def test_a_sparse_run_sweeps_end_to_end(self):
+        # Two uniSpace partitions of ~700 sparse points each: every
+        # kernel call has >= 512 queries and a stop position past a
+        # quarter of its candidates, so the shipped gate sweeps inside a
+        # whole run too.  Same outliers and charged evals as the python
+        # oracle, fewer distances computed.
+        points = np.random.default_rng(5).uniform(0, 45, (1400, 2))
+        data = Dataset.from_points(points, "sparse")
+        params = OutlierParams(r=5.0, k=40)
+
+        def run(kernel):
+            result = detect_outliers(
+                data, params, strategy="uniSpace", detector="nested_loop",
+                n_partitions=2, n_reducers=2, kernel=kernel,
+            )
+            group = Counters()
+            for job in result.run.jobs:
+                group.merge(job.counters)
+            return result.outlier_ids, group.group("kernel")
+
+        oracle_ids, oracle = run("python")
+        ids, swept = run("numpy")
+        assert ids == oracle_ids
+        assert swept["evals_charged"] == oracle["evals_charged"]
+        assert swept["evals_computed"] < oracle["evals_computed"]

@@ -19,7 +19,7 @@ from repro.kernels import (
     make_kernel,
     resolve_kernel,
 )
-from repro.kernels import numpy_backend
+from repro.kernels import base, numpy_backend
 from repro.metrics.builtin import MinkowskiMetric
 
 BACKENDS = ["python", "numpy"]
@@ -43,10 +43,6 @@ class TestRegistry:
     def test_make_kernel_unknown_name(self):
         with pytest.raises(ValueError, match="unknown kernel"):
             make_kernel("fortran")
-
-    def test_tile_must_be_positive(self):
-        with pytest.raises(ValueError, match="tile"):
-            make_kernel("numpy", tile=0)
 
     def test_python_and_numpy_always_available(self):
         assert set(KERNEL_REGISTRY) == {"python", "numpy"}
@@ -198,34 +194,36 @@ class TestAccounting:
         oracle.count_neighbors(Q, C, 1.0, 3)
         assert oracle.evals_computed == oracle.evals_charged
 
-    def test_numpy_reports_tile_overshoot(self):
-        batched = NumpyKernel(tile=32)
+    def test_numpy_reports_tile_overshoot(self, monkeypatch):
+        monkeypatch.setattr(base, "TILE", 32)
+        batched = NumpyKernel()
         oracle = PythonKernel()
         _, charged_b = batched.count_neighbors(Q, C, 1.0, 3)
         _, charged_o = oracle.count_neighbors(Q, C, 1.0, 3)
         assert charged_b == charged_o
         assert batched.evals_computed >= batched.evals_charged
 
-    def test_tile_width_never_changes_results(self):
+    def test_tile_width_never_changes_results(self, monkeypatch):
         expected_counts, expected_evals = PythonKernel().count_neighbors(
             Q, C, 1.0, 3
         )
         for tile in (1, 2, 7, 64, 1024):
-            counts, evals = NumpyKernel(tile=tile).count_neighbors(
-                Q, C, 1.0, 3
-            )
+            monkeypatch.setattr(base, "TILE", tile)
+            counts, evals = NumpyKernel().count_neighbors(Q, C, 1.0, 3)
             assert np.array_equal(counts, expected_counts), tile
             assert evals == expected_evals, tile
 
-    def test_one_candidate_tiles_compute_what_they_charge(self):
-        # ``tile`` is a cap: at tile=1 there is no tile to overshoot in.
-        batched = NumpyKernel(tile=1)
+    def test_one_candidate_tiles_compute_what_they_charge(self, monkeypatch):
+        # ``TILE`` is a cap: at 1 there is no tile to overshoot in.
+        monkeypatch.setattr(base, "TILE", 1)
+        batched = NumpyKernel()
         _, charged = batched.count_neighbors(Q, C, 1.0, 3)
         assert charged == PythonKernel().count_neighbors(Q, C, 1.0, 3)[1]
         assert batched.evals_computed == batched.evals_charged
 
     @pytest.mark.parametrize("tile", [1, 2, 7])
-    def test_no_match_tile_is_wider_than_tile(self, tile):
+    def test_no_match_tile_is_wider_than_tile(self, tile, monkeypatch):
+        monkeypatch.setattr(base, "TILE", tile)
         widths = []
 
         class Recording(MinkowskiMetric):
@@ -233,9 +231,7 @@ class TestAccounting:
                 widths.append(candidates.shape[0])
                 return super().within_block(queries, candidates, r)
 
-        NumpyKernel(tile=tile).count_neighbors(
-            Q, C, 1.0, 3, metric=Recording(1.0)
-        )
+        NumpyKernel().count_neighbors(Q, C, 1.0, 3, metric=Recording(1.0))
         assert widths and max(widths) <= tile
 
     def test_need_nonpositive_still_counts_the_call(self, kernel):

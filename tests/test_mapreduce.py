@@ -198,14 +198,15 @@ class TestRuntime:
     def test_simulated_time_positive(self):
         rt = LocalRuntime(ClusterConfig(nodes=2))
         result = rt.run(wordcount_job(), ["a b c"] * 5, block_records=2)
-        assert result.simulated_time(rt.cluster, "wall") > 0
+        assert result.simulated_time(rt.cluster) > 0
         assert result.simulated_time(rt.cluster, "units") > 0
 
     def test_unknown_metric_rejected(self):
         rt = LocalRuntime(ClusterConfig(nodes=2))
         result = rt.run(wordcount_job(), ["a"], block_records=1)
-        with pytest.raises(ValueError):
-            result.simulated_phase_time("map", rt.cluster, "bogus")
+        for metric in ("bogus", "wall"):
+            with pytest.raises(ValueError, match="metric"):
+                result.simulated_phase_time("map", rt.cluster, metric)
         with pytest.raises(ValueError):
             result.simulated_phase_time("bogus", rt.cluster)
 

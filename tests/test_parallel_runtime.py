@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import multiprocessing
 import os
+import tempfile
 import time
 
 import numpy as np
@@ -191,13 +192,35 @@ class TestOneJobLoop:
 # one, stopped by close().
 # ----------------------------------------------------------------------
 class PidMapper(Mapper):
-    """Emits the pid of the worker that ran the task.  The pause makes
-    every worker of a two-process pool take part in an eight-task
-    phase."""
+    """Emits the pid of the worker that ran the task.  Each task logs
+    its pid to ``path`` and waits (10 s at most) until two running
+    processes have logged, so both workers of a two-process pool take
+    part in a phase — also when a broken pool's tasks are rerun on a
+    new one, whose workers must not count the old pool's."""
+
+    def __init__(self, path):
+        self.path = path
 
     def map(self, key, value, ctx):
-        time.sleep(0.02)
+        with open(self.path, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            with open(self.path) as f:
+                logged = {int(pid) for pid in f.read().split()}
+            if sum(map(_running, logged)) >= 2:
+                break
+            time.sleep(0.001)
         yield os.getpid(), 1
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (not reaped, not a zombie)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class AttachmentProbe(Reducer):
@@ -226,18 +249,25 @@ class LoggingMapper(Mapper):
     def map(self, key, value, ctx):
         with open(self.path, "a") as f:
             f.write(f"{ctx.task_id}\n")
+        # A bound, not a wait on the other side: forty tasks of 20 ms
+        # on two workers outlast map task 0's two failed attempts, so
+        # the failed job drains before all of them start.
         time.sleep(0.02)
         yield 0, 1
 
 
-def pid_job(reducer=None):
+def pid_job(path, reducer=None):
     return MapReduceJob(
-        "pids", PidMapper(), reducer or SumReducer(), n_reducers=2
+        "pids", PidMapper(str(path)), reducer or SumReducer(), n_reducers=2
     )
 
 
 def _worker_pids(runtime) -> set:
-    result = runtime.run(pid_job(), list(range(8)), block_records=1)
+    with tempfile.TemporaryDirectory() as scratch:
+        result = runtime.run(
+            pid_job(os.path.join(scratch, "pids.log")), list(range(8)),
+            block_records=1,
+        )
     return {pid for pid, _ in result.outputs}
 
 
@@ -306,6 +336,8 @@ class TestPoolReuse:
             drained = started()
             assert drained < 40
             assert shm.live_segments() == frozenset()
+            # A bound: nothing of the drained job starts in the next
+            # 0.3 s (there is no event to wait on for "never").
             time.sleep(0.3)
             assert started() == drained
             rt.failure_injector = None
@@ -331,7 +363,7 @@ class TestPoolReuse:
             "a": 10, "b": 10,
         }
 
-    def test_worker_killed_between_jobs_is_a_counted_death(self):
+    def test_worker_killed_between_jobs_is_a_counted_death(self, tmp_path):
         with ParallelRuntime(CLUSTER, workers=2) as rt:
             victim = min(_worker_pids(rt))
             os.kill(victim, 9)
@@ -340,7 +372,10 @@ class TestPoolReuse:
             # then the job after it finds the pool broken at submit.
             after = [
                 rt.run(job(), ["a b"] * 10, block_records=5),
-                rt.run(pid_job(), list(range(8)), block_records=1),
+                rt.run(
+                    pid_job(tmp_path / "pids.log"), list(range(8)),
+                    block_records=1,
+                ),
             ]
         assert sum(
             result.counters.get("recovery", "worker_deaths")
@@ -350,11 +385,11 @@ class TestPoolReuse:
         pids = {pid for pid, _ in after[1].outputs}
         assert len(pids) == 2 and victim not in pids
 
-    def test_a_worker_maps_one_job_at_a_time(self):
-        probe = pid_job(AttachmentProbe())
+    def test_a_worker_maps_one_job_at_a_time(self, tmp_path):
         most = 0
         with ParallelRuntime(CLUSTER, workers=2) as rt:
-            for _ in range(20):
+            for run in range(20):
+                probe = pid_job(tmp_path / f"pids{run}.log", AttachmentProbe())
                 result = rt.run(probe, list(range(8)), block_records=1)
                 per_job = result.transport["segments"]
                 most = max(most, *(n for _, n in result.outputs))
@@ -416,5 +451,5 @@ class TestPoolReuse:
             ]
             if not left:
                 break
-            time.sleep(0.02)
+            time.sleep(0.02)  # the poll interval of a wait on the exits
         assert left == []

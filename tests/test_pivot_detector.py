@@ -15,6 +15,7 @@ from repro.detectors import (
     PivotDetector,
     select_pivots_maxmin,
 )
+from repro.detectors import pivot
 
 
 class TestPivotSelection:
@@ -31,10 +32,6 @@ class TestPivotSelection:
     def test_caps_at_point_count(self):
         pts = np.zeros((3, 2))
         assert len(select_pivots_maxmin(pts, 10)) == 3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PivotDetector(n_pivots=0)
 
 
 class TestPivotExactness:
@@ -70,14 +67,15 @@ class TestPivotExactness:
         result = PivotDetector().detect_dataset(data, params)
         assert set(result.outlier_ids) == {8}
 
-    def test_prunes_most_exact_checks_on_clustered_data(self):
+    def test_prunes_most_exact_checks_on_clustered_data(self, monkeypatch):
+        monkeypatch.setattr(pivot, "N_PIVOTS", 4)
         rng = np.random.default_rng(3)
         data = Dataset.from_points(np.vstack([
             rng.normal((0, 0), 1.0, size=(400, 2)),
             rng.normal((200, 200), 1.0, size=(400, 2)),
         ]))
         params = OutlierParams(r=2.0, k=4)
-        result = PivotDetector(n_pivots=4).detect_dataset(data, params)
+        result = PivotDetector().detect_dataset(data, params)
         # Triangle inequality must rule out the opposite cluster, so
         # exact checks stay well below the all-pairs count.
         assert result.extras["exact_checks"] < 0.25 * 800 * 800
@@ -96,9 +94,9 @@ class TestPivotExactness:
         data = Dataset.from_points(rng.uniform(0, 30, size=(n, 2)))
         params = OutlierParams(r=r, k=k)
         oracle = brute_force_outliers(data, params)
-        result = PivotDetector(n_pivots=n_pivots).detect_dataset(
-            data, params
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pivot, "N_PIVOTS", n_pivots)
+            result = PivotDetector().detect_dataset(data, params)
         assert set(result.outlier_ids) == oracle
 
 

@@ -12,7 +12,7 @@ contract:
   n_core`` on arbitrary generated partitions;
 * edge semantics: empty partitions, ``k <= 0`` (need-exhausted calls
   from the reducers), singleton pools with no possible graph edge, and
-  constructor validation;
+  the degree's cap at the pool size;
 * a pinned regression on the fig8 smoke workload: the merged ``graph``
   counter group is deterministic end to end, so its exact values are
   part of the repo's behavioural baseline (update deliberately, with
@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from repro.core import OutlierParams, detect_outliers
 from repro.data.generators import region_dataset
 from repro.detectors import make_partition_detector
+from repro.detectors import proximity_graph
 from repro.detectors.proximity_graph import ProximityGraphDetector
 
 coordinate = st.integers(min_value=0, max_value=12).map(lambda v: v * 0.25)
@@ -86,13 +87,15 @@ class TestDeterminism:
         answers = {tuple(sorted(r.outlier_ids)) for r in results}
         assert len(answers) == 1
 
-    def test_iters_zero_still_exact(self):
+    def test_iters_zero_still_exact(self, monkeypatch):
         # No refinement rounds: worst-possible graph, same answer.
         rng = np.random.default_rng(5)
         core = rng.uniform(0, 10, size=(120, 2)).round(1)
         params = OutlierParams(r=1.0, k=4)
-        lazy = _run(core, np.empty((0, 2)), params, iters=0)
-        full = _run(core, np.empty((0, 2)), params, iters=6)
+        monkeypatch.setattr(proximity_graph, "GRAPH_ROUNDS", 0)
+        lazy = _run(core, np.empty((0, 2)), params)
+        monkeypatch.setattr(proximity_graph, "GRAPH_ROUNDS", 6)
+        full = _run(core, np.empty((0, 2)), params)
         assert sorted(lazy.outlier_ids) == sorted(full.outlier_ids)
         # Less graph work can only grow the residue, never shrink it.
         assert lazy.extras["graph_residue"] >= full.extras["graph_residue"]
@@ -177,20 +180,9 @@ class TestEdges:
 
     def test_graph_k_caps_at_pool_size(self):
         core = np.zeros((4, 2))
-        result = _run(
-            core, np.empty((0, 2)), OutlierParams(r=1.0, k=2),
-            graph_k=50,
-        )
-        assert result.extras["graph_k"] == 3  # n_pool - 1
+        result = _run(core, np.empty((0, 2)), OutlierParams(r=1.0, k=2))
+        assert result.extras["graph_k"] == 3  # n_pool - 1, not k + 4
         assert result.outlier_ids == []
-
-    @pytest.mark.parametrize(
-        "kw",
-        [dict(graph_k=0), dict(iters=-1), dict(chunk=0)],
-    )
-    def test_constructor_validation(self, kw):
-        with pytest.raises(ValueError):
-            ProximityGraphDetector(**kw)
 
     def test_registry_constructs_it(self):
         det = make_partition_detector("proximity_graph", 0)

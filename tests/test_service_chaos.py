@@ -13,7 +13,8 @@ driver SIGKILL       *supervision* — nobody left to adopt the orphan
 ENOSPC injection     *commit* (``REPRO_CHAOS_ENOSPC_AFTER_COMMITS`` makes
                      the journal's fsync path fail) and *settle*
                      (``REPRO_CHAOS_ENOSPC_AT=trace`` / ``=result``
-                     fails the trace / result artifact write)
+                     fails the trace / result artifact write, ``=error``
+                     a failed job's ``error.txt``)
 clock-skewed lease   *settle* — a skewed sweeper re-queues a live
                      worker's job; two owners race to finish it
 SQLite busy          *submit/claim/settle* — concurrent connections
@@ -362,6 +363,34 @@ class TestDiskPressure:
         proc = _serve(spool, tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert _result(spool, retry)["outliers"] == ORACLE
+
+
+    def test_enospc_at_error_file_keeps_the_jobs_own_failure(
+        self, spool, points_csv, tmp_path
+    ):
+        # A job fails on its input (a NaN row), then the disk is full
+        # for its error.txt: the row keeps the job's own error and kind,
+        # but a full disk is always a disk event, so the service
+        # degrades; nothing is left half-written in the job directory.
+        bad_csv = tmp_path / "nan.csv"
+        with open(points_csv) as src:
+            rows = src.read().splitlines()
+        rows.insert(3, "nan,1.0")
+        bad_csv.write_text("\n".join(rows) + "\n")
+        job_id = _submit(spool, str(bad_csv))
+        proc = _serve(spool, tmp_path, env_extra={ENOSPC_AT_ENV: "error"})
+        assert proc.returncode == 0, proc.stderr
+        with JobStore(spool) as store:
+            row = store.get(job_id)
+            assert row["state"] == "failed"
+            assert "nan" in row["error"].lower()
+            assert "disk pressure" not in row["error"]
+            assert row["failure_kind"] != "disk"
+            assert store.degraded() is not None
+            job_dir = store.job_dir(job_id)
+            left = os.listdir(job_dir) if os.path.isdir(job_dir) else []
+            assert "error.txt" not in left
+            assert not [name for name in left if name.endswith(".tmp")]
 
 
 class TestClockSkewedLease:

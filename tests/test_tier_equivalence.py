@@ -28,6 +28,7 @@ from repro.core import (
     brute_force_outliers,
     detect_outliers,
 )
+from repro.core.config import RunConfig
 from repro.mapreduce import (
     ClusterConfig,
     LocalRuntime,
@@ -111,7 +112,8 @@ class TestCertificationDecomposition:
             dataset.points, dataset.ids, stats, params, seed=5
         )
         mask, _ = certified_mask(
-            dataset.points, dataset.ids, sample, params, kernel=kernel
+            dataset.points, dataset.ids, sample,
+            RunConfig.resolve(params, kernel=kernel),
         )
         certified = {int(i) for i in dataset.ids[mask]}
         oracle = brute_force_outliers(dataset, params)
@@ -134,10 +136,11 @@ class TestCertificationDecomposition:
             dataset.points, dataset.ids, stats, params, seed=5
         )
         default, _ = certified_mask(
-            dataset.points, dataset.ids, sample, params
+            dataset.points, dataset.ids, sample, RunConfig.resolve(params)
         )
         backend, _ = certified_mask(
-            dataset.points, dataset.ids, sample, params, kernel=kernel
+            dataset.points, dataset.ids, sample,
+            RunConfig.resolve(params, kernel=kernel),
         )
         np.testing.assert_array_equal(default, backend)
 

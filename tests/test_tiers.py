@@ -20,6 +20,7 @@ from repro.core import (
     brute_force_outliers,
     detect_outliers,
 )
+from repro.core.config import RunConfig
 from repro.costmodel import default_sample_size, select_tier
 from repro.mapreduce import ClusterConfig, LocalRuntime
 from repro.mapreduce.counters import Counters
@@ -43,6 +44,7 @@ from repro.tiers import (
 )
 
 PARAMS = OutlierParams(r=2.0, k=4)
+CFG = RunConfig.resolve(PARAMS)
 CLUSTER = ClusterConfig(nodes=4)
 
 
@@ -146,8 +148,7 @@ class TestSensitivitySample:
             ids=np.empty(0, dtype=np.int64), points=np.empty((0, 2))
         )
         mask, evals = certified_mask(
-            np.empty((0, 2)), np.empty(0, dtype=np.int64),
-            sample, PARAMS,
+            np.empty((0, 2)), np.empty(0, dtype=np.int64), sample, CFG
         )
         assert mask.shape == (0,) and evals == 0
 
@@ -156,9 +157,7 @@ class TestCertification:
     def test_certified_points_are_true_inliers(self):
         data = Dataset.from_points(clustered_points())
         sample = sample_for(data)
-        mask, evals = certified_mask(
-            data.points, data.ids, sample, PARAMS
-        )
+        mask, evals = certified_mask(data.points, data.ids, sample, CFG)
         assert mask.any() and evals > 0
         oracle = brute_force_outliers(data, PARAMS)
         certified = {int(i) for i in data.ids[mask]}
@@ -172,7 +171,8 @@ class TestCertification:
         data = Dataset.from_points(points)
         sample = SensitivitySample(ids=data.ids, points=data.points)
         mask, _ = certified_mask(
-            data.points, data.ids, sample, OutlierParams(r=1.0, k=3)
+            data.points, data.ids, sample,
+            RunConfig.resolve(OutlierParams(r=1.0, k=3)),
         )
         assert not mask.any()
 
@@ -183,8 +183,8 @@ class TestCertification:
         sample = sample_for(data)
         assert sample.grid is not None
         bare = SensitivitySample(ids=sample.ids, points=sample.points)
-        pruned, _ = certified_mask(data.points, data.ids, sample, PARAMS)
-        full, _ = certified_mask(data.points, data.ids, bare, PARAMS)
+        pruned, _ = certified_mask(data.points, data.ids, sample, CFG)
+        full, _ = certified_mask(data.points, data.ids, bare, CFG)
         np.testing.assert_array_equal(pruned, full)
 
     def test_metric_certification_uses_the_metric(self):
@@ -198,10 +198,12 @@ class TestCertification:
         sample = SensitivitySample(ids=data.ids, points=data.points)
         params = OutlierParams(r=2.0, k=5)
         l2, _ = certified_mask(
-            data.points, data.ids, sample, params, metric="euclidean"
+            data.points, data.ids, sample,
+            RunConfig.resolve(params, metric="euclidean"),
         )
         l1, _ = certified_mask(
-            data.points, data.ids, sample, params, metric="minkowski:1"
+            data.points, data.ids, sample,
+            RunConfig.resolve(params, metric="minkowski:1"),
         )
         assert bool(l2[-1]) is True
         assert bool(l1[-1]) is False
@@ -211,9 +213,9 @@ class TestSupportHalo:
     def test_dropped_points_are_far_from_every_residue_point(self):
         data = Dataset.from_points(clustered_points(seed=5))
         sample = sample_for(data)
-        mask, _ = certified_mask(data.points, data.ids, sample, PARAMS)
+        mask, _ = certified_mask(data.points, data.ids, sample, CFG)
         dropped, evals = support_halo(
-            data.points, data.ids, mask, PARAMS, grid=sample.grid
+            data.points, data.ids, mask, CFG, grid=sample.grid
         )
         assert dropped and evals > 0
         certified_ids = {int(i) for i in data.ids[mask]}
@@ -227,25 +229,25 @@ class TestSupportHalo:
     def test_grid_and_full_scan_drops_agree(self):
         data = Dataset.from_points(clustered_points(seed=6))
         sample = sample_for(data)
-        mask, _ = certified_mask(data.points, data.ids, sample, PARAMS)
+        mask, _ = certified_mask(data.points, data.ids, sample, CFG)
         with_grid, _ = support_halo(
-            data.points, data.ids, mask, PARAMS, grid=sample.grid
+            data.points, data.ids, mask, CFG, grid=sample.grid
         )
         without, _ = support_halo(
-            data.points, data.ids, mask, PARAMS, grid=None
+            data.points, data.ids, mask, CFG, grid=None
         )
         assert with_grid == without
 
     def test_no_certified_points_drops_nothing(self):
         data = Dataset.from_points(clustered_points(n=50))
         mask = np.zeros(data.n, dtype=bool)
-        dropped, evals = support_halo(data.points, data.ids, mask, PARAMS)
+        dropped, evals = support_halo(data.points, data.ids, mask, CFG)
         assert dropped == set() and evals == 0
 
     def test_everything_certified_drops_everything(self):
         data = Dataset.from_points(clustered_points(n=50))
         mask = np.ones(data.n, dtype=bool)
-        dropped, evals = support_halo(data.points, data.ids, mask, PARAMS)
+        dropped, evals = support_halo(data.points, data.ids, mask, CFG)
         assert dropped == {int(i) for i in data.ids} and evals == 0
 
 
