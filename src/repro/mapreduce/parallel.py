@@ -13,8 +13,12 @@ calls.  What this module adds is a *phase executor*: how one phase's
 tasks get executed (encode, submit, speculate, respawn, drain), and the
 dispatch accounting that only exists when tasks cross a process boundary.
 
-Implementation notes: tasks are dispatched per map block / per reducer;
-the job object (mapper, reducer, partitioner and their captured plans)
+Implementation notes: one executor round trip carries a *run* of
+consecutive tasks (map blocks or reducers, two runs per worker; one task
+a run under speculation), and the worker returns every outcome of its
+run in one message, while attempts, retries, kills and commits stay per
+task.  A job too small to pay for its dispatches runs in the driver on
+:meth:`ParallelRuntime.serial_twin` (DMT's sampling job).  The job object (mapper, reducer, partitioner and their captured plans)
 must be picklable, which every built-in component is.  Failure injection,
 retries, timeouts, and backoff run inside each worker, preserving
 commit-on-success semantics.  The workers outlive the job (one pool per
@@ -38,12 +42,13 @@ counters and the task's span.
 are written into segments once and tasks ship descriptors, so a retry
 or a speculative duplicate resubmits a ~200-byte envelope instead of
 re-pickling the partition.  The shuffle stays there too: each map
-dispatch carries the name of a fresh spill segment, a worker writes its
+task of a dispatch carries the name of a fresh spill segment, a worker writes its
 task's output batches into it and returns row ranges, and on commit the
 driver maps the spill and hands the job loop batch views of it, which
 the reduce payloads then reference instead of copying.  Per-job
 dispatch cost lands in ``JobResult.transport``, the ``transport``
-counter group, and the task spans (``dispatch_bytes``; map tasks also
+counter group (``dispatches`` beside ``tasks``), the phase spans
+(``dispatches``) and the task spans (``dispatch_bytes``; map tasks also
 ``spill_bytes``).
 """
 
@@ -51,9 +56,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import signal
 import statistics
 import threading
 import time
+import traceback
 import weakref
 from collections import defaultdict
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -64,6 +71,7 @@ from typing import Any, Dict, List, Sequence
 
 from ..observability.tracing import Span
 from ..params import check_whole
+from .failures import FailureInjector
 from .job import MapReduceJob
 from .runtime import JobResult, LocalRuntime
 from .scheduler import SPECULATIVE_ATTEMPT_BASE
@@ -93,7 +101,8 @@ _SPECULATION_MIN_TASKS = 3
 
 
 def _exit_with_driver() -> None:
-    """Pool initializer: this worker dies when its driver does.
+    """Pool initializer: this worker dies when its driver does, and when
+    it is told to.
 
     A pool worker blocked on the call queue never learns that its parent
     is gone — it inherited both ends of that pipe, so no EOF arrives —
@@ -102,7 +111,14 @@ def _exit_with_driver() -> None:
     child for exactly this: it turns readable when the last process
     holding the driver's end (the driver, and siblings forked after this
     worker, which watch their own sentinel) has exited, however it died.
+
+    SIGTERM gets its default action back.  The worker inherits the
+    driver's disposition — a driver that ignores SIGTERM, or whose
+    handler does not exit — but a pool broken by a dead worker stops
+    its survivors with SIGTERM and waits for them, so a survivor that
+    outlives the signal hangs the respawn forever.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     sentinel = multiprocessing.parent_process().sentinel
 
     def watch() -> None:
@@ -144,74 +160,146 @@ class _PoolBox:
         self.pool.shutdown(wait=wait, cancel_futures=True)
 
 
-def _run_task(args):
-    """Worker entry: open the envelope and run its task's attempt loop.
+def _run_tasks(args):
+    """Worker entry: run a run of tasks, each through its own attempt
+    loop, and return every outcome in one message.
 
     A map task's committed output goes into the spill the driver named
-    for this dispatch, and a :class:`Spill` of row ranges rides back in
-    its place — unless it is not all batches, then it returns in-band.
-    The task span rides back with the result — spans are plain dataclass
-    trees of builtins and use epoch timestamps, so they pickle cleanly
-    and stay comparable with spans built in the parent process.
+    for it, and a :class:`Spill` of row ranges rides back in its place —
+    unless it is not all batches, then it returns in-band.  The task
+    span rides back with the result — spans are plain dataclass trees of
+    builtins and use epoch timestamps, so they pickle cleanly and stay
+    comparable with spans built in the parent process.
+
+    The run stops at the first task that uses up its attempts: what
+    returns is the outcomes before it and ``(exception, traceback
+    text)`` of its failure, or ``None``; the tasks after it never start.
     """
-    envelope, phase, speculative, attempt_base, spill = args
-    runtime, job, task_id, payload = open_envelope(envelope)
-    result = runtime._run_task(
-        phase, job, task_id, payload, speculative, attempt_base
-    )
-    if spill is None:
-        return result
-    spilled = write_spill(spill, result[1])
-    result[-1].annotate(spill_bytes=spilled.nbytes if spilled else 0)
-    return result if spilled is None else (result[0], spilled, *result[2:])
+    phase, speculative, tasks = args
+    outcomes = []
+    for envelope, attempt_base, spill in tasks:
+        try:
+            runtime, job, task_id, payload = open_envelope(envelope)
+            result = runtime._run_task(
+                phase, job, task_id, payload, speculative, attempt_base
+            )
+            if spill is not None:
+                spilled = write_spill(spill, result[1])
+                result[-1].annotate(
+                    spill_bytes=spilled.nbytes if spilled else 0
+                )
+                if spilled is not None:
+                    result = (result[0], spilled, *result[2:])
+        except Exception as exc:
+            return outcomes, (exc, traceback.format_exc())
+        outcomes.append(result)
+    return outcomes, None
+
+
+def _run_length(n_tasks: int, workers: int) -> int:
+    """Tasks per dispatch when a phase of ``n_tasks`` runs on ``workers``.
+
+    A round trip through the executor costs 0.4 ms on a 2-vCPU box, a
+    fifth of a perfbench reduce task, and a worker idles through it
+    between two tasks, so tasks travel in runs: two per worker, which
+    lets a worker whose first run ends early take another.  (Under
+    speculation a task travels alone: the straggler rule times each task
+    from its dispatch, and a run would hide the tasks queued behind a
+    slow one.)
+    """
+    return -(-n_tasks // (2 * workers))
+
+
+class _WorkerTraceback(Exception):
+    """The cause of a task's exception: the traceback its worker printed."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+class _WithoutKills(FailureInjector):
+    """An injector's crashes and latency, without its kills."""
+
+    def __init__(self, injector: FailureInjector) -> None:
+        self.injector = injector
+
+    def should_fail(self, phase: str, task_id: int, attempt: int) -> bool:
+        return self.injector.should_fail(phase, task_id, attempt)
+
+    def delay(self, phase: str, task_id: int, attempt: int) -> float:
+        return self.injector.delay(phase, task_id, attempt)
 
 
 class _Dispatch:
     """One phase's in-flight state: which attempts are out, which tasks
-    have committed, and what it has cost to get there."""
+    have committed, and what it has cost to get there.
+
+    A dispatch is one executor round trip and carries a *run* of
+    consecutive tasks (``run_length`` of them, the last run shorter);
+    attempts, retries, kills and speculation stay per task."""
 
     def __init__(self, pool: _PoolBox, transport: ShmTransport, phase: str,
-                 envelopes, counters, phase_span: Span) -> None:
+                 envelopes, counters, phase_span: Span,
+                 run_length: int) -> None:
         self.pool = pool
         self.transport = transport
         self.phase = phase
         self.envelopes = envelopes    # task_id -> ShmEnvelope
         self.counters = counters
         self.phase_span = phase_span
-        self.futures = {}             # future -> (task_id, is_speculative)
+        self.run_length = run_length
+        self.futures = {}             # future -> (task_ids, is_speculative)
         self.live = set()
-        self.primary = {}
+        self.primary = {}             # task_id -> future of its run
         self.duplicates = {}          # task_id -> speculative future
         self.failed = {}              # task_id -> first exception seen
         self.submit_time = {}
         self.durations: List[float] = []
         self.committed = {}           # task_id -> worker result tuple
         self.resubmits = defaultdict(int)  # task_id -> pool-death re-dispatches
+        self.dispatches = 0
 
-    def submit(self, tid: int, speculative: bool = False,
-               attempt_base: int = 0) -> bool:
-        """Hand one attempt of ``tid`` to the pool; False if it is broken
-        (the completion loop then respawns it and re-dispatches everything
-        uncommitted, this task included).  A duplicate reuses the encoded
-        envelope — a descriptor, not a re-pickled partition — and is
-        timed from its primary's submission.  Each map dispatch gets a
-        spill name of its own, tracked before the worker can see it."""
-        spill = self.transport.spill_name() if self.phase == "map" else None
+    def submit_runs(self, tids: List[int]) -> int:
+        """Hand ``tids`` to the pool in runs; return how many tasks went
+        out before the pool turned out broken (the completion loop then
+        respawns it and re-dispatches everything uncommitted)."""
+        step, sent = self.run_length, 0
+        for at in range(0, len(tids), step):
+            run = tids[at:at + step]
+            if not self.submit(run):
+                break
+            sent += len(run)
+        return sent
+
+    def submit(self, tids: List[int], speculative: bool = False) -> bool:
+        """Hand one attempt of each task of ``tids`` to the pool, as one
+        run; False if the pool is broken.  Each task's attempt numbers
+        start past the dispatches that died under it.  A duplicate
+        reuses the encoded envelope — a descriptor, not a re-pickled
+        partition — and is timed from its primary's submission.  Each
+        map task of a run gets a spill name of its own, tracked before
+        the worker can see it."""
+        tasks = [
+            (self.envelopes[tid], self.resubmits[tid],
+             self.transport.spill_name() if self.phase == "map" else None)
+            for tid in tids
+        ]
         try:
             fut = self.pool.submit(
-                _run_task,
-                (self.envelopes[tid], self.phase, speculative, attempt_base,
-                 spill),
+                _run_tasks, (self.phase, speculative, tasks)
             )
         except BrokenProcessPool:
             return False
-        self.futures[fut] = (tid, speculative)
+        self.dispatches += 1
+        self.futures[fut] = (tids, speculative)
         self.live.add(fut)
-        if speculative:
-            self.duplicates[tid] = fut
-        else:
-            self.primary[tid] = fut
-            self.submit_time[tid] = time.perf_counter()
+        now = time.perf_counter()
+        for tid in tids:
+            if speculative:
+                self.duplicates[tid] = fut
+            else:
+                self.primary[tid] = fut
+                self.submit_time[tid] = now
         return True
 
 
@@ -273,6 +361,21 @@ class ParallelRuntime(LocalRuntime):
             self._finalizer.atexit = False
         return self._pool
 
+    def serial_twin(self) -> LocalRuntime:
+        """A serial runtime for a job too small to pay for its dispatches,
+        with this runtime's cluster, scheduler, tracer and injector.
+
+        The injector keeps its crashes and latency but loses its kills:
+        a kill stands for a pool worker dying under a task, and a job
+        the driver runs itself has no worker to lose.
+        """
+        injector = self.failure_injector
+        return LocalRuntime(
+            self.cluster,
+            failure_injector=injector and _WithoutKills(injector),
+            tracer=self.tracer, scheduler=self.scheduler,
+        )
+
     def close(self) -> None:
         """Shut the worker pool down; a later ``run`` starts a new one."""
         if self._pool is not None:
@@ -327,6 +430,9 @@ class ParallelRuntime(LocalRuntime):
         )
         result.counters.incr("transport", "tasks", int(stats["tasks"]))
         result.counters.incr(
+            "transport", "dispatches", int(stats["dispatches"])
+        )
+        result.counters.incr(
             "transport", "segments", int(stats["segments"])
         )
         result.counters.incr(
@@ -341,32 +447,35 @@ class ParallelRuntime(LocalRuntime):
     # ------------------------------------------------------------------
     def _run_phase(self, transport, phase, job, payloads, counters,
                    phase_span):
-        """The pool's phase executor: dispatch the phase's tasks,
+        """The pool's phase executor: dispatch the phase's tasks in runs,
         speculating on stragglers.
 
         Returns the worker result tuples sorted by task id — exactly one
         committed result per task, whichever attempt (primary or
         speculative duplicate) finished first.
 
-        A dead worker (SIGKILL, OOM) breaks the whole pool: every live
+        A run that stops at a task which used up its attempts commits the
+        tasks before it and fails the job with that task's exception.  A
+        dead worker (SIGKILL, OOM) breaks the whole pool: every live
         future raises :class:`BrokenProcessPool`.  The loop respawns the
-        pool and resubmits the lost tasks with a bumped ``attempt_base``
-        under the scheduler's backoff policy, failing a task only after
-        ``max_attempts`` dispatches have died under it.
+        pool and resubmits the tasks that had not committed, each with
+        its own rising ``attempt_base``, under the scheduler's backoff
+        policy, failing a task only after ``max_attempts`` dispatches
+        have died under it.
         """
         envelopes, dispatch_bytes = transport.encode_tasks(
             dict(enumerate(payloads))
         )
         state = _Dispatch(
-            self._pool, transport, phase, envelopes, counters, phase_span
+            self._pool, transport, phase, envelopes, counters, phase_span,
+            1 if self.scheduler.speculate
+            else _run_length(len(envelopes), self.workers),
         )
         live, committed, failed = state.live, state.committed, state.failed
         try:
-            for tid in envelopes:
-                # A worker died while dispatch was still in flight, or
-                # while the pool idled since the last job.
-                if not state.submit(tid):
-                    break
+            # A worker died while dispatch was still in flight, or while
+            # the pool idled since the last job: the loop respawns it.
+            state.submit_runs(list(envelopes))
             while len(committed) < len(envelopes):
                 # No live attempts with work outstanding means the pool
                 # broke before (or while) dispatching — same respawn path
@@ -380,30 +489,42 @@ class ParallelRuntime(LocalRuntime):
                     )
                 for fut in done:
                     live.discard(fut)
-                    tid, is_spec = state.futures[fut]
-                    if tid in committed:
-                        continue  # the cancelled loser finishing late
+                    tids, is_spec = state.futures[fut]
                     try:
-                        out = fut.result()
+                        outcomes, failure = fut.result()
                     except BrokenProcessPool:
-                        # Not this task's failure: the pool died under it.
-                        # Every sibling future is equally dead; respawn once
-                        # after draining the done set.
+                        # Not these tasks' failure: the pool died under
+                        # them.  Every sibling future is equally dead;
+                        # respawn once after draining the done set.
                         broken = True
                         continue
                     except Exception as exc:
+                        # The run's message did not arrive (an outcome
+                        # that does not pickle, say): its first task
+                        # takes the failure.
+                        outcomes, failure = [], (exc, None)
+                    for out in outcomes:
+                        tid = out[0]
+                        if tid in committed:
+                            continue  # the cancelled loser finishing late
+                        if isinstance(out[1], Spill):
+                            out = (
+                                out[0], transport.open_spill(out[1]),
+                                *out[2:],
+                            )
+                        committed[tid] = self._committed(phase, out)
+                        state.durations.append(
+                            time.perf_counter() - state.submit_time[tid]
+                        )
+                        self._record_outcome(state, tid, is_spec, out[-1])
+                    if failure is not None:
+                        exc, text = failure
+                        if text is not None:
+                            exc.__cause__ = _WorkerTraceback(text)
                         # The rival attempt (if any) may still commit this
                         # task; the job only fails once every attempt of a
                         # task has failed (checked below).
-                        failed.setdefault(tid, exc)
-                        continue
-                    if isinstance(out[1], Spill):
-                        out = (out[0], transport.open_spill(out[1]), *out[2:])
-                    committed[tid] = self._committed(phase, out)
-                    state.durations.append(
-                        time.perf_counter() - state.submit_time[tid]
-                    )
-                    self._record_outcome(state, tid, is_spec, out[-1])
+                        failed.setdefault(tids[len(outcomes)], exc)
                 if broken:
                     self._respawn(state)
                 for tid, exc in failed.items():
@@ -416,16 +537,18 @@ class ParallelRuntime(LocalRuntime):
                     self._speculate(state)
         finally:
             # Drain: what is still queued is cancelled, what is running —
-            # a speculation loser, the siblings of a task that ran out of
-            # attempts — is waited for, so no task of this job runs (or
-            # writes a spill) once ``run`` has released its arena, and the
-            # next job on this pool does not queue behind this one's
-            # stragglers.
+            # a speculation loser, the other runs of a job whose task ran
+            # out of attempts — is waited for, so no task of this job
+            # runs (or writes a spill) once ``run`` has released its
+            # arena, and the next job on this pool does not queue behind
+            # this one's stragglers.
             for fut in live:
                 fut.cancel()
             wait(live)
+            transport.dispatches += state.dispatches
         for tid, out in committed.items():
             out[-1].annotate(dispatch_bytes=dispatch_bytes[tid])
+        phase_span.annotate(dispatches=state.dispatches)
         return sorted(committed.values(), key=lambda item: item[0])
 
     # ------------------------------------------------------------------
@@ -463,13 +586,12 @@ class ParallelRuntime(LocalRuntime):
         # it was one pool), sized by the slowest task's schedule.
         if delay > 0:
             time.sleep(delay)
-        for tid in lost:
-            # If the replacement pool broke already (another instant
-            # kill), the completion loop respawns once more, with this
-            # cycle's resubmit counts still charged.
-            if not state.submit(tid, attempt_base=state.resubmits[tid]):
-                break
-            state.counters.incr("recovery", "tasks_resubmitted")
+        # If the replacement pool broke already (another instant kill),
+        # the completion loop respawns once more, with this cycle's
+        # resubmit counts still charged.
+        state.counters.incr(
+            "recovery", "tasks_resubmitted", state.submit_runs(lost)
+        )
 
     @staticmethod
     def _record_outcome(state: _Dispatch, tid, is_spec, span) -> None:
@@ -520,7 +642,7 @@ class ParallelRuntime(LocalRuntime):
             if now - state.submit_time[tid] > limit:
                 # If the pool died since the last poll, the wait loop
                 # will notice and respawn — don't speculate into it.
-                if not state.submit(tid, speculative=True):
+                if not state.submit([tid], speculative=True):
                     return
                 state.counters.incr("runtime", "speculative_attempts")
 

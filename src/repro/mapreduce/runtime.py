@@ -138,6 +138,11 @@ class LocalRuntime:
         #: verdicts from it.  Driver-side only; never crosses a pipe.
         self.commit_listener = None
 
+    def serial_twin(self) -> "LocalRuntime":
+        """The runtime for a job too small to pay for a dispatch: a
+        serial runtime runs it itself."""
+        return self
+
     def close(self) -> None:
         """Release what the runtime holds between jobs — here nothing;
         whoever makes a runtime closes it, whichever kind it is."""

@@ -212,6 +212,13 @@ def _unlink(name: str) -> None:
         segment.unlink()
     except FileNotFoundError:
         pass  # a spill its worker never wrote, or already unlinked
+    except ValueError:
+        # An empty spill, which cannot be mapped: its worker died between
+        # creating the name and sizing it, before registering it with
+        # the resource tracker, so the name is all there is to remove.
+        from _posixshmem import shm_unlink
+
+        shm_unlink("/" + name)
     _LIVE_SEGMENTS.discard(name)
 
 
@@ -267,24 +274,43 @@ def install_exit_cleanup() -> None:
     _exit_cleanup_installed = True
 
 
+def _owner_running(entry: str) -> bool:
+    """Whether the driver that named segment ``entry`` still runs: the
+    name embeds its pid (whole on Linux, whose pids stay below 10**7)."""
+    try:
+        pid = int(entry.split("-")[2])
+    except (IndexError, ValueError):
+        return False
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        pass  # somebody else's process, alive
+    return True
+
+
 def stale_segments(min_age_seconds: float = 60.0) -> List[Dict[str, Any]]:
     """Repo-prefixed ``/dev/shm`` segments no live run should still own.
 
     A segment is a candidate when its name carries :data:`SEGMENT_PREFIX`,
-    it is not one of *this* process's live segments, and it has not been
-    modified for ``min_age_seconds`` (so a concurrently running job's
-    fresh segments are left alone).  Returns dicts with ``name``,
-    ``bytes`` and ``age_seconds``, oldest first.
+    the driver whose pid it carries is not running, and it has not been
+    modified for ``min_age_seconds``.  A running driver's segments are
+    never candidates, however old: a job's context segment is written
+    once, so its age says nothing about whether the job still reads it.
+    Returns dicts with ``name``, ``bytes`` and ``age_seconds``, oldest
+    first.
     """
     if not os.path.isdir(_SHM_DIR):
         return []
-    own = live_segments()
     now = time.time()
     found: List[Dict[str, Any]] = []
     for entry in os.listdir(_SHM_DIR):
         if not entry.startswith(SEGMENT_PREFIX + "-"):
             continue
-        if entry in own:
+        if _owner_running(entry):
             continue
         path = os.path.join(_SHM_DIR, entry)
         try:
@@ -690,6 +716,9 @@ class ShmTransport:
 
     def __init__(self) -> None:
         self.tasks = 0
+        #: Executor round trips; the runtime counts them, a round trip
+        #: carrying a run of tasks.
+        self.dispatches = 0
         self.dispatch_seconds = 0.0
         self.dispatch_bytes = 0
         self.context_bytes = 0
@@ -739,6 +768,7 @@ class ShmTransport:
         return {
             "name": self.name,
             "tasks": self.tasks,
+            "dispatches": self.dispatches,
             "dispatch_seconds": self.dispatch_seconds,
             "dispatch_bytes": self.dispatch_bytes,
             "context_bytes": self.context_bytes,

@@ -52,8 +52,11 @@ class _SampledStrategy(PartitioningStrategy):
     def _stats(
         self, runtime: LocalRuntime, input_data, request: PlanRequest
     ) -> MiniBucketStats:
+        # The sampling job runs in the driver: through a pool its
+        # millisecond of work paid two dispatched phases and three
+        # segments, several times the work itself.
         return collect_minibucket_stats(
-            runtime,
+            runtime.serial_twin(),
             input_data,
             request.domain,
             n_buckets=request.n_buckets,

@@ -228,11 +228,29 @@ from repro.mapreduce import MapReduceJob, Mapper, ParallelRuntime, Reducer
 pid_file, ready_file, nap = sys.argv[1], sys.argv[2], float(sys.argv[3])
 
 
+def running(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class PidMapper(Mapper):
     def map(self, key, value, ctx):
         with open(pid_file, "a") as f:
             f.write(f"{os.getpid()}\\n")
-        time.sleep(nap if nap else 0.05)
+        # A rendezvous, not a guess: each task waits (10 s at most) until
+        # two running workers have logged, so both take part in the job.
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            with open(pid_file) as f:
+                if sum(map(running, set(f.read().split()))) >= 2:
+                    break
+            time.sleep(0.001)
+        # A bound: mid-job, the mappers outlast the test that kills
+        # their driver.
+        time.sleep(nap)
         yield 0, 1
 
 
@@ -245,7 +263,7 @@ runtime = ParallelRuntime(workers=2)
 runtime.run(MapReduceJob("pids", PidMapper(), Count(), n_reducers=1),
             list(range(4)), block_records=1)
 open(ready_file, "w").close()  # between two jobs: the workers idle
-time.sleep(60)
+time.sleep(60)  # a bound: the test kills this driver long before
 """
 
 
@@ -263,7 +281,7 @@ def _wait_for(condition, seconds: float) -> bool:
     while time.monotonic() < deadline:
         if condition():
             return True
-        time.sleep(0.02)
+        time.sleep(0.02)  # the poll interval of a wait on ``condition``
     return condition()
 
 

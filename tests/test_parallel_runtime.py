@@ -13,6 +13,7 @@ import pytest
 from repro.core import Dataset, OutlierParams, detect_outliers
 from repro.mapreduce import (
     ClusterConfig,
+    CompositeInjector,
     Counters,
     LocalRuntime,
     MapReduceJob,
@@ -122,7 +123,7 @@ class TestParallelRuntime:
 #: What only a pool has to say about a job or a task.
 POOL_ONLY = {
     "runtime", "workers", "transport", "dispatch_bytes", "dispatch_seconds",
-    "spill_bytes",
+    "spill_bytes", "dispatches",
 }
 
 
@@ -453,3 +454,220 @@ class TestPoolReuse:
                 break
             time.sleep(0.02)  # the poll interval of a wait on the exits
         assert left == []
+
+
+# ----------------------------------------------------------------------
+# Run dispatch: one executor round trip carries a run of consecutive
+# tasks; attempts, failures, kills and commits stay per task.
+# ----------------------------------------------------------------------
+class KeyMapper(Mapper):
+    """Key ``i`` for record ``i``: with ``n`` reducers, reduce task ``i``
+    gets key ``i`` (an int hashes to itself)."""
+
+    def map(self, key, value, ctx):
+        yield value, 1
+
+
+class LoggingReducer(Reducer):
+    """Appends its task id to ``path`` as each attempt starts."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def reduce(self, key, values, ctx):
+        with open(self.path, "a") as f:
+            f.write(f"{ctx.task_id}\n")
+        ctx.add_cost(len(values))
+        yield key, sum(values)
+
+
+def keyed_job(path, n_reducers=8):
+    return MapReduceJob(
+        "keyed", KeyMapper(), LoggingReducer(str(path)),
+        n_reducers=n_reducers,
+    )
+
+
+def _started(path) -> list:
+    return [int(t) for t in path.read_text().split()] if path.exists() else []
+
+
+def _commits(runtime) -> list:
+    """Hook ``runtime``'s commit listener; the list of committed tasks."""
+    seen = []
+    runtime.commit_listener = lambda phase, task_id, out: seen.append(task_id)
+    return seen
+
+
+class TestRunDispatch:
+    def test_tasks_travel_in_runs(self):
+        # Eight tasks a phase on two workers: runs of two, four round
+        # trips a phase, where one task a dispatch made eight.
+        with ParallelRuntime(CLUSTER, workers=2) as rt:
+            result = rt.run(
+                MapReduceJob("keyed", KeyMapper(), SumReducer(), 8),
+                list(range(8)), block_records=1,
+            )
+        assert dict(result.outputs) == {i: 1 for i in range(8)}
+        assert result.transport["tasks"] == 16
+        assert result.transport["dispatches"] == 8
+        assert result.counters.get("transport", "dispatches") == 8
+        assert [c.attrs["dispatches"] for c in result.trace.children] == [
+            4, 4,
+        ]
+
+    def test_a_failed_task_ends_its_run_and_fails_the_job(self, tmp_path):
+        # One worker: runs of four, reduce tasks 0-3 then 4-7.  Task 1
+        # uses up its attempts: task 0 before it commits once, tasks 2
+        # and 3 after it never start, and the job fails with task 1's
+        # own exception.
+        log = tmp_path / "started.log"
+        with ParallelRuntime(
+            CLUSTER, workers=1,
+            scheduler=SchedulerConfig(max_attempts=2),
+            failure_injector=ScriptedFailures({("reduce", 1): 99}),
+        ) as rt:
+            commits = _commits(rt)
+            with pytest.raises(
+                SimulatedTaskFailure, match="reduce task 1 attempt 1"
+            ) as failure:
+                rt.run(keyed_job(log), list(range(8)), block_records=8)
+            assert "Traceback" in str(failure.value.__cause__)
+            assert commits.count(0) == 1
+            assert not {1, 2, 3} & set(commits)
+            started = _started(log)
+            assert started[:1] == [0]
+            assert not {2, 3} & set(started)
+            # The runtime stays usable.
+            rt.failure_injector = None
+            assert dict(rt.run(job(), ["a"] * 4).outputs) == {"a": 4}
+        assert shm.live_segments() == frozenset()
+
+    def test_a_worker_killed_mid_run_resubmits_only_what_did_not_commit(
+        self, tmp_path
+    ):
+        # One worker, runs of four: the run of tasks 0-3 commits, then
+        # the worker dies under task 5 of the run 4-7.  Task 4 ran but
+        # its outcome died with the worker: tasks 4-7 go again, each
+        # from attempt 1, and 0-3 do not.
+        with ParallelRuntime(
+            CLUSTER, workers=1,
+            failure_injector=WorkerKill({("reduce", 5): 1}),
+        ) as rt:
+            commits = _commits(rt)
+            result = rt.run(
+                keyed_job(tmp_path / "started.log"), list(range(8)),
+                block_records=8,
+            )
+        assert dict(result.outputs) == {i: 1 for i in range(8)}
+        assert sorted(commits) == list(range(8))
+        assert result.counters.get("recovery", "worker_deaths") == 1
+        assert result.counters.get("recovery", "tasks_resubmitted") == 4
+        (reduce_phase,) = [
+            c for c in result.trace.children if c.name == "reduce"
+        ]
+        (death,) = [
+            c for c in reduce_phase.children if c.name == "worker_death"
+        ]
+        assert death.attrs["lost_tasks"] == [4, 5, 6, 7]
+        attempts = {
+            span.attrs["task_id"]: [a.attrs["attempt"] for a in span.children]
+            for span in reduce_phase.children if span.kind == "task"
+        }
+        assert attempts == {
+            **{tid: [0] for tid in range(4)},
+            **{tid: [1] for tid in range(4, 8)},
+        }
+
+    @pytest.mark.parametrize("speculate", [False, True])
+    def test_pooled_run_has_the_serial_books(self, speculate):
+        # Speculation sends every task alone; a threshold no task can
+        # reach keeps duplicates (and their tombstones) out of the books.
+        scheduler = SchedulerConfig(
+            speculate=speculate, speculation_threshold=1e9,
+        )
+        rng = np.random.default_rng(11)
+        data = Dataset.from_points(rng.uniform(0, 30, size=(900, 2)))
+        kwargs = dict(
+            strategy="DMT", n_partitions=9, n_reducers=6,
+            cluster=ClusterConfig(nodes=2, hdfs_block_records=150),
+            sample_rate=0.5,
+        )
+        serial_tracer, pooled_tracer = Tracer(), Tracer()
+        serial = detect_outliers(
+            data, OutlierParams(r=2.0, k=5), tracer=serial_tracer,
+            runtime=LocalRuntime(kwargs["cluster"], scheduler=scheduler),
+            **kwargs,
+        )
+        with ParallelRuntime(
+            kwargs["cluster"], workers=2, scheduler=scheduler
+        ) as pool:
+            pooled = detect_outliers(
+                data, OutlierParams(r=2.0, k=5), runtime=pool,
+                tracer=pooled_tracer, **kwargs,
+            )
+        assert serial.outlier_ids == pooled.outlier_ids
+        for a, b in zip(serial.run.jobs, pooled.run.jobs, strict=True):
+            assert a.outputs == b.outputs
+            counters = b.counters.as_dict()
+            counters.pop("transport", None)
+            assert a.counters.as_dict() == counters
+        assert [task_books(j) for j in serial.run.jobs] == [
+            task_books(j) for j in pooled.run.jobs
+        ]
+        assert [span_shape(s) for s in serial_tracer.job_spans()] == [
+            span_shape(s) for s in pooled_tracer.job_spans()
+        ]
+        (detect,) = [j for j in pooled.run.jobs if j.transport]
+        tasks = detect.transport["tasks"]
+        assert tasks == 6 + 6
+        if speculate:
+            assert detect.transport["dispatches"] == tasks
+        else:
+            assert detect.transport["dispatches"] < tasks
+
+
+class TestSamplingInTheDriver:
+    def test_the_sampling_job_runs_serially_beside_the_pool(self):
+        rng = np.random.default_rng(4)
+        data = Dataset.from_points(rng.uniform(0, 40, size=(600, 2)))
+        tracer = Tracer()
+        with ParallelRuntime(CLUSTER, workers=2) as rt:
+            detect_outliers(
+                data, OutlierParams(r=2.0, k=5), strategy="DMT",
+                n_partitions=6, n_reducers=3, cluster=CLUSTER,
+                runtime=rt, tracer=tracer, sample_rate=0.5,
+            )
+            totals = dict(rt.transport_totals)
+        sampling, detect = tracer.job_spans()
+        assert sampling.name == "job:dmt-preprocess-sampling"
+        assert sampling.attrs["runtime"] == "LocalRuntime"
+        assert detect.attrs["runtime"] == "ParallelRuntime"
+        # Only the detection job crossed to the workers.
+        assert totals["tasks"] == (
+            detect.attrs["map_tasks"] + detect.attrs["reduce_tasks"]
+        )
+
+    def test_the_twin_keeps_crashes_and_drops_kills(self):
+        serial = LocalRuntime(CLUSTER)
+        assert serial.serial_twin() is serial
+        tracer = Tracer()
+        scheduler = SchedulerConfig(max_attempts=3)
+        pool = ParallelRuntime(
+            CLUSTER, workers=2, tracer=tracer, scheduler=scheduler,
+            failure_injector=CompositeInjector(
+                WorkerKill({("map", 0): 3}), ScriptedFailures({("map", 1): 1})
+            ),
+        )
+        twin = pool.serial_twin()
+        assert type(twin) is LocalRuntime
+        assert (twin.cluster, twin.scheduler, twin.tracer) == (
+            CLUSTER, scheduler, tracer,
+        )
+        # In the driver: map task 0 is not killed (and the driver is not
+        # refused), map task 1 still crashes once and retries.
+        result = twin.run(job(), ["a b"] * 10, block_records=5)
+        assert dict(result.outputs) == {"a": 10, "b": 10}
+        assert result.counters.get("runtime", "map_task_failures") == 1
+        assert tracer.job_spans() == [result.trace]
+        assert pool._pool is None  # nothing was forked

@@ -348,3 +348,95 @@ class TestExitCleanup:
         assert proc.stdout.split()[0] == "survived"
         if os.path.isdir("/dev/shm"):  # pragma: no branch - Linux CI
             assert proc.stdout.split()[1] == "unlinked"
+
+    def test_a_driver_ignoring_sigterm_survives_a_worker_death(self):
+        """A pool worker inherits its driver's SIGTERM disposition, and a
+        pool broken by a dead worker stops its survivors with SIGTERM and
+        waits for them: a survivor that ignored the signal hung the next
+        job forever.  Workers take the default action back."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", _WORKER_DEATH_UNDER_IGNORED_SIGTERM],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
+        assert proc.stdout.split() == ["deaths", "1"]
+
+
+_WORKER_DEATH_UNDER_IGNORED_SIGTERM = """
+import os, signal
+from repro.mapreduce import MapReduceJob, Mapper, ParallelRuntime, Reducer
+
+signal.signal(signal.SIGTERM, signal.SIG_IGN)
+
+
+class Pid(Mapper):
+    def map(self, key, value, ctx):
+        yield os.getpid(), 1
+
+
+class Count(Reducer):
+    def reduce(self, key, values, ctx):
+        yield key, sum(values)
+
+
+job = MapReduceJob("pids", Pid(), Count(), n_reducers=1)
+with ParallelRuntime(workers=2) as rt:
+    (pid, _), *_ = rt.run(job, list(range(4)), block_records=1).outputs
+    os.kill(pid, signal.SIGKILL)
+    # However the executor learns of the death — during this job or at
+    # its first submit — the job completes on a respawned pool.
+    result = rt.run(job, list(range(4)), block_records=1)
+    print("deaths", result.counters.get("recovery", "worker_deaths"))
+"""
+
+
+_RUNNING_DRIVER = """
+import sys
+from repro.mapreduce.shm import ShmArena
+
+arena = ShmArena("running")
+arena.pack({0: b"payload"})
+print(*arena.segments, flush=True)
+sys.stdin.read()  # holds the segment until the test kills this driver
+"""
+
+
+@pytest.mark.skipif(not HAS_DEV_SHM, reason="sweeps /dev/shm")
+class TestStaleSweep:
+    def test_a_running_drivers_segments_are_never_stale(self):
+        """The sweep reads the owner's pid from a segment's name: a live
+        driver's segments are spared at any age, a dead one's taken."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        driver = subprocess.Popen(
+            [sys.executable, "-c", _RUNNING_DRIVER], env=env,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        )
+        try:
+            (name,) = driver.stdout.readline().split()
+            assert os.path.exists(os.path.join("/dev/shm", name))
+            assert name not in {s["name"] for s in shm.stale_segments(0)}
+        finally:
+            driver.kill()
+            driver.wait(timeout=10)
+            driver.stdin.close()
+            driver.stdout.close()
+        assert name in {s["name"] for s in shm.stale_segments(0)}
+        assert name in {s["name"] for s in shm.clean_stale_segments(0)}
+        assert not os.path.exists(os.path.join("/dev/shm", name))
+
+    def test_an_empty_spill_is_unlinked(self, released):
+        """A worker stopped between creating its spill's name and sizing
+        it leaves an empty segment, which cannot be mapped: the arena
+        unlinks it all the same."""
+        from _posixshmem import shm_open
+
+        arena = shm.ShmArena("empty-spill")
+        name = arena.spill_name()
+        os.close(shm_open("/" + name, os.O_CREAT | os.O_EXCL | os.O_RDWR))
+        assert os.path.getsize(os.path.join("/dev/shm", name)) == 0
+        arena.release()
+        assert released == {name: True}
+        assert_no_segments()
